@@ -18,7 +18,7 @@
 #include "core/experiment.hpp"
 #include "gen/datasets.hpp"
 #include "markov/estimators.hpp"
-#include "markov/evolution.hpp"
+#include "markov/batched_evolver.hpp"
 #include "markov/stationary.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"

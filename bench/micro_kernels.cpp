@@ -35,7 +35,6 @@
 #include "linalg/vector_ops.hpp"
 #include "linalg/walk_operator.hpp"
 #include "markov/batched_evolver.hpp"
-#include "markov/evolution.hpp"
 #include "markov/mixing_time.hpp"
 #include "markov/random_walk.hpp"
 #include "markov/stationary.hpp"
@@ -93,22 +92,6 @@ void BM_SpMV(benchmark::State& state) {
 }
 BENCHMARK(BM_SpMV)->Arg(1000)->Arg(10000)->Arg(100000)->Unit(benchmark::kMicrosecond);
 
-void BM_DistributionStep(benchmark::State& state) {
-  const auto g = make_ba(static_cast<graph::NodeId>(state.range(0)));
-  markov::DistributionEvolver evolver{g};
-  auto dist = evolver.point_mass(0);
-  std::vector<double> next(dist.size());
-  for (auto _ : state) {
-    evolver.step(dist, next);
-    benchmark::DoNotOptimize(next.data());
-    dist.swap(next);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.num_half_edges()));
-}
-BENCHMARK(BM_DistributionStep)->Arg(1000)->Arg(10000)->Arg(100000)
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_MonteCarloWalks(benchmark::State& state) {
   const auto g = make_ba(10000);
   util::Rng rng{3};
@@ -165,8 +148,8 @@ BENCHMARK(BM_SlemPowerIteration)->Unit(benchmark::kMillisecond);
 // ------------------------------------------------- parallel/batched SpMM --
 // The multi-source evolution engine behind measure_sampled_mixing. Items
 // are lane-edge updates (half_edges x lanes per sweep), so items/s is
-// directly comparable across block sizes and against BM_DistributionStep
-// (the scalar path, one lane per sweep).
+// directly comparable across block sizes; block 1 is the single-vector
+// path (the SpMV kernel, one lane per sweep).
 
 void BM_BatchedEvolution(benchmark::State& state) {
   util::set_thread_count(1);  // isolate block-reuse from threading
@@ -224,17 +207,12 @@ void BM_MultiSourceMixingScalar(benchmark::State& state) {
   const auto g = make_ba(static_cast<graph::NodeId>(state.range(0)));
   const auto pi = markov::stationary_distribution(g);
   for (auto _ : state) {
-    // The pre-batching implementation of measure_sampled_mixing.
-    markov::DistributionEvolver evolver{g};
+    // The pre-batching shape of measure_sampled_mixing: one single-vector
+    // evolution per source.
     std::vector<std::vector<double>> trajectories;
     for (std::size_t s = 0; s < kMixSources; ++s) {
-      std::vector<double> traj;
-      evolver.trajectory(static_cast<graph::NodeId>(s), kMixSteps,
-                         [&](std::size_t, std::span<const double> dist) {
-                           traj.push_back(linalg::total_variation(dist, pi));
-                           return true;
-                         });
-      trajectories.push_back(std::move(traj));
+      trajectories.push_back(
+          markov::tvd_trajectory(g, static_cast<graph::NodeId>(s), kMixSteps, pi));
     }
     benchmark::DoNotOptimize(trajectories.data());
   }

@@ -5,10 +5,11 @@
 // inner loop) through three engines that are bit-identical by contract
 // (tests/markov/test_shard_parity.cpp):
 //
-//   * dense      — BatchedEvolver, the in-memory baseline;
-//   * s<N>       — ShardedBatchedEvolver over the same heap CSR with a
-//                  balanced N-shard plan: isolates the pure sweep-phasing
-//                  cost (per-shard range dispatch + standalone TVD pass);
+//   * dense      — BatchedEvolver with its default one-shard plan, the
+//                  in-memory baseline;
+//   * s<N>       — the same engine over the same heap CSR with a balanced
+//                  N-shard plan: isolates the pure sweep-phasing cost
+//                  (per-shard range dispatch + standalone TVD pass);
 //   * s<N>-mapped — the same sharded sweep through a `.smxg` container
 //                  (mmap + madvise windowing): adds the paging cost the
 //                  out-of-core path pays when the CSR streams from disk.
@@ -76,7 +77,6 @@
 #include "graph/sharded/plan.hpp"
 #include "linalg/shard_pipeline.hpp"
 #include "markov/batched_evolver.hpp"
-#include "markov/sharded_evolver.hpp"
 #include "markov/stationary.hpp"
 #include "obs/obs.hpp"
 #include "util/cli.hpp"
@@ -148,9 +148,12 @@ PairTiming time_shard_pair(const graph::Graph& g, const graph::Graph& view,
     });
   };
   const auto run_sharded = [&] {
-    markov::ShardedBatchedEvolver evolver{
-        view, plan, 0.0, markov::ShardedBatchedEvolver::kDefaultBlock,
-        {},   linalg::simd::Precision::kFloat64, mapped};
+    markov::BatchedEvolver evolver{view,
+                                   0.0,
+                                   markov::BatchedEvolver::kDefaultBlock,
+                                   {},
+                                   linalg::simd::Precision::kFloat64,
+                                   {plan, mapped}};
     evolver.seed_point_masses(sources);
     return bench::Harness::process().time_once(entry_prefix + "/" + variant, [&] {
       for (std::size_t t = 0; t < steps; ++t) evolver.step_with_tvd(pi, tvd);
@@ -226,15 +229,13 @@ ColdTiming time_cold_variant(const graph::Graph& g, const std::string& pack,
   for (std::size_t r = 0; r < rounds; ++r) {
     drop_page_cache(pack);
     const graph::sharded::MappedGraph mapped{pack, {.verify = false}};
-    markov::ShardedBatchedEvolver evolver{
+    markov::BatchedEvolver evolver{
         mapped.view(),
-        mapped.pack_plan(),
         0.0,
-        markov::ShardedBatchedEvolver::kDefaultBlock,
+        markov::BatchedEvolver::kDefaultBlock,
         graph::FrontierPolicy{.mode = graph::FrontierPolicy::Mode::kOff},
         linalg::simd::Precision::kFloat64,
-        &mapped,
-        io};
+        {mapped.pack_plan(), &mapped, io}};
     evolver.seed_point_masses(sources);
     const double seconds = bench::Harness::process().time_once(entry, [&] {
       for (std::size_t t = 0; t < steps; ++t) evolver.step_with_tvd(pi, tvd);

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "bench_harness/harness.hpp"
-#include "linalg/sharded_walk_operator.hpp"
 #include "linalg/walk_operator.hpp"
 #include "obs/obs.hpp"
 #include "util/rng.hpp"
@@ -43,21 +42,15 @@ MixingReport measure_mixing(const graph::Graph& g, std::string name,
     const std::uint32_t shards = graph::resolve_shard_count(
         options.sharded, active.memory_bytes(), active.num_nodes(),
         headless ? 3u : 2u);
-    linalg::SpectrumResult spectrum;
-    if (shards > 1 || headless) {
-      // Shard geometry never changes an output bit (rows are independent
-      // under spmv); this branch only bounds the CSR residency. Headless
-      // graphs take it unconditionally: only the shard pipeline knows how
-      // to materialize their adjacency.
-      const linalg::ShardedWalkOperator op{
-          active, graph::ShardPlan::balanced(active.offsets(), shards),
-          options.laziness, reordered.identity() ? options.mapped : nullptr,
-          options.io_mode};
-      spectrum = linalg::slem_spectrum(op, options.lanczos);
-    } else {
-      const linalg::WalkOperator op{active, options.laziness};
-      spectrum = linalg::slem_spectrum(op, options.lanczos);
-    }
+    // Shard geometry never changes an output bit (rows are independent
+    // under spmv); it only bounds the CSR residency. The mapping goes to
+    // the operator when it windows several shards or must decode them
+    // (headless: only the shard pipeline can materialize that adjacency).
+    const linalg::WalkOperator op{
+        active, graph::ShardPlan::balanced(active.offsets(), shards), options.laziness,
+        reordered.identity() && (shards > 1 || headless) ? options.mapped : nullptr,
+        options.io_mode};
+    const linalg::SpectrumResult spectrum = linalg::slem_spectrum(op, options.lanczos);
     report.spectral_ran = true;
     report.spectral_converged = spectrum.converged;
     report.slem = spectrum.slem;

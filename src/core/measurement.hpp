@@ -66,8 +66,8 @@ struct MeasurementOptions {
   /// Shard-at-a-time out-of-core evolution (--sharded auto|off|N). When
   /// the policy resolves to > 1 shards against the measured CSR, both
   /// phases sweep the graph one contiguous vertex shard at a time
-  /// (spectral: ShardedWalkOperator under Lanczos; sampled:
-  /// ShardedBatchedEvolver) — bit-identical to the dense engines for any
+  /// (spectral: a sharded WalkOperator under Lanczos; sampled: a sharded
+  /// BatchedEvolver) — bit-identical to the dense engines for any
   /// shard count; with a mapped container the CSR residency stays near
   /// two shard windows.
   graph::ShardPolicy sharded;

@@ -1,7 +1,7 @@
 // Double-buffered shard window pipeline: hide I/O behind compute.
 //
-// The sharded engines (markov::ShardedBatchedEvolver, linalg::
-// ShardedWalkOperator) sweep a mapped CSR one contiguous shard at a time.
+// The walk engines (markov::BatchedEvolver, linalg::WalkOperator) sweep
+// a mapped CSR one contiguous shard at a time.
 // Before this pipeline existed they advised the next window and paged it
 // in synchronously — every cold page fault landed on the compute thread.
 // ShardPipeline moves the paging (and, for compressed containers, the

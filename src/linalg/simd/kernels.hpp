@@ -3,7 +3,7 @@
 //
 // The batched 32-lane SpMM + fused TVD (markov::BatchedEvolver), the
 // single-vector gather-stream SpMV (linalg::{Walk,WeightedWalk}Operator,
-// markov::DistributionEvolver) and their frontier range variants all
+// one-lane markov::BatchedEvolver) and their frontier range variants all
 // funnel through one table of kernel function pointers. Three tiers
 // implement the table:
 //
@@ -100,7 +100,7 @@ using SpmmMixedFn = void (*)(const SpmmArgs& args, const float* scaled,
 ///   acc  = sum_{e in row i} (edge_scale ? edge_scale[e] : 1) * gather[neighbors[e]]
 ///   y[i] = walk_weight*acc * (row_scale ? row_scale[i] : 1) + laziness*x[i]
 /// matching the scalar epilogues of WalkOperator (row_scale =
-/// inv_sqrt_deg), DistributionEvolver (row_scale null) and
+/// inv_sqrt_deg), a one-lane BatchedEvolver (row_scale null) and
 /// WeightedWalkOperator (edge_scale = folded weights). The SIMD tiers use
 /// i32 gathers, so they require num_nodes < 2^31 — guaranteed by the u32
 /// NodeId CSR long before that bound matters.
@@ -184,8 +184,8 @@ void reset_tier() noexcept;
 /// the spmm kernels compute on the same stored state — swept rows store
 /// exactly the value the fused term subtracts pi from, and skipped
 /// frontier rows hold +0.0 so |0 - pi_j| reproduces the pi-gap term bit
-/// for bit. The sharded engines use this after sweeping all shards with
-/// pi == null. One scalar implementation serves every tier: the
+/// for bit. BatchedEvolver uses this after a multi-shard or single-vector
+/// sweep with pi == null. One scalar implementation serves every tier: the
 /// reduction is adds and fabs only, with nothing tier-specific to pin.
 void tvd_f64(const double* state, std::size_t stride, std::size_t lanes,
              const double* pi, graph::NodeId n, double* tvd_out) noexcept;

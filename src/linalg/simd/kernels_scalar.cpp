@@ -33,9 +33,9 @@ constexpr std::size_t kPrefetchDistance = util::kGatherPrefetchDistance;
 // per edge: the per-source scaling src[b] * inv_deg[i] was hoisted into
 // the prescale pass (see BatchedEvolver::sweep), which computes the exact
 // same rounded products, so the floating-point result per lane remains
-// the operation sequence of DistributionEvolver::step + total_variation
-// (CSR edge order, then ascending-row TVD) — bit-identical to the scalar
-// path.
+// the operation sequence of the single-vector spmv epilogue +
+// total_variation (CSR edge order, then ascending-row TVD) — bit-
+// identical to a one-lane sweep.
 template <std::size_t B>
 void sweep_fixed(graph::NodeId n, const graph::EdgeIndex* offsets,
                  const graph::NodeId* neighbors, const double* scaled,

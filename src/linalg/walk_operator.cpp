@@ -11,9 +11,16 @@
 namespace socmix::linalg {
 
 WalkOperator::WalkOperator(const graph::Graph& g, double laziness)
-    : graph_(&g), laziness_(laziness) {
+    : WalkOperator(g, graph::ShardPlan::single(g.num_nodes()), laziness) {}
+
+WalkOperator::WalkOperator(const graph::Graph& g, graph::ShardPlan plan, double laziness,
+                           const graph::sharded::MappedGraph* mapped, IoMode io_mode)
+    : graph_(&g), plan_(std::move(plan)), laziness_(laziness) {
   if (laziness < 0.0 || laziness >= 1.0) {
     throw std::invalid_argument{"WalkOperator: laziness must be in [0, 1)"};
+  }
+  if (plan_.dim() != g.num_nodes() || plan_.num_shards() == 0) {
+    throw std::invalid_argument{"WalkOperator: plan does not cover the graph"};
   }
   const graph::NodeId n = g.num_nodes();
   inv_sqrt_deg_.resize(n);
@@ -27,17 +34,18 @@ WalkOperator::WalkOperator(const graph::Graph& g, double laziness)
     inv_sqrt_deg_[v] = 1.0 / std::sqrt(static_cast<double>(d));
   }
   scaled_.resize(n);
+  pipeline_ = std::make_unique<ShardPipeline>(g, plan_, mapped, io_mode);
 }
 
 void WalkOperator::apply(std::span<const double> x, std::span<double> y) const {
   SOCMIX_TRACE_SPAN("spmv.apply");
-  const graph::Graph& g = *graph_;
-  const graph::NodeId n = g.num_nodes();
+  const graph::NodeId n = graph_->num_nodes();
+  const std::uint32_t shards = plan_.num_shards();
   SOCMIX_COUNTER_ADD("linalg.spmv.applies", 1);
   SOCMIX_COUNTER_ADD("linalg.spmv.rows", n);
-  const auto offsets = g.offsets();
-  const auto neighbors = g.raw_neighbors();
-  const double walk_weight = 1.0 - laziness_;
+  if (shards > 1 || pipeline_->decodes()) {
+    SOCMIX_COUNTER_ADD("linalg.spmv.sharded_applies", 1);
+  }
 
   // (N x)_i = (1/sqrt d_i) * sum_{j ~ i} x_j / sqrt d_j. The source-side
   // scaling is hoisted out of the edge loop: one streaming pass computes
@@ -48,25 +56,37 @@ void WalkOperator::apply(std::span<const double> x, std::span<double> y) const {
   // bit-identical for any thread count — and the simd dispatch table
   // guarantees the same bits for any kernel tier (the vector tier gathers
   // in hardware but sums edges in scalar order; see linalg/simd). Lanczos
-  // and power iteration scale with cores through this one kernel.
+  // and power iteration scale with cores through this one kernel. Rows
+  // are grouped by shard only in the outer order, which no row's result
+  // depends on.
   double* const scaled = scaled_.data();
   const simd::KernelTable& kernels = simd::dispatch();
   util::parallel_for(0, n, kApplyGrain, [&](std::size_t lo, std::size_t hi) {
     kernels.prescale_f64(x.data(), inv_sqrt_deg_.data(), scaled, lo, hi);
   });
-  simd::SpmvArgs args;
-  args.offsets = offsets.data();
-  args.neighbors = neighbors.data();
-  args.gather = scaled;
-  args.x = x.data();
-  args.y = y.data();
-  args.walk_weight = walk_weight;
-  args.laziness = laziness_;
-  args.row_scale = inv_sqrt_deg_.data();
-  util::parallel_for(0, n, kApplyGrain, [&](std::size_t row_lo, std::size_t row_hi) {
-    kernels.spmv(args, static_cast<graph::NodeId>(row_lo),
-                 static_cast<graph::NodeId>(row_hi));
-  });
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const ShardWindow w = pipeline_->acquire(s);
+    simd::SpmvArgs args;
+    args.offsets = w.offsets;
+    args.neighbors = w.neighbors;
+    args.gather = scaled;
+    args.walk_weight = 1.0 - laziness_;
+    args.laziness = laziness_;
+    // A decoded window is kernel-local: its offsets index the scratch
+    // neighbors and every per-row pointer is rebased by w.begin, so
+    // kernel row j is absolute row w.begin + j. The gather source stays
+    // absolute (neighbor ids are absolute): the same per-row FP sequence.
+    const graph::NodeId base = w.local ? w.begin : 0;
+    args.x = x.data() + base;
+    args.y = y.data() + base;
+    args.row_scale = inv_sqrt_deg_.data() + base;
+    util::parallel_for(w.begin - base, w.end - base, kApplyGrain,
+                       [&](std::size_t row_lo, std::size_t row_hi) {
+                         kernels.spmv(args, static_cast<graph::NodeId>(row_lo),
+                                      static_cast<graph::NodeId>(row_hi));
+                       });
+  }
+  pipeline_->finish_sweep();
 }
 
 void WalkOperator::apply_rows(std::span<const double> x, std::span<double> y,

@@ -10,13 +10,26 @@
 // A lazy-walk variant (I + N)/2 is provided for graphs whose simple walk is
 // periodic (bipartite components), mirroring the standard lazy chain
 // (I + P)/2 whose spectrum is the affine map (1 + lambda)/2.
+//
+// apply() sweeps the rows one contiguous vertex shard at a time through a
+// ShardPipeline, which stages each shard's CSR window (madvise windowing,
+// optional prefetch thread, optional ADJC decode) — with a multi-shard
+// plan over a memory-mapped graph the adjacency residency stays near two
+// shards however large the graph is. The default plan is one shard over
+// the in-memory CSR. Rows are independent and every row runs the
+// identical spmv kernel, so shard geometry, io-mode and compression never
+// change an output bit (tests/linalg/test_sharded_operator.cpp).
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "graph/frontier.hpp"
 #include "graph/graph.hpp"
+#include "graph/sharded/mapped_graph.hpp"
+#include "graph/sharded/plan.hpp"
+#include "linalg/shard_pipeline.hpp"
 
 namespace socmix::linalg {
 
@@ -29,6 +42,16 @@ class WalkOperator {
   /// laziness alpha in [0, 1): the operator is (1-alpha) N + alpha I.
   /// alpha = 0 is the simple walk; alpha = 0.5 the standard lazy walk.
   explicit WalkOperator(const graph::Graph& g, double laziness = 0.0);
+
+  /// Shard-at-a-time operator for out-of-core spectra. `plan.dim()` must
+  /// equal g.num_nodes(). `mapped`, when non-null, must back `g` and
+  /// outlive the operator; it enables the madvise windowing. A headless
+  /// `g` (compressed container) requires its `mapped`. `io_mode` selects
+  /// synchronous staging or the prefetch worker; it is a pure I/O knob
+  /// (results identical either way).
+  WalkOperator(const graph::Graph& g, graph::ShardPlan plan, double laziness = 0.0,
+               const graph::sharded::MappedGraph* mapped = nullptr,
+               IoMode io_mode = IoMode::kSync);
 
   /// y = Op * x. x and y must have size dim() and not alias. Rows are
   /// partitioned across the util::parallel pool; the gather formulation
@@ -43,7 +66,8 @@ class WalkOperator {
   /// with the identical full-row gather, and leaves every other row of y
   /// untouched. The prescale still streams all of x (gather sources are
   /// unrestricted), so the saving is the skipped row gathers. Bit-identical
-  /// to apply() on the covered rows. Same scratch caveat as apply().
+  /// to apply() on the covered rows. Same scratch caveat as apply(). Reads
+  /// the in-memory adjacency directly, so not for headless graphs.
   void apply_rows(std::span<const double> x, std::span<double> y,
                   std::span<const graph::RowRange> ranges) const;
 
@@ -60,6 +84,8 @@ class WalkOperator {
   [[nodiscard]] std::vector<double> top_eigenvector() const;
 
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
+  [[nodiscard]] const graph::ShardPlan& plan() const noexcept { return plan_; }
+  [[nodiscard]] IoMode io_mode() const noexcept { return pipeline_->mode(); }
 
   /// Maps an eigenvalue of the *simple* operator to this operator's:
   /// lambda -> (1-alpha) lambda + alpha.
@@ -69,10 +95,14 @@ class WalkOperator {
 
  private:
   const graph::Graph* graph_;
+  graph::ShardPlan plan_;
   std::vector<double> inv_sqrt_deg_;
   /// apply() scratch: the pre-scaled source x[j] * inv_sqrt_deg_[j], so
   /// the edge loop is a single gather. Sized n at construction.
   mutable std::vector<double> scaled_;
+  /// unique_ptr: the pipeline may own a worker thread and is neither
+  /// copyable nor movable; the operator stays movable through it.
+  std::unique_ptr<ShardPipeline> pipeline_;
   double laziness_;
 };
 

@@ -5,14 +5,38 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
+#include "util/parallel.hpp"
 
 namespace socmix::markov {
 
+namespace {
+
+/// scaled[i*stride + b] = cur[i*stride + b] * inv_deg[i] over rows [lo, hi).
+/// Each product rounds exactly as a per-edge multiply would, so hoisting
+/// it out of the edge loop changes no bits. Mixed precision widens each
+/// f32 cell to f64, multiplies, and rounds the product once — elementwise,
+/// so identical in every kernel tier.
+template <typename T>
+void prescale(const T* cur, const double* inv_deg, T* scaled, std::size_t stride,
+              std::size_t lanes, graph::NodeId lo, graph::NodeId hi) {
+  for (graph::NodeId i = lo; i < hi; ++i) {
+    const double w = inv_deg[i];
+    const std::size_t base = static_cast<std::size_t>(i) * stride;
+    for (std::size_t b = 0; b < lanes; ++b) {
+      scaled[base + b] = static_cast<T>(static_cast<double>(cur[base + b]) * w);
+    }
+  }
+}
+
+}  // namespace
+
 BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size_t block,
                                graph::FrontierPolicy frontier,
-                               linalg::simd::Precision precision)
-    : graph_(&g), laziness_(laziness), block_(block), precision_(precision),
-      policy_(frontier) {
+                               linalg::simd::Precision precision, SweepSharding sharding)
+    : graph_(&g), mapped_(sharding.mapped), plan_(std::move(sharding.plan)),
+      laziness_(laziness), block_(block), precision_(precision), policy_(frontier) {
+  const graph::NodeId n = g.num_nodes();
+  if (plan_.bounds.empty()) plan_ = graph::ShardPlan::single(n);
   if (laziness < 0.0 || laziness >= 1.0) {
     throw std::invalid_argument{"BatchedEvolver: laziness must be in [0, 1)"};
   }
@@ -23,7 +47,14 @@ BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size
       !(policy_.row_fraction() > 0.0 && policy_.row_fraction() <= 1.0)) {
     throw std::invalid_argument{"BatchedEvolver: frontier threshold must be in (0, 1]"};
   }
-  const graph::NodeId n = g.num_nodes();
+  if (g.headless() && policy_.enabled()) {
+    throw std::invalid_argument{
+        "BatchedEvolver: the frontier optimization needs in-memory adjacency; "
+        "disable it for compressed containers"};
+  }
+  if (plan_.dim() != n || plan_.num_shards() == 0) {
+    throw std::invalid_argument{"BatchedEvolver: plan does not cover the graph"};
+  }
   inv_deg_.resize(n);
   for (graph::NodeId v = 0; v < n; ++v) {
     const graph::NodeId d = g.degree(v);
@@ -49,6 +80,18 @@ BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size
     switch_rows_ = std::max<graph::NodeId>(
         1, static_cast<graph::NodeId>(policy_.row_fraction() * static_cast<double>(n)));
   }
+  sharded_ = plan_.num_shards() > 1 || mapped_ != nullptr;
+#if SOCMIX_OBS_ENABLED
+  if (sharded_) {
+    // One sequential CSR pass; prices the boundary-exchange metric. A
+    // headless view has no in-memory adjacency to walk — the metric reads
+    // 0 there rather than decoding the whole container to price it.
+    if (!g.headless()) boundary_half_edges_ = graph::count_boundary_half_edges(g, plan_);
+    SOCMIX_GAUGE_SET("markov.shard.count", plan_.num_shards());
+    SOCMIX_GAUGE_SET("markov.shard.boundary_half_edges", boundary_half_edges_);
+  }
+#endif
+  pipeline_ = std::make_unique<linalg::ShardPipeline>(g, plan_, mapped_, sharding.io_mode);
 }
 
 void BatchedEvolver::seed_point_masses(std::span<const graph::NodeId> sources) {
@@ -103,18 +146,62 @@ void BatchedEvolver::seed_point_masses(std::span<const graph::NodeId> sources) {
   rows_swept_ = 0;
 }
 
+void BatchedEvolver::sweep_rows(const linalg::ShardWindow& w,
+                                std::span<const graph::RowRange> rows,
+                                linalg::simd::SpmmArgs args) {
+  // A decoded window is kernel-local: rows [0, end-begin), offsets indexing
+  // the scratch neighbors. The streamed state blocks are rebased by begin
+  // rows while the gather source stays absolute (neighbor ids are
+  // absolute). Same per-row FP sequence, shifted pointers — bit-identical
+  // by construction. The frontier is off there (enforced at construction),
+  // so the shard's rows are the whole window.
+  const graph::RowRange local{0, w.end - w.begin};
+  if (w.local) {
+    args.n = local.end;
+    rows = {&local, 1};
+  }
+  const std::size_t bias = w.local ? static_cast<std::size_t>(w.begin) * block_ : 0;
+  args.offsets = w.offsets;
+  args.neighbors = w.neighbors;
+  args.ranges = rows.data();
+  args.num_ranges = rows.size();
+  const linalg::simd::KernelTable& kernels = linalg::simd::dispatch();
+  if (single_vector()) {
+    linalg::simd::SpmvArgs v;
+    v.offsets = w.offsets;
+    v.neighbors = w.neighbors;
+    v.gather = scaled_.data();
+    v.x = cur_.data() + bias;
+    v.y = next_.data() + bias;
+    v.walk_weight = args.walk_weight;
+    v.laziness = args.laziness;
+    // Rows partition across the pool; each next[j] comes from one thread
+    // with a fixed accumulation order, so any thread count gives the same
+    // bits. Inside a parallel region (one block per worker) this runs
+    // inline.
+    for (const graph::RowRange r : rows) {
+      util::parallel_for(r.begin, r.end, kRowGrain, [&](std::size_t lo, std::size_t hi) {
+        kernels.spmv(v, static_cast<graph::NodeId>(lo), static_cast<graph::NodeId>(hi));
+      });
+    }
+  } else if (precision_ == linalg::simd::Precision::kMixed) {
+    kernels.spmm_mixed(args, scaled32_.data(), cur32_.data() + bias, next32_.data() + bias);
+  } else {
+    kernels.spmm_f64(args, scaled_.data(), cur_.data() + bias, next_.data() + bias);
+  }
+}
+
 void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   SOCMIX_TRACE_SPAN("evolver.sweep");
-  const graph::Graph& g = *graph_;
-  const graph::NodeId n = g.num_nodes();
-  const double walk_weight = 1.0 - laziness_;
+  const graph::NodeId n = graph_->num_nodes();
   const bool mixed = precision_ == linalg::simd::Precision::kMixed;
 
 #if SOCMIX_OBS_ENABLED
   // Sweep-granular accounting only: the kernels below stay untouched.
   const auto sweep_start = std::chrono::steady_clock::now();
-  const bool unrolled =
-      active_ == 4 || active_ == 8 || active_ == 16 || active_ == 32;
+  const auto faults_before = mapped_ != nullptr ? graph::sharded::process_page_faults()
+                                                : graph::sharded::PageFaults{};
+  std::size_t max_window_bytes = 0;
 #endif
 
   // Frontier phase: grow the support closure first (next can be nonzero
@@ -122,7 +209,7 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   // good once the closure reaches the policy's row fraction.
   bool use_frontier = sparse_phase_;
   if (use_frontier) {
-    frontier_.expand(g);
+    frontier_.expand(*graph_);
     if (frontier_.covered_rows() >= switch_rows_) {
       sparse_phase_ = false;
       use_frontier = false;
@@ -131,76 +218,81 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
       SOCMIX_GAUGE_SET("markov.frontier.switch_step", switch_step_);
     }
   }
-  const std::span<const graph::RowRange> ranges = frontier_.ranges();
+  // The rows this sweep computes: the closure while sparse, else all.
+  const graph::RowRange all_rows{0, n};
+  const std::span<const graph::RowRange> swept_ranges =
+      use_frontier ? frontier_.ranges() : std::span<const graph::RowRange>{&all_rows, 1};
 
-  // Prescale pass: one sequential stream over the block computing
-  // scaled[i*stride + b] = cur[i*stride + b] * inv_deg_[i]. Each product
-  // is rounded exactly as the old per-edge multiply was, so hoisting it
-  // changes no bits — it only turns the irregular inner loop into a single
-  // gather + add per edge instead of two gathers + FMA. In the frontier
+  // Prescale pass: one sequential stream over the block. In the frontier
   // phase only closure rows are prescaled; the rest of scaled already
   // holds the +0.0 the dense prescale would produce (seed invariant).
-  // Mixed precision widens each f32 cell to f64, multiplies, and rounds
-  // the product once — elementwise, so identical in every kernel tier.
-  const std::size_t lanes = active_;
-  if (mixed) {
-    const float* cur = cur32_.data();
-    float* scaled = scaled32_.data();
-    const auto prescale = [&](graph::NodeId lo, graph::NodeId hi) {
-      for (graph::NodeId i = lo; i < hi; ++i) {
-        const double w = inv_deg_[i];
-        const std::size_t base = static_cast<std::size_t>(i) * block_;
-        for (std::size_t b = 0; b < lanes; ++b) {
-          scaled[base + b] = static_cast<float>(static_cast<double>(cur[base + b]) * w);
-        }
-      }
-    };
-    if (use_frontier) {
-      for (const graph::RowRange r : ranges) prescale(r.begin, r.end);
+  for (const graph::RowRange r : swept_ranges) {
+    if (mixed) {
+      prescale(cur32_.data(), inv_deg_.data(), scaled32_.data(), block_, active_,
+               r.begin, r.end);
     } else {
-      prescale(0, n);
-    }
-  } else {
-    const double* cur = cur_.data();
-    double* scaled = scaled_.data();
-    const auto prescale = [&](graph::NodeId lo, graph::NodeId hi) {
-      for (graph::NodeId i = lo; i < hi; ++i) {
-        const double w = inv_deg_[i];
-        const std::size_t base = static_cast<std::size_t>(i) * block_;
-        for (std::size_t b = 0; b < lanes; ++b) scaled[base + b] = cur[base + b] * w;
-      }
-    };
-    if (use_frontier) {
-      for (const graph::RowRange r : ranges) prescale(r.begin, r.end);
-    } else {
-      prescale(0, n);
+      prescale(cur_.data(), inv_deg_.data(), scaled_.data(), block_, active_, r.begin,
+               r.end);
     }
   }
 
-  // One dispatch-table call per sweep. The kernel dispatches internally on
+  // Shard loop. Every shard sweep is a range-driven SpMM over the shard's
+  // rows: the range kernels run the same per-row body as a full sweep, so
+  // grouping rows by shard changes no bits. Window staging (advise-ahead,
+  // prefetch thread, ADJC decode) lives in the pipeline; each acquired
+  // window holds the identical neighbor sequence, so io-mode and
+  // compression change no bits either. The kernel dispatches internally on
   // the *active* lane count; stride stays block_, so partially filled
   // blocks (the tail of an odd source list) still hit a wide kernel when
-  // their lane count is a supported width.
+  // their lane count is a supported width. The TVD is fused only when one
+  // kernel call covers every row in ascending order.
+  const bool fused_tvd = pi != nullptr && plan_.num_shards() == 1 && !single_vector();
   linalg::simd::SpmmArgs args;
   args.n = n;
-  args.offsets = g.offsets().data();
-  args.neighbors = g.raw_neighbors().data();
   args.stride = block_;
   args.lanes = active_;
-  args.walk_weight = walk_weight;
+  args.walk_weight = 1.0 - laziness_;
   args.laziness = laziness_;
-  args.pi = pi;
-  args.tvd_out = tvd_out;
-  if (use_frontier) {
-    args.ranges = ranges.data();
-    args.num_ranges = ranges.size();
+  if (fused_tvd) {
+    args.pi = pi;
+    args.tvd_out = tvd_out;
   }
-  const linalg::simd::KernelTable& kernels = linalg::simd::dispatch();
+  const std::uint32_t shards = plan_.num_shards();
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const graph::NodeId lo = plan_.begin(s);
+    const graph::NodeId hi = plan_.end(s);
+    const linalg::ShardWindow w = pipeline_->acquire(s);
+    // The swept ranges clipped to [lo, hi); sorted disjoint stays sorted
+    // disjoint under clipping.
+    shard_ranges_.clear();
+    for (const graph::RowRange r : swept_ranges) {
+      const graph::NodeId begin = std::max(r.begin, lo);
+      const graph::NodeId end = std::min(r.end, hi);
+      if (begin < end) shard_ranges_.push_back({begin, end});
+    }
+    if (fused_tvd || !shard_ranges_.empty()) sweep_rows(w, shard_ranges_, args);
+#if SOCMIX_OBS_ENABLED
+    if (mapped_ != nullptr && !shard_ranges_.empty()) {
+      max_window_bytes =
+          std::max(max_window_bytes, mapped_->window_bytes(shard_ranges_.front().begin,
+                                                           shard_ranges_.back().end));
+    }
+#endif
+  }
+  pipeline_->finish_sweep();
+
+  // Deferred TVD: one ascending-row pass over the stored next state,
+  // bit-identical to the fused reduction (see linalg::simd::tvd_*).
+  if (pi != nullptr && !fused_tvd) {
+    if (mixed) {
+      linalg::simd::tvd_mixed(next32_.data(), block_, active_, pi, n, tvd_out);
+    } else {
+      linalg::simd::tvd_f64(next_.data(), block_, active_, pi, n, tvd_out);
+    }
+  }
   if (mixed) {
-    kernels.spmm_mixed(args, scaled32_.data(), cur32_.data(), next32_.data());
     cur32_.swap(next32_);
   } else {
-    kernels.spmm_f64(args, scaled_.data(), cur_.data(), next_.data());
     cur_.swap(next_);
   }
   if (!use_frontier) dense_dirty_ = true;
@@ -209,35 +301,46 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   rows_swept_ += swept;
 
 #if SOCMIX_OBS_ENABLED
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start)
-          .count();
+  SOCMIX_TIME_OBSERVE("markov.evolver.sweep_seconds",
+                      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                                    sweep_start)
+                          .count());
   SOCMIX_COUNTER_ADD("markov.evolver.sweeps", 1);
   SOCMIX_COUNTER_ADD("markov.evolver.rows_swept", swept);
   SOCMIX_COUNTER_ADD("markov.evolver.lane_steps", active_);
-  if (unrolled) {
+  if (active_ == 4 || active_ == 8 || active_ == 16 || active_ == 32) {
     SOCMIX_COUNTER_ADD("markov.evolver.sweeps_unrolled", 1);
   } else {
     SOCMIX_COUNTER_ADD("markov.evolver.sweeps_generic", 1);
   }
-  if (mixed) {
-    SOCMIX_COUNTER_ADD("markov.evolver.sweeps_mixed", 1);
-  }
-  if (pi != nullptr) {
-    SOCMIX_COUNTER_ADD("markov.evolver.fused_tvd_sweeps", 1);
-    SOCMIX_TIME_OBSERVE("markov.evolver.fused_tvd_sweep_seconds", sweep_seconds);
-  } else {
-    SOCMIX_TIME_OBSERVE("markov.evolver.sweep_seconds", sweep_seconds);
-  }
+  if (mixed) SOCMIX_COUNTER_ADD("markov.evolver.sweeps_mixed", 1);
+  if (fused_tvd) SOCMIX_COUNTER_ADD("markov.evolver.fused_tvd_sweeps", 1);
   if (policy_.enabled()) {
     if (use_frontier) {
       SOCMIX_COUNTER_ADD("markov.frontier.sweeps_sparse", 1);
       SOCMIX_COUNTER_ADD("markov.frontier.rows_swept", swept);
       SOCMIX_COUNTER_ADD("markov.frontier.rows_skipped", n - swept);
-      SOCMIX_TIME_OBSERVE("markov.frontier.sparse_sweep_seconds", sweep_seconds);
     } else {
       SOCMIX_COUNTER_ADD("markov.frontier.sweeps_dense", 1);
-      SOCMIX_TIME_OBSERVE("markov.frontier.dense_sweep_seconds", sweep_seconds);
+    }
+  }
+  if (sharded_) {
+    const std::size_t state_bytes = mixed ? sizeof(float) : sizeof(double);
+    SOCMIX_COUNTER_ADD("markov.shard.sweeps", 1);
+    SOCMIX_COUNTER_ADD("markov.shard.shards_swept", shards);
+    // Cross-shard gather traffic of a dense sweep: every boundary half-edge
+    // reads one foreign lane row of the prescaled state.
+    SOCMIX_COUNTER_ADD("markov.shard.boundary_bytes",
+                       boundary_half_edges_ * active_ * state_bytes);
+    if (mapped_ != nullptr) {
+      const auto faults_after = graph::sharded::process_page_faults();
+      SOCMIX_COUNTER_ADD("markov.shard.mmap_minor_faults",
+                         faults_after.minor - faults_before.minor);
+      SOCMIX_COUNTER_ADD("markov.shard.mmap_major_faults",
+                         faults_after.major - faults_before.major);
+    }
+    if (max_window_bytes > 0) {
+      SOCMIX_GAUGE_SET("markov.shard.window_bytes", max_window_bytes);
     }
   }
 #endif
@@ -270,6 +373,30 @@ void BatchedEvolver::copy_distribution(std::size_t lane, std::span<double> out) 
   } else {
     for (std::size_t v = 0; v < n; ++v) out[v] = cur_[v * block_ + lane];
   }
+}
+
+std::vector<double> walk_distribution(const graph::Graph& g, graph::NodeId source,
+                                      std::size_t steps, double laziness) {
+  BatchedEvolver evolver{g, laziness, 1};
+  const graph::NodeId seed[] = {source};
+  evolver.seed_point_masses(seed);
+  for (std::size_t t = 0; t < steps; ++t) evolver.step();
+  std::vector<double> out(evolver.dim());
+  evolver.copy_distribution(0, out);
+  return out;
+}
+
+std::vector<double> tvd_trajectory(const graph::Graph& g, graph::NodeId source,
+                                   std::size_t max_steps, std::span<const double> pi,
+                                   double laziness, graph::FrontierPolicy frontier) {
+  BatchedEvolver evolver{g, laziness, 1, frontier};
+  const graph::NodeId seed[] = {source};
+  evolver.seed_point_masses(seed);
+  std::vector<double> out(max_steps);
+  for (std::size_t t = 0; t < max_steps; ++t) {
+    evolver.step_with_tvd(pi, std::span<double>{&out[t], 1});
+  }
+  return out;
 }
 
 }  // namespace socmix::markov

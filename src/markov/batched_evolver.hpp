@@ -1,4 +1,5 @@
-// Blocked multi-source walk evolution: B distributions per CSR sweep.
+// The walk evolution engine: B distributions per CSR sweep, streamed one
+// contiguous vertex shard at a time.
 //
 // The sampled measurement (§3.3) evolves a point mass from every source;
 // done one source at a time the graph's offsets/neighbors arrays are
@@ -9,16 +10,44 @@
 // reduction the measurement needs is fused into the same sweep instead of
 // costing a second pass over n doubles per lane.
 //
+// One sweep is three phases:
+//
+//   1. prescale — one streaming pass over the RAM-resident lane state,
+//                 scaled = cur * inv_deg, so the irregular edge loop is a
+//                 single gather per edge;
+//   2. per shard — the shard pipeline (linalg::ShardPipeline) hands over
+//                 the shard's CSR window (advised ahead / prefetched /
+//                 ADJC-decoded when a mapped container backs the graph)
+//                 and the range-driven SpMM sweeps the shard's rows.
+//                 Gathers of `scaled` rows owned by other shards are the
+//                 boundary exchange: the state is lane-major in RAM, so
+//                 crossing edges read it directly;
+//   3. reduce   — the TVD. With one shard it is fused into the sweep; with
+//                 several it is one standalone ascending-row pass over the
+//                 stored next state (linalg::simd::tvd_f64/tvd_mixed),
+//                 which reproduces the fused reduction bit for bit.
+//
+// The default geometry is one shard over the in-memory CSR: the dense
+// engine. SweepSharding supplies a multi-shard plan, the mapped container
+// and the io mode for out-of-core runs; only the state block
+// (3 x n x block values) must then fit in RAM.
+//
 // Determinism contract: lane b of a block evolves through *exactly* the
-// floating-point operations of the scalar DistributionEvolver path —
-// per-row accumulation in CSR edge order, the identical laziness affine
+// same floating-point operations whatever the block — per-row
+// accumulation in CSR edge order, the identical laziness affine
 // combination, and a TVD summed over rows in ascending order (matching
-// linalg::total_variation). Trajectories are therefore bit-identical to
-// the single-source path for any block size, block composition, or thread
-// count of the surrounding driver. The sweep itself runs through the
-// linalg::simd dispatch table; every kernel tier honors the same
-// rounding-point contract, so the SIMD tier in use never changes a bit
+// linalg::total_variation). Trajectories are therefore bit-identical for
+// any block size, block composition, shard count, io mode, adjacency
+// encoding, or thread count of the surrounding driver. The sweep runs
+// through the linalg::simd dispatch table; every kernel tier honors the
+// same rounding-point contract, so the SIMD tier never changes a bit
 // either (see src/linalg/simd/kernels.hpp).
+//
+// Single vector: a one-lane f64 evolver (block 1) sweeps with the gather-
+// stream SpMV kernel instead, its rows partitioned across the
+// util::parallel pool — the single-source helpers below keep multi-core
+// speed — with the TVD deferred to the standalone pass. Same per-row
+// operation sequence, same bits.
 //
 // Frontier phase: with a FrontierPolicy enabled the engine tracks the
 // support closure of the block (graph::FrontierSet) and, while it covers
@@ -26,28 +55,49 @@
 // the identical full-row gather, so every retained row produces the same
 // bits as the dense kernel and every skipped row is exactly the +0.0 the
 // dense kernel would have written. Once the closure saturates the engine
-// switches permanently (until the next seeding) to the dense kernel. The
-// determinism contract above is therefore unchanged: frontier on or off,
-// trajectories are bit-identical (see DESIGN.md "Frontier phase").
+// switches permanently (until the next seeding) to full sweeps. The
+// determinism contract is therefore unchanged: frontier on or off,
+// trajectories are bit-identical (see DESIGN.md "Frontier phase"). The
+// closure walk needs in-memory adjacency, so a headless (compressed)
+// graph rejects an enabled policy.
 //
 // Mixed precision (Precision::kMixed): lane state lives in float32
 // buffers — half the bytes per gathered cache line — while all row
-// arithmetic stays float64 and the fused TVD uses Neumaier-compensated
-// float64 summation. Trajectories deviate from the f64 path only by state
+// arithmetic stays float64 and the TVD uses Neumaier-compensated float64
+// summation. Trajectories deviate from the f64 path only by state
 // quantization, bounded by linalg::simd::kMixedTvdBudget, and remain
-// bit-identical across kernel tiers and frontier modes.
+// bit-identical across kernel tiers, shard counts and frontier modes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "graph/frontier.hpp"
 #include "graph/graph.hpp"
+#include "graph/sharded/mapped_graph.hpp"
+#include "graph/sharded/plan.hpp"
+#include "linalg/shard_pipeline.hpp"
 #include "linalg/simd/kernels.hpp"
 #include "util/aligned.hpp"
 
 namespace socmix::markov {
+
+/// Where a BatchedEvolver's CSR rows come from (--sharded, --pack,
+/// --io-mode). The default is the in-memory dense engine: one shard over
+/// every row, no mapping.
+struct SweepSharding {
+  /// Row partition of the graph; empty means ShardPlan::single.
+  graph::ShardPlan plan;
+  /// The container the graph is borrowed from, when there is one. Enables
+  /// the madvise windowing; mandatory for a headless (compressed) graph,
+  /// whose adjacency the pipeline decodes window by window.
+  const graph::sharded::MappedGraph* mapped = nullptr;
+  /// Synchronous staging or the prefetch worker; never changes a bit.
+  linalg::IoMode io_mode = linalg::IoMode::kSync;
+};
 
 class BatchedEvolver {
  public:
@@ -61,13 +111,20 @@ class BatchedEvolver {
   /// Upper bound on the block width (keeps per-row accumulators on the
   /// stack in the sweep kernel).
   static constexpr std::size_t kMaxBlock = linalg::simd::kMaxLanes;
+  /// Minimum rows per parallel chunk of a single-vector sweep (small
+  /// graphs run inline).
+  static constexpr std::size_t kRowGrain = 2048;
 
   /// Throws on laziness outside [0, 1), an isolated vertex, block outside
-  /// [1, kMaxBlock], or a frontier threshold outside (0, 1].
+  /// [1, kMaxBlock], a frontier threshold outside (0, 1], an enabled
+  /// frontier on a headless graph, or a plan that does not cover the
+  /// graph. `sharding.mapped`, when non-null, must back `g` and outlive
+  /// the evolver.
   explicit BatchedEvolver(
       const graph::Graph& g, double laziness = 0.0, std::size_t block = kDefaultBlock,
       graph::FrontierPolicy frontier = {},
-      linalg::simd::Precision precision = linalg::simd::Precision::kFloat64);
+      linalg::simd::Precision precision = linalg::simd::Precision::kFloat64,
+      SweepSharding sharding = {});
 
   [[nodiscard]] std::size_t dim() const noexcept { return inv_deg_.size(); }
   [[nodiscard]] std::size_t block() const noexcept { return block_; }
@@ -78,6 +135,7 @@ class BatchedEvolver {
   [[nodiscard]] const graph::FrontierPolicy& frontier_policy() const noexcept {
     return policy_;
   }
+  [[nodiscard]] const graph::ShardPlan& plan() const noexcept { return plan_; }
   /// True while the engine is still sweeping only the support closure.
   [[nodiscard]] bool in_sparse_phase() const noexcept { return sparse_phase_; }
   /// Step (1-based, counted from the last seeding) whose sweep first ran
@@ -95,10 +153,10 @@ class BatchedEvolver {
   void step();
 
   /// step(), plus writes the total variation distance of each advanced
-  /// lane against `pi` into tvd_out (size >= active()), computed inside
-  /// the same sweep. In f64 precision this is bit-identical to calling
-  /// step() and then linalg::total_variation per lane; in mixed precision
-  /// it deviates by at most linalg::simd::kMixedTvdBudget.
+  /// lane against `pi` into tvd_out (size >= active()). In f64 precision
+  /// this is bit-identical to calling step() and then
+  /// linalg::total_variation per lane; in mixed precision it deviates by
+  /// at most linalg::simd::kMixedTvdBudget.
   void step_with_tvd(std::span<const double> pi, std::span<double> tvd_out);
 
   /// Copies lane `lane` (< active()) into `out` (size dim()); mixed-
@@ -108,11 +166,24 @@ class BatchedEvolver {
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
 
  private:
-  /// One SpMM sweep cur -> next (swapping after); when pi is non-null,
-  /// also accumulates per-lane |next - pi| row by row into tvd_out.
+  /// One sweep cur -> next (swapping after); when pi is non-null, also
+  /// writes each lane's TVD against pi into tvd_out.
   void sweep(const double* pi, double* tvd_out);
+  /// Runs the SpMM (or single-vector SpMV) over `rows` of one shard
+  /// window; `args` carries everything but the window.
+  void sweep_rows(const linalg::ShardWindow& w, std::span<const graph::RowRange> rows,
+                  linalg::simd::SpmmArgs args);
+  /// One-lane f64 state: swept by the row-parallel SpMV kernel.
+  [[nodiscard]] bool single_vector() const noexcept {
+    return block_ == 1 && precision_ == linalg::simd::Precision::kFloat64;
+  }
 
   const graph::Graph* graph_;
+  const graph::sharded::MappedGraph* mapped_;
+  graph::ShardPlan plan_;
+  /// unique_ptr: the pipeline may own a worker thread and is neither
+  /// copyable nor movable; the evolver stays movable through it.
+  std::unique_ptr<linalg::ShardPipeline> pipeline_;
   util::aligned_vector<double> inv_deg_;
   // Lane-major state blocks, [dim x block]: cur_[v*block + lane]. Exactly
   // one precision's trio is allocated. 64-byte alignment makes every row
@@ -127,10 +198,15 @@ class BatchedEvolver {
   util::aligned_vector<float> cur32_;
   util::aligned_vector<float> next32_;
   util::aligned_vector<float> scaled32_;
+  /// Scratch: the frontier closure clipped to the current shard.
+  std::vector<graph::RowRange> shard_ranges_;
   double laziness_;
   std::size_t block_;
   linalg::simd::Precision precision_;
   std::size_t active_ = 0;
+  /// More than one shard or a mapped container: the markov.shard.*
+  /// residency metrics apply.
+  bool sharded_ = false;
 
   // Frontier phase state. The sparse kernels rely on every row outside
   // the closure holding exactly +0.0 in cur/next/scaled;
@@ -146,6 +222,24 @@ class BatchedEvolver {
   std::size_t steps_since_seed_ = 0;
   std::size_t switch_step_ = 0;
   std::uint64_t rows_swept_ = 0;
+  /// Half-edges crossing shard boundaries (for the boundary-traffic
+  /// metric); computed once at construction when observability is on.
+  graph::EdgeIndex boundary_half_edges_ = 0;
 };
+
+/// Distribution of a walk started at `source` after `steps` steps:
+/// e_source P^steps, with P lazy by `laziness`.
+[[nodiscard]] std::vector<double> walk_distribution(const graph::Graph& g,
+                                                    graph::NodeId source, std::size_t steps,
+                                                    double laziness = 0.0);
+
+/// Total variation trajectory of a point mass at `source`:
+/// result[t] = || pi - pi^(source) P^{t+1} ||_tv for t = 0..max_steps-1.
+[[nodiscard]] std::vector<double> tvd_trajectory(const graph::Graph& g,
+                                                 graph::NodeId source,
+                                                 std::size_t max_steps,
+                                                 std::span<const double> pi,
+                                                 double laziness = 0.0,
+                                                 graph::FrontierPolicy frontier = {});
 
 }  // namespace socmix::markov

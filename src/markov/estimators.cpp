@@ -5,7 +5,7 @@
 #include <unordered_map>
 
 #include "linalg/vector_ops.hpp"
-#include "markov/evolution.hpp"
+#include "markov/batched_evolver.hpp"
 #include "markov/random_walk.hpp"
 #include "markov/stationary.hpp"
 
@@ -27,22 +27,23 @@ namespace {
 double separation_distance(const graph::Graph& g, graph::NodeId source,
                            std::size_t steps, double laziness) {
   const auto pi = stationary_distribution(g);
-  DistributionEvolver evolver{g, laziness};
-  auto dist = evolver.point_mass(source);
-  evolver.advance(dist, steps);
-  return separation_of(dist, pi);
+  return separation_of(walk_distribution(g, source, steps, laziness), pi);
 }
 
 std::vector<double> separation_trajectory(const graph::Graph& g, graph::NodeId source,
                                           std::size_t max_steps, double laziness) {
   const auto pi = stationary_distribution(g);
-  DistributionEvolver evolver{g, laziness};
+  BatchedEvolver evolver{g, laziness, 1};
+  const graph::NodeId seed[] = {source};
+  evolver.seed_point_masses(seed);
+  std::vector<double> dist(evolver.dim());
   std::vector<double> out;
   out.reserve(max_steps);
-  evolver.trajectory(source, max_steps, [&](std::size_t, std::span<const double> dist) {
+  for (std::size_t t = 0; t < max_steps; ++t) {
+    evolver.step();
+    evolver.copy_distribution(0, dist);
     out.push_back(separation_of(dist, pi));
-    return true;
-  });
+  }
   return out;
 }
 

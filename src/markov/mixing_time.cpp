@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -11,8 +12,6 @@
 
 #include "linalg/vector_ops.hpp"
 #include "markov/batched_evolver.hpp"
-#include "markov/evolution.hpp"
-#include "markov/sharded_evolver.hpp"
 #include "markov/stationary.hpp"
 #include "obs/obs.hpp"
 #include "resilience/fault.hpp"
@@ -242,20 +241,19 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // silently launder quantization error into the exact-parity path). A
   // snapshot from a foreign combination classifies stale, not corrupt.
   // Shard geometry: resolved once against the active CSR. S <= 1 is the
-  // dense path — no plan, no context word, pre-shard snapshots stay
-  // compatible. A reordering materializes a fresh in-memory CSR, so the
-  // mmap windowing hints only apply under identity ordering.
-  // A compressed sweep keeps three adjacency copies per staged window in
-  // flight (two decoded scratch slots + the mapped ADJC bytes), so the
-  // auto shard formula gets resident_copies = 3; it also always runs the
-  // sharded engine — the dense kernels would dereference the absent
-  // neighbor array.
+  // dense path — one shard, no context word, pre-shard snapshots stay
+  // compatible. The evolver gets the mapping only when it windows several
+  // shards or must decode them (headless): a one-shard sweep would release
+  // the whole mapping every step. A reordering materializes a fresh
+  // in-memory CSR, so the mmap windowing hints only apply under identity
+  // ordering. A compressed sweep keeps three adjacency copies per staged
+  // window in flight (two decoded scratch slots + the mapped ADJC bytes),
+  // so the auto shard formula gets resident_copies = 3.
   const std::uint32_t resolved_shards = graph::resolve_shard_count(
       options.sharded, active.memory_bytes(), active.num_nodes(),
       headless ? 3u : 2u);
-  const bool use_sharded = resolved_shards > 1 || headless;
   const graph::sharded::MappedGraph* mapped =
-      reordered.identity() ? options.mapped : nullptr;
+      reordered.identity() && (resolved_shards > 1 || headless) ? options.mapped : nullptr;
 #if SOCMIX_OBS_ENABLED
   SOCMIX_GAUGE_SET("markov.sampled.shards", resolved_shards);
 #endif
@@ -305,73 +303,78 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // done/percent but not the rate, so the ETA after a resume reflects this
   // run's throughput instead of collapsing toward zero.
   progress.seed_restored(num_blocks - pending.size());
-  // The block loop is generic over the two engines (identical public
-  // surface); the shard branch is taken once per worker, outside the
-  // per-block hot path.
-  const auto run_blocks = [&](auto& evolver, std::size_t lo, std::size_t hi) {
+  const auto run_block = [&](BatchedEvolver& evolver, std::size_t p) {
+    SOCMIX_TRACE_SPAN("evolve_block");
     std::array<double, kBlock> tvd{};
-    for (std::size_t p = lo; p < hi; ++p) {
-      SOCMIX_TRACE_SPAN("evolve_block");
-      const std::size_t blk = pending[p];
-      const std::size_t first = blk * kBlock;
-      const std::size_t lanes = std::min(kBlock, num_sources - first);
-      evolver.seed_point_masses(eval_sources.subspan(first, lanes));
-      for (std::size_t b = 0; b < lanes; ++b) {
-        trajectories[first + b].reserve(max_steps);
-      }
-#if SOCMIX_OBS_ENABLED
-      // Lanes whose TVD has not yet dropped below the paper's headline
-      // epsilon (markov.sampled.tvd_crossings counts first crossings).
-      std::uint32_t above_eps = (lanes >= 32 ? 0xffffffffu : (1u << lanes) - 1u);
-#endif
-      for (std::size_t t = 0; t < max_steps; ++t) {
-        evolver.step_with_tvd(pi, tvd);
-        for (std::size_t b = 0; b < lanes; ++b) {
-          trajectories[first + b].push_back(tvd[b]);
-#if SOCMIX_OBS_ENABLED
-          if ((above_eps & (1u << b)) != 0 && tvd[b] < kHeadlineEpsilon) {
-            above_eps &= ~(1u << b);
-            SOCMIX_COUNTER_ADD("markov.sampled.tvd_crossings", 1);
-          }
-          // Mixed precision: the ε-crossing decision above is only as
-          // trustworthy as the accuracy budget. Count the per-step
-          // decisions that fall inside the budget band around ε — the
-          // steps where exact f64 could have decided differently.
-          if (options.precision == linalg::simd::Precision::kMixed &&
-              std::fabs(tvd[b] - kHeadlineEpsilon) < linalg::simd::kMixedTvdBudget) {
-            SOCMIX_COUNTER_ADD("markov.sampled.mixed_eps_guard", 1);
-          }
-#endif
-        }
-      }
-      SOCMIX_COUNTER_ADD("markov.sampled.steps", lanes * max_steps);
-      // The block is complete the moment its checkpoint record lands; the
-      // fault site sits before record() so an abort here loses exactly the
-      // blocks not yet recorded — the scenario resume must cover.
-      resilience::fault_point("block.complete");
-      if (checkpoint.enabled()) {
-        std::vector<double> payload;
-        payload.reserve(lanes * max_steps);
-        for (std::size_t b = 0; b < lanes; ++b) {
-          payload.insert(payload.end(), trajectories[first + b].begin(),
-                         trajectories[first + b].end());
-        }
-        checkpoint.record(blk, std::move(payload));
-      }
-      progress.add(1);
+    const std::size_t blk = pending[p];
+    const std::size_t first = blk * kBlock;
+    const std::size_t lanes = std::min(kBlock, num_sources - first);
+    evolver.seed_point_masses(eval_sources.subspan(first, lanes));
+    for (std::size_t b = 0; b < lanes; ++b) {
+      trajectories[first + b].reserve(max_steps);
     }
+#if SOCMIX_OBS_ENABLED
+    // Lanes whose TVD has not yet dropped below the paper's headline
+    // epsilon (markov.sampled.tvd_crossings counts first crossings).
+    std::uint32_t above_eps = (lanes >= 32 ? 0xffffffffu : (1u << lanes) - 1u);
+#endif
+    for (std::size_t t = 0; t < max_steps; ++t) {
+      evolver.step_with_tvd(pi, tvd);
+      for (std::size_t b = 0; b < lanes; ++b) {
+        trajectories[first + b].push_back(tvd[b]);
+#if SOCMIX_OBS_ENABLED
+        if ((above_eps & (1u << b)) != 0 && tvd[b] < kHeadlineEpsilon) {
+          above_eps &= ~(1u << b);
+          SOCMIX_COUNTER_ADD("markov.sampled.tvd_crossings", 1);
+        }
+        // Mixed precision: the ε-crossing decision above is only as
+        // trustworthy as the accuracy budget. Count the per-step
+        // decisions that fall inside the budget band around ε — the
+        // steps where exact f64 could have decided differently.
+        if (options.precision == linalg::simd::Precision::kMixed &&
+            std::fabs(tvd[b] - kHeadlineEpsilon) < linalg::simd::kMixedTvdBudget) {
+          SOCMIX_COUNTER_ADD("markov.sampled.mixed_eps_guard", 1);
+        }
+#endif
+      }
+    }
+    SOCMIX_COUNTER_ADD("markov.sampled.steps", lanes * max_steps);
+    // The block is complete the moment its checkpoint record lands; the
+    // fault site sits before record() so an abort here loses exactly the
+    // blocks not yet recorded — the scenario resume must cover.
+    resilience::fault_point("block.complete");
+    if (checkpoint.enabled()) {
+      std::vector<double> payload;
+      payload.reserve(lanes * max_steps);
+      for (std::size_t b = 0; b < lanes; ++b) {
+        payload.insert(payload.end(), trajectories[first + b].begin(),
+                       trajectories[first + b].end());
+      }
+      checkpoint.record(blk, std::move(payload));
+    }
+    progress.add(1);
   };
-  util::parallel_for(0, pending.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    if (use_sharded) {
-      ShardedBatchedEvolver evolver{
-          active, graph::ShardPlan::balanced(active.offsets(), resolved_shards),
-          laziness, kBlock, frontier, options.precision, mapped,
-          options.io_mode};
-      run_blocks(evolver, lo, hi);
-    } else {
-      BatchedEvolver evolver{active, laziness, kBlock, frontier,
-                             options.precision};
-      run_blocks(evolver, lo, hi);
+  // One evolver per worker, fed blocks from a shared counter: every block
+  // is reseeded, so which evolver runs it never changes a bit, and the
+  // lane state is allocated once per worker rather than once per block.
+  // A failing block drains the counter so the other workers stop too.
+  std::atomic<std::size_t> next_block{0};
+  const std::size_t workers = std::min(util::thread_count(), pending.size());
+  util::parallel_for(0, workers, 1, [&](std::size_t, std::size_t) {
+    std::size_t p = next_block++;
+    if (p >= pending.size()) return;
+    BatchedEvolver evolver{active,
+                           laziness,
+                           kBlock,
+                           frontier,
+                           options.precision,
+                           {graph::ShardPlan::balanced(active.offsets(), resolved_shards),
+                            mapped, options.io_mode}};
+    try {
+      for (; p < pending.size(); p = next_block++) run_block(evolver, p);
+    } catch (...) {
+      next_block = pending.size();
+      throw;
     }
   });
   checkpoint.finalize();

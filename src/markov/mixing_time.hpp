@@ -153,8 +153,8 @@ struct SampledMixingOptions {
   linalg::simd::Precision precision = linalg::simd::Precision::kFloat64;
   /// Shard-at-a-time evolution (--sharded auto|off|N). Resolved against
   /// the active (post-reorder) graph's CSR footprint; when the resolved
-  /// count is > 1 the sweep runs through ShardedBatchedEvolver — bit-
-  /// identical to the dense engine for every shard count, so the parity
+  /// count is > 1 the evolver sweeps one shard at a time — bit-identical
+  /// to the one-shard sweep for every shard count, so the parity
   /// and resume contracts are unaffected. A non-trivial resolved geometry
   /// folds graph::shard_context_word into the checkpoint context, so a
   /// snapshot written under a foreign shard geometry classifies stale;
@@ -167,8 +167,8 @@ struct SampledMixingOptions {
   /// hints) when null or when a reordering materializes a new CSR that
   /// the mapping no longer backs. A *compressed* container (headless `g`,
   /// see MappedGraph::compressed()) is mandatory here: the shard pipeline
-  /// decodes adjacency windows out of it. Compressed runs force the
-  /// sharded engine (even at one shard), disable the frontier phase (its
+  /// decodes adjacency windows out of it. Compressed runs always stream
+  /// through the pipeline (even at one shard), disable the frontier phase (its
   /// closure walk needs in-memory adjacency), and reject reorder modes
   /// other than kNone — none of which changes an output bit versus the
   /// same flags on the dense CSR.

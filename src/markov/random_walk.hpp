@@ -1,6 +1,6 @@
 // Monte-Carlo random walks on a graph.
 //
-// Distinct from evolution.hpp (which pushes the *exact* distribution):
+// Distinct from batched_evolver.hpp (which pushes the *exact* distribution):
 // these sample actual vertex sequences, as the Sybil defenses do at
 // runtime. Used by the SybilLimit substrate and by tests that check the
 // empirical visit frequency converges to pi.

@@ -2,7 +2,7 @@
 //
 // The weighted chain x_{t+1} = x_t P_w with P_w(i,j) = w_ij / strength(i);
 // stationary distribution pi_w(v) = strength(v) / total_strength (the
-// weighted Theorem 1). Everything mirrors evolution.hpp / mixing_time.hpp
+// weighted Theorem 1). Everything mirrors batched_evolver.hpp / mixing_time.hpp
 // so interaction-weighted graphs get the same measurement surface.
 #pragma once
 

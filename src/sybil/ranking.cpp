@@ -4,7 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "markov/evolution.hpp"
+#include "markov/batched_evolver.hpp"
 #include "markov/trust_walk.hpp"
 
 namespace socmix::sybil {
@@ -12,9 +12,7 @@ namespace socmix::sybil {
 std::vector<double> walk_probability_scores(const graph::Graph& g,
                                             graph::NodeId verifier,
                                             std::size_t walk_length) {
-  markov::DistributionEvolver evolver{g};
-  auto dist = evolver.point_mass(verifier);
-  evolver.advance(dist, walk_length);
+  auto dist = markov::walk_distribution(g, verifier, walk_length);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     dist[v] /= static_cast<double>(g.degree(v));
   }

@@ -1,7 +1,7 @@
-// ShardedWalkOperator: apply() is bitwise equal to WalkOperator::apply for
-// any shard count (rows are independent; every row runs the identical
-// kernel), so Lanczos on a sharded — or memory-mapped — graph produces
-// the exact same spectrum.
+// WalkOperator over a shard plan: apply() is bitwise equal to the
+// one-shard apply for any shard count (rows are independent; every row
+// runs the identical kernel), so Lanczos on a sharded — or memory-mapped —
+// graph produces the exact same spectrum.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,7 +14,6 @@
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
 #include "linalg/lanczos.hpp"
-#include "linalg/sharded_walk_operator.hpp"
 #include "linalg/walk_operator.hpp"
 #include "util/rng.hpp"
 
@@ -43,7 +42,7 @@ TEST(ShardedWalkOperator, ApplyBitwiseEqualToDenseForEveryShardCount) {
   dense.apply(x, y_dense);
 
   for (const std::uint32_t shards : {1u, 4u, 16u, 61u}) {
-    const ShardedWalkOperator sharded{
+    const WalkOperator sharded{
         g, graph::ShardPlan::balanced(g.offsets(), shards), 0.0};
     ASSERT_EQ(sharded.dim(), dense.dim());
     std::vector<double> y(g.num_nodes());
@@ -56,8 +55,7 @@ TEST(ShardedWalkOperator, LazyApplyAndEigenvalueMapMatchDense) {
   const graph::Graph g = test_graph();
   const double laziness = 0.35;
   const WalkOperator dense{g, laziness};
-  const ShardedWalkOperator sharded{g, graph::ShardPlan::balanced(g.offsets(), 8),
-                                    laziness};
+  const WalkOperator sharded{g, graph::ShardPlan::balanced(g.offsets(), 8), laziness};
   std::vector<double> x = random_unit(g.num_nodes(), 7);
   std::vector<double> y_dense(g.num_nodes()), y(g.num_nodes());
   dense.apply(x, y_dense);
@@ -78,9 +76,8 @@ TEST(ShardedWalkOperator, LanczosSpectrumIdenticalThroughMappedContainer) {
   const WalkOperator dense{g, 0.0};
   const auto dense_spectrum = slem_spectrum(dense, options);
 
-  const ShardedWalkOperator sharded{mapped.view(),
-                                    graph::ShardPlan::balanced(g.offsets(), 4), 0.0,
-                                    &mapped};
+  const WalkOperator sharded{mapped.view(), graph::ShardPlan::balanced(g.offsets(), 4),
+                             0.0, &mapped};
   const auto sharded_spectrum = slem_spectrum(sharded, options);
 
   EXPECT_EQ(sharded_spectrum.slem, dense_spectrum.slem);
@@ -111,7 +108,7 @@ TEST(ShardedWalkOperator, LanczosSpectrumIdenticalThroughCompressedPrefetch) {
   const auto dense_spectrum = slem_spectrum(dense, options);
 
   for (const IoMode io : {IoMode::kSync, IoMode::kPrefetch}) {
-    const ShardedWalkOperator sharded{
+    const WalkOperator sharded{
         mapped.view(), graph::ShardPlan::balanced(mapped.view().offsets(), 4),
         0.0, &mapped, io};
     const auto sharded_spectrum = slem_spectrum(sharded, options);
@@ -127,14 +124,11 @@ TEST(ShardedWalkOperator, LanczosSpectrumIdenticalThroughCompressedPrefetch) {
 
 TEST(ShardedWalkOperator, RejectsBadPlanAndIsolatedVertices) {
   const graph::Graph g = test_graph();
-  EXPECT_THROW((ShardedWalkOperator{g, graph::ShardPlan{}, 0.0}),
+  EXPECT_THROW((WalkOperator{g, graph::ShardPlan{}, 0.0}), std::invalid_argument);
+  EXPECT_THROW((WalkOperator{g, graph::ShardPlan::single(g.num_nodes()), 1.0}),
                std::invalid_argument);
-  EXPECT_THROW(
-      (ShardedWalkOperator{g, graph::ShardPlan::single(g.num_nodes()), 1.0}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (ShardedWalkOperator{g, graph::ShardPlan::single(g.num_nodes() + 1), 0.0}),
-      std::invalid_argument);
+  EXPECT_THROW((WalkOperator{g, graph::ShardPlan::single(g.num_nodes() + 1), 0.0}),
+               std::invalid_argument);
 }
 
 }  // namespace

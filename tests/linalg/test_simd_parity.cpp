@@ -5,7 +5,7 @@
 //    at serial and contended thread counts, composed with --reorder rcm
 //    and with the frontier phase on and off;
 //  * the single-vector SpMV consumers (WalkOperator, WeightedWalkOperator,
-//    DistributionEvolver) are bitwise tier-invariant too;
+//    a one-lane BatchedEvolver) are bitwise tier-invariant too;
 //  * --precision mixed stays within the documented accuracy budget of the
 //    f64 path (per-step |ΔTVD| < kMixedTvdBudget), reaches the same
 //    headline ε=0.1 mixing-time verdicts, leaves the spectral phase
@@ -34,7 +34,6 @@
 #include "linalg/walk_operator.hpp"
 #include "linalg/weighted_operator.hpp"
 #include "markov/batched_evolver.hpp"
-#include "markov/evolution.hpp"
 #include "markov/mixing_time.hpp"
 #include "markov/stationary.hpp"
 #include "obs/obs.hpp"

@@ -1,6 +1,7 @@
 // Parity contract of the batched/parallel evolution engine: every result
-// must be bit-identical to the scalar single-threaded path, for any block
-// composition and any thread count.
+// must be bit-identical to the plain scalar walk step written out below,
+// for any block width (including the one-lane single-vector path), block
+// composition and thread count.
 #include "markov/batched_evolver.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include "gen/erdos_renyi.hpp"
 #include "graph/components.hpp"
 #include "linalg/vector_ops.hpp"
-#include "markov/evolution.hpp"
 #include "markov/mixing_time.hpp"
 #include "markov/stationary.hpp"
 #include "util/parallel.hpp"
@@ -27,21 +27,50 @@ graph::Graph test_graph(graph::NodeId n = 300) {
   return graph::largest_component(gen::erdos_renyi_gnp(n, 0.03, rng)).graph;
 }
 
-/// The scalar reference: the exact pre-batching implementation of
-/// measure_sampled_mixing (one DistributionEvolver, one source at a time,
-/// linalg::total_variation per step).
+/// The reference walk step, independent of the engine and its kernels:
+/// next_j = (1-alpha) * sum_{i ~ j} x_i * (1/deg i) + alpha * x_j, the
+/// neighbor sum taken in CSR order. This is the rounding sequence every
+/// engine path promises to reproduce exactly.
+std::vector<double> reference_step(const graph::Graph& g, const std::vector<double>& x,
+                                   double laziness) {
+  const graph::NodeId n = g.num_nodes();
+  std::vector<double> scaled(n);
+  for (graph::NodeId i = 0; i < n; ++i) {
+    scaled[i] = x[i] * (1.0 / static_cast<double>(g.degree(i)));
+  }
+  std::vector<double> next(n);
+  for (graph::NodeId j = 0; j < n; ++j) {
+    double acc = 0.0;
+    for (const graph::NodeId i : g.neighbors(j)) acc += scaled[i];
+    next[j] = (1.0 - laziness) * acc + laziness * x[j];
+  }
+  return next;
+}
+
+/// e_source after `steps` reference steps.
+std::vector<double> reference_walk(const graph::Graph& g, graph::NodeId source,
+                                   std::size_t steps, double laziness) {
+  std::vector<double> x(g.num_nodes(), 0.0);
+  x[source] = 1.0;
+  for (std::size_t t = 0; t < steps; ++t) x = reference_step(g, x, laziness);
+  return x;
+}
+
+/// The scalar reference of measure_sampled_mixing: one source at a time,
+/// linalg::total_variation per step.
 std::vector<std::vector<double>> scalar_reference(const graph::Graph& g,
                                                   std::span<const graph::NodeId> sources,
                                                   std::size_t max_steps, double laziness) {
   const std::vector<double> pi = stationary_distribution(g);
-  DistributionEvolver evolver{g, laziness};
   std::vector<std::vector<double>> trajectories;
   for (const graph::NodeId source : sources) {
+    std::vector<double> x(g.num_nodes(), 0.0);
+    x[source] = 1.0;
     std::vector<double> traj;
-    evolver.trajectory(source, max_steps, [&](std::size_t, std::span<const double> dist) {
-      traj.push_back(linalg::total_variation(dist, pi));
-      return true;
-    });
+    for (std::size_t t = 0; t < max_steps; ++t) {
+      x = reference_step(g, x, laziness);
+      traj.push_back(linalg::total_variation(x, pi));
+    }
     trajectories.push_back(std::move(traj));
   }
   return trajectories;
@@ -56,6 +85,10 @@ TEST(BatchedEvolver, RejectsBadArguments) {
   BatchedEvolver ok{g, 0.0, 8};
   const std::vector<graph::NodeId> too_many(9, 0);
   EXPECT_THROW(ok.seed_point_masses(too_many), std::invalid_argument);
+  // A shard plan must cover exactly the graph's rows.
+  EXPECT_THROW(BatchedEvolver(g, 0.0, 8, {}, linalg::simd::Precision::kFloat64,
+                              {graph::ShardPlan::single(g.num_nodes() + 1)}),
+               std::invalid_argument);
 }
 
 TEST(BatchedEvolver, LanesMatchScalarEvolutionBitForBit) {
@@ -63,13 +96,8 @@ TEST(BatchedEvolver, LanesMatchScalarEvolutionBitForBit) {
   const std::vector<graph::NodeId> sources{0, 3, 7, 11, 2, 19, 23, 5};
   for (const double laziness : {0.0, 0.5}) {
     // Scalar: evolve each source independently.
-    DistributionEvolver scalar{g, laziness};
     std::vector<std::vector<double>> expected;
-    for (const auto s : sources) {
-      auto dist = scalar.point_mass(s);
-      scalar.advance(dist, 1);
-      expected.push_back(dist);
-    }
+    for (const auto s : sources) expected.push_back(reference_walk(g, s, 1, laziness));
 
     BatchedEvolver batched{g, laziness, 8};
     batched.seed_point_masses(sources);
@@ -80,6 +108,10 @@ TEST(BatchedEvolver, LanesMatchScalarEvolutionBitForBit) {
       for (std::size_t v = 0; v < lane.size(); ++v) {
         ASSERT_EQ(lane[v], expected[b][v]) << "laziness=" << laziness << " lane=" << b;
       }
+      // The one-lane engine (single-vector SpMV kernel, row-parallel)
+      // lands on the same bits as a lane of the wide block.
+      ASSERT_EQ(walk_distribution(g, sources[b], 1, laziness), expected[b])
+          << "laziness=" << laziness << " single-vector source=" << sources[b];
     }
   }
 }
@@ -89,13 +121,11 @@ TEST(BatchedEvolver, RemainderBlockMatchesScalar) {
   const std::vector<graph::NodeId> sources{4, 9, 1};  // 3 lanes in a block of 8
   BatchedEvolver batched{g, 0.0, 8};
   batched.seed_point_masses(sources);
-  DistributionEvolver scalar{g, 0.0};
   std::vector<double> lane(batched.dim());
   for (std::size_t steps = 1; steps <= 5; ++steps) {
     batched.step();
     for (std::size_t b = 0; b < sources.size(); ++b) {
-      auto dist = scalar.point_mass(sources[b]);
-      scalar.advance(dist, steps);
+      const auto dist = reference_walk(g, sources[b], steps, 0.0);
       batched.copy_distribution(b, lane);
       for (std::size_t v = 0; v < lane.size(); ++v) {
         ASSERT_EQ(lane[v], dist[v]) << "steps=" << steps << " lane=" << b;
@@ -121,6 +151,12 @@ TEST(BatchedEvolver, FusedTvdMatchesTotalVariationBitForBit) {
             << "laziness=" << laziness << " t=" << t << " lane=" << b;
       }
     }
+    // The one-lane path defers its TVD to the standalone reduction: the
+    // same bits as the reference trajectory.
+    const std::vector<graph::NodeId> first{sources[0]};
+    ASSERT_EQ(tvd_trajectory(g, sources[0], 10, pi, laziness),
+              scalar_reference(g, first, 10, laziness)[0])
+        << "laziness=" << laziness;
   }
 }
 

@@ -12,7 +12,7 @@
 #include "gen/watts_strogatz.hpp"
 #include "graph/components.hpp"
 #include "linalg/lanczos.hpp"
-#include "markov/evolution.hpp"
+#include "markov/batched_evolver.hpp"
 #include "markov/mixing_time.hpp"
 #include "markov/stationary.hpp"
 #include "util/rng.hpp"

@@ -5,7 +5,7 @@
 #include "gen/erdos_renyi.hpp"
 #include "gen/reference.hpp"
 #include "graph/components.hpp"
-#include "markov/evolution.hpp"
+#include "markov/batched_evolver.hpp"
 #include "markov/stationary.hpp"
 #include "util/rng.hpp"
 

@@ -1,7 +1,10 @@
-#include "markov/evolution.hpp"
+// Single-source exact evolution through the walk engine: a one-lane
+// BatchedEvolver, walk_distribution and tvd_trajectory.
+#include "markov/batched_evolver.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "gen/erdos_renyi.hpp"
@@ -9,6 +12,7 @@
 #include "graph/components.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/vector_ops.hpp"
+#include "markov/mixing_time.hpp"
 #include "markov/stationary.hpp"
 #include "util/rng.hpp"
 
@@ -18,10 +22,13 @@ namespace {
 TEST(Evolution, StepPreservesDistribution) {
   util::Rng rng{1};
   const auto g = graph::largest_component(gen::erdos_renyi_gnm(60, 150, rng)).graph;
-  DistributionEvolver evolver{g};
-  auto dist = evolver.point_mass(0);
+  BatchedEvolver evolver{g, 0.0, 1};
+  const graph::NodeId seed[] = {0};
+  evolver.seed_point_masses(seed);
+  std::vector<double> dist(evolver.dim());
   for (int t = 0; t < 20; ++t) {
-    evolver.advance(dist, 1);
+    evolver.step();
+    evolver.copy_distribution(0, dist);
     EXPECT_TRUE(is_distribution(dist)) << "t=" << t;
   }
 }
@@ -42,18 +49,14 @@ TEST(Evolution, MatchesDenseMatrixPower) {
     x = next;
   }
 
-  DistributionEvolver evolver{g};
-  auto dist = evolver.point_mass(0);
-  evolver.advance(dist, 5);
+  const auto dist = walk_distribution(g, 0, 5);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(dist[i], x[i], 1e-12);
 }
 
 TEST(Evolution, CompleteGraphOneStep) {
   // From a point mass on K_n, one step gives uniform over the other n-1.
   const auto g = gen::complete(5);
-  DistributionEvolver evolver{g};
-  auto dist = evolver.point_mass(2);
-  evolver.advance(dist, 1);
+  const auto dist = walk_distribution(g, 2, 1);
   EXPECT_DOUBLE_EQ(dist[2], 0.0);
   for (const graph::NodeId v : {0u, 1u, 3u, 4u}) EXPECT_DOUBLE_EQ(dist[v], 0.25);
 }
@@ -61,11 +64,23 @@ TEST(Evolution, CompleteGraphOneStep) {
 TEST(Evolution, StationaryIsFixedPoint) {
   util::Rng rng{3};
   const auto g = graph::largest_component(gen::erdos_renyi_gnm(50, 120, rng)).graph;
-  DistributionEvolver evolver{g};
-  auto pi = stationary_distribution(g);
-  const auto before = pi;
-  evolver.advance(pi, 10);
-  for (std::size_t i = 0; i < pi.size(); ++i) EXPECT_NEAR(pi[i], before[i], 1e-12);
+  const auto pi = stationary_distribution(g);
+  // pi P^10 = pi, evaluated by linearity over full blocks of point masses:
+  // sum_v pi_v (e_v P^10) must give pi back.
+  const std::vector<graph::NodeId> sources = all_sources(g);
+  BatchedEvolver evolver{g, 0.0, BatchedEvolver::kMaxBlock};
+  std::vector<double> evolved(pi.size(), 0.0);
+  std::vector<double> lane(pi.size());
+  for (std::size_t first = 0; first < sources.size(); first += evolver.block()) {
+    const std::size_t lanes = std::min(evolver.block(), sources.size() - first);
+    evolver.seed_point_masses(std::span{sources}.subspan(first, lanes));
+    for (int t = 0; t < 10; ++t) evolver.step();
+    for (std::size_t b = 0; b < lanes; ++b) {
+      evolver.copy_distribution(b, lane);
+      for (std::size_t v = 0; v < lane.size(); ++v) evolved[v] += pi[first + b] * lane[v];
+    }
+  }
+  for (std::size_t i = 0; i < pi.size(); ++i) EXPECT_NEAR(evolved[i], pi[i], 1e-12);
 }
 
 TEST(Evolution, TvdTrajectoryDecreasesOnAperiodicGraph) {
@@ -94,22 +109,12 @@ TEST(Evolution, LazyWalkMixesPeriodicChain) {
   EXPECT_LT(traj.back(), 1e-6);
 }
 
-TEST(Evolution, TrajectoryCallbackEarlyStop) {
-  const auto g = gen::complete(10);
-  DistributionEvolver evolver{g};
-  std::size_t calls = 0;
-  evolver.trajectory(0, 100, [&](std::size_t, std::span<const double>) {
-    return ++calls < 3;
-  });
-  EXPECT_EQ(calls, 3u);
-}
-
 TEST(Evolution, RejectsIsolatedVertex) {
   graph::EdgeList edges;
   edges.add(0, 1);
   edges.ensure_nodes(3);
   const auto g = graph::Graph::from_edges(std::move(edges));
-  EXPECT_THROW(DistributionEvolver{g}, std::invalid_argument);
+  EXPECT_THROW(BatchedEvolver{g}, std::invalid_argument);
 }
 
 TEST(Evolution, DumbbellMixesSlowerThanComplete) {

@@ -3,7 +3,7 @@
 //
 //  * on every Table-1 generator config, at serial and contended thread
 //    counts, composed with the locality reordering (--reorder rcm);
-//  * through the scalar DistributionEvolver path (tvd_trajectory);
+//  * through the one-lane single-vector path (tvd_trajectory);
 //  * across the sparse->dense switch, including a fault-injected kill and
 //    checkpoint resume that straddles it;
 //  * and a snapshot written under a different frontier mode is classified
@@ -19,7 +19,6 @@
 #include "graph/graph.hpp"
 #include "graph/reorder.hpp"
 #include "markov/batched_evolver.hpp"
-#include "markov/evolution.hpp"
 #include "markov/mixing_time.hpp"
 #include "markov/stationary.hpp"
 #include "obs/obs.hpp"

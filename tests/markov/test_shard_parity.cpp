@@ -1,5 +1,6 @@
-// The contract of the sharded out-of-core engine (--sharded): trajectories
-// computed shard-at-a-time are BIT-IDENTICAL to the dense BatchedEvolver —
+// The contract of the sharded out-of-core sweep (--sharded): trajectories
+// BatchedEvolver computes shard-at-a-time are BIT-IDENTICAL to its
+// one-shard dense sweep —
 //
 //  * on every Table-1 generator config, for shard counts {1, 4, 16}, at
 //    serial and contended thread counts;
@@ -28,7 +29,6 @@
 #include "linalg/simd/kernels.hpp"
 #include "markov/batched_evolver.hpp"
 #include "markov/mixing_time.hpp"
-#include "markov/sharded_evolver.hpp"
 #include "markov/stationary.hpp"
 #include "obs/obs.hpp"
 #include "resilience/fault.hpp"
@@ -222,11 +222,11 @@ TEST(ShardParity, CompressedRejectsFrontierlessPreconditions) {
                std::invalid_argument);
 
   // The evolver itself refuses a frontier walk on headless adjacency.
-  EXPECT_THROW(ShardedBatchedEvolver(mapped.view(),
-                                     graph::ShardPlan::balanced(mapped.view().offsets(), 4),
-                                     0.0, ShardedBatchedEvolver::kDefaultBlock,
-                                     *graph::parse_frontier_policy("auto"),
-                                     linalg::simd::Precision::kFloat64, &mapped),
+  const SweepSharding sharding{graph::ShardPlan::balanced(mapped.view().offsets(), 4),
+                               &mapped};
+  EXPECT_THROW(BatchedEvolver(mapped.view(), 0.0, BatchedEvolver::kDefaultBlock,
+                             *graph::parse_frontier_policy("auto"),
+                             linalg::simd::Precision::kFloat64, sharding),
                std::invalid_argument);
   std::remove(path.string().c_str());
 }
@@ -260,11 +260,13 @@ TEST(ShardParity, EvolverStateAccessorsMatchDense) {
   const graph::FrontierPolicy frontier = *graph::parse_frontier_policy("auto");
 
   BatchedEvolver dense{g, 0.0, BatchedEvolver::kDefaultBlock, frontier};
-  ShardedBatchedEvolver sharded{g, graph::ShardPlan::balanced(g.offsets(), 8), 0.0,
-                                ShardedBatchedEvolver::kDefaultBlock, frontier};
+  BatchedEvolver sharded{g, 0.0, BatchedEvolver::kDefaultBlock, frontier,
+                         linalg::simd::Precision::kFloat64,
+                         {graph::ShardPlan::balanced(g.offsets(), 8)}};
   const graph::NodeId seed[] = {0, 3};
   dense.seed_point_masses(seed);
   sharded.seed_point_masses(seed);
+  EXPECT_EQ(dense.plan().num_shards(), 1u);
   EXPECT_EQ(sharded.plan().num_shards(), 8u);
   EXPECT_EQ(sharded.dim(), dense.dim());
   EXPECT_EQ(sharded.active(), dense.active());

@@ -8,7 +8,7 @@
 #include "gen/reference.hpp"
 #include "graph/components.hpp"
 #include "linalg/vector_ops.hpp"
-#include "markov/evolution.hpp"
+#include "markov/batched_evolver.hpp"
 #include "markov/stationary.hpp"
 #include "util/rng.hpp"
 
@@ -30,10 +30,9 @@ TEST(BiasedEvolver, ZeroBetaIsSimpleWalk) {
   util::Rng rng{1};
   const auto g = graph::largest_component(gen::erdos_renyi_gnm(40, 100, rng)).graph;
   BiasedEvolver biased{g, 0, 0.0};
-  DistributionEvolver simple{g};
-  auto a = simple.point_mass(5);
-  auto b = simple.point_mass(5);
-  simple.advance(a, 7);
+  const auto a = walk_distribution(g, 5, 7);
+  std::vector<double> b(g.num_nodes(), 0.0);
+  b[5] = 1.0;
   biased.advance(b, 7);
   for (std::size_t v = 0; v < a.size(); ++v) EXPECT_NEAR(a[v], b[v], 1e-14);
 }

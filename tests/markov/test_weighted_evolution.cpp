@@ -8,7 +8,7 @@
 #include "gen/weights.hpp"
 #include "graph/components.hpp"
 #include "linalg/vector_ops.hpp"
-#include "markov/evolution.hpp"
+#include "markov/batched_evolver.hpp"
 #include "markov/stationary.hpp"
 #include "util/rng.hpp"
 
@@ -53,10 +53,8 @@ TEST(WeightedEvolver, UnitWeightsMatchUnweightedEvolution) {
   const auto base = graph::largest_component(gen::erdos_renyi_gnm(50, 130, rng)).graph;
   const auto g = gen::unit_weights(base);
   WeightedEvolver weighted{g};
-  DistributionEvolver plain{base};
-  auto a = plain.point_mass(4);
-  auto b = plain.point_mass(4);
-  plain.advance(a, 9);
+  const auto a = walk_distribution(base, 4, 9);
+  auto b = weighted.point_mass(4);
   weighted.advance(b, 9);
   for (std::size_t v = 0; v < a.size(); ++v) EXPECT_NEAR(a[v], b[v], 1e-13);
 }
