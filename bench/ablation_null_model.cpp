@@ -51,13 +51,8 @@ int main(int argc, char** argv) {
     const auto null_graph =
         graph::largest_component(gen::degree_preserving_rewire(g, swaps, rng)).graph;
 
-    core::MeasurementOptions options;
+    core::MeasurementOptions options = config.measurement_options();
     options.sampled = false;
-    options.seed = config.seed;
-    options.checkpoint = config.checkpoint;
-    options.reorder = config.reorder;
-    options.frontier = config.frontier;
-    options.precision = config.precision;
     const auto original = core::measure_mixing(g, name, options);
     const auto null_report = core::measure_mixing(null_graph, name, options);
 

@@ -38,13 +38,8 @@ int main(int argc, char** argv) {
     const auto spec = *gen::find_dataset(name);
     const auto g = core::build_scaled_dataset(spec, config);
 
-    core::MeasurementOptions options;
+    core::MeasurementOptions options = config.measurement_options();
     options.sampled = false;
-    options.seed = config.seed;
-    options.checkpoint = config.checkpoint;
-    options.reorder = config.reorder;
-    options.frontier = config.frontier;
-    options.precision = config.precision;
     const auto report = core::measure_mixing(g, spec.name, options);
     std::cout << core::summarize(report) << "\n";
     std::fflush(stdout);

@@ -39,16 +39,11 @@ int main(int argc, char** argv) {
     const auto spec = *gen::find_dataset(name);
     const auto g = core::build_scaled_dataset(spec, config);
 
-    core::MeasurementOptions options;
+    core::MeasurementOptions options = config.measurement_options();
     options.spectral = false;
     options.sources = sources;
     options.all_sources = sources == 0;
     options.max_steps = walk_lengths.back();
-    options.seed = config.seed;
-    options.checkpoint = config.checkpoint;
-    options.reorder = config.reorder;
-    options.frontier = config.frontier;
-    options.precision = config.precision;
     const auto report = core::measure_mixing(g, spec.name, options);
 
     std::printf("%s: n=%llu m=%llu sources=%zu\n", spec.name.c_str(),

@@ -56,14 +56,9 @@ int main(int argc, char** argv) {
       break;
     }
 
-    core::MeasurementOptions options;
+    core::MeasurementOptions options = config.measurement_options();
     options.sources = sources;
     options.max_steps = max_steps;
-    options.seed = config.seed;
-    options.checkpoint = config.checkpoint;
-    options.reorder = config.reorder;
-    options.frontier = config.frontier;
-    options.precision = config.precision;
     const auto report = core::measure_mixing(g, "DBLP " + std::to_string(k), options);
 
     summary.row({"DBLP " + std::to_string(k),

@@ -19,6 +19,7 @@
 //                 identical for every value
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "bench_harness/harness.hpp"
 #include "core/experiment.hpp"
@@ -45,7 +46,9 @@ int main(int argc, char** argv) {
   const std::size_t max_steps = config.max_steps != 0 ? config.max_steps : 120;
 
   std::vector<graph::NodeId> sizes;
-  for (const auto token : util::split(cli.get("sizes", "4000,12000,36000"), ',')) {
+  // split() returns views: the flag string must outlive the loop.
+  const std::string size_list = cli.get("sizes", "4000,12000,36000");
+  for (const auto token : util::split(size_list, ',')) {
     if (const auto v = util::parse_i64(token)) {
       sizes.push_back(static_cast<graph::NodeId>(*v));
     }
@@ -65,14 +68,9 @@ int main(int argc, char** argv) {
       const auto sample = graph::bfs_sample(base, size, rng);
       const auto g = graph::largest_component(sample.graph).graph;
 
-      core::MeasurementOptions options;
+      core::MeasurementOptions options = config.measurement_options();
       options.sources = sources;
       options.max_steps = max_steps;
-      options.seed = config.seed;
-      options.checkpoint = config.checkpoint;
-      options.reorder = config.reorder;
-      options.frontier = config.frontier;
-      options.precision = config.precision;
       const auto report = core::measure_mixing(g, spec.name, options);
 
       const auto bounds = report.bounds();

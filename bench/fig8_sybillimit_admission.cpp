@@ -78,8 +78,9 @@ int main(int argc, char** argv) {
     sweep.r0 = r0;
     sweep.seed = config.seed;
     sweep.checkpoint = config.checkpoint;
-    sweep.reorder = config.reorder;
-    sweep.frontier = config.frontier;
+    sweep.reorder = config.engine.reorder;
+    sweep.frontier = config.engine.frontier;
+    sweep.sharded = config.engine.sharded;
     // Per-panel stem: panels share one --checkpoint-dir without clobbering.
     if (sweep.checkpoint.enabled()) {
       sweep.checkpoint.name = "fig8-" + util::slugify(label);

@@ -1,6 +1,5 @@
 // Micro benchmarks (google-benchmark): throughput of the kernels the
-// measurement pipeline is built on, plus the Lanczos-vs-power-iteration
-// ablation called out in DESIGN.md.
+// measurement pipeline is built on.
 //
 // Custom main (instead of benchmark_main) so the run's accumulated obs
 // metrics land in bench_results/micro_kernels_metrics.json — the counters
@@ -31,7 +30,6 @@
 #include "graph/sampling.hpp"
 #include "linalg/lanczos.hpp"
 #include "linalg/simd/kernels.hpp"
-#include "linalg/power_iteration.hpp"
 #include "linalg/vector_ops.hpp"
 #include "linalg/walk_operator.hpp"
 #include "markov/batched_evolver.hpp"
@@ -114,8 +112,8 @@ void BM_BfsSample(benchmark::State& state) {
 }
 BENCHMARK(BM_BfsSample)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
-// Ablation: Lanczos vs power iteration to the same mu accuracy on a
-// slow-mixing community graph (small spectral gap — the hard case).
+// Lanczos to mu accuracy 1e-7 on a slow-mixing community graph (small
+// spectral gap — the hard case).
 graph::Graph slow_graph() {
   util::Rng rng{11};
   return graph::largest_component(
@@ -133,17 +131,6 @@ void BM_SlemLanczos(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SlemLanczos)->Unit(benchmark::kMillisecond);
-
-void BM_SlemPowerIteration(benchmark::State& state) {
-  const auto g = slow_graph();
-  for (auto _ : state) {
-    const linalg::WalkOperator op{g};
-    linalg::PowerIterationOptions options;
-    options.tolerance = 1e-10;  // comparable mu accuracy on this gap
-    benchmark::DoNotOptimize(linalg::power_iteration_slem(op, options));
-  }
-}
-BENCHMARK(BM_SlemPowerIteration)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------- parallel/batched SpMM --
 // The multi-source evolution engine behind measure_sampled_mixing. Items

@@ -9,7 +9,7 @@
 //
 //   * evolve:  BatchedEvolver::step_with_tvd, 32 lanes (the sampled
 //              measurement's inner loop),
-//   * spmv:    WalkOperator::apply (the Lanczos/power-iteration kernel).
+//   * spmv:    WalkOperator::apply (the Lanczos kernel).
 //
 // Method: per configuration the kernel loop runs `--steps` iterations per
 // round; the minimum wall time over `--rounds` rounds is reported (min

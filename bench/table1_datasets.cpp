@@ -42,15 +42,10 @@ int main(int argc, char** argv) {
   for (const auto& spec : gen::table1_datasets()) {
     const auto g = core::build_scaled_dataset(spec, config);
 
-    core::MeasurementOptions options;
+    core::MeasurementOptions options = config.measurement_options();
     options.sampled = cli.get_flag("sampled");
     options.sources = 1000;
     options.max_steps = 200;
-    options.seed = config.seed;
-    options.checkpoint = config.checkpoint;
-    options.reorder = config.reorder;
-    options.frontier = config.frontier;
-    options.precision = config.precision;
     const auto report = core::measure_mixing(g, spec.name, options);
 
     const char* cls = spec.paper_mixing_class == gen::MixingClass::kFast   ? "fast"

@@ -11,11 +11,8 @@
 
 #include "core/measurement.hpp"
 #include "gen/datasets.hpp"
-#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
-#include "graph/sharded/plan.hpp"
-#include "linalg/shard_pipeline.hpp"
-#include "linalg/simd/kernels.hpp"
+#include "markov/mixing_time.hpp"
 #include "resilience/checkpoint.hpp"
 #include "util/cli.hpp"
 
@@ -35,75 +32,33 @@ struct ExperimentConfig {
   /// for every value — this is purely a speed knob.
   std::size_t threads = 0;
   /// Checkpoint/resume for the long sweeps, parsed from --checkpoint-dir /
-  /// --checkpoint-interval (dir empty = off). Drivers forward this into
-  /// MeasurementOptions.checkpoint / AdmissionSweepConfig.checkpoint.
+  /// --checkpoint-interval (dir empty = off).
   resilience::CheckpointOptions checkpoint;
-  /// Vertex ordering for the compute kernels, parsed from
-  /// --reorder=rcm|degree|bfs|none (default none). Drivers forward this
-  /// into MeasurementOptions.reorder / AdmissionSweepConfig.reorder.
-  graph::ReorderMode reorder = graph::ReorderMode::kNone;
-  /// Adaptive frontier phase of the evolution engine, parsed from
-  /// --frontier=auto|off|<fraction> (default auto). Results are
-  /// bit-identical on or off — this is purely a speed knob. Drivers
-  /// forward this into MeasurementOptions.frontier /
-  /// AdmissionSweepConfig.frontier.
-  graph::FrontierPolicy frontier;
-  /// Kernel precision, parsed from --precision=f64|mixed (default f64).
-  /// f64 is the exact-parity path (bit-identical across threads, reorder,
-  /// frontier, and simd tiers); mixed stores walk state as float32 with
-  /// float64 compensated accumulation (see linalg/simd/kernels.hpp for
-  /// the accuracy budget). Drivers forward this into
-  /// MeasurementOptions.precision.
-  linalg::simd::Precision precision = linalg::simd::Precision::kFloat64;
-  /// Shard-at-a-time out-of-core evolution, parsed from
-  /// --sharded=auto|off|N (default auto, which stays on the dense path
-  /// until the CSR exceeds the per-shard byte budget). Results are
-  /// bit-identical for every shard count — this trades sweep locality for
-  /// a bounded CSR residency. Drivers forward this into
-  /// MeasurementOptions.sharded / AdmissionSweepConfig.sharded.
-  graph::ShardPolicy sharded;
-  /// Shard window staging, parsed from --io-mode=sync|prefetch (default
-  /// sync). Prefetch stages the next shard's CSR window (page-in, and
-  /// ADJC decode for compressed containers) on a dedicated thread while
-  /// the current shard computes. Results are bit-identical either way —
-  /// purely an I/O latency knob. Drivers forward this into
-  /// MeasurementOptions.io_mode.
-  linalg::IoMode io_mode = linalg::IoMode::kSync;
+  /// The execution knobs, parsed by engine_options_from_cli (`mapped` is
+  /// always null: the drivers build their graphs in memory).
+  markov::EngineOptions engine;
 
   /// Parses the CLI and applies `threads` to the global util::parallel
   /// pool, so every driver honors --threads with no further wiring. Also
-  /// calls configure_observability (--metrics-out / --trace-out /
-  /// --progress) and configure_resilience (--checkpoint-dir /
-  /// --checkpoint-interval / --fault-inject), so those flags work in
-  /// every driver. Throws std::invalid_argument on an unknown --reorder
-  /// value.
+  /// calls engine_options_from_cli, configure_observability (--metrics-out
+  /// / --trace-out / --progress) and configure_resilience
+  /// (--checkpoint-dir / --checkpoint-interval / --fault-inject), so those
+  /// flags work in every driver. Throws std::invalid_argument on a
+  /// malformed value.
   [[nodiscard]] static ExperimentConfig from_cli(const util::Cli& cli);
+
+  /// Measurement options carrying this config's seed, checkpoint and
+  /// execution knobs; drivers set the walk budget and phases on top.
+  [[nodiscard]] MeasurementOptions measurement_options() const;
 };
 
-/// Parses --reorder (default "none"); throws std::invalid_argument naming
-/// the bad value and the accepted ones. Shared by from_cli and tools that
-/// parse their own Cli (socmix measure/sybil).
-[[nodiscard]] graph::ReorderMode reorder_from_cli(const util::Cli& cli);
-
-/// Parses --frontier (default "auto"); throws std::invalid_argument naming
-/// the bad value and the accepted ones. Shared by from_cli and tools that
-/// parse their own Cli (socmix measure/sybil).
-[[nodiscard]] graph::FrontierPolicy frontier_from_cli(const util::Cli& cli);
-
-/// Parses --precision (default "f64"); throws std::invalid_argument naming
-/// the bad value and the accepted ones. Shared by from_cli and tools that
-/// parse their own Cli (socmix measure/sybil).
-[[nodiscard]] linalg::simd::Precision precision_from_cli(const util::Cli& cli);
-
-/// Parses --sharded (default "auto"); throws std::invalid_argument naming
-/// the bad value and the accepted ones. Shared by from_cli and tools that
-/// parse their own Cli (socmix measure/sybil, graph_pack).
-[[nodiscard]] graph::ShardPolicy sharded_from_cli(const util::Cli& cli);
-
-/// Parses --io-mode (default "sync"); throws std::invalid_argument naming
-/// the bad value and the accepted ones. Shared by from_cli and tools that
-/// parse their own Cli (socmix measure/sybil).
-[[nodiscard]] linalg::IoMode io_mode_from_cli(const util::Cli& cli);
+/// Parses the execution knobs --reorder (default none), --frontier (auto),
+/// --precision (f64), --sharded (auto) and --io-mode (sync), and stamps
+/// each on the process bench harness so any BENCH json records what the
+/// run actually used. Throws std::invalid_argument naming the flag, the
+/// bad value and the accepted ones. `mapped` is left null for callers that
+/// load a --pack container.
+[[nodiscard]] markov::EngineOptions engine_options_from_cli(const util::Cli& cli);
 
 /// Wires the shared observability flags into the obs layer:
 ///   --metrics-out=PATH        metrics snapshot at exit (JSON; CSV if *.csv)

@@ -20,36 +20,18 @@ MixingReport measure_mixing(const graph::Graph& g, std::string name,
   report.nodes = g.num_nodes();
   report.edges = g.num_edges();
 
-  // Compressed containers (headless CSR): adjacency only exists as ADJC
-  // blocks the shard pipelines decode, so reordering — which walks
-  // neighbors up front — cannot run. Caught here so both phases fail with
-  // the same message before any work starts.
-  const bool headless = g.headless();
-  if (headless && options.reorder != graph::ReorderMode::kNone) {
-    throw std::invalid_argument{
-        "measure_mixing: reordering needs in-memory adjacency; use --reorder "
-        "none with compressed containers"};
-  }
-
   if (options.spectral && g.num_nodes() > 0) {
     SOCMIX_TRACE_SPAN("phase.spectral");
     const util::Timer timer;
     // Lanczos runs on the relabeled CSR; the spectrum is label-invariant,
     // so nothing maps back. (Reorder cost is O(m log m) — noise next to
     // the iteration count, even though the sampled phase reorders again.)
-    const graph::ReorderedGraph reordered = graph::reorder_graph(g, options.reorder);
-    const graph::Graph& active = reordered.active(g);
-    const std::uint32_t shards = graph::resolve_shard_count(
-        options.sharded, active.memory_bytes(), active.num_nodes(),
-        headless ? 3u : 2u);
     // Shard geometry never changes an output bit (rows are independent
-    // under spmv); it only bounds the CSR residency. The mapping goes to
-    // the operator when it windows several shards or must decode them
-    // (headless: only the shard pipeline can materialize that adjacency).
-    const linalg::WalkOperator op{
-        active, graph::ShardPlan::balanced(active.offsets(), shards), options.laziness,
-        reordered.identity() && (shards > 1 || headless) ? options.mapped : nullptr,
-        options.io_mode};
+    // under spmv); it only bounds the CSR residency.
+    const markov::ResolvedEngine engine = markov::resolve_engine(g, options);
+    const linalg::WalkOperator op{engine.active(g), engine.sharding.plan,
+                                  options.laziness, engine.sharding.mapped,
+                                  engine.sharding.io_mode};
     const linalg::SpectrumResult spectrum = linalg::slem_spectrum(op, options.lanczos);
     report.spectral_ran = true;
     report.spectral_converged = spectrum.converged;
@@ -71,16 +53,7 @@ MixingReport measure_mixing(const graph::Graph& g, std::string name,
     const auto sources = options.all_sources
                              ? markov::all_sources(g)
                              : markov::pick_sources(g, options.sources, rng);
-    markov::SampledMixingOptions sampled_options;
-    sampled_options.max_steps = options.max_steps;
-    sampled_options.laziness = options.laziness;
-    sampled_options.checkpoint = options.checkpoint;
-    sampled_options.reorder = options.reorder;
-    sampled_options.frontier = options.frontier;
-    sampled_options.precision = options.precision;
-    sampled_options.sharded = options.sharded;
-    sampled_options.mapped = options.mapped;
-    sampled_options.io_mode = options.io_mode;
+    markov::SampledMixingOptions sampled_options = options;
     if (sampled_options.checkpoint.enabled() && sampled_options.checkpoint.name.empty()) {
       sampled_options.checkpoint.name = "mixing-" + util::slugify(report.name);
     }

@@ -56,7 +56,7 @@ void WalkOperator::apply(std::span<const double> x, std::span<double> y) const {
   // bit-identical for any thread count — and the simd dispatch table
   // guarantees the same bits for any kernel tier (the vector tier gathers
   // in hardware but sums edges in scalar order; see linalg/simd). Lanczos
-  // and power iteration scale with cores through this one kernel. Rows
+  // scales with cores through this one kernel. Rows
   // are grouped by shard only in the outer order, which no row's result
   // depends on.
   double* const scaled = scaled_.data();
@@ -87,40 +87,6 @@ void WalkOperator::apply(std::span<const double> x, std::span<double> y) const {
                        });
   }
   pipeline_->finish_sweep();
-}
-
-void WalkOperator::apply_rows(std::span<const double> x, std::span<double> y,
-                              std::span<const graph::RowRange> ranges) const {
-  SOCMIX_TRACE_SPAN("spmv.apply_rows");
-  const graph::Graph& g = *graph_;
-  const graph::NodeId n = g.num_nodes();
-  const auto offsets = g.offsets();
-  const auto neighbors = g.raw_neighbors();
-  const double walk_weight = 1.0 - laziness_;
-
-  // Same prescale as apply() — the row restriction only limits which y[i]
-  // are produced, not which x[j] a row may gather.
-  double* const scaled = scaled_.data();
-  const simd::KernelTable& kernels = simd::dispatch();
-  util::parallel_for(0, n, kApplyGrain, [&](std::size_t lo, std::size_t hi) {
-    kernels.prescale_f64(x.data(), inv_sqrt_deg_.data(), scaled, lo, hi);
-  });
-  simd::SpmvArgs args;
-  args.offsets = offsets.data();
-  args.neighbors = neighbors.data();
-  args.gather = scaled;
-  args.x = x.data();
-  args.y = y.data();
-  args.walk_weight = walk_weight;
-  args.laziness = laziness_;
-  args.row_scale = inv_sqrt_deg_.data();
-  graph::NodeId rows = 0;
-  for (const graph::RowRange r : ranges) {
-    rows += r.end - r.begin;
-    kernels.spmv(args, r.begin, r.end);
-  }
-  SOCMIX_COUNTER_ADD("linalg.spmv.applies", 1);
-  SOCMIX_COUNTER_ADD("linalg.spmv.rows", rows);
 }
 
 std::vector<double> WalkOperator::top_eigenvector() const {

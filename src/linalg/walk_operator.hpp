@@ -25,7 +25,6 @@
 #include <span>
 #include <vector>
 
-#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
@@ -60,16 +59,6 @@ class WalkOperator {
   /// calls on the *same* operator are not allowed — concurrent operators
   /// on one graph are fine.
   void apply(std::span<const double> x, std::span<double> y) const;
-
-  /// Frontier variant of apply(): computes y[i] for the rows inside
-  /// `ranges` (sorted, disjoint — typically graph::FrontierSet::ranges())
-  /// with the identical full-row gather, and leaves every other row of y
-  /// untouched. The prescale still streams all of x (gather sources are
-  /// unrestricted), so the saving is the skipped row gathers. Bit-identical
-  /// to apply() on the covered rows. Same scratch caveat as apply(). Reads
-  /// the in-memory adjacency directly, so not for headless graphs.
-  void apply_rows(std::span<const double> x, std::span<double> y,
-                  std::span<const graph::RowRange> ranges) const;
 
   /// Minimum rows per parallel chunk: below this, dispatch overhead beats
   /// the work, so small graphs run inline on the calling thread.

@@ -55,26 +55,6 @@ void WeightedWalkOperator::apply(std::span<const double> x,
   simd::dispatch().spmv(args, 0, n);
 }
 
-void WeightedWalkOperator::apply_rows(std::span<const double> x, std::span<double> y,
-                                      std::span<const graph::RowRange> ranges) const noexcept {
-  const graph::WeightedGraph& g = *graph_;
-
-  simd::SpmvArgs args;
-  args.offsets = g.offsets().data();
-  args.neighbors = g.raw_neighbors().data();
-  args.gather = x.data();
-  args.x = x.data();
-  args.y = y.data();
-  args.walk_weight = 1.0 - laziness_;
-  args.laziness = laziness_;
-  args.row_scale = inv_sqrt_strength_.data();
-  args.edge_scale = edge_scaled_.data();
-  const simd::KernelTable& kernels = simd::dispatch();
-  for (const graph::RowRange r : ranges) {
-    kernels.spmv(args, r.begin, r.end);
-  }
-}
-
 std::vector<double> WeightedWalkOperator::top_eigenvector() const {
   const auto n = dim();
   const double total = graph_->total_strength();

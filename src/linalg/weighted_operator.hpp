@@ -10,7 +10,6 @@
 #include <span>
 #include <vector>
 
-#include "graph/frontier.hpp"
 #include "graph/weighted_graph.hpp"
 
 namespace socmix::linalg {
@@ -23,15 +22,6 @@ class WeightedWalkOperator {
   explicit WeightedWalkOperator(const graph::WeightedGraph& g, double laziness = 0.0);
 
   void apply(std::span<const double> x, std::span<double> y) const noexcept;
-
-  /// Frontier variant of apply(): computes y[i] only for rows inside
-  /// `ranges` (sorted, disjoint), leaving other rows untouched. No
-  /// prescale exists here at all (the source normalization is folded into
-  /// edge_scaled_ at construction), so the sparse call does work
-  /// proportional to the covered rows alone. Bit-identical to apply() on
-  /// the covered rows.
-  void apply_rows(std::span<const double> x, std::span<double> y,
-                  std::span<const graph::RowRange> ranges) const noexcept;
 
   [[nodiscard]] std::size_t dim() const noexcept { return inv_sqrt_strength_.size(); }
   [[nodiscard]] double laziness() const noexcept { return laziness_; }

@@ -173,15 +173,7 @@ std::uint64_t sampled_mixing_fingerprint(const graph::Graph& g,
                                  max_steps, laziness, reorder);
 }
 
-SampledMixing measure_sampled_mixing(const graph::Graph& g,
-                                     std::span<const graph::NodeId> sources,
-                                     const SampledMixingOptions& options) {
-  SOCMIX_TRACE_SPAN("measure_sampled_mixing");
-  const std::size_t max_steps = options.max_steps;
-  const double laziness = options.laziness;
-  const std::size_t num_sources = sources.size();
-  std::vector<std::vector<double>> trajectories(num_sources);
-
+ResolvedEngine resolve_engine(const graph::Graph& g, const EngineOptions& options) {
   // Compressed containers hand us a headless CSR (offsets only): the
   // adjacency exists solely as ADJC blocks the shard pipeline decodes on
   // the fly. Everything that walks neighbors outside the pipeline —
@@ -191,17 +183,37 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   if (headless) {
     if (options.mapped == nullptr || !options.mapped->compressed()) {
       throw std::invalid_argument{
-          "measure_sampled_mixing: a headless graph needs its compressed "
-          "MappedGraph (SampledMixingOptions::mapped)"};
+          "a headless graph needs its compressed MappedGraph "
+          "(EngineOptions::mapped)"};
     }
     if (options.reorder != graph::ReorderMode::kNone) {
       throw std::invalid_argument{
-          "measure_sampled_mixing: reordering needs in-memory adjacency; use "
-          "--reorder none with compressed containers"};
+          "reordering needs in-memory adjacency; use --reorder none with "
+          "compressed containers"};
     }
   }
-  graph::FrontierPolicy frontier = options.frontier;
-  if (headless) frontier.mode = graph::FrontierPolicy::Mode::kOff;
+  ResolvedEngine out;
+  out.reordered = graph::reorder_graph(g, options.reorder);
+  const graph::Graph& active = out.active(g);
+  const std::uint32_t shards = graph::resolve_shard_count(
+      options.sharded, active.memory_bytes(), active.num_nodes(), headless ? 3u : 2u);
+  out.sharding.plan = graph::ShardPlan::balanced(active.offsets(), shards);
+  out.sharding.mapped =
+      out.reordered.identity() && (shards > 1 || headless) ? options.mapped : nullptr;
+  out.sharding.io_mode = options.io_mode;
+  out.frontier = options.frontier;
+  if (headless) out.frontier.mode = graph::FrontierPolicy::Mode::kOff;
+  return out;
+}
+
+SampledMixing measure_sampled_mixing(const graph::Graph& g,
+                                     std::span<const graph::NodeId> sources,
+                                     const SampledMixingOptions& options) {
+  SOCMIX_TRACE_SPAN("measure_sampled_mixing");
+  const std::size_t max_steps = options.max_steps;
+  const double laziness = options.laziness;
+  const std::size_t num_sources = sources.size();
+  std::vector<std::vector<double>> trajectories(num_sources);
 
   // Locality layer: relabel the graph for gather locality and map the
   // sources into the new id space. Everything below runs on `active`; the
@@ -209,8 +221,10 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // (the fused reduction sums rows in ascending *new* labels), so no
   // permute-back is needed — results are reported under the original
   // source ids via the untouched `sources` span.
-  const graph::ReorderedGraph reordered = graph::reorder_graph(g, options.reorder);
-  const graph::Graph& active = reordered.active(g);
+  const ResolvedEngine engine = resolve_engine(g, options);
+  const graph::ReorderedGraph& reordered = engine.reordered;
+  const graph::Graph& active = engine.active(g);
+  const bool headless = g.headless();
   std::vector<graph::NodeId> mapped_sources;
   if (!reordered.identity()) {
     mapped_sources.reserve(num_sources);
@@ -240,26 +254,16 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // the mixed budget — replaying a mixed snapshot into an f64 run would
   // silently launder quantization error into the exact-parity path). A
   // snapshot from a foreign combination classifies stale, not corrupt.
-  // Shard geometry: resolved once against the active CSR. S <= 1 is the
-  // dense path — one shard, no context word, pre-shard snapshots stay
-  // compatible. The evolver gets the mapping only when it windows several
-  // shards or must decode them (headless): a one-shard sweep would release
-  // the whole mapping every step. A reordering materializes a fresh
-  // in-memory CSR, so the mmap windowing hints only apply under identity
-  // ordering. A compressed sweep keeps three adjacency copies per staged
-  // window in flight (two decoded scratch slots + the mapped ADJC bytes),
-  // so the auto shard formula gets resident_copies = 3.
-  const std::uint32_t resolved_shards = graph::resolve_shard_count(
-      options.sharded, active.memory_bytes(), active.num_nodes(),
-      headless ? 3u : 2u);
-  const graph::sharded::MappedGraph* mapped =
-      reordered.identity() && (resolved_shards > 1 || headless) ? options.mapped : nullptr;
+  // Shard geometry: resolve_engine sized it against the active CSR. One
+  // shard is the dense path — no context word, so pre-shard snapshots
+  // stay compatible.
+  const std::uint32_t resolved_shards = engine.sharding.plan.num_shards();
 #if SOCMIX_OBS_ENABLED
   SOCMIX_GAUGE_SET("markov.sampled.shards", resolved_shards);
 #endif
   std::uint64_t context = util::hash_combine(
       util::hash_combine(static_cast<std::uint64_t>(options.reorder),
-                         graph::frontier_context_word(frontier)),
+                         graph::frontier_context_word(engine.frontier)),
       linalg::simd::precision_context_word(options.precision));
   const std::uint64_t shard_word = graph::shard_context_word(resolved_shards);
   if (shard_word != 0) context = util::hash_combine(context, shard_word);
@@ -363,13 +367,8 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   util::parallel_for(0, workers, 1, [&](std::size_t, std::size_t) {
     std::size_t p = next_block++;
     if (p >= pending.size()) return;
-    BatchedEvolver evolver{active,
-                           laziness,
-                           kBlock,
-                           frontier,
-                           options.precision,
-                           {graph::ShardPlan::balanced(active.offsets(), resolved_shards),
-                            mapped, options.io_mode}};
+    BatchedEvolver evolver{active,          laziness,          kBlock,
+                           engine.frontier, options.precision, engine.sharding};
     try {
       for (; p < pending.size(); p = next_block++) run_block(evolver, p);
     } catch (...) {

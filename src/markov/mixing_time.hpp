@@ -25,6 +25,7 @@
 #include "graph/sharded/plan.hpp"
 #include "linalg/shard_pipeline.hpp"
 #include "linalg/simd/kernels.hpp"
+#include "markov/batched_evolver.hpp"
 #include "resilience/checkpoint.hpp"
 #include "util/rng.hpp"
 
@@ -116,8 +117,103 @@ class SampledMixing {
   std::size_t max_steps_ = 0;
 };
 
-/// Knobs of the sampled sweep beyond the walk itself.
-struct SampledMixingOptions {
+/// The six execution knobs both measurement phases run under, parsed once
+/// from --reorder, --frontier, --precision, --sharded, --io-mode (and
+/// --pack for `mapped`) by core::engine_options_from_cli. They choose how
+/// a measurement is computed, never what it measures.
+struct EngineOptions {
+  /// Vertex ordering the kernels compute under (--reorder). Both phases
+  /// run on the relabeled CSR: eigenvalues are label-invariant, sources are
+  /// mapped in, and the per-step TVD scalars are label-invariant up to
+  /// summation order, so results match identity ordering within 1e-12 per
+  /// step. Outputs are always reported under the caller's original vertex
+  /// ids. Checkpoints are keyed on the mode: a snapshot written under a
+  /// different ordering is classified stale and recomputed.
+  graph::ReorderMode reorder = graph::ReorderMode::kNone;
+  /// Adaptive frontier phase of the sampled evolution (--frontier, on by
+  /// default): while a source block's support closure covers less than
+  /// the policy's row fraction, sweeps touch only those rows —
+  /// bit-identical to the dense path, so every parity/resume contract is
+  /// unaffected. Folded into the checkpoint context word alongside the
+  /// ordering, so a snapshot written under a different frontier mode
+  /// classifies stale.
+  graph::FrontierPolicy frontier;
+  /// Kernel precision of the sampled phase (--precision); the spectral
+  /// phase always runs f64. kFloat64 (default) is the exact-parity path:
+  /// bit-identical across thread counts, reorder/frontier modes, and simd
+  /// kernel tiers. kMixed stores lane state as float32 (half the gather
+  /// traffic) with float64 arithmetic and a Neumaier-compensated TVD
+  /// reduction; per-step TVD deviates from f64 by at most
+  /// linalg::simd::kMixedTvdBudget, and steps whose headline ε-crossing
+  /// decision falls inside that band are surfaced via the
+  /// markov.sampled.mixed_eps_guard counter. Folded into the checkpoint
+  /// context word: foreign-precision snapshots classify stale.
+  linalg::simd::Precision precision = linalg::simd::Precision::kFloat64;
+  /// Shard-at-a-time evolution (--sharded auto|off|N; auto stays dense
+  /// until the CSR exceeds the per-shard byte budget). Resolved against
+  /// the active (post-reorder) graph's CSR footprint; when the resolved
+  /// count is > 1 both phases sweep one contiguous vertex shard at a time
+  /// (spectral: a sharded WalkOperator under Lanczos; sampled: a sharded
+  /// BatchedEvolver) — bit-identical to the one-shard sweep for every
+  /// shard count; with a mapped container the CSR residency stays near two
+  /// shard windows. A non-trivial resolved geometry folds
+  /// graph::shard_context_word into the checkpoint context, so a snapshot
+  /// written under a foreign shard geometry classifies stale; dense-
+  /// geometry runs fold nothing and stay compatible with pre-shard
+  /// snapshots.
+  graph::ShardPolicy sharded;
+  /// The mmap-backed .smxg container `g` was borrowed from (socmix --pack),
+  /// or null; must outlive the call. Enables the madvise windowing of the
+  /// shard sweeps; ignored (the sweep is identical, minus the paging
+  /// hints) when a reordering materializes a new CSR that the mapping no
+  /// longer backs. A *compressed* container (headless `g`, see
+  /// MappedGraph::compressed()) is mandatory: the shard pipeline decodes
+  /// adjacency windows out of it. Compressed runs always stream through
+  /// the pipeline (even at one shard), disable the frontier phase (its
+  /// closure walk needs in-memory adjacency), and reject reorder modes
+  /// other than kNone — none of which changes an output bit versus the
+  /// same flags on the dense CSR.
+  const graph::sharded::MappedGraph* mapped = nullptr;
+  /// Shard window staging discipline (--io-mode sync|prefetch). kPrefetch
+  /// stages shard k+1 (page-in, and ADJC decode for compressed containers)
+  /// on a dedicated thread while shard k computes. Pure I/O knob: results
+  /// are bit-identical either way, so it is *not* folded into the
+  /// checkpoint context word — snapshots move freely across io modes.
+  linalg::IoMode io_mode = linalg::IoMode::kSync;
+};
+
+/// What (g, EngineOptions) resolves to before either phase sweeps: the
+/// graph the kernels run on and the shard geometry they sweep it with.
+struct ResolvedEngine {
+  /// The relabeled CSR under a non-identity ordering; see active().
+  graph::ReorderedGraph reordered;
+  /// The resolved plan over the active CSR (one shard is the dense path),
+  /// plus the mapping and io mode to sweep it with.
+  SweepSharding sharding;
+  /// The frontier policy, forced off for a headless graph.
+  graph::FrontierPolicy frontier;
+
+  [[nodiscard]] const graph::Graph& active(const graph::Graph& g) const noexcept {
+    return reordered.active(g);
+  }
+};
+
+/// The one place the execution knobs meet the graph. Rejects a headless
+/// (compressed) graph without its compressed mapping or under a
+/// reordering, reorders, and resolves --sharded against the active CSR:
+/// a compressed sweep keeps three adjacency copies per staged window in
+/// flight (two decoded scratch slots + the mapped ADJC bytes), so the auto
+/// formula gets resident_copies = 3, otherwise 2. The mapping is passed on
+/// only under identity ordering (a reordering materializes a CSR the
+/// mapping no longer backs) and only when the sweep windows several shards
+/// or must decode them — a one-shard sweep would release the whole mapping
+/// every step. Throws std::invalid_argument on a rejected combination.
+[[nodiscard]] ResolvedEngine resolve_engine(const graph::Graph& g,
+                                            const EngineOptions& options);
+
+/// Knobs of the sampled sweep: the execution knobs plus the walk itself.
+struct SampledMixingOptions : EngineOptions {
+  /// Walk-length budget per source (paper plots up to 500).
   std::size_t max_steps = 500;
   /// Lazy-walk parameter in [0, 1); 0 = the paper's simple walk.
   double laziness = 0.0;
@@ -126,59 +222,6 @@ struct SampledMixingOptions {
   /// rerun with the same graph/sources/steps/laziness resumes by skipping
   /// them. Resumed results are bit-identical to an uninterrupted run.
   resilience::CheckpointOptions checkpoint;
-  /// Vertex ordering the kernels compute under. The walk is evolved on the
-  /// relabeled CSR (better gather locality); sources are mapped in and the
-  /// per-step TVD scalars are label-invariant up to summation order, so
-  /// results match identity ordering within 1e-12 per step. Outputs are
-  /// always reported under the caller's original vertex ids. Checkpoints
-  /// are keyed on the mode: a snapshot written under a different ordering
-  /// is classified stale and recomputed.
-  graph::ReorderMode reorder = graph::ReorderMode::kNone;
-  /// Adaptive frontier phase of the evolution engine (on by default):
-  /// while a source block's support closure covers less than the policy's
-  /// row fraction, sweeps touch only those rows — bit-identical to the
-  /// dense path, so every parity/resume contract is unaffected. Folded
-  /// into the checkpoint context word alongside the ordering, so a
-  /// snapshot written under a different frontier mode classifies stale.
-  graph::FrontierPolicy frontier;
-  /// Kernel precision (--precision). kFloat64 (default) is the exact-
-  /// parity path: bit-identical across thread counts, reorder/frontier
-  /// modes, and simd kernel tiers. kMixed stores lane state as float32
-  /// (half the gather traffic) with float64 arithmetic and a Neumaier-
-  /// compensated TVD reduction; per-step TVD deviates from f64 by at most
-  /// linalg::simd::kMixedTvdBudget, and steps whose headline ε-crossing
-  /// decision falls inside that band are surfaced via the
-  /// markov.sampled.mixed_eps_guard counter. Folded into the checkpoint
-  /// context word: foreign-precision snapshots classify stale.
-  linalg::simd::Precision precision = linalg::simd::Precision::kFloat64;
-  /// Shard-at-a-time evolution (--sharded auto|off|N). Resolved against
-  /// the active (post-reorder) graph's CSR footprint; when the resolved
-  /// count is > 1 the evolver sweeps one shard at a time — bit-identical
-  /// to the one-shard sweep for every shard count, so the parity
-  /// and resume contracts are unaffected. A non-trivial resolved geometry
-  /// folds graph::shard_context_word into the checkpoint context, so a
-  /// snapshot written under a foreign shard geometry classifies stale;
-  /// dense-geometry runs fold nothing and stay compatible with pre-shard
-  /// snapshots.
-  graph::ShardPolicy sharded;
-  /// The mmap-backed container `g` was borrowed from, when the caller
-  /// loaded one (socmix --pack). Enables the madvise windowing of the
-  /// shard sweep; ignored (the sweep is identical, minus the paging
-  /// hints) when null or when a reordering materializes a new CSR that
-  /// the mapping no longer backs. A *compressed* container (headless `g`,
-  /// see MappedGraph::compressed()) is mandatory here: the shard pipeline
-  /// decodes adjacency windows out of it. Compressed runs always stream
-  /// through the pipeline (even at one shard), disable the frontier phase (its
-  /// closure walk needs in-memory adjacency), and reject reorder modes
-  /// other than kNone — none of which changes an output bit versus the
-  /// same flags on the dense CSR.
-  const graph::sharded::MappedGraph* mapped = nullptr;
-  /// Shard window staging discipline (--io-mode sync|prefetch). kPrefetch
-  /// stages shard k+1 on a dedicated thread while shard k computes, hiding
-  /// page-in (and ADJC decode) latency behind the SpMM. Pure I/O knob:
-  /// results are bit-identical either way, so it is *not* folded into the
-  /// checkpoint context word — snapshots move freely across io modes.
-  linalg::IoMode io_mode = linalg::IoMode::kSync;
 };
 
 /// Evolves a point mass from each source for max_steps steps and records

@@ -1,5 +1,8 @@
 #include "util/cli.hpp"
 
+#include <optional>
+#include <stdexcept>
+
 #include "util/string_util.hpp"
 
 namespace socmix::util {
@@ -31,16 +34,29 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
   return it == options_.end() ? fallback : it->second;
 }
 
+namespace {
+
+template <typename T>
+T parsed_or_throw(const std::string& name, const std::string& value,
+                  std::optional<T> parsed, const char* expected) {
+  if (!parsed) {
+    throw std::invalid_argument{"--" + name + "=" + value + ": expected " + expected};
+  }
+  return *parsed;
+}
+
+}  // namespace
+
 std::int64_t Cli::get_i64(const std::string& name, std::int64_t fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  return parse_i64(it->second).value_or(fallback);
+  return parsed_or_throw(name, it->second, parse_i64(it->second), "an integer");
 }
 
 double Cli::get_f64(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  return parse_f64(it->second).value_or(fallback);
+  return parsed_or_throw(name, it->second, parse_f64(it->second), "a number");
 }
 
 bool Cli::get_flag(const std::string& name) const {

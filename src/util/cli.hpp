@@ -13,13 +13,15 @@ namespace socmix::util {
 
 class Cli {
  public:
-  /// Parses argv; unknown options are collected and reported by
-  /// unknown_options() so drivers can warn instead of aborting.
+  /// Parses argv. Every option is accepted; each driver reads the ones it
+  /// knows and ignores the rest.
   Cli(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(const std::string& name) const;
 
   [[nodiscard]] std::string get(const std::string& name, const std::string& fallback) const;
+  /// Numeric options: `fallback` when absent; a present value that does
+  /// not parse throws std::invalid_argument naming the flag and the value.
   [[nodiscard]] std::int64_t get_i64(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] double get_f64(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;

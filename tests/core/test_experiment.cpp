@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "graph/components.hpp"
 
 namespace socmix::core {
@@ -26,6 +30,46 @@ TEST(ExperimentConfig, ParsesOverrides) {
   EXPECT_EQ(config.sources, 50u);
   EXPECT_EQ(config.max_steps, 100u);
   EXPECT_EQ(config.seed, 9u);
+}
+
+util::Cli make_cli(std::initializer_list<const char*> args) {
+  std::vector<const char*> argv{"prog"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  return util::Cli{static_cast<int>(argv.size()), argv.data()};
+}
+
+TEST(ExperimentConfig, ParsesEveryExecutionKnob) {
+  const auto config = ExperimentConfig::from_cli(
+      make_cli({"--reorder", "rcm", "--frontier", "off", "--precision", "mixed",
+                "--sharded", "4", "--io-mode", "prefetch"}));
+  EXPECT_EQ(config.engine.reorder, graph::ReorderMode::kRcm);
+  EXPECT_EQ(config.engine.frontier.mode, graph::FrontierPolicy::Mode::kOff);
+  EXPECT_EQ(config.engine.precision, linalg::simd::Precision::kMixed);
+  EXPECT_EQ(config.engine.sharded.mode, graph::ShardPolicy::Mode::kFixed);
+  EXPECT_EQ(config.engine.sharded.count, 4u);
+  EXPECT_EQ(config.engine.io_mode, linalg::IoMode::kPrefetch);
+  EXPECT_EQ(config.engine.mapped, nullptr);
+
+  // The drivers' measurement options carry every knob, not a subset.
+  const MeasurementOptions options = config.measurement_options();
+  EXPECT_EQ(options.reorder, graph::ReorderMode::kRcm);
+  EXPECT_EQ(options.frontier.mode, graph::FrontierPolicy::Mode::kOff);
+  EXPECT_EQ(options.precision, linalg::simd::Precision::kMixed);
+  EXPECT_EQ(options.sharded.count, 4u);
+  EXPECT_EQ(options.io_mode, linalg::IoMode::kPrefetch);
+  EXPECT_EQ(options.seed, config.seed);
+}
+
+TEST(ExperimentConfig, MalformedKnobThrowsNamingTheFlag) {
+  for (const char* flag :
+       {"--reorder", "--frontier", "--precision", "--sharded", "--io-mode"}) {
+    try {
+      (void)ExperimentConfig::from_cli(make_cli({flag, "bogus"}));
+      ADD_FAILURE() << flag << " bogus was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(flag), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(BuildScaledDataset, ScalesNodeCount) {

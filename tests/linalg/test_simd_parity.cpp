@@ -158,22 +158,12 @@ TEST(SimdTierParity, WalkOperatorApplyBitIdenticalAcrossTiers) {
     const TierGuard guard{simd::Tier::kScalar};
     op.apply(x, reference);
   }
-  const graph::RowRange ranges[] = {{0, 17}, {40, 160}, {220, 260}};
-  linalg::Vec ref_rows(op.dim(), 0.0);
-  {
-    const TierGuard guard{simd::Tier::kScalar};
-    op.apply_rows(x, ref_rows, ranges);
-  }
   for (const simd::Tier tier : available_tiers()) {
     const TierGuard guard{tier};
     linalg::Vec y(op.dim());
     op.apply(x, y);
-    linalg::Vec y_rows(op.dim(), 0.0);
-    op.apply_rows(x, y_rows, ranges);
     for (std::size_t i = 0; i < y.size(); ++i) {
       ASSERT_EQ(reference[i], y[i]) << "tier=" << simd::tier_name(tier) << " i=" << i;
-      ASSERT_EQ(ref_rows[i], y_rows[i])
-          << "rows tier=" << simd::tier_name(tier) << " i=" << i;
     }
   }
 }

@@ -91,33 +91,6 @@ TEST(WalkOperator, MapEigenvalue) {
   EXPECT_DOUBLE_EQ(lazy.map_eigenvalue(0.2), 0.6);
 }
 
-TEST(WalkOperator, ApplyRowsMatchesApplyBitwiseAndLeavesOthersUntouched) {
-  util::Rng rng{13};
-  const auto g = graph::largest_component(gen::erdos_renyi_gnm(80, 220, rng)).graph;
-  const WalkOperator op{g, 0.25};
-  Vec x(op.dim());
-  randomize_unit(x, rng);
-  Vec dense(op.dim());
-  op.apply(x, dense);
-
-  const graph::RowRange ranges[] = {{3, 10}, {20, 21}, {40, 77}};
-  constexpr double kSentinel = -123.5;
-  Vec partial(op.dim(), kSentinel);
-  op.apply_rows(x, partial, ranges);
-  std::size_t i = 0;
-  for (const graph::RowRange r : ranges) {
-    for (; i < r.begin; ++i) EXPECT_EQ(partial[i], kSentinel) << i;
-    for (; i < r.end; ++i) EXPECT_EQ(partial[i], dense[i]) << i;
-  }
-  for (; i < op.dim(); ++i) EXPECT_EQ(partial[i], kSentinel) << i;
-
-  // The full range reproduces apply() exactly.
-  const graph::RowRange all[] = {{0, static_cast<graph::NodeId>(op.dim())}};
-  Vec full(op.dim());
-  op.apply_rows(x, full, all);
-  EXPECT_EQ(full, dense);
-}
-
 TEST(WalkOperator, RejectsIsolatedVertices) {
   graph::EdgeList edges;
   edges.add(0, 1);

@@ -41,33 +41,6 @@ TEST(WeightedWalkOperator, UnitWeightsSameSpectrum) {
   EXPECT_NEAR(plain.lambda2, weighted.lambda2, 1e-7);
 }
 
-TEST(WeightedWalkOperator, ApplyRowsMatchesApplyBitwiseAndLeavesOthersUntouched) {
-  util::Rng rng{17};
-  const auto base = graph::largest_component(gen::erdos_renyi_gnm(70, 200, rng)).graph;
-  const auto g = gen::pareto_weights(base, 1.5, rng);
-  const WeightedWalkOperator op{g, 0.2};
-  Vec x(op.dim());
-  randomize_unit(x, rng);
-  Vec dense(op.dim());
-  op.apply(x, dense);
-
-  const graph::RowRange ranges[] = {{0, 5}, {12, 30}, {60, 65}};
-  constexpr double kSentinel = 987.25;
-  Vec partial(op.dim(), kSentinel);
-  op.apply_rows(x, partial, ranges);
-  std::size_t i = 0;
-  for (const graph::RowRange r : ranges) {
-    for (; i < r.begin; ++i) EXPECT_EQ(partial[i], kSentinel) << i;
-    for (; i < r.end; ++i) EXPECT_EQ(partial[i], dense[i]) << i;
-  }
-  for (; i < op.dim(); ++i) EXPECT_EQ(partial[i], kSentinel) << i;
-
-  const graph::RowRange all[] = {{0, static_cast<graph::NodeId>(op.dim())}};
-  Vec full(op.dim());
-  op.apply_rows(x, full, all);
-  EXPECT_EQ(full, dense);
-}
-
 TEST(WeightedWalkOperator, IsSymmetricBilinearForm) {
   util::Rng rng{3};
   const auto base = graph::largest_component(gen::erdos_renyi_gnm(40, 120, rng)).graph;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace socmix::util {
 namespace {
 
@@ -45,9 +48,20 @@ TEST(Cli, FallbacksWhenAbsent) {
   EXPECT_DOUBLE_EQ(cli.get_f64("missing", 2.5), 2.5);
 }
 
-TEST(Cli, FallbackOnUnparsableValue) {
-  const Cli cli = make({"--seed=abc"});
-  EXPECT_EQ(cli.get_i64("seed", 5), 5);
+TEST(Cli, ThrowsOnUnparsableValue) {
+  const Cli cli = make({"--seed=abc", "--scale", "1.5x"});
+  const auto message = [](auto read) -> std::string {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  EXPECT_NE(message([&] { (void)cli.get_i64("seed", 5); }).find("--seed=abc"),
+            std::string::npos);
+  EXPECT_NE(message([&] { (void)cli.get_f64("scale", 1.0); }).find("--scale=1.5x"),
+            std::string::npos);
 }
 
 TEST(Cli, CollectsPositionalArguments) {

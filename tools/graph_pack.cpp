@@ -206,18 +206,17 @@ int run(const util::Cli& cli) {
   // and measure runs it with --reorder none.
   graph::Graph lcc = graph::largest_component(raw).graph;
   raw = graph::Graph{};  // drop the raw CSR before the reorder copy
-  const graph::ReorderMode reorder = core::reorder_from_cli(cli);
-  const graph::ReorderedGraph reordered = graph::reorder_graph(lcc, reorder);
+  const markov::EngineOptions engine = core::engine_options_from_cli(cli);
+  const graph::ReorderedGraph reordered = graph::reorder_graph(lcc, engine.reorder);
   const graph::Graph& packed = reordered.active(lcc);
 
-  const graph::ShardPolicy policy = core::sharded_from_cli(cli);
   graph::sharded::WriteOptions write_options;
   write_options.compress = cli.get_flag("compress");
   // Compressed runs keep a third adjacency copy in flight (the decoded
   // scratch window); fold that into the pack-time auto plan the same way
   // the measurement does at load time.
   const std::uint32_t shards = graph::resolve_shard_count(
-      policy, packed.memory_bytes(), packed.num_nodes(),
+      engine.sharded, packed.memory_bytes(), packed.num_nodes(),
       write_options.compress ? 3u : 2u);
   const graph::ShardPlan plan =
       shards > 1 ? graph::ShardPlan::balanced(packed.offsets(), shards)

@@ -192,16 +192,12 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
   const ComponentInput input = load_component_input(cli);
 
   core::MeasurementOptions options;
+  static_cast<markov::EngineOptions&>(options) = core::engine_options_from_cli(cli);
+  options.mapped = input.mapped_ptr();
   options.sources = static_cast<std::size_t>(cli.get_i64("sources", 200));
   options.max_steps = static_cast<std::size_t>(cli.get_i64("steps", 400));
   options.seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
   options.checkpoint = checkpoint;
-  options.reorder = core::reorder_from_cli(cli);
-  options.frontier = core::frontier_from_cli(cli);
-  options.precision = core::precision_from_cli(cli);
-  options.sharded = core::sharded_from_cli(cli);
-  options.mapped = input.mapped_ptr();
-  options.io_mode = core::io_mode_from_cli(cli);
   const std::string spectral = cli.get("spectral", "on");
   if (spectral == "on" || spectral == "off") {
     options.spectral = spectral == "on";
@@ -283,11 +279,19 @@ int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpo
         "sybil needs in-memory adjacency; repack without --compress"};
   }
 
+  // Random routes have no evolver: precision and io-mode are parsed (a bad
+  // value still fails) but only the ordering, route walking and shard
+  // residency knobs reach the sweep.
+  const markov::EngineOptions engine = core::engine_options_from_cli(cli);
   sybil::AdmissionSweepConfig config;
   config.checkpoint = checkpoint;
-  config.sharded = core::sharded_from_cli(cli);
+  config.reorder = engine.reorder;
+  config.frontier = engine.frontier;
+  config.sharded = engine.sharded;
   config.mapped = input.mapped_ptr();
-  for (const auto token : util::split(cli.get("w", "2,4,8,16,24,32"), ',')) {
+  // split() returns views: the flag string must outlive the loop.
+  const std::string route_lengths = cli.get("w", "2,4,8,16,24,32");
+  for (const auto token : util::split(route_lengths, ',')) {
     if (const auto v = util::parse_i64(token)) {
       config.route_lengths.push_back(static_cast<std::size_t>(*v));
     }
@@ -295,8 +299,6 @@ int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpo
   config.suspect_sample = static_cast<std::size_t>(cli.get_i64("suspects", 200));
   config.verifier_sample = static_cast<std::size_t>(cli.get_i64("verifiers", 3));
   config.seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
-  config.reorder = core::reorder_from_cli(cli);
-  config.frontier = core::frontier_from_cli(cli);
   sybil::AdmissionEngineStats engine_stats;
   config.engine_stats = &engine_stats;
 
