@@ -39,6 +39,7 @@ MixingReport measure_mixing(const graph::Graph& g, std::string name,
     report.lambda2 = spectrum.lambda2;
     report.lambda_min = spectrum.lambda_min;
     report.lanczos_iterations = spectrum.iterations;
+    report.lanczos_certified_residual = spectrum.certified_residual;
     report.spectral_seconds = timer.seconds();
     SOCMIX_GAUGE_SET("core.phase.spectral_seconds", report.spectral_seconds);
     bench::Harness::process().record("spectral/" + util::slugify(report.name),

@@ -58,6 +58,9 @@ struct MixingReport {
   double lambda2 = 0.0;
   double lambda_min = 0.0;
   std::size_t lanczos_iterations = 0;
+  /// Explicit ||N y - theta y|| of the worse extremal Ritz pair; above
+  /// linalg::kLanczosCertificateSlack * tolerance the run is unconverged.
+  double lanczos_certified_residual = 0.0;
 
   // Sampled results (present when sampling ran).
   std::optional<markov::SampledMixing> sampled;

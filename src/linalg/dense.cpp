@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace socmix::linalg {
 
@@ -38,9 +39,17 @@ std::vector<double> dense_transition_matrix(const graph::Graph& g) {
   return p;
 }
 
-std::vector<double> jacobi_eigenvalues(DenseSym m, int max_sweeps) {
+DenseEigen jacobi_eigen(DenseSym m, bool want_vectors, int max_sweeps) {
   const std::size_t n = m.n;
-  if (n == 0) return {};
+  DenseEigen out;
+  if (n == 0) return out;
+
+  // v accumulates the rotations: column k is the eigenvector of diagonal k.
+  std::vector<double> v;
+  if (want_vectors) {
+    v.assign(n * n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) v[i * n + i] = 1.0;
+  }
 
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     double off = 0.0;
@@ -73,14 +82,34 @@ std::vector<double> jacobi_eigenvalues(DenseSym m, int max_sweeps) {
           m.at(p, k) = c * apk - s * aqk;
           m.at(q, k) = s * apk + c * aqk;
         }
+        if (want_vectors) {
+          for (std::size_t k = 0; k < n; ++k) {
+            const double vkp = v[k * n + p];
+            const double vkq = v[k * n + q];
+            v[k * n + p] = c * vkp - s * vkq;
+            v[k * n + q] = s * vkp + c * vkq;
+          }
+        }
       }
     }
   }
 
-  std::vector<double> values(n);
-  for (std::size_t i = 0; i < n; ++i) values[i] = m.at(i, i);
-  std::sort(values.begin(), values.end());
-  return values;
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&m](std::size_t a, std::size_t b) { return m.at(a, a) < m.at(b, b); });
+  out.values.resize(n);
+  for (std::size_t k = 0; k < n; ++k) out.values[k] = m.at(order[k], order[k]);
+  if (want_vectors) {
+    out.vectors.resize(n * n);
+    for (std::size_t k = 0; k < n; ++k)
+      for (std::size_t i = 0; i < n; ++i) out.vectors[k * n + i] = v[i * n + order[k]];
+  }
+  return out;
+}
+
+std::vector<double> jacobi_eigenvalues(DenseSym m, int max_sweeps) {
+  return jacobi_eigen(std::move(m), /*want_vectors=*/false, max_sweeps).values;
 }
 
 double dense_slem(const graph::Graph& g) {

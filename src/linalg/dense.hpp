@@ -1,8 +1,11 @@
-// Dense symmetric eigensolver (cyclic Jacobi) — the reference oracle.
+// Dense symmetric eigensolver (cyclic Jacobi) — the reference oracle and
+// the Lanczos inner solver.
 //
 // Used for tiny graphs and in tests to validate Lanczos: Jacobi is slow
 // (O(n^3) per sweep) but unconditionally convergent and accurate to machine
-// precision, which makes it the right ground truth.
+// precision, which makes it the right ground truth. The same routine
+// diagonalizes Lanczos's projected matrix, which thick restart bounds at
+// kLanczosBasis x kLanczosBasis.
 #pragma once
 
 #include <span>
@@ -29,8 +32,21 @@ struct DenseSym {
 /// Not symmetric; used by brute-force distribution evolution tests.
 [[nodiscard]] std::vector<double> dense_transition_matrix(const graph::Graph& g);
 
-/// All eigenvalues of a dense symmetric matrix, ascending, via cyclic
-/// Jacobi rotations. Destroys no inputs (works on a copy).
+/// Eigen-decomposition of a dense symmetric matrix.
+struct DenseEigen {
+  /// Eigenvalues in ascending order.
+  std::vector<double> values;
+  /// Row-major n x n eigenvector matrix; vectors[k*n + i] is component i of
+  /// the unit eigenvector for values[k]. Empty when vectors were not
+  /// requested.
+  std::vector<double> vectors;
+};
+
+/// All eigenvalues (and optionally the orthonormal eigenvectors) of a dense
+/// symmetric matrix via cyclic Jacobi rotations. Works on a copy.
+[[nodiscard]] DenseEigen jacobi_eigen(DenseSym m, bool want_vectors, int max_sweeps = 60);
+
+/// All eigenvalues of a dense symmetric matrix, ascending.
 [[nodiscard]] std::vector<double> jacobi_eigenvalues(DenseSym m, int max_sweeps = 60);
 
 /// Exact SLEM of a small graph's transition matrix by dense decomposition:

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numbers>
+#include <vector>
 
 #include "gen/reference.hpp"
 
@@ -27,6 +30,127 @@ TEST(JacobiEigenvalues, TwoByTwo) {
   const auto values = jacobi_eigenvalues(m);
   EXPECT_NEAR(values[0], -1, 1e-12);
   EXPECT_NEAR(values[1], 1, 1e-12);
+}
+
+/// Dense symmetric tridiagonal matrix with diagonal `diag` and
+/// off-diagonal `off` (off[i] couples i and i+1).
+DenseSym tridiagonal(const std::vector<double>& diag, const std::vector<double>& off) {
+  DenseSym m;
+  m.n = diag.size();
+  m.a.assign(m.n * m.n, 0.0);
+  for (std::size_t i = 0; i < m.n; ++i) m.at(i, i) = diag[i];
+  for (std::size_t i = 0; i + 1 < m.n; ++i) m.at(i, i + 1) = m.at(i + 1, i) = off[i];
+  return m;
+}
+
+TEST(JacobiEigen, EmptyAndScalar) {
+  EXPECT_TRUE(jacobi_eigen(DenseSym{}, true).values.empty());
+  const auto one = jacobi_eigen(tridiagonal({3.5}, {}), true);
+  ASSERT_EQ(one.values.size(), 1u);
+  EXPECT_DOUBLE_EQ(one.values[0], 3.5);
+  EXPECT_DOUBLE_EQ(one.vectors[0], 1.0);
+}
+
+TEST(JacobiEigen, DiagonalMatrix) {
+  const auto eig = jacobi_eigen(tridiagonal({3, 1, 2}, {0, 0}), true);
+  ASSERT_EQ(eig.values.size(), 3u);
+  EXPECT_DOUBLE_EQ(eig.values[0], 1.0);
+  EXPECT_DOUBLE_EQ(eig.values[1], 2.0);
+  EXPECT_DOUBLE_EQ(eig.values[2], 3.0);
+  // Eigenvectors follow their sorted values: unit vectors e1, e2, e0.
+  EXPECT_DOUBLE_EQ(eig.vectors[0 * 3 + 1], 1.0);
+  EXPECT_DOUBLE_EQ(eig.vectors[1 * 3 + 2], 1.0);
+  EXPECT_DOUBLE_EQ(eig.vectors[2 * 3 + 0], 1.0);
+}
+
+TEST(JacobiEigen, TwoByTwoClosedForm) {
+  // [[a, b], [b, c]]: eigenvalues (a+c)/2 +- sqrt(((a-c)/2)^2 + b^2).
+  const double a = 2.0;
+  const double b = 1.5;
+  const double c = -1.0;
+  const auto eig = jacobi_eigen(tridiagonal({a, c}, {b}), false);
+  const double mid = (a + c) / 2;
+  const double rad = std::sqrt((a - c) * (a - c) / 4 + b * b);
+  ASSERT_EQ(eig.values.size(), 2u);
+  EXPECT_NEAR(eig.values[0], mid - rad, 1e-12);
+  EXPECT_NEAR(eig.values[1], mid + rad, 1e-12);
+  EXPECT_TRUE(eig.vectors.empty());
+}
+
+TEST(JacobiEigen, ToeplitzClosedForm) {
+  // Tridiagonal Toeplitz, diag a, offdiag b: lambda_k = a + 2b cos(k pi / (n+1)).
+  const std::size_t n = 12;
+  const double a = 0.5;
+  const double b = -0.25;
+  const auto eig = jacobi_eigen(
+      tridiagonal(std::vector<double>(n, a), std::vector<double>(n - 1, b)), false);
+  std::vector<double> expected;
+  for (std::size_t k = 1; k <= n; ++k) {
+    expected.push_back(a + 2 * b * std::cos(static_cast<double>(k) * std::numbers::pi /
+                                            static_cast<double>(n + 1)));
+  }
+  std::sort(expected.begin(), expected.end());
+  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(eig.values[i], expected[i], 1e-10);
+}
+
+TEST(JacobiEigen, EigenvectorsSatisfyDefinition) {
+  // An arrowhead-plus-tridiagonal matrix, the shape thick-restart Lanczos
+  // projects onto.
+  DenseSym m = tridiagonal({1.0, -0.5, 2.0, 0.25, 0.75}, {0.0, 0.0, 0.9, -0.4});
+  m.at(0, 2) = m.at(2, 0) = 0.7;
+  m.at(1, 2) = m.at(2, 1) = -0.3;
+  const auto eig = jacobi_eigen(m, true);
+  const std::size_t n = m.n;
+  ASSERT_EQ(eig.vectors.size(), n * n);
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      double mv = 0.0;
+      for (std::size_t j = 0; j < n; ++j) mv += m.at(i, j) * eig.vectors[k * n + j];
+      EXPECT_NEAR(mv, eig.values[k] * eig.vectors[k * n + i], 1e-10);
+    }
+  }
+}
+
+TEST(JacobiEigen, EigenvectorsOrthonormal) {
+  const auto eig = jacobi_eigen(tridiagonal({0.1, 0.2, 0.3, 0.4, 0.5}, {1, 1, 1, 1}), true);
+  const std::size_t n = 5;
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      double d = 0;
+      for (std::size_t i = 0; i < n; ++i) d += eig.vectors[a * n + i] * eig.vectors[b * n + i];
+      EXPECT_NEAR(d, a == b ? 1.0 : 0.0, 1e-10);
+    }
+  }
+}
+
+TEST(JacobiEigen, TraceAndFrobeniusPreserved) {
+  const std::vector<double> diag{2, -1, 0.5, 3, -2, 1};
+  const std::vector<double> off{0.3, 0.8, -0.6, 0.1, 1.2};
+  const auto eig = jacobi_eigen(tridiagonal(diag, off), false);
+
+  double trace = 0;
+  double frob = 0;
+  for (const double d : diag) {
+    trace += d;
+    frob += d * d;
+  }
+  for (const double e : off) frob += 2 * e * e;
+
+  double trace_eig = 0;
+  double frob_eig = 0;
+  for (const double v : eig.values) {
+    trace_eig += v;
+    frob_eig += v * v;
+  }
+  EXPECT_NEAR(trace, trace_eig, 1e-10);
+  EXPECT_NEAR(frob, frob_eig, 1e-9);
+}
+
+TEST(JacobiEigen, ValuesAscending) {
+  const auto eig = jacobi_eigen(tridiagonal({5, 1, 3, 2, 4}, {0.9, 0.9, 0.9, 0.9}), false);
+  for (std::size_t i = 1; i < eig.values.size(); ++i) {
+    EXPECT_LE(eig.values[i - 1], eig.values[i]);
+  }
 }
 
 TEST(DenseWalkMatrix, RowSumsViaSimilarity) {

@@ -2,15 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <numbers>
+#include <string>
 
 #include "gen/barabasi_albert.hpp"
+#include "gen/datasets.hpp"
 #include "gen/erdos_renyi.hpp"
+#include "gen/powerlaw_cluster.hpp"
 #include "gen/reference.hpp"
+#include "gen/sbm.hpp"
+#include "gen/watts_strogatz.hpp"
 #include "graph/components.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/vector_ops.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace socmix::linalg {
@@ -156,12 +165,126 @@ TEST(Lanczos, SeedInsensitiveResult) {
   EXPECT_NEAR(a.slem, b.slem, 1e-7);
 }
 
+/// WalkLikeOperator wrapper counting every apply() of the wrapped operator.
+class CountingOperator {
+ public:
+  explicit CountingOperator(const WalkOperator& op) : op_{&op} {}
+  [[nodiscard]] std::size_t dim() const { return op_->dim(); }
+  void apply(std::span<const double> x, std::span<double> y) const {
+    ++applies_;
+    op_->apply(x, y);
+  }
+  [[nodiscard]] std::vector<double> top_eigenvector() const { return op_->top_eigenvector(); }
+  [[nodiscard]] double laziness() const { return op_->laziness(); }
+  [[nodiscard]] std::size_t applies() const { return applies_; }
+
+ private:
+  const WalkOperator* op_;
+  mutable std::size_t applies_ = 0;
+};
+
 TEST(Lanczos, IterationCapRespected) {
-  const auto g = gen::dumbbell(40, 1);
-  LanczosOptions opt;
-  opt.max_iterations = 10;
-  const auto s = slem_spectrum(WalkOperator{g}, opt);
-  EXPECT_LE(s.iterations, 10u);
+  // The cap counts operator applications: Lanczos steps across restarts
+  // plus the certificate's two.
+  util::Rng rng{12};
+  const auto g = graph::largest_component(gen::erdos_renyi_gnm(300, 600, rng)).graph;
+  const WalkOperator op{g};
+  for (const std::size_t cap : {3u, 10u, 60u, 130u}) {
+    const CountingOperator counting{op};
+    LanczosOptions opt;
+    opt.max_iterations = cap;
+    opt.tolerance = 1e-15;  // unreachable: runs until the cap
+    const auto s = slem_spectrum(counting, opt);
+    EXPECT_LE(counting.applies(), cap) << "cap=" << cap;
+    EXPECT_EQ(s.iterations, counting.applies()) << "cap=" << cap;
+    EXPECT_FALSE(s.converged) << "cap=" << cap;
+  }
+  EXPECT_THROW((void)slem_spectrum(op, LanczosOptions{.max_iterations = 2}),
+               std::invalid_argument);
+}
+
+/// Graphs of n <= 300 whose spectra take more than kLanczosBasis applies.
+std::vector<std::pair<std::string, graph::Graph>> restart_graphs() {
+  util::Rng rng{2024};
+  std::vector<std::pair<std::string, graph::Graph>> out;
+  const auto add = [&out](std::string name, graph::Graph g) {
+    out.emplace_back(std::move(name), graph::largest_component(g).graph);
+  };
+  add("erdos_renyi", gen::erdos_renyi_gnm(300, 500, rng));
+  add("barabasi_albert", gen::barabasi_albert(200, 2, rng));
+  add("watts_strogatz", gen::watts_strogatz(200, 4, 0.1, rng));
+  add("sbm", gen::planted_communities(3, 100, 3.0, 0.2, rng));
+  add("powerlaw_cluster", gen::powerlaw_cluster(200, 2, 0.5, rng));
+  return out;
+}
+
+TEST(Lanczos, RestartedPathMatchesDenseOracle) {
+  for (const auto& [name, g] : restart_graphs()) {
+    const auto s = slem_spectrum(WalkOperator{g});
+    const auto values = jacobi_eigenvalues(dense_walk_matrix(g));
+    ASSERT_GE(values.size(), 2u) << name;
+    EXPECT_TRUE(s.converged) << name;
+    EXPECT_GT(s.restarts, 0u) << name;
+    EXPECT_GT(s.iterations, kLanczosBasis) << name;
+    EXPECT_NEAR(s.lambda2, values[values.size() - 2], 1e-7) << name;
+    EXPECT_NEAR(s.lambda_min, values.front(), 1e-7) << name;
+    EXPECT_NEAR(s.slem, std::max(values[values.size() - 2], std::fabs(values.front())), 1e-7)
+        << name;
+  }
+}
+
+TEST(Lanczos, RestartedRitzVectorIsEigenvector) {
+  util::Rng rng{31};
+  const auto g = graph::largest_component(gen::watts_strogatz(300, 4, 0.05, rng)).graph;
+  const WalkOperator op{g};
+  const auto s = slem_spectrum_with_vector(op);
+  ASSERT_TRUE(s.converged);
+  ASSERT_GT(s.restarts, 0u);
+  ASSERT_EQ(s.lambda2_vector.size(), op.dim());
+  EXPECT_NEAR(norm2(s.lambda2_vector), 1.0, 1e-9);
+  // Orthogonal to the deflated top eigenvector.
+  EXPECT_NEAR(dot(s.lambda2_vector, op.top_eigenvector()), 0.0, 1e-9);
+
+  Vec out(op.dim());
+  op.apply(s.lambda2_vector, out);
+  axpy(-s.lambda2, s.lambda2_vector, out);
+  EXPECT_LT(norm2(out), 1e-6);
+  EXPECT_LE(norm2(out), s.certified_residual * (1 + 1e-6) + 1e-15);
+  EXPECT_LE(s.certified_residual, kLanczosCertificateSlack * LanczosOptions{}.tolerance);
+}
+
+TEST(Lanczos, BitIdenticalAcrossThreadCounts) {
+  // Several kLanczosRowChunk chunks and several WalkOperator grains.
+  util::Rng rng{77};
+  const auto g = graph::largest_component(gen::community_powerlaw(8, 700, 2, 0.4, 2.0, rng))
+                     .graph;
+  ASSERT_GT(g.num_nodes(), 4 * kLanczosRowChunk);
+  const WalkOperator op{g};
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::vector<SpectrumResult> runs;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    util::set_thread_count(threads);
+    runs.push_back(slem_spectrum_with_vector(op));
+  }
+  util::set_thread_count(0);
+  const SpectrumResult& ref = runs.front();
+  EXPECT_TRUE(ref.converged);
+  EXPECT_GT(ref.restarts, 0u);
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    const SpectrumResult& s = runs[r];
+    EXPECT_EQ(bits(s.lambda2), bits(ref.lambda2)) << "run " << r;
+    EXPECT_EQ(bits(s.lambda_min), bits(ref.lambda_min)) << "run " << r;
+    EXPECT_EQ(bits(s.slem), bits(ref.slem)) << "run " << r;
+    EXPECT_EQ(bits(s.certified_residual), bits(ref.certified_residual)) << "run " << r;
+    EXPECT_EQ(s.iterations, ref.iterations) << "run " << r;
+    EXPECT_EQ(s.restarts, ref.restarts) << "run " << r;
+    EXPECT_EQ(s.converged, ref.converged) << "run " << r;
+    ASSERT_EQ(s.lambda2_vector.size(), ref.lambda2_vector.size());
+    EXPECT_EQ(std::memcmp(s.lambda2_vector.data(), ref.lambda2_vector.data(),
+                          ref.lambda2_vector.size() * sizeof(double)),
+              0)
+        << "run " << r;
+  }
 }
 
 }  // namespace

@@ -41,6 +41,8 @@ TEST(ObsE2E, MeasurementPopulatesPipelineMetrics) {
                           "\"core.phase.spectral_seconds\":",
                           "\"core.phase.sampled_seconds\":",
                           "\"linalg.lanczos.solves\":1",
+                          "\"linalg.lanczos.restarts\":",
+                          "\"linalg.lanczos.certified_residual\":",
                           "\"linalg.spmv.applies\":",
                           "\"markov.sampled.runs\":1",
                           "\"markov.sampled.sources\":40",
@@ -67,7 +69,9 @@ TEST(ObsE2E, MeasurementPopulatesPipelineMetrics) {
   write_trace_json(trace);
   const std::string tjson = trace.str();
   for (const char* span : {"measure_mixing", "phase.spectral", "phase.sampled",
-                           "lanczos.solve", "spmv.apply", "measure_sampled_mixing",
+                           "lanczos.solve", "lanczos.apply", "lanczos.reorth",
+                           "lanczos.eig", "lanczos.restart", "spmv.apply",
+                           "measure_sampled_mixing",
                            "evolve_block", "evolver.sweep"}) {
     EXPECT_NE(tjson.find(span), std::string::npos) << "missing span " << span;
   }

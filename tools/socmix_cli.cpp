@@ -42,6 +42,10 @@ using namespace socmix;
 
 namespace {
 
+/// Exit status of `measure` when the spectral phase ran but Lanczos did not
+/// converge or failed its residual certificate.
+constexpr int kExitUnconverged = 3;
+
 int usage() {
   std::fputs(
       "usage: socmix <info|measure|sample|trim|convert|sybil|generate> [options]\n"
@@ -64,7 +68,8 @@ int usage() {
       "          (SOCMIX_SIMD=avx512|avx2|scalar forces the simd kernel tier)\n"
       "  info                                    structural report\n"
       "  measure [--sources N] [--steps N] [--eps X] [--tvd-out FILE]\n"
-      "          [--spectral on|off]             skip the Lanczos phase at scale\n"
+      "          [--spectral on|off]             skip the Lanczos phase\n"
+      "          (exits 3 if Lanczos does not converge or fails its certificate)\n"
       "  sample  --method bfs|uniform|walk --size N --out FILE\n"
       "  trim    --min-degree K --out FILE\n"
       "  convert --arcs FILE --out FILE          directed -> undirected\n"
@@ -213,17 +218,28 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
     std::printf("T(%.3g) bounds: %.1f .. %.1f steps\n", eps, report.lower_bound(eps),
                 report.upper_bound(eps));
   }
-  if (!report.sampled.has_value()) return 0;
-  const auto worst = report.sampled->worst_mixing_time(eps);
-  const auto avg = report.sampled->average_mixing_time(eps);
-  if (worst != markov::kNotMixed) {
-    std::printf("sampled: worst source mixed in %zu steps; ", worst);
-  } else {
-    std::printf("sampled: worst source NOT mixed within %zu steps; ",
-                options.max_steps);
+  if (report.sampled.has_value()) {
+    const auto worst = report.sampled->worst_mixing_time(eps);
+    const auto avg = report.sampled->average_mixing_time(eps);
+    if (worst != markov::kNotMixed) {
+      std::printf("sampled: worst source mixed in %zu steps; ", worst);
+    } else {
+      std::printf("sampled: worst source NOT mixed within %zu steps; ",
+                  options.max_steps);
+    }
+    std::printf("average %.1f steps (%zu/%zu unmixed)\n", avg.mean_steps,
+                avg.unmixed_sources, report.sampled->num_sources());
   }
-  std::printf("average %.1f steps (%zu/%zu unmixed)\n", avg.mean_steps,
-              avg.unmixed_sources, report.sampled->num_sources());
+  // A mu the solver could not certify is not a result: fail loudly.
+  if (report.spectral_ran && !report.spectral_converged) {
+    std::fprintf(stderr,
+                 "socmix measure: error: lanczos-unconverged: %zu operator applies "
+                 "(cap %zu), certified residual %.3g (limit %.3g)\n",
+                 report.lanczos_iterations, options.lanczos.max_iterations,
+                 report.lanczos_certified_residual,
+                 linalg::kLanczosCertificateSlack * options.lanczos.tolerance);
+    return kExitUnconverged;
+  }
   return 0;
 }
 
