@@ -164,6 +164,7 @@ void Harness::write_json(std::ostream& out) const {
   provenance.set("compiler", prov.compiler);
   provenance.set("simd_tier", prov.simd_tier);
   provenance.set("threads", prov.threads);
+  provenance.set("nproc", prov.nproc);
   Json flags = Json::object();
   for (const auto& [k, v] : flags_) flags.set(k, v);
   provenance.set("flags", std::move(flags));

@@ -56,6 +56,7 @@ Provenance capture_provenance() {
   p.compiler = SOCMIX_COMPILER_ID;
   p.simd_tier = linalg::simd::tier_name(linalg::simd::active_tier());
   p.threads = util::thread_count();
+  p.nproc = util::hardware_threads();
   return p;
 }
 

@@ -27,6 +27,7 @@ struct Provenance {
   std::string compiler;    ///< compiler id + version
   std::string simd_tier;   ///< resolved linalg.simd tier (forces the probe)
   std::uint64_t threads = 0;  ///< util::parallel pool width at capture
+  std::uint64_t nproc = 0;    ///< hardware threads of the host
   /// Perf-relevant run flags (reorder/frontier/precision/...), caller-set.
   std::vector<std::pair<std::string, std::string>> flags;
 };

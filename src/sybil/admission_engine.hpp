@@ -14,23 +14,28 @@
 //     (RouteTable::route_tails_multi) — O(w_max) route hops instead of
 //     O(sum of w_i).
 //
-//  2. Cached verifier state. A verifier's tail indexes depend only on
-//     (graph fingerprint, protocol seed, r, w). The engine precomputes
-//     them once per epoch and reuses them across every suspect, every
-//     batch, and every sweep point. Balance-counter state (the only
-//     mutable part) is kept separate so queries can accumulate or reset
-//     without touching the index.
+//  2. Cached verifier state. A verifier's tails depend only on (graph
+//     fingerprint, protocol seed, r, w). The engine walks them once per
+//     epoch and files them in one inverted tail directory per length —
+//     undirected tail key -> the contiguous run of (verifier slot,
+//     load-counter index) entries of every cached verifier holding that
+//     tail — shared across every suspect, batch and sweep point. Balance
+//     counters (the only mutable part) live in the verifier, so queries
+//     can accumulate or reset without touching the directory.
 //
-//  3. Batched queries. verify_batch() groups suspects into the 32-lane
-//     hop-major walk machinery: suspect tails for a block are computed in
-//     parallel (util::parallel_for, disjoint output slots — bit-identical
-//     for any thread count), then the balance commits replay serially in
-//     suspect order, which is what makes the results independent of
-//     batching and threading.
+//  3. Batched queries. verify_batch() and sweep_fractions() group
+//     suspects into kBatchLanes-wide blocks: each lane walks its suspect's
+//     tails and probes the directory once per tail, which yields every
+//     verifier's candidate load counters at once, in suspect-tail order
+//     (util::parallel_for, disjoint per-lane slots, read-only directory).
+//     Only the argmin, bound check and commit replay serially, in suspect
+//     order — which is what makes the results independent of batching and
+//     threading, and bit-identical to the protocol's admit() loop.
 //
 // Epochs: the engine fingerprints its graph at construction. epoch() keys
 // every cached index; invalidate() (an edge-stream landed, the graph was
-// rebuilt) clears the verifier cache and bumps the epoch so stale indexes
+// rebuilt) clears the verifier cache and the directory, rebuilds the
+// route table's reverse-edge table and bumps the epoch so stale indexes
 // can never serve queries. Block checkpoints written by admission_sweep
 // fold kAdmissionEngineVersion into their context word, so sweep
 // snapshots from the pre-engine code (whose per-length protocol seeds
@@ -108,12 +113,14 @@ class AdmissionEngine {
   /// keyed by this value.
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
-  /// Drops every cached verifier index and bumps the epoch. Call when the
+  /// Drops every cached verifier and the tail directory, rebuilds the
+  /// route table's reverse-edge table and bumps the epoch. Call when the
   /// underlying graph mutated in place (the engine re-fingerprints it).
   void invalidate();
 
-  /// Per-verifier resident state: immutable per-length tail indexes built
-  /// once per epoch, plus the mutable balance counters queries commit to.
+  /// Per-verifier resident state: per-length balance counters, one per
+  /// distinct tail edge, which queries commit to. The tails themselves are
+  /// filed in the engine's tail directory, built once per epoch.
   class CachedVerifier {
    public:
     [[nodiscard]] graph::NodeId node() const noexcept { return node_; }
@@ -137,20 +144,22 @@ class AdmissionEngine {
    private:
     friend class AdmissionEngine;
     struct PerLength {
-      /// Undirected tail key -> index into `load`.
-      std::unordered_map<std::uint64_t, std::uint32_t> tail_index;
+      /// Distinct undirected tail keys, ascending; key j owns load[j].
+      /// Held only until the engine files them in its tail directory.
+      std::vector<std::uint64_t> unfiled_keys;
       std::vector<std::uint64_t> load;
       std::uint64_t accepted = 0;
     };
     graph::NodeId node_ = graph::kInvalidNode;
     std::uint64_t epoch_ = 0;
+    std::uint32_t slot_ = 0;  ///< this verifier's id in the tail directory
     std::vector<PerLength> state_;  ///< parallel to engine route_lengths()
   };
 
-  /// The cached verifier for `node`: one multi-length route walk and index
-  /// build on first use per epoch (sybil.engine.verifier_cache_misses),
-  /// a map lookup afterwards (…_hits). The reference stays valid until
-  /// invalidate().
+  /// The cached verifier for `node`: one multi-length route walk on first
+  /// use per epoch (sybil.engine.verifier_cache_misses), a map lookup
+  /// afterwards (…_hits). Its tails join the tail directory before the
+  /// next query. The reference stays valid until invalidate().
   CachedVerifier& verifier(graph::NodeId node);
 
   /// Suspect-side registration tails at every engine length from one
@@ -173,9 +182,9 @@ class AdmissionEngine {
 
   /// Verifies a batch of suspects against `v` at length index `li`,
   /// committing balance-counter updates in suspect order. Suspect tails
-  /// are computed in kBatchLanes-wide blocks with parallel tail walks;
-  /// results are bit-identical to calling the protocol's admit() per
-  /// suspect in the same order, for any thread count.
+  /// are walked and probed in kBatchLanes-wide parallel blocks; results
+  /// are bit-identical to calling the protocol's admit() per suspect in
+  /// the same order, for any thread count.
   BatchResult verify_batch(CachedVerifier& v, std::size_t li,
                            std::span<const graph::NodeId> suspects);
 
@@ -184,7 +193,9 @@ class AdmissionEngine {
   /// state is reset per length, matching a fresh per-point verifier).
   /// Suspect tails at *all* requested lengths come from one incremental
   /// walk per suspect, shared across every verifier — the O(sum w) ->
-  /// O(w_max) collapse.
+  /// O(w_max) collapse. A node repeated in `verifiers` shares one
+  /// CachedVerifier and is counted once per entry: for each suspect the
+  /// entries admit in span order against the shared balance state.
   [[nodiscard]] std::vector<double> sweep_fractions(
       std::span<const graph::NodeId> verifiers,
       std::span<const graph::NodeId> suspects, std::span<const std::size_t> lengths);
@@ -194,13 +205,47 @@ class AdmissionEngine {
   [[nodiscard]] const AdmissionEngineStats& stats() const noexcept { return stats_; }
 
  private:
+  /// Inverted tail directory for one route length: undirected tail key ->
+  /// the contiguous run of entries of every cached verifier holding that
+  /// tail. Flat open addressing (load factor 2/3, linear probing); only
+  /// read while lanes probe it in parallel.
+  class TailDirectory {
+   public:
+    struct Entry {
+      std::uint32_t slot;  ///< verifier slot
+      std::uint32_t load;  ///< that verifier's load-counter index
+    };
+    struct Posting {
+      std::uint64_t key;
+      Entry entry;
+    };
+    /// The run of `key`, empty when no cached verifier holds that tail.
+    [[nodiscard]] std::span<const Entry> find(std::uint64_t key) const noexcept;
+    /// Appends every filed (key, entry) pair to `out`.
+    void postings(std::vector<Posting>& out) const;
+    /// Replaces the contents with `postings` (sorted in place).
+    void assign(std::vector<Posting>& postings);
+    /// Filed entries.
+    [[nodiscard]] std::size_t size() const noexcept;
+
+   private:
+    std::vector<std::uint64_t> keys_;   ///< table; kEmptyKey marks a free slot
+    std::vector<std::uint32_t> begin_;  ///< run of table slot h: [begin_[h], begin_[h+1])
+    std::vector<Entry> entries_;
+  };
+
   void recompute_epoch();
   void build_verifier(CachedVerifier& v, graph::NodeId node);
-  /// One admit decision against v.state_[li] with precomputed tails;
-  /// the engine-side twin of SybilLimit::Verifier::admit.
-  bool admit_with_tails(CachedVerifier& v, std::size_t li,
-                        std::span<const DirectedEdge> tails,
-                        BatchResult* diagnostics);
+  /// Files the tails of verifiers built since the last call in every
+  /// length's directory; a no-op when none were.
+  void file_new_verifiers();
+  /// One admit decision against v.state_[li], given the verifier's load
+  /// counters the suspect's tails hit, in suspect-tail order; the
+  /// engine-side twin of SybilLimit::Verifier::admit.
+  bool commit(CachedVerifier& v, std::size_t li,
+              std::span<const std::uint32_t> candidates, BatchResult* diagnostics);
+  /// Route hops a suspect walk to `length` costs (0 from an isolated node).
+  [[nodiscard]] std::uint64_t hops_to(graph::NodeId start, std::size_t length) const;
   [[nodiscard]] std::size_t length_index(std::size_t w) const;
   [[nodiscard]] std::uint64_t naive_hops_per_node() const noexcept;
 
@@ -212,6 +257,9 @@ class AdmissionEngine {
   std::uint64_t generation_ = 0;
   std::uint64_t epoch_ = 0;
   std::unordered_map<graph::NodeId, CachedVerifier> verifiers_;
+  std::vector<CachedVerifier*> slots_;      ///< slot -> verifier, in build order
+  std::size_t filed_slots_ = 0;             ///< slots_ prefix the directory holds
+  std::vector<TailDirectory> directory_;    ///< parallel to lengths_
   AdmissionEngineStats stats_;
 };
 

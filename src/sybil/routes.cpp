@@ -1,5 +1,7 @@
 #include "sybil/routes.hpp"
 
+#include <stdexcept>
+
 #include "sybil/permutation.hpp"
 #include "util/rng.hpp"
 
@@ -13,7 +15,34 @@ std::uint64_t undirected_key(DirectedEdge e) noexcept {
 }
 
 RouteTable::RouteTable(const graph::Graph& g, std::uint64_t protocol_seed)
-    : graph_(&g), seed_(protocol_seed) {}
+    : graph_(&g), seed_(protocol_seed) {
+  require_adjacency(g);
+  rebuild_reverse_edges();
+}
+
+void RouteTable::require_adjacency(const graph::Graph& g) {
+  if (g.headless()) {
+    throw std::invalid_argument{
+        "sybil::RouteTable: headless graph (compressed .smxg view) has no "
+        "in-memory adjacency for random routes; repack without --compress"};
+  }
+}
+
+void RouteTable::rebuild_reverse_edges() {
+  // Sorted, symmetric adjacency: visiting u in ascending order reaches
+  // each v's neighbors in v's list order, so a per-v cursor counts u's
+  // local index in v's list — O(m), no search.
+  const graph::Graph& g = *graph_;
+  const auto offsets = g.offsets();
+  const auto neighbors = g.raw_neighbors();
+  rev_.resize(neighbors.size());
+  std::vector<graph::NodeId> cursor(g.num_nodes(), 0);
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (graph::EdgeIndex e = offsets[u]; e < offsets[u + 1]; ++e) {
+      rev_[e] = cursor[neighbors[e]]++;
+    }
+  }
+}
 
 graph::NodeId RouteTable::next_out_index(std::uint32_t instance, graph::NodeId node,
                                          graph::NodeId in_index) const {
@@ -38,104 +67,37 @@ std::optional<DirectedEdge> RouteTable::route_tail(std::uint32_t instance,
   const graph::Graph& g = *graph_;
   if (length == 0 || g.degree(start) == 0) return std::nullopt;
 
-  graph::NodeId current = start;
-  graph::NodeId next = g.neighbor(current, start_out_index(instance, current));
-  for (std::size_t hop = 1; hop < length; ++hop) {
-    // The route entered `next` from `current`; find that edge's local index
-    // at `next` and apply the permutation.
-    const graph::NodeId in_index = g.index_of_neighbor(next, current);
-    const graph::NodeId out_index = next_out_index(instance, next, in_index);
-    current = next;
-    next = g.neighbor(current, out_index);
+  const auto neighbors = g.raw_neighbors();
+  graph::NodeId from = start;
+  graph::EdgeIndex e = start_edge(instance, start);
+  for (std::size_t walked = 1; walked < length; ++walked) {
+    from = neighbors[e];
+    e = hop(instance, e);
   }
-  return DirectedEdge{current, next};
+  return DirectedEdge{from, neighbors[e]};
 }
 
 void RouteTable::route_tails(std::uint32_t instances, graph::NodeId start,
                              std::size_t length, std::vector<DirectedEdge>& out) const {
-  const graph::Graph& g = *graph_;
-  out.clear();
-  if (length == 0 || g.degree(start) == 0 || instances == 0) return;
-
-  // Hop-major order: the hop-h loop touches only vertices of the start's
-  // h-hop ball, so the CSR rows and permutation keys it needs stay hot
-  // across all r instances instead of being re-fetched once per route.
-  std::vector<graph::NodeId> current(instances, start);
-  std::vector<graph::NodeId> next(instances);
-  for (std::uint32_t i = 0; i < instances; ++i) {
-    next[i] = g.neighbor(start, start_out_index(i, start));
-  }
-  for (std::size_t hop = 1; hop < length; ++hop) {
-    for (std::uint32_t i = 0; i < instances; ++i) {
-      const graph::NodeId in_index = g.index_of_neighbor(next[i], current[i]);
-      const graph::NodeId out_index = next_out_index(i, next[i], in_index);
-      current[i] = next[i];
-      next[i] = g.neighbor(current[i], out_index);
-    }
-  }
-  out.resize(instances);
-  for (std::uint32_t i = 0; i < instances; ++i) out[i] = DirectedEdge{current[i], next[i]};
+  std::vector<std::vector<DirectedEdge>> multi;
+  const std::size_t lengths[] = {length};
+  route_tails_multi(instances, start, lengths, multi);
+  out = std::move(multi.front());
 }
 
 void RouteTable::route_tails_multi(std::uint32_t instances, graph::NodeId start,
                                    std::span<const std::size_t> lengths,
                                    std::vector<std::vector<DirectedEdge>>& out,
                                    bool hop_major) const {
-  const graph::Graph& g = *graph_;
   out.assign(lengths.size(), {});
-  if (instances == 0 || lengths.empty()) return;
-  // Skip leading zero lengths (their tail set is empty, like route_tail's
-  // nullopt) and bail entirely from an isolated start.
-  std::size_t first = 0;
-  while (first < lengths.size() && lengths[first] == 0) ++first;
-  if (first == lengths.size() || g.degree(start) == 0) return;
-
-  if (hop_major) {
-    // The route_tails walk order, generalized: all r routes advance one
-    // hop together, and whenever the walked length hits a requested
-    // checkpoint the current (current, next) pairs are snapshotted.
-    std::vector<graph::NodeId> current(instances, start);
-    std::vector<graph::NodeId> next(instances);
-    for (std::uint32_t i = 0; i < instances; ++i) {
-      next[i] = g.neighbor(start, start_out_index(i, start));
-    }
-    std::size_t walked = 1;  // (current, next) is the length-1 tail
-    for (std::size_t k = first; k < lengths.size(); ++k) {
-      while (walked < lengths[k]) {
-        for (std::uint32_t i = 0; i < instances; ++i) {
-          const graph::NodeId in_index = g.index_of_neighbor(next[i], current[i]);
-          const graph::NodeId out_index = next_out_index(i, next[i], in_index);
-          current[i] = next[i];
-          next[i] = g.neighbor(current[i], out_index);
-        }
-        ++walked;
-      }
-      out[k].resize(instances);
-      for (std::uint32_t i = 0; i < instances; ++i) {
-        out[k][i] = DirectedEdge{current[i], next[i]};
-      }
-    }
-    return;
+  if (instances == 0 || graph_->degree(start) == 0) return;
+  for (std::size_t k = 0; k < lengths.size(); ++k) {
+    if (lengths[k] != 0) out[k].resize(instances);
   }
-
-  // Route-major: one route at a time to lengths.back(), recording the
-  // same checkpoints. Identical evaluations in a different order.
-  for (std::size_t k = first; k < lengths.size(); ++k) out[k].resize(instances);
-  for (std::uint32_t i = 0; i < instances; ++i) {
-    graph::NodeId current = start;
-    graph::NodeId next = g.neighbor(start, start_out_index(i, start));
-    std::size_t walked = 1;
-    for (std::size_t k = first; k < lengths.size(); ++k) {
-      while (walked < lengths[k]) {
-        const graph::NodeId in_index = g.index_of_neighbor(next, current);
-        const graph::NodeId out_index = next_out_index(i, next, in_index);
-        current = next;
-        next = g.neighbor(current, out_index);
-        ++walked;
-      }
-      out[k][i] = DirectedEdge{current, next};
-    }
-  }
+  for_each_tail(instances, start, lengths, hop_major,
+                [&](std::size_t k, std::uint32_t i, DirectedEdge tail) {
+                  out[k][i] = tail;
+                });
 }
 
 std::vector<graph::NodeId> RouteTable::route_vertices(std::uint32_t instance,
@@ -147,15 +109,12 @@ std::vector<graph::NodeId> RouteTable::route_vertices(std::uint32_t instance,
   out.push_back(start);
   if (length == 0 || g.degree(start) == 0) return out;
 
-  graph::NodeId current = start;
-  graph::NodeId next = g.neighbor(current, start_out_index(instance, current));
-  out.push_back(next);
-  for (std::size_t hop = 1; hop < length; ++hop) {
-    const graph::NodeId in_index = g.index_of_neighbor(next, current);
-    const graph::NodeId out_index = next_out_index(instance, next, in_index);
-    current = next;
-    next = g.neighbor(current, out_index);
-    out.push_back(next);
+  const auto neighbors = g.raw_neighbors();
+  graph::EdgeIndex e = start_edge(instance, start);
+  out.push_back(neighbors[e]);
+  for (std::size_t walked = 1; walked < length; ++walked) {
+    e = hop(instance, e);
+    out.push_back(neighbors[e]);
   }
   return out;
 }

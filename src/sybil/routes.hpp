@@ -12,6 +12,12 @@
 //
 // The route "tail" is the last directed edge traversed — the credential
 // SybilLimit registers and intersects.
+//
+// Every walker advances through one hop, RouteTable::hop: a route that
+// crossed half-edge e = (u -> v) enters v at local index rev[e] (u's
+// position in v's sorted list), read from a reverse-edge table built once
+// per table — 4 B per half-edge, the size of the neighbor array — instead
+// of a per-hop binary search.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +41,22 @@ struct DirectedEdge {
 [[nodiscard]] std::uint64_t undirected_key(DirectedEdge e) noexcept;
 
 /// Evaluates the per-(node, instance) routing permutations of a graph.
-/// Stateless beyond the graph reference and a protocol seed: permutations
-/// are realized through keyed PRPs, so memory is O(1) per evaluation.
+/// Permutations are realized through keyed PRPs (O(1) memory per
+/// evaluation); the only per-graph state is the reverse-edge table.
 class RouteTable {
  public:
+  /// Throws std::invalid_argument (see require_adjacency) on a headless
+  /// graph. Builds the reverse-edge table in O(m).
   RouteTable(const graph::Graph& g, std::uint64_t protocol_seed);
+
+  /// Throws std::invalid_argument naming RouteTable when `g` is headless
+  /// (a compressed .smxg view): random routes walk individual adjacency
+  /// lists, which such a view does not hold in memory.
+  static void require_adjacency(const graph::Graph& g);
+
+  /// Rebuilds the reverse-edge table from the graph's current arrays. Call
+  /// after the graph (a Graph::borrowed view) was mutated in place.
+  void rebuild_reverse_edges();
 
   /// Outgoing local edge index for a route entering `node` via local edge
   /// index `in_index`, in protocol instance `instance`.
@@ -88,6 +105,60 @@ class RouteTable {
                          std::vector<std::vector<DirectedEdge>>& out,
                          bool hop_major = true) const;
 
+  /// The walk behind route_tails_multi, handing each tail to
+  /// `visit(k, i, tail)` as it is reached instead of storing it — a
+  /// caller that only inspects tails needs no r x |lengths| buffer.
+  /// Hop-major visits length by length, route-major instance by instance;
+  /// either way the instances of one length arrive in ascending order.
+  /// Visits nothing for an isolated start, zero instances or zero lengths.
+  template <typename Visit>
+  void for_each_tail(std::uint32_t instances, graph::NodeId start,
+                     std::span<const std::size_t> lengths, bool hop_major,
+                     Visit&& visit) const {
+    std::size_t first = 0;
+    while (first < lengths.size() && lengths[first] == 0) ++first;
+    if (instances == 0 || first == lengths.size() || graph_->degree(start) == 0) return;
+    const auto neighbors = graph_->raw_neighbors();
+
+    if (hop_major) {
+      // All r routes advance one hop together — the hop-h loop touches
+      // only the start's h-hop ball, so its CSR rows and permutation keys
+      // stay hot across instances — and each checkpoint length visits
+      // the current (from, head) pairs.
+      std::vector<graph::NodeId> from(instances, start);
+      std::vector<graph::EdgeIndex> edge(instances);
+      for (std::uint32_t i = 0; i < instances; ++i) edge[i] = start_edge(i, start);
+      std::size_t walked = 1;  // (from, head) is the length-1 tail
+      for (std::size_t k = first; k < lengths.size(); ++k) {
+        for (; walked < lengths[k]; ++walked) {
+          for (std::uint32_t i = 0; i < instances; ++i) {
+            from[i] = neighbors[edge[i]];
+            edge[i] = hop(i, edge[i]);
+          }
+        }
+        for (std::uint32_t i = 0; i < instances; ++i) {
+          visit(k, i, DirectedEdge{from[i], neighbors[edge[i]]});
+        }
+      }
+      return;
+    }
+
+    // Route-major: one route at a time to lengths.back(), visiting the
+    // same checkpoints. Identical evaluations in a different order.
+    for (std::uint32_t i = 0; i < instances; ++i) {
+      graph::NodeId from = start;
+      graph::EdgeIndex e = start_edge(i, start);
+      std::size_t walked = 1;
+      for (std::size_t k = first; k < lengths.size(); ++k) {
+        for (; walked < lengths[k]; ++walked) {
+          from = neighbors[e];
+          e = hop(i, e);
+        }
+        visit(k, i, DirectedEdge{from, neighbors[e]});
+      }
+    }
+  }
+
   /// Walks a route and returns the full vertex sequence (length+1 entries,
   /// shorter only if start is isolated).
   [[nodiscard]] std::vector<graph::NodeId> route_vertices(std::uint32_t instance,
@@ -98,8 +169,27 @@ class RouteTable {
   [[nodiscard]] std::uint64_t protocol_seed() const noexcept { return seed_; }
 
  private:
+  /// Half-edge index of `node`'s local edge `index`.
+  [[nodiscard]] graph::EdgeIndex half_edge(graph::NodeId node,
+                                           graph::NodeId index) const {
+    return graph_->offsets()[node] + index;
+  }
+  /// The half-edge a route of `instance` that started at `start` leaves by.
+  [[nodiscard]] graph::EdgeIndex start_edge(std::uint32_t instance,
+                                            graph::NodeId start) const {
+    return half_edge(start, start_out_index(instance, start));
+  }
+  /// The one route hop: a route of `instance` that crossed half-edge `e`
+  /// leaves its head by the returned half-edge.
+  [[nodiscard]] graph::EdgeIndex hop(std::uint32_t instance, graph::EdgeIndex e) const {
+    const graph::NodeId head = graph_->raw_neighbors()[e];
+    return half_edge(head, next_out_index(instance, head, rev_[e]));
+  }
+
   const graph::Graph* graph_;
   std::uint64_t seed_;
+  /// rev_[offsets[u] + j] = u's local index in neighbor(u, j)'s list.
+  std::vector<graph::NodeId> rev_;
 };
 
 }  // namespace socmix::sybil

@@ -118,6 +118,8 @@ std::uint64_t admission_sweep_fingerprint(const graph::Graph& g,
 std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
                                             const AdmissionSweepConfig& config) {
   SOCMIX_TRACE_SPAN("sybil.admission_sweep");
+  // Fail closed before the fingerprint or a reordering reads adjacency.
+  RouteTable::require_adjacency(g);
   util::Rng rng{config.seed};
 
   // Sample suspects/verifiers on the *original* graph (so the sampled id
@@ -193,9 +195,8 @@ std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
     AdmissionEngine engine{active, engine_config, config.route_lengths};
     fractions = engine.sweep_fractions(verifiers, suspects, pending_lengths);
     stats = engine.stats();
-    // Out-of-core: the sweep's footprint is one w_max walk's touched
-    // pages (shared-seed routes are prefixes of each other); drop them
-    // before returning.
+    // Out-of-core: drop the container pages the walks touched before
+    // returning (the engine's reverse-edge table goes with the engine).
     if (mapped != nullptr && resolved_shards > 1) mapped->release_all();
   }
   if (config.engine_stats != nullptr) *config.engine_stats = stats;

@@ -155,10 +155,11 @@ struct AdmissionSweepConfig {
   /// there is no windowed sweep here; the resolved geometry is reported
   /// (sybil.shard.count), folded into the checkpoint context when
   /// non-trivial (matching the walk measurements' staleness rule), and —
-  /// with a mapped container — drives a residency release between
-  /// route-length points so a sweep's peak footprint is one point's
-  /// touched pages, not the whole container. Admitted fractions are
-  /// identical for every shard count.
+  /// with a mapped container — drives a residency release once the sweep
+  /// is done. The footprint during the sweep is not just the touched
+  /// container pages: the route table's reverse-edge table is resident
+  /// on the heap throughout, 4 B per half-edge (the size of the neighbor
+  /// array). Admitted fractions are identical for every shard count.
   graph::ShardPolicy sharded;
   /// The mmap-backed container `g` was borrowed from (or null); see
   /// `sharded`. Ignored under a non-identity reordering.

@@ -97,6 +97,7 @@ TEST(Harness, JsonArtifactRoundTrips) {
   EXPECT_FALSE(prov.at("timestamp").as_string().empty());
   EXPECT_FALSE(prov.at("simd_tier").as_string().empty());
   EXPECT_GE(prov.at("threads").as_number(), 1.0);
+  EXPECT_GE(prov.at("nproc").as_number(), 1.0);
   EXPECT_EQ(prov.at("flags").at("reorder").as_string(), "bfs");
   EXPECT_EQ(prov.at("flags").members().size(), 1u);
 

@@ -9,7 +9,11 @@
 //  * verify_batch commits the same decisions as per-suspect admit() calls
 //    and its diagnostics add up;
 //  * the verifier cache hits on reuse, and invalidate() bumps the epoch so
-//    stale indexes can never serve;
+//    stale indexes can never serve — and, after an in-place mutation of a
+//    borrowed graph, serves exactly what a freshly built engine would;
+//  * hop accounting: an isolated suspect walks no hops, and verify_batch's
+//    stats agree with the sybil.engine.hops_walked counter;
+//  * a headless (compressed-pack) view is refused by name, not walked;
 //  * sweep snapshots written without the engine-version context word (the
 //    pre-engine layout, measured under per-length seeds) are classified
 //    stale and recomputed, never replayed.
@@ -18,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -25,6 +30,10 @@
 #include "graph/edge_list.hpp"
 #include "graph/frontier.hpp"
 #include "graph/graph.hpp"
+#include "graph/reorder.hpp"
+#include "graph/sharded/format.hpp"
+#include "graph/sharded/mapped_graph.hpp"
+#include "graph/sharded/plan.hpp"
 #include "obs/obs.hpp"
 #include "resilience/checkpoint.hpp"
 #include "sybil/routes.hpp"
@@ -206,6 +215,122 @@ TEST(AdmissionEngine, VerifierCacheHitsAndEpochInvalidation) {
   (void)engine.verifier(5);
   // Cache cleared: the same node is a miss again under the new epoch.
   EXPECT_EQ(engine.stats().verifier_cache_misses, 2u);
+}
+
+TEST(AdmissionEngine, InvalidateAfterInPlaceMutationMatchesFreshEngine) {
+  // The engine walks a Graph::borrowed view whose caller-owned arrays are
+  // then rewritten with a relabeling (same shape, different adjacency).
+  // invalidate() must rebuild the route table's reverse-edge table along
+  // with the verifier cache: tails and decisions equal a fresh engine's.
+  const graph::Graph before =
+      gen::build_dataset(*gen::find_dataset("Physics 1"), kNodes, 9);
+  const graph::Graph after = graph::apply_permutation(
+      before, graph::shuffle_permutation(before.num_nodes(), 31));
+  std::vector<graph::EdgeIndex> offsets{before.offsets().begin(), before.offsets().end()};
+  std::vector<graph::NodeId> neighbors{before.raw_neighbors().begin(),
+                                       before.raw_neighbors().end()};
+  const graph::Graph view = graph::Graph::borrowed(offsets, neighbors);
+
+  AdmissionEngineConfig config;
+  config.instances_override = 12;
+  config.seed = kSeed;
+  const std::vector<std::size_t> lengths{3, 7};
+  const auto verifiers = spread_nodes(before, 2);
+  const auto suspects = spread_nodes(before, 40);
+  AdmissionEngine engine{view, config, lengths};
+  (void)engine.sweep_fractions(verifiers, suspects, lengths);
+
+  std::copy(after.offsets().begin(), after.offsets().end(), offsets.begin());
+  std::copy(after.raw_neighbors().begin(), after.raw_neighbors().end(),
+            neighbors.begin());
+  engine.invalidate();
+  AdmissionEngine fresh{after, config, lengths};
+  std::vector<std::vector<DirectedEdge>> mutated_tails;
+  std::vector<std::vector<DirectedEdge>> fresh_tails;
+  for (const graph::NodeId start : suspects) {
+    engine.registration_tails_multi(start, mutated_tails);
+    fresh.registration_tails_multi(start, fresh_tails);
+    EXPECT_EQ(mutated_tails, fresh_tails) << "start=" << start;
+  }
+  EXPECT_EQ(engine.sweep_fractions(verifiers, suspects, lengths),
+            fresh.sweep_fractions(verifiers, suspects, lengths));
+  const auto mutated_batch =
+      engine.verify_batch(engine.verifier(verifiers[0]), 1, suspects);
+  const auto fresh_batch = fresh.verify_batch(fresh.verifier(verifiers[0]), 1, suspects);
+  EXPECT_EQ(mutated_batch.admitted, fresh_batch.admitted);
+}
+
+#if SOCMIX_OBS_ENABLED
+std::uint64_t counter_value(const std::string& name) {
+  for (const auto& counter : obs::Registry::instance().snapshot().counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0;
+}
+#endif
+
+TEST(AdmissionEngine, VerifyBatchCountsNoHopsForIsolatedSuspect) {
+  // Node 3 is isolated: its walk is empty, so it costs no hops — the
+  // accounting sweep_fractions and build_verifier already use — and the
+  // batch's hops reach the obs counter as well as stats().
+  const graph::Graph g = graph::Graph::from_csr({0, 2, 4, 6, 6}, {1, 2, 0, 2, 0, 1});
+  ASSERT_EQ(g.degree(3), 0u);
+  AdmissionEngineConfig config;
+  config.instances_override = 5;
+  config.seed = kSeed;
+  const std::vector<std::size_t> lengths{4};
+  AdmissionEngine engine{g, config, lengths};
+  auto& verifier = engine.verifier(0);
+  const std::uint64_t walked_before = engine.stats().route_hops_walked;
+#if SOCMIX_OBS_ENABLED
+  const std::uint64_t counter_before = counter_value("sybil.engine.hops_walked");
+#endif
+  const std::vector<graph::NodeId> suspects{1, 3, 2, 3};
+  const auto result = engine.verify_batch(verifier, 0, suspects);
+  EXPECT_EQ(result.admitted[1], 0);
+  EXPECT_EQ(result.admitted[3], 0);
+  EXPECT_EQ(result.rejected_no_intersection, 2u);
+  const std::uint64_t walked = engine.stats().route_hops_walked - walked_before;
+  EXPECT_EQ(walked, 2u * 5u * 4u);  // two non-isolated suspects, r = 5, w = 4
+#if SOCMIX_OBS_ENABLED
+  EXPECT_EQ(counter_value("sybil.engine.hops_walked") - counter_before, walked);
+#endif
+}
+
+TEST(AdmissionEngine, HeadlessPackFailsClosed) {
+  // A compressed .smxg view has offsets but no in-memory adjacency; every
+  // SybilLimit entry point refuses it with RouteTable's named error
+  // instead of walking a null neighbor array.
+  const graph::Graph g =
+      gen::build_dataset(*gen::find_dataset("Physics 1"), kNodes, 9);
+  const fs::path path = fs::path{testing::TempDir()} / "admission_headless.smxg";
+  graph::sharded::WriteOptions compress;
+  compress.compress = true;
+  graph::sharded::write_smxg_file(path.string(), g,
+                                  graph::ShardPlan::balanced(g.offsets(), 2), compress);
+  {
+    const graph::sharded::MappedGraph mapped{path.string()};
+    const graph::Graph& view = mapped.view();
+    ASSERT_TRUE(view.headless());
+    const auto expect_named = [](const auto& construct) {
+      try {
+        construct();
+        ADD_FAILURE() << "headless graph accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string{e.what()}.find("RouteTable"), std::string::npos)
+            << e.what();
+      }
+    };
+    const std::vector<std::size_t> lengths{2, 4};
+    expect_named([&] { (void)AdmissionEngine{view, AdmissionEngineConfig{}, lengths}; });
+    expect_named([&] { (void)SybilLimit{view, SybilLimitParams{}}; });
+    AdmissionSweepConfig sweep;
+    sweep.route_lengths = lengths;
+    sweep.suspect_sample = 10;
+    sweep.mapped = &mapped;
+    expect_named([&] { (void)admission_sweep(view, sweep); });
+  }
+  fs::remove(path);
 }
 
 TEST(AdmissionEngine, InstancesSharingATailEdgeShareOneLoadCounter) {

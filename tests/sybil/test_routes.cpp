@@ -4,15 +4,47 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "gen/datasets.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/reference.hpp"
 #include "graph/components.hpp"
+#include "graph/reorder.hpp"
 #include "util/rng.hpp"
 
 namespace socmix::sybil {
 namespace {
+
+/// Independent oracle for the walkers: the route's vertex sequence with
+/// every in-index found by binary search (Graph::index_of_neighbor), not
+/// read from the table's reverse-edge table.
+std::vector<graph::NodeId> reference_route(const RouteTable& routes,
+                                           std::uint32_t instance, graph::NodeId start,
+                                           std::size_t length) {
+  const graph::Graph& g = routes.graph();
+  std::vector<graph::NodeId> walk{start};
+  if (length == 0 || g.degree(start) == 0) return walk;
+  graph::NodeId current = start;
+  graph::NodeId next = g.neighbor(start, routes.start_out_index(instance, start));
+  walk.push_back(next);
+  for (std::size_t hop = 1; hop < length; ++hop) {
+    const graph::NodeId in_index = g.index_of_neighbor(next, current);
+    const graph::NodeId out_index = routes.next_out_index(instance, next, in_index);
+    current = next;
+    next = g.neighbor(current, out_index);
+    walk.push_back(next);
+  }
+  return walk;
+}
+
+DirectedEdge reference_tail(const RouteTable& routes, std::uint32_t instance,
+                            graph::NodeId start, std::size_t length) {
+  const auto walk = reference_route(routes, instance, start, length);
+  return {walk[walk.size() - 2], walk.back()};
+}
 
 TEST(UndirectedKey, OrderFree) {
   EXPECT_EQ(undirected_key({3, 9}), undirected_key({9, 3}));
@@ -117,6 +149,95 @@ TEST(RouteTable, BatchedTailsEmptyWhenNoRoute) {
   EXPECT_TRUE(tails.empty());
   routes.route_tails(0, 0, 3, tails);
   EXPECT_TRUE(tails.empty());
+}
+
+TEST(RouteTable, EveryWalkerMatchesTheBinarySearchOracleOnEveryTable1Config) {
+  const std::vector<std::size_t> lengths{1, 2, 5, 9, 16};
+  constexpr std::uint32_t kInstances = 9;
+  std::vector<std::vector<DirectedEdge>> multi;
+  std::vector<DirectedEdge> batched;
+  for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
+    const graph::Graph g = gen::build_dataset(spec, 140, 13);
+    const RouteTable routes{g, 0x0dac1e};
+    for (graph::NodeId start = 0; start < g.num_nodes(); start += 23) {
+      for (std::uint32_t i = 0; i < kInstances; ++i) {
+        const auto walk = routes.route_vertices(i, start, lengths.back());
+        ASSERT_EQ(walk, reference_route(routes, i, start, lengths.back()))
+            << spec.name << " start=" << start << " i=" << i;
+        for (const std::size_t w : lengths) {
+          EXPECT_EQ(routes.route_tail(i, start, w), reference_tail(routes, i, start, w))
+              << spec.name << " start=" << start << " i=" << i << " w=" << w;
+        }
+      }
+      for (const std::size_t w : lengths) {
+        routes.route_tails(kInstances, start, w, batched);
+        ASSERT_EQ(batched.size(), kInstances);
+        for (std::uint32_t i = 0; i < kInstances; ++i) {
+          EXPECT_EQ(batched[i], reference_tail(routes, i, start, w))
+              << spec.name << " start=" << start << " i=" << i << " w=" << w;
+        }
+      }
+      for (const bool hop_major : {true, false}) {
+        routes.route_tails_multi(kInstances, start, lengths, multi, hop_major);
+        ASSERT_EQ(multi.size(), lengths.size());
+        std::size_t visits = 0;
+        routes.for_each_tail(kInstances, start, lengths, hop_major,
+                             [&](std::size_t k, std::uint32_t i, DirectedEdge tail) {
+                               EXPECT_EQ(tail, multi[k][i]);
+                               ++visits;
+                             });
+        EXPECT_EQ(visits, lengths.size() * kInstances);
+        for (std::size_t k = 0; k < lengths.size(); ++k) {
+          ASSERT_EQ(multi[k].size(), kInstances);
+          for (std::uint32_t i = 0; i < kInstances; ++i) {
+            EXPECT_EQ(multi[k][i], reference_tail(routes, i, start, lengths[k]))
+                << spec.name << " hop_major=" << hop_major << " start=" << start
+                << " i=" << i << " w=" << lengths[k];
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RouteTable, ReverseEdgesFollowInPlaceMutation) {
+  // A borrowed view over caller-owned arrays, rewritten in place with a
+  // relabeling of the graph (same shape, different adjacency): after
+  // rebuild_reverse_edges the walkers follow the new adjacency exactly
+  // like a fresh table.
+  util::Rng rng{17};
+  const graph::Graph before =
+      graph::largest_component(gen::erdos_renyi_gnm(60, 180, rng)).graph;
+  const graph::Graph after = graph::apply_permutation(
+      before, graph::shuffle_permutation(before.num_nodes(), 23));
+  std::vector<graph::EdgeIndex> offsets{before.offsets().begin(), before.offsets().end()};
+  std::vector<graph::NodeId> neighbors{before.raw_neighbors().begin(),
+                                       before.raw_neighbors().end()};
+  const graph::Graph view = graph::Graph::borrowed(offsets, neighbors);
+  RouteTable routes{view, 5};
+  EXPECT_EQ(routes.route_vertices(1, 3, 12), reference_route(routes, 1, 3, 12));
+
+  std::copy(after.offsets().begin(), after.offsets().end(), offsets.begin());
+  std::copy(after.raw_neighbors().begin(), after.raw_neighbors().end(),
+            neighbors.begin());
+  routes.rebuild_reverse_edges();
+  const RouteTable fresh{after, 5};
+  for (graph::NodeId start = 0; start < view.num_nodes(); start += 7) {
+    EXPECT_EQ(routes.route_vertices(1, start, 12), fresh.route_vertices(1, start, 12));
+    EXPECT_EQ(routes.route_vertices(1, start, 12), reference_route(routes, 1, start, 12));
+  }
+}
+
+TEST(RouteTable, HeadlessGraphFailsClosed) {
+  const std::vector<graph::EdgeIndex> offsets{0, 1, 2};
+  const graph::Graph headless = graph::Graph::borrowed_headless(offsets, 2);
+  ASSERT_TRUE(headless.headless());
+  try {
+    const RouteTable routes{headless, 1};
+    FAIL() << "RouteTable accepted a headless graph";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("RouteTable"), std::string::npos) << e.what();
+  }
 }
 
 TEST(RouteTable, ConvergenceProperty) {

@@ -286,14 +286,9 @@ int cmd_convert(const util::Cli& cli) {
 }
 
 int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpoint) {
+  // A compressed container is headless: admission_sweep rejects it
+  // (RouteTable::require_adjacency) before any route is walked.
   const ComponentInput input = load_component_input(cli);
-  if (input.graph().headless()) {
-    // SybilLimit's random routes walk individual adjacency lists, which a
-    // compressed container only materializes shard-wise inside the
-    // pipeline — repack without --compress to run the sweep.
-    throw std::runtime_error{
-        "sybil needs in-memory adjacency; repack without --compress"};
-  }
 
   // Random routes have no evolver: precision and io-mode are parsed (a bad
   // value still fails) but only the ordering, route walking and shard
