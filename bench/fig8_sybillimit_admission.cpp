@@ -10,10 +10,12 @@
 //   --suspects N  honest suspects sampled per point (default 200)
 //   --r0 F        route-count multiplier r = r0 sqrt(m) (default 4)
 //   --seed N
+//   --frontier auto|off|FRAC  route walk order (same results); the other
+//                 execution knobs are rejected — they change no admission
+//                 work
 #include <cstdio>
 #include <iostream>
-
-#include <cmath>
+#include <stdexcept>
 
 #include "bench_harness/harness.hpp"
 #include "core/experiment.hpp"
@@ -30,6 +32,15 @@ using namespace socmix;
 
 int main(int argc, char** argv) {
   const util::Cli cli{argc, argv};
+  // Random routes take only --frontier; the evolver knobs fail here,
+  // before any work.
+  graph::FrontierPolicy frontier;
+  try {
+    frontier = core::route_frontier_from_cli(cli);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "fig8_sybillimit_admission: %s\n", e.what());
+    return 1;
+  }
   // Phase seconds recorded by core::measure_mixing land in the process
   // harness; the atexit hook writes BENCH_<bench>.json next to the CSVs.
   bench::Harness::configure_process(cli);
@@ -78,9 +89,7 @@ int main(int argc, char** argv) {
     sweep.r0 = r0;
     sweep.seed = config.seed;
     sweep.checkpoint = config.checkpoint;
-    sweep.reorder = config.engine.reorder;
-    sweep.frontier = config.engine.frontier;
-    sweep.sharded = config.engine.sharded;
+    sweep.frontier = frontier;
     // Per-panel stem: panels share one --checkpoint-dir without clobbering.
     if (sweep.checkpoint.enabled()) {
       sweep.checkpoint.name = "fig8-" + util::slugify(label);
@@ -94,10 +103,8 @@ int main(int argc, char** argv) {
                                      stats.precompute_seconds);
     bench::Harness::process().record("admission/" + slug + "/verify",
                                      stats.query_seconds);
-    const auto r = static_cast<std::uint64_t>(
-        std::ceil(r0 * std::sqrt(static_cast<double>(g.num_edges()))));
     phase_rows.push_back({label, std::to_string(g.num_nodes()),
-                          std::to_string(g.num_edges()), std::to_string(r),
+                          std::to_string(g.num_edges()), std::to_string(sweep.instances(g)),
                           util::fmt_fixed(stats.precompute_seconds, 4),
                           util::fmt_fixed(stats.query_seconds, 4),
                           std::to_string(stats.route_hops_walked),

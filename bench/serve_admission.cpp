@@ -153,8 +153,7 @@ int main(int argc, char** argv) {
 
     const double p50 = percentile(round_p50, 0.50);
     const double p99 = percentile(round_p99, 0.50);
-    const auto r = static_cast<std::uint64_t>(
-        std::ceil(4.0 * std::sqrt(static_cast<double>(g.num_edges()))));
+    const std::uint32_t r = config.instances(g);
     table.row({spec.name, class_name(spec.paper_mixing_class),
                std::to_string(g.num_nodes()), std::to_string(r),
                util::fmt_fixed(queries_per_second, 0), util::fmt_fixed(1e3 * p50, 3),

@@ -62,14 +62,18 @@ auto parse_knob(const util::Cli& cli, const std::string& flag, const char* fallb
   return *parsed;
 }
 
+graph::FrontierPolicy frontier_from_cli(const util::Cli& cli) {
+  return parse_knob(cli, "frontier", "auto", graph::parse_frontier_policy,
+                    "auto, off, or a row fraction in (0, 1]");
+}
+
 }  // namespace
 
 markov::EngineOptions engine_options_from_cli(const util::Cli& cli) {
   markov::EngineOptions engine;
   engine.reorder = parse_knob(cli, "reorder", "none", graph::parse_reorder_mode,
                               "one of none, degree, rcm, bfs");
-  engine.frontier = parse_knob(cli, "frontier", "auto", graph::parse_frontier_policy,
-                               "auto, off, or a row fraction in (0, 1]");
+  engine.frontier = frontier_from_cli(cli);
   engine.precision = parse_knob(cli, "precision", "f64", linalg::simd::parse_precision,
                                 "f64 or mixed");
   engine.sharded = parse_knob(cli, "sharded", "auto", graph::parse_shard_policy,
@@ -78,6 +82,17 @@ markov::EngineOptions engine_options_from_cli(const util::Cli& cli) {
   engine.io_mode = parse_knob(cli, "io-mode", "sync", linalg::parse_io_mode,
                               "sync or prefetch");
   return engine;
+}
+
+graph::FrontierPolicy route_frontier_from_cli(const util::Cli& cli) {
+  for (const char* flag : {"reorder", "sharded", "precision", "io-mode"}) {
+    if (cli.has(flag)) {
+      throw std::invalid_argument{std::string{"--"} + flag +
+                                  ": random routes take only --frontier; this "
+                                  "knob changes no admission work"};
+    }
+  }
+  return frontier_from_cli(cli);
 }
 
 void configure_observability(const util::Cli& cli) {

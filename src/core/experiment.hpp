@@ -11,6 +11,7 @@
 
 #include "core/measurement.hpp"
 #include "gen/datasets.hpp"
+#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
 #include "markov/mixing_time.hpp"
 #include "resilience/checkpoint.hpp"
@@ -59,6 +60,13 @@ struct ExperimentConfig {
 /// bad value and the accepted ones. `mapped` is left null for callers that
 /// load a --pack container.
 [[nodiscard]] markov::EngineOptions engine_options_from_cli(const util::Cli& cli);
+
+/// The one execution knob of the random-route drivers (socmix sybil,
+/// fig8): parses and stamps --frontier like engine_options_from_cli.
+/// Random routes have no evolver, so --reorder, --sharded, --precision
+/// and --io-mode would change no admission work; passing any of them
+/// throws std::invalid_argument naming the flag.
+[[nodiscard]] graph::FrontierPolicy route_frontier_from_cli(const util::Cli& cli);
 
 /// Wires the shared observability flags into the obs layer:
 ///   --metrics-out=PATH        metrics snapshot at exit (JSON; CSV if *.csv)

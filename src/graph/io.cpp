@@ -14,28 +14,6 @@
 
 namespace socmix::graph {
 
-namespace {
-
-constexpr char kMagic[4] = {'S', 'M', 'X', '1'};
-
-void write_u64(std::ostream& out, std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.write(buf, 8);
-}
-
-[[nodiscard]] std::uint64_t read_u64(std::istream& in) {
-  char buf[8];
-  in.read(buf, 8);
-  if (!in) throw std::runtime_error{"truncated stream"};
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i])) << (8 * i);
-  return v;
-}
-
-}  // namespace
-
 LoadResult load_edge_list(std::istream& in, const EdgeListOptions& options) {
   LoadResult result;
   EdgeList edges;
@@ -125,91 +103,6 @@ void save_edge_list(const Graph& g, std::ostream& out) {
       if (u < v) out << u << ' ' << v << '\n';
     }
   }
-}
-
-void save_binary(const Graph& g, std::ostream& out) {
-  out.write(kMagic, 4);
-  const auto offsets = g.offsets();
-  const auto neighbors = g.raw_neighbors();
-  write_u64(out, offsets.size());
-  write_u64(out, neighbors.size());
-  for (const EdgeIndex off : offsets) write_u64(out, off);
-  // Neighbors as u32: halves file size relative to u64 ids.
-  for (const NodeId v : neighbors) {
-    char buf[4];
-    for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    out.write(buf, 4);
-  }
-}
-
-Graph load_binary(std::istream& in) {
-  const auto rejected = [](const std::string& what) -> std::runtime_error {
-    SOCMIX_COUNTER_ADD("graph.io.binary_rejected", 1);
-    return std::runtime_error{"load_binary: " + what};
-  };
-
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::string_view{magic, 4} != std::string_view{kMagic, 4}) {
-    throw rejected("bad magic (not a socmix binary graph)");
-  }
-  std::uint64_t num_offsets = 0;
-  std::uint64_t num_neighbors = 0;
-  std::vector<EdgeIndex> offsets;
-  try {
-    num_offsets = read_u64(in);
-    num_neighbors = read_u64(in);
-    // Plausibility before allocation: a garbage header must not turn into
-    // a terabyte-sized vector (bad_alloc at best, OOM-kill at worst).
-    constexpr std::uint64_t kMaxPlausible = std::uint64_t{1} << 36;  // 64G entries
-    if (num_offsets == 0 || num_offsets > kMaxPlausible || num_neighbors > kMaxPlausible) {
-      throw std::runtime_error{"implausible header sizes (offsets=" +
-                               std::to_string(num_offsets) +
-                               ", neighbors=" + std::to_string(num_neighbors) + ")"};
-    }
-    offsets.resize(num_offsets);
-    for (auto& off : offsets) off = read_u64(in);
-  } catch (const std::runtime_error& e) {
-    throw rejected(e.what());
-  }
-  std::vector<NodeId> neighbors(num_neighbors);
-  for (auto& v : neighbors) {
-    char buf[4];
-    in.read(buf, 4);
-    if (!in) throw rejected("truncated stream (neighbors)");
-    NodeId x = 0;
-    for (int i = 0; i < 4; ++i)
-      x |= static_cast<NodeId>(static_cast<unsigned char>(buf[i])) << (8 * i);
-    v = x;
-  }
-  // Structural validation: the CSR invariants every kernel indexes by.
-  if (offsets.front() != 0 || offsets.back() != num_neighbors) {
-    throw rejected("corrupt CSR (offset endpoints disagree with neighbor count)");
-  }
-  const NodeId n = static_cast<NodeId>(num_offsets - 1);
-  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
-    if (offsets[i] > offsets[i + 1]) throw rejected("corrupt CSR (non-monotone offsets)");
-  }
-  for (const NodeId v : neighbors) {
-    if (v >= n) throw rejected("corrupt CSR (neighbor id out of range)");
-  }
-  return Graph::from_csr(std::move(offsets), std::move(neighbors));
-}
-
-void save_binary_file(const Graph& g, const std::string& path) {
-  std::ofstream out{path, std::ios::binary};
-  if (!out) throw std::runtime_error{"save_binary_file: cannot open " + path};
-  save_binary(g, out);
-}
-
-Graph load_binary_file(const std::string& path) {
-  resilience::fault_point("graph.load");
-  std::ifstream in{path, std::ios::binary};
-  if (!in) {
-    SOCMIX_COUNTER_ADD("graph.io.load_failures", 1);
-    throw std::runtime_error{"load_binary_file: cannot open " + path};
-  }
-  return load_binary(in);
 }
 
 }  // namespace socmix::graph

@@ -1,4 +1,5 @@
-// Graph serialization: SNAP-style edge-list text and a compact binary CSR.
+// Graph serialization: SNAP-style edge-list text. (The binary container is
+// .smxg; see graph/sharded/format.hpp.)
 //
 // The paper's datasets circulate as whitespace-separated "u v" edge lists
 // (SNAP / Mislove releases); load_edge_list() accepts exactly that format,
@@ -53,17 +54,5 @@ struct EdgeListOptions {
 /// Writes one "u v" line per undirected edge (u < v), suitable for
 /// round-tripping through load_edge_list().
 void save_edge_list(const Graph& g, std::ostream& out);
-
-/// Compact binary CSR format ("SMX1" magic, little-endian u64 sizes).
-/// load_binary validates the header for plausibility (bounded sizes, so a
-/// garbage file cannot demand a terabyte allocation) and the decoded CSR
-/// for structural sanity (monotone offsets, neighbor ids in range) before
-/// handing out a Graph; every rejection throws std::runtime_error with the
-/// failure named and bumps the graph.io.binary_rejected counter.
-void save_binary(const Graph& g, std::ostream& out);
-[[nodiscard]] Graph load_binary(std::istream& in);
-
-void save_binary_file(const Graph& g, const std::string& path);
-[[nodiscard]] Graph load_binary_file(const std::string& path);
 
 }  // namespace socmix::graph

@@ -1,13 +1,14 @@
 // Scalar (portable) kernel tier.
 //
-// The f64 SpMM kernels are the pre-SIMD BatchedEvolver kernels moved here
-// verbatim — they define the per-lane floating-point operation sequence
-// every other tier must reproduce bit for bit, and compiling them with
-// the build's baseline flags keeps the default build's output identical
-// to the pre-dispatch code. The mixed-precision kernels below are the
-// reference implementation of the f32-state / f64-arithmetic contract
-// (see kernels.hpp): widen on load, round once on store, TVD terms from
-// the *stored* f32 value, Neumaier-compensated f64 reduction.
+// The f64 SpMM kernel runs the pre-SIMD BatchedEvolver row body over row
+// ranges (a dense sweep is the one range [0, n)) — it defines the
+// per-lane floating-point operation sequence every other tier must
+// reproduce bit for bit, and compiling it with the build's baseline flags
+// keeps the default build's output identical to the pre-dispatch code.
+// The mixed-precision kernel below is the reference implementation of the
+// f32-state / f64-arithmetic contract (see kernels.hpp): widen on load,
+// round once on store, TVD terms from the *stored* f32 value,
+// Neumaier-compensated f64 reduction.
 //
 // This TU is compiled with -ffp-contract=off (see src/linalg/CMakeLists)
 // so a native build cannot contract the affine epilogues into FMAs —
@@ -27,154 +28,61 @@ namespace {
 
 constexpr std::size_t kPrefetchDistance = util::kGatherPrefetchDistance;
 
-// Compile-time lane count (stride stays runtime so a partially filled
-// block still takes this path): the b-loops unroll and vectorize, and the
-// accumulators live in registers. The inner loop is a single gather + add
+// Every sweep kernel is instantiated per lane count B. B > 0 is a
+// compile-time count (stride stays runtime so a partially filled block
+// still takes this path): the b-loops unroll and vectorize, and the
+// accumulators live in registers. B == 0 is the runtime-width fallback
+// for remainder blocks (active < block) and odd block sizes. The
+// operation order is the same either way.
+template <std::size_t B>
+inline constexpr std::size_t kLaneCap = B != 0 ? B : kMaxLanes;
+
+// Calls f.template operator()<B>() with B = a compile-time lane count, or
+// B = 0 for any other width.
+template <typename F>
+void with_lanes(std::size_t lanes, F&& f) {
+  switch (lanes) {
+    case 4: f.template operator()<4>(); break;
+    case 8: f.template operator()<8>(); break;
+    case 16: f.template operator()<16>(); break;
+    case 32: f.template operator()<32>(); break;
+    default: f.template operator()<0>(); break;
+  }
+}
+
+// The rows a sweep visits: the frontier's ranges, or the single range
+// [0, n) of a dense sweep.
+std::span<const graph::RowRange> sweep_ranges(const SpmmArgs& a,
+                                              const graph::RowRange& full) {
+  return a.ranges != nullptr ? std::span<const graph::RowRange>{a.ranges, a.num_ranges}
+                             : std::span<const graph::RowRange>{&full, 1};
+}
+
+// f64 row sweep over `ranges`. The inner loop is a single gather + add
 // per edge: the per-source scaling src[b] * inv_deg[i] was hoisted into
 // the prescale pass (see BatchedEvolver::sweep), which computes the exact
 // same rounded products, so the floating-point result per lane remains
 // the operation sequence of the single-vector spmv epilogue +
-// total_variation (CSR edge order, then ascending-row TVD) — bit-
-// identical to a one-lane sweep.
-template <std::size_t B>
-void sweep_fixed(graph::NodeId n, const graph::EdgeIndex* offsets,
-                 const graph::NodeId* neighbors, const double* scaled,
-                 const double* cur, double* next, std::size_t stride,
-                 double walk_weight, double laziness, const double* pi,
-                 double* tvd_out) {
-  double tvd_acc[B];
-  if (pi != nullptr) {
-    for (std::size_t b = 0; b < B; ++b) tvd_acc[b] = 0.0;
-  }
-  for (graph::NodeId j = 0; j < n; ++j) {
-    double acc[B];
-    for (std::size_t b = 0; b < B; ++b) acc[b] = 0.0;
-    const graph::EdgeIndex row_end = offsets[j + 1];
-    for (graph::EdgeIndex e = offsets[j]; e < row_end; ++e) {
-      if (e + kPrefetchDistance < row_end) {
-        util::prefetch_read(
-            scaled + static_cast<std::size_t>(neighbors[e + kPrefetchDistance]) * stride);
-      }
-      const double* src = scaled + static_cast<std::size_t>(neighbors[e]) * stride;
-      for (std::size_t b = 0; b < B; ++b) acc[b] += src[b];
-    }
-    const double* cur_j = cur + static_cast<std::size_t>(j) * stride;
-    double* next_j = next + static_cast<std::size_t>(j) * stride;
-    for (std::size_t b = 0; b < B; ++b) {
-      next_j[b] = walk_weight * acc[b] + laziness * cur_j[b];
-    }
-    if (pi != nullptr) {
-      const double p = pi[j];
-      for (std::size_t b = 0; b < B; ++b) tvd_acc[b] += std::fabs(next_j[b] - p);
-    }
-  }
-  if (pi != nullptr) {
-    for (std::size_t b = 0; b < B; ++b) tvd_out[b] = 0.5 * tvd_acc[b];
-  }
-}
-
-// Runtime-width fallback for remainder blocks (active < block) and odd
-// block sizes. Same operation order as sweep_fixed.
-void sweep_generic(graph::NodeId n, const graph::EdgeIndex* offsets,
-                   const graph::NodeId* neighbors, const double* scaled,
-                   const double* cur, double* next, std::size_t stride,
-                   std::size_t lanes, double walk_weight, double laziness,
-                   const double* pi, double* tvd_out) {
-  std::array<double, kMaxLanes> acc{};
-  std::array<double, kMaxLanes> tvd_acc{};
-  for (graph::NodeId j = 0; j < n; ++j) {
-    for (std::size_t b = 0; b < lanes; ++b) acc[b] = 0.0;
-    const graph::EdgeIndex row_end = offsets[j + 1];
-    for (graph::EdgeIndex e = offsets[j]; e < row_end; ++e) {
-      if (e + kPrefetchDistance < row_end) {
-        util::prefetch_read(
-            scaled + static_cast<std::size_t>(neighbors[e + kPrefetchDistance]) * stride);
-      }
-      const double* src = scaled + static_cast<std::size_t>(neighbors[e]) * stride;
-      for (std::size_t b = 0; b < lanes; ++b) acc[b] += src[b];
-    }
-    const double* cur_j = cur + static_cast<std::size_t>(j) * stride;
-    double* next_j = next + static_cast<std::size_t>(j) * stride;
-    for (std::size_t b = 0; b < lanes; ++b) {
-      next_j[b] = walk_weight * acc[b] + laziness * cur_j[b];
-    }
-    if (pi != nullptr) {
-      const double p = pi[j];
-      for (std::size_t b = 0; b < lanes; ++b) tvd_acc[b] += std::fabs(next_j[b] - p);
-    }
-  }
-  if (pi != nullptr) {
-    for (std::size_t b = 0; b < lanes; ++b) tvd_out[b] = 0.5 * tvd_acc[b];
-  }
-}
-
-// Frontier variant of sweep_fixed: runs the identical row body over the
-// closure's row ranges only. Rows outside the closure hold exactly +0.0
-// in cur_/next_/scaled_ (seed invariant + monotone closure), so the dense
-// kernel would have recomputed +0.0 for them and their TVD term
+// total_variation (CSR edge order, then ascending-row TVD) — bit-identical
+// to a one-lane sweep. Rows outside the ranges hold exactly +0.0 in
+// cur/next/scaled (frontier seed invariant + monotone closure), so a full
+// sweep would have recomputed +0.0 for them and their TVD term
 // fabs(0.0 - pi[j]) is pi[j] bit for bit — accumulated here in the same
 // ascending-row order, interleaved with the swept rows, to keep the
-// per-lane reduction sequence identical to the dense pass.
+// per-lane reduction sequence identical to a full sweep.
 template <std::size_t B>
-void frontier_sweep_fixed(std::span<const graph::RowRange> ranges, graph::NodeId n,
-                          const graph::EdgeIndex* offsets, const graph::NodeId* neighbors,
-                          const double* scaled, const double* cur, double* next,
-                          std::size_t stride, double walk_weight, double laziness,
-                          const double* pi, double* tvd_out) {
-  double tvd_acc[B];
-  if (pi != nullptr) {
-    for (std::size_t b = 0; b < B; ++b) tvd_acc[b] = 0.0;
-  }
-  graph::NodeId done = 0;
-  for (const graph::RowRange r : ranges) {
-    if (pi != nullptr) {
-      for (graph::NodeId j = done; j < r.begin; ++j) {
-        const double p = pi[j];
-        for (std::size_t b = 0; b < B; ++b) tvd_acc[b] += p;
-      }
-    }
-    for (graph::NodeId j = r.begin; j < r.end; ++j) {
-      double acc[B];
-      for (std::size_t b = 0; b < B; ++b) acc[b] = 0.0;
-      const graph::EdgeIndex row_end = offsets[j + 1];
-      for (graph::EdgeIndex e = offsets[j]; e < row_end; ++e) {
-        if (e + kPrefetchDistance < row_end) {
-          util::prefetch_read(
-              scaled + static_cast<std::size_t>(neighbors[e + kPrefetchDistance]) * stride);
-        }
-        const double* src = scaled + static_cast<std::size_t>(neighbors[e]) * stride;
-        for (std::size_t b = 0; b < B; ++b) acc[b] += src[b];
-      }
-      const double* cur_j = cur + static_cast<std::size_t>(j) * stride;
-      double* next_j = next + static_cast<std::size_t>(j) * stride;
-      for (std::size_t b = 0; b < B; ++b) {
-        next_j[b] = walk_weight * acc[b] + laziness * cur_j[b];
-      }
-      if (pi != nullptr) {
-        const double p = pi[j];
-        for (std::size_t b = 0; b < B; ++b) tvd_acc[b] += std::fabs(next_j[b] - p);
-      }
-    }
-    done = r.end;
-  }
-  if (pi != nullptr) {
-    for (graph::NodeId j = done; j < n; ++j) {
-      const double p = pi[j];
-      for (std::size_t b = 0; b < B; ++b) tvd_acc[b] += p;
-    }
-    for (std::size_t b = 0; b < B; ++b) tvd_out[b] = 0.5 * tvd_acc[b];
-  }
-}
-
-// Runtime-width frontier fallback; same operation order as
-// frontier_sweep_fixed.
-void frontier_sweep_generic(std::span<const graph::RowRange> ranges, graph::NodeId n,
-                            const graph::EdgeIndex* offsets, const graph::NodeId* neighbors,
-                            const double* scaled, const double* cur, double* next,
-                            std::size_t stride, std::size_t lanes, double walk_weight,
-                            double laziness, const double* pi, double* tvd_out) {
-  std::array<double, kMaxLanes> acc{};
-  std::array<double, kMaxLanes> tvd_acc{};
+void sweep_f64(const SpmmArgs& a, std::span<const graph::RowRange> ranges,
+               const double* scaled, const double* cur, double* next) {
+  // Locals, not a.* reads: stores through next must not force reloads.
+  const std::size_t lanes = B != 0 ? B : a.lanes;
+  const std::size_t stride = a.stride;
+  const graph::EdgeIndex* offsets = a.offsets;
+  const graph::NodeId* neighbors = a.neighbors;
+  const double walk_weight = a.walk_weight;
+  const double laziness = a.laziness;
+  const double* pi = a.pi;
+  std::array<double, kLaneCap<B>> acc{};
+  std::array<double, kLaneCap<B>> tvd_acc{};
   graph::NodeId done = 0;
   for (const graph::RowRange r : ranges) {
     if (pi != nullptr) {
@@ -207,11 +115,11 @@ void frontier_sweep_generic(std::span<const graph::RowRange> ranges, graph::Node
     done = r.end;
   }
   if (pi != nullptr) {
-    for (graph::NodeId j = done; j < n; ++j) {
+    for (graph::NodeId j = done; j < a.n; ++j) {
       const double p = pi[j];
       for (std::size_t b = 0; b < lanes; ++b) tvd_acc[b] += p;
     }
-    for (std::size_t b = 0; b < lanes; ++b) tvd_out[b] = 0.5 * tvd_acc[b];
+    for (std::size_t b = 0; b < lanes; ++b) a.tvd_out[b] = 0.5 * tvd_acc[b];
   }
 }
 
@@ -232,86 +140,25 @@ inline void neumaier_add(double& sum, double& comp, double term) {
   sum = t;
 }
 
-// Mixed-precision row sweep over explicit ranges (a dense sweep passes
-// the single range [0, n)). Per lane: accumulate the widened f32 gathers
-// in f64, combine the affine epilogue in f64, round once to f32 on store,
-// and take the TVD term from the *stored* value — so the only deviation
-// from the f64 path is state quantization, never arithmetic. Skipped rows
-// contribute pi[j] exactly (their stored state is +0.0f), interleaved in
-// ascending-row order like the f64 frontier kernels.
+// Mixed-precision row sweep over `ranges`. Per lane: accumulate the
+// widened f32 gathers in f64, combine the affine epilogue in f64, round
+// once to f32 on store, and take the TVD term from the *stored* value —
+// so the only deviation from the f64 path is state quantization, never
+// arithmetic. Skipped rows contribute pi[j] exactly (their stored state
+// is +0.0f), interleaved in ascending-row order like the f64 sweep.
 template <std::size_t B>
-void mixed_sweep_fixed(std::span<const graph::RowRange> ranges, graph::NodeId n,
-                       const graph::EdgeIndex* offsets, const graph::NodeId* neighbors,
-                       const float* scaled, const float* cur, float* next,
-                       std::size_t stride, double walk_weight, double laziness,
-                       const double* pi, double* tvd_out) {
-  double sum[B];
-  double comp[B];
-  if (pi != nullptr) {
-    for (std::size_t b = 0; b < B; ++b) {
-      sum[b] = 0.0;
-      comp[b] = 0.0;
-    }
-  }
-  graph::NodeId done = 0;
-  for (const graph::RowRange r : ranges) {
-    if (pi != nullptr) {
-      for (graph::NodeId j = done; j < r.begin; ++j) {
-        const double p = pi[j];
-        for (std::size_t b = 0; b < B; ++b) neumaier_add(sum[b], comp[b], p);
-      }
-    }
-    for (graph::NodeId j = r.begin; j < r.end; ++j) {
-      double acc[B];
-      for (std::size_t b = 0; b < B; ++b) acc[b] = 0.0;
-      const graph::EdgeIndex row_end = offsets[j + 1];
-      for (graph::EdgeIndex e = offsets[j]; e < row_end; ++e) {
-        if (e + kPrefetchDistance < row_end) {
-          util::prefetch_read(
-              scaled + static_cast<std::size_t>(neighbors[e + kPrefetchDistance]) * stride);
-        }
-        const float* src = scaled + static_cast<std::size_t>(neighbors[e]) * stride;
-        for (std::size_t b = 0; b < B; ++b) acc[b] += static_cast<double>(src[b]);
-      }
-      const float* cur_j = cur + static_cast<std::size_t>(j) * stride;
-      float* next_j = next + static_cast<std::size_t>(j) * stride;
-      if (pi != nullptr) {
-        const double p = pi[j];
-        for (std::size_t b = 0; b < B; ++b) {
-          const double v =
-              walk_weight * acc[b] + laziness * static_cast<double>(cur_j[b]);
-          next_j[b] = static_cast<float>(v);
-          neumaier_add(sum[b], comp[b],
-                       std::fabs(static_cast<double>(next_j[b]) - p));
-        }
-      } else {
-        for (std::size_t b = 0; b < B; ++b) {
-          const double v =
-              walk_weight * acc[b] + laziness * static_cast<double>(cur_j[b]);
-          next_j[b] = static_cast<float>(v);
-        }
-      }
-    }
-    done = r.end;
-  }
-  if (pi != nullptr) {
-    for (graph::NodeId j = done; j < n; ++j) {
-      const double p = pi[j];
-      for (std::size_t b = 0; b < B; ++b) neumaier_add(sum[b], comp[b], p);
-    }
-    for (std::size_t b = 0; b < B; ++b) tvd_out[b] = 0.5 * (sum[b] + comp[b]);
-  }
-}
-
-// Runtime-width mixed fallback; same operation order as mixed_sweep_fixed.
-void mixed_sweep_generic(std::span<const graph::RowRange> ranges, graph::NodeId n,
-                         const graph::EdgeIndex* offsets, const graph::NodeId* neighbors,
-                         const float* scaled, const float* cur, float* next,
-                         std::size_t stride, std::size_t lanes, double walk_weight,
-                         double laziness, const double* pi, double* tvd_out) {
-  std::array<double, kMaxLanes> acc{};
-  std::array<double, kMaxLanes> sum{};
-  std::array<double, kMaxLanes> comp{};
+void sweep_mixed(const SpmmArgs& a, std::span<const graph::RowRange> ranges,
+                 const float* scaled, const float* cur, float* next) {
+  const std::size_t lanes = B != 0 ? B : a.lanes;
+  const std::size_t stride = a.stride;
+  const graph::EdgeIndex* offsets = a.offsets;
+  const graph::NodeId* neighbors = a.neighbors;
+  const double walk_weight = a.walk_weight;
+  const double laziness = a.laziness;
+  const double* pi = a.pi;
+  std::array<double, kLaneCap<B>> acc{};
+  std::array<double, kLaneCap<B>> sum{};
+  std::array<double, kLaneCap<B>> comp{};
   graph::NodeId done = 0;
   for (const graph::RowRange r : ranges) {
     if (pi != nullptr) {
@@ -353,97 +200,27 @@ void mixed_sweep_generic(std::span<const graph::RowRange> ranges, graph::NodeId 
     done = r.end;
   }
   if (pi != nullptr) {
-    for (graph::NodeId j = done; j < n; ++j) {
+    for (graph::NodeId j = done; j < a.n; ++j) {
       const double p = pi[j];
       for (std::size_t b = 0; b < lanes; ++b) neumaier_add(sum[b], comp[b], p);
     }
-    for (std::size_t b = 0; b < lanes; ++b) tvd_out[b] = 0.5 * (sum[b] + comp[b]);
+    for (std::size_t b = 0; b < lanes; ++b) a.tvd_out[b] = 0.5 * (sum[b] + comp[b]);
   }
 }
 
 }  // namespace
 
 void spmm_f64(const SpmmArgs& a, const double* scaled, const double* cur, double* next) {
-  if (a.ranges != nullptr) {
-    const std::span<const graph::RowRange> ranges{a.ranges, a.num_ranges};
-    switch (a.lanes) {
-      case 4:
-        frontier_sweep_fixed<4>(ranges, a.n, a.offsets, a.neighbors, scaled, cur, next,
-                                a.stride, a.walk_weight, a.laziness, a.pi, a.tvd_out);
-        break;
-      case 8:
-        frontier_sweep_fixed<8>(ranges, a.n, a.offsets, a.neighbors, scaled, cur, next,
-                                a.stride, a.walk_weight, a.laziness, a.pi, a.tvd_out);
-        break;
-      case 16:
-        frontier_sweep_fixed<16>(ranges, a.n, a.offsets, a.neighbors, scaled, cur, next,
-                                 a.stride, a.walk_weight, a.laziness, a.pi, a.tvd_out);
-        break;
-      case 32:
-        frontier_sweep_fixed<32>(ranges, a.n, a.offsets, a.neighbors, scaled, cur, next,
-                                 a.stride, a.walk_weight, a.laziness, a.pi, a.tvd_out);
-        break;
-      default:
-        frontier_sweep_generic(ranges, a.n, a.offsets, a.neighbors, scaled, cur, next,
-                               a.stride, a.lanes, a.walk_weight, a.laziness, a.pi,
-                               a.tvd_out);
-        break;
-    }
-    return;
-  }
-  switch (a.lanes) {
-    case 4:
-      sweep_fixed<4>(a.n, a.offsets, a.neighbors, scaled, cur, next, a.stride,
-                     a.walk_weight, a.laziness, a.pi, a.tvd_out);
-      break;
-    case 8:
-      sweep_fixed<8>(a.n, a.offsets, a.neighbors, scaled, cur, next, a.stride,
-                     a.walk_weight, a.laziness, a.pi, a.tvd_out);
-      break;
-    case 16:
-      sweep_fixed<16>(a.n, a.offsets, a.neighbors, scaled, cur, next, a.stride,
-                      a.walk_weight, a.laziness, a.pi, a.tvd_out);
-      break;
-    case 32:
-      sweep_fixed<32>(a.n, a.offsets, a.neighbors, scaled, cur, next, a.stride,
-                      a.walk_weight, a.laziness, a.pi, a.tvd_out);
-      break;
-    default:
-      sweep_generic(a.n, a.offsets, a.neighbors, scaled, cur, next, a.stride, a.lanes,
-                    a.walk_weight, a.laziness, a.pi, a.tvd_out);
-      break;
-  }
+  const graph::RowRange full{0, a.n};
+  const auto ranges = sweep_ranges(a, full);
+  with_lanes(a.lanes, [&]<std::size_t B>() { sweep_f64<B>(a, ranges, scaled, cur, next); });
 }
 
 void spmm_mixed(const SpmmArgs& a, const float* scaled, const float* cur, float* next) {
-  // The dense sweep is the frontier driver with one full-span range — the
-  // per-lane operation sequence is identical either way.
   const graph::RowRange full{0, a.n};
-  const std::span<const graph::RowRange> ranges =
-      a.ranges != nullptr ? std::span<const graph::RowRange>{a.ranges, a.num_ranges}
-                          : std::span<const graph::RowRange>{&full, 1};
-  switch (a.lanes) {
-    case 4:
-      mixed_sweep_fixed<4>(ranges, a.n, a.offsets, a.neighbors, scaled, cur, next,
-                           a.stride, a.walk_weight, a.laziness, a.pi, a.tvd_out);
-      break;
-    case 8:
-      mixed_sweep_fixed<8>(ranges, a.n, a.offsets, a.neighbors, scaled, cur, next,
-                           a.stride, a.walk_weight, a.laziness, a.pi, a.tvd_out);
-      break;
-    case 16:
-      mixed_sweep_fixed<16>(ranges, a.n, a.offsets, a.neighbors, scaled, cur, next,
-                            a.stride, a.walk_weight, a.laziness, a.pi, a.tvd_out);
-      break;
-    case 32:
-      mixed_sweep_fixed<32>(ranges, a.n, a.offsets, a.neighbors, scaled, cur, next,
-                            a.stride, a.walk_weight, a.laziness, a.pi, a.tvd_out);
-      break;
-    default:
-      mixed_sweep_generic(ranges, a.n, a.offsets, a.neighbors, scaled, cur, next,
-                          a.stride, a.lanes, a.walk_weight, a.laziness, a.pi, a.tvd_out);
-      break;
-  }
+  const auto ranges = sweep_ranges(a, full);
+  with_lanes(a.lanes,
+             [&]<std::size_t B>() { sweep_mixed<B>(a, ranges, scaled, cur, next); });
 }
 
 void spmv(const SpmvArgs& a, graph::NodeId row_begin, graph::NodeId row_end) {

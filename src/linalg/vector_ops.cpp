@@ -48,8 +48,4 @@ void randomize_unit(std::span<double> x, util::Rng& rng) {
   }
 }
 
-void orthogonalize_against(std::span<double> x, std::span<const double> q) noexcept {
-  axpy(-dot(q, x), q, x);
-}
-
 }  // namespace socmix::linalg

@@ -41,8 +41,4 @@ double normalize2(std::span<double> x) noexcept;
 /// Fills x with unit-norm uniform random entries in [-1, 1).
 void randomize_unit(std::span<double> x, util::Rng& rng);
 
-/// Removes the component of x along the (unit-norm) direction q:
-/// x -= (q . x) q. Used for deflation and reorthogonalization.
-void orthogonalize_against(std::span<double> x, std::span<const double> q) noexcept;
-
 }  // namespace socmix::linalg

@@ -129,14 +129,9 @@ AdmissionEngine::AdmissionEngine(const graph::Graph& g,
                                  std::span<const std::size_t> route_lengths)
     : routes_(g, config.seed),
       config_(config),
+      instances_(config.instances(g)),
       lengths_(normalize_lengths(route_lengths)),
       directory_(lengths_.size()) {
-  if (config.instances_override != 0) {
-    instances_ = config.instances_override;
-  } else {
-    const double m = static_cast<double>(g.num_edges());
-    instances_ = static_cast<std::uint32_t>(std::max(1.0, std::ceil(config.r0 * std::sqrt(m))));
-  }
   graph_fingerprint_ = graph::structural_fingerprint(g);
   recompute_epoch();
 }
@@ -194,8 +189,11 @@ std::uint64_t AdmissionEngine::hops_to(graph::NodeId start, std::size_t length) 
 
 void AdmissionEngine::registration_tails_multi(
     graph::NodeId suspect, std::vector<std::vector<DirectedEdge>>& out) const {
-  routes_.route_tails_multi(instances_, suspect, lengths_, out,
-                            config_.frontier.enabled());
+  out.assign(lengths_.size(), {});
+  routes_.for_each_tail(instances_, suspect, lengths_, config_.frontier.enabled(),
+                        [&](std::size_t k, std::uint32_t, DirectedEdge tail) {
+                          out[k].push_back(tail);
+                        });
 }
 
 void AdmissionEngine::build_verifier(CachedVerifier& v, graph::NodeId node) {

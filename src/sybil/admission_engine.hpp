@@ -11,7 +11,7 @@
 //     the length-w tail is hop w of the *same* route, so a sweep over
 //     lengths {w_1 < ... < w_k} needs one walk to w_k per (node,
 //     instance), recording a checkpoint at every requested length
-//     (RouteTable::route_tails_multi) — O(w_max) route hops instead of
+//     (RouteTable::for_each_tail) — O(w_max) route hops instead of
 //     O(sum of w_i).
 //
 //  2. Cached verifier state. A verifier's tails depend only on (graph
@@ -39,7 +39,7 @@
 // can never serve queries. Block checkpoints written by admission_sweep
 // fold kAdmissionEngineVersion into their context word, so sweep
 // snapshots from the pre-engine code (whose per-length protocol seeds
-// differ — see AdmissionEngineConfig::seed) are classified stale and
+// differ — see ProtocolParams::seed) are classified stale and
 // recomputed rather than replayed.
 #pragma once
 
@@ -60,19 +60,10 @@ namespace socmix::sybil {
 /// BlockCheckpoint context word so foreign-version snapshots are stale.
 inline constexpr std::uint64_t kAdmissionEngineVersion = 1;
 
-struct AdmissionEngineConfig {
-  /// Pending-route multiplier r0 in r = ceil(r0 * sqrt(m)).
-  double r0 = 4.0;
-  /// Explicit instance count; 0 = derive from r0.
-  std::uint32_t instances_override = 0;
-  /// Balance condition multiplier h.
-  double balance_factor = 4.0;
-  /// One protocol seed shared by every route length the engine serves —
-  /// the invariant incremental tail extension rests on (length-w tails
-  /// are prefixes of the length-w_max walk only under one seed).
-  std::uint64_t seed = 0x51b1111317ULL;
+struct AdmissionEngineConfig : ProtocolParams {
   /// Hop-major route walking (t-hop-ball working set) when enabled, the
-  /// per-instance route-major order otherwise. Tails identical either way.
+  /// per-instance route-major order otherwise. Tails identical either way;
+  /// the policy's threshold is irrelevant here, only enabled()/off counts.
   graph::FrontierPolicy frontier;
 };
 

@@ -1,5 +1,7 @@
 #include "sybil/routes.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "sybil/permutation.hpp"
@@ -12,6 +14,12 @@ std::uint64_t undirected_key(DirectedEdge e) noexcept {
   auto b = e.to;
   if (a > b) std::swap(a, b);
   return (static_cast<std::uint64_t>(a) << 32) | b;
+}
+
+std::uint32_t ProtocolParams::instances(const graph::Graph& g) const {
+  if (instances_override != 0) return instances_override;
+  const double m = static_cast<double>(g.num_edges());
+  return static_cast<std::uint32_t>(std::max(1.0, std::ceil(r0 * std::sqrt(m))));
 }
 
 RouteTable::RouteTable(const graph::Graph& g, std::uint64_t protocol_seed)
@@ -75,29 +83,6 @@ std::optional<DirectedEdge> RouteTable::route_tail(std::uint32_t instance,
     e = hop(instance, e);
   }
   return DirectedEdge{from, neighbors[e]};
-}
-
-void RouteTable::route_tails(std::uint32_t instances, graph::NodeId start,
-                             std::size_t length, std::vector<DirectedEdge>& out) const {
-  std::vector<std::vector<DirectedEdge>> multi;
-  const std::size_t lengths[] = {length};
-  route_tails_multi(instances, start, lengths, multi);
-  out = std::move(multi.front());
-}
-
-void RouteTable::route_tails_multi(std::uint32_t instances, graph::NodeId start,
-                                   std::span<const std::size_t> lengths,
-                                   std::vector<std::vector<DirectedEdge>>& out,
-                                   bool hop_major) const {
-  out.assign(lengths.size(), {});
-  if (instances == 0 || graph_->degree(start) == 0) return;
-  for (std::size_t k = 0; k < lengths.size(); ++k) {
-    if (lengths[k] != 0) out[k].resize(instances);
-  }
-  for_each_tail(instances, start, lengths, hop_major,
-                [&](std::size_t k, std::uint32_t i, DirectedEdge tail) {
-                  out[k][i] = tail;
-                });
 }
 
 std::vector<graph::NodeId> RouteTable::route_vertices(std::uint32_t instance,

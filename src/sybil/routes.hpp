@@ -40,6 +40,27 @@ struct DirectedEdge {
 /// Canonical undirected edge key for tail intersection (order-free).
 [[nodiscard]] std::uint64_t undirected_key(DirectedEdge e) noexcept;
 
+/// The SybilLimit protocol parameters every entry point shares (the
+/// protocol reference SybilLimit, the AdmissionEngine and the Fig.-8
+/// sweep); the route length w is per entry point.
+struct ProtocolParams {
+  /// Pending-route multiplier r0 in r = ceil(r0 * sqrt(m)).
+  double r0 = 4.0;
+  /// Explicit instance count; 0 = derive from r0.
+  std::uint32_t instances_override = 0;
+  /// Balance condition multiplier (h in the SybilLimit paper, typically 4).
+  double balance_factor = 4.0;
+  /// Protocol seed: fixes all route permutations. One seed serves every
+  /// route length — the invariant incremental tail extension rests on
+  /// (length-w tails are prefixes of the length-w_max walk only under one
+  /// seed).
+  std::uint64_t seed = 0x51b1111317ULL;
+
+  /// Protocol instances r on `g`: instances_override when set, else
+  /// max(1, ceil(r0 * sqrt(m))) — chosen by the birthday paradox.
+  [[nodiscard]] std::uint32_t instances(const graph::Graph& g) const;
+};
+
 /// Evaluates the per-(node, instance) routing permutations of a graph.
 /// Permutations are realized through keyed PRPs (O(1) memory per
 /// evaluation); the only per-graph state is the reverse-edge table.
@@ -75,42 +96,26 @@ class RouteTable {
                                                        graph::NodeId start,
                                                        std::size_t length) const;
 
-  /// Walks instances 0..instances-1 from `start` hop-major: all routes
-  /// advance one hop before any advances the next, so the per-hop working
-  /// set stays inside the start's t-hop ball — the same frontier locality
-  /// the evolution engine exploits, and a large win when r ~ sqrt(m)
-  /// routes share the short SybilLimit length. `out` receives exactly the
-  /// tails route_tail would return in instance order (a pure reordering of
-  /// the identical permutation evaluations); empty when length == 0 or
-  /// start is isolated, matching route_tail's nullopt in every instance.
-  void route_tails(std::uint32_t instances, graph::NodeId start, std::size_t length,
-                   std::vector<DirectedEdge>& out) const;
-
-  /// Incremental tail extension: the length-w tail is hop w of the same
-  /// deterministic route, so one walk to lengths.back() yields the tails
-  /// at *every* requested length on the way. `lengths` must be strictly
-  /// ascending; zero lengths are allowed as a leading entry and get an
-  /// empty tail set (route_tail's nullopt). `out[k][i]` is bitwise equal
-  /// to *route_tail(i, start, lengths[k]); every out[k] is empty when
-  /// start is isolated. Cost is O(instances * lengths.back()) hops — a
-  /// route-length sweep pays for its longest point only, instead of the
-  /// O(sum of lengths) a per-length rewalk costs.
+  /// Every batched walk: instances 0..instances-1 from `start`, each
+  /// handing its tail at every requested length to `visit(k, i, tail)` as
+  /// it is reached. Incremental tail extension: the length-w tail is hop w
+  /// of the same deterministic route, so one walk to lengths.back() yields
+  /// the tails at *every* requested length on the way, and `tail` is
+  /// bitwise equal to *route_tail(i, start, lengths[k]). `lengths` must be
+  /// strictly ascending; zero lengths are allowed as a leading entry and
+  /// visit nothing (route_tail's nullopt). Cost is O(instances *
+  /// lengths.back()) hops — a route-length sweep pays for its longest
+  /// point only, instead of the O(sum of lengths) a per-length rewalk
+  /// costs.
   ///
-  /// `hop_major` selects the walk order (the generalization of
-  /// route_tails vs the per-instance route_tail loop); the tails are
-  /// identical either way — hop-major keeps the working set inside the
-  /// start's t-hop ball, route-major streams one route at a time.
-  void route_tails_multi(std::uint32_t instances, graph::NodeId start,
-                         std::span<const std::size_t> lengths,
-                         std::vector<std::vector<DirectedEdge>>& out,
-                         bool hop_major = true) const;
-
-  /// The walk behind route_tails_multi, handing each tail to
-  /// `visit(k, i, tail)` as it is reached instead of storing it — a
-  /// caller that only inspects tails needs no r x |lengths| buffer.
-  /// Hop-major visits length by length, route-major instance by instance;
-  /// either way the instances of one length arrive in ascending order.
-  /// Visits nothing for an isolated start, zero instances or zero lengths.
+  /// `hop_major` selects the walk order; the tails are identical either
+  /// way. Hop-major advances all routes one hop before any advances the
+  /// next, so the per-hop working set stays inside the start's t-hop ball
+  /// (the frontier locality of the evolution engine), and visits length by
+  /// length; route-major streams one route at a time and visits instance
+  /// by instance. Either way the instances of one length arrive in
+  /// ascending order. Visits nothing for an isolated start, zero instances
+  /// or zero lengths.
   template <typename Visit>
   void for_each_tail(std::uint32_t instances, graph::NodeId start,
                      std::span<const std::size_t> lengths, bool hop_major,

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 
+#include "graph/frontier.hpp"
+#include "graph/reorder.hpp"
 #include "markov/mixing_time.hpp"
 #include "obs/obs.hpp"
 #include "resilience/fault.hpp"
@@ -13,26 +15,14 @@
 namespace socmix::sybil {
 
 SybilLimit::SybilLimit(const graph::Graph& g, const SybilLimitParams& params)
-    : routes_(g, params.seed), params_(params) {
-  if (params.instances_override != 0) {
-    instances_ = params.instances_override;
-  } else {
-    const double m = static_cast<double>(g.num_edges());
-    instances_ = static_cast<std::uint32_t>(std::max(1.0, std::ceil(params.r0 * std::sqrt(m))));
-  }
-}
+    : routes_(g, params.seed), params_(params), instances_(params.instances(g)) {}
 
 std::vector<DirectedEdge> SybilLimit::registration_tails(graph::NodeId node) const {
   std::vector<DirectedEdge> tails;
-  if (params_.frontier.enabled()) {
-    // Hop-major batch walk: identical tails, t-hop-ball working set.
-    routes_.route_tails(instances_, node, params_.route_length, tails);
-  } else {
-    tails.reserve(instances_);
-    for (std::uint32_t i = 0; i < instances_; ++i) {
-      if (const auto tail = routes_.route_tail(i, node, params_.route_length)) {
-        tails.push_back(*tail);
-      }
+  tails.reserve(instances_);
+  for (std::uint32_t i = 0; i < instances_; ++i) {
+    if (const auto tail = routes_.route_tail(i, node, params_.route_length)) {
+      tails.push_back(*tail);
     }
   }
   SOCMIX_COUNTER_ADD("sybil.routes_walked", instances_);
@@ -112,32 +102,25 @@ std::uint64_t admission_sweep_fingerprint(const graph::Graph& g,
   h = util::hash_combine(h, std::bit_cast<std::uint64_t>(config.r0));
   h = util::hash_combine(h, std::bit_cast<std::uint64_t>(config.balance_factor));
   h = util::hash_combine(h, config.seed);
-  return util::hash_combine(h, static_cast<std::uint64_t>(config.reorder));
+  // Only a set override joins, so default-config hashes are unchanged.
+  if (config.instances_override != 0) h = util::hash_combine(h, config.instances_override);
+  // The word the removed ordering knob folded at its default, kept so
+  // snapshots written before the removal still restore.
+  return util::hash_combine(h, static_cast<std::uint64_t>(graph::ReorderMode::kNone));
 }
 
 std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
                                             const AdmissionSweepConfig& config) {
   SOCMIX_TRACE_SPAN("sybil.admission_sweep");
-  // Fail closed before the fingerprint or a reordering reads adjacency.
+  // Fail closed before the fingerprint or the sampling reads adjacency.
   RouteTable::require_adjacency(g);
   util::Rng rng{config.seed};
-
-  // Sample suspects/verifiers on the *original* graph (so the sampled id
-  // sets are ordering-independent), then relabel the graph for route-walk
-  // locality and map the samples in. Fractions are aggregates — nothing to
-  // map back out.
-  std::vector<graph::NodeId> suspects =
+  const std::vector<graph::NodeId> suspects =
       config.suspect_sample == 0
           ? markov::all_sources(g)
           : markov::pick_sources(g, config.suspect_sample, rng);
-  std::vector<graph::NodeId> verifiers =
+  const std::vector<graph::NodeId> verifiers =
       markov::pick_sources(g, std::max<std::size_t>(1, config.verifier_sample), rng);
-  const graph::ReorderedGraph reordered = graph::reorder_graph(g, config.reorder);
-  const graph::Graph& active = reordered.active(g);
-  if (!reordered.identity()) {
-    for (graph::NodeId& s : suspects) s = reordered.to_new(s);
-    for (graph::NodeId& v : verifiers) v = reordered.to_new(v);
-  }
 
   // Route-length points are independent (per-length admission state over
   // one shared protocol seed), so each one is a checkpoint block holding
@@ -146,25 +129,15 @@ std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
   if (checkpoint_options.enabled() && checkpoint_options.name.empty()) {
     checkpoint_options.name = "sybil-admission";
   }
-  // Shard geometry: purely a residency knob here (routes address the CSR
-  // randomly), but the context-staleness rule matches the walk
-  // measurements — non-trivial geometry folds its word, dense folds
-  // nothing so pre-shard snapshots stay compatible.
-  const std::uint32_t resolved_shards = graph::resolve_shard_count(
-      config.sharded, active.memory_bytes(), active.num_nodes());
-  const graph::sharded::MappedGraph* mapped =
-      reordered.identity() ? config.mapped : nullptr;
-  SOCMIX_GAUGE_SET("sybil.shard.count", resolved_shards);
   // The engine version joins the context word: pre-engine snapshots were
   // measured under per-length protocol seeds, so replaying them against
   // the shared-seed engine would silently mix distributions — classify
-  // them stale and recompute instead.
+  // them stale and recompute instead. The leading word is the removed
+  // ordering knob's default, kept so older snapshots still restore.
   std::uint64_t context =
-      util::hash_combine(static_cast<std::uint64_t>(config.reorder),
+      util::hash_combine(static_cast<std::uint64_t>(graph::ReorderMode::kNone),
                          graph::frontier_context_word(config.frontier));
   context = util::hash_combine(context, kAdmissionEngineVersion);
-  const std::uint64_t shard_word = graph::shard_context_word(resolved_shards);
-  if (shard_word != 0) context = util::hash_combine(context, shard_word);
   resilience::BlockCheckpoint checkpoint{checkpoint_options,
                                          admission_sweep_fingerprint(g, config),
                                          config.route_lengths.size(), context};
@@ -187,17 +160,9 @@ std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
   std::vector<double> fractions;
   AdmissionEngineStats stats;
   if (!pending_lengths.empty()) {
-    AdmissionEngineConfig engine_config;
-    engine_config.r0 = config.r0;
-    engine_config.balance_factor = config.balance_factor;
-    engine_config.seed = config.seed;
-    engine_config.frontier = config.frontier;
-    AdmissionEngine engine{active, engine_config, config.route_lengths};
+    AdmissionEngine engine{g, config, config.route_lengths};
     fractions = engine.sweep_fractions(verifiers, suspects, pending_lengths);
     stats = engine.stats();
-    // Out-of-core: drop the container pages the walks touched before
-    // returning (the engine's reverse-edge table goes with the engine).
-    if (mapped != nullptr && resolved_shards > 1) mapped->release_all();
   }
   if (config.engine_stats != nullptr) *config.engine_stats = stats;
 

@@ -21,42 +21,19 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
-#include "graph/reorder.hpp"
-#include "graph/sharded/mapped_graph.hpp"
-#include "graph/sharded/plan.hpp"
 #include "resilience/checkpoint.hpp"
+#include "sybil/admission_engine.hpp"
 #include "sybil/routes.hpp"
 
 namespace socmix::sybil {
 
-struct AdmissionEngineStats;  // admission_engine.hpp
-
-struct SybilLimitParams {
+struct SybilLimitParams : ProtocolParams {
   /// Route length w (the knob the paper sweeps in Fig. 8).
   std::size_t route_length = 10;
-  /// Pending-route multiplier r0 in r = ceil(r0 * sqrt(m)).
-  double r0 = 4.0;
-  /// Explicit instance count; 0 = derive from r0.
-  std::uint32_t instances_override = 0;
-  /// Balance condition multiplier (h in the SybilLimit paper, typically 4).
-  double balance_factor = 4.0;
-  /// Protocol seed: fixes all route permutations.
-  std::uint64_t seed = 0x51b1111317ULL;
-  /// When enabled (the default), the r routes of one node are walked
-  /// hop-major (RouteTable::route_tails): the per-hop working set is the
-  /// node's t-hop ball — the frontier-locality idea of the evolution
-  /// engine applied to routes. The tails are identical either way (pure
-  /// reordering of the same permutation evaluations); the policy's
-  /// threshold is irrelevant here, only enabled()/off is consulted.
-  graph::FrontierPolicy frontier;
 };
 
 /// Per-verifier protocol state over one honest social graph.
@@ -118,52 +95,27 @@ struct AdmissionPoint {
   double admitted_fraction = 0.0;
 };
 
-struct AdmissionSweepConfig {
+/// The Fig.-8 sweep: the engine's protocol parameters and walk order,
+/// plus the grid, the samples and crash tolerance.
+struct AdmissionSweepConfig : AdmissionEngineConfig {
+  /// `seed` is the sampling seed *and* the one protocol seed shared by
+  /// every route length (see ProtocolParams::seed); the sweep defaults it
+  /// to the IMC'10 conference date. (The pre-engine sweep derived a
+  /// per-length seed; kAdmissionEngineVersion in the checkpoint context
+  /// marks those snapshots stale.)
+  AdmissionSweepConfig() { seed = 20101101; }
+
   std::vector<std::size_t> route_lengths;
   /// Suspects sampled per point (0 = every vertex).
   std::size_t suspect_sample = 300;
   /// Verifiers averaged per point.
   std::size_t verifier_sample = 3;
-  double r0 = 4.0;
-  double balance_factor = 4.0;
-  /// Sampling seed *and* the one protocol seed shared by every route
-  /// length — the AdmissionEngine's incremental tail extension rests on
-  /// the length-w tail being hop w of the same route, which holds only
-  /// under a single seed. (The pre-engine sweep derived a per-length seed;
-  /// kAdmissionEngineVersion in the checkpoint context marks those
-  /// snapshots stale.)
-  std::uint64_t seed = 20101101;  // IMC'10 conference date
   /// Crash tolerance (dir empty = off): each route-length point is one
   /// checkpoint block, so an interrupted sweep resumes by skipping the
   /// points already measured — bit-identical, since points only depend on
-  /// (graph, config, w).
+  /// (graph, config, w). The walk order (`frontier`) is folded into the
+  /// context so snapshots never mix modes.
   resilience::CheckpointOptions checkpoint;
-  /// Vertex ordering the sweep computes under. The graph is relabeled
-  /// internally and suspect/verifier ids mapped in; reported fractions are
-  /// aggregates, so no output mapping is needed. NOTE: unlike the walk
-  /// measurements, SybilLimit's random routes are keyed on vertex *labels*
-  /// (per-node pseudorandom permutations), so admitted fractions under a
-  /// non-identity ordering are statistically equivalent but not numerically
-  /// identical to kNone. The mode is part of the sweep fingerprint and the
-  /// checkpoint context, so snapshots never mix orderings.
-  graph::ReorderMode reorder = graph::ReorderMode::kNone;
-  /// Hop-major route walking (see SybilLimitParams::frontier). Results are
-  /// identical on or off; folded into the checkpoint context so snapshots
-  /// never mix modes.
-  graph::FrontierPolicy frontier;
-  /// Shard policy (--sharded). Random routes address the CSR randomly, so
-  /// there is no windowed sweep here; the resolved geometry is reported
-  /// (sybil.shard.count), folded into the checkpoint context when
-  /// non-trivial (matching the walk measurements' staleness rule), and —
-  /// with a mapped container — drives a residency release once the sweep
-  /// is done. The footprint during the sweep is not just the touched
-  /// container pages: the route table's reverse-edge table is resident
-  /// on the heap throughout, 4 B per half-edge (the size of the neighbor
-  /// array). Admitted fractions are identical for every shard count.
-  graph::ShardPolicy sharded;
-  /// The mmap-backed container `g` was borrowed from (or null); see
-  /// `sharded`. Ignored under a non-identity reordering.
-  const graph::sharded::MappedGraph* mapped = nullptr;
   /// When non-null, receives the engine's cumulative statistics for the
   /// sweep (route hops walked/saved, verifier-cache traffic, precompute vs
   /// query seconds) so drivers can report phase splits. Zeroed when every

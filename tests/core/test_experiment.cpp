@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/components.hpp"
@@ -66,6 +67,27 @@ TEST(ExperimentConfig, MalformedKnobThrowsNamingTheFlag) {
     try {
       (void)ExperimentConfig::from_cli(make_cli({flag, "bogus"}));
       ADD_FAILURE() << flag << " bogus was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(flag), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(RouteFrontierFromCli, TakesOnlyTheFrontier) {
+  EXPECT_EQ(route_frontier_from_cli(make_cli({})).mode,
+            graph::FrontierPolicy::Mode::kAuto);
+  EXPECT_EQ(route_frontier_from_cli(make_cli({"--frontier", "off"})).mode,
+            graph::FrontierPolicy::Mode::kOff);
+  EXPECT_THROW((void)route_frontier_from_cli(make_cli({"--frontier", "bogus"})),
+               std::invalid_argument);
+  // The evolver knobs change no admission work: any value, even a valid
+  // default, is refused by name.
+  for (const auto& [flag, value] :
+       {std::pair{"--reorder", "rcm"}, std::pair{"--sharded", "4"},
+        std::pair{"--precision", "mixed"}, std::pair{"--io-mode", "sync"}}) {
+    try {
+      (void)route_frontier_from_cli(make_cli({flag, value}));
+      ADD_FAILURE() << flag << " " << value << " was accepted";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string{e.what()}.find(flag), std::string::npos) << e.what();
     }

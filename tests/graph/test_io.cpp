@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+
+#include "graph/sharded/format.hpp"
+#include "graph/sharded/mapped_graph.hpp"
+#include "graph/sharded/plan.hpp"
 
 namespace socmix::graph {
 namespace {
@@ -71,41 +76,6 @@ TEST(EdgeListIo, TextRoundTrip) {
   ASSERT_EQ(reloaded.graph.num_edges(), g.num_edges());
 }
 
-TEST(BinaryIo, RoundTripPreservesStructure) {
-  EdgeList edges;
-  for (NodeId v = 0; v < 50; ++v) edges.add(v, (v + 1) % 50);
-  edges.add(0, 25);
-  const Graph g = Graph::from_edges(std::move(edges));
-
-  std::stringstream buffer;
-  save_binary(g, buffer);
-  const Graph h = load_binary(buffer);
-  ASSERT_EQ(h.num_nodes(), g.num_nodes());
-  ASSERT_EQ(h.num_edges(), g.num_edges());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto a = g.neighbors(v);
-    const auto b = h.neighbors(v);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  }
-}
-
-TEST(BinaryIo, RejectsBadMagic) {
-  std::istringstream in{"NOPE-not-a-socmix-file"};
-  EXPECT_THROW(load_binary(in), std::runtime_error);
-}
-
-TEST(BinaryIo, RejectsTruncatedStream) {
-  EdgeList edges;
-  edges.add(0, 1);
-  const Graph g = Graph::from_edges(std::move(edges));
-  std::stringstream buffer;
-  save_binary(g, buffer);
-  const std::string full = buffer.str();
-  std::istringstream truncated{full.substr(0, full.size() / 2)};
-  EXPECT_THROW(load_binary(truncated), std::runtime_error);
-}
-
 TEST(LoadEdgeList, LenientModeSkipsAndCountsGarbageLines) {
   std::istringstream in{
       "0 1\n"
@@ -138,58 +108,22 @@ TEST(LoadEdgeList, LenientModeStillRejectsAllGarbageInput) {
   EXPECT_THROW(load_edge_list(in, options), std::runtime_error);
 }
 
-TEST(BinaryIo, RejectsImplausibleHeaderWithoutAllocating) {
-  // "SMX1" + offsets count claiming ~2^60 entries: must throw a parse
-  // error immediately, not attempt an exabyte allocation.
-  std::string frame{"SMX1"};
-  for (int field = 0; field < 2; ++field) {
-    for (int i = 0; i < 8; ++i) frame.push_back(static_cast<char>(0x11));
-  }
-  std::istringstream in{frame};
-  EXPECT_THROW(load_binary(in), std::runtime_error);
-}
-
-TEST(BinaryIo, RejectsNonMonotoneOffsets) {
-  EdgeList edges;
-  edges.add(0, 1);
-  edges.add(1, 2);
-  const Graph g = Graph::from_edges(std::move(edges));
-  std::stringstream buffer;
-  save_binary(g, buffer);
-  std::string frame = buffer.str();
-  // Offsets start at byte 20 (magic 4 + two u64 sizes); bump offsets[1]
-  // past offsets[2] while leaving the endpoints intact.
-  frame[28] = 9;
-  std::istringstream in{frame};
-  EXPECT_THROW(load_binary(in), std::runtime_error);
-}
-
-TEST(BinaryIo, RejectsOutOfRangeNeighborIds) {
-  EdgeList edges;
-  edges.add(0, 1);
-  const Graph g = Graph::from_edges(std::move(edges));
-  std::stringstream buffer;
-  save_binary(g, buffer);
-  std::string frame = buffer.str();
-  frame[frame.size() - 1] = 0x7f;  // high byte of the last neighbor id
-  std::istringstream in{frame};
-  EXPECT_THROW(load_binary(in), std::runtime_error);
-}
-
 TEST(FileIo, MissingFileThrows) {
   EXPECT_THROW(load_edge_list_file("/nonexistent/file.txt"), std::runtime_error);
-  EXPECT_THROW(load_binary_file("/nonexistent/file.bin"), std::runtime_error);
 }
 
 TEST(FileIo, BinaryFileRoundTrip) {
+  // The binary container is .smxg: a written file maps back to the graph.
   EdgeList edges;
   edges.add(0, 1);
   edges.add(1, 2);
   const Graph g = Graph::from_edges(std::move(edges));
-  const std::string path = testing::TempDir() + "/socmix_io_test.bin";
-  save_binary_file(g, path);
-  const Graph h = load_binary_file(path);
-  EXPECT_EQ(h.num_edges(), 2u);
+  const std::string path = testing::TempDir() + "/socmix_io_test.smxg";
+  sharded::write_smxg_file(path, g, ShardPlan::balanced(g.offsets(), 1));
+  {
+    const sharded::MappedGraph mapped{path};
+    EXPECT_EQ(mapped.view().num_edges(), 2u);
+  }
   std::remove(path.c_str());
 }
 

@@ -80,22 +80,5 @@ TEST(RandomizeUnit, ProducesUnitVector) {
   EXPECT_NEAR(norm2(x), 1.0, 1e-12);
 }
 
-TEST(OrthogonalizeAgainst, RemovesComponent) {
-  util::Rng rng{2};
-  Vec q(50);
-  randomize_unit(q, rng);
-  Vec x(50);
-  randomize_unit(x, rng);
-  orthogonalize_against(x, q);
-  EXPECT_NEAR(dot(x, q), 0.0, 1e-12);
-}
-
-TEST(OrthogonalizeAgainst, ParallelVectorVanishes) {
-  Vec q{1, 0, 0};
-  Vec x{5, 0, 0};
-  orthogonalize_against(x, q);
-  EXPECT_NEAR(norm2(x), 0.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace socmix::linalg

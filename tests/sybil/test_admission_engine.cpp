@@ -1,8 +1,8 @@
 // The admission engine's contract:
 //
-//  * incremental multi-length tails (route_tails_multi) are byte-identical
-//    to per-length route_tail recomputation, on every Table-1 generator
-//    config, in both walk orders;
+//  * incremental multi-length tails (RouteTable::for_each_tail) are
+//    byte-identical to per-length route_tail recomputation, on every
+//    Table-1 generator config, in both walk orders;
 //  * engine sweep fractions equal the pre-engine protocol loop (a fresh
 //    Verifier per (verifier, length), suspects admitted in order) exactly,
 //    at serial and contended thread counts, frontier on and off;
@@ -16,11 +16,13 @@
 //  * a headless (compressed-pack) view is refused by name, not walked;
 //  * sweep snapshots written without the engine-version context word (the
 //    pre-engine layout, measured under per-length seeds) are classified
-//    stale and recomputed, never replayed.
+//    stale and recomputed, never replayed — while snapshots in the layout
+//    from before the sweep's ordering/shard knobs were removed restore.
 #include "sybil/admission_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -65,38 +67,53 @@ TEST(AdmissionEngineParity, MultiLengthTailsByteIdenticalOnEveryTable1Config) {
   for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
     const graph::Graph g = gen::build_dataset(spec, kNodes, 11);
     const RouteTable routes{g, kSeed};
-    std::vector<std::vector<DirectedEdge>> multi;
     for (const bool hop_major : {true, false}) {
       for (const graph::NodeId start : spread_nodes(g, 5)) {
-        routes.route_tails_multi(kInstances, start, lengths, multi, hop_major);
-        ASSERT_EQ(multi.size(), lengths.size());
-        for (std::size_t k = 0; k < lengths.size(); ++k) {
-          ASSERT_EQ(multi[k].size(), kInstances)
-              << spec.name << " start=" << start << " w=" << lengths[k];
-          for (std::uint32_t i = 0; i < kInstances; ++i) {
-            const auto tail = routes.route_tail(i, start, lengths[k]);
-            ASSERT_TRUE(tail.has_value());
-            EXPECT_EQ(multi[k][i], *tail) << spec.name << " hop_major=" << hop_major
-                                          << " start=" << start << " w=" << lengths[k]
-                                          << " i=" << i;
-          }
-        }
+        std::size_t visits = 0;
+        routes.for_each_tail(
+            kInstances, start, lengths, hop_major,
+            [&](std::size_t k, std::uint32_t i, DirectedEdge tail) {
+              ++visits;
+              const auto expected = routes.route_tail(i, start, lengths[k]);
+              ASSERT_TRUE(expected.has_value());
+              EXPECT_EQ(tail, *expected) << spec.name << " hop_major=" << hop_major
+                                         << " start=" << start << " w=" << lengths[k]
+                                         << " i=" << i;
+            });
+        EXPECT_EQ(visits, lengths.size() * kInstances) << spec.name << " start=" << start;
       }
     }
   }
 }
 
 TEST(AdmissionEngineParity, ZeroAndLeadingLengthsMatchRouteTailSemantics) {
+  // A leading zero length has no tail (route_tail's nullopt), in the walk
+  // and in the engine's per-length registration buffers.
   const graph::Graph g =
       gen::build_dataset(*gen::find_dataset("Physics 1"), kNodes, 11);
   const RouteTable routes{g, kSeed};
   const std::vector<std::size_t> lengths{0, 1, 4};
+  for (const bool hop_major : {true, false}) {
+    std::vector<std::size_t> visits(lengths.size(), 0);
+    routes.for_each_tail(8, 3, lengths, hop_major,
+                         [&](std::size_t k, std::uint32_t, DirectedEdge) { ++visits[k]; });
+    EXPECT_EQ(visits, (std::vector<std::size_t>{0, 8, 8})) << "hop_major=" << hop_major;
+  }
+
+  AdmissionEngineConfig config;
+  config.instances_override = 8;
+  config.seed = kSeed;
+  const AdmissionEngine engine{g, config, lengths};
   std::vector<std::vector<DirectedEdge>> multi;
-  routes.route_tails_multi(8, 3, lengths, multi);
+  engine.registration_tails_multi(3, multi);
   ASSERT_EQ(multi.size(), 3u);
-  EXPECT_TRUE(multi[0].empty());  // route_tail(w=0) is nullopt
-  EXPECT_EQ(multi[1].size(), 8u);
-  EXPECT_EQ(multi[2].size(), 8u);
+  EXPECT_TRUE(multi[0].empty());
+  ASSERT_EQ(multi[1].size(), 8u);
+  ASSERT_EQ(multi[2].size(), 8u);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(multi[1][i], *routes.route_tail(i, 3, 1)) << i;
+    EXPECT_EQ(multi[2][i], *routes.route_tail(i, 3, 4)) << i;
+  }
 }
 
 /// The pre-engine sweep interior at one route length: a fresh Verifier per
@@ -327,7 +344,6 @@ TEST(AdmissionEngine, HeadlessPackFailsClosed) {
     AdmissionSweepConfig sweep;
     sweep.route_lengths = lengths;
     sweep.suspect_sample = 10;
-    sweep.mapped = &mapped;
     expect_named([&] { (void)admission_sweep(view, sweep); });
   }
   fs::remove(path);
@@ -380,7 +396,7 @@ TEST(AdmissionEngine, PreEngineContextSnapshotClassifiesStale) {
     options.name = "sybil-admission";
     options.interval = 1;
     const std::uint64_t old_context =
-        util::hash_combine(static_cast<std::uint64_t>(config.reorder),
+        util::hash_combine(static_cast<std::uint64_t>(graph::ReorderMode::kNone),
                            graph::frontier_context_word(config.frontier));
     resilience::BlockCheckpoint stale{options, admission_sweep_fingerprint(g, config),
                                       config.route_lengths.size(), old_context};
@@ -409,6 +425,59 @@ TEST(AdmissionEngine, PreEngineContextSnapshotClassifiesStale) {
   for (std::size_t i = 0; i < baseline.size(); ++i) {
     EXPECT_EQ(resumed[i].admitted_fraction, baseline[i].admitted_fraction) << i;
     EXPECT_NE(resumed[i].admitted_fraction, 0.123) << i;
+  }
+  fs::remove_all(dir);
+}
+
+TEST(AdmissionEngine, SnapshotInThePreviousKnobLayoutRestores) {
+  // Before the sweep's ordering/shard knobs were removed, its fingerprint
+  // and context word folded the ordering mode (kNone by default) and no
+  // shard word on a small graph. A default sweep must replay such a
+  // snapshot, not classify it stale.
+  const graph::Graph g =
+      gen::build_dataset(*gen::find_dataset("Physics 1"), kNodes, 9);
+  AdmissionSweepConfig config;
+  config.route_lengths = {2, 3, 4};
+  config.suspect_sample = 20;
+  config.verifier_sample = 2;
+  std::uint64_t fingerprint = graph::structural_fingerprint(g);
+  fingerprint = util::hash_combine(fingerprint, config.route_lengths.size());
+  for (const std::size_t w : config.route_lengths) {
+    fingerprint = util::hash_combine(fingerprint, w);
+  }
+  fingerprint = util::hash_combine(fingerprint, config.suspect_sample);
+  fingerprint = util::hash_combine(fingerprint, config.verifier_sample);
+  fingerprint = util::hash_combine(fingerprint, std::bit_cast<std::uint64_t>(config.r0));
+  fingerprint =
+      util::hash_combine(fingerprint, std::bit_cast<std::uint64_t>(config.balance_factor));
+  fingerprint = util::hash_combine(fingerprint, config.seed);
+  fingerprint = util::hash_combine(
+      fingerprint, static_cast<std::uint64_t>(graph::ReorderMode::kNone));
+  ASSERT_EQ(admission_sweep_fingerprint(g, config), fingerprint);
+
+  const fs::path dir = fs::path{testing::TempDir()} / "admission_previous_layout_test";
+  fs::remove_all(dir);
+  const std::vector<double> recorded{0.125, 0.25, 0.375};  // not a real sweep's
+  {
+    resilience::CheckpointOptions options;
+    options.dir = dir.string();
+    options.name = "sybil-admission";
+    options.interval = 1;
+    std::uint64_t context =
+        util::hash_combine(static_cast<std::uint64_t>(graph::ReorderMode::kNone),
+                           graph::frontier_context_word(config.frontier));
+    context = util::hash_combine(context, kAdmissionEngineVersion);
+    resilience::BlockCheckpoint previous{options, fingerprint,
+                                         config.route_lengths.size(), context};
+    for (std::size_t i = 0; i < recorded.size(); ++i) previous.record(i, {recorded[i]});
+    previous.finalize();
+  }
+  config.checkpoint.dir = dir.string();
+  config.checkpoint.interval = 1;
+  const auto resumed = admission_sweep(g, config);
+  ASSERT_EQ(resumed.size(), recorded.size());
+  for (std::size_t i = 0; i < recorded.size(); ++i) {
+    EXPECT_EQ(resumed[i].admitted_fraction, recorded[i]) << i;
   }
   fs::remove_all(dir);
 }

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -44,6 +45,23 @@ DirectedEdge reference_tail(const RouteTable& routes, std::uint32_t instance,
                             graph::NodeId start, std::size_t length) {
   const auto walk = reference_route(routes, instance, start, length);
   return {walk[walk.size() - 2], walk.back()};
+}
+
+/// for_each_tail's visits gathered per length: out[k][i] is instance i's
+/// tail at lengths[k]. Checks the contract that the instances of one
+/// length arrive in ascending order.
+std::vector<std::vector<DirectedEdge>> batched_tails(const RouteTable& routes,
+                                                     std::uint32_t instances,
+                                                     graph::NodeId start,
+                                                     std::span<const std::size_t> lengths,
+                                                     bool hop_major) {
+  std::vector<std::vector<DirectedEdge>> out(lengths.size());
+  routes.for_each_tail(instances, start, lengths, hop_major,
+                       [&](std::size_t k, std::uint32_t i, DirectedEdge tail) {
+                         EXPECT_EQ(i, out[k].size()) << "instance order at k=" << k;
+                         out[k].push_back(tail);
+                       });
+  return out;
 }
 
 TEST(UndirectedKey, OrderFree) {
@@ -117,24 +135,25 @@ TEST(RouteTable, ZeroLengthHasNoTail) {
 }
 
 TEST(RouteTable, BatchedTailsMatchPerInstanceTails) {
-  // The hop-major batch walk is a pure reordering of the per-instance
+  // Either batched walk order is a pure reordering of the per-instance
   // permutation evaluations, so every tail must be identical — including
   // on an irregular graph where routes wander far from the start.
   util::Rng rng{9};
   const auto g = graph::largest_component(gen::erdos_renyi_gnm(60, 180, rng)).graph;
   const RouteTable routes{g, 21};
-  std::vector<DirectedEdge> batched;
   for (const std::uint32_t instances : {1u, 7u, 32u}) {
     for (const std::size_t w : {1u, 2u, 10u, 25u}) {
+      const std::size_t lengths[] = {w};
       for (const graph::NodeId start : {graph::NodeId{0}, graph::NodeId{17}}) {
-        routes.route_tails(instances, start, w, batched);
-        ASSERT_EQ(batched.size(), instances)
-            << "r=" << instances << " w=" << w << " start=" << start;
-        for (std::uint32_t i = 0; i < instances; ++i) {
-          const auto tail = routes.route_tail(i, start, w);
-          ASSERT_TRUE(tail.has_value());
-          EXPECT_EQ(batched[i].from, tail->from) << "instance " << i;
-          EXPECT_EQ(batched[i].to, tail->to) << "instance " << i;
+        for (const bool hop_major : {true, false}) {
+          const auto batched = batched_tails(routes, instances, start, lengths, hop_major);
+          ASSERT_EQ(batched[0].size(), instances)
+              << "r=" << instances << " w=" << w << " start=" << start;
+          for (std::uint32_t i = 0; i < instances; ++i) {
+            const auto tail = routes.route_tail(i, start, w);
+            ASSERT_TRUE(tail.has_value());
+            EXPECT_EQ(batched[0][i], *tail) << "instance " << i << " hop_major=" << hop_major;
+          }
         }
       }
     }
@@ -144,18 +163,18 @@ TEST(RouteTable, BatchedTailsMatchPerInstanceTails) {
 TEST(RouteTable, BatchedTailsEmptyWhenNoRoute) {
   const auto g = gen::complete(5);
   const RouteTable routes{g, 1};
-  std::vector<DirectedEdge> tails{{1, 2}};  // must be cleared
-  routes.route_tails(4, 0, 0, tails);
-  EXPECT_TRUE(tails.empty());
-  routes.route_tails(0, 0, 3, tails);
-  EXPECT_TRUE(tails.empty());
+  const std::size_t zero[] = {0};
+  const std::size_t three[] = {3};
+  for (const bool hop_major : {true, false}) {
+    EXPECT_TRUE(batched_tails(routes, 4, 0, zero, hop_major)[0].empty());
+    EXPECT_TRUE(batched_tails(routes, 0, 0, three, hop_major)[0].empty());
+    EXPECT_TRUE(batched_tails(routes, 4, 0, {}, hop_major).empty());
+  }
 }
 
 TEST(RouteTable, EveryWalkerMatchesTheBinarySearchOracleOnEveryTable1Config) {
   const std::vector<std::size_t> lengths{1, 2, 5, 9, 16};
   constexpr std::uint32_t kInstances = 9;
-  std::vector<std::vector<DirectedEdge>> multi;
-  std::vector<DirectedEdge> batched;
   for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
     const graph::Graph g = gen::build_dataset(spec, 140, 13);
     const RouteTable routes{g, 0x0dac1e};
@@ -169,28 +188,12 @@ TEST(RouteTable, EveryWalkerMatchesTheBinarySearchOracleOnEveryTable1Config) {
               << spec.name << " start=" << start << " i=" << i << " w=" << w;
         }
       }
-      for (const std::size_t w : lengths) {
-        routes.route_tails(kInstances, start, w, batched);
-        ASSERT_EQ(batched.size(), kInstances);
-        for (std::uint32_t i = 0; i < kInstances; ++i) {
-          EXPECT_EQ(batched[i], reference_tail(routes, i, start, w))
-              << spec.name << " start=" << start << " i=" << i << " w=" << w;
-        }
-      }
       for (const bool hop_major : {true, false}) {
-        routes.route_tails_multi(kInstances, start, lengths, multi, hop_major);
-        ASSERT_EQ(multi.size(), lengths.size());
-        std::size_t visits = 0;
-        routes.for_each_tail(kInstances, start, lengths, hop_major,
-                             [&](std::size_t k, std::uint32_t i, DirectedEdge tail) {
-                               EXPECT_EQ(tail, multi[k][i]);
-                               ++visits;
-                             });
-        EXPECT_EQ(visits, lengths.size() * kInstances);
+        const auto batched = batched_tails(routes, kInstances, start, lengths, hop_major);
         for (std::size_t k = 0; k < lengths.size(); ++k) {
-          ASSERT_EQ(multi[k].size(), kInstances);
+          ASSERT_EQ(batched[k].size(), kInstances);
           for (std::uint32_t i = 0; i < kInstances; ++i) {
-            EXPECT_EQ(multi[k][i], reference_tail(routes, i, start, lengths[k]))
+            EXPECT_EQ(batched[k][i], reference_tail(routes, i, start, lengths[k]))
                 << spec.name << " hop_major=" << hop_major << " start=" << start
                 << " i=" << i << " w=" << lengths[k];
           }

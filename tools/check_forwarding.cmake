@@ -3,10 +3,16 @@
 # the sharded evolver at the requested shard count, not the dense default
 # the BENCH flags would otherwise misreport.
 #
+# The random-route drivers (socmix sybil and fig8) have no evolver: they
+# must refuse --reorder, --sharded, --precision and --io-mode by name
+# instead of parsing and ignoring them, and socmix sybil must refuse a
+# malformed --w list instead of skipping tokens.
+#
 # Driven by the driver_forwarding_e2e ctest (see tools/CMakeLists.txt):
-#   cmake -DFIG5_BIN=... -DOUT_DIR=... -P check_forwarding.cmake
-if(NOT DEFINED FIG5_BIN OR NOT DEFINED OUT_DIR)
-  message(FATAL_ERROR "usage: cmake -DFIG5_BIN=<fig5_bound_vs_sampled> -DOUT_DIR=<dir> -P check_forwarding.cmake")
+#   cmake -DFIG5_BIN=... -DFIG8_BIN=... -DSOCMIX_BIN=... -DOUT_DIR=... -P check_forwarding.cmake
+if(NOT DEFINED FIG5_BIN OR NOT DEFINED FIG8_BIN OR NOT DEFINED SOCMIX_BIN
+   OR NOT DEFINED OUT_DIR)
+  message(FATAL_ERROR "usage: cmake -DFIG5_BIN=<fig5_bound_vs_sampled> -DFIG8_BIN=<fig8_sybillimit_admission> -DSOCMIX_BIN=<socmix> -DOUT_DIR=<dir> -P check_forwarding.cmake")
 endif()
 
 file(MAKE_DIRECTORY "${OUT_DIR}")
@@ -47,4 +53,47 @@ foreach(bench_file IN LISTS bench_files)
   endif()
 endforeach()
 
-message(STATUS "driver forwarding e2e: fig5 ran with the requested shard geometry")
+# Runs one command that must exit nonzero with `needle` on stderr.
+function(expect_refused label needle)
+  execute_process(
+    COMMAND ${ARGN}
+    WORKING_DIRECTORY "${OUT_DIR}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE run_stdout
+    ERROR_VARIABLE run_stderr)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "${label} was accepted (exit 0):\n${run_stdout}")
+  endif()
+  string(FIND "${run_stderr}" "${needle}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${label} failed without naming '${needle}' (${rc}):\n${run_stderr}")
+  endif()
+endfunction()
+
+set(sybil_input --dataset "Physics 1" --nodes 300 --suspects 20 --verifiers 1)
+foreach(knob "reorder;rcm" "sharded;4" "precision;mixed" "io-mode;prefetch")
+  list(GET knob 0 flag)
+  list(GET knob 1 value)
+  expect_refused("socmix sybil --${flag} ${value}" "--${flag}"
+                 "${SOCMIX_BIN}" sybil ${sybil_input} --w 2 --${flag} ${value})
+  expect_refused("fig8 --${flag} ${value}" "--${flag}"
+                 "${FIG8_BIN}" --scale 0.05 --suspects 10 --${flag} ${value})
+endforeach()
+expect_refused("socmix sybil --w 2,x,8" "--w: 'x'"
+               "${SOCMIX_BIN}" sybil ${sybil_input} --w 2,x,8)
+expect_refused("socmix sybil --w x" "--w: 'x'"
+               "${SOCMIX_BIN}" sybil ${sybil_input} --w x)
+
+# The one knob they do take still runs.
+execute_process(
+  COMMAND "${SOCMIX_BIN}" sybil ${sybil_input} --w 2,4 --frontier off
+  WORKING_DIRECTORY "${OUT_DIR}"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE run_stdout
+  ERROR_VARIABLE run_stderr)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "socmix sybil --frontier off failed (${rc}):\n${run_stderr}")
+endif()
+
+message(STATUS "driver forwarding e2e: fig5 ran with the requested shard geometry; "
+               "sybil and fig8 refused the knobs they cannot use")

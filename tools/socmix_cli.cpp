@@ -75,6 +75,7 @@ int usage() {
       "  convert --arcs FILE --out FILE          directed -> undirected\n"
       "  sybil   [--w 2,4,8,16] [--suspects N] [--verifiers N]\n"
       "                                          epoch-cached admission engine sweep\n"
+      "                                          (of the perf knobs, only --frontier)\n"
       "  generate --dataset NAME [--nodes N] --out FILE\n",
       stderr);
   return 2;
@@ -285,31 +286,36 @@ int cmd_convert(const util::Cli& cli) {
   return 0;
 }
 
-int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpoint) {
-  // A compressed container is headless: admission_sweep rejects it
-  // (RouteTable::require_adjacency) before any route is walked.
-  const ComponentInput input = load_component_input(cli);
+/// Parses --w as a comma-separated list of positive route lengths; throws
+/// naming --w and the offending token on anything else (an empty list is
+/// one empty token).
+std::vector<std::size_t> parse_route_lengths(const util::Cli& cli) {
+  // split() returns views: the flag string must outlive the loop.
+  const std::string flag = cli.get("w", "2,4,8,16,24,32");
+  std::vector<std::size_t> lengths;
+  for (const auto token : util::split(flag, ',')) {
+    const auto v = util::parse_i64(token);
+    if (!v || *v <= 0) {
+      throw std::invalid_argument{"--w: '" + std::string{token} +
+                                  "' is not a positive route length"};
+    }
+    lengths.push_back(static_cast<std::size_t>(*v));
+  }
+  return lengths;
+}
 
-  // Random routes have no evolver: precision and io-mode are parsed (a bad
-  // value still fails) but only the ordering, route walking and shard
-  // residency knobs reach the sweep.
-  const markov::EngineOptions engine = core::engine_options_from_cli(cli);
+int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpoint) {
+  // Every flag is checked before the input is loaded.
   sybil::AdmissionSweepConfig config;
   config.checkpoint = checkpoint;
-  config.reorder = engine.reorder;
-  config.frontier = engine.frontier;
-  config.sharded = engine.sharded;
-  config.mapped = input.mapped_ptr();
-  // split() returns views: the flag string must outlive the loop.
-  const std::string route_lengths = cli.get("w", "2,4,8,16,24,32");
-  for (const auto token : util::split(route_lengths, ',')) {
-    if (const auto v = util::parse_i64(token)) {
-      config.route_lengths.push_back(static_cast<std::size_t>(*v));
-    }
-  }
+  config.frontier = core::route_frontier_from_cli(cli);
+  config.route_lengths = parse_route_lengths(cli);
   config.suspect_sample = static_cast<std::size_t>(cli.get_i64("suspects", 200));
   config.verifier_sample = static_cast<std::size_t>(cli.get_i64("verifiers", 3));
   config.seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
+  // A compressed container is headless: admission_sweep rejects it
+  // (RouteTable::require_adjacency) before any route is walked.
+  const ComponentInput input = load_component_input(cli);
   sybil::AdmissionEngineStats engine_stats;
   config.engine_stats = &engine_stats;
 
