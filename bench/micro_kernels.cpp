@@ -265,15 +265,16 @@ void BM_TotalVariation(benchmark::State& state) {
 }
 BENCHMARK(BM_TotalVariation)->Arg(1000)->Arg(100000);
 
-// --------------------------------------------- simd tier/precision roofline --
+// ------------------------------------------------------- simd tier roofline --
 // Hand-rolled ablation (not google-benchmark) because it forces kernel
 // tiers via simd::set_tier and emits its own CSVs:
-//   bench_results/micro_simd.csv  per tier x precision throughput of the
-//                                 batched SpMM + fused-TVD sweep,
+//   bench_results/micro_simd.csv  per tier throughput of the batched
+//                                 SpMM + fused-TVD sweep,
 //   bench_results/e2e_simd.csv    end-to-end measure_sampled_mixing before
 //                                 (forced scalar) / after (dispatched).
 // Run with --simd-only for just this part (CI smoke), --quick for small
-// sizes, --precision f64|mixed|both to restrict the precision sweep.
+// sizes. Harness entries keep their "/f64" suffix so committed baselines
+// stay comparable.
 
 namespace simd = socmix::linalg::simd;
 
@@ -292,12 +293,10 @@ std::vector<simd::Tier> available_tiers() {
 /// seconds — the min sheds scheduler noise and is what the CSV speedup
 /// columns have always compared.
 double time_batched_sweeps(const graph::Graph& g, std::span<const double> pi,
-                           simd::Precision precision, std::size_t steps,
-                           const std::string& entry) {
+                           std::size_t steps, const std::string& entry) {
   constexpr std::size_t kLanes = 32;
   // Frontier off: the roofline measures the dense fused sweep itself.
-  markov::BatchedEvolver evolver{g, 0.0, kLanes, *graph::parse_frontier_policy("off"),
-                                 precision};
+  markov::BatchedEvolver evolver{g, 0.0, kLanes, *graph::parse_frontier_policy("off")};
   std::vector<graph::NodeId> sources(kLanes);
   for (std::size_t b = 0; b < kLanes; ++b) sources[b] = static_cast<graph::NodeId>(b);
   std::vector<double> tvd(kLanes);
@@ -319,88 +318,65 @@ double time_batched_sweeps(const graph::Graph& g, std::span<const double> pi,
 
 /// Roofline traffic model for one 32-lane fused sweep: per edge, a gather
 /// of the lane state block plus the streamed neighbor id; per row, the
-/// state read/write pair and the stationary mass. State bytes halve under
-/// --precision mixed — that is the entire point of the mode.
-double sweep_bytes(const graph::Graph& g, simd::Precision precision) {
+/// state read/write pair and the stationary mass.
+double sweep_bytes(const graph::Graph& g) {
   const double lanes = 32.0;
-  const double state = precision == simd::Precision::kMixed ? 4.0 : 8.0;
+  const double state = sizeof(double);
   const double m = static_cast<double>(g.num_half_edges());
   const double n = static_cast<double>(g.num_nodes());
   return m * (lanes * state + 4.0) + n * lanes * 2.0 * state + n * 8.0;
 }
 
-void run_simd_ablation(bool quick, bool run_f64, bool run_mixed) {
+void run_simd_ablation(bool quick) {
   util::set_thread_count(1);  // roofline per core; threading is measured above
   const auto n = static_cast<graph::NodeId>(quick ? 20000 : 200000);
   const std::size_t steps = quick ? 4 : 24;
   const auto g = make_ba(n);
   const auto pi = markov::stationary_distribution(g);
 
-  std::vector<simd::Precision> precisions;
-  if (run_f64) precisions.push_back(simd::Precision::kFloat64);
-  if (run_mixed) precisions.push_back(simd::Precision::kMixed);
-
   struct Row {
     simd::Tier tier;
-    simd::Precision precision;
     double seconds;
     double gb;
   };
   std::vector<Row> rows;
-  double scalar_f64_seconds = 0.0;
   for (const simd::Tier tier : available_tiers()) {
-    for (const simd::Precision precision : precisions) {
-      if (!simd::set_tier(tier)) continue;
-      const std::string entry = std::string{"spmm_tvd/"} + simd::tier_name(tier) + "/" +
-                                simd::precision_name(precision);
-      const double seconds = time_batched_sweeps(g, pi, precision, steps, entry);
-      simd::reset_tier();
-      const double gb = 1e-9 * sweep_bytes(g, precision) * static_cast<double>(steps);
-      if (tier == simd::Tier::kScalar && precision == simd::Precision::kFloat64) {
-        scalar_f64_seconds = seconds;
-      }
-      rows.push_back({tier, precision, seconds, gb});
-    }
+    if (!simd::set_tier(tier)) continue;
+    const std::string entry = std::string{"spmm_tvd/"} + simd::tier_name(tier) + "/f64";
+    const double seconds = time_batched_sweeps(g, pi, steps, entry);
+    simd::reset_tier();
+    rows.push_back({tier, seconds, 1e-9 * sweep_bytes(g) * static_cast<double>(steps)});
   }
 
   std::printf("\n== batched SpMM + fused TVD (n=%u, m=%llu, 32 lanes, %zu sweeps) ==\n",
               g.num_nodes(), static_cast<unsigned long long>(g.num_edges()), steps);
   const auto dir = util::bench_results_dir();
   util::CsvWriter csv{dir ? *dir + "/micro_simd.csv" : "/dev/null"};
-  csv.row({"kernel", "tier", "precision", "seconds", "gb_moved", "gb_per_s",
-           "speedup_vs_scalar_f64"});
-  // When --precision excludes f64 the scalar row of whatever ran first
-  // stands in as the speedup baseline.
-  const double baseline =
-      scalar_f64_seconds > 0.0 ? scalar_f64_seconds : rows.front().seconds;
+  csv.row({"kernel", "tier", "seconds", "gb_moved", "gb_per_s", "speedup_vs_scalar"});
+  // The scalar tier is always available, so it always runs first.
+  const double baseline = rows.front().seconds;
   for (const Row& row : rows) {
     const double speedup = baseline / row.seconds;
-    std::printf("  %-7s %-6s  %8.4f s  %6.2f GB/s  %5.2fx\n",
-                simd::tier_name(row.tier), simd::precision_name(row.precision),
+    std::printf("  %-7s  %8.4f s  %6.2f GB/s  %5.2fx\n", simd::tier_name(row.tier),
                 row.seconds, row.gb / row.seconds, speedup);
-    csv.row({"batched_spmm_tvd", simd::tier_name(row.tier),
-             simd::precision_name(row.precision), util::fmt_sci(row.seconds, 6),
+    csv.row({"batched_spmm_tvd", simd::tier_name(row.tier), util::fmt_sci(row.seconds, 6),
              util::fmt_fixed(row.gb, 4), util::fmt_fixed(row.gb / row.seconds, 3),
              util::fmt_fixed(speedup, 3)});
   }
 
-  // End-to-end: the sampled mixing measurement before this PR (forced
-  // scalar tier, f64) vs the dispatched best tier, f64 and mixed.
+  // End-to-end: the sampled mixing measurement on the forced scalar tier
+  // vs the dispatched best tier.
   const std::size_t e2e_steps = quick ? 4 : 16;
   std::vector<graph::NodeId> sources(32);
   for (std::size_t s = 0; s < 32; ++s) sources[s] = static_cast<graph::NodeId>(s);
   // Each config runs process_repeats() times through the harness (entry
-  // "e2e/<config>/<precision>"); the table and CSV keep reporting the min.
-  const auto time_e2e = [&](const char* config, simd::Precision precision) {
-    markov::SampledMixingOptions options;
-    options.max_steps = e2e_steps;
-    options.precision = precision;
-    const std::string entry =
-        std::string{"e2e/"} + config + "/" + simd::precision_name(precision);
+  // "e2e/<config>/f64"); the table and CSV keep reporting the min.
+  const auto time_e2e = [&](const char* config) {
+    const std::string entry = std::string{"e2e/"} + config + "/f64";
     double best_s = 1e300;
     for (std::size_t rep = 0; rep < bench::Harness::process_repeats(5); ++rep) {
       best_s = std::min(best_s, bench::Harness::process().time_once(entry, [&] {
-        benchmark::DoNotOptimize(markov::measure_sampled_mixing(g, sources, options));
+        benchmark::DoNotOptimize(markov::measure_sampled_mixing(g, sources, e2e_steps));
       }));
     }
     return best_s;
@@ -408,26 +384,23 @@ void run_simd_ablation(bool quick, bool run_f64, bool run_mixed) {
   struct E2eRow {
     const char* config;
     const char* tier;
-    const char* precision;
     double seconds;
   };
   std::vector<E2eRow> e2e;
   simd::set_tier(simd::Tier::kScalar);
-  e2e.push_back({"before", "scalar", "f64", time_e2e("before", simd::Precision::kFloat64)});
+  e2e.push_back({"before", "scalar", time_e2e("before")});
   simd::reset_tier();
-  const char* best = simd::tier_name(simd::active_tier());
-  e2e.push_back({"after", best, "f64", time_e2e("after", simd::Precision::kFloat64)});
-  e2e.push_back({"after", best, "mixed", time_e2e("after", simd::Precision::kMixed)});
+  e2e.push_back({"after", simd::tier_name(simd::active_tier()), time_e2e("after")});
 
   std::printf("== end-to-end measure_sampled_mixing (32 sources x %zu steps) ==\n",
               e2e_steps);
   util::CsvWriter e2e_csv{dir ? *dir + "/e2e_simd.csv" : "/dev/null"};
-  e2e_csv.row({"config", "tier", "precision", "seconds", "speedup_vs_before"});
+  e2e_csv.row({"config", "tier", "seconds", "speedup_vs_before"});
   for (const E2eRow& row : e2e) {
     const double speedup = e2e.front().seconds / row.seconds;
-    std::printf("  %-6s %-7s %-6s  %8.4f s  %5.2fx\n", row.config, row.tier,
-                row.precision, row.seconds, speedup);
-    e2e_csv.row({row.config, row.tier, row.precision, util::fmt_sci(row.seconds, 6),
+    std::printf("  %-6s %-7s  %8.4f s  %5.2fx\n", row.config, row.tier, row.seconds,
+                speedup);
+    e2e_csv.row({row.config, row.tier, util::fmt_sci(row.seconds, 6),
                  util::fmt_fixed(speedup, 3)});
   }
   util::set_thread_count(0);
@@ -554,8 +527,6 @@ int main(int argc, char** argv) {
   bool quick = false;
   bool simd_only = false;
   bool obs_overhead = false;
-  bool run_f64 = true;
-  bool run_mixed = true;
   std::vector<char*> passthrough;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
@@ -564,22 +535,6 @@ int main(int argc, char** argv) {
       simd_only = true;
     } else if (std::strcmp(argv[i], "--obs-overhead") == 0) {
       obs_overhead = true;
-    } else if (std::strncmp(argv[i], "--precision", 11) == 0) {
-      std::string value;
-      if (argv[i][11] == '=') {
-        value = argv[i] + 12;
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      }
-      if (value == "f64" || value == "float64" || value == "double") {
-        run_mixed = false;
-      } else if (value == "mixed") {
-        run_f64 = false;
-      } else if (value != "both") {
-        std::fprintf(stderr, "--precision %s: expected f64, mixed, or both\n",
-                     value.c_str());
-        return 2;
-      }
     } else {
       passthrough.push_back(argv[i]);
     }
@@ -590,8 +545,6 @@ int main(int argc, char** argv) {
   // never clobbers the gate-able kernel baseline.
   bench::Harness::configure_process(obs_overhead ? "micro_kernels_obs" : "micro_kernels");
   bench::Harness::process().set_flag("quick", quick ? "true" : "false");
-  bench::Harness::process().set_flag(
-      "precision", run_f64 && run_mixed ? "both" : (run_f64 ? "f64" : "mixed"));
   bench::apply_metrics_provenance();
 
   int bench_argc = static_cast<int>(passthrough.size());
@@ -606,7 +559,7 @@ int main(int argc, char** argv) {
   if (obs_overhead) {
     run_obs_overhead(quick);
   } else {
-    run_simd_ablation(quick, run_f64, run_mixed);
+    run_simd_ablation(quick);
   }
 
   // The overhead mode exercises only one kernel; don't let its sparse

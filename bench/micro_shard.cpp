@@ -14,26 +14,22 @@
 //                  (mmap + madvise windowing): adds the paging cost the
 //                  out-of-core path pays when the CSR streams from disk.
 //
-// A second, cold section measures the PR-9 pipeline claim. Each round
-// evicts the container's pages (posix_fadvise DONTNEED — real on the
+// A second, cold section measures the shard pipeline out of core. Each
+// round evicts the container's pages (posix_fadvise DONTNEED — real on the
 // ext4-backed runners; filesystems that ignore the advice only make
 // "cold" read warm, never wrong) and maps it fresh, so every sweep pays
-// actual I/O, then times the 16-shard sweep through the io-mode ×
-// adjacency matrix:
+// actual I/O, then times the 16-shard sweep over both adjacency
+// encodings. The pipeline stages windows on its worker thread on any
+// multi-core host (inline on one core):
 //
-//   * s16-cold          — sync, raw ADJ4: the pre-pipeline out-of-core
-//                         behavior, the cold baseline;
-//   * s16-cold-prefetch — the worker thread faults shard k+1 in behind
-//                         shard k's compute;
-//   * s16-adjc-cold     — sync over the compressed container: half the
-//                         bytes off disk, decode inline on the compute
-//                         thread;
-//   * s16-adjc-prefetch — prefetch + compressed, the full pipeline: the
-//                         acceptance target is >= 1.3x over s16-cold.
+//   * s16-cold      — raw ADJ4: the worker faults shard k+1 in behind
+//                     shard k's compute; the cold baseline;
+//   * s16-adjc-cold — the compressed container: half the bytes off disk,
+//                     decoded one shard ahead.
 //
 // Cold rows report the speedup over s16-cold in the ratio column and the
-// prefetch variants' accumulated markov.shard.prefetch_stall_seconds —
-// the direct evidence of how much I/O the compute failed to hide.
+// accumulated markov.shard.prefetch_stall_seconds — the direct evidence
+// of how much I/O the compute failed to hide.
 //
 // Alongside the slowdown it records the boundary half-edge fraction (the
 // cross-shard gather traffic of the plan) and the sweep throughput in
@@ -51,8 +47,8 @@
 // --quick shrinks everything for CI smoke coverage. Every timed run also
 // reports through the process bench::Harness, so the run additionally
 // emits bench_results/BENCH_micro-shard.json (entries
-// sweep/<dataset>/{dense,s4,s16,s16-mapped,s16-cold,s16-cold-prefetch,
-// s16-adjc-cold,s16-adjc-prefetch}, one repeat per round) — the committed
+// sweep/<dataset>/{dense,s4,s16,s16-mapped,s16-cold,s16-adjc-cold}, one
+// repeat per round) — the committed
 // bench_results/baseline/BENCH_micro-shard.json and the CI
 // `bench_compare --require` gate key on these entry names.
 #include <fcntl.h>
@@ -75,7 +71,6 @@
 #include "graph/sharded/format.hpp"
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
-#include "linalg/shard_pipeline.hpp"
 #include "markov/batched_evolver.hpp"
 #include "markov/stationary.hpp"
 #include "obs/obs.hpp"
@@ -112,7 +107,7 @@ struct Row {
   double shard_seconds = 0.0;
   double slowdown = 0.0;       // median paired dense/sharded ratio (<= 1 is cost)
   double medge_per_s = 0.0;    // sharded sweep throughput, 1e6 half-edges/s
-  double stall_seconds = 0.0;  // prefetch stall total across rounds (cold rows)
+  double stall_seconds = 0.0;  // pipeline stall total across rounds (cold rows)
 };
 
 double median(std::vector<double> v) {
@@ -148,12 +143,8 @@ PairTiming time_shard_pair(const graph::Graph& g, const graph::Graph& view,
     });
   };
   const auto run_sharded = [&] {
-    markov::BatchedEvolver evolver{view,
-                                   0.0,
-                                   markov::BatchedEvolver::kDefaultBlock,
-                                   {},
-                                   linalg::simd::Precision::kFloat64,
-                                   {plan, mapped}};
+    markov::BatchedEvolver evolver{
+        view, 0.0, markov::BatchedEvolver::kDefaultBlock, {}, {plan, mapped}};
     evolver.seed_point_masses(sources);
     return bench::Harness::process().time_once(entry_prefix + "/" + variant, [&] {
       for (std::size_t t = 0; t < steps; ++t) evolver.step_with_tvd(pi, tvd);
@@ -221,7 +212,7 @@ struct ColdTiming {
 ColdTiming time_cold_variant(const graph::Graph& g, const std::string& pack,
                              std::span<const graph::NodeId> sources,
                              std::size_t steps, std::size_t rounds,
-                             const std::string& entry, linalg::IoMode io) {
+                             const std::string& entry) {
   const std::vector<double> pi = markov::stationary_distribution(g);
   std::vector<double> tvd(sources.size());
   ColdTiming out;
@@ -234,8 +225,7 @@ ColdTiming time_cold_variant(const graph::Graph& g, const std::string& pack,
         0.0,
         markov::BatchedEvolver::kDefaultBlock,
         graph::FrontierPolicy{.mode = graph::FrontierPolicy::Mode::kOff},
-        linalg::simd::Precision::kFloat64,
-        {mapped.pack_plan(), &mapped, io}};
+        {mapped.pack_plan(), &mapped}};
     evolver.seed_point_masses(sources);
     const double seconds = bench::Harness::process().time_once(entry, [&] {
       for (std::size_t t = 0; t < steps; ++t) evolver.step_with_tvd(pi, tvd);
@@ -337,50 +327,35 @@ int main(int argc, char** argv) {
                           static_cast<double>(steps) / t.shard_min / 1e6});
     }
 
-    // Cold pipeline matrix: the same 16-shard plan through raw and
-    // compressed containers, sync and prefetch, every round from an
-    // evicted page cache. s16-cold is the pre-pipeline baseline the
-    // >= 1.3x acceptance compares against. The cold sweeps use a narrow
-    // 8-lane block (the scale-smoke lane's --sources 8): bigger-than-RAM
-    // sweeps are I/O-bound by construction, and a full 32-lane block of
-    // compute at bench scale would bury the I/O being measured — wide
-    // blocks are the warm rows' job above.
+    // Cold pipeline rows: the same 16-shard plan through raw and
+    // compressed containers, every round from an evicted page cache.
+    // s16-cold is the baseline the ratio column compares against. The
+    // cold sweeps use a narrow 8-lane block (the scale-smoke lane's
+    // --sources 8): bigger-than-RAM sweeps are I/O-bound by construction,
+    // and a full 32-lane block of compute at bench scale would bury the
+    // I/O being measured — wide blocks are the warm rows' job above.
     const fs::path pack_adjc =
         fs::temp_directory_path() /
         ("micro_shard_" + util::slugify(spec.name) + "_adjc.smxg");
     graph::sharded::WriteOptions compress_options;
     compress_options.compress = true;
     graph::sharded::write_smxg_file(pack_adjc.string(), g, plan, compress_options);
-    struct ColdVariant {
-      const char* name;
-      bool compressed;
-      linalg::IoMode io;
-    };
-    const ColdVariant cold_variants[] = {
-        {"s16-cold", false, linalg::IoMode::kSync},
-        {"s16-cold-prefetch", false, linalg::IoMode::kPrefetch},
-        {"s16-adjc-cold", true, linalg::IoMode::kSync},
-        {"s16-adjc-prefetch", true, linalg::IoMode::kPrefetch},
-    };
     const std::vector<graph::NodeId> cold_sources = spread_sources(g, 8);
     const double boundary =
         static_cast<double>(graph::count_boundary_half_edges(g, plan)) /
         static_cast<double>(g.num_half_edges());
-    double cold_sync_min = 0.0;
-    for (const ColdVariant& variant : cold_variants) {
-      const std::string& cold_pack =
-          variant.compressed ? pack_adjc.string() : pack.string();
+    double cold_raw_min = 0.0;
+    for (const bool compressed : {false, true}) {
+      const char* variant = compressed ? "s16-adjc-cold" : "s16-cold";
+      const std::string cold_pack = compressed ? pack_adjc.string() : pack.string();
       const ColdTiming t = time_cold_variant(g, cold_pack, cold_sources, cold_steps,
-                                             rounds, prefix + "/" + variant.name,
-                                             variant.io);
-      if (variant.io == linalg::IoMode::kSync && !variant.compressed) {
-        cold_sync_min = t.min_seconds;
-      }
+                                             rounds, prefix + "/" + variant);
+      if (!compressed) cold_raw_min = t.min_seconds;
       // dense_seconds carries the s16-cold baseline here, so the ratio
-      // column reads as speedup over the pre-pipeline cold path.
-      rows.push_back({spec.name, class_name(spec.paper_mixing_class), variant.name,
-                      16, true, n, g.num_edges(), boundary, cold_sync_min,
-                      t.min_seconds, cold_sync_min / t.min_seconds,
+      // column reads as speedup over the raw cold path.
+      rows.push_back({spec.name, class_name(spec.paper_mixing_class), variant,
+                      16, true, n, g.num_edges(), boundary, cold_raw_min,
+                      t.min_seconds, cold_raw_min / t.min_seconds,
                       static_cast<double>(g.num_half_edges()) *
                           static_cast<double>(cold_steps) / t.min_seconds / 1e6,
                       t.stall_seconds});
@@ -390,7 +365,7 @@ int main(int argc, char** argv) {
   }
 
   // For warm rows "base s" is the paired dense sweep; for cold rows it is
-  // the s16-cold sync/raw sweep, so base/shard reads as pipeline speedup.
+  // the s16-cold raw sweep, so base/shard reads as the compression speedup.
   util::TextTable table;
   table.header({"dataset", "class", "variant", "boundary", "base s", "sharded s",
                 "base/shard", "Medge/s", "stall s"});

@@ -21,10 +21,10 @@ namespace socmix::core {
 ExperimentConfig ExperimentConfig::from_cli(const util::Cli& cli) {
   ExperimentConfig config;
   config.scale = cli.get_f64("scale", 1.0);
-  config.sources = static_cast<std::size_t>(cli.get_i64("sources", 0));
-  config.max_steps = static_cast<std::size_t>(cli.get_i64("steps", 0));
+  config.sources = cli.get_count("sources", 0);
+  config.max_steps = cli.get_count("steps", 0);
   config.seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
-  config.threads = static_cast<std::size_t>(cli.get_i64("threads", 0));
+  config.threads = cli.get_count("threads", 0);
   util::set_thread_count(config.threads);
   // Stamp the perf-relevant flags (engine_options_from_cli adds the knobs)
   // so any BENCH_*.json this driver emits records what it actually ran
@@ -70,17 +70,21 @@ graph::FrontierPolicy frontier_from_cli(const util::Cli& cli) {
 }  // namespace
 
 markov::EngineOptions engine_options_from_cli(const util::Cli& cli) {
+  if (cli.has("precision")) {
+    throw std::invalid_argument{"--precision: retired; both phases always run f64"};
+  }
+  if (cli.has("io-mode")) {
+    throw std::invalid_argument{
+        "--io-mode: retired; the shard pipeline stages windows on its own worker "
+        "whenever it has staging work"};
+  }
   markov::EngineOptions engine;
   engine.reorder = parse_knob(cli, "reorder", "none", graph::parse_reorder_mode,
                               "one of none, degree, rcm, bfs");
   engine.frontier = frontier_from_cli(cli);
-  engine.precision = parse_knob(cli, "precision", "f64", linalg::simd::parse_precision,
-                                "f64 or mixed");
   engine.sharded = parse_knob(cli, "sharded", "auto", graph::parse_shard_policy,
                               "auto, off, or a shard count in [1, " +
                                   std::to_string(graph::ShardPolicy::kMaxShards) + "]");
-  engine.io_mode = parse_knob(cli, "io-mode", "sync", linalg::parse_io_mode,
-                              "sync or prefetch");
   return engine;
 }
 

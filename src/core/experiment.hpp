@@ -53,12 +53,12 @@ struct ExperimentConfig {
   [[nodiscard]] MeasurementOptions measurement_options() const;
 };
 
-/// Parses the execution knobs --reorder (default none), --frontier (auto),
-/// --precision (f64), --sharded (auto) and --io-mode (sync), and stamps
-/// each on the process bench harness so any BENCH json records what the
-/// run actually used. Throws std::invalid_argument naming the flag, the
-/// bad value and the accepted ones. `mapped` is left null for callers that
-/// load a --pack container.
+/// Parses the execution knobs --reorder (default none), --frontier (auto)
+/// and --sharded (auto), and stamps each on the process bench harness so
+/// any BENCH json records what the run actually used. Throws
+/// std::invalid_argument naming the flag, the bad value and the accepted
+/// ones, and naming --precision or --io-mode when either retired knob is
+/// passed. `mapped` is left null for callers that load a --pack container.
 [[nodiscard]] markov::EngineOptions engine_options_from_cli(const util::Cli& cli);
 
 /// The one execution knob of the random-route drivers (socmix sybil,

@@ -64,6 +64,10 @@ struct MixingReport {
 
   // Sampled results (present when sampling ran).
   std::optional<markov::SampledMixing> sampled;
+  /// Sampled TVD points that contradict the theory (see
+  /// count_oracle_violations); mirrored into markov.sampled.oracle_violations.
+  /// Anything but 0 means µ was underestimated or the evolution is wrong.
+  std::uint64_t oracle_violations = 0;
 
   // Phase wall-clock seconds, mirrored into the obs gauges
   // core.phase.spectral_seconds / core.phase.sampled_seconds — the single
@@ -84,6 +88,22 @@ struct MixingReport {
     return bounds().upper(eps, nodes);
   }
 };
+
+/// Rounding slack of the TVD oracles below.
+inline constexpr double kOracleSlack = 1e-12;
+
+/// Checks the sampled trajectories in `report` (measured on `g` under
+/// `laziness`) against two theorems and returns how many points break
+/// them, each allowing kOracleSlack:
+///   * TVD never rises along a trajectory (P contracts TV distance and
+///     πP = π) — always checked;
+///   * TVD(t) <= ½·√((1−π(x))/π(x))·µ^t from source x, the ℓ² spectral
+///     bound for a reversible chain with SLEM µ (Levin–Peres–Wilmer
+///     Ch. 12), with µ the walk's own (lazy) SLEM — checked when the
+///     spectral phase ran.
+[[nodiscard]] std::uint64_t count_oracle_violations(const graph::Graph& g,
+                                                    const MixingReport& report,
+                                                    double laziness);
 
 /// Measures `g` (assumed connected — run graph::largest_component first if
 /// unsure; throws on isolated vertices).

@@ -23,25 +23,10 @@ namespace adjc = graph::sharded::adjc;
 
 }  // namespace
 
-const char* io_mode_name(IoMode mode) noexcept {
-  switch (mode) {
-    case IoMode::kSync:
-      return "sync";
-    case IoMode::kPrefetch:
-      return "prefetch";
-  }
-  return "unknown";
-}
-
-std::optional<IoMode> parse_io_mode(std::string_view name) noexcept {
-  if (name.empty() || name == "sync") return IoMode::kSync;
-  if (name == "prefetch") return IoMode::kPrefetch;
-  return std::nullopt;
-}
-
 ShardPipeline::ShardPipeline(const graph::Graph& g, graph::ShardPlan plan,
-                             const graph::sharded::MappedGraph* mapped, IoMode mode)
-    : graph_(&g), mapped_(mapped), plan_(std::move(plan)), mode_(mode) {
+                             const graph::sharded::MappedGraph* mapped,
+                             unsigned hardware_threads)
+    : graph_(&g), mapped_(mapped), plan_(std::move(plan)) {
   compressed_ = g.headless();
   if (compressed_ && (mapped_ == nullptr || !mapped_->compressed())) {
     throw std::invalid_argument{
@@ -81,8 +66,8 @@ ShardPipeline::ShardPipeline(const graph::Graph& g, graph::ShardPlan plan,
   // and so does a single-hardware-thread host — there the "worker" could
   // only time-slice against compute, turning overlap into pure context-
   // switch overhead (kernel readahead still overlaps the device side).
-  threaded_ = mode_ == IoMode::kPrefetch && (mapped_ != nullptr || compressed_) &&
-              plan_.num_shards() > 0 && std::thread::hardware_concurrency() > 1;
+  threaded_ = (mapped_ != nullptr || compressed_) && plan_.num_shards() > 0 &&
+              hardware_threads > 1;
   if (threaded_) {
     request_ = 0;
     worker_ = std::thread{[this] { worker_main(); }};
@@ -284,7 +269,7 @@ ShardWindow ShardPipeline::acquire(std::uint32_t s) {
       SOCMIX_TIME_OBSERVE("markov.shard.prefetch_stall_seconds", stall_seconds);
     }
   } else {
-    // Synchronous staging, preserving the classic madvise cadence: advise
+    // Inline staging (no staging work, or one hardware thread): advise
     // this window on the first shard, advise one ahead, and let the
     // compute thread take the faults (and the decode, when compressed).
     if (mapped_ != nullptr) {

@@ -1,25 +1,26 @@
 // Double-buffered shard window pipeline: hide I/O behind compute.
 //
 // The walk engines (markov::BatchedEvolver, linalg::WalkOperator) sweep
-// a mapped CSR one contiguous shard at a time.
-// Before this pipeline existed they advised the next window and paged it
-// in synchronously — every cold page fault landed on the compute thread.
-// ShardPipeline moves the paging (and, for compressed containers, the
-// decoding) onto one dedicated worker thread with two window slots:
-// while compute sweeps shard k, the worker faults shard k+1's bytes in
-// (madvise(WILLNEED) + one touch per page) or decodes them into the
-// other scratch slot, and the window behind the sweep is released. The
-// sweep only ever blocks when the worker falls behind, and that stall is
-// measured: markov.shard.prefetch_stall_seconds / prefetch_stalls along
+// a CSR one contiguous shard at a time. Staging a shard's window — paging
+// a mapped container's bytes in (madvise(WILLNEED) + one touch per page)
+// or decoding a compressed one — runs on one dedicated worker thread with
+// two window slots: while compute sweeps shard k, the worker stages shard
+// k+1 into the other slot, and the window behind the sweep is released.
+// The sweep only ever blocks when the worker falls behind, and that stall
+// is measured: markov.shard.prefetch_stall_seconds / prefetch_stalls along
 // with the shard.prefetch_wait / shard.prefetch_fill trace spans are the
 // overlap evidence (DESIGN.md "Shard pipeline & compression").
 //
-// IoMode::kSync preserves the pre-pipeline behavior exactly — the same
-// madvise calls in the same order, decode (if any) inline on the compute
-// thread. Either mode, either adjacency representation, the window handed
-// to compute holds bit-identical neighbor ids in bit-identical order, so
-// io-mode and compression are pure I/O knobs: results never change by a
-// bit and neither is folded into the checkpoint context.
+// The pipeline chooses its staging from what it can observe, not from a
+// flag: it starts the worker whenever there is staging work (a mapping or
+// a decode) and the host has more than one hardware thread. Otherwise it
+// stages inline on the compute thread — advising each window one shard
+// ahead and decoding (if any) just before the shard computes — which is
+// the only discipline a one-core host can run. Either way, either
+// adjacency representation, the window handed to compute holds
+// bit-identical neighbor ids in bit-identical order, so staging and
+// compression never change a result bit and neither is folded into the
+// checkpoint context.
 //
 // Windows over a compressed (ADJC) container are decoded group-by-group
 // into per-slot scratch and returned with `local == true`: `offsets` is
@@ -35,8 +36,6 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
-#include <optional>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -47,14 +46,11 @@
 
 namespace socmix::linalg {
 
-/// How the sharded engines stage CSR windows (--io-mode sync|prefetch).
-enum class IoMode : std::uint8_t {
-  kSync = 0,      ///< advise ahead, fault on the compute thread (classic)
-  kPrefetch = 1,  ///< worker thread faults/decodes one shard ahead
-};
-
-[[nodiscard]] const char* io_mode_name(IoMode mode) noexcept;
-[[nodiscard]] std::optional<IoMode> parse_io_mode(std::string_view name) noexcept;
+/// The one value of a retired execution knob (--precision: the sampled
+/// phase always runs f64; --io-mode: the pipeline picks its own staging).
+/// It survives only as the type of fields and parameters perfbench/ still
+/// spells out; nothing reads it.
+struct RetiredKnob {};
 
 /// One shard's adjacency, ready for the kernels.
 ///
@@ -78,10 +74,13 @@ class ShardPipeline {
  public:
   /// `g` and `mapped` (nullable for in-memory graphs) must outlive the
   /// pipeline. A headless `g` (compressed container) requires `mapped`.
-  /// The worker thread starts — and shard 0's fill is posted — only for
-  /// kPrefetch with actual staging work (a mapping or a decode).
+  /// The worker thread starts — and shard 0's fill is posted — when there
+  /// is staging work (a mapping or a decode) and `hardware_threads` > 1.
+  /// `hardware_threads` is the host's; tests pass 1 to run the one-core
+  /// inline staging on any host.
   ShardPipeline(const graph::Graph& g, graph::ShardPlan plan,
-                const graph::sharded::MappedGraph* mapped, IoMode mode);
+                const graph::sharded::MappedGraph* mapped,
+                unsigned hardware_threads = std::thread::hardware_concurrency());
   ~ShardPipeline();
 
   ShardPipeline(const ShardPipeline&) = delete;
@@ -100,7 +99,6 @@ class ShardPipeline {
   /// sweep work (TVD reduction, prescale, Lanczos vector ops).
   void finish_sweep();
 
-  [[nodiscard]] IoMode mode() const noexcept { return mode_; }
   /// True when windows are decoded (compressed container): acquire
   /// returns local windows and the engine must use the rebased kernel
   /// call; also implies the frontier optimization is unavailable.
@@ -124,7 +122,6 @@ class ShardPipeline {
   const graph::Graph* graph_;
   const graph::sharded::MappedGraph* mapped_;
   graph::ShardPlan plan_;
-  IoMode mode_;
   bool compressed_ = false;
   bool threaded_ = false;
   std::size_t scratch_bytes_ = 0;

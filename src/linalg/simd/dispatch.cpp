@@ -21,16 +21,14 @@ namespace socmix::linalg::simd {
 namespace {
 
 constexpr KernelTable kScalarTable{
-    Tier::kScalar,        &scalar::spmm_f64,     &scalar::spmm_mixed,
-    &scalar::spmv,        &scalar::prescale_f64, &scalar::prescale_mixed,
-    &scalar::decode_u32,
+    Tier::kScalar,         &scalar::spmm_f64,   &scalar::spmv,
+    &scalar::prescale_f64, &scalar::decode_u32,
 };
 
 #if defined(SOCMIX_SIMD_HAVE_AVX2)
 constexpr KernelTable kAvx2Table{
-    Tier::kAvx2,        &avx2::spmm_f64,     &avx2::spmm_mixed,
-    &avx2::spmv,        &avx2::prescale_f64, &avx2::prescale_mixed,
-    &avx2::decode_u32,
+    Tier::kAvx2,         &avx2::spmm_f64,   &avx2::spmv,
+    &avx2::prescale_f64, &avx2::decode_u32,
 };
 #endif
 
@@ -39,8 +37,8 @@ constexpr KernelTable kAvx2Table{
 // having; the AVX-512 tier reuses the AVX2 decoder (an AVX-512 build
 // always compiles the AVX2 TU too — see src/linalg/CMakeLists.txt).
 constexpr KernelTable kAvx512Table{
-    Tier::kAvx512,        &avx512::spmm_f64,     &avx512::spmm_mixed,
-    &avx512::spmv,        &avx512::prescale_f64, &avx512::prescale_mixed,
+    Tier::kAvx512,         &avx512::spmm_f64, &avx512::spmv,
+    &avx512::prescale_f64,
 #if defined(SOCMIX_SIMD_HAVE_AVX2)
     &avx2::decode_u32,
 #else
@@ -191,28 +189,6 @@ std::optional<Tier> parse_tier(std::string_view name) noexcept {
   if (name == "avx2") return Tier::kAvx2;
   if (name == "avx512") return Tier::kAvx512;
   return std::nullopt;
-}
-
-const char* precision_name(Precision precision) noexcept {
-  switch (precision) {
-    case Precision::kFloat64:
-      return "f64";
-    case Precision::kMixed:
-      return "mixed";
-  }
-  return "unknown";
-}
-
-std::optional<Precision> parse_precision(std::string_view name) noexcept {
-  if (name == "f64" || name == "float64" || name == "double") {
-    return Precision::kFloat64;
-  }
-  if (name == "mixed") return Precision::kMixed;
-  return std::nullopt;
-}
-
-std::uint64_t precision_context_word(Precision precision) noexcept {
-  return static_cast<std::uint64_t>(precision);
 }
 
 }  // namespace socmix::linalg::simd

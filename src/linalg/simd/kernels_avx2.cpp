@@ -33,18 +33,6 @@ inline vd vd_mul(vd a, vd b) noexcept { return _mm256_mul_pd(a, b); }
 inline vd vd_abs(vd v) noexcept {
   return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);
 }
-inline vd vd_select_ge_abs(vd s, vd t, vd x, vd y) noexcept {
-  const vd m = _mm256_cmp_pd(vd_abs(s), vd_abs(t), _CMP_GE_OQ);
-  return _mm256_blendv_pd(y, x, m);
-}
-inline vd vd_cvt_f32_loadu(const float* p) noexcept {
-  return _mm256_cvtps_pd(_mm_loadu_ps(p));
-}
-inline vd vd_roundtrip_store_f32(float* p, vd v) noexcept {
-  const __m128 f = _mm256_cvtpd_ps(v);
-  _mm_storeu_ps(p, f);
-  return _mm256_cvtps_pd(f);
-}
 // i32 gather: sign-extends the u32 node ids, so it requires
 // num_nodes < 2^31 (see kernels.hpp). The masked form with an all-ones
 // mask is the same instruction but gives the source operand a defined

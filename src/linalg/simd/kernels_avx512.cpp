@@ -35,18 +35,6 @@ inline vd vd_abs(vd v) noexcept {
   return _mm512_castsi512_pd(_mm512_and_epi64(
       _mm512_castpd_si512(v), _mm512_set1_epi64(INT64_C(0x7fffffffffffffff))));
 }
-inline vd vd_select_ge_abs(vd s, vd t, vd x, vd y) noexcept {
-  const __mmask8 m = _mm512_cmp_pd_mask(vd_abs(s), vd_abs(t), _CMP_GE_OQ);
-  return _mm512_mask_blend_pd(m, y, x);
-}
-inline vd vd_cvt_f32_loadu(const float* p) noexcept {
-  return _mm512_cvtps_pd(_mm256_loadu_ps(p));
-}
-inline vd vd_roundtrip_store_f32(float* p, vd v) noexcept {
-  const __m256 f = _mm512_cvtpd_ps(v);
-  _mm256_storeu_ps(p, f);
-  return _mm512_cvtps_pd(f);
-}
 // i32 gather: sign-extends the u32 node ids, so it requires
 // num_nodes < 2^31 (see kernels.hpp).
 inline vd vd_gather_i32(const double* base, const graph::NodeId* idx) noexcept {

@@ -12,12 +12,9 @@
 
 namespace socmix::linalg::simd::scalar {
 void spmm_f64(const SpmmArgs& args, const double* scaled, const double* cur, double* next);
-void spmm_mixed(const SpmmArgs& args, const float* scaled, const float* cur, float* next);
 void spmv(const SpmvArgs& args, graph::NodeId row_begin, graph::NodeId row_end);
 void prescale_f64(const double* x, const double* w, double* out, std::size_t begin,
                   std::size_t end);
-void prescale_mixed(const float* x, const double* w, float* out, std::size_t begin,
-                    std::size_t end);
 std::size_t decode_u32(const std::uint8_t* ctrl, const std::uint8_t* data,
                        std::size_t count, std::uint32_t* out);
 }  // namespace socmix::linalg::simd::scalar
@@ -25,12 +22,9 @@ std::size_t decode_u32(const std::uint8_t* ctrl, const std::uint8_t* data,
 #if defined(SOCMIX_SIMD_HAVE_AVX2)
 namespace socmix::linalg::simd::avx2 {
 void spmm_f64(const SpmmArgs& args, const double* scaled, const double* cur, double* next);
-void spmm_mixed(const SpmmArgs& args, const float* scaled, const float* cur, float* next);
 void spmv(const SpmvArgs& args, graph::NodeId row_begin, graph::NodeId row_end);
 void prescale_f64(const double* x, const double* w, double* out, std::size_t begin,
                   std::size_t end);
-void prescale_mixed(const float* x, const double* w, float* out, std::size_t begin,
-                    std::size_t end);
 std::size_t decode_u32(const std::uint8_t* ctrl, const std::uint8_t* data,
                        std::size_t count, std::uint32_t* out);
 }  // namespace socmix::linalg::simd::avx2
@@ -39,11 +33,8 @@ std::size_t decode_u32(const std::uint8_t* ctrl, const std::uint8_t* data,
 #if defined(SOCMIX_SIMD_HAVE_AVX512)
 namespace socmix::linalg::simd::avx512 {
 void spmm_f64(const SpmmArgs& args, const double* scaled, const double* cur, double* next);
-void spmm_mixed(const SpmmArgs& args, const float* scaled, const float* cur, float* next);
 void spmv(const SpmvArgs& args, graph::NodeId row_begin, graph::NodeId row_end);
 void prescale_f64(const double* x, const double* w, double* out, std::size_t begin,
                   std::size_t end);
-void prescale_mixed(const float* x, const double* w, float* out, std::size_t begin,
-                    std::size_t end);
 }  // namespace socmix::linalg::simd::avx512
 #endif

@@ -13,11 +13,11 @@
 //
 // apply() sweeps the rows one contiguous vertex shard at a time through a
 // ShardPipeline, which stages each shard's CSR window (madvise windowing,
-// optional prefetch thread, optional ADJC decode) — with a multi-shard
+// ADJC decode, on its worker thread when it has one) — with a multi-shard
 // plan over a memory-mapped graph the adjacency residency stays near two
 // shards however large the graph is. The default plan is one shard over
 // the in-memory CSR. Rows are independent and every row runs the
-// identical spmv kernel, so shard geometry, io-mode and compression never
+// identical spmv kernel, so shard geometry, staging and compression never
 // change an output bit (tests/linalg/test_sharded_operator.cpp).
 #pragma once
 
@@ -45,12 +45,9 @@ class WalkOperator {
   /// Shard-at-a-time operator for out-of-core spectra. `plan.dim()` must
   /// equal g.num_nodes(). `mapped`, when non-null, must back `g` and
   /// outlive the operator; it enables the madvise windowing. A headless
-  /// `g` (compressed container) requires its `mapped`. `io_mode` selects
-  /// synchronous staging or the prefetch worker; it is a pure I/O knob
-  /// (results identical either way).
+  /// `g` (compressed container) requires its `mapped`.
   WalkOperator(const graph::Graph& g, graph::ShardPlan plan, double laziness = 0.0,
-               const graph::sharded::MappedGraph* mapped = nullptr,
-               IoMode io_mode = IoMode::kSync);
+               const graph::sharded::MappedGraph* mapped = nullptr);
 
   /// y = Op * x. x and y must have size dim() and not alias. Rows are
   /// partitioned across the util::parallel pool; the gather formulation
@@ -74,7 +71,6 @@ class WalkOperator {
 
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
   [[nodiscard]] const graph::ShardPlan& plan() const noexcept { return plan_; }
-  [[nodiscard]] IoMode io_mode() const noexcept { return pipeline_->mode(); }
 
   /// Maps an eigenvalue of the *simple* operator to this operator's:
   /// lambda -> (1-alpha) lambda + alpha.

@@ -13,28 +13,22 @@ namespace {
 
 /// scaled[i*stride + b] = cur[i*stride + b] * inv_deg[i] over rows [lo, hi).
 /// Each product rounds exactly as a per-edge multiply would, so hoisting
-/// it out of the edge loop changes no bits. Mixed precision widens each
-/// f32 cell to f64, multiplies, and rounds the product once — elementwise,
-/// so identical in every kernel tier.
-template <typename T>
-void prescale(const T* cur, const double* inv_deg, T* scaled, std::size_t stride,
+/// it out of the edge loop changes no bits.
+void prescale(const double* cur, const double* inv_deg, double* scaled, std::size_t stride,
               std::size_t lanes, graph::NodeId lo, graph::NodeId hi) {
   for (graph::NodeId i = lo; i < hi; ++i) {
     const double w = inv_deg[i];
     const std::size_t base = static_cast<std::size_t>(i) * stride;
-    for (std::size_t b = 0; b < lanes; ++b) {
-      scaled[base + b] = static_cast<T>(static_cast<double>(cur[base + b]) * w);
-    }
+    for (std::size_t b = 0; b < lanes; ++b) scaled[base + b] = cur[base + b] * w;
   }
 }
 
 }  // namespace
 
 BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size_t block,
-                               graph::FrontierPolicy frontier,
-                               linalg::simd::Precision precision, SweepSharding sharding)
+                               graph::FrontierPolicy frontier, SweepSharding sharding)
     : graph_(&g), mapped_(sharding.mapped), plan_(std::move(sharding.plan)),
-      laziness_(laziness), block_(block), precision_(precision), policy_(frontier) {
+      laziness_(laziness), block_(block), policy_(frontier) {
   const graph::NodeId n = g.num_nodes();
   if (plan_.bounds.empty()) plan_ = graph::ShardPlan::single(n);
   if (laziness < 0.0 || laziness >= 1.0) {
@@ -66,15 +60,9 @@ BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size
     inv_deg_[v] = 1.0 / static_cast<double>(d);
   }
   const std::size_t cells = static_cast<std::size_t>(n) * block_;
-  if (precision_ == linalg::simd::Precision::kMixed) {
-    cur32_.resize(cells);
-    next32_.resize(cells);
-    scaled32_.resize(cells);
-  } else {
-    cur_.resize(cells);
-    next_.resize(cells);
-    scaled_.resize(cells);
-  }
+  cur_.resize(cells);
+  next_.resize(cells);
+  scaled_.resize(cells);
   if (policy_.enabled()) {
     frontier_ = graph::FrontierSet{n};
     switch_rows_ = std::max<graph::NodeId>(
@@ -91,7 +79,7 @@ BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size
     SOCMIX_GAUGE_SET("markov.shard.boundary_half_edges", boundary_half_edges_);
   }
 #endif
-  pipeline_ = std::make_unique<linalg::ShardPipeline>(g, plan_, mapped_, sharding.io_mode);
+  pipeline_ = std::make_unique<linalg::ShardPipeline>(g, plan_, mapped_);
 }
 
 void BatchedEvolver::seed_point_masses(std::span<const graph::NodeId> sources) {
@@ -103,41 +91,33 @@ void BatchedEvolver::seed_point_masses(std::span<const graph::NodeId> sources) {
       throw std::out_of_range{"BatchedEvolver: source vertex out of range"};
     }
   }
-  const auto reseed = [&](auto& cur, auto& next, auto& scaled) {
-    using T = typename std::remove_reference_t<decltype(cur)>::value_type;
-    if (policy_.enabled()) {
-      // Frontier invariant: every row outside the closure must hold exactly
-      // +0.0 in all three buffers (the sparse kernels neither write nor
-      // prescale it, and gathers may read it). Fresh buffers already do;
-      // afterwards only the rows the previous run touched — its final
-      // closure, or everything once it went dense — need re-zeroing.
-      if (dense_dirty_) {
-        std::fill(cur.begin(), cur.end(), T{0});
-        std::fill(next.begin(), next.end(), T{0});
-        std::fill(scaled.begin(), scaled.end(), T{0});
-        dense_dirty_ = false;
-      } else if (seeded_) {
-        for (const graph::RowRange r : frontier_.ranges()) {
-          const auto lo = static_cast<std::ptrdiff_t>(static_cast<std::size_t>(r.begin) * block_);
-          const auto hi = static_cast<std::ptrdiff_t>(static_cast<std::size_t>(r.end) * block_);
-          std::fill(cur.begin() + lo, cur.begin() + hi, T{0});
-          std::fill(next.begin() + lo, next.begin() + hi, T{0});
-          std::fill(scaled.begin() + lo, scaled.begin() + hi, T{0});
-        }
+  if (policy_.enabled()) {
+    // Frontier invariant: every row outside the closure must hold exactly
+    // +0.0 in all three buffers (the sparse kernels neither write nor
+    // prescale it, and gathers may read it). Fresh buffers already do;
+    // afterwards only the rows the previous run touched — its final
+    // closure, or everything once it went dense — need re-zeroing.
+    if (dense_dirty_) {
+      std::fill(cur_.begin(), cur_.end(), 0.0);
+      std::fill(next_.begin(), next_.end(), 0.0);
+      std::fill(scaled_.begin(), scaled_.end(), 0.0);
+      dense_dirty_ = false;
+    } else if (seeded_) {
+      for (const graph::RowRange r : frontier_.ranges()) {
+        const auto lo = static_cast<std::ptrdiff_t>(static_cast<std::size_t>(r.begin) * block_);
+        const auto hi = static_cast<std::ptrdiff_t>(static_cast<std::size_t>(r.end) * block_);
+        std::fill(cur_.begin() + lo, cur_.begin() + hi, 0.0);
+        std::fill(next_.begin() + lo, next_.begin() + hi, 0.0);
+        std::fill(scaled_.begin() + lo, scaled_.begin() + hi, 0.0);
       }
-      frontier_.reset(sources);
-      sparse_phase_ = true;
-    } else {
-      std::fill(cur.begin(), cur.end(), T{0});
     }
-    for (std::size_t b = 0; b < sources.size(); ++b) {
-      cur[static_cast<std::size_t>(sources[b]) * block_ + b] = T{1};
-    }
-  };
-  if (precision_ == linalg::simd::Precision::kMixed) {
-    reseed(cur32_, next32_, scaled32_);
+    frontier_.reset(sources);
+    sparse_phase_ = true;
   } else {
-    reseed(cur_, next_, scaled_);
+    std::fill(cur_.begin(), cur_.end(), 0.0);
+  }
+  for (std::size_t b = 0; b < sources.size(); ++b) {
+    cur_[static_cast<std::size_t>(sources[b]) * block_ + b] = 1.0;
   }
   active_ = sources.size();
   seeded_ = true;
@@ -184,8 +164,6 @@ void BatchedEvolver::sweep_rows(const linalg::ShardWindow& w,
         kernels.spmv(v, static_cast<graph::NodeId>(lo), static_cast<graph::NodeId>(hi));
       });
     }
-  } else if (precision_ == linalg::simd::Precision::kMixed) {
-    kernels.spmm_mixed(args, scaled32_.data(), cur32_.data() + bias, next32_.data() + bias);
   } else {
     kernels.spmm_f64(args, scaled_.data(), cur_.data() + bias, next_.data() + bias);
   }
@@ -194,7 +172,6 @@ void BatchedEvolver::sweep_rows(const linalg::ShardWindow& w,
 void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   SOCMIX_TRACE_SPAN("evolver.sweep");
   const graph::NodeId n = graph_->num_nodes();
-  const bool mixed = precision_ == linalg::simd::Precision::kMixed;
 
 #if SOCMIX_OBS_ENABLED
   // Sweep-granular accounting only: the kernels below stay untouched.
@@ -227,20 +204,14 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   // phase only closure rows are prescaled; the rest of scaled already
   // holds the +0.0 the dense prescale would produce (seed invariant).
   for (const graph::RowRange r : swept_ranges) {
-    if (mixed) {
-      prescale(cur32_.data(), inv_deg_.data(), scaled32_.data(), block_, active_,
-               r.begin, r.end);
-    } else {
-      prescale(cur_.data(), inv_deg_.data(), scaled_.data(), block_, active_, r.begin,
-               r.end);
-    }
+    prescale(cur_.data(), inv_deg_.data(), scaled_.data(), block_, active_, r.begin, r.end);
   }
 
   // Shard loop. Every shard sweep is a range-driven SpMM over the shard's
   // rows: the range kernels run the same per-row body as a full sweep, so
   // grouping rows by shard changes no bits. Window staging (advise-ahead,
   // prefetch thread, ADJC decode) lives in the pipeline; each acquired
-  // window holds the identical neighbor sequence, so io-mode and
+  // window holds the identical neighbor sequence, so staging and
   // compression change no bits either. The kernel dispatches internally on
   // the *active* lane count; stride stays block_, so partially filled
   // blocks (the tail of an odd source list) still hit a wide kernel when
@@ -284,17 +255,9 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   // Deferred TVD: one ascending-row pass over the stored next state,
   // bit-identical to the fused reduction (see linalg::simd::tvd_*).
   if (pi != nullptr && !fused_tvd) {
-    if (mixed) {
-      linalg::simd::tvd_mixed(next32_.data(), block_, active_, pi, n, tvd_out);
-    } else {
-      linalg::simd::tvd_f64(next_.data(), block_, active_, pi, n, tvd_out);
-    }
+    linalg::simd::tvd_f64(next_.data(), block_, active_, pi, n, tvd_out);
   }
-  if (mixed) {
-    cur32_.swap(next32_);
-  } else {
-    cur_.swap(next_);
-  }
+  cur_.swap(next_);
   if (!use_frontier) dense_dirty_ = true;
   ++steps_since_seed_;
   const graph::NodeId swept = use_frontier ? frontier_.covered_rows() : n;
@@ -313,7 +276,6 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   } else {
     SOCMIX_COUNTER_ADD("markov.evolver.sweeps_generic", 1);
   }
-  if (mixed) SOCMIX_COUNTER_ADD("markov.evolver.sweeps_mixed", 1);
   if (fused_tvd) SOCMIX_COUNTER_ADD("markov.evolver.fused_tvd_sweeps", 1);
   if (policy_.enabled()) {
     if (use_frontier) {
@@ -325,13 +287,12 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
     }
   }
   if (sharded_) {
-    const std::size_t state_bytes = mixed ? sizeof(float) : sizeof(double);
     SOCMIX_COUNTER_ADD("markov.shard.sweeps", 1);
     SOCMIX_COUNTER_ADD("markov.shard.shards_swept", shards);
     // Cross-shard gather traffic of a dense sweep: every boundary half-edge
     // reads one foreign lane row of the prescaled state.
     SOCMIX_COUNTER_ADD("markov.shard.boundary_bytes",
-                       boundary_half_edges_ * active_ * state_bytes);
+                       boundary_half_edges_ * active_ * sizeof(double));
     if (mapped_ != nullptr) {
       const auto faults_after = graph::sharded::process_page_faults();
       SOCMIX_COUNTER_ADD("markov.shard.mmap_minor_faults",
@@ -366,13 +327,7 @@ void BatchedEvolver::copy_distribution(std::size_t lane, std::span<double> out) 
     throw std::invalid_argument{"BatchedEvolver: output has wrong dimension"};
   }
   const std::size_t n = dim();
-  if (precision_ == linalg::simd::Precision::kMixed) {
-    for (std::size_t v = 0; v < n; ++v) {
-      out[v] = static_cast<double>(cur32_[v * block_ + lane]);
-    }
-  } else {
-    for (std::size_t v = 0; v < n; ++v) out[v] = cur_[v * block_ + lane];
-  }
+  for (std::size_t v = 0; v < n; ++v) out[v] = cur_[v * block_ + lane];
 }
 
 std::vector<double> walk_distribution(const graph::Graph& g, graph::NodeId source,

@@ -24,12 +24,12 @@
 //                 crossing edges read it directly;
 //   3. reduce   — the TVD. With one shard it is fused into the sweep; with
 //                 several it is one standalone ascending-row pass over the
-//                 stored next state (linalg::simd::tvd_f64/tvd_mixed),
+//                 stored next state (linalg::simd::tvd_f64),
 //                 which reproduces the fused reduction bit for bit.
 //
 // The default geometry is one shard over the in-memory CSR: the dense
-// engine. SweepSharding supplies a multi-shard plan, the mapped container
-// and the io mode for out-of-core runs; only the state block
+// engine. SweepSharding supplies a multi-shard plan and the mapped
+// container for out-of-core runs; only the state block
 // (3 x n x block values) must then fit in RAM.
 //
 // Determinism contract: lane b of a block evolves through *exactly* the
@@ -37,7 +37,7 @@
 // accumulation in CSR edge order, the identical laziness affine
 // combination, and a TVD summed over rows in ascending order (matching
 // linalg::total_variation). Trajectories are therefore bit-identical for
-// any block size, block composition, shard count, io mode, adjacency
+// any block size, block composition, shard count, window staging, adjacency
 // encoding, or thread count of the surrounding driver. The sweep runs
 // through the linalg::simd dispatch table; every kernel tier honors the
 // same rounding-point contract, so the SIMD tier never changes a bit
@@ -60,13 +60,6 @@
 // trajectories are bit-identical (see DESIGN.md "Frontier phase"). The
 // closure walk needs in-memory adjacency, so a headless (compressed)
 // graph rejects an enabled policy.
-//
-// Mixed precision (Precision::kMixed): lane state lives in float32
-// buffers — half the bytes per gathered cache line — while all row
-// arithmetic stays float64 and the TVD uses Neumaier-compensated float64
-// summation. Trajectories deviate from the f64 path only by state
-// quantization, bounded by linalg::simd::kMixedTvdBudget, and remain
-// bit-identical across kernel tiers, shard counts and frontier modes.
 #pragma once
 
 #include <cstddef>
@@ -85,9 +78,9 @@
 
 namespace socmix::markov {
 
-/// Where a BatchedEvolver's CSR rows come from (--sharded, --pack,
-/// --io-mode). The default is the in-memory dense engine: one shard over
-/// every row, no mapping.
+/// Where a BatchedEvolver's CSR rows come from (--sharded, --pack). The
+/// default is the in-memory dense engine: one shard over every row, no
+/// mapping.
 struct SweepSharding {
   /// Row partition of the graph; empty means ShardPlan::single.
   graph::ShardPlan plan;
@@ -95,8 +88,6 @@ struct SweepSharding {
   /// the madvise windowing; mandatory for a headless (compressed) graph,
   /// whose adjacency the pipeline decodes window by window.
   const graph::sharded::MappedGraph* mapped = nullptr;
-  /// Synchronous staging or the prefetch worker; never changes a bit.
-  linalg::IoMode io_mode = linalg::IoMode::kSync;
 };
 
 class BatchedEvolver {
@@ -122,16 +113,13 @@ class BatchedEvolver {
   /// the evolver.
   explicit BatchedEvolver(
       const graph::Graph& g, double laziness = 0.0, std::size_t block = kDefaultBlock,
-      graph::FrontierPolicy frontier = {},
-      linalg::simd::Precision precision = linalg::simd::Precision::kFloat64,
-      SweepSharding sharding = {});
+      graph::FrontierPolicy frontier = {}, SweepSharding sharding = {});
 
   [[nodiscard]] std::size_t dim() const noexcept { return inv_deg_.size(); }
   [[nodiscard]] std::size_t block() const noexcept { return block_; }
   /// Lanes currently holding a distribution (set by seed_point_masses).
   [[nodiscard]] std::size_t active() const noexcept { return active_; }
   [[nodiscard]] double laziness() const noexcept { return laziness_; }
-  [[nodiscard]] linalg::simd::Precision precision() const noexcept { return precision_; }
   [[nodiscard]] const graph::FrontierPolicy& frontier_policy() const noexcept {
     return policy_;
   }
@@ -153,14 +141,11 @@ class BatchedEvolver {
   void step();
 
   /// step(), plus writes the total variation distance of each advanced
-  /// lane against `pi` into tvd_out (size >= active()). In f64 precision
-  /// this is bit-identical to calling step() and then
-  /// linalg::total_variation per lane; in mixed precision it deviates by
-  /// at most linalg::simd::kMixedTvdBudget.
+  /// lane against `pi` into tvd_out (size >= active()); bit-identical to
+  /// calling step() and then linalg::total_variation per lane.
   void step_with_tvd(std::span<const double> pi, std::span<double> tvd_out);
 
-  /// Copies lane `lane` (< active()) into `out` (size dim()); mixed-
-  /// precision state is widened to double.
+  /// Copies lane `lane` (< active()) into `out` (size dim()).
   void copy_distribution(std::size_t lane, std::span<double> out) const;
 
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
@@ -173,10 +158,8 @@ class BatchedEvolver {
   /// window; `args` carries everything but the window.
   void sweep_rows(const linalg::ShardWindow& w, std::span<const graph::RowRange> rows,
                   linalg::simd::SpmmArgs args);
-  /// One-lane f64 state: swept by the row-parallel SpMV kernel.
-  [[nodiscard]] bool single_vector() const noexcept {
-    return block_ == 1 && precision_ == linalg::simd::Precision::kFloat64;
-  }
+  /// One-lane state: swept by the row-parallel SpMV kernel.
+  [[nodiscard]] bool single_vector() const noexcept { return block_ == 1; }
 
   const graph::Graph* graph_;
   const graph::sharded::MappedGraph* mapped_;
@@ -185,24 +168,18 @@ class BatchedEvolver {
   /// copyable nor movable; the evolver stays movable through it.
   std::unique_ptr<linalg::ShardPipeline> pipeline_;
   util::aligned_vector<double> inv_deg_;
-  // Lane-major state blocks, [dim x block]: cur_[v*block + lane]. Exactly
-  // one precision's trio is allocated. 64-byte alignment makes every row
-  // of the default 32-lane block start on a cache line (and a zmm-load
-  // boundary); see util/aligned.hpp.
+  // Lane-major state blocks, [dim x block]: cur_[v*block + lane]. 64-byte
+  // alignment makes every row of the default 32-lane block start on a
+  // cache line (and a zmm-load boundary); see util/aligned.hpp.
   util::aligned_vector<double> cur_;
   util::aligned_vector<double> next_;
   /// Prescaled block cur_[v*block + b] * inv_deg_[v], recomputed each
   /// sweep so the irregular edge gather is a single stream (see sweep()).
   util::aligned_vector<double> scaled_;
-  // Mixed-precision twins (f32 state, widened to f64 inside the kernels).
-  util::aligned_vector<float> cur32_;
-  util::aligned_vector<float> next32_;
-  util::aligned_vector<float> scaled32_;
   /// Scratch: the frontier closure clipped to the current shard.
   std::vector<graph::RowRange> shard_ranges_;
   double laziness_;
   std::size_t block_;
-  linalg::simd::Precision precision_;
   std::size_t active_ = 0;
   /// More than one shard or a mapped container: the markov.shard.*
   /// residency metrics apply.

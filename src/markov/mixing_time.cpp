@@ -147,6 +147,10 @@ SampledMixing::PercentileCurves SampledMixing::percentile_curves(
 
 namespace {
 
+// The checkpoint context word the retired --precision knob folded for its
+// f64 default (its mixed mode folded 1).
+constexpr std::uint64_t kPrecisionWordF64 = 0;
+
 // The non-graph half of the checkpoint fingerprint, shared between the
 // public entry point (which hashes the CSR) and the compressed path
 // (which substitutes the container's pack-time fingerprint).
@@ -200,7 +204,6 @@ ResolvedEngine resolve_engine(const graph::Graph& g, const EngineOptions& option
   out.sharding.plan = graph::ShardPlan::balanced(active.offsets(), shards);
   out.sharding.mapped =
       out.reordered.identity() && (shards > 1 || headless) ? options.mapped : nullptr;
-  out.sharding.io_mode = options.io_mode;
   out.frontier = options.frontier;
   if (headless) out.frontier.mode = graph::FrontierPolicy::Mode::kOff;
   return out;
@@ -249,11 +252,11 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // blocks are replayed from their stored (bit-exact) trajectories instead
   // of being recomputed, so resume composes with the determinism contract.
   // The context word versions the knobs that change how results are
-  // produced: the ordering, the frontier mode, and the kernel precision
-  // (which, unlike the first two, also perturbs the trajectories within
-  // the mixed budget — replaying a mixed snapshot into an f64 run would
-  // silently launder quantization error into the exact-parity path). A
-  // snapshot from a foreign combination classifies stale, not corrupt.
+  // produced: the ordering and the frontier mode, then the constant
+  // kPrecisionWordF64 where the retired precision knob folded its word —
+  // so f64 snapshots of earlier builds still restore, and their mixed-
+  // precision ones (word 1) classify stale. A snapshot from a foreign
+  // combination classifies stale, not corrupt.
   // Shard geometry: resolve_engine sized it against the active CSR. One
   // shard is the dense path — no context word, so pre-shard snapshots
   // stay compatible.
@@ -264,14 +267,14 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   std::uint64_t context = util::hash_combine(
       util::hash_combine(static_cast<std::uint64_t>(options.reorder),
                          graph::frontier_context_word(engine.frontier)),
-      linalg::simd::precision_context_word(options.precision));
+      kPrecisionWordF64);
   const std::uint64_t shard_word = graph::shard_context_word(resolved_shards);
   if (shard_word != 0) context = util::hash_combine(context, shard_word);
   // A headless graph's structural fingerprint would sample an empty
   // neighbor span; the container carries the pack-time fingerprint of the
   // full CSR, which is what keeps compressed checkpoints interchangeable
-  // with dense/uncompressed ones. io_mode is deliberately absent from the
-  // context word (results are bit-identical across modes, like threads).
+  // with dense/uncompressed ones. Window staging is absent from the
+  // context word (results are bit-identical either way, like threads).
   const std::uint64_t graph_word =
       headless ? options.mapped->fingerprint() : graph::structural_fingerprint(g);
   resilience::BlockCheckpoint checkpoint{
@@ -331,14 +334,6 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
           above_eps &= ~(1u << b);
           SOCMIX_COUNTER_ADD("markov.sampled.tvd_crossings", 1);
         }
-        // Mixed precision: the ε-crossing decision above is only as
-        // trustworthy as the accuracy budget. Count the per-step
-        // decisions that fall inside the budget band around ε — the
-        // steps where exact f64 could have decided differently.
-        if (options.precision == linalg::simd::Precision::kMixed &&
-            std::fabs(tvd[b] - kHeadlineEpsilon) < linalg::simd::kMixedTvdBudget) {
-          SOCMIX_COUNTER_ADD("markov.sampled.mixed_eps_guard", 1);
-        }
 #endif
       }
     }
@@ -367,8 +362,7 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   util::parallel_for(0, workers, 1, [&](std::size_t, std::size_t) {
     std::size_t p = next_block++;
     if (p >= pending.size()) return;
-    BatchedEvolver evolver{active,          laziness,          kBlock,
-                           engine.frontier, options.precision, engine.sharding};
+    BatchedEvolver evolver{active, laziness, kBlock, engine.frontier, engine.sharding};
     try {
       for (; p < pending.size(); p = next_block++) run_block(evolver, p);
     } catch (...) {

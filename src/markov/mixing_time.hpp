@@ -24,7 +24,6 @@
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
 #include "linalg/shard_pipeline.hpp"
-#include "linalg/simd/kernels.hpp"
 #include "markov/batched_evolver.hpp"
 #include "resilience/checkpoint.hpp"
 #include "util/rng.hpp"
@@ -117,10 +116,10 @@ class SampledMixing {
   std::size_t max_steps_ = 0;
 };
 
-/// The six execution knobs both measurement phases run under, parsed once
-/// from --reorder, --frontier, --precision, --sharded, --io-mode (and
-/// --pack for `mapped`) by core::engine_options_from_cli. They choose how
-/// a measurement is computed, never what it measures.
+/// The four execution knobs both measurement phases run under, parsed once
+/// from --reorder, --frontier, --sharded (and --pack for `mapped`) by
+/// core::engine_options_from_cli. They choose how a measurement is
+/// computed, never what it measures.
 struct EngineOptions {
   /// Vertex ordering the kernels compute under (--reorder). Both phases
   /// run on the relabeled CSR: eigenvalues are label-invariant, sources are
@@ -138,17 +137,9 @@ struct EngineOptions {
   /// ordering, so a snapshot written under a different frontier mode
   /// classifies stale.
   graph::FrontierPolicy frontier;
-  /// Kernel precision of the sampled phase (--precision); the spectral
-  /// phase always runs f64. kFloat64 (default) is the exact-parity path:
-  /// bit-identical across thread counts, reorder/frontier modes, and simd
-  /// kernel tiers. kMixed stores lane state as float32 (half the gather
-  /// traffic) with float64 arithmetic and a Neumaier-compensated TVD
-  /// reduction; per-step TVD deviates from f64 by at most
-  /// linalg::simd::kMixedTvdBudget, and steps whose headline ε-crossing
-  /// decision falls inside that band are surfaced via the
-  /// markov.sampled.mixed_eps_guard counter. Folded into the checkpoint
-  /// context word: foreign-precision snapshots classify stale.
-  linalg::simd::Precision precision = linalg::simd::Precision::kFloat64;
+  /// Retired (--precision is refused): both phases run f64. perfbench/
+  /// still copies this field; delete it with the next benchmark change.
+  linalg::RetiredKnob precision;
   /// Shard-at-a-time evolution (--sharded auto|off|N; auto stays dense
   /// until the CSR exceeds the per-shard byte budget). Resolved against
   /// the active (post-reorder) graph's CSR footprint; when the resolved
@@ -174,12 +165,11 @@ struct EngineOptions {
   /// other than kNone — none of which changes an output bit versus the
   /// same flags on the dense CSR.
   const graph::sharded::MappedGraph* mapped = nullptr;
-  /// Shard window staging discipline (--io-mode sync|prefetch). kPrefetch
-  /// stages shard k+1 (page-in, and ADJC decode for compressed containers)
-  /// on a dedicated thread while shard k computes. Pure I/O knob: results
-  /// are bit-identical either way, so it is *not* folded into the
-  /// checkpoint context word — snapshots move freely across io modes.
-  linalg::IoMode io_mode = linalg::IoMode::kSync;
+  /// Retired (--io-mode is refused): linalg::ShardPipeline stages windows
+  /// on its worker thread whenever it has staging work and a second
+  /// hardware thread. perfbench/ still copies this field; delete it with
+  /// the next benchmark change.
+  linalg::RetiredKnob io_mode;
 };
 
 /// What (g, EngineOptions) resolves to before either phase sweeps: the
@@ -188,7 +178,7 @@ struct ResolvedEngine {
   /// The relabeled CSR under a non-identity ordering; see active().
   graph::ReorderedGraph reordered;
   /// The resolved plan over the active CSR (one shard is the dense path),
-  /// plus the mapping and io mode to sweep it with.
+  /// plus the mapping to sweep it with.
   SweepSharding sharding;
   /// The frontier policy, forced off for a headless graph.
   graph::FrontierPolicy frontier;

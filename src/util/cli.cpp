@@ -53,6 +53,21 @@ std::int64_t Cli::get_i64(const std::string& name, std::int64_t fallback) const 
   return parsed_or_throw(name, it->second, parse_i64(it->second), "an integer");
 }
 
+std::size_t Cli::get_count(const std::string& name, std::size_t fallback,
+                           std::size_t max) const {
+  const auto it = options_.find(name);
+  if (it == options_.end()) return fallback;
+  const auto parsed = parse_i64(it->second);
+  if (!parsed || *parsed < 0 || static_cast<std::uint64_t>(*parsed) > max) {
+    const std::string expected =
+        max == std::numeric_limits<std::size_t>::max()
+            ? "a non-negative integer"
+            : "an integer in [0, " + std::to_string(max) + "]";
+    throw std::invalid_argument{"--" + name + "=" + it->second + ": expected " + expected};
+  }
+  return static_cast<std::size_t>(*parsed);
+}
+
 double Cli::get_f64(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;

@@ -4,7 +4,9 @@
 // for the experiment harness; deliberately not a general CLI framework.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,6 +26,13 @@ class Cli {
   /// not parse throws std::invalid_argument naming the flag and the value.
   [[nodiscard]] std::int64_t get_i64(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] double get_f64(const std::string& name, double fallback) const;
+  /// Count options (sources, steps, nodes, threads, sizes): `fallback`
+  /// when absent; a present value that is not an integer in [0, max]
+  /// throws std::invalid_argument naming the flag and the value — a
+  /// negative count never wraps around into a huge one.
+  [[nodiscard]] std::size_t get_count(
+      const std::string& name, std::size_t fallback,
+      std::size_t max = std::numeric_limits<std::size_t>::max()) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
 
   /// Positional (non --option) arguments, in order.

@@ -5,7 +5,7 @@
 // predict. Hinting a fixed number of edges ahead overlaps those line
 // transfers with the arithmetic; ~8 edges ahead is the distance that won
 // on every measured kernel shape (1-lane SpMV up to the 32-lane block
-// sweep, f64 and f32 state), so all kernels share the one constant
+// sweep), so all kernels share the one constant
 // instead of each carrying its own copy.
 #pragma once
 

@@ -41,24 +41,46 @@ util::Cli make_cli(std::initializer_list<const char*> args) {
 
 TEST(ExperimentConfig, ParsesEveryExecutionKnob) {
   const auto config = ExperimentConfig::from_cli(
-      make_cli({"--reorder", "rcm", "--frontier", "off", "--precision", "mixed",
-                "--sharded", "4", "--io-mode", "prefetch"}));
+      make_cli({"--reorder", "rcm", "--frontier", "off", "--sharded", "4"}));
   EXPECT_EQ(config.engine.reorder, graph::ReorderMode::kRcm);
   EXPECT_EQ(config.engine.frontier.mode, graph::FrontierPolicy::Mode::kOff);
-  EXPECT_EQ(config.engine.precision, linalg::simd::Precision::kMixed);
   EXPECT_EQ(config.engine.sharded.mode, graph::ShardPolicy::Mode::kFixed);
   EXPECT_EQ(config.engine.sharded.count, 4u);
-  EXPECT_EQ(config.engine.io_mode, linalg::IoMode::kPrefetch);
   EXPECT_EQ(config.engine.mapped, nullptr);
 
   // The drivers' measurement options carry every knob, not a subset.
   const MeasurementOptions options = config.measurement_options();
   EXPECT_EQ(options.reorder, graph::ReorderMode::kRcm);
   EXPECT_EQ(options.frontier.mode, graph::FrontierPolicy::Mode::kOff);
-  EXPECT_EQ(options.precision, linalg::simd::Precision::kMixed);
   EXPECT_EQ(options.sharded.count, 4u);
-  EXPECT_EQ(options.io_mode, linalg::IoMode::kPrefetch);
   EXPECT_EQ(options.seed, config.seed);
+}
+
+TEST(ExperimentConfig, RetiredKnobsAreRefusedByName) {
+  // --precision and --io-mode are gone: every value, including the old
+  // defaults, is refused rather than silently ignored.
+  for (const auto& [flag, value] :
+       {std::pair{"--precision", "f64"}, std::pair{"--precision", "mixed"},
+        std::pair{"--io-mode", "sync"}, std::pair{"--io-mode", "prefetch"}}) {
+    try {
+      (void)engine_options_from_cli(make_cli({flag, value}));
+      ADD_FAILURE() << flag << " " << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(flag), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(ExperimentConfig, NegativeCountThrowsNamingTheFlag) {
+  for (const char* flag : {"--sources", "--steps", "--threads"}) {
+    try {
+      (void)ExperimentConfig::from_cli(make_cli({flag, "-5"}));
+      ADD_FAILURE() << flag << " -5 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(std::string{flag} + "=-5"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ExperimentConfig, MalformedKnobThrowsNamingTheFlag) {

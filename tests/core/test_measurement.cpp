@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "gen/datasets.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/reference.hpp"
 #include "graph/components.hpp"
@@ -110,6 +111,46 @@ TEST(Measurement, LazyWalkOption) {
   lazy.max_steps = 120;
   const auto report = measure_mixing(g, "star", lazy);
   EXPECT_NE(report.sampled->worst_mixing_time(0.01), markov::kNotMixed);
+}
+
+TEST(Measurement, SampledTvdObeysTheOraclesOnEveryTable1Config) {
+  // Monotone TVD and the spectral upper bound, simple and lazy walks.
+  for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
+    const graph::Graph g =
+        graph::largest_component(gen::build_dataset(spec, 400, 11)).graph;
+    for (const double laziness : {0.0, 0.5}) {
+      MeasurementOptions options;
+      options.sources = 16;
+      options.max_steps = 60;
+      options.laziness = laziness;
+      const auto report = measure_mixing(g, spec.name, options);
+      ASSERT_TRUE(report.spectral_ran);
+      EXPECT_EQ(report.oracle_violations, 0u) << spec.name << " laziness=" << laziness;
+    }
+  }
+}
+
+TEST(Measurement, OraclesCatchAnUnderestimatedMuAndARisingTvd) {
+  const auto g = small_expander(6);
+  MeasurementOptions options;
+  options.sources = 8;
+  options.max_steps = 30;
+  auto report = measure_mixing(g, "oracle", options);
+  ASSERT_EQ(count_oracle_violations(g, report, 0.0), 0u);
+
+  // A µ far below the truth makes the spectral bound fall under the
+  // measured TVD.
+  MixingReport shrunk = report;
+  shrunk.lambda2 *= 0.1;
+  shrunk.lambda_min *= 0.1;
+  EXPECT_GT(count_oracle_violations(g, shrunk, 0.0), 0u);
+
+  // Without the spectral phase only monotonicity is checked: a trajectory
+  // that rises once is one violation.
+  std::vector<std::vector<double>> tvd(1, std::vector<double>{0.5, 0.25, 0.3, 0.1});
+  MixingReport rising;
+  rising.sampled = markov::SampledMixing{{report.sampled->sources()[0]}, tvd};
+  EXPECT_EQ(count_oracle_violations(g, rising, 0.0), 1u);
 }
 
 TEST(Measurement, EmptyGraphIsHarmless) {

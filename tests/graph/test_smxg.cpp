@@ -291,13 +291,15 @@ TEST_F(SmxgCompressedTest, HalvesAdjacencyBytes) {
 
 TEST_F(SmxgCompressedTest, DecodesBitIdenticalAdjacency) {
   const MappedGraph mapped{path_};
-  for (const linalg::IoMode mode : {linalg::IoMode::kSync, linalg::IoMode::kPrefetch}) {
-    const ShardPlan plan = ShardPlan::balanced(graph_.offsets(), 3);
-    linalg::ShardPipeline pipeline{mapped.view(), plan, &mapped, mode};
+  const ShardPlan plan = ShardPlan::balanced(graph_.offsets(), 3);
+  // One hardware thread stages inline on the compute thread; two start
+  // the staging worker. Both must hand over the same windows.
+  for (const unsigned hardware_threads : {1u, 2u}) {
+    linalg::ShardPipeline pipeline{mapped.view(), plan, &mapped, hardware_threads};
     ASSERT_TRUE(pipeline.decodes());
     EXPECT_GT(pipeline.scratch_bytes(), 0u);
-    // Two sweeps: the second exercises the recycled slots (and, under
-    // prefetch, the finish_sweep handoff that pre-stages shard 0).
+    // Two sweeps: the second exercises the recycled slots (and, with a
+    // worker, the finish_sweep handoff that pre-stages shard 0).
     for (int sweep = 0; sweep < 2; ++sweep) {
       for (std::uint32_t s = 0; s < plan.num_shards(); ++s) {
         const linalg::ShardWindow w = pipeline.acquire(s);
@@ -310,7 +312,7 @@ TEST_F(SmxgCompressedTest, DecodesBitIdenticalAdjacency) {
           const EdgeIndex hi = w.offsets[v - w.begin + 1];
           ASSERT_EQ(hi - lo, expect.size()) << "row " << v;
           ASSERT_TRUE(std::equal(expect.begin(), expect.end(), w.neighbors + lo))
-              << "row " << v;
+              << "row " << v << " hardware_threads=" << hardware_threads;
         }
       }
       pipeline.finish_sweep();
@@ -361,14 +363,18 @@ TEST_F(SmxgCompressedTest, CorruptStreamFailsClosedAtDecodeTime) {
   options.verify = false;
   const MappedGraph mapped{path_, options};
   const ShardPlan plan = ShardPlan::balanced(graph_.offsets(), 2);
-  linalg::ShardPipeline pipeline{mapped.view(), plan, &mapped, linalg::IoMode::kSync};
-  try {
-    const linalg::ShardWindow w = pipeline.acquire(0);
-    (void)w;
-    FAIL() << "expected decode-time rejection";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string{e.what()}.find("corrupt ADJC"), std::string::npos)
-        << "actual: " << e.what();
+  // Inline, the decode throws on the compute thread; with a worker, the
+  // worker's error is rethrown there.
+  for (const unsigned hardware_threads : {1u, 2u}) {
+    linalg::ShardPipeline pipeline{mapped.view(), plan, &mapped, hardware_threads};
+    try {
+      const linalg::ShardWindow w = pipeline.acquire(0);
+      (void)w;
+      FAIL() << "expected decode-time rejection";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find("corrupt ADJC"), std::string::npos)
+          << "actual: " << e.what();
+    }
   }
 }
 

@@ -4,10 +4,9 @@
 //
 //  * on every Table-1 generator config, for shard counts {1, 4, 16}, at
 //    serial and contended thread counts;
-//  * composed with the frontier phase, the rcm reordering, and mixed
-//    precision;
+//  * composed with the frontier phase and the rcm reordering;
 //  * through a packed .smxg container mapped back as a borrowed graph,
-//    raw or compressed (ADJC), under --io-mode sync and prefetch;
+//    raw or compressed (ADJC), staged by the pipeline's worker thread;
 //  * across a fault-injected kill and checkpoint resume under sharding,
 //    including a kill at a shard boundary mid-prefetch;
 //  * and a snapshot written under a foreign shard geometry is classified
@@ -26,7 +25,6 @@
 #include "graph/sharded/format.hpp"
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
-#include "linalg/simd/kernels.hpp"
 #include "markov/batched_evolver.hpp"
 #include "markov/mixing_time.hpp"
 #include "markov/stationary.hpp"
@@ -101,31 +99,24 @@ TEST(ShardParity, BitIdenticalToDenseOnEveryTable1Config) {
   }
 }
 
-TEST(ShardParity, ComposesWithFrontierReorderAndMixedPrecision) {
+TEST(ShardParity, ComposesWithFrontierAndReorder) {
   const auto spec = gen::find_dataset("Physics 1");
   const graph::Graph g = gen::build_dataset(*spec, kNodes, 5);
   const auto sources = spread_sources(g);
   struct Combo {
     const char* frontier;
     graph::ReorderMode reorder;
-    linalg::simd::Precision precision;
     const char* label;
   };
   const Combo combos[] = {
-      {"auto", graph::ReorderMode::kNone, linalg::simd::Precision::kFloat64,
-       "frontier"},
-      {"off", graph::ReorderMode::kRcm, linalg::simd::Precision::kFloat64, "rcm"},
-      {"auto", graph::ReorderMode::kRcm, linalg::simd::Precision::kFloat64,
-       "frontier+rcm"},
-      {"off", graph::ReorderMode::kNone, linalg::simd::Precision::kMixed, "mixed"},
-      {"auto", graph::ReorderMode::kNone, linalg::simd::Precision::kMixed,
-       "frontier+mixed"},
+      {"auto", graph::ReorderMode::kNone, "frontier"},
+      {"off", graph::ReorderMode::kRcm, "rcm"},
+      {"auto", graph::ReorderMode::kRcm, "frontier+rcm"},
   };
   for (const Combo& combo : combos) {
     SampledMixingOptions dense_options = base_options();
     dense_options.frontier = *graph::parse_frontier_policy(combo.frontier);
     dense_options.reorder = combo.reorder;
-    dense_options.precision = combo.precision;
     dense_options.sharded = graph::ShardPolicy{.mode = graph::ShardPolicy::Mode::kOff};
     const SampledMixing dense = run(g, sources, dense_options);
     for (const std::uint32_t count : {4u, 16u}) {
@@ -140,11 +131,11 @@ TEST(ShardParity, ComposesWithFrontierReorderAndMixedPrecision) {
 }
 
 TEST(ShardParity, PipelineMatrixBitIdenticalToDenseOnEveryTable1Config) {
-  // The PR-9 pipeline contract: io-mode (sync vs prefetch worker) and
-  // adjacency representation (raw ADJ4 vs decoded ADJC) are pure I/O
-  // knobs. Every Table-1 generator config, both containers, shard counts
-  // {1, 4, 16}, serial and contended threads, both io modes — all
-  // bit-identical to the dense in-memory engine.
+  // The pipeline contract: window staging (the worker thread on a
+  // multi-core host) and adjacency representation (raw ADJ4 vs decoded
+  // ADJC) never change a bit. Every Table-1 generator config, both
+  // containers, shard counts {1, 4, 16}, serial and contended threads —
+  // all bit-identical to the dense in-memory engine.
   std::size_t dataset_index = 0;
   for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
     const std::string tag = std::to_string(dataset_index++);
@@ -171,22 +162,16 @@ TEST(ShardParity, PipelineMatrixBitIdenticalToDenseOnEveryTable1Config) {
       const graph::sharded::MappedGraph& mapped = compressed ? adjc : raw;
       for (const std::uint32_t count : {1u, 4u, 16u}) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-          for (const linalg::IoMode io :
-               {linalg::IoMode::kSync, linalg::IoMode::kPrefetch}) {
-            util::set_thread_count(threads);
-            SampledMixingOptions options = base_options();
-            options.sharded = shards(count);
-            options.mapped = &mapped;
-            options.io_mode = io;
-            const SampledMixing sharded = run(mapped.view(), sources, options);
-            util::set_thread_count(0);
-            expect_bitwise_equal(
-                dense, sharded,
-                spec.name + (compressed ? " adjc" : " raw") +
-                    " shards=" + std::to_string(count) +
-                    " threads=" + std::to_string(threads) + " io=" +
-                    linalg::io_mode_name(io));
-          }
+          util::set_thread_count(threads);
+          SampledMixingOptions options = base_options();
+          options.sharded = shards(count);
+          options.mapped = &mapped;
+          const SampledMixing sharded = run(mapped.view(), sources, options);
+          util::set_thread_count(0);
+          expect_bitwise_equal(dense, sharded,
+                               spec.name + (compressed ? " adjc" : " raw") +
+                                   " shards=" + std::to_string(count) +
+                                   " threads=" + std::to_string(threads));
         }
       }
     }
@@ -225,8 +210,7 @@ TEST(ShardParity, CompressedRejectsFrontierlessPreconditions) {
   const SweepSharding sharding{graph::ShardPlan::balanced(mapped.view().offsets(), 4),
                                &mapped};
   EXPECT_THROW(BatchedEvolver(mapped.view(), 0.0, BatchedEvolver::kDefaultBlock,
-                             *graph::parse_frontier_policy("auto"),
-                             linalg::simd::Precision::kFloat64, sharding),
+                             *graph::parse_frontier_policy("auto"), sharding),
                std::invalid_argument);
   std::remove(path.string().c_str());
 }
@@ -261,7 +245,6 @@ TEST(ShardParity, EvolverStateAccessorsMatchDense) {
 
   BatchedEvolver dense{g, 0.0, BatchedEvolver::kDefaultBlock, frontier};
   BatchedEvolver sharded{g, 0.0, BatchedEvolver::kDefaultBlock, frontier,
-                         linalg::simd::Precision::kFloat64,
                          {graph::ShardPlan::balanced(g.offsets(), 8)}};
   const graph::NodeId seed[] = {0, 3};
   dense.seed_point_masses(seed);
@@ -336,12 +319,12 @@ TEST_F(ShardResumeTest, KilledShardedRunResumesBitIdenticalToDense) {
 }
 
 TEST_F(ShardResumeTest, KilledMidPrefetchAcrossShardBoundaryResumesBitIdentical) {
-  // The PR-9 resilience case: kill a compressed prefetch run at a shard
-  // boundary — the "shard.window" fault site fires inside
-  // ShardPipeline::acquire, i.e. exactly where compute crosses from one
-  // shard's window to the next while the worker thread is mid-stage on
-  // the window after it. The pipeline (and its worker) must unwind
-  // cleanly, and the resumed run must land on the dense run's exact bits.
+  // Kill a compressed run at a shard boundary — the "shard.window" fault
+  // site fires inside ShardPipeline::acquire, i.e. exactly where compute
+  // crosses from one shard's window to the next while the worker thread
+  // (on any multi-core host) is mid-stage on the window after it. The
+  // pipeline (and its worker) must unwind cleanly, and the resumed run
+  // must land on the dense run's exact bits.
   const auto spec = gen::find_dataset("Physics 1");
   const graph::Graph g = gen::build_dataset(*spec, kNodes, 13);
   const fs::path pack = fs::path{testing::TempDir()} / "resume_prefetch.smxg";
@@ -359,7 +342,6 @@ TEST_F(ShardResumeTest, KilledMidPrefetchAcrossShardBoundaryResumesBitIdentical)
   const auto prefetch_options = [&] {
     SampledMixingOptions opts = options(4);
     opts.mapped = &mapped;
-    opts.io_mode = linalg::IoMode::kPrefetch;
     return opts;
   };
   // 3 blocks x kSteps sweeps x 4 shards of acquire calls; the 150th lands

@@ -46,6 +46,7 @@ TEST(ObsE2E, MeasurementPopulatesPipelineMetrics) {
                           "\"linalg.spmv.applies\":",
                           "\"markov.sampled.runs\":1",
                           "\"markov.sampled.sources\":40",
+                          "\"markov.sampled.oracle_violations\":0",
                           "\"markov.evolver.sweeps\":",
                           "\"markov.evolver.rows_swept\":",
                           "\"util.pool.parallel_for_calls\":"}) {
@@ -57,6 +58,9 @@ TEST(ObsE2E, MeasurementPopulatesPipelineMetrics) {
   EXPECT_EQ(sources.value(), report.sampled->num_sources());
   const Counter steps = Registry::instance().counter("markov.sampled.steps");
   EXPECT_EQ(steps.value(), 40u * 25u);
+  // The sampled TVD obeys monotonicity and the spectral upper bound.
+  EXPECT_EQ(report.oracle_violations, 0u);
+  EXPECT_EQ(Registry::instance().counter("markov.sampled.oracle_violations").value(), 0u);
 
   // The phase gauges mirror the report fields exactly.
   const Gauge spectral = Registry::instance().gauge("core.phase.spectral_seconds");

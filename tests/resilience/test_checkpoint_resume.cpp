@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "graph/edge_list.hpp"
+#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
 #include "graph/reorder.hpp"
 #include "markov/mixing_time.hpp"
@@ -19,6 +22,7 @@
 #include "resilience/fault.hpp"
 #include "sybil/sybil_limit.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace socmix::resilience {
 namespace {
@@ -165,6 +169,89 @@ TEST_F(CheckpointResumeTest, InterruptedMeasurementResumesBitIdentical) {
     const auto resumed = markov::measure_sampled_mixing(g, sources, options());
     EXPECT_EQ(trajectories(resumed), baseline) << threads << " threads";
   }
+}
+
+/// Writes a complete sampled-mixing snapshot the way builds with the
+/// six-knob engine did: the context word hashes the ordering, the frontier
+/// word and then the precision word (0 for f64, 1 for mixed). Every block
+/// holds a made-up trajectory no evolution produces, so a replay is
+/// distinguishable from a recomputation.
+std::vector<std::vector<double>> write_six_knob_snapshot(
+    const graph::Graph& g, std::span<const graph::NodeId> sources,
+    const markov::SampledMixingOptions& options, std::uint64_t precision_word) {
+  constexpr std::size_t kBlock = markov::BatchedEvolver::kDefaultBlock;
+  const std::size_t blocks = (sources.size() + kBlock - 1) / kBlock;
+  const std::uint64_t fingerprint = markov::sampled_mixing_fingerprint(
+      g, sources, options.max_steps, options.laziness, graph::ReorderMode::kNone);
+  const std::uint64_t context = util::hash_combine(
+      util::hash_combine(static_cast<std::uint64_t>(graph::ReorderMode::kNone),
+                         graph::frontier_context_word(options.frontier)),
+      precision_word);
+  std::vector<std::vector<double>> recorded(sources.size());
+  BlockCheckpoint previous{options.checkpoint, fingerprint, blocks, context};
+  for (std::size_t blk = 0; blk < blocks; ++blk) {
+    std::vector<double> payload;
+    for (std::size_t s = blk * kBlock; s < std::min(sources.size(), (blk + 1) * kBlock); ++s) {
+      for (std::size_t t = 0; t < options.max_steps; ++t) {
+        recorded[s].push_back(0.25 + 1e-3 * static_cast<double>(s) +
+                              1e-6 * static_cast<double>(t));
+      }
+      payload.insert(payload.end(), recorded[s].begin(), recorded[s].end());
+    }
+    previous.record(blk, std::move(payload));
+  }
+  previous.finalize();
+  return recorded;
+}
+
+#if SOCMIX_OBS_ENABLED
+std::uint64_t counter_value(const std::string& name) {
+  for (const auto& counter : obs::Registry::instance().snapshot().counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0;
+}
+#endif
+
+TEST_F(CheckpointResumeTest, SampledSnapshotInThePreviousKnobLayoutRestores) {
+  // The precision knob is gone, but the context word still folds the f64
+  // word (0) where it did: an f64 snapshot of an earlier build restores
+  // with every block skipped, never recomputed.
+  const auto g = ring_with_chords(kNodes);
+  const auto sources = first_sources(kSources);
+  const markov::SampledMixingOptions opts = options();
+  const auto recorded = write_six_knob_snapshot(g, sources, opts, /*precision_word=*/0);
+#if SOCMIX_OBS_ENABLED
+  const std::uint64_t skipped_before = counter_value("resilience.resume_blocks_skipped");
+#endif
+  const auto resumed = markov::measure_sampled_mixing(g, sources, opts);
+  EXPECT_EQ(trajectories(resumed), recorded);
+#if SOCMIX_OBS_ENABLED
+  const std::size_t blocks =
+      (sources.size() + markov::BatchedEvolver::kDefaultBlock - 1) /
+      markov::BatchedEvolver::kDefaultBlock;
+  EXPECT_EQ(counter_value("resilience.resume_blocks_skipped"), skipped_before + blocks);
+#endif
+}
+
+TEST_F(CheckpointResumeTest, SampledSnapshotOfMixedPrecisionClassifiesStale) {
+  // A snapshot written under the retired mixed precision (word 1) holds
+  // quantized trajectories: it must classify stale and be recomputed in
+  // f64, never replayed.
+  const auto g = ring_with_chords(kNodes);
+  const auto sources = first_sources(kSources);
+  const auto baseline =
+      trajectories(markov::measure_sampled_mixing(g, sources, /*max_steps=*/25));
+  const markov::SampledMixingOptions opts = options();
+  (void)write_six_knob_snapshot(g, sources, opts, /*precision_word=*/1);
+#if SOCMIX_OBS_ENABLED
+  const std::uint64_t stale_before = counter_value("resilience.stale_discarded");
+#endif
+  const auto resumed = markov::measure_sampled_mixing(g, sources, opts);
+  EXPECT_EQ(trajectories(resumed), baseline);
+#if SOCMIX_OBS_ENABLED
+  EXPECT_GT(counter_value("resilience.stale_discarded"), stale_before);
+#endif
 }
 
 TEST_F(CheckpointResumeTest, SurvivesAKillAtEveryMeasurementFaultSite) {

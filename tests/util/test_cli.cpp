@@ -64,6 +64,32 @@ TEST(Cli, ThrowsOnUnparsableValue) {
             std::string::npos);
 }
 
+TEST(Cli, CountsFailClosed) {
+  const Cli cli = make({"--sources", "-5", "--nodes=5000000000", "--steps", "x", "--threads", "3"});
+  const auto message = [](auto read) -> std::string {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  EXPECT_EQ(cli.get_count("threads", 0), 3u);
+  EXPECT_EQ(cli.get_count("missing", 7), 7u);
+  // A negative count never wraps into a huge one, a count past the
+  // caller's bound never truncates, and garbage never reads as zero.
+  EXPECT_NE(message([&] { (void)cli.get_count("sources", 0); })
+                .find("--sources=-5: expected a non-negative integer"),
+            std::string::npos);
+  EXPECT_NE(message([&] { (void)cli.get_count("nodes", 0, 4294967295u); })
+                .find("--nodes=5000000000: expected an integer in [0, 4294967295]"),
+            std::string::npos);
+  EXPECT_NE(message([&] { (void)cli.get_count("steps", 0); }).find("--steps=x"),
+            std::string::npos);
+  // get_i64 keeps accepting negative values.
+  EXPECT_EQ(cli.get_i64("sources", 0), -5);
+}
+
 TEST(Cli, CollectsPositionalArguments) {
   const Cli cli = make({"input.txt", "--flag", "out.txt"});
   // "out.txt" is consumed as --flag's value (space-separated form).

@@ -3,10 +3,13 @@
 # the sharded evolver at the requested shard count, not the dense default
 # the BENCH flags would otherwise misreport.
 #
-# The random-route drivers (socmix sybil and fig8) have no evolver: they
-# must refuse --reorder, --sharded, --precision and --io-mode by name
-# instead of parsing and ignoring them, and socmix sybil must refuse a
-# malformed --w list instead of skipping tokens.
+# The retired knobs --precision and --io-mode must be refused by name by
+# the figure drivers and socmix measure. The random-route drivers (socmix
+# sybil and fig8) have no evolver: they must refuse --reorder, --sharded,
+# --precision and --io-mode by name instead of parsing and ignoring them,
+# and socmix sybil must refuse a malformed --w list instead of skipping
+# tokens. Negative counts and an --eps outside (0, 1) must fail closed,
+# naming the flag and the value.
 #
 # Driven by the driver_forwarding_e2e ctest (see tools/CMakeLists.txt):
 #   cmake -DFIG5_BIN=... -DFIG8_BIN=... -DSOCMIX_BIN=... -DOUT_DIR=... -P check_forwarding.cmake
@@ -22,7 +25,7 @@ file(REMOVE "${metrics_file}")
 # The driver writes its CSVs under bench_results/ relative to the cwd.
 execute_process(
   COMMAND "${FIG5_BIN}" --scale 0.1 --sources 8 --steps 20
-          --sharded 4 --io-mode prefetch --metrics-out "${metrics_file}"
+          --sharded 4 --metrics-out "${metrics_file}"
   WORKING_DIRECTORY "${OUT_DIR}"
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE run_stdout
@@ -48,8 +51,8 @@ endif()
 file(GLOB bench_files "${OUT_DIR}/bench_results/BENCH_*.json")
 foreach(bench_file IN LISTS bench_files)
   file(READ "${bench_file}" bench)
-  if(NOT bench MATCHES "\"sharded\":\"4\"" OR NOT bench MATCHES "\"io-mode\":\"prefetch\"")
-    message(FATAL_ERROR "${bench_file} does not record --sharded 4 --io-mode prefetch")
+  if(NOT bench MATCHES "\"sharded\":\"4\"")
+    message(FATAL_ERROR "${bench_file} does not record --sharded 4")
   endif()
 endforeach()
 
@@ -70,7 +73,28 @@ function(expect_refused label needle)
   endif()
 endfunction()
 
+set(measure_input --dataset "Physics 1" --nodes 300 --sources 8 --steps 20)
+foreach(knob "precision;mixed" "io-mode;prefetch")
+  list(GET knob 0 flag)
+  list(GET knob 1 value)
+  expect_refused("fig5 --${flag} ${value}" "--${flag}"
+                 "${FIG5_BIN}" --scale 0.1 --sources 8 --steps 20 --${flag} ${value})
+  expect_refused("socmix measure --${flag} ${value}" "--${flag}"
+                 "${SOCMIX_BIN}" measure ${measure_input} --${flag} ${value})
+endforeach()
+foreach(bad "sources;-5" "steps;-1" "eps;-1" "eps;1")
+  list(GET bad 0 flag)
+  list(GET bad 1 value)
+  expect_refused("socmix measure --${flag} ${value}" "--${flag}=${value}"
+                 "${SOCMIX_BIN}" measure ${measure_input} --${flag} ${value})
+endforeach()
+expect_refused("socmix measure --nodes -10" "--nodes=-10"
+               "${SOCMIX_BIN}" measure --dataset "Physics 1" --nodes -10 --sources 8)
+
 set(sybil_input --dataset "Physics 1" --nodes 300 --suspects 20 --verifiers 1)
+expect_refused("socmix sybil --suspects -3" "--suspects=-3"
+               "${SOCMIX_BIN}" sybil --dataset "Physics 1" --nodes 300 --suspects -3
+               --verifiers 1 --w 2)
 foreach(knob "reorder;rcm" "sharded;4" "precision;mixed" "io-mode;prefetch")
   list(GET knob 0 flag)
   list(GET knob 1 value)
@@ -96,4 +120,5 @@ if(NOT rc EQUAL 0)
 endif()
 
 message(STATUS "driver forwarding e2e: fig5 ran with the requested shard geometry; "
-               "sybil and fig8 refused the knobs they cannot use")
+               "retired knobs, bad counts and the knobs sybil and fig8 cannot use "
+               "were refused")

@@ -61,11 +61,17 @@ foreach(key
     "markov.frontier.switches"
     "markov.sampled.runs"
     "markov.sampled.sources"
+    "markov.sampled.oracle_violations"
     "util.pool.parallel_for_calls")
   if(NOT metrics MATCHES "\"${key}\":")
     message(FATAL_ERROR "metrics JSON is missing key '${key}'")
   endif()
 endforeach()
+# The sampled TVD must obey monotonicity and the spectral upper bound.
+if(NOT metrics MATCHES "\"markov\\.sampled\\.oracle_violations\":0[,}]")
+  message(FATAL_ERROR "markov.sampled.oracle_violations is not 0: the sampled TVD "
+                      "contradicts the spectral bound or rises along a trajectory")
+endif()
 
 if(NOT EXISTS "${trace_file}")
   message(FATAL_ERROR "--trace-out wrote nothing to ${trace_file}")

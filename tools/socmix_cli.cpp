@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "bench_harness/harness.hpp"
@@ -61,10 +62,7 @@ int usage() {
       "  perf:   --threads N                     kernel worker threads (0 = auto)\n"
       "          --reorder none|degree|rcm|bfs   vertex ordering for the kernels\n"
       "          --frontier auto|off|FRAC        adaptive frontier-sparse sweeps\n"
-      "          --precision f64|mixed           sampled-walk kernel precision\n"
       "          --sharded auto|off|N            shard-at-a-time out-of-core sweeps\n"
-      "          --io-mode sync|prefetch         stage shard windows inline or on a\n"
-      "                                          prefetch thread (same results)\n"
       "          (SOCMIX_SIMD=avx512|avx2|scalar forces the simd kernel tier)\n"
       "  info                                    structural report\n"
       "  measure [--sources N] [--steps N] [--eps X] [--tvd-out FILE]\n"
@@ -99,7 +97,8 @@ graph::Graph load_input(const util::Cli& cli, std::string& name) {
   const auto spec = gen::find_dataset(dataset);
   if (!spec) throw std::runtime_error{"unknown dataset '" + dataset + "'"};
   name = spec->name + " stand-in";
-  const auto nodes = static_cast<graph::NodeId>(cli.get_i64("nodes", 0));
+  const auto nodes = static_cast<graph::NodeId>(
+      cli.get_count("nodes", 0, std::numeric_limits<graph::NodeId>::max()));
   return gen::build_dataset(*spec, nodes, seed);
 }
 
@@ -200,8 +199,8 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
   core::MeasurementOptions options;
   static_cast<markov::EngineOptions&>(options) = core::engine_options_from_cli(cli);
   options.mapped = input.mapped_ptr();
-  options.sources = static_cast<std::size_t>(cli.get_i64("sources", 200));
-  options.max_steps = static_cast<std::size_t>(cli.get_i64("steps", 400));
+  options.sources = cli.get_count("sources", 200);
+  options.max_steps = cli.get_count("steps", 400);
   options.seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
   options.checkpoint = checkpoint;
   const std::string spectral = cli.get("spectral", "on");
@@ -211,6 +210,10 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
     throw std::invalid_argument{"--spectral=" + spectral + ": expected on or off"};
   }
   const double eps = cli.get_f64("eps", markov::kHeadlineEpsilon);
+  if (!(eps > 0.0 && eps < 1.0)) {
+    throw std::invalid_argument{"--eps=" + cli.get("eps", "") +
+                                ": expected a variation distance in (0, 1)"};
+  }
 
   const auto report = core::measure_mixing(input.graph(), input.name, options);
   if (cli.has("tvd-out")) write_tvd(*report.sampled, cli.get("tvd-out", ""));
@@ -247,7 +250,8 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
 int cmd_sample(const util::Cli& cli) {
   std::string name;
   const auto g = load_input(cli, name);
-  const auto size = static_cast<graph::NodeId>(cli.get_i64("size", 10000));
+  const auto size = static_cast<graph::NodeId>(
+      cli.get_count("size", 10000, std::numeric_limits<graph::NodeId>::max()));
   const std::string method = cli.get("method", "bfs");
   util::Rng rng{static_cast<std::uint64_t>(cli.get_i64("seed", 42))};
 
@@ -264,7 +268,8 @@ int cmd_sample(const util::Cli& cli) {
 int cmd_trim(const util::Cli& cli) {
   std::string name;
   const auto g = load_input(cli, name);
-  const auto k = static_cast<graph::NodeId>(cli.get_i64("min-degree", 2));
+  const auto k = static_cast<graph::NodeId>(
+      cli.get_count("min-degree", 2, std::numeric_limits<graph::NodeId>::max()));
   const auto trimmed = graph::trim_min_degree(g, k);
   std::fprintf(stderr, "trim to min degree %u: kept %u of %u nodes\n", k,
                trimmed.graph.num_nodes(), g.num_nodes());
@@ -310,8 +315,8 @@ int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpo
   config.checkpoint = checkpoint;
   config.frontier = core::route_frontier_from_cli(cli);
   config.route_lengths = parse_route_lengths(cli);
-  config.suspect_sample = static_cast<std::size_t>(cli.get_i64("suspects", 200));
-  config.verifier_sample = static_cast<std::size_t>(cli.get_i64("verifiers", 3));
+  config.suspect_sample = cli.get_count("suspects", 200);
+  config.verifier_sample = cli.get_count("verifiers", 3);
   config.seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
   // A compressed container is headless: admission_sweep rejects it
   // (RouteTable::require_adjacency) before any route is walked.
@@ -349,12 +354,12 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const util::Cli cli{argc - 1, argv + 1};
-  util::set_thread_count(static_cast<std::size_t>(cli.get_i64("threads", 0)));
-  core::configure_observability(cli);
-  // Opt-in only for the CLI: an explicit --bench-out turns the phase
-  // timings measure_mixing records into a BENCH artifact at exit.
-  if (cli.has("bench-out")) bench::Harness::configure_process(cli);
   try {
+    util::set_thread_count(cli.get_count("threads", 0));
+    core::configure_observability(cli);
+    // Opt-in only for the CLI: an explicit --bench-out turns the phase
+    // timings measure_mixing records into a BENCH artifact at exit.
+    if (cli.has("bench-out")) bench::Harness::configure_process(cli);
     const auto checkpoint = core::configure_resilience(cli);
     if (command == "info") return cmd_info(cli);
     if (command == "measure") return cmd_measure(cli, checkpoint);
