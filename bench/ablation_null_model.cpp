@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   // Phase seconds recorded by core::measure_mixing land in the process
   // harness; the atexit hook writes BENCH_<bench>.json next to the CSVs.
   bench::Harness::configure_process(cli);
-  auto config = core::ExperimentConfig::from_cli(cli);
+  auto config = core::ExperimentConfig::from_cli_or_exit(cli);
   if (!cli.has("scale")) config.scale = 0.5;
   const double swap_factor = cli.get_f64("swaps", 10.0);
 

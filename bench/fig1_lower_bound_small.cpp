@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   // Phase seconds recorded by core::measure_mixing land in the process
   // harness; the atexit hook writes BENCH_<bench>.json next to the CSVs.
   bench::Harness::configure_process(cli);
-  const auto config = core::ExperimentConfig::from_cli(cli);
+  const auto config = core::ExperimentConfig::from_cli_or_exit(cli);
 
   std::cout << "Figure 1: lower bound of the mixing time -- small datasets\n";
   const auto epsilons = core::figure_epsilon_grid();

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   // Phase seconds recorded by core::measure_mixing land in the process
   // harness; the atexit hook writes BENCH_<bench>.json next to the CSVs.
   bench::Harness::configure_process(cli);
-  const auto config = core::ExperimentConfig::from_cli(cli);
+  const auto config = core::ExperimentConfig::from_cli_or_exit(cli);
   const std::size_t sources = cli.has("sources") ? config.sources : 400;
 
   std::cout << "Figure 3: CDF of mixing (short walks) for the physics datasets\n";

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   // Phase seconds recorded by core::measure_mixing land in the process
   // harness; the atexit hook writes BENCH_<bench>.json next to the CSVs.
   bench::Harness::configure_process(cli);
-  const auto config = core::ExperimentConfig::from_cli(cli);
+  const auto config = core::ExperimentConfig::from_cli_or_exit(cli);
   const std::size_t sources = cli.has("sources") ? config.sources : 100;
 
   std::cout << "Figure 4: CDF of mixing (long walks) for the physics datasets\n";

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   // Phase seconds recorded by core::measure_mixing land in the process
   // harness; the atexit hook writes BENCH_<bench>.json next to the CSVs.
   bench::Harness::configure_process(cli);
-  auto config = core::ExperimentConfig::from_cli(cli);
+  auto config = core::ExperimentConfig::from_cli_or_exit(cli);
   if (!cli.has("scale")) config.scale = 0.25;
   const std::size_t sources = cli.has("sources") ? config.sources : 60;
   const std::size_t max_steps = config.max_steps != 0 ? config.max_steps : 800;

@@ -10,9 +10,8 @@
 //   --suspects N  honest suspects sampled per point (default 200)
 //   --r0 F        route-count multiplier r = r0 sqrt(m) (default 4)
 //   --seed N
-//   --frontier auto|off|FRAC  route walk order (same results); the other
-//                 execution knobs are rejected — they change no admission
-//                 work
+// The execution knobs (--reorder, --sharded) are rejected: random routes
+// have no evolver, so they would change no admission work.
 #include <cstdio>
 #include <iostream>
 #include <stdexcept>
@@ -32,11 +31,10 @@ using namespace socmix;
 
 int main(int argc, char** argv) {
   const util::Cli cli{argc, argv};
-  // Random routes take only --frontier; the evolver knobs fail here,
-  // before any work.
-  graph::FrontierPolicy frontier;
+  // Random routes take no execution knobs; they fail here, before any
+  // work.
   try {
-    frontier = core::route_frontier_from_cli(cli);
+    core::refuse_engine_knobs(cli);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "fig8_sybillimit_admission: %s\n", e.what());
     return 1;
@@ -44,7 +42,7 @@ int main(int argc, char** argv) {
   // Phase seconds recorded by core::measure_mixing land in the process
   // harness; the atexit hook writes BENCH_<bench>.json next to the CSVs.
   bench::Harness::configure_process(cli);
-  auto config = core::ExperimentConfig::from_cli(cli);
+  auto config = core::ExperimentConfig::from_cli_or_exit(cli);
   if (!cli.has("scale")) config.scale = 0.6;
   const auto suspects = static_cast<std::size_t>(cli.get_i64("suspects", 200));
   const double r0 = cli.get_f64("r0", 4.0);
@@ -89,7 +87,6 @@ int main(int argc, char** argv) {
     sweep.r0 = r0;
     sweep.seed = config.seed;
     sweep.checkpoint = config.checkpoint;
-    sweep.frontier = frontier;
     // Per-panel stem: panels share one --checkpoint-dir without clobbering.
     if (sweep.checkpoint.enabled()) {
       sweep.checkpoint.name = "fig8-" + util::slugify(label);

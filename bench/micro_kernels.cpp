@@ -26,7 +26,6 @@
 #include "gen/barabasi_albert.hpp"
 #include "gen/datasets.hpp"
 #include "graph/components.hpp"
-#include "graph/frontier.hpp"
 #include "graph/sampling.hpp"
 #include "linalg/lanczos.hpp"
 #include "linalg/simd/kernels.hpp"
@@ -295,8 +294,7 @@ std::vector<simd::Tier> available_tiers() {
 double time_batched_sweeps(const graph::Graph& g, std::span<const double> pi,
                            std::size_t steps, const std::string& entry) {
   constexpr std::size_t kLanes = 32;
-  // Frontier off: the roofline measures the dense fused sweep itself.
-  markov::BatchedEvolver evolver{g, 0.0, kLanes, *graph::parse_frontier_policy("off")};
+  markov::BatchedEvolver evolver{g, 0.0, kLanes};
   std::vector<graph::NodeId> sources(kLanes);
   for (std::size_t b = 0; b < kLanes; ++b) sources[b] = static_cast<graph::NodeId>(b);
   std::vector<double> tvd(kLanes);
@@ -411,7 +409,7 @@ void run_simd_ablation(bool quick) {
 // pre-harness discipline) and fully instrumented (Harness::time_once with
 // hardware counters armed while the process sampler snapshots the metrics
 // registry in the background). Rounds interleave the two arms with the
-// order alternating — micro_frontier's pairing discipline — and the
+// order alternating — the pairing discipline micro_shard uses too — and the
 // per-arm min is compared, so a co-tenant burst cannot masquerade as
 // instrumentation cost. The acceptance bar is <= 2% overhead; the result
 // goes to bench_results/micro_obs_overhead.csv.
@@ -429,7 +427,7 @@ void run_obs_overhead(bool quick) {
   const std::size_t steps = quick ? 4 : 16;
   const std::size_t rounds = quick ? 6 : 12;
   constexpr std::size_t kLanes = 32;
-  markov::BatchedEvolver evolver{g, 0.0, kLanes, *graph::parse_frontier_policy("off")};
+  markov::BatchedEvolver evolver{g, 0.0, kLanes};
   std::vector<graph::NodeId> sources(kLanes);
   for (std::size_t b = 0; b < kLanes; ++b) sources[b] = static_cast<graph::NodeId>(b);
   std::vector<double> tvd(kLanes);
@@ -492,8 +490,8 @@ void run_obs_overhead(bool quick) {
   // where a scheduler blip lands inside one arm while still averaging the
   // central bulk. Comparing the arms' independent minima instead is NOT
   // sound here: at these region sizes the two minima disagree by several
-  // percent in either direction from run placement alone (same A/A effect
-  // micro_frontier documents for separately-allocated evolvers).
+  // percent in either direction from run placement alone (the A/A effect
+  // separately-allocated evolvers show).
   std::fprintf(stderr, "round ratios:");
   for (const double x : ratios) std::fprintf(stderr, " %+.2f%%", (x - 1.0) * 100.0);
   std::fprintf(stderr, "\n");

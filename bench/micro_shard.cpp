@@ -35,8 +35,8 @@
 // cross-shard gather traffic of the plan) and the sweep throughput in
 // half-edges/s — the roofline axis: dense is compute/RAM-bandwidth bound,
 // mapped shards add the fault/advise floor, and the gap between the three
-// is exactly what `--sharded auto` trades for residency. Pairing follows
-// micro_frontier: per round the dense and sharded run adjacently with the
+// is exactly what `--sharded auto` trades for residency. Pairing: per
+// round the dense and sharded run adjacently with the
 // order alternating, the reported slowdown is the median of the paired
 // per-round ratios, and absolute seconds are the per-variant minima.
 //
@@ -66,7 +66,6 @@
 
 #include "bench_harness/harness.hpp"
 #include "gen/datasets.hpp"
-#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
 #include "graph/sharded/format.hpp"
 #include "graph/sharded/mapped_graph.hpp"
@@ -123,10 +122,10 @@ struct PairTiming {
 };
 
 // Times one (dense, sharded) pair, interleaved round by round with the
-// order swapped on odd rounds, for the same reasons as micro_frontier: a
-// fresh evolver per timed run keeps lane-buffer placement luck out of the
-// min, and the paired per-round ratio cancels co-tenant bursts the
-// ratio-of-mins would mistake for a real gap.
+// order swapped on odd rounds: a fresh evolver per timed run keeps
+// lane-buffer placement luck out of the min, and the paired per-round
+// ratio cancels co-tenant bursts the ratio-of-mins would mistake for a
+// real gap.
 PairTiming time_shard_pair(const graph::Graph& g, const graph::Graph& view,
                            const graph::ShardPlan& plan,
                            const graph::sharded::MappedGraph* mapped,
@@ -144,7 +143,7 @@ PairTiming time_shard_pair(const graph::Graph& g, const graph::Graph& view,
   };
   const auto run_sharded = [&] {
     markov::BatchedEvolver evolver{
-        view, 0.0, markov::BatchedEvolver::kDefaultBlock, {}, {plan, mapped}};
+        view, 0.0, markov::BatchedEvolver::kDefaultBlock, {plan, mapped}};
     evolver.seed_point_masses(sources);
     return bench::Harness::process().time_once(entry_prefix + "/" + variant, [&] {
       for (std::size_t t = 0; t < steps; ++t) evolver.step_with_tvd(pi, tvd);
@@ -206,9 +205,7 @@ struct ColdTiming {
 // a released window's pages stay in the page cache, so only the first
 // sweep is cold, and it is exactly the within-sweep overlap — compute
 // shard k while shard k+1 streams — the pipeline claims. More steps only
-// dilute the cold sweep with warm ones. The frontier phase is pinned off
-// for all variants — compressed windows cannot run it, and the comparison
-// is the full-sweep I/O cost, not the sparse-phase shortcut.
+// dilute the cold sweep with warm ones.
 ColdTiming time_cold_variant(const graph::Graph& g, const std::string& pack,
                              std::span<const graph::NodeId> sources,
                              std::size_t steps, std::size_t rounds,
@@ -220,12 +217,9 @@ ColdTiming time_cold_variant(const graph::Graph& g, const std::string& pack,
   for (std::size_t r = 0; r < rounds; ++r) {
     drop_page_cache(pack);
     const graph::sharded::MappedGraph mapped{pack, {.verify = false}};
-    markov::BatchedEvolver evolver{
-        mapped.view(),
-        0.0,
-        markov::BatchedEvolver::kDefaultBlock,
-        graph::FrontierPolicy{.mode = graph::FrontierPolicy::Mode::kOff},
-        {mapped.pack_plan(), &mapped}};
+    markov::BatchedEvolver evolver{mapped.view(), 0.0,
+                                   markov::BatchedEvolver::kDefaultBlock,
+                                   {mapped.pack_plan(), &mapped}};
     evolver.seed_point_masses(sources);
     const double seconds = bench::Harness::process().time_once(entry, [&] {
       for (std::size_t t = 0; t < steps; ++t) evolver.step_with_tvd(pi, tvd);
@@ -268,7 +262,7 @@ int main(int argc, char** argv) {
   bench::Harness::process().set_flag("cold_protocol", "fsync+fadvise-dontneed");
 
   // First Table-1 stand-in of each mixing class, in paper row order (same
-  // picks as micro_frontier, so the two ablations are comparable).
+  // picks as serve_admission, so the lanes are comparable).
   std::vector<gen::DatasetSpec> picks;
   for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
     bool seen = false;

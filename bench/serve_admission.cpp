@@ -4,10 +4,10 @@
 // queries (verify_batch, kBatchLanes-wide) against warm caches — and
 // reports queries/sec plus p50/p99 batch-verify latency.
 //
-// One Table-1 stand-in per paper mixing class (the micro_shard /
-// micro_frontier pick), at the paper's w = 10 operating point. Per round
-// the per-batch wall times are sorted into p50/p99 and recorded as
-// harness samples, so the committed baseline
+// One Table-1 stand-in per paper mixing class (the micro_shard pick), at
+// the paper's w = 10 operating point. Per round the per-batch wall times
+// are sorted into p50/p99 and recorded as harness samples, so the
+// committed baseline
 // (bench_results/baseline/BENCH_serve-admission.json) carries one
 // p50/p99 distribution per dataset and the CI perf gate can
 // `bench_compare --require` the entries:
@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
   bench::Harness::process().set_flag("rounds", std::to_string(rounds));
   bench::Harness::process().set_flag("batches", std::to_string(batches));
 
-  // First Table-1 config of each paper mixing class (micro_frontier /
-  // micro_shard use the same picks, so the lanes are comparable).
+  // First Table-1 config of each paper mixing class (micro_shard uses the
+  // same picks, so the lanes are comparable).
   std::vector<gen::DatasetSpec> picks;
   for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
     bool seen = false;

@@ -10,7 +10,7 @@
 //                         shape; opts.repeats >= 5 for gate-able entries)
 //   time_once(name, fn)   one timed repeat appended to `name` (for benches
 //                         with their own pairing/interleaving discipline —
-//                         micro_frontier's paired rounds — that still want
+//                         micro_shard's paired rounds — that still want
 //                         per-repeat counters and harness stats)
 //   record(name, s)       append an externally timed sample (the figure
 //                         benches' phase seconds, measured by the code
@@ -87,7 +87,7 @@ class Harness {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   void set_name(std::string name);
 
-  /// Records a provenance flag (reorder/frontier/precision/scale/...).
+  /// Records a provenance flag (reorder/sharded/scale/...).
   void set_flag(std::string key, std::string value);
 
   /// Disables per-repeat counter capture (the obs-overhead control arm

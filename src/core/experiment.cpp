@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 
 #include "bench_harness/harness.hpp"
@@ -21,6 +24,10 @@ namespace socmix::core {
 ExperimentConfig ExperimentConfig::from_cli(const util::Cli& cli) {
   ExperimentConfig config;
   config.scale = cli.get_f64("scale", 1.0);
+  if (!(config.scale > 0.0) || !std::isfinite(config.scale)) {
+    throw std::invalid_argument{"--scale=" + cli.get("scale", "") +
+                                ": expected a positive number"};
+  }
   config.sources = cli.get_count("sources", 0);
   config.max_steps = cli.get_count("steps", 0);
   config.seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
@@ -36,6 +43,16 @@ ExperimentConfig ExperimentConfig::from_cli(const util::Cli& cli) {
   configure_observability(cli);
   config.checkpoint = configure_resilience(cli);
   return config;
+}
+
+ExperimentConfig ExperimentConfig::from_cli_or_exit(const util::Cli& cli) {
+  try {
+    return from_cli(cli);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << std::filesystem::path{cli.program()}.filename().string() << ": "
+              << e.what() << '\n';
+    std::exit(1);
+  }
 }
 
 MeasurementOptions ExperimentConfig::measurement_options() const {
@@ -62,44 +79,57 @@ auto parse_knob(const util::Cli& cli, const std::string& flag, const char* fallb
   return *parsed;
 }
 
-graph::FrontierPolicy frontier_from_cli(const util::Cli& cli) {
-  return parse_knob(cli, "frontier", "auto", graph::parse_frontier_policy,
-                    "auto, off, or a row fraction in (0, 1]");
+/// Flags refused by name, whatever the value, rather than silently
+/// ignored. Retired knobs no longer exist anywhere; the rest are evolver
+/// knobs, which only the random-route drivers refuse.
+struct RefusedFlag {
+  const char* flag;
+  bool retired;
+  const char* reason;
+};
+constexpr RefusedFlag kRefusedFlags[] = {
+    {"precision", true, "retired; both phases always run f64"},
+    {"io-mode", true,
+     "retired; the shard pipeline stages windows on its own worker whenever it has "
+     "staging work"},
+    {"frontier", true, "retired; every sweep is dense, and random routes walk hop-major"},
+    {"reorder", false, "random routes take no execution knobs; this knob changes no "
+                       "admission work"},
+    {"sharded", false, "random routes take no execution knobs; this knob changes no "
+                       "admission work"},
+};
+
+/// Throws naming the first refused flag passed: retired ones always,
+/// evolver knobs only for the random-route drivers.
+void refuse_flags(const util::Cli& cli, bool random_routes) {
+  for (const RefusedFlag& refused : kRefusedFlags) {
+    if ((refused.retired || random_routes) && cli.has(refused.flag)) {
+      throw std::invalid_argument{std::string{"--"} + refused.flag + ": " +
+                                  refused.reason};
+    }
+  }
 }
 
 }  // namespace
 
 markov::EngineOptions engine_options_from_cli(const util::Cli& cli) {
-  if (cli.has("precision")) {
-    throw std::invalid_argument{"--precision: retired; both phases always run f64"};
-  }
-  if (cli.has("io-mode")) {
-    throw std::invalid_argument{
-        "--io-mode: retired; the shard pipeline stages windows on its own worker "
-        "whenever it has staging work"};
-  }
+  refuse_flags(cli, /*random_routes=*/false);
   markov::EngineOptions engine;
   engine.reorder = parse_knob(cli, "reorder", "none", graph::parse_reorder_mode,
                               "one of none, degree, rcm, bfs");
-  engine.frontier = frontier_from_cli(cli);
   engine.sharded = parse_knob(cli, "sharded", "auto", graph::parse_shard_policy,
                               "auto, off, or a shard count in [1, " +
                                   std::to_string(graph::ShardPolicy::kMaxShards) + "]");
   return engine;
 }
 
-graph::FrontierPolicy route_frontier_from_cli(const util::Cli& cli) {
-  for (const char* flag : {"reorder", "sharded", "precision", "io-mode"}) {
-    if (cli.has(flag)) {
-      throw std::invalid_argument{std::string{"--"} + flag +
-                                  ": random routes take only --frontier; this "
-                                  "knob changes no admission work"};
-    }
-  }
-  return frontier_from_cli(cli);
+void refuse_engine_knobs(const util::Cli& cli) {
+  refuse_flags(cli, /*random_routes=*/true);
 }
 
 void configure_observability(const util::Cli& cli) {
+  // Checked even without --sample-out, so a bad value never passes silently.
+  const std::size_t interval_ms = cli.get_positive("sample-interval-ms", 100);
   const std::string metrics = cli.get("metrics-out", "");
   const std::string trace = cli.get("trace-out", "");
   const std::string sample = cli.get("sample-out", "");
@@ -112,8 +142,7 @@ void configure_observability(const util::Cli& cli) {
   if (!sample.empty()) {
     obs::SamplerOptions options;
     options.path = sample;
-    options.interval_ms = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(1, cli.get_i64("sample-interval-ms", 100)));
+    options.interval_ms = interval_ms;
     obs::start_process_sampler(std::move(options));
   }
   if (!metrics.empty() || !trace.empty() || !sample.empty()) obs::flush_on_exit();
@@ -122,8 +151,7 @@ void configure_observability(const util::Cli& cli) {
 resilience::CheckpointOptions configure_resilience(const util::Cli& cli) {
   resilience::CheckpointOptions checkpoint;
   checkpoint.dir = cli.get("checkpoint-dir", "");
-  checkpoint.interval =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_i64("checkpoint-interval", 8)));
+  checkpoint.interval = cli.get_positive("checkpoint-interval", 8);
   resilience::configure_faults_from_env();
   const std::string fault = cli.get("fault-inject", "");
   if (!fault.empty()) resilience::arm_fault(fault);
@@ -132,9 +160,16 @@ resilience::CheckpointOptions configure_resilience(const util::Cli& cli) {
 
 graph::Graph build_scaled_dataset(const gen::DatasetSpec& spec,
                                   const ExperimentConfig& config) {
-  const auto nodes = static_cast<graph::NodeId>(
-      std::max(64.0, config.scale * static_cast<double>(spec.default_nodes)));
-  return gen::build_dataset(spec, nodes, config.seed);
+  const double nodes =
+      std::max(64.0, config.scale * static_cast<double>(spec.default_nodes));
+  constexpr auto kMaxNodes =
+      static_cast<double>(std::numeric_limits<graph::NodeId>::max());
+  if (!(config.scale > 0.0) || !(nodes <= kMaxNodes)) {
+    throw std::invalid_argument{"--scale=" + util::fmt_auto(config.scale) +
+                                ": expected a positive number that keeps " + spec.name +
+                                " within " + util::fmt_auto(kMaxNodes) + " nodes"};
+  }
+  return gen::build_dataset(spec, static_cast<graph::NodeId>(nodes), config.seed);
 }
 
 std::vector<double> figure_epsilon_grid() {

@@ -11,7 +11,6 @@
 
 #include "core/measurement.hpp"
 #include "gen/datasets.hpp"
-#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
 #include "markov/mixing_time.hpp"
 #include "resilience/checkpoint.hpp"
@@ -45,35 +44,39 @@ struct ExperimentConfig {
   /// / --trace-out / --progress) and configure_resilience
   /// (--checkpoint-dir / --checkpoint-interval / --fault-inject), so those
   /// flags work in every driver. Throws std::invalid_argument on a
-  /// malformed value.
+  /// malformed value or a --scale that is not a positive number.
   [[nodiscard]] static ExperimentConfig from_cli(const util::Cli& cli);
+
+  /// from_cli for a driver's main: on a malformed or refused flag, prints
+  /// "<program>: <message>" to stderr and exits 1 instead of throwing.
+  [[nodiscard]] static ExperimentConfig from_cli_or_exit(const util::Cli& cli);
 
   /// Measurement options carrying this config's seed, checkpoint and
   /// execution knobs; drivers set the walk budget and phases on top.
   [[nodiscard]] MeasurementOptions measurement_options() const;
 };
 
-/// Parses the execution knobs --reorder (default none), --frontier (auto)
-/// and --sharded (auto), and stamps each on the process bench harness so
-/// any BENCH json records what the run actually used. Throws
-/// std::invalid_argument naming the flag, the bad value and the accepted
-/// ones, and naming --precision or --io-mode when either retired knob is
-/// passed. `mapped` is left null for callers that load a --pack container.
+/// Parses the execution knobs --reorder (default none) and --sharded
+/// (auto), and stamps each on the process bench harness so any BENCH json
+/// records what the run actually used. Throws std::invalid_argument naming
+/// the flag, the bad value and the accepted ones, and naming --precision,
+/// --io-mode or --frontier when a retired knob is passed. `mapped` is left
+/// null for callers that load a --pack container.
 [[nodiscard]] markov::EngineOptions engine_options_from_cli(const util::Cli& cli);
 
-/// The one execution knob of the random-route drivers (socmix sybil,
-/// fig8): parses and stamps --frontier like engine_options_from_cli.
-/// Random routes have no evolver, so --reorder, --sharded, --precision
-/// and --io-mode would change no admission work; passing any of them
-/// throws std::invalid_argument naming the flag.
-[[nodiscard]] graph::FrontierPolicy route_frontier_from_cli(const util::Cli& cli);
+/// The random-route drivers (socmix sybil, fig8) take no execution knobs:
+/// random routes have no evolver, so --reorder and --sharded would change
+/// no admission work. Throws std::invalid_argument naming the first of
+/// those, or of the retired knobs engine_options_from_cli refuses, that is
+/// passed.
+void refuse_engine_knobs(const util::Cli& cli);
 
 /// Wires the shared observability flags into the obs layer:
 ///   --metrics-out=PATH        metrics snapshot at exit (JSON; CSV if *.csv)
 ///   --trace-out=PATH          Chrome trace_event JSON of recorded spans
 ///   --sample-out=PATH         in-run JSONL time-series of the metrics
 ///                             registry + /proc/self (obs::Sampler)
-///   --sample-interval-ms=N    sampling period (default 100)
+///   --sample-interval-ms=N    sampling period (default 100; 0 throws)
 ///   --progress                coarse progress + ETA on stderr
 /// Also stamps the metrics exporter with build provenance (git, build
 /// type, compiler, SIMD tier) so every snapshot records its environment.
@@ -84,7 +87,8 @@ void configure_observability(const util::Cli& cli);
 
 /// Wires the shared resilience flags:
 ///   --checkpoint-dir=DIR      snapshot completed sweep blocks into DIR
-///   --checkpoint-interval=N   write every N completed blocks (default 8)
+///   --checkpoint-interval=N   write every N completed blocks (default 8;
+///                             0 throws)
 ///   --fault-inject=SPEC       arm a deterministic fault (<site>:<nth>
 ///                             [:abort|:error]; see resilience/fault.hpp);
 ///                             the SOCMIX_FAULT env var is honored too,
@@ -93,8 +97,10 @@ void configure_observability(const util::Cli& cli);
 /// ExperimentConfig::from_cli get this for free.
 [[nodiscard]] resilience::CheckpointOptions configure_resilience(const util::Cli& cli);
 
-/// Builds a Table-1 stand-in at config.scale times its default size and
-/// returns its largest connected component.
+/// Builds a Table-1 stand-in at config.scale times its default size (at
+/// least 64 nodes) and returns its largest connected component. Throws
+/// std::invalid_argument naming --scale when the scale is not positive or
+/// the node count would overflow NodeId.
 [[nodiscard]] graph::Graph build_scaled_dataset(const gen::DatasetSpec& spec,
                                                 const ExperimentConfig& config);
 

@@ -18,7 +18,6 @@
 #include <optional>
 #include <string>
 
-#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
 #include "graph/reorder.hpp"
 #include "linalg/lanczos.hpp"

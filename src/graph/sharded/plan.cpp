@@ -54,8 +54,8 @@ std::uint32_t resolve_shard_count(const ShardPolicy& policy, std::size_t csr_byt
 
 std::uint64_t shard_context_word(std::uint32_t resolved_shards) noexcept {
   if (resolved_shards <= 1) return 0;
-  // 'SHRD' tag so the word cannot collide with the frontier/precision
-  // words it is hash-combined alongside.
+  // 'SHRD' tag so the word cannot collide with the retired frontier and
+  // precision words it is hash-combined alongside.
   return util::hash_combine(std::uint64_t{0x53485244}, resolved_shards);
 }
 

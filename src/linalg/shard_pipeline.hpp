@@ -46,12 +46,6 @@
 
 namespace socmix::linalg {
 
-/// The one value of a retired execution knob (--precision: the sampled
-/// phase always runs f64; --io-mode: the pipeline picks its own staging).
-/// It survives only as the type of fields and parameters perfbench/ still
-/// spells out; nothing reads it.
-struct RetiredKnob {};
-
 /// One shard's adjacency, ready for the kernels.
 ///
 /// local == false: `offsets`/`neighbors` are the graph's absolute CSR
@@ -101,7 +95,7 @@ class ShardPipeline {
 
   /// True when windows are decoded (compressed container): acquire
   /// returns local windows and the engine must use the rebased kernel
-  /// call; also implies the frontier optimization is unavailable.
+  /// call.
   [[nodiscard]] bool decodes() const noexcept { return compressed_; }
   /// Bytes of decode scratch held across both slots (0 uncompressed).
   [[nodiscard]] std::size_t scratch_bytes() const noexcept { return scratch_bytes_; }

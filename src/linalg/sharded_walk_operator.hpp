@@ -9,13 +9,15 @@
 #include <utility>
 
 #include "linalg/walk_operator.hpp"
+#include "util/retired_knob.hpp"
 
 namespace socmix::linalg {
 
 class ShardedWalkOperator : public WalkOperator {
  public:
   ShardedWalkOperator(const graph::Graph& g, graph::ShardPlan plan, double laziness,
-                      const graph::sharded::MappedGraph* mapped, RetiredKnob /*io_mode*/)
+                      const graph::sharded::MappedGraph* mapped,
+                      util::RetiredKnob /*io_mode*/)
       : WalkOperator(g, std::move(plan), laziness, mapped) {}
 };
 

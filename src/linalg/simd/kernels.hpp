@@ -3,9 +3,8 @@
 //
 // The batched 32-lane SpMM + fused TVD (markov::BatchedEvolver), the
 // single-vector gather-stream SpMV (linalg::{Walk,WeightedWalk}Operator,
-// one-lane markov::BatchedEvolver) and their frontier range variants all
-// funnel through one table of kernel function pointers. Three tiers
-// implement the table:
+// one-lane markov::BatchedEvolver) all funnel through one table of kernel
+// function pointers. Three tiers implement the table:
 //
 //   scalar   the portable fallback — the exact pre-SIMD kernel code,
 //            compiled with the build's baseline flags;
@@ -34,7 +33,6 @@
 #include <optional>
 #include <string_view>
 
-#include "graph/frontier.hpp"
 #include "graph/types.hpp"
 
 namespace socmix::linalg::simd {
@@ -45,16 +43,15 @@ inline constexpr std::size_t kMaxLanes = 32;
 
 enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
-/// Batched multi-lane SpMM sweep (optionally fused with the TVD-to-pi
-/// reduction). For each row j — all of [0, n) when `ranges` is null,
-/// otherwise the rows inside `ranges` with the skipped rows' pi-gap terms
-/// interleaved in ascending-row order exactly as the dense sweep would
-/// produce them (see graph::FrontierSet):
+/// Batched multi-lane SpMM sweep over the contiguous rows [begin, end),
+/// optionally fused with the TVD-to-pi reduction (callers fuse it only
+/// when the range is every row). For each row j, ascending:
 ///   acc[b]  = sum_{e in row j} scaled[neighbors[e]*stride + b]
 ///   next_jb = walk_weight*acc[b] + laziness*cur[j*stride + b]
 ///   tvd[b] += |next_jb - pi[j]|
 struct SpmmArgs {
-  graph::NodeId n = 0;
+  graph::NodeId begin = 0;
+  graph::NodeId end = 0;
   const graph::EdgeIndex* offsets = nullptr;
   const graph::NodeId* neighbors = nullptr;
   std::size_t stride = 0;  ///< lane stride of the block buffers
@@ -63,8 +60,6 @@ struct SpmmArgs {
   double laziness = 0.0;
   const double* pi = nullptr;  ///< null: skip the fused TVD
   double* tvd_out = nullptr;   ///< [lanes], written when pi != null
-  const graph::RowRange* ranges = nullptr;  ///< null: dense sweep of [0, n)
-  std::size_t num_ranges = 0;
 };
 
 using SpmmF64Fn = void (*)(const SpmmArgs& args, const double* scaled,
@@ -140,13 +135,12 @@ void reset_tier() noexcept;
 
 /// Standalone TVD-to-pi reduction over a *stored* lane-major state block:
 /// per lane b, 0.5 * sum_j |state[j*stride + b] - pi[j]| with j ascending
-/// over [0, n). Bit-identical to the fused reduction
-/// the spmm kernels compute on the same stored state — swept rows store
-/// exactly the value the fused term subtracts pi from, and skipped
-/// frontier rows hold +0.0 so |0 - pi_j| reproduces the pi-gap term bit
-/// for bit. BatchedEvolver uses this after a multi-shard or single-vector
-/// sweep with pi == null. One scalar implementation serves every tier: the
-/// reduction is adds and fabs only, with nothing tier-specific to pin.
+/// over [0, n). Bit-identical to the fused reduction the spmm kernels
+/// compute on the same stored state: every row stores exactly the value
+/// the fused term subtracts pi from. BatchedEvolver uses this after a
+/// multi-shard or single-vector sweep with pi == null. One scalar
+/// implementation serves every tier: the reduction is adds and fabs only,
+/// with nothing tier-specific to pin.
 void tvd_f64(const double* state, std::size_t stride, std::size_t lanes,
              const double* pi, graph::NodeId n, double* tvd_out) noexcept;
 

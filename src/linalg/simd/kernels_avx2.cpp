@@ -7,7 +7,6 @@
 #include <immintrin.h>
 
 #include <cstddef>
-#include <span>
 
 #include "linalg/simd/kernels_detail.hpp"
 #include "util/prefetch.hpp"

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "linalg/simd/kernels_detail.hpp"
 #include "util/prefetch.hpp"

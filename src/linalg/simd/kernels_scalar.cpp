@@ -1,10 +1,10 @@
 // Scalar (portable) kernel tier.
 //
-// The f64 SpMM kernel runs the pre-SIMD BatchedEvolver row body over row
-// ranges (a dense sweep is the one range [0, n)) — it defines the
-// per-lane floating-point operation sequence every other tier must
-// reproduce bit for bit, and compiling it with the build's baseline flags
-// keeps the default build's output identical to the pre-dispatch code.
+// The f64 SpMM kernel runs the pre-SIMD BatchedEvolver row body over one
+// contiguous row range — it defines the per-lane floating-point operation
+// sequence every other tier must reproduce bit for bit, and compiling it
+// with the build's baseline flags keeps the default build's output
+// identical to the pre-dispatch code.
 //
 // This TU is compiled with -ffp-contract=off (see src/linalg/CMakeLists)
 // so a native build cannot contract the affine epilogues into FMAs —
@@ -13,7 +13,6 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
-#include <span>
 
 #include "linalg/simd/kernels_detail.hpp"
 #include "util/prefetch.hpp"
@@ -46,29 +45,15 @@ void with_lanes(std::size_t lanes, F&& f) {
   }
 }
 
-// The rows a sweep visits: the frontier's ranges, or the single range
-// [0, n) of a dense sweep.
-std::span<const graph::RowRange> sweep_ranges(const SpmmArgs& a,
-                                              const graph::RowRange& full) {
-  return a.ranges != nullptr ? std::span<const graph::RowRange>{a.ranges, a.num_ranges}
-                             : std::span<const graph::RowRange>{&full, 1};
-}
-
-// f64 row sweep over `ranges`. The inner loop is a single gather + add
-// per edge: the per-source scaling src[b] * inv_deg[i] was hoisted into
-// the prescale pass (see BatchedEvolver::sweep), which computes the exact
-// same rounded products, so the floating-point result per lane remains
-// the operation sequence of the single-vector spmv epilogue +
+// f64 row sweep over [a.begin, a.end). The inner loop is a single gather
+// + add per edge: the per-source scaling src[b] * inv_deg[i] was hoisted
+// into the prescale pass (see BatchedEvolver::sweep), which computes the
+// exact same rounded products, so the floating-point result per lane
+// remains the operation sequence of the single-vector spmv epilogue +
 // total_variation (CSR edge order, then ascending-row TVD) — bit-identical
-// to a one-lane sweep. Rows outside the ranges hold exactly +0.0 in
-// cur/next/scaled (frontier seed invariant + monotone closure), so a full
-// sweep would have recomputed +0.0 for them and their TVD term
-// fabs(0.0 - pi[j]) is pi[j] bit for bit — accumulated here in the same
-// ascending-row order, interleaved with the swept rows, to keep the
-// per-lane reduction sequence identical to a full sweep.
+// to a one-lane sweep.
 template <std::size_t B>
-void sweep_f64(const SpmmArgs& a, std::span<const graph::RowRange> ranges,
-               const double* scaled, const double* cur, double* next) {
+void sweep_f64(const SpmmArgs& a, const double* scaled, const double* cur, double* next) {
   // Locals, not a.* reads: stores through next must not force reloads.
   const std::size_t lanes = B != 0 ? B : a.lanes;
   const std::size_t stride = a.stride;
@@ -79,42 +64,28 @@ void sweep_f64(const SpmmArgs& a, std::span<const graph::RowRange> ranges,
   const double* pi = a.pi;
   std::array<double, kLaneCap<B>> acc{};
   std::array<double, kLaneCap<B>> tvd_acc{};
-  graph::NodeId done = 0;
-  for (const graph::RowRange r : ranges) {
+  for (graph::NodeId j = a.begin; j < a.end; ++j) {
+    for (std::size_t b = 0; b < lanes; ++b) acc[b] = 0.0;
+    const graph::EdgeIndex row_end = offsets[j + 1];
+    for (graph::EdgeIndex e = offsets[j]; e < row_end; ++e) {
+      if (e + kPrefetchDistance < row_end) {
+        util::prefetch_read(
+            scaled + static_cast<std::size_t>(neighbors[e + kPrefetchDistance]) * stride);
+      }
+      const double* src = scaled + static_cast<std::size_t>(neighbors[e]) * stride;
+      for (std::size_t b = 0; b < lanes; ++b) acc[b] += src[b];
+    }
+    const double* cur_j = cur + static_cast<std::size_t>(j) * stride;
+    double* next_j = next + static_cast<std::size_t>(j) * stride;
+    for (std::size_t b = 0; b < lanes; ++b) {
+      next_j[b] = walk_weight * acc[b] + laziness * cur_j[b];
+    }
     if (pi != nullptr) {
-      for (graph::NodeId j = done; j < r.begin; ++j) {
-        const double p = pi[j];
-        for (std::size_t b = 0; b < lanes; ++b) tvd_acc[b] += p;
-      }
+      const double p = pi[j];
+      for (std::size_t b = 0; b < lanes; ++b) tvd_acc[b] += std::fabs(next_j[b] - p);
     }
-    for (graph::NodeId j = r.begin; j < r.end; ++j) {
-      for (std::size_t b = 0; b < lanes; ++b) acc[b] = 0.0;
-      const graph::EdgeIndex row_end = offsets[j + 1];
-      for (graph::EdgeIndex e = offsets[j]; e < row_end; ++e) {
-        if (e + kPrefetchDistance < row_end) {
-          util::prefetch_read(
-              scaled + static_cast<std::size_t>(neighbors[e + kPrefetchDistance]) * stride);
-        }
-        const double* src = scaled + static_cast<std::size_t>(neighbors[e]) * stride;
-        for (std::size_t b = 0; b < lanes; ++b) acc[b] += src[b];
-      }
-      const double* cur_j = cur + static_cast<std::size_t>(j) * stride;
-      double* next_j = next + static_cast<std::size_t>(j) * stride;
-      for (std::size_t b = 0; b < lanes; ++b) {
-        next_j[b] = walk_weight * acc[b] + laziness * cur_j[b];
-      }
-      if (pi != nullptr) {
-        const double p = pi[j];
-        for (std::size_t b = 0; b < lanes; ++b) tvd_acc[b] += std::fabs(next_j[b] - p);
-      }
-    }
-    done = r.end;
   }
   if (pi != nullptr) {
-    for (graph::NodeId j = done; j < a.n; ++j) {
-      const double p = pi[j];
-      for (std::size_t b = 0; b < lanes; ++b) tvd_acc[b] += p;
-    }
     for (std::size_t b = 0; b < lanes; ++b) a.tvd_out[b] = 0.5 * tvd_acc[b];
   }
 }
@@ -122,9 +93,7 @@ void sweep_f64(const SpmmArgs& a, std::span<const graph::RowRange> ranges,
 }  // namespace
 
 void spmm_f64(const SpmmArgs& a, const double* scaled, const double* cur, double* next) {
-  const graph::RowRange full{0, a.n};
-  const auto ranges = sweep_ranges(a, full);
-  with_lanes(a.lanes, [&]<std::size_t B>() { sweep_f64<B>(a, ranges, scaled, cur, next); });
+  with_lanes(a.lanes, [&]<std::size_t B>() { sweep_f64<B>(a, scaled, cur, next); });
 }
 
 void spmv(const SpmvArgs& a, graph::NodeId row_begin, graph::NodeId row_end) {

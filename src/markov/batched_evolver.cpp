@@ -26,9 +26,9 @@ void prescale(const double* cur, const double* inv_deg, double* scaled, std::siz
 }  // namespace
 
 BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size_t block,
-                               graph::FrontierPolicy frontier, SweepSharding sharding)
+                               SweepSharding sharding)
     : graph_(&g), mapped_(sharding.mapped), plan_(std::move(sharding.plan)),
-      laziness_(laziness), block_(block), policy_(frontier) {
+      laziness_(laziness), block_(block) {
   const graph::NodeId n = g.num_nodes();
   if (plan_.bounds.empty()) plan_ = graph::ShardPlan::single(n);
   if (laziness < 0.0 || laziness >= 1.0) {
@@ -36,15 +36,6 @@ BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size
   }
   if (block < 1 || block > kMaxBlock) {
     throw std::invalid_argument{"BatchedEvolver: block must be in [1, kMaxBlock]"};
-  }
-  if (policy_.enabled() &&
-      !(policy_.row_fraction() > 0.0 && policy_.row_fraction() <= 1.0)) {
-    throw std::invalid_argument{"BatchedEvolver: frontier threshold must be in (0, 1]"};
-  }
-  if (g.headless() && policy_.enabled()) {
-    throw std::invalid_argument{
-        "BatchedEvolver: the frontier optimization needs in-memory adjacency; "
-        "disable it for compressed containers"};
   }
   if (plan_.dim() != n || plan_.num_shards() == 0) {
     throw std::invalid_argument{"BatchedEvolver: plan does not cover the graph"};
@@ -63,11 +54,6 @@ BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size
   cur_.resize(cells);
   next_.resize(cells);
   scaled_.resize(cells);
-  if (policy_.enabled()) {
-    frontier_ = graph::FrontierSet{n};
-    switch_rows_ = std::max<graph::NodeId>(
-        1, static_cast<graph::NodeId>(policy_.row_fraction() * static_cast<double>(n)));
-  }
   sharded_ = plan_.num_shards() > 1 || mapped_ != nullptr;
 #if SOCMIX_OBS_ENABLED
   if (sharded_) {
@@ -91,60 +77,25 @@ void BatchedEvolver::seed_point_masses(std::span<const graph::NodeId> sources) {
       throw std::out_of_range{"BatchedEvolver: source vertex out of range"};
     }
   }
-  if (policy_.enabled()) {
-    // Frontier invariant: every row outside the closure must hold exactly
-    // +0.0 in all three buffers (the sparse kernels neither write nor
-    // prescale it, and gathers may read it). Fresh buffers already do;
-    // afterwards only the rows the previous run touched — its final
-    // closure, or everything once it went dense — need re-zeroing.
-    if (dense_dirty_) {
-      std::fill(cur_.begin(), cur_.end(), 0.0);
-      std::fill(next_.begin(), next_.end(), 0.0);
-      std::fill(scaled_.begin(), scaled_.end(), 0.0);
-      dense_dirty_ = false;
-    } else if (seeded_) {
-      for (const graph::RowRange r : frontier_.ranges()) {
-        const auto lo = static_cast<std::ptrdiff_t>(static_cast<std::size_t>(r.begin) * block_);
-        const auto hi = static_cast<std::ptrdiff_t>(static_cast<std::size_t>(r.end) * block_);
-        std::fill(cur_.begin() + lo, cur_.begin() + hi, 0.0);
-        std::fill(next_.begin() + lo, next_.begin() + hi, 0.0);
-        std::fill(scaled_.begin() + lo, scaled_.begin() + hi, 0.0);
-      }
-    }
-    frontier_.reset(sources);
-    sparse_phase_ = true;
-  } else {
-    std::fill(cur_.begin(), cur_.end(), 0.0);
-  }
+  std::fill(cur_.begin(), cur_.end(), 0.0);
   for (std::size_t b = 0; b < sources.size(); ++b) {
     cur_[static_cast<std::size_t>(sources[b]) * block_ + b] = 1.0;
   }
   active_ = sources.size();
-  seeded_ = true;
-  steps_since_seed_ = 0;
-  switch_step_ = 0;
-  rows_swept_ = 0;
 }
 
-void BatchedEvolver::sweep_rows(const linalg::ShardWindow& w,
-                                std::span<const graph::RowRange> rows,
-                                linalg::simd::SpmmArgs args) {
+void BatchedEvolver::sweep_window(const linalg::ShardWindow& w,
+                                  linalg::simd::SpmmArgs args) {
   // A decoded window is kernel-local: rows [0, end-begin), offsets indexing
   // the scratch neighbors. The streamed state blocks are rebased by begin
   // rows while the gather source stays absolute (neighbor ids are
   // absolute). Same per-row FP sequence, shifted pointers — bit-identical
-  // by construction. The frontier is off there (enforced at construction),
-  // so the shard's rows are the whole window.
-  const graph::RowRange local{0, w.end - w.begin};
-  if (w.local) {
-    args.n = local.end;
-    rows = {&local, 1};
-  }
+  // by construction.
   const std::size_t bias = w.local ? static_cast<std::size_t>(w.begin) * block_ : 0;
+  args.begin = w.local ? 0 : w.begin;
+  args.end = w.local ? w.end - w.begin : w.end;
   args.offsets = w.offsets;
   args.neighbors = w.neighbors;
-  args.ranges = rows.data();
-  args.num_ranges = rows.size();
   const linalg::simd::KernelTable& kernels = linalg::simd::dispatch();
   if (single_vector()) {
     linalg::simd::SpmvArgs v;
@@ -159,11 +110,11 @@ void BatchedEvolver::sweep_rows(const linalg::ShardWindow& w,
     // with a fixed accumulation order, so any thread count gives the same
     // bits. Inside a parallel region (one block per worker) this runs
     // inline.
-    for (const graph::RowRange r : rows) {
-      util::parallel_for(r.begin, r.end, kRowGrain, [&](std::size_t lo, std::size_t hi) {
-        kernels.spmv(v, static_cast<graph::NodeId>(lo), static_cast<graph::NodeId>(hi));
-      });
-    }
+    util::parallel_for(args.begin, args.end, kRowGrain,
+                       [&](std::size_t lo, std::size_t hi) {
+                         kernels.spmv(v, static_cast<graph::NodeId>(lo),
+                                      static_cast<graph::NodeId>(hi));
+                       });
   } else {
     kernels.spmm_f64(args, scaled_.data(), cur_.data() + bias, next_.data() + bias);
   }
@@ -181,45 +132,21 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   std::size_t max_window_bytes = 0;
 #endif
 
-  // Frontier phase: grow the support closure first (next can be nonzero
-  // only inside S_{t+1} = S_t ∪ N(S_t)), then retire the sparse phase for
-  // good once the closure reaches the policy's row fraction.
-  bool use_frontier = sparse_phase_;
-  if (use_frontier) {
-    frontier_.expand(*graph_);
-    if (frontier_.covered_rows() >= switch_rows_) {
-      sparse_phase_ = false;
-      use_frontier = false;
-      switch_step_ = steps_since_seed_ + 1;
-      SOCMIX_COUNTER_ADD("markov.frontier.switches", 1);
-      SOCMIX_GAUGE_SET("markov.frontier.switch_step", switch_step_);
-    }
-  }
-  // The rows this sweep computes: the closure while sparse, else all.
-  const graph::RowRange all_rows{0, n};
-  const std::span<const graph::RowRange> swept_ranges =
-      use_frontier ? frontier_.ranges() : std::span<const graph::RowRange>{&all_rows, 1};
+  // Prescale pass: one sequential stream over the block.
+  prescale(cur_.data(), inv_deg_.data(), scaled_.data(), block_, active_, 0, n);
 
-  // Prescale pass: one sequential stream over the block. In the frontier
-  // phase only closure rows are prescaled; the rest of scaled already
-  // holds the +0.0 the dense prescale would produce (seed invariant).
-  for (const graph::RowRange r : swept_ranges) {
-    prescale(cur_.data(), inv_deg_.data(), scaled_.data(), block_, active_, r.begin, r.end);
-  }
-
-  // Shard loop. Every shard sweep is a range-driven SpMM over the shard's
-  // rows: the range kernels run the same per-row body as a full sweep, so
-  // grouping rows by shard changes no bits. Window staging (advise-ahead,
-  // prefetch thread, ADJC decode) lives in the pipeline; each acquired
-  // window holds the identical neighbor sequence, so staging and
-  // compression change no bits either. The kernel dispatches internally on
-  // the *active* lane count; stride stays block_, so partially filled
-  // blocks (the tail of an odd source list) still hit a wide kernel when
-  // their lane count is a supported width. The TVD is fused only when one
-  // kernel call covers every row in ascending order.
+  // Shard loop. Every shard sweep is one SpMM call over the shard's
+  // contiguous rows: the kernel runs the same per-row body as a full
+  // sweep, so grouping rows by shard changes no bits. Window staging
+  // (advise-ahead, prefetch thread, ADJC decode) lives in the pipeline;
+  // each acquired window holds the identical neighbor sequence, so staging
+  // and compression change no bits either. The kernel dispatches
+  // internally on the *active* lane count; stride stays block_, so
+  // partially filled blocks (the tail of an odd source list) still hit a
+  // wide kernel when their lane count is a supported width. The TVD is
+  // fused only when one kernel call covers every row.
   const bool fused_tvd = pi != nullptr && plan_.num_shards() == 1 && !single_vector();
   linalg::simd::SpmmArgs args;
-  args.n = n;
   args.stride = block_;
   args.lanes = active_;
   args.walk_weight = 1.0 - laziness_;
@@ -230,23 +157,12 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   }
   const std::uint32_t shards = plan_.num_shards();
   for (std::uint32_t s = 0; s < shards; ++s) {
-    const graph::NodeId lo = plan_.begin(s);
-    const graph::NodeId hi = plan_.end(s);
     const linalg::ShardWindow w = pipeline_->acquire(s);
-    // The swept ranges clipped to [lo, hi); sorted disjoint stays sorted
-    // disjoint under clipping.
-    shard_ranges_.clear();
-    for (const graph::RowRange r : swept_ranges) {
-      const graph::NodeId begin = std::max(r.begin, lo);
-      const graph::NodeId end = std::min(r.end, hi);
-      if (begin < end) shard_ranges_.push_back({begin, end});
-    }
-    if (fused_tvd || !shard_ranges_.empty()) sweep_rows(w, shard_ranges_, args);
+    sweep_window(w, args);
 #if SOCMIX_OBS_ENABLED
-    if (mapped_ != nullptr && !shard_ranges_.empty()) {
+    if (mapped_ != nullptr) {
       max_window_bytes =
-          std::max(max_window_bytes, mapped_->window_bytes(shard_ranges_.front().begin,
-                                                           shard_ranges_.back().end));
+          std::max(max_window_bytes, mapped_->window_bytes(w.begin, w.end));
     }
 #endif
   }
@@ -258,10 +174,6 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
     linalg::simd::tvd_f64(next_.data(), block_, active_, pi, n, tvd_out);
   }
   cur_.swap(next_);
-  if (!use_frontier) dense_dirty_ = true;
-  ++steps_since_seed_;
-  const graph::NodeId swept = use_frontier ? frontier_.covered_rows() : n;
-  rows_swept_ += swept;
 
 #if SOCMIX_OBS_ENABLED
   SOCMIX_TIME_OBSERVE("markov.evolver.sweep_seconds",
@@ -269,7 +181,7 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
                                                     sweep_start)
                           .count());
   SOCMIX_COUNTER_ADD("markov.evolver.sweeps", 1);
-  SOCMIX_COUNTER_ADD("markov.evolver.rows_swept", swept);
+  SOCMIX_COUNTER_ADD("markov.evolver.rows_swept", n);
   SOCMIX_COUNTER_ADD("markov.evolver.lane_steps", active_);
   if (active_ == 4 || active_ == 8 || active_ == 16 || active_ == 32) {
     SOCMIX_COUNTER_ADD("markov.evolver.sweeps_unrolled", 1);
@@ -277,15 +189,6 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
     SOCMIX_COUNTER_ADD("markov.evolver.sweeps_generic", 1);
   }
   if (fused_tvd) SOCMIX_COUNTER_ADD("markov.evolver.fused_tvd_sweeps", 1);
-  if (policy_.enabled()) {
-    if (use_frontier) {
-      SOCMIX_COUNTER_ADD("markov.frontier.sweeps_sparse", 1);
-      SOCMIX_COUNTER_ADD("markov.frontier.rows_swept", swept);
-      SOCMIX_COUNTER_ADD("markov.frontier.rows_skipped", n - swept);
-    } else {
-      SOCMIX_COUNTER_ADD("markov.frontier.sweeps_dense", 1);
-    }
-  }
   if (sharded_) {
     SOCMIX_COUNTER_ADD("markov.shard.sweeps", 1);
     SOCMIX_COUNTER_ADD("markov.shard.shards_swept", shards);
@@ -343,8 +246,8 @@ std::vector<double> walk_distribution(const graph::Graph& g, graph::NodeId sourc
 
 std::vector<double> tvd_trajectory(const graph::Graph& g, graph::NodeId source,
                                    std::size_t max_steps, std::span<const double> pi,
-                                   double laziness, graph::FrontierPolicy frontier) {
-  BatchedEvolver evolver{g, laziness, 1, frontier};
+                                   double laziness) {
+  BatchedEvolver evolver{g, laziness, 1};
   const graph::NodeId seed[] = {source};
   evolver.seed_point_masses(seed);
   std::vector<double> out(max_steps);

@@ -18,7 +18,7 @@
 //   2. per shard — the shard pipeline (linalg::ShardPipeline) hands over
 //                 the shard's CSR window (advised ahead / prefetched /
 //                 ADJC-decoded when a mapped container backs the graph)
-//                 and the range-driven SpMM sweeps the shard's rows.
+//                 and one SpMM call sweeps the shard's row range.
 //                 Gathers of `scaled` rows owned by other shards are the
 //                 boundary exchange: the state is lane-major in RAM, so
 //                 crossing edges read it directly;
@@ -48,18 +48,6 @@
 // util::parallel pool — the single-source helpers below keep multi-core
 // speed — with the TVD deferred to the standalone pass. Same per-row
 // operation sequence, same bits.
-//
-// Frontier phase: with a FrontierPolicy enabled the engine tracks the
-// support closure of the block (graph::FrontierSet) and, while it covers
-// less than the policy's row fraction, sweeps only those rows — each with
-// the identical full-row gather, so every retained row produces the same
-// bits as the dense kernel and every skipped row is exactly the +0.0 the
-// dense kernel would have written. Once the closure saturates the engine
-// switches permanently (until the next seeding) to full sweeps. The
-// determinism contract is therefore unchanged: frontier on or off,
-// trajectories are bit-identical (see DESIGN.md "Frontier phase"). The
-// closure walk needs in-memory adjacency, so a headless (compressed)
-// graph rejects an enabled policy.
 #pragma once
 
 #include <cstddef>
@@ -68,7 +56,6 @@
 #include <span>
 #include <vector>
 
-#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
@@ -107,31 +94,18 @@ class BatchedEvolver {
   static constexpr std::size_t kRowGrain = 2048;
 
   /// Throws on laziness outside [0, 1), an isolated vertex, block outside
-  /// [1, kMaxBlock], a frontier threshold outside (0, 1], an enabled
-  /// frontier on a headless graph, or a plan that does not cover the
-  /// graph. `sharding.mapped`, when non-null, must back `g` and outlive
-  /// the evolver.
-  explicit BatchedEvolver(
-      const graph::Graph& g, double laziness = 0.0, std::size_t block = kDefaultBlock,
-      graph::FrontierPolicy frontier = {}, SweepSharding sharding = {});
+  /// [1, kMaxBlock], or a plan that does not cover the graph.
+  /// `sharding.mapped`, when non-null, must back `g` and outlive the
+  /// evolver.
+  explicit BatchedEvolver(const graph::Graph& g, double laziness = 0.0,
+                          std::size_t block = kDefaultBlock, SweepSharding sharding = {});
 
   [[nodiscard]] std::size_t dim() const noexcept { return inv_deg_.size(); }
   [[nodiscard]] std::size_t block() const noexcept { return block_; }
   /// Lanes currently holding a distribution (set by seed_point_masses).
   [[nodiscard]] std::size_t active() const noexcept { return active_; }
   [[nodiscard]] double laziness() const noexcept { return laziness_; }
-  [[nodiscard]] const graph::FrontierPolicy& frontier_policy() const noexcept {
-    return policy_;
-  }
   [[nodiscard]] const graph::ShardPlan& plan() const noexcept { return plan_; }
-  /// True while the engine is still sweeping only the support closure.
-  [[nodiscard]] bool in_sparse_phase() const noexcept { return sparse_phase_; }
-  /// Step (1-based, counted from the last seeding) whose sweep first ran
-  /// dense; 0 while still sparse (or with the frontier off).
-  [[nodiscard]] std::size_t switch_step() const noexcept { return switch_step_; }
-  /// Rows swept since the last seeding; the frontier ablation divides
-  /// this by steps * dim() for the rows-swept ratio.
-  [[nodiscard]] std::uint64_t rows_swept() const noexcept { return rows_swept_; }
 
   /// Resets the block to point masses at `sources` (one lane per source,
   /// sources.size() <= block()).
@@ -154,10 +128,9 @@ class BatchedEvolver {
   /// One sweep cur -> next (swapping after); when pi is non-null, also
   /// writes each lane's TVD against pi into tvd_out.
   void sweep(const double* pi, double* tvd_out);
-  /// Runs the SpMM (or single-vector SpMV) over `rows` of one shard
-  /// window; `args` carries everything but the window.
-  void sweep_rows(const linalg::ShardWindow& w, std::span<const graph::RowRange> rows,
-                  linalg::simd::SpmmArgs args);
+  /// Runs the SpMM (or single-vector SpMV) over one shard window's rows;
+  /// `args` carries everything but the window.
+  void sweep_window(const linalg::ShardWindow& w, linalg::simd::SpmmArgs args);
   /// One-lane state: swept by the row-parallel SpMV kernel.
   [[nodiscard]] bool single_vector() const noexcept { return block_ == 1; }
 
@@ -176,29 +149,12 @@ class BatchedEvolver {
   /// Prescaled block cur_[v*block + b] * inv_deg_[v], recomputed each
   /// sweep so the irregular edge gather is a single stream (see sweep()).
   util::aligned_vector<double> scaled_;
-  /// Scratch: the frontier closure clipped to the current shard.
-  std::vector<graph::RowRange> shard_ranges_;
   double laziness_;
   std::size_t block_;
   std::size_t active_ = 0;
   /// More than one shard or a mapped container: the markov.shard.*
   /// residency metrics apply.
   bool sharded_ = false;
-
-  // Frontier phase state. The sparse kernels rely on every row outside
-  // the closure holding exactly +0.0 in cur/next/scaled;
-  // seed_point_masses re-establishes that invariant by zeroing only the
-  // rows the previous run touched (dense_dirty_ tracks when that was
-  // everything).
-  graph::FrontierPolicy policy_;
-  graph::FrontierSet frontier_;
-  graph::NodeId switch_rows_ = 0;
-  bool sparse_phase_ = false;
-  bool dense_dirty_ = false;
-  bool seeded_ = false;
-  std::size_t steps_since_seed_ = 0;
-  std::size_t switch_step_ = 0;
-  std::uint64_t rows_swept_ = 0;
   /// Half-edges crossing shard boundaries (for the boundary-traffic
   /// metric); computed once at construction when observability is on.
   graph::EdgeIndex boundary_half_edges_ = 0;
@@ -216,7 +172,6 @@ class BatchedEvolver {
                                                  graph::NodeId source,
                                                  std::size_t max_steps,
                                                  std::span<const double> pi,
-                                                 double laziness = 0.0,
-                                                 graph::FrontierPolicy frontier = {});
+                                                 double laziness = 0.0);
 
 }  // namespace socmix::markov

@@ -180,9 +180,8 @@ std::uint64_t sampled_mixing_fingerprint(const graph::Graph& g,
 ResolvedEngine resolve_engine(const graph::Graph& g, const EngineOptions& options) {
   // Compressed containers hand us a headless CSR (offsets only): the
   // adjacency exists solely as ADJC blocks the shard pipeline decodes on
-  // the fly. Everything that walks neighbors outside the pipeline —
-  // reordering, the frontier closure — must be off, and the mapping is
-  // not optional.
+  // the fly. Reordering walks neighbors outside the pipeline, so it must be
+  // off, and the mapping is not optional.
   const bool headless = g.headless();
   if (headless) {
     if (options.mapped == nullptr || !options.mapped->compressed()) {
@@ -204,8 +203,6 @@ ResolvedEngine resolve_engine(const graph::Graph& g, const EngineOptions& option
   out.sharding.plan = graph::ShardPlan::balanced(active.offsets(), shards);
   out.sharding.mapped =
       out.reordered.identity() && (shards > 1 || headless) ? options.mapped : nullptr;
-  out.frontier = options.frontier;
-  if (headless) out.frontier.mode = graph::FrontierPolicy::Mode::kOff;
   return out;
 }
 
@@ -252,10 +249,12 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // blocks are replayed from their stored (bit-exact) trajectories instead
   // of being recomputed, so resume composes with the determinism contract.
   // The context word versions the knobs that change how results are
-  // produced: the ordering and the frontier mode, then the constant
-  // kPrecisionWordF64 where the retired precision knob folded its word —
-  // so f64 snapshots of earlier builds still restore, and their mixed-
-  // precision ones (word 1) classify stale. A snapshot from a foreign
+  // produced: the ordering, then the words the retired frontier and
+  // precision knobs folded at their defaults (frontier `auto` folded 0 on
+  // a headless graph, where it was always forced off) — so default
+  // snapshots of earlier builds still restore, while their --frontier off
+  // or fraction snapshots and mixed-precision ones (precision word 1)
+  // classify stale once and recompute. A snapshot from a foreign
   // combination classifies stale, not corrupt.
   // Shard geometry: resolve_engine sized it against the active CSR. One
   // shard is the dense path — no context word, so pre-shard snapshots
@@ -266,7 +265,7 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
 #endif
   std::uint64_t context = util::hash_combine(
       util::hash_combine(static_cast<std::uint64_t>(options.reorder),
-                         graph::frontier_context_word(engine.frontier)),
+                         headless ? 0 : util::kFrontierAutoWord),
       kPrecisionWordF64);
   const std::uint64_t shard_word = graph::shard_context_word(resolved_shards);
   if (shard_word != 0) context = util::hash_combine(context, shard_word);
@@ -362,7 +361,7 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   util::parallel_for(0, workers, 1, [&](std::size_t, std::size_t) {
     std::size_t p = next_block++;
     if (p >= pending.size()) return;
-    BatchedEvolver evolver{active, laziness, kBlock, engine.frontier, engine.sharding};
+    BatchedEvolver evolver{active, laziness, kBlock, engine.sharding};
     try {
       for (; p < pending.size(); p = next_block++) run_block(evolver, p);
     } catch (...) {

@@ -18,14 +18,13 @@
 #include <span>
 #include <vector>
 
-#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
 #include "graph/reorder.hpp"
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
-#include "linalg/shard_pipeline.hpp"
 #include "markov/batched_evolver.hpp"
 #include "resilience/checkpoint.hpp"
+#include "util/retired_knob.hpp"
 #include "util/rng.hpp"
 
 namespace socmix::markov {
@@ -116,8 +115,8 @@ class SampledMixing {
   std::size_t max_steps_ = 0;
 };
 
-/// The four execution knobs both measurement phases run under, parsed once
-/// from --reorder, --frontier, --sharded (and --pack for `mapped`) by
+/// The three execution knobs both measurement phases run under, parsed
+/// once from --reorder and --sharded (and --pack for `mapped`) by
 /// core::engine_options_from_cli. They choose how a measurement is
 /// computed, never what it measures.
 struct EngineOptions {
@@ -129,17 +128,12 @@ struct EngineOptions {
   /// ids. Checkpoints are keyed on the mode: a snapshot written under a
   /// different ordering is classified stale and recomputed.
   graph::ReorderMode reorder = graph::ReorderMode::kNone;
-  /// Adaptive frontier phase of the sampled evolution (--frontier, on by
-  /// default): while a source block's support closure covers less than
-  /// the policy's row fraction, sweeps touch only those rows —
-  /// bit-identical to the dense path, so every parity/resume contract is
-  /// unaffected. Folded into the checkpoint context word alongside the
-  /// ordering, so a snapshot written under a different frontier mode
-  /// classifies stale.
-  graph::FrontierPolicy frontier;
+  /// Retired (--frontier is refused): every sweep is dense. perfbench/
+  /// still copies this field; delete it with the next benchmark change.
+  util::RetiredKnob frontier;
   /// Retired (--precision is refused): both phases run f64. perfbench/
   /// still copies this field; delete it with the next benchmark change.
-  linalg::RetiredKnob precision;
+  util::RetiredKnob precision;
   /// Shard-at-a-time evolution (--sharded auto|off|N; auto stays dense
   /// until the CSR exceeds the per-shard byte budget). Resolved against
   /// the active (post-reorder) graph's CSR footprint; when the resolved
@@ -160,16 +154,15 @@ struct EngineOptions {
   /// longer backs. A *compressed* container (headless `g`, see
   /// MappedGraph::compressed()) is mandatory: the shard pipeline decodes
   /// adjacency windows out of it. Compressed runs always stream through
-  /// the pipeline (even at one shard), disable the frontier phase (its
-  /// closure walk needs in-memory adjacency), and reject reorder modes
-  /// other than kNone — none of which changes an output bit versus the
-  /// same flags on the dense CSR.
+  /// the pipeline (even at one shard) and reject reorder modes other than
+  /// kNone — neither of which changes an output bit versus the same flags
+  /// on the dense CSR.
   const graph::sharded::MappedGraph* mapped = nullptr;
   /// Retired (--io-mode is refused): linalg::ShardPipeline stages windows
   /// on its worker thread whenever it has staging work and a second
   /// hardware thread. perfbench/ still copies this field; delete it with
   /// the next benchmark change.
-  linalg::RetiredKnob io_mode;
+  util::RetiredKnob io_mode;
 };
 
 /// What (g, EngineOptions) resolves to before either phase sweeps: the
@@ -180,8 +173,6 @@ struct ResolvedEngine {
   /// The resolved plan over the active CSR (one shard is the dense path),
   /// plus the mapping to sweep it with.
   SweepSharding sharding;
-  /// The frontier policy, forced off for a headless graph.
-  graph::FrontierPolicy frontier;
 
   [[nodiscard]] const graph::Graph& active(const graph::Graph& g) const noexcept {
     return reordered.active(g);

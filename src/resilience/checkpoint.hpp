@@ -51,7 +51,7 @@ class BlockCheckpoint {
   /// sources, step budget, parameters, seed); restore() only accepts
   /// snapshots carrying the identical value. `context` tags the execution
   /// environment the payloads were computed under (e.g. the vertex
-  /// reordering mode and frontier policy driving the sweep, hash-combined
+  /// reordering mode and shard geometry driving the sweep, hash-combined
   /// by the caller) — it is recorded in every frame,
   /// and a frame whose context differs from this run's is classified
   /// *stale* (counted under resilience.stale_discarded) and recomputed

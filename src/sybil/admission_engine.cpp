@@ -190,7 +190,7 @@ std::uint64_t AdmissionEngine::hops_to(graph::NodeId start, std::size_t length) 
 void AdmissionEngine::registration_tails_multi(
     graph::NodeId suspect, std::vector<std::vector<DirectedEdge>>& out) const {
   out.assign(lengths_.size(), {});
-  routes_.for_each_tail(instances_, suspect, lengths_, config_.frontier.enabled(),
+  routes_.for_each_tail(instances_, suspect, lengths_,
                         [&](std::size_t k, std::uint32_t, DirectedEdge tail) {
                           out[k].push_back(tail);
                         });
@@ -324,7 +324,7 @@ AdmissionEngine::BatchResult AdmissionEngine::verify_batch(
         std::vector<std::uint32_t>& candidates = lanes[s].candidates;
         candidates.clear();
         routes_.for_each_tail(
-            instances_, suspects[base + s], w, config_.frontier.enabled(),
+            instances_, suspects[base + s], w,
             [&](std::size_t, std::uint32_t, DirectedEdge tail) {
               for (const TailDirectory::Entry e : directory.find(undirected_key(tail))) {
                 if (e.slot == v.slot_) candidates.push_back(e.load);
@@ -411,7 +411,7 @@ std::vector<double> AdmissionEngine::sweep_fractions(
         Lane& lane = lanes[s];
         lane.hits.clear();
         routes_.for_each_tail(
-            instances_, suspects[base + s], walk_lengths, config_.frontier.enabled(),
+            instances_, suspects[base + s], walk_lengths,
             [&](std::size_t u, std::uint32_t, DirectedEdge tail) {
               const auto group = static_cast<std::uint32_t>(u * columns);
               for (const TailDirectory::Entry e :

@@ -48,9 +48,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
 #include "sybil/routes.hpp"
+#include "util/retired_knob.hpp"
 
 namespace socmix::sybil {
 
@@ -61,10 +61,10 @@ namespace socmix::sybil {
 inline constexpr std::uint64_t kAdmissionEngineVersion = 1;
 
 struct AdmissionEngineConfig : ProtocolParams {
-  /// Hop-major route walking (t-hop-ball working set) when enabled, the
-  /// per-instance route-major order otherwise. Tails identical either way;
-  /// the policy's threshold is irrelevant here, only enabled()/off counts.
-  graph::FrontierPolicy frontier;
+  /// Retired (--frontier is refused): routes always walk hop-major.
+  /// perfbench/ still copies this field; delete it with the next benchmark
+  /// change.
+  util::RetiredKnob frontier;
 };
 
 /// Plain mirror of the sybil.engine.* obs counters, always available (obs

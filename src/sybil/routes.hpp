@@ -108,58 +108,35 @@ class RouteTable {
   /// point only, instead of the O(sum of lengths) a per-length rewalk
   /// costs.
   ///
-  /// `hop_major` selects the walk order; the tails are identical either
-  /// way. Hop-major advances all routes one hop before any advances the
-  /// next, so the per-hop working set stays inside the start's t-hop ball
-  /// (the frontier locality of the evolution engine), and visits length by
-  /// length; route-major streams one route at a time and visits instance
-  /// by instance. Either way the instances of one length arrive in
-  /// ascending order. Visits nothing for an isolated start, zero instances
-  /// or zero lengths.
+  /// The walk is hop-major: every route advances one hop before any
+  /// advances the next, so the per-hop working set stays inside the
+  /// start's t-hop ball, and the tails are visited length by length, the
+  /// instances of one length in ascending order. Visits nothing for an
+  /// isolated start, zero instances or zero lengths.
   template <typename Visit>
   void for_each_tail(std::uint32_t instances, graph::NodeId start,
-                     std::span<const std::size_t> lengths, bool hop_major,
-                     Visit&& visit) const {
+                     std::span<const std::size_t> lengths, Visit&& visit) const {
     std::size_t first = 0;
     while (first < lengths.size() && lengths[first] == 0) ++first;
     if (instances == 0 || first == lengths.size() || graph_->degree(start) == 0) return;
     const auto neighbors = graph_->raw_neighbors();
 
-    if (hop_major) {
-      // All r routes advance one hop together — the hop-h loop touches
-      // only the start's h-hop ball, so its CSR rows and permutation keys
-      // stay hot across instances — and each checkpoint length visits
-      // the current (from, head) pairs.
-      std::vector<graph::NodeId> from(instances, start);
-      std::vector<graph::EdgeIndex> edge(instances);
-      for (std::uint32_t i = 0; i < instances; ++i) edge[i] = start_edge(i, start);
-      std::size_t walked = 1;  // (from, head) is the length-1 tail
-      for (std::size_t k = first; k < lengths.size(); ++k) {
-        for (; walked < lengths[k]; ++walked) {
-          for (std::uint32_t i = 0; i < instances; ++i) {
-            from[i] = neighbors[edge[i]];
-            edge[i] = hop(i, edge[i]);
-          }
-        }
+    // The hop-h loop touches only the start's h-hop ball, so its CSR rows
+    // and permutation keys stay hot across instances; each checkpoint
+    // length visits the current (from, head) pairs.
+    std::vector<graph::NodeId> from(instances, start);
+    std::vector<graph::EdgeIndex> edge(instances);
+    for (std::uint32_t i = 0; i < instances; ++i) edge[i] = start_edge(i, start);
+    std::size_t walked = 1;  // (from, head) is the length-1 tail
+    for (std::size_t k = first; k < lengths.size(); ++k) {
+      for (; walked < lengths[k]; ++walked) {
         for (std::uint32_t i = 0; i < instances; ++i) {
-          visit(k, i, DirectedEdge{from[i], neighbors[edge[i]]});
+          from[i] = neighbors[edge[i]];
+          edge[i] = hop(i, edge[i]);
         }
       }
-      return;
-    }
-
-    // Route-major: one route at a time to lengths.back(), visiting the
-    // same checkpoints. Identical evaluations in a different order.
-    for (std::uint32_t i = 0; i < instances; ++i) {
-      graph::NodeId from = start;
-      graph::EdgeIndex e = start_edge(i, start);
-      std::size_t walked = 1;
-      for (std::size_t k = first; k < lengths.size(); ++k) {
-        for (; walked < lengths[k]; ++walked) {
-          from = neighbors[e];
-          e = hop(i, e);
-        }
-        visit(k, i, DirectedEdge{from, neighbors[e]});
+      for (std::uint32_t i = 0; i < instances; ++i) {
+        visit(k, i, DirectedEdge{from[i], neighbors[edge[i]]});
       }
     }
   }

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <stdexcept>
 
-#include "graph/frontier.hpp"
 #include "graph/reorder.hpp"
 #include "markov/mixing_time.hpp"
 #include "obs/obs.hpp"
 #include "resilience/fault.hpp"
 #include "sybil/admission_engine.hpp"
+#include "util/retired_knob.hpp"
 #include "util/rng.hpp"
 
 namespace socmix::sybil {
@@ -114,13 +115,16 @@ std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
   SOCMIX_TRACE_SPAN("sybil.admission_sweep");
   // Fail closed before the fingerprint or the sampling reads adjacency.
   RouteTable::require_adjacency(g);
+  if (config.verifier_sample == 0) {
+    throw std::invalid_argument{"admission_sweep: verifier_sample must be at least 1"};
+  }
   util::Rng rng{config.seed};
   const std::vector<graph::NodeId> suspects =
       config.suspect_sample == 0
           ? markov::all_sources(g)
           : markov::pick_sources(g, config.suspect_sample, rng);
   const std::vector<graph::NodeId> verifiers =
-      markov::pick_sources(g, std::max<std::size_t>(1, config.verifier_sample), rng);
+      markov::pick_sources(g, config.verifier_sample, rng);
 
   // Route-length points are independent (per-length admission state over
   // one shared protocol seed), so each one is a checkpoint block holding
@@ -132,11 +136,13 @@ std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
   // The engine version joins the context word: pre-engine snapshots were
   // measured under per-length protocol seeds, so replaying them against
   // the shared-seed engine would silently mix distributions — classify
-  // them stale and recompute instead. The leading word is the removed
-  // ordering knob's default, kept so older snapshots still restore.
+  // them stale and recompute instead. The two leading words are the
+  // removed ordering knob's default and the retired frontier knob's `auto`
+  // (hop-major) word, kept so older snapshots still restore; the route-
+  // major snapshots that frontier off wrote (word 0) classify stale once.
   std::uint64_t context =
       util::hash_combine(static_cast<std::uint64_t>(graph::ReorderMode::kNone),
-                         graph::frontier_context_word(config.frontier));
+                         util::kFrontierAutoWord);
   context = util::hash_combine(context, kAdmissionEngineVersion);
   resilience::BlockCheckpoint checkpoint{checkpoint_options,
                                          admission_sweep_fingerprint(g, config),

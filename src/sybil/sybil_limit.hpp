@@ -108,13 +108,12 @@ struct AdmissionSweepConfig : AdmissionEngineConfig {
   std::vector<std::size_t> route_lengths;
   /// Suspects sampled per point (0 = every vertex).
   std::size_t suspect_sample = 300;
-  /// Verifiers averaged per point.
+  /// Verifiers averaged per point; admission_sweep throws on 0.
   std::size_t verifier_sample = 3;
   /// Crash tolerance (dir empty = off): each route-length point is one
   /// checkpoint block, so an interrupted sweep resumes by skipping the
   /// points already measured — bit-identical, since points only depend on
-  /// (graph, config, w). The walk order (`frontier`) is folded into the
-  /// context so snapshots never mix modes.
+  /// (graph, config, w).
   resilience::CheckpointOptions checkpoint;
   /// When non-null, receives the engine's cumulative statistics for the
   /// sweep (route hops walked/saved, verifier-cache traffic, precompute vs

@@ -68,6 +68,15 @@ std::size_t Cli::get_count(const std::string& name, std::size_t fallback,
   return static_cast<std::size_t>(*parsed);
 }
 
+std::size_t Cli::get_positive(const std::string& name, std::size_t fallback) const {
+  const auto it = options_.find(name);
+  if (it == options_.end()) return fallback;
+  auto parsed = parse_i64(it->second);
+  if (parsed && *parsed <= 0) parsed.reset();
+  return static_cast<std::size_t>(
+      parsed_or_throw(name, it->second, parsed, "a positive integer"));
+}
+
 double Cli::get_f64(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;

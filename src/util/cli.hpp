@@ -33,6 +33,10 @@ class Cli {
   [[nodiscard]] std::size_t get_count(
       const std::string& name, std::size_t fallback,
       std::size_t max = std::numeric_limits<std::size_t>::max()) const;
+  /// get_count for counts that must be at least 1 (intervals, verifier
+  /// counts): 0 throws as well, naming the flag and the value.
+  [[nodiscard]] std::size_t get_positive(const std::string& name,
+                                         std::size_t fallback) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
 
   /// Positional (non --option) arguments, in order.

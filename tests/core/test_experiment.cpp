@@ -41,9 +41,8 @@ util::Cli make_cli(std::initializer_list<const char*> args) {
 
 TEST(ExperimentConfig, ParsesEveryExecutionKnob) {
   const auto config = ExperimentConfig::from_cli(
-      make_cli({"--reorder", "rcm", "--frontier", "off", "--sharded", "4"}));
+      make_cli({"--reorder", "rcm", "--sharded", "4"}));
   EXPECT_EQ(config.engine.reorder, graph::ReorderMode::kRcm);
-  EXPECT_EQ(config.engine.frontier.mode, graph::FrontierPolicy::Mode::kOff);
   EXPECT_EQ(config.engine.sharded.mode, graph::ShardPolicy::Mode::kFixed);
   EXPECT_EQ(config.engine.sharded.count, 4u);
   EXPECT_EQ(config.engine.mapped, nullptr);
@@ -51,17 +50,18 @@ TEST(ExperimentConfig, ParsesEveryExecutionKnob) {
   // The drivers' measurement options carry every knob, not a subset.
   const MeasurementOptions options = config.measurement_options();
   EXPECT_EQ(options.reorder, graph::ReorderMode::kRcm);
-  EXPECT_EQ(options.frontier.mode, graph::FrontierPolicy::Mode::kOff);
   EXPECT_EQ(options.sharded.count, 4u);
   EXPECT_EQ(options.seed, config.seed);
 }
 
 TEST(ExperimentConfig, RetiredKnobsAreRefusedByName) {
-  // --precision and --io-mode are gone: every value, including the old
-  // defaults, is refused rather than silently ignored.
+  // --precision, --io-mode and --frontier are gone: every value,
+  // including the old defaults, is refused rather than silently ignored.
   for (const auto& [flag, value] :
        {std::pair{"--precision", "f64"}, std::pair{"--precision", "mixed"},
-        std::pair{"--io-mode", "sync"}, std::pair{"--io-mode", "prefetch"}}) {
+        std::pair{"--io-mode", "sync"}, std::pair{"--io-mode", "prefetch"},
+        std::pair{"--frontier", "auto"}, std::pair{"--frontier", "off"},
+        std::pair{"--frontier", "0.25"}}) {
     try {
       (void)engine_options_from_cli(make_cli({flag, value}));
       ADD_FAILURE() << flag << " " << value << " was accepted";
@@ -95,20 +95,34 @@ TEST(ExperimentConfig, MalformedKnobThrowsNamingTheFlag) {
   }
 }
 
-TEST(RouteFrontierFromCli, TakesOnlyTheFrontier) {
-  EXPECT_EQ(route_frontier_from_cli(make_cli({})).mode,
-            graph::FrontierPolicy::Mode::kAuto);
-  EXPECT_EQ(route_frontier_from_cli(make_cli({"--frontier", "off"})).mode,
-            graph::FrontierPolicy::Mode::kOff);
-  EXPECT_THROW((void)route_frontier_from_cli(make_cli({"--frontier", "bogus"})),
-               std::invalid_argument);
-  // The evolver knobs change no admission work: any value, even a valid
-  // default, is refused by name.
+TEST(ExperimentConfig, NonPositiveIntervalsAndScaleThrowNamingTheFlag) {
+  // Zero intervals and a non-positive or NaN scale used to be clamped
+  // silently (to 1, and to a 64-node graph); they now fail closed.
+  for (const auto& [flag, value] :
+       {std::pair{"--checkpoint-interval", "0"}, std::pair{"--checkpoint-interval", "-3"},
+        std::pair{"--sample-interval-ms", "0"}, std::pair{"--scale", "0"},
+        std::pair{"--scale", "-0.5"}, std::pair{"--scale", "nan"}}) {
+    try {
+      (void)ExperimentConfig::from_cli(make_cli({flag, value}));
+      ADD_FAILURE() << flag << " " << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(std::string{flag} + "=" + value),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(RefuseEngineKnobs, RandomRoutesTakeNoExecutionKnobs) {
+  EXPECT_NO_THROW(refuse_engine_knobs(make_cli({"--threads", "2", "--seed", "3"})));
+  // The evolver knobs change no admission work, and the retired ones do
+  // nothing anywhere: any value, even a valid default, is refused by name.
   for (const auto& [flag, value] :
        {std::pair{"--reorder", "rcm"}, std::pair{"--sharded", "4"},
-        std::pair{"--precision", "mixed"}, std::pair{"--io-mode", "sync"}}) {
+        std::pair{"--precision", "mixed"}, std::pair{"--io-mode", "sync"},
+        std::pair{"--frontier", "auto"}, std::pair{"--frontier", "off"}}) {
     try {
-      (void)route_frontier_from_cli(make_cli({flag, value}));
+      refuse_engine_knobs(make_cli({flag, value}));
       ADD_FAILURE() << flag << " " << value << " was accepted";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string{e.what()}.find(flag), std::string::npos) << e.what();
@@ -124,6 +138,20 @@ TEST(BuildScaledDataset, ScalesNodeCount) {
   EXPECT_TRUE(graph::is_connected(g));
   EXPECT_NEAR(static_cast<double>(g.num_nodes()), 0.5 * spec.default_nodes,
               0.2 * spec.default_nodes);
+}
+
+TEST(BuildScaledDataset, ScaleOverflowingNodeIdThrowsNamingTheFlag) {
+  const auto spec = *gen::find_dataset("Physics 1");
+  for (const double scale : {1e30, 0.0, -1.0}) {
+    ExperimentConfig config;
+    config.scale = scale;
+    try {
+      (void)build_scaled_dataset(spec, config);
+      ADD_FAILURE() << "scale " << scale << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("--scale="), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(BuildScaledDataset, FloorPreventsDegenerateGraphs) {

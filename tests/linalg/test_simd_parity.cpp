@@ -3,7 +3,8 @@
 //  * the default f64 path is BIT-IDENTICAL across kernel tiers
 //    (scalar / AVX2 / AVX-512) — on every Table-1 generator config,
 //    at serial and contended thread counts, composed with --reorder rcm
-//    and with the frontier phase on and off;
+//    and with one-shard and four-shard sweeps (the SpMM over all rows
+//    with the fused TVD, and over a sub-range with the deferred one);
 //  * the single-vector SpMV consumers (WalkOperator, WeightedWalkOperator,
 //    a one-lane BatchedEvolver) are bitwise tier-invariant too.
 //
@@ -18,9 +19,9 @@
 #include "gen/erdos_renyi.hpp"
 #include "gen/weights.hpp"
 #include "graph/components.hpp"
-#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
 #include "graph/reorder.hpp"
+#include "graph/sharded/plan.hpp"
 #include "linalg/simd/kernels.hpp"
 #include "linalg/vector_ops.hpp"
 #include "linalg/walk_operator.hpp"
@@ -74,12 +75,11 @@ std::vector<graph::NodeId> spread_sources(const graph::Graph& g,
 }
 
 markov::SampledMixing run(const graph::Graph& g, std::span<const graph::NodeId> sources,
-                          graph::FrontierPolicy frontier,
-                          graph::ReorderMode reorder = graph::ReorderMode::kNone) {
+                          std::uint32_t shards, graph::ReorderMode reorder) {
   markov::SampledMixingOptions options;
   options.max_steps = kSteps;
   options.reorder = reorder;
-  options.frontier = frontier;
+  options.sharded = {.mode = graph::ShardPolicy::Mode::kFixed, .count = shards};
   return measure_sampled_mixing(g, sources, options);
 }
 
@@ -98,19 +98,17 @@ void expect_bitwise_equal(const markov::SampledMixing& a, const markov::SampledM
 TEST(SimdTierParity, SampledMixingBitIdenticalAcrossTiersOnEveryTable1Config) {
   const auto tiers = available_tiers();
   ASSERT_FALSE(tiers.empty());
-  const graph::FrontierPolicy off = *graph::parse_frontier_policy("off");
-  const graph::FrontierPolicy autof = *graph::parse_frontier_policy("auto");
   for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
     const graph::Graph g = gen::build_dataset(spec, kNodes, 11);
     const auto sources = spread_sources(g);
     for (const graph::ReorderMode reorder :
          {graph::ReorderMode::kNone, graph::ReorderMode::kRcm}) {
-      for (const graph::FrontierPolicy frontier : {autof, off}) {
+      for (const std::uint32_t shards : {1u, 4u}) {
         // Reference: forced scalar tier, serial. Every other
         // (tier, threads) combination must reproduce it bit for bit.
         const markov::SampledMixing reference = [&] {
           const TierGuard guard{simd::Tier::kScalar};
-          return run(g, sources, frontier, reorder);
+          return run(g, sources, shards, reorder);
         }();
         for (const simd::Tier tier : tiers) {
           for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
@@ -118,14 +116,14 @@ TEST(SimdTierParity, SampledMixingBitIdenticalAcrossTiersOnEveryTable1Config) {
             const TierGuard guard{tier};
             ASSERT_TRUE(guard.ok());
             util::set_thread_count(threads);
-            const markov::SampledMixing got = run(g, sources, frontier, reorder);
+            const markov::SampledMixing got = run(g, sources, shards, reorder);
             util::set_thread_count(0);
             expect_bitwise_equal(
                 reference, got,
                 spec.name + " tier=" + simd::tier_name(tier) +
                     " threads=" + std::to_string(threads) +
                     " reorder=" + std::string{graph::reorder_mode_name(reorder)} +
-                    " frontier=" + (frontier.enabled() ? "auto" : "off"));
+                    " shards=" + std::to_string(shards));
           }
         }
       }
@@ -185,13 +183,11 @@ TEST(SimdTierParity, EvolverTrajectoryBitIdenticalAcrossTiers) {
 
   const auto reference = [&] {
     const TierGuard guard{simd::Tier::kScalar};
-    return markov::tvd_trajectory(g, 123, kSteps, pi, 0.3,
-                                  *graph::parse_frontier_policy("auto"));
+    return markov::tvd_trajectory(g, 123, kSteps, pi, 0.3);
   }();
   for (const simd::Tier tier : available_tiers()) {
     const TierGuard guard{tier};
-    const auto got = markov::tvd_trajectory(g, 123, kSteps, pi, 0.3,
-                                            *graph::parse_frontier_policy("auto"));
+    const auto got = markov::tvd_trajectory(g, 123, kSteps, pi, 0.3);
     ASSERT_EQ(reference, got) << "tier=" << simd::tier_name(tier);
   }
 }

@@ -4,7 +4,7 @@
 //
 //  * on every Table-1 generator config, for shard counts {1, 4, 16}, at
 //    serial and contended thread counts;
-//  * composed with the frontier phase and the rcm reordering;
+//  * composed with the rcm reordering;
 //  * through a packed .smxg container mapped back as a borrowed graph,
 //    raw or compressed (ADJC), staged by the pipeline's worker thread;
 //  * across a fault-injected kill and checkpoint resume under sharding,
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "gen/datasets.hpp"
-#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
 #include "graph/reorder.hpp"
 #include "graph/sharded/format.hpp"
@@ -99,34 +98,19 @@ TEST(ShardParity, BitIdenticalToDenseOnEveryTable1Config) {
   }
 }
 
-TEST(ShardParity, ComposesWithFrontierAndReorder) {
+TEST(ShardParity, ComposesWithReorder) {
   const auto spec = gen::find_dataset("Physics 1");
   const graph::Graph g = gen::build_dataset(*spec, kNodes, 5);
   const auto sources = spread_sources(g);
-  struct Combo {
-    const char* frontier;
-    graph::ReorderMode reorder;
-    const char* label;
-  };
-  const Combo combos[] = {
-      {"auto", graph::ReorderMode::kNone, "frontier"},
-      {"off", graph::ReorderMode::kRcm, "rcm"},
-      {"auto", graph::ReorderMode::kRcm, "frontier+rcm"},
-  };
-  for (const Combo& combo : combos) {
-    SampledMixingOptions dense_options = base_options();
-    dense_options.frontier = *graph::parse_frontier_policy(combo.frontier);
-    dense_options.reorder = combo.reorder;
-    dense_options.sharded = graph::ShardPolicy{.mode = graph::ShardPolicy::Mode::kOff};
-    const SampledMixing dense = run(g, sources, dense_options);
-    for (const std::uint32_t count : {4u, 16u}) {
-      SampledMixingOptions options = dense_options;
-      options.sharded = shards(count);
-      const SampledMixing sharded = run(g, sources, options);
-      expect_bitwise_equal(dense, sharded,
-                           std::string{combo.label} +
-                               " shards=" + std::to_string(count));
-    }
+  SampledMixingOptions dense_options = base_options();
+  dense_options.reorder = graph::ReorderMode::kRcm;
+  dense_options.sharded = graph::ShardPolicy{.mode = graph::ShardPolicy::Mode::kOff};
+  const SampledMixing dense = run(g, sources, dense_options);
+  for (const std::uint32_t count : {4u, 16u}) {
+    SampledMixingOptions options = dense_options;
+    options.sharded = shards(count);
+    const SampledMixing sharded = run(g, sources, options);
+    expect_bitwise_equal(dense, sharded, "rcm shards=" + std::to_string(count));
   }
 }
 
@@ -180,10 +164,9 @@ TEST(ShardParity, PipelineMatrixBitIdenticalToDenseOnEveryTable1Config) {
   }
 }
 
-TEST(ShardParity, CompressedRejectsFrontierlessPreconditions) {
-  // The compressed gating: reordering and an explicitly enabled frontier
-  // closure need in-memory adjacency; a headless graph without its mapped
-  // container is unusable.
+TEST(ShardParity, CompressedRejectsReorderAndAMissingMapping) {
+  // The compressed gating: reordering needs in-memory adjacency; a
+  // headless graph without its mapped container is unusable.
   const auto spec = gen::find_dataset("Physics 1");
   const graph::Graph g = gen::build_dataset(*spec, kNodes, 5);
   const fs::path path = fs::path{testing::TempDir()} / "pipe_gate.smxg";
@@ -204,13 +187,6 @@ TEST(ShardParity, CompressedRejectsFrontierlessPreconditions) {
   SampledMixingOptions no_mapped = base_options();
   no_mapped.sharded = shards(4);
   EXPECT_THROW(measure_sampled_mixing(mapped.view(), sources, no_mapped),
-               std::invalid_argument);
-
-  // The evolver itself refuses a frontier walk on headless adjacency.
-  const SweepSharding sharding{graph::ShardPlan::balanced(mapped.view().offsets(), 4),
-                               &mapped};
-  EXPECT_THROW(BatchedEvolver(mapped.view(), 0.0, BatchedEvolver::kDefaultBlock,
-                             *graph::parse_frontier_policy("auto"), sharding),
                std::invalid_argument);
   std::remove(path.string().c_str());
 }
@@ -241,10 +217,9 @@ TEST(ShardParity, EvolverStateAccessorsMatchDense) {
   const auto spec = gen::find_dataset("Physics 1");
   const graph::Graph g = gen::build_dataset(*spec, kNodes, 7);
   const std::vector<double> pi = stationary_distribution(g);
-  const graph::FrontierPolicy frontier = *graph::parse_frontier_policy("auto");
 
-  BatchedEvolver dense{g, 0.0, BatchedEvolver::kDefaultBlock, frontier};
-  BatchedEvolver sharded{g, 0.0, BatchedEvolver::kDefaultBlock, frontier,
+  BatchedEvolver dense{g, 0.0, BatchedEvolver::kDefaultBlock};
+  BatchedEvolver sharded{g, 0.0, BatchedEvolver::kDefaultBlock,
                          {graph::ShardPlan::balanced(g.offsets(), 8)}};
   const graph::NodeId seed[] = {0, 3};
   dense.seed_point_masses(seed);
@@ -259,11 +234,6 @@ TEST(ShardParity, EvolverStateAccessorsMatchDense) {
     dense.step_with_tvd(pi, tvd_dense);
     sharded.step_with_tvd(pi, tvd_sharded);
     ASSERT_EQ(tvd_dense, tvd_sharded) << "t=" << t;
-    // The frontier bookkeeping (sparse phase, switch step, rows swept)
-    // tracks the dense engine exactly.
-    ASSERT_EQ(sharded.in_sparse_phase(), dense.in_sparse_phase()) << "t=" << t;
-    ASSERT_EQ(sharded.switch_step(), dense.switch_step()) << "t=" << t;
-    ASSERT_EQ(sharded.rows_swept(), dense.rows_swept()) << "t=" << t;
   }
 
   std::vector<double> dist_dense(g.num_nodes()), dist_sharded(g.num_nodes());

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "graph/edge_list.hpp"
-#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
 #include "graph/reorder.hpp"
 #include "markov/mixing_time.hpp"
@@ -171,21 +170,26 @@ TEST_F(CheckpointResumeTest, InterruptedMeasurementResumesBitIdentical) {
   }
 }
 
+/// The context words the retired --frontier knob folded: the bits of its
+/// `auto` switch fraction 0.5, and 0 for `off`.
+constexpr std::uint64_t kFrontierAutoWord = 0x3fe0000000000000;
+constexpr std::uint64_t kFrontierOffWord = 0;
+
 /// Writes a complete sampled-mixing snapshot the way builds with the
-/// six-knob engine did: the context word hashes the ordering, the frontier
-/// word and then the precision word (0 for f64, 1 for mixed). Every block
-/// holds a made-up trajectory no evolution produces, so a replay is
-/// distinguishable from a recomputation.
+/// frontier and precision knobs did: the context word hashes the ordering,
+/// the frontier word and then the precision word (0 for f64, 1 for mixed).
+/// Every block holds a made-up trajectory no evolution produces, so a
+/// replay is distinguishable from a recomputation.
 std::vector<std::vector<double>> write_six_knob_snapshot(
     const graph::Graph& g, std::span<const graph::NodeId> sources,
-    const markov::SampledMixingOptions& options, std::uint64_t precision_word) {
+    const markov::SampledMixingOptions& options, std::uint64_t frontier_word,
+    std::uint64_t precision_word) {
   constexpr std::size_t kBlock = markov::BatchedEvolver::kDefaultBlock;
   const std::size_t blocks = (sources.size() + kBlock - 1) / kBlock;
   const std::uint64_t fingerprint = markov::sampled_mixing_fingerprint(
-      g, sources, options.max_steps, options.laziness, graph::ReorderMode::kNone);
+      g, sources, options.max_steps, options.laziness, options.reorder);
   const std::uint64_t context = util::hash_combine(
-      util::hash_combine(static_cast<std::uint64_t>(graph::ReorderMode::kNone),
-                         graph::frontier_context_word(options.frontier)),
+      util::hash_combine(static_cast<std::uint64_t>(options.reorder), frontier_word),
       precision_word);
   std::vector<std::vector<double>> recorded(sources.size());
   BlockCheckpoint previous{options.checkpoint, fingerprint, blocks, context};
@@ -220,7 +224,8 @@ TEST_F(CheckpointResumeTest, SampledSnapshotInThePreviousKnobLayoutRestores) {
   const auto g = ring_with_chords(kNodes);
   const auto sources = first_sources(kSources);
   const markov::SampledMixingOptions opts = options();
-  const auto recorded = write_six_knob_snapshot(g, sources, opts, /*precision_word=*/0);
+  const auto recorded =
+      write_six_knob_snapshot(g, sources, opts, kFrontierAutoWord, /*precision_word=*/0);
 #if SOCMIX_OBS_ENABLED
   const std::uint64_t skipped_before = counter_value("resilience.resume_blocks_skipped");
 #endif
@@ -243,7 +248,8 @@ TEST_F(CheckpointResumeTest, SampledSnapshotOfMixedPrecisionClassifiesStale) {
   const auto baseline =
       trajectories(markov::measure_sampled_mixing(g, sources, /*max_steps=*/25));
   const markov::SampledMixingOptions opts = options();
-  (void)write_six_knob_snapshot(g, sources, opts, /*precision_word=*/1);
+  (void)write_six_knob_snapshot(g, sources, opts, kFrontierAutoWord,
+                                /*precision_word=*/1);
 #if SOCMIX_OBS_ENABLED
   const std::uint64_t stale_before = counter_value("resilience.stale_discarded");
 #endif
@@ -251,6 +257,54 @@ TEST_F(CheckpointResumeTest, SampledSnapshotOfMixedPrecisionClassifiesStale) {
   EXPECT_EQ(trajectories(resumed), baseline);
 #if SOCMIX_OBS_ENABLED
   EXPECT_GT(counter_value("resilience.stale_discarded"), stale_before);
+#endif
+}
+
+TEST_F(CheckpointResumeTest, SampledSnapshotUnderTheFrontierAutoWordRestores) {
+  // The frontier knob is gone, but an in-memory run still folds the word
+  // its `auto` default did: a default snapshot of an earlier build restores
+  // with every block skipped, under every ordering.
+  const auto g = ring_with_chords(kNodes);
+  const auto sources = first_sources(kSources);
+  for (const graph::ReorderMode reorder :
+       {graph::ReorderMode::kNone, graph::ReorderMode::kRcm}) {
+    fs::remove_all(dir_);
+    markov::SampledMixingOptions opts = options();
+    opts.reorder = reorder;
+    const auto recorded = write_six_knob_snapshot(g, sources, opts, kFrontierAutoWord,
+                                                  /*precision_word=*/0);
+#if SOCMIX_OBS_ENABLED
+    const std::uint64_t skipped_before =
+        counter_value("resilience.resume_blocks_skipped");
+#endif
+    const auto resumed = markov::measure_sampled_mixing(g, sources, opts);
+    EXPECT_EQ(trajectories(resumed), recorded) << graph::reorder_mode_name(reorder);
+#if SOCMIX_OBS_ENABLED
+    EXPECT_EQ(counter_value("resilience.resume_blocks_skipped"),
+              skipped_before + kSources / markov::BatchedEvolver::kDefaultBlock)
+        << graph::reorder_mode_name(reorder);
+#endif
+  }
+}
+
+TEST_F(CheckpointResumeTest, SampledSnapshotUnderTheFrontierOffWordClassifiesStale) {
+  // A snapshot an earlier build wrote under --frontier off (word 0) on an
+  // in-memory graph no longer matches the context: it classifies stale
+  // once and is recomputed — to the same bits, since the frontier never
+  // changed a result — never replayed.
+  const auto g = ring_with_chords(kNodes);
+  const auto sources = first_sources(kSources);
+  const auto baseline =
+      trajectories(markov::measure_sampled_mixing(g, sources, /*max_steps=*/25));
+  const markov::SampledMixingOptions opts = options();
+  (void)write_six_knob_snapshot(g, sources, opts, kFrontierOffWord, /*precision_word=*/0);
+#if SOCMIX_OBS_ENABLED
+  const std::uint64_t stale_before = counter_value("resilience.stale_discarded");
+#endif
+  const auto resumed = markov::measure_sampled_mixing(g, sources, opts);
+  EXPECT_EQ(trajectories(resumed), baseline);
+#if SOCMIX_OBS_ENABLED
+  EXPECT_EQ(counter_value("resilience.stale_discarded"), stale_before + 1);
 #endif
 }
 

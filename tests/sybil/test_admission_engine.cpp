@@ -2,10 +2,10 @@
 //
 //  * incremental multi-length tails (RouteTable::for_each_tail) are
 //    byte-identical to per-length route_tail recomputation, on every
-//    Table-1 generator config, in both walk orders;
+//    Table-1 generator config;
 //  * engine sweep fractions equal the pre-engine protocol loop (a fresh
 //    Verifier per (verifier, length), suspects admitted in order) exactly,
-//    at serial and contended thread counts, frontier on and off;
+//    at serial and contended thread counts;
 //  * verify_batch commits the same decisions as per-suspect admit() calls
 //    and its diagnostics add up;
 //  * the verifier cache hits on reuse, and invalidate() bumps the epoch so
@@ -30,7 +30,6 @@
 
 #include "gen/datasets.hpp"
 #include "graph/edge_list.hpp"
-#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
 #include "graph/reorder.hpp"
 #include "graph/sharded/format.hpp"
@@ -50,6 +49,9 @@ namespace fs = std::filesystem;
 
 constexpr graph::NodeId kNodes = 150;
 constexpr std::uint64_t kSeed = 0xadceed;
+/// The context word the retired --frontier knob folded at its `auto`
+/// default (hop-major routes): the bits of its 0.5 switch fraction.
+constexpr std::uint64_t kFrontierAutoWord = 0x3fe0000000000000;
 
 std::vector<graph::NodeId> spread_nodes(const graph::Graph& g, std::size_t count) {
   std::vector<graph::NodeId> nodes;
@@ -67,21 +69,18 @@ TEST(AdmissionEngineParity, MultiLengthTailsByteIdenticalOnEveryTable1Config) {
   for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
     const graph::Graph g = gen::build_dataset(spec, kNodes, 11);
     const RouteTable routes{g, kSeed};
-    for (const bool hop_major : {true, false}) {
-      for (const graph::NodeId start : spread_nodes(g, 5)) {
-        std::size_t visits = 0;
-        routes.for_each_tail(
-            kInstances, start, lengths, hop_major,
-            [&](std::size_t k, std::uint32_t i, DirectedEdge tail) {
-              ++visits;
-              const auto expected = routes.route_tail(i, start, lengths[k]);
-              ASSERT_TRUE(expected.has_value());
-              EXPECT_EQ(tail, *expected) << spec.name << " hop_major=" << hop_major
-                                         << " start=" << start << " w=" << lengths[k]
-                                         << " i=" << i;
-            });
-        EXPECT_EQ(visits, lengths.size() * kInstances) << spec.name << " start=" << start;
-      }
+    for (const graph::NodeId start : spread_nodes(g, 5)) {
+      std::size_t visits = 0;
+      routes.for_each_tail(
+          kInstances, start, lengths,
+          [&](std::size_t k, std::uint32_t i, DirectedEdge tail) {
+            ++visits;
+            const auto expected = routes.route_tail(i, start, lengths[k]);
+            ASSERT_TRUE(expected.has_value());
+            EXPECT_EQ(tail, *expected) << spec.name << " start=" << start
+                                       << " w=" << lengths[k] << " i=" << i;
+          });
+      EXPECT_EQ(visits, lengths.size() * kInstances) << spec.name << " start=" << start;
     }
   }
 }
@@ -93,12 +92,10 @@ TEST(AdmissionEngineParity, ZeroAndLeadingLengthsMatchRouteTailSemantics) {
       gen::build_dataset(*gen::find_dataset("Physics 1"), kNodes, 11);
   const RouteTable routes{g, kSeed};
   const std::vector<std::size_t> lengths{0, 1, 4};
-  for (const bool hop_major : {true, false}) {
-    std::vector<std::size_t> visits(lengths.size(), 0);
-    routes.for_each_tail(8, 3, lengths, hop_major,
-                         [&](std::size_t k, std::uint32_t, DirectedEdge) { ++visits[k]; });
-    EXPECT_EQ(visits, (std::vector<std::size_t>{0, 8, 8})) << "hop_major=" << hop_major;
-  }
+  std::vector<std::size_t> visits(lengths.size(), 0);
+  routes.for_each_tail(8, 3, lengths,
+                       [&](std::size_t k, std::uint32_t, DirectedEdge) { ++visits[k]; });
+  EXPECT_EQ(visits, (std::vector<std::size_t>{0, 8, 8}));
 
   AdmissionEngineConfig config;
   config.instances_override = 8;
@@ -151,23 +148,19 @@ TEST(AdmissionEngineParity, SweepFractionsEqualProtocolLoopAcrossThreadsAndModes
       reference.push_back(reference_fraction(g, w, kInstances, verifiers, suspects));
     }
 
-    for (const char* frontier : {"auto", "off"}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        util::set_thread_count(threads);
-        AdmissionEngineConfig config;
-        config.instances_override = kInstances;
-        config.seed = kSeed;
-        config.frontier = *graph::parse_frontier_policy(frontier);
-        AdmissionEngine engine{g, config, lengths};
-        const auto fractions = engine.sweep_fractions(verifiers, suspects, lengths);
-        ASSERT_EQ(fractions.size(), reference.size());
-        for (std::size_t k = 0; k < reference.size(); ++k) {
-          EXPECT_EQ(fractions[k], reference[k])
-              << spec.name << " frontier=" << frontier << " threads=" << threads
-              << " w=" << lengths[k];
-        }
-        EXPECT_GT(engine.stats().route_hops_saved, 0u) << spec.name;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      util::set_thread_count(threads);
+      AdmissionEngineConfig config;
+      config.instances_override = kInstances;
+      config.seed = kSeed;
+      AdmissionEngine engine{g, config, lengths};
+      const auto fractions = engine.sweep_fractions(verifiers, suspects, lengths);
+      ASSERT_EQ(fractions.size(), reference.size());
+      for (std::size_t k = 0; k < reference.size(); ++k) {
+        EXPECT_EQ(fractions[k], reference[k])
+            << spec.name << " threads=" << threads << " w=" << lengths[k];
       }
+      EXPECT_GT(engine.stats().route_hops_saved, 0u) << spec.name;
     }
     util::set_thread_count(0);
   }
@@ -395,9 +388,8 @@ TEST(AdmissionEngine, PreEngineContextSnapshotClassifiesStale) {
     options.dir = dir.string();
     options.name = "sybil-admission";
     options.interval = 1;
-    const std::uint64_t old_context =
-        util::hash_combine(static_cast<std::uint64_t>(graph::ReorderMode::kNone),
-                           graph::frontier_context_word(config.frontier));
+    const std::uint64_t old_context = util::hash_combine(
+        static_cast<std::uint64_t>(graph::ReorderMode::kNone), kFrontierAutoWord);
     resilience::BlockCheckpoint stale{options, admission_sweep_fingerprint(g, config),
                                       config.route_lengths.size(), old_context};
     for (std::size_t i = 0; i < config.route_lengths.size(); ++i) {
@@ -432,8 +424,9 @@ TEST(AdmissionEngine, PreEngineContextSnapshotClassifiesStale) {
 TEST(AdmissionEngine, SnapshotInThePreviousKnobLayoutRestores) {
   // Before the sweep's ordering/shard knobs were removed, its fingerprint
   // and context word folded the ordering mode (kNone by default) and no
-  // shard word on a small graph. A default sweep must replay such a
-  // snapshot, not classify it stale.
+  // shard word on a small graph; before the walk-order knob was retired,
+  // the context also folded its `auto` word. A default sweep must replay
+  // such a snapshot, not classify it stale.
   const graph::Graph g =
       gen::build_dataset(*gen::find_dataset("Physics 1"), kNodes, 9);
   AdmissionSweepConfig config;
@@ -463,9 +456,8 @@ TEST(AdmissionEngine, SnapshotInThePreviousKnobLayoutRestores) {
     options.dir = dir.string();
     options.name = "sybil-admission";
     options.interval = 1;
-    std::uint64_t context =
-        util::hash_combine(static_cast<std::uint64_t>(graph::ReorderMode::kNone),
-                           graph::frontier_context_word(config.frontier));
+    std::uint64_t context = util::hash_combine(
+        static_cast<std::uint64_t>(graph::ReorderMode::kNone), kFrontierAutoWord);
     context = util::hash_combine(context, kAdmissionEngineVersion);
     resilience::BlockCheckpoint previous{options, fingerprint,
                                          config.route_lengths.size(), context};

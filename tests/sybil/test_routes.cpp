@@ -50,13 +50,11 @@ DirectedEdge reference_tail(const RouteTable& routes, std::uint32_t instance,
 /// for_each_tail's visits gathered per length: out[k][i] is instance i's
 /// tail at lengths[k]. Checks the contract that the instances of one
 /// length arrive in ascending order.
-std::vector<std::vector<DirectedEdge>> batched_tails(const RouteTable& routes,
-                                                     std::uint32_t instances,
-                                                     graph::NodeId start,
-                                                     std::span<const std::size_t> lengths,
-                                                     bool hop_major) {
+std::vector<std::vector<DirectedEdge>> batched_tails(
+    const RouteTable& routes, std::uint32_t instances, graph::NodeId start,
+    std::span<const std::size_t> lengths) {
   std::vector<std::vector<DirectedEdge>> out(lengths.size());
-  routes.for_each_tail(instances, start, lengths, hop_major,
+  routes.for_each_tail(instances, start, lengths,
                        [&](std::size_t k, std::uint32_t i, DirectedEdge tail) {
                          EXPECT_EQ(i, out[k].size()) << "instance order at k=" << k;
                          out[k].push_back(tail);
@@ -135,7 +133,7 @@ TEST(RouteTable, ZeroLengthHasNoTail) {
 }
 
 TEST(RouteTable, BatchedTailsMatchPerInstanceTails) {
-  // Either batched walk order is a pure reordering of the per-instance
+  // The hop-major batched walk is a pure reordering of the per-instance
   // permutation evaluations, so every tail must be identical — including
   // on an irregular graph where routes wander far from the start.
   util::Rng rng{9};
@@ -145,15 +143,13 @@ TEST(RouteTable, BatchedTailsMatchPerInstanceTails) {
     for (const std::size_t w : {1u, 2u, 10u, 25u}) {
       const std::size_t lengths[] = {w};
       for (const graph::NodeId start : {graph::NodeId{0}, graph::NodeId{17}}) {
-        for (const bool hop_major : {true, false}) {
-          const auto batched = batched_tails(routes, instances, start, lengths, hop_major);
-          ASSERT_EQ(batched[0].size(), instances)
-              << "r=" << instances << " w=" << w << " start=" << start;
-          for (std::uint32_t i = 0; i < instances; ++i) {
-            const auto tail = routes.route_tail(i, start, w);
-            ASSERT_TRUE(tail.has_value());
-            EXPECT_EQ(batched[0][i], *tail) << "instance " << i << " hop_major=" << hop_major;
-          }
+        const auto batched = batched_tails(routes, instances, start, lengths);
+        ASSERT_EQ(batched[0].size(), instances)
+            << "r=" << instances << " w=" << w << " start=" << start;
+        for (std::uint32_t i = 0; i < instances; ++i) {
+          const auto tail = routes.route_tail(i, start, w);
+          ASSERT_TRUE(tail.has_value());
+          EXPECT_EQ(batched[0][i], *tail) << "instance " << i;
         }
       }
     }
@@ -165,11 +161,9 @@ TEST(RouteTable, BatchedTailsEmptyWhenNoRoute) {
   const RouteTable routes{g, 1};
   const std::size_t zero[] = {0};
   const std::size_t three[] = {3};
-  for (const bool hop_major : {true, false}) {
-    EXPECT_TRUE(batched_tails(routes, 4, 0, zero, hop_major)[0].empty());
-    EXPECT_TRUE(batched_tails(routes, 0, 0, three, hop_major)[0].empty());
-    EXPECT_TRUE(batched_tails(routes, 4, 0, {}, hop_major).empty());
-  }
+  EXPECT_TRUE(batched_tails(routes, 4, 0, zero)[0].empty());
+  EXPECT_TRUE(batched_tails(routes, 0, 0, three)[0].empty());
+  EXPECT_TRUE(batched_tails(routes, 4, 0, {}).empty());
 }
 
 TEST(RouteTable, EveryWalkerMatchesTheBinarySearchOracleOnEveryTable1Config) {
@@ -188,15 +182,12 @@ TEST(RouteTable, EveryWalkerMatchesTheBinarySearchOracleOnEveryTable1Config) {
               << spec.name << " start=" << start << " i=" << i << " w=" << w;
         }
       }
-      for (const bool hop_major : {true, false}) {
-        const auto batched = batched_tails(routes, kInstances, start, lengths, hop_major);
-        for (std::size_t k = 0; k < lengths.size(); ++k) {
-          ASSERT_EQ(batched[k].size(), kInstances);
-          for (std::uint32_t i = 0; i < kInstances; ++i) {
-            EXPECT_EQ(batched[k][i], reference_tail(routes, i, start, lengths[k]))
-                << spec.name << " hop_major=" << hop_major << " start=" << start
-                << " i=" << i << " w=" << lengths[k];
-          }
+      const auto batched = batched_tails(routes, kInstances, start, lengths);
+      for (std::size_t k = 0; k < lengths.size(); ++k) {
+        ASSERT_EQ(batched[k].size(), kInstances);
+        for (std::uint32_t i = 0; i < kInstances; ++i) {
+          EXPECT_EQ(batched[k][i], reference_tail(routes, i, start, lengths[k]))
+              << spec.name << " start=" << start << " i=" << i << " w=" << lengths[k];
         }
       }
     }

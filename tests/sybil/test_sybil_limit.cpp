@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "gen/datasets.hpp"
 #include "gen/erdos_renyi.hpp"
@@ -178,6 +179,14 @@ TEST(AdmissionSweep, DeterministicPerSeed) {
   const auto a = admission_sweep(g, config);
   const auto b = admission_sweep(g, config);
   EXPECT_DOUBLE_EQ(a[0].admitted_fraction, b[0].admitted_fraction);
+}
+
+TEST(AdmissionSweep, ZeroVerifiersThrowsInsteadOfRunningWithOne) {
+  const auto g = expander(150, 13);
+  AdmissionSweepConfig config;
+  config.route_lengths = {5};
+  config.verifier_sample = 0;
+  EXPECT_THROW((void)admission_sweep(g, config), std::invalid_argument);
 }
 
 }  // namespace

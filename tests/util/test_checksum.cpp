@@ -11,7 +11,9 @@ namespace {
 
 std::vector<std::byte> as_bytes(std::string_view s) {
   std::vector<std::byte> out(s.size());
-  std::memcpy(out.data(), s.data(), s.size());
+  // An empty vector's data() may be null, and memcpy to null is undefined
+  // even for zero bytes.
+  if (!s.empty()) std::memcpy(out.data(), s.data(), s.size());
   return out;
 }
 

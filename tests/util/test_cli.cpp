@@ -90,6 +90,27 @@ TEST(Cli, CountsFailClosed) {
   EXPECT_EQ(cli.get_i64("sources", 0), -5);
 }
 
+TEST(Cli, PositiveCountsRefuseZero) {
+  const Cli cli = make({"--interval", "0", "--every", "-2", "--verifiers", "4"});
+  const auto message = [](auto read) -> std::string {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  EXPECT_EQ(cli.get_positive("verifiers", 3), 4u);
+  EXPECT_EQ(cli.get_positive("missing", 8), 8u);
+  // Zero and negatives throw instead of clamping to 1.
+  EXPECT_NE(message([&] { (void)cli.get_positive("interval", 8); })
+                .find("--interval=0: expected a positive integer"),
+            std::string::npos);
+  EXPECT_NE(message([&] { (void)cli.get_positive("every", 8); })
+                .find("--every=-2: expected a positive integer"),
+            std::string::npos);
+}
+
 TEST(Cli, CollectsPositionalArguments) {
   const Cli cli = make({"input.txt", "--flag", "out.txt"});
   // "out.txt" is consumed as --flag's value (space-separated form).

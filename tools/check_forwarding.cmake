@@ -3,19 +3,22 @@
 # the sharded evolver at the requested shard count, not the dense default
 # the BENCH flags would otherwise misreport.
 #
-# The retired knobs --precision and --io-mode must be refused by name by
-# the figure drivers and socmix measure. The random-route drivers (socmix
-# sybil and fig8) have no evolver: they must refuse --reorder, --sharded,
-# --precision and --io-mode by name instead of parsing and ignoring them,
-# and socmix sybil must refuse a malformed --w list instead of skipping
-# tokens. Negative counts and an --eps outside (0, 1) must fail closed,
-# naming the flag and the value.
+# The retired knobs --precision, --io-mode and --frontier must be refused
+# by name, with exit status 1, by the figure drivers and socmix measure.
+# The random-route drivers (socmix sybil and fig8) take no execution knobs:
+# they must refuse --reorder, --sharded and the retired knobs by name
+# instead of parsing and ignoring them, and socmix sybil must refuse a
+# malformed --w list instead of skipping tokens. Negative counts, zero
+# intervals, --verifiers 0, a non-positive --scale and an --eps outside
+# (0, 1) must fail closed, naming the flag and the value; so must
+# graph_pack --nodes -10, which must not wrap into a 4-billion-node build.
 #
 # Driven by the driver_forwarding_e2e ctest (see tools/CMakeLists.txt):
-#   cmake -DFIG5_BIN=... -DFIG8_BIN=... -DSOCMIX_BIN=... -DOUT_DIR=... -P check_forwarding.cmake
+#   cmake -DFIG5_BIN=... -DFIG8_BIN=... -DSOCMIX_BIN=... -DGRAPH_PACK_BIN=...
+#         -DOUT_DIR=... -P check_forwarding.cmake
 if(NOT DEFINED FIG5_BIN OR NOT DEFINED FIG8_BIN OR NOT DEFINED SOCMIX_BIN
-   OR NOT DEFINED OUT_DIR)
-  message(FATAL_ERROR "usage: cmake -DFIG5_BIN=<fig5_bound_vs_sampled> -DFIG8_BIN=<fig8_sybillimit_admission> -DSOCMIX_BIN=<socmix> -DOUT_DIR=<dir> -P check_forwarding.cmake")
+   OR NOT DEFINED GRAPH_PACK_BIN OR NOT DEFINED OUT_DIR)
+  message(FATAL_ERROR "usage: cmake -DFIG5_BIN=<fig5_bound_vs_sampled> -DFIG8_BIN=<fig8_sybillimit_admission> -DSOCMIX_BIN=<socmix> -DGRAPH_PACK_BIN=<graph_pack> -DOUT_DIR=<dir> -P check_forwarding.cmake")
 endif()
 
 file(MAKE_DIRECTORY "${OUT_DIR}")
@@ -56,16 +59,21 @@ foreach(bench_file IN LISTS bench_files)
   endif()
 endforeach()
 
-# Runs one command that must exit nonzero with `needle` on stderr.
+# Runs one command that must exit 1 with `needle` on stderr. A refusal
+# happens before any work, so a run still going after 60 s has failed.
 function(expect_refused label needle)
   execute_process(
     COMMAND ${ARGN}
     WORKING_DIRECTORY "${OUT_DIR}"
+    TIMEOUT 60
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE run_stdout
     ERROR_VARIABLE run_stderr)
   if(rc EQUAL 0)
     message(FATAL_ERROR "${label} was accepted (exit 0):\n${run_stdout}")
+  endif()
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "${label} did not exit 1 (${rc}):\n${run_stderr}")
   endif()
   string(FIND "${run_stderr}" "${needle}" at)
   if(at EQUAL -1)
@@ -74,7 +82,7 @@ function(expect_refused label needle)
 endfunction()
 
 set(measure_input --dataset "Physics 1" --nodes 300 --sources 8 --steps 20)
-foreach(knob "precision;mixed" "io-mode;prefetch")
+foreach(knob "precision;mixed" "io-mode;prefetch" "frontier;off")
   list(GET knob 0 flag)
   list(GET knob 1 value)
   expect_refused("fig5 --${flag} ${value}" "--${flag}"
@@ -82,12 +90,22 @@ foreach(knob "precision;mixed" "io-mode;prefetch")
   expect_refused("socmix measure --${flag} ${value}" "--${flag}"
                  "${SOCMIX_BIN}" measure ${measure_input} --${flag} ${value})
 endforeach()
-foreach(bad "sources;-5" "steps;-1" "eps;-1" "eps;1")
+foreach(bad "sources;-5" "steps;-1" "eps;-1" "eps;1" "checkpoint-interval;0"
+            "sample-interval-ms;0")
   list(GET bad 0 flag)
   list(GET bad 1 value)
   expect_refused("socmix measure --${flag} ${value}" "--${flag}=${value}"
                  "${SOCMIX_BIN}" measure ${measure_input} --${flag} ${value})
 endforeach()
+foreach(bad "scale;0" "scale;-1" "scale;nan" "checkpoint-interval;-2")
+  list(GET bad 0 flag)
+  list(GET bad 1 value)
+  expect_refused("fig5 --${flag} ${value}" "--${flag}=${value}"
+                 "${FIG5_BIN}" --sources 8 --steps 20 --${flag} ${value})
+endforeach()
+expect_refused("graph_pack --nodes -10" "--nodes=-10"
+               "${GRAPH_PACK_BIN}" --dataset "Physics 1" --nodes -10
+               --out "${OUT_DIR}/refused.smxg")
 expect_refused("socmix measure --nodes -10" "--nodes=-10"
                "${SOCMIX_BIN}" measure --dataset "Physics 1" --nodes -10 --sources 8)
 
@@ -95,7 +113,11 @@ set(sybil_input --dataset "Physics 1" --nodes 300 --suspects 20 --verifiers 1)
 expect_refused("socmix sybil --suspects -3" "--suspects=-3"
                "${SOCMIX_BIN}" sybil --dataset "Physics 1" --nodes 300 --suspects -3
                --verifiers 1 --w 2)
-foreach(knob "reorder;rcm" "sharded;4" "precision;mixed" "io-mode;prefetch")
+expect_refused("socmix sybil --verifiers 0" "--verifiers=0"
+               "${SOCMIX_BIN}" sybil --dataset "Physics 1" --nodes 300 --suspects 20
+               --verifiers 0 --w 2)
+foreach(knob "reorder;rcm" "sharded;4" "precision;mixed" "io-mode;prefetch"
+             "frontier;off")
   list(GET knob 0 flag)
   list(GET knob 1 value)
   expect_refused("socmix sybil --${flag} ${value}" "--${flag}"
@@ -108,15 +130,15 @@ expect_refused("socmix sybil --w 2,x,8" "--w: 'x'"
 expect_refused("socmix sybil --w x" "--w: 'x'"
                "${SOCMIX_BIN}" sybil ${sybil_input} --w x)
 
-# The one knob they do take still runs.
+# Without knobs the admission sweep still runs.
 execute_process(
-  COMMAND "${SOCMIX_BIN}" sybil ${sybil_input} --w 2,4 --frontier off
+  COMMAND "${SOCMIX_BIN}" sybil ${sybil_input} --w 2,4
   WORKING_DIRECTORY "${OUT_DIR}"
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE run_stdout
   ERROR_VARIABLE run_stderr)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "socmix sybil --frontier off failed (${rc}):\n${run_stderr}")
+  message(FATAL_ERROR "socmix sybil --w 2,4 failed (${rc}):\n${run_stderr}")
 endif()
 
 message(STATUS "driver forwarding e2e: fig5 ran with the requested shard geometry; "

@@ -17,7 +17,7 @@ set(bench_file "${OUT_DIR}/bench.json")
 
 execute_process(
   COMMAND "${SOCMIX_BIN}" measure --dataset "Physics 1" --nodes 600
-          --sources 32 --steps 40 --seed 7 --frontier auto
+          --sources 32 --steps 40 --seed 7
           --metrics-out "${metrics_file}" --trace-out "${trace_file}" --progress
           --sample-out "${sample_file}" --sample-interval-ms 5
           --bench-out "${bench_file}"
@@ -58,7 +58,6 @@ foreach(key
     "linalg.spmv.applies"
     "markov.evolver.sweeps"
     "markov.evolver.rows_swept"
-    "markov.frontier.switches"
     "markov.sampled.runs"
     "markov.sampled.sources"
     "markov.sampled.oracle_violations"

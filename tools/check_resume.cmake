@@ -15,11 +15,8 @@ file(MAKE_DIRECTORY "${OUT_DIR}")
 
 # 256 sources = 8 blocks of 32; 5th block completion is killed, so the
 # resumed run genuinely has both restored and recomputed blocks.
-# --frontier auto is passed explicitly (it is also the default) so the
-# sanitizer CI legs provably drive the frontier kernels and the resume
-# crosses each block's sparse->dense switch.
 set(common_args measure --dataset "Physics 1" --nodes 600
-    --sources 256 --steps 40 --seed 7 --frontier auto)
+    --sources 256 --steps 40 --seed 7)
 set(fault_exit_code 42)
 
 execute_process(

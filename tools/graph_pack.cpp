@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -183,6 +184,8 @@ int run(const util::Cli& cli) {
 
   const std::string out = cli.get("out", "");
   if (out.empty()) return usage();
+  // Every flag is checked before the input is loaded.
+  const markov::EngineOptions engine = core::engine_options_from_cli(cli);
 
   graph::Graph raw;
   std::string name;
@@ -193,7 +196,8 @@ int run(const util::Cli& cli) {
     name = cli.get("dataset", "");
     const auto spec = gen::find_dataset(name);
     if (!spec) throw std::runtime_error{"unknown dataset '" + name + "'"};
-    const auto nodes = static_cast<graph::NodeId>(cli.get_i64("nodes", 0));
+    const auto nodes = static_cast<graph::NodeId>(
+        cli.get_count("nodes", 0, std::numeric_limits<graph::NodeId>::max()));
     raw = gen::build_dataset(*spec, nodes,
                              static_cast<std::uint64_t>(cli.get_i64("seed", 42)));
   } else {
@@ -206,7 +210,6 @@ int run(const util::Cli& cli) {
   // and measure runs it with --reorder none.
   graph::Graph lcc = graph::largest_component(raw).graph;
   raw = graph::Graph{};  // drop the raw CSR before the reorder copy
-  const markov::EngineOptions engine = core::engine_options_from_cli(cli);
   const graph::ReorderedGraph reordered = graph::reorder_graph(lcc, engine.reorder);
   const graph::Graph& packed = reordered.active(lcc);
 

@@ -61,7 +61,6 @@ int usage() {
       "  resil:  --checkpoint-dir DIR [--checkpoint-interval N]  --fault-inject SPEC\n"
       "  perf:   --threads N                     kernel worker threads (0 = auto)\n"
       "          --reorder none|degree|rcm|bfs   vertex ordering for the kernels\n"
-      "          --frontier auto|off|FRAC        adaptive frontier-sparse sweeps\n"
       "          --sharded auto|off|N            shard-at-a-time out-of-core sweeps\n"
       "          (SOCMIX_SIMD=avx512|avx2|scalar forces the simd kernel tier)\n"
       "  info                                    structural report\n"
@@ -73,7 +72,7 @@ int usage() {
       "  convert --arcs FILE --out FILE          directed -> undirected\n"
       "  sybil   [--w 2,4,8,16] [--suspects N] [--verifiers N]\n"
       "                                          epoch-cached admission engine sweep\n"
-      "                                          (of the perf knobs, only --frontier)\n"
+      "                                          (takes no perf knobs but --threads)\n"
       "  generate --dataset NAME [--nodes N] --out FILE\n",
       stderr);
   return 2;
@@ -313,10 +312,10 @@ int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpo
   // Every flag is checked before the input is loaded.
   sybil::AdmissionSweepConfig config;
   config.checkpoint = checkpoint;
-  config.frontier = core::route_frontier_from_cli(cli);
+  core::refuse_engine_knobs(cli);
   config.route_lengths = parse_route_lengths(cli);
   config.suspect_sample = cli.get_count("suspects", 200);
-  config.verifier_sample = cli.get_count("verifiers", 3);
+  config.verifier_sample = cli.get_positive("verifiers", 3);
   config.seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
   // A compressed container is headless: admission_sweep rejects it
   // (RouteTable::require_adjacency) before any route is walked.
