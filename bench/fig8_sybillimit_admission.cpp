@@ -10,8 +10,8 @@
 //   --suspects N  honest suspects sampled per point (default 200)
 //   --r0 F        route-count multiplier r = r0 sqrt(m) (default 4)
 //   --seed N
-// The execution knobs (--reorder, --sharded) are rejected: random routes
-// have no evolver, so they would change no admission work.
+// The execution knob --sharded is rejected: random routes have no
+// evolver, so it would change no admission work.
 #include <cstdio>
 #include <iostream>
 #include <stdexcept>

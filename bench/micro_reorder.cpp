@@ -1,11 +1,13 @@
-// Kernel throughput under each vertex ordering (--reorder ablation).
+// Kernel throughput under the pack-time vertex ordering (graph_pack
+// --reorder none|rcm).
 //
 // For a fast-class and a slow-class Table-1 stand-in, and for two base
 // labelings — "native" (generator order; community generators label
 // blocks contiguously, so this is already quite local) and "crawl" (a
 // deterministic shuffle simulating the arbitrary vertex ids of a real
-// edge-list crawl) — this times the two hot kernels under every
-// ReorderMode and reports the speedup over running in-place (mode none):
+// edge-list crawl) — this times the two hot kernels on the graph as
+// labeled (mode none) and relabeled in reverse Cuthill-McKee order (mode
+// rcm), and reports the speedup over mode none:
 //
 //   * evolve:  BatchedEvolver::step_with_tvd, 32 lanes (the sampled
 //              measurement's inner loop),
@@ -13,8 +15,7 @@
 //
 // Method: per configuration the kernel loop runs `--steps` iterations per
 // round; the minimum wall time over `--rounds` rounds is reported (min
-// filters scheduler noise). Orderings only relabel the graph — results
-// stay within the documented tolerance of identity ordering — so the
+// filters scheduler noise). The ordering only relabels the graph, so the
 // numbers are pure memory-locality effects. Locality stats (bandwidth,
 // mean neighbor-label distance) are recorded alongside the timings.
 //
@@ -128,9 +129,6 @@ int main(int argc, char** argv) {
   // structural classes the paper contrasts (locality gains concentrate in
   // the latter, whose CSR has exploitable block structure).
   const std::vector<std::string> dataset_names{"Facebook", "Livejournal A"};
-  const std::vector<graph::ReorderMode> modes{
-      graph::ReorderMode::kNone, graph::ReorderMode::kDegree,
-      graph::ReorderMode::kRcm, graph::ReorderMode::kBfs};
 
   std::vector<Row> rows;
   for (const std::string& name : dataset_names) {
@@ -155,18 +153,16 @@ int main(int argc, char** argv) {
                     native, graph::shuffle_permutation(native.num_nodes(), kCrawlSeed));
       double none_evolve = 0.0;
       double none_spmv = 0.0;
-      for (const graph::ReorderMode mode : modes) {
+      for (const std::string mode_slug : {"none", "rcm"}) {
+        const bool none = mode_slug == "none";
         const graph::Graph g =
-            mode == graph::ReorderMode::kNone
-                ? base
-                : graph::apply_permutation(base, graph::reorder_permutation(base, mode));
+            none ? base : graph::apply_permutation(base, graph::rcm_permutation(base));
         const graph::LocalityStats stats = graph::locality_stats(g);
-        const auto mode_slug = std::string{graph::reorder_mode_name(mode)};
         const std::string prefix =
             util::slugify(name) + "/" + labeling + "/" + mode_slug;
         const double evolve_s = time_evolve(g, steps, rounds, "evolve/" + prefix);
         const double spmv_s = time_spmv(g, steps, rounds, "spmv/" + prefix);
-        if (mode == graph::ReorderMode::kNone) {
+        if (none) {
           none_evolve = evolve_s;
           none_spmv = spmv_s;
         }

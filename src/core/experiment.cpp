@@ -65,20 +65,6 @@ MeasurementOptions ExperimentConfig::measurement_options() const {
 
 namespace {
 
-/// Reads --<flag> (absent = `fallback`), parses it, and stamps the value
-/// on the process bench harness; throws naming the flag on a bad value.
-template <typename Parse>
-auto parse_knob(const util::Cli& cli, const std::string& flag, const char* fallback,
-                Parse parse, const std::string& expected) {
-  const std::string value = cli.get(flag, fallback);
-  const auto parsed = parse(value);
-  if (!parsed) {
-    throw std::invalid_argument{"--" + flag + "=" + value + ": expected " + expected};
-  }
-  bench::Harness::process().set_flag(flag, value);
-  return *parsed;
-}
-
 /// Flags refused by name, whatever the value, rather than silently
 /// ignored. Retired knobs no longer exist anywhere; the rest are evolver
 /// knobs, which only the random-route drivers refuse.
@@ -93,8 +79,9 @@ constexpr RefusedFlag kRefusedFlags[] = {
      "retired; the shard pipeline stages windows on its own worker whenever it has "
      "staging work"},
     {"frontier", true, "retired; every sweep is dense, and random routes walk hop-major"},
-    {"reorder", false, "random routes take no execution knobs; this knob changes no "
-                       "admission work"},
+    {"reorder", true,
+     "retired; vertex ordering is a property of the stored graph: pack it once with "
+     "`graph_pack --reorder rcm` and measure the pack"},
     {"sharded", false, "random routes take no execution knobs; this knob changes no "
                        "admission work"},
 };
@@ -112,14 +99,22 @@ void refuse_flags(const util::Cli& cli, bool random_routes) {
 
 }  // namespace
 
+graph::ShardPolicy shard_policy_from_cli(const util::Cli& cli) {
+  const std::string value = cli.get("sharded", "auto");
+  const auto policy = graph::parse_shard_policy(value);
+  if (!policy) {
+    throw std::invalid_argument{"--sharded=" + value +
+                                ": expected auto, off, or a shard count in [1, " +
+                                std::to_string(graph::ShardPolicy::kMaxShards) + "]"};
+  }
+  bench::Harness::process().set_flag("sharded", value);
+  return *policy;
+}
+
 markov::EngineOptions engine_options_from_cli(const util::Cli& cli) {
   refuse_flags(cli, /*random_routes=*/false);
   markov::EngineOptions engine;
-  engine.reorder = parse_knob(cli, "reorder", "none", graph::parse_reorder_mode,
-                              "one of none, degree, rcm, bfs");
-  engine.sharded = parse_knob(cli, "sharded", "auto", graph::parse_shard_policy,
-                              "auto, off, or a shard count in [1, " +
-                                  std::to_string(graph::ShardPolicy::kMaxShards) + "]");
+  engine.sharded = shard_policy_from_cli(cli);
   return engine;
 }
 

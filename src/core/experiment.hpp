@@ -12,6 +12,7 @@
 #include "core/measurement.hpp"
 #include "gen/datasets.hpp"
 #include "graph/graph.hpp"
+#include "graph/sharded/plan.hpp"
 #include "markov/mixing_time.hpp"
 #include "resilience/checkpoint.hpp"
 #include "util/cli.hpp"
@@ -56,19 +57,22 @@ struct ExperimentConfig {
   [[nodiscard]] MeasurementOptions measurement_options() const;
 };
 
-/// Parses the execution knobs --reorder (default none) and --sharded
-/// (auto), and stamps each on the process bench harness so any BENCH json
-/// records what the run actually used. Throws std::invalid_argument naming
-/// the flag, the bad value and the accepted ones, and naming --precision,
-/// --io-mode or --frontier when a retired knob is passed. `mapped` is left
-/// null for callers that load a --pack container.
+/// Parses --sharded (default auto) and stamps it on the process bench
+/// harness, so any BENCH json records what the run actually used. Throws
+/// std::invalid_argument naming the flag, the bad value and the accepted
+/// ones. graph_pack resolves its pack-time plan from the same flag.
+[[nodiscard]] graph::ShardPolicy shard_policy_from_cli(const util::Cli& cli);
+
+/// Parses the execution knobs: shard_policy_from_cli, after refusing the
+/// retired --reorder, --precision, --io-mode and --frontier by name
+/// (std::invalid_argument; --reorder's message names `graph_pack --reorder
+/// rcm`). `mapped` is left null for callers that load a --pack container.
 [[nodiscard]] markov::EngineOptions engine_options_from_cli(const util::Cli& cli);
 
 /// The random-route drivers (socmix sybil, fig8) take no execution knobs:
-/// random routes have no evolver, so --reorder and --sharded would change
-/// no admission work. Throws std::invalid_argument naming the first of
-/// those, or of the retired knobs engine_options_from_cli refuses, that is
-/// passed.
+/// random routes have no evolver, so --sharded would change no admission
+/// work. Throws std::invalid_argument naming the first of those, or of
+/// the retired knobs engine_options_from_cli refuses, that is passed.
 void refuse_engine_knobs(const util::Cli& cli);
 
 /// Wires the shared observability flags into the obs layer:

@@ -53,14 +53,10 @@ MixingReport measure_mixing(const graph::Graph& g, std::string name,
   if (options.spectral && g.num_nodes() > 0) {
     SOCMIX_TRACE_SPAN("phase.spectral");
     const util::Timer timer;
-    // Lanczos runs on the relabeled CSR; the spectrum is label-invariant,
-    // so nothing maps back. (Reorder cost is O(m log m) — noise next to
-    // the iteration count, even though the sampled phase reorders again.)
     // Shard geometry never changes an output bit (rows are independent
     // under spmv); it only bounds the CSR residency.
-    const markov::ResolvedEngine engine = markov::resolve_engine(g, options);
-    const linalg::WalkOperator op{engine.active(g), engine.sharding.plan,
-                                  options.laziness, engine.sharding.mapped};
+    const markov::SweepSharding sharding = markov::resolve_engine(g, options);
+    const linalg::WalkOperator op{g, sharding.plan, options.laziness, sharding.mapped};
     const linalg::SpectrumResult spectrum = linalg::slem_spectrum(op, options.lanczos);
     report.spectral_ran = true;
     report.spectral_converged = spectrum.converged;

@@ -19,7 +19,6 @@
 #include <string>
 
 #include "graph/graph.hpp"
-#include "graph/reorder.hpp"
 #include "linalg/lanczos.hpp"
 #include "markov/mixing_time.hpp"
 

@@ -4,18 +4,16 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "obs/obs.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace socmix::graph {
 
 namespace {
 
 /// BFS from `start` over unvisited vertices, appending visits to `order`.
-/// Neighbors are enqueued in the order `rank` dictates: for Cuthill-McKee
-/// ascending (degree, id), for plain BFS ascending id (the CSR's natural
-/// neighbor order). Returns the index into `order` where the last BFS
+/// Neighbors are enqueued ascending (degree, id) under `degree_rank` (the
+/// Cuthill-McKee order), else ascending id (the CSR's natural neighbor
+/// order, enough for the pseudo-peripheral probe). Returns the index into `order` where the last BFS
 /// level begins (needed by the pseudo-peripheral search).
 std::size_t bfs_component(const Graph& g, NodeId start, bool degree_rank,
                           std::vector<bool>& visited, std::vector<NodeId>& order,
@@ -90,20 +88,9 @@ std::vector<NodeId> order_to_perm(const std::vector<NodeId>& order) {
   return perm;
 }
 
-std::vector<NodeId> degree_sort_permutation(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), NodeId{0});
-  // Hubs first: the heavy gather targets pack into a small hot prefix.
-  std::sort(order.begin(), order.end(), [&g](NodeId a, NodeId b) {
-    const NodeId da = g.degree(a);
-    const NodeId db = g.degree(b);
-    return da != db ? da > db : a < b;
-  });
-  return order_to_perm(order);
-}
+}  // namespace
 
-std::vector<NodeId> traversal_permutation(const Graph& g, bool rcm) {
+std::vector<NodeId> rcm_permutation(const Graph& g) {
   const NodeId n = g.num_nodes();
   std::vector<bool> visited(n, false);
   std::vector<NodeId> order;
@@ -111,56 +98,13 @@ std::vector<NodeId> traversal_permutation(const Graph& g, bool rcm) {
   std::vector<NodeId> scratch;
   for (NodeId v = 0; v < n; ++v) {
     if (visited[v]) continue;
-    NodeId start = v;
-    if (rcm && g.degree(v) > 0) {
-      start = pseudo_peripheral(g, v, visited, scratch);
-    }
+    const NodeId start = g.degree(v) > 0 ? pseudo_peripheral(g, v, visited, scratch) : v;
     const std::size_t component_begin = order.size();
-    bfs_component(g, start, /*degree_rank=*/rcm, visited, order, scratch);
-    if (rcm) {
-      // Reverse Cuthill-McKee: reverse each component's CM order.
-      std::reverse(order.begin() + static_cast<std::ptrdiff_t>(component_begin),
-                   order.end());
-    }
+    bfs_component(g, start, /*degree_rank=*/true, visited, order, scratch);
+    // Reverse Cuthill-McKee: reverse each component's CM order.
+    std::reverse(order.begin() + static_cast<std::ptrdiff_t>(component_begin), order.end());
   }
   return order_to_perm(order);
-}
-
-}  // namespace
-
-std::string_view reorder_mode_name(ReorderMode mode) noexcept {
-  switch (mode) {
-    case ReorderMode::kNone: return "none";
-    case ReorderMode::kDegree: return "degree";
-    case ReorderMode::kRcm: return "rcm";
-    case ReorderMode::kBfs: return "bfs";
-  }
-  return "none";
-}
-
-std::optional<ReorderMode> parse_reorder_mode(std::string_view name) noexcept {
-  if (name.empty() || name == "none") return ReorderMode::kNone;
-  if (name == "degree") return ReorderMode::kDegree;
-  if (name == "rcm") return ReorderMode::kRcm;
-  if (name == "bfs") return ReorderMode::kBfs;
-  return std::nullopt;
-}
-
-std::vector<NodeId> reorder_permutation(const Graph& g, ReorderMode mode) {
-  switch (mode) {
-    case ReorderMode::kNone: {
-      std::vector<NodeId> identity(g.num_nodes());
-      std::iota(identity.begin(), identity.end(), NodeId{0});
-      return identity;
-    }
-    case ReorderMode::kDegree:
-      return degree_sort_permutation(g);
-    case ReorderMode::kRcm:
-      return traversal_permutation(g, /*rcm=*/true);
-    case ReorderMode::kBfs:
-      return traversal_permutation(g, /*rcm=*/false);
-  }
-  throw std::invalid_argument{"reorder_permutation: unknown mode"};
 }
 
 std::vector<NodeId> invert_permutation(std::span<const NodeId> perm) {
@@ -225,28 +169,6 @@ LocalityStats locality_stats(const Graph& g) noexcept {
   stats.avg_neighbor_distance =
       static_cast<double>(total) / static_cast<double>(g.num_half_edges());
   return stats;
-}
-
-ReorderedGraph reorder_graph(const Graph& g, ReorderMode mode) {
-  ReorderedGraph out;
-  out.mode = mode;
-  SOCMIX_GAUGE_SET("reorder.mode", static_cast<double>(mode));
-  if (mode == ReorderMode::kNone) return out;
-
-  SOCMIX_TRACE_SPAN("graph.reorder");
-  const util::Timer timer;
-  const LocalityStats before = locality_stats(g);
-  out.perm = reorder_permutation(g, mode);
-  out.graph = apply_permutation(g, out.perm);
-  const LocalityStats after = locality_stats(out.graph);
-
-  SOCMIX_COUNTER_ADD("reorder.applied", 1);
-  SOCMIX_GAUGE_SET("reorder.seconds", timer.seconds());
-  SOCMIX_GAUGE_SET("reorder.bandwidth_before", static_cast<double>(before.bandwidth));
-  SOCMIX_GAUGE_SET("reorder.bandwidth_after", static_cast<double>(after.bandwidth));
-  SOCMIX_GAUGE_SET("reorder.avg_neighbor_distance_before", before.avg_neighbor_distance);
-  SOCMIX_GAUGE_SET("reorder.avg_neighbor_distance_after", after.avg_neighbor_distance);
-  return out;
 }
 
 }  // namespace socmix::graph

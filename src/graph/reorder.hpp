@@ -1,4 +1,4 @@
-// Locality-aware vertex reordering for the CSR compute kernels.
+// Locality-aware vertex ordering, applied once at pack time.
 //
 // Every hot kernel in the pipeline is a sparse gather over the CSR: per
 // edge (i, j) it loads a value keyed by the *label* of the neighbor. The
@@ -8,49 +8,30 @@
 // stream into one with strong temporal locality — the standard
 // cache-blocking lever for irregular SpMV/SpMM workloads.
 //
-// Three orderings are provided:
-//  * reverse Cuthill-McKee (kRcm) — per-component BFS from a
-//    pseudo-peripheral start, neighbors in ascending-degree order,
-//    reversed. Minimizes (heuristically) the matrix bandwidth; the best
-//    default for community-structured graphs.
-//  * degree sort (kDegree) — hubs first. Concentrates the hottest gather
-//    targets in one small prefix of the array that stays cache-resident.
-//  * BFS clustering (kBfs) — plain per-component BFS order; groups
-//    vertices by hop distance, a cheap community-ish clustering.
+// The ordering is reverse Cuthill-McKee: per-component BFS from a
+// pseudo-peripheral start, neighbors in ascending-degree order, reversed.
+// It minimizes (heuristically) the matrix bandwidth. The ordering is a
+// property of the stored graph, not of a measurement: `graph_pack
+// --reorder rcm` bakes it into a .smxg container, and every run on that
+// container computes under it.
 //
-// All orderings are deterministic functions of the graph alone. A
-// permutation maps OLD label -> NEW label; apply_permutation produces a
-// relabeled Graph whose adjacency lists are sorted, so the result upholds
-// every Graph invariant and kernels run on it unchanged.
+// The permutation is a deterministic function of the graph alone and maps
+// OLD label -> NEW label; apply_permutation produces a relabeled Graph
+// whose adjacency lists are sorted, so the result upholds every Graph
+// invariant and kernels run on it unchanged.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "graph/graph.hpp"
 
 namespace socmix::graph {
 
-enum class ReorderMode : std::uint32_t {
-  kNone = 0,
-  kDegree = 1,
-  kRcm = 2,
-  kBfs = 3,
-};
-
-/// Canonical flag spelling ("none", "degree", "rcm", "bfs").
-[[nodiscard]] std::string_view reorder_mode_name(ReorderMode mode) noexcept;
-
-/// Parses a --reorder flag value; empty parses as kNone (the default),
-/// anything unknown is nullopt.
-[[nodiscard]] std::optional<ReorderMode> parse_reorder_mode(std::string_view name) noexcept;
-
-/// Computes the permutation (perm[old] = new) for `mode`. kNone returns
-/// the identity. Deterministic in the graph alone.
-[[nodiscard]] std::vector<NodeId> reorder_permutation(const Graph& g, ReorderMode mode);
+/// The reverse Cuthill-McKee permutation (perm[old] = new).
+/// Deterministic in the graph alone.
+[[nodiscard]] std::vector<NodeId> rcm_permutation(const Graph& g);
 
 /// Inverse permutation: out[perm[v]] = v. Throws std::invalid_argument if
 /// `perm` is not a bijection on [0, perm.size()).
@@ -75,30 +56,5 @@ struct LocalityStats {
   std::uint64_t bandwidth = 0;
 };
 [[nodiscard]] LocalityStats locality_stats(const Graph& g) noexcept;
-
-/// A graph relabeled for locality, with enough context to translate node
-/// ids at API boundaries. For kNone, `perm` stays empty and `graph` is an
-/// unmodified copy-free view holder — use `active()` on the original.
-struct ReorderedGraph {
-  Graph graph;               ///< relabeled CSR (empty for kNone)
-  std::vector<NodeId> perm;  ///< old -> new; empty means identity
-  ReorderMode mode = ReorderMode::kNone;
-
-  [[nodiscard]] bool identity() const noexcept { return perm.empty(); }
-  [[nodiscard]] NodeId to_new(NodeId old_id) const noexcept {
-    return identity() ? old_id : perm[old_id];
-  }
-  /// The graph kernels should run on: the relabeled one, or `original`
-  /// untouched when the mode is kNone (no copy is ever made then).
-  [[nodiscard]] const Graph& active(const Graph& original) const noexcept {
-    return identity() ? original : graph;
-  }
-};
-
-/// Computes the ordering, relabels, and publishes `reorder.*` metrics
-/// (mode, relabel seconds, bandwidth and average neighbor-label distance
-/// before/after) to the obs registry. kNone short-circuits: no copy, no
-/// metrics beyond reorder.mode.
-[[nodiscard]] ReorderedGraph reorder_graph(const Graph& g, ReorderMode mode);
 
 }  // namespace socmix::graph

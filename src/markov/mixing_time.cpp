@@ -156,14 +156,13 @@ constexpr std::uint64_t kPrecisionWordF64 = 0;
 // (which substitutes the container's pack-time fingerprint).
 std::uint64_t mixing_fingerprint_from(std::uint64_t h,
                                       std::span<const graph::NodeId> sources,
-                                      std::size_t max_steps, double laziness,
-                                      graph::ReorderMode reorder) {
+                                      std::size_t max_steps, double laziness) {
   h = util::hash_combine(h, sources.size());
   for (const graph::NodeId s : sources) h = util::hash_combine(h, s);
   h = util::hash_combine(h, max_steps);
   h = util::hash_combine(h, std::bit_cast<std::uint64_t>(laziness));
   h = util::hash_combine(h, BatchedEvolver::kDefaultBlock);
-  h = util::hash_combine(h, static_cast<std::uint64_t>(reorder));
+  h = util::hash_combine(h, util::kReorderNoneWord);
   return h;
 }
 
@@ -171,39 +170,25 @@ std::uint64_t mixing_fingerprint_from(std::uint64_t h,
 
 std::uint64_t sampled_mixing_fingerprint(const graph::Graph& g,
                                          std::span<const graph::NodeId> sources,
-                                         std::size_t max_steps, double laziness,
-                                         graph::ReorderMode reorder) {
-  return mixing_fingerprint_from(graph::structural_fingerprint(g), sources,
-                                 max_steps, laziness, reorder);
+                                         std::size_t max_steps, double laziness) {
+  return mixing_fingerprint_from(graph::structural_fingerprint(g), sources, max_steps,
+                                 laziness);
 }
 
-ResolvedEngine resolve_engine(const graph::Graph& g, const EngineOptions& options) {
+SweepSharding resolve_engine(const graph::Graph& g, const EngineOptions& options) {
   // Compressed containers hand us a headless CSR (offsets only): the
   // adjacency exists solely as ADJC blocks the shard pipeline decodes on
-  // the fly. Reordering walks neighbors outside the pipeline, so it must be
-  // off, and the mapping is not optional.
+  // the fly, so the mapping is not optional.
   const bool headless = g.headless();
-  if (headless) {
-    if (options.mapped == nullptr || !options.mapped->compressed()) {
-      throw std::invalid_argument{
-          "a headless graph needs its compressed MappedGraph "
-          "(EngineOptions::mapped)"};
-    }
-    if (options.reorder != graph::ReorderMode::kNone) {
-      throw std::invalid_argument{
-          "reordering needs in-memory adjacency; use --reorder none with "
-          "compressed containers"};
-    }
+  if (headless && (options.mapped == nullptr || !options.mapped->compressed())) {
+    throw std::invalid_argument{
+        "a headless graph needs its compressed MappedGraph "
+        "(EngineOptions::mapped)"};
   }
-  ResolvedEngine out;
-  out.reordered = graph::reorder_graph(g, options.reorder);
-  const graph::Graph& active = out.active(g);
   const std::uint32_t shards = graph::resolve_shard_count(
-      options.sharded, active.memory_bytes(), active.num_nodes(), headless ? 3u : 2u);
-  out.sharding.plan = graph::ShardPlan::balanced(active.offsets(), shards);
-  out.sharding.mapped =
-      out.reordered.identity() && (shards > 1 || headless) ? options.mapped : nullptr;
-  return out;
+      options.sharded, g.memory_bytes(), g.num_nodes(), headless ? 3u : 2u);
+  return {graph::ShardPlan::balanced(g.offsets(), shards),
+          shards > 1 || headless ? options.mapped : nullptr};
 }
 
 SampledMixing measure_sampled_mixing(const graph::Graph& g,
@@ -215,24 +200,9 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   const std::size_t num_sources = sources.size();
   std::vector<std::vector<double>> trajectories(num_sources);
 
-  // Locality layer: relabel the graph for gather locality and map the
-  // sources into the new id space. Everything below runs on `active`; the
-  // per-step TVD scalars are permutation-invariant up to summation order
-  // (the fused reduction sums rows in ascending *new* labels), so no
-  // permute-back is needed — results are reported under the original
-  // source ids via the untouched `sources` span.
-  const ResolvedEngine engine = resolve_engine(g, options);
-  const graph::ReorderedGraph& reordered = engine.reordered;
-  const graph::Graph& active = engine.active(g);
+  const SweepSharding sharding = resolve_engine(g, options);
   const bool headless = g.headless();
-  std::vector<graph::NodeId> mapped_sources;
-  if (!reordered.identity()) {
-    mapped_sources.reserve(num_sources);
-    for (const graph::NodeId s : sources) mapped_sources.push_back(reordered.to_new(s));
-  }
-  const std::span<const graph::NodeId> eval_sources =
-      reordered.identity() ? sources : std::span<const graph::NodeId>{mapped_sources};
-  const std::vector<double> pi = stationary_distribution(active);
+  const std::vector<double> pi = stationary_distribution(g);
 
   // Sources are evolved B at a time by a BatchedEvolver (one CSR sweep per
   // step serves the whole block) and the blocks are distributed across the
@@ -249,23 +219,23 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // blocks are replayed from their stored (bit-exact) trajectories instead
   // of being recomputed, so resume composes with the determinism contract.
   // The context word versions the knobs that change how results are
-  // produced: the ordering, then the words the retired frontier and
-  // precision knobs folded at their defaults (frontier `auto` folded 0 on
-  // a headless graph, where it was always forced off) — so default
-  // snapshots of earlier builds still restore, while their --frontier off
-  // or fraction snapshots and mixed-precision ones (precision word 1)
-  // classify stale once and recompute. A snapshot from a foreign
+  // produced: the words the retired reorder, frontier and precision knobs
+  // folded at their defaults (frontier `auto` folded 0 on a headless
+  // graph, where it was always forced off) — so default snapshots of
+  // earlier builds still restore, while their --frontier off or fraction
+  // snapshots and mixed-precision ones (precision word 1) classify stale
+  // once and recompute (--reorder rcm|degree|bfs also changed the
+  // fingerprint, so those classify foreign). A snapshot from a foreign
   // combination classifies stale, not corrupt.
-  // Shard geometry: resolve_engine sized it against the active CSR. One
-  // shard is the dense path — no context word, so pre-shard snapshots
-  // stay compatible.
-  const std::uint32_t resolved_shards = engine.sharding.plan.num_shards();
+  // Shard geometry: resolve_engine sized it against the CSR. One shard is
+  // the dense path — no context word, so pre-shard snapshots stay
+  // compatible.
+  const std::uint32_t resolved_shards = sharding.plan.num_shards();
 #if SOCMIX_OBS_ENABLED
   SOCMIX_GAUGE_SET("markov.sampled.shards", resolved_shards);
 #endif
   std::uint64_t context = util::hash_combine(
-      util::hash_combine(static_cast<std::uint64_t>(options.reorder),
-                         headless ? 0 : util::kFrontierAutoWord),
+      util::hash_combine(util::kReorderNoneWord, headless ? 0 : util::kFrontierAutoWord),
       kPrecisionWordF64);
   const std::uint64_t shard_word = graph::shard_context_word(resolved_shards);
   if (shard_word != 0) context = util::hash_combine(context, shard_word);
@@ -278,9 +248,8 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
       headless ? options.mapped->fingerprint() : graph::structural_fingerprint(g);
   resilience::BlockCheckpoint checkpoint{
       options.checkpoint,
-      mixing_fingerprint_from(graph_word, sources, max_steps, laziness,
-                              options.reorder),
-      num_blocks, context};
+      mixing_fingerprint_from(graph_word, sources, max_steps, laziness), num_blocks,
+      context};
   std::vector<std::size_t> pending;
   pending.reserve(num_blocks);
   if (checkpoint.enabled()) checkpoint.restore();
@@ -315,7 +284,7 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
     const std::size_t blk = pending[p];
     const std::size_t first = blk * kBlock;
     const std::size_t lanes = std::min(kBlock, num_sources - first);
-    evolver.seed_point_masses(eval_sources.subspan(first, lanes));
+    evolver.seed_point_masses(sources.subspan(first, lanes));
     for (std::size_t b = 0; b < lanes; ++b) {
       trajectories[first + b].reserve(max_steps);
     }
@@ -361,7 +330,7 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   util::parallel_for(0, workers, 1, [&](std::size_t, std::size_t) {
     std::size_t p = next_block++;
     if (p >= pending.size()) return;
-    BatchedEvolver evolver{active, laziness, kBlock, engine.sharding};
+    BatchedEvolver evolver{g, laziness, kBlock, sharding};
     try {
       for (; p < pending.size(); p = next_block++) run_block(evolver, p);
     } catch (...) {

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/reorder.hpp"
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
 #include "markov/batched_evolver.hpp"
@@ -115,19 +114,16 @@ class SampledMixing {
   std::size_t max_steps_ = 0;
 };
 
-/// The three execution knobs both measurement phases run under, parsed
-/// once from --reorder and --sharded (and --pack for `mapped`) by
+/// The two execution knobs both measurement phases run under, parsed
+/// once from --sharded (and --pack for `mapped`) by
 /// core::engine_options_from_cli. They choose how a measurement is
-/// computed, never what it measures.
+/// computed, never what it measures. Vertex ordering is not among them: it
+/// is a property of the stored graph (`graph_pack --reorder rcm`).
 struct EngineOptions {
-  /// Vertex ordering the kernels compute under (--reorder). Both phases
-  /// run on the relabeled CSR: eigenvalues are label-invariant, sources are
-  /// mapped in, and the per-step TVD scalars are label-invariant up to
-  /// summation order, so results match identity ordering within 1e-12 per
-  /// step. Outputs are always reported under the caller's original vertex
-  /// ids. Checkpoints are keyed on the mode: a snapshot written under a
-  /// different ordering is classified stale and recomputed.
-  graph::ReorderMode reorder = graph::ReorderMode::kNone;
+  /// Retired (--reorder is refused): the kernels compute under the stored
+  /// graph's ordering. perfbench/ still copies this field; delete it with
+  /// the next benchmark change.
+  util::RetiredKnob reorder;
   /// Retired (--frontier is refused): every sweep is dense. perfbench/
   /// still copies this field; delete it with the next benchmark change.
   util::RetiredKnob frontier;
@@ -136,27 +132,23 @@ struct EngineOptions {
   util::RetiredKnob precision;
   /// Shard-at-a-time evolution (--sharded auto|off|N; auto stays dense
   /// until the CSR exceeds the per-shard byte budget). Resolved against
-  /// the active (post-reorder) graph's CSR footprint; when the resolved
-  /// count is > 1 both phases sweep one contiguous vertex shard at a time
-  /// (spectral: a sharded WalkOperator under Lanczos; sampled: a sharded
-  /// BatchedEvolver) — bit-identical to the one-shard sweep for every
-  /// shard count; with a mapped container the CSR residency stays near two
-  /// shard windows. A non-trivial resolved geometry folds
-  /// graph::shard_context_word into the checkpoint context, so a snapshot
-  /// written under a foreign shard geometry classifies stale; dense-
-  /// geometry runs fold nothing and stay compatible with pre-shard
-  /// snapshots.
+  /// the graph's CSR footprint; when the resolved count is > 1 both phases
+  /// sweep one contiguous vertex shard at a time (spectral: a sharded
+  /// WalkOperator under Lanczos; sampled: a sharded BatchedEvolver) —
+  /// bit-identical to the one-shard sweep for every shard count; with a
+  /// mapped container the CSR residency stays near two shard windows. A
+  /// non-trivial resolved geometry folds graph::shard_context_word into
+  /// the checkpoint context, so a snapshot written under a foreign shard
+  /// geometry classifies stale; dense-geometry runs fold nothing and stay
+  /// compatible with pre-shard snapshots.
   graph::ShardPolicy sharded;
   /// The mmap-backed .smxg container `g` was borrowed from (socmix --pack),
   /// or null; must outlive the call. Enables the madvise windowing of the
-  /// shard sweeps; ignored (the sweep is identical, minus the paging
-  /// hints) when a reordering materializes a new CSR that the mapping no
-  /// longer backs. A *compressed* container (headless `g`, see
+  /// shard sweeps. A *compressed* container (headless `g`, see
   /// MappedGraph::compressed()) is mandatory: the shard pipeline decodes
   /// adjacency windows out of it. Compressed runs always stream through
-  /// the pipeline (even at one shard) and reject reorder modes other than
-  /// kNone — neither of which changes an output bit versus the same flags
-  /// on the dense CSR.
+  /// the pipeline (even at one shard), which changes no output bit versus
+  /// the same flags on the dense CSR.
   const graph::sharded::MappedGraph* mapped = nullptr;
   /// Retired (--io-mode is refused): linalg::ShardPipeline stages windows
   /// on its worker thread whenever it has staging work and a second
@@ -165,32 +157,17 @@ struct EngineOptions {
   util::RetiredKnob io_mode;
 };
 
-/// What (g, EngineOptions) resolves to before either phase sweeps: the
-/// graph the kernels run on and the shard geometry they sweep it with.
-struct ResolvedEngine {
-  /// The relabeled CSR under a non-identity ordering; see active().
-  graph::ReorderedGraph reordered;
-  /// The resolved plan over the active CSR (one shard is the dense path),
-  /// plus the mapping to sweep it with.
-  SweepSharding sharding;
-
-  [[nodiscard]] const graph::Graph& active(const graph::Graph& g) const noexcept {
-    return reordered.active(g);
-  }
-};
-
-/// The one place the execution knobs meet the graph. Rejects a headless
-/// (compressed) graph without its compressed mapping or under a
-/// reordering, reorders, and resolves --sharded against the active CSR:
-/// a compressed sweep keeps three adjacency copies per staged window in
-/// flight (two decoded scratch slots + the mapped ADJC bytes), so the auto
-/// formula gets resident_copies = 3, otherwise 2. The mapping is passed on
-/// only under identity ordering (a reordering materializes a CSR the
-/// mapping no longer backs) and only when the sweep windows several shards
-/// or must decode them — a one-shard sweep would release the whole mapping
-/// every step. Throws std::invalid_argument on a rejected combination.
-[[nodiscard]] ResolvedEngine resolve_engine(const graph::Graph& g,
-                                            const EngineOptions& options);
+/// The one place the execution knobs meet the graph: the shard geometry
+/// both phases sweep `g` with. Rejects a headless (compressed) graph
+/// without its compressed mapping, and resolves --sharded against the
+/// CSR: a compressed sweep keeps three adjacency copies per staged window
+/// in flight (two decoded scratch slots + the mapped ADJC bytes), so the
+/// auto formula gets resident_copies = 3, otherwise 2. The mapping is
+/// passed on only when the sweep windows several shards or must decode
+/// them — a one-shard sweep would release the whole mapping every step.
+/// Throws std::invalid_argument on a rejected combination.
+[[nodiscard]] SweepSharding resolve_engine(const graph::Graph& g,
+                                           const EngineOptions& options);
 
 /// Knobs of the sampled sweep: the execution knobs plus the walk itself.
 struct SampledMixingOptions : EngineOptions {
@@ -223,13 +200,11 @@ struct SampledMixingOptions : EngineOptions {
 
 /// The fingerprint a sampled-mixing checkpoint is keyed on: the graph's
 /// structural fingerprint combined with the exact source list, step
-/// budget, laziness bits, the engine's block width, and the reorder mode.
-/// Always computed on the *original* graph and source ids, so callers can
-/// predict snapshot compatibility without materializing the reordering.
+/// budget, laziness bits, the engine's block width, and the word the
+/// retired --reorder knob folded at its default (util::kReorderNoneWord).
 [[nodiscard]] std::uint64_t sampled_mixing_fingerprint(
     const graph::Graph& g, std::span<const graph::NodeId> sources,
-    std::size_t max_steps, double laziness,
-    graph::ReorderMode reorder = graph::ReorderMode::kNone);
+    std::size_t max_steps, double laziness);
 
 /// Uniformly samples `count` distinct sources (all vertices if count >= n).
 [[nodiscard]] std::vector<graph::NodeId> pick_sources(const graph::Graph& g,

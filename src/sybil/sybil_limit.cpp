@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "graph/reorder.hpp"
 #include "markov/mixing_time.hpp"
 #include "obs/obs.hpp"
 #include "resilience/fault.hpp"
@@ -107,7 +106,7 @@ std::uint64_t admission_sweep_fingerprint(const graph::Graph& g,
   if (config.instances_override != 0) h = util::hash_combine(h, config.instances_override);
   // The word the removed ordering knob folded at its default, kept so
   // snapshots written before the removal still restore.
-  return util::hash_combine(h, static_cast<std::uint64_t>(graph::ReorderMode::kNone));
+  return util::hash_combine(h, util::kReorderNoneWord);
 }
 
 std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
@@ -140,9 +139,7 @@ std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
   // removed ordering knob's default and the retired frontier knob's `auto`
   // (hop-major) word, kept so older snapshots still restore; the route-
   // major snapshots that frontier off wrote (word 0) classify stale once.
-  std::uint64_t context =
-      util::hash_combine(static_cast<std::uint64_t>(graph::ReorderMode::kNone),
-                         util::kFrontierAutoWord);
+  std::uint64_t context = util::hash_combine(util::kReorderNoneWord, util::kFrontierAutoWord);
   context = util::hash_combine(context, kAdmissionEngineVersion);
   resilience::BlockCheckpoint checkpoint{checkpoint_options,
                                          admission_sweep_fingerprint(g, config),

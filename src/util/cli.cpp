@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 
@@ -28,6 +29,14 @@ Cli::Cli(int argc, const char* const* argv) {
 }
 
 bool Cli::has(const std::string& name) const { return options_.contains(name); }
+
+void Cli::refuse_unknown(std::span<const std::string_view> known) const {
+  for (const auto& [name, value] : options_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      throw std::invalid_argument{"--" + name + ": unknown flag"};
+    }
+  }
+}
 
 std::string Cli::get(const std::string& name, const std::string& fallback) const {
   const auto it = options_.find(name);

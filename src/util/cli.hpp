@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace socmix::util {
@@ -16,10 +18,16 @@ namespace socmix::util {
 class Cli {
  public:
   /// Parses argv. Every option is accepted; each driver reads the ones it
-  /// knows and ignores the rest.
+  /// knows, and a tool that lists them all refuses the rest with
+  /// refuse_unknown.
   Cli(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(const std::string& name) const;
+
+  /// Throws std::invalid_argument naming the first option (in name order)
+  /// that is not in `known`: a misspelt flag fails instead of silently
+  /// leaving its default in place.
+  void refuse_unknown(std::span<const std::string_view> known) const;
 
   [[nodiscard]] std::string get(const std::string& name, const std::string& fallback) const;
   /// Numeric options: `fallback` when absent; a present value that does

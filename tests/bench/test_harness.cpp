@@ -79,8 +79,8 @@ TEST(Harness, RecordAppendsExternalSamples) {
 
 TEST(Harness, JsonArtifactRoundTrips) {
   Harness h{"roundtrip"};
-  h.set_flag("reorder", "rcm");
-  h.set_flag("reorder", "bfs");  // overwrite, no duplicate
+  h.set_flag("sharded", "4");
+  h.set_flag("sharded", "16");  // overwrite, no duplicate
   h.record("alpha", 0.5);
   h.record("alpha", 0.7);
   h.record("alpha", 0.6);
@@ -98,7 +98,7 @@ TEST(Harness, JsonArtifactRoundTrips) {
   EXPECT_FALSE(prov.at("simd_tier").as_string().empty());
   EXPECT_GE(prov.at("threads").as_number(), 1.0);
   EXPECT_GE(prov.at("nproc").as_number(), 1.0);
-  EXPECT_EQ(prov.at("flags").at("reorder").as_string(), "bfs");
+  EXPECT_EQ(prov.at("flags").at("sharded").as_string(), "16");
   EXPECT_EQ(prov.at("flags").members().size(), 1u);
 
   const Json& entries = doc.at("entries");

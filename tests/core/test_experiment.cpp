@@ -40,25 +40,24 @@ util::Cli make_cli(std::initializer_list<const char*> args) {
 }
 
 TEST(ExperimentConfig, ParsesEveryExecutionKnob) {
-  const auto config = ExperimentConfig::from_cli(
-      make_cli({"--reorder", "rcm", "--sharded", "4"}));
-  EXPECT_EQ(config.engine.reorder, graph::ReorderMode::kRcm);
+  const auto config = ExperimentConfig::from_cli(make_cli({"--sharded", "4"}));
   EXPECT_EQ(config.engine.sharded.mode, graph::ShardPolicy::Mode::kFixed);
   EXPECT_EQ(config.engine.sharded.count, 4u);
   EXPECT_EQ(config.engine.mapped, nullptr);
 
   // The drivers' measurement options carry every knob, not a subset.
   const MeasurementOptions options = config.measurement_options();
-  EXPECT_EQ(options.reorder, graph::ReorderMode::kRcm);
   EXPECT_EQ(options.sharded.count, 4u);
   EXPECT_EQ(options.seed, config.seed);
 }
 
 TEST(ExperimentConfig, RetiredKnobsAreRefusedByName) {
-  // --precision, --io-mode and --frontier are gone: every value,
-  // including the old defaults, is refused rather than silently ignored.
+  // --reorder, --precision, --io-mode and --frontier are gone: every
+  // value, including the old defaults, is refused rather than silently
+  // ignored. --reorder names where the ordering went.
   for (const auto& [flag, value] :
-       {std::pair{"--precision", "f64"}, std::pair{"--precision", "mixed"},
+       {std::pair{"--reorder", "none"}, std::pair{"--reorder", "rcm"},
+        std::pair{"--precision", "f64"}, std::pair{"--precision", "mixed"},
         std::pair{"--io-mode", "sync"}, std::pair{"--io-mode", "prefetch"},
         std::pair{"--frontier", "auto"}, std::pair{"--frontier", "off"},
         std::pair{"--frontier", "0.25"}}) {
@@ -68,6 +67,13 @@ TEST(ExperimentConfig, RetiredKnobsAreRefusedByName) {
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string{e.what()}.find(flag), std::string::npos) << e.what();
     }
+  }
+  try {
+    (void)engine_options_from_cli(make_cli({"--reorder", "rcm"}));
+    ADD_FAILURE() << "--reorder rcm was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("graph_pack --reorder rcm"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -85,7 +91,7 @@ TEST(ExperimentConfig, NegativeCountThrowsNamingTheFlag) {
 
 TEST(ExperimentConfig, MalformedKnobThrowsNamingTheFlag) {
   for (const char* flag :
-       {"--reorder", "--frontier", "--precision", "--sharded", "--io-mode"}) {
+       {"--frontier", "--precision", "--sharded", "--io-mode"}) {
     try {
       (void)ExperimentConfig::from_cli(make_cli({flag, "bogus"}));
       ADD_FAILURE() << flag << " bogus was accepted";

@@ -1,7 +1,10 @@
-// The locality layer's correctness contract: every ordering is a
-// deterministic bijection, apply_permutation preserves all Graph
-// invariants and round-trips bit-exactly through the inverse, and the
-// orderings actually improve label locality where they should.
+// The pack-time ordering's correctness contract (graph_pack --reorder
+// rcm): the RCM and shuffle permutations are deterministic bijections,
+// apply_permutation preserves all Graph invariants and round-trips
+// bit-exactly through the inverse, RCM actually improves label locality
+// on crawl-ordered ids, the relabeled graph it stores has the same SLEM
+// as the graph it came from, and a checkpoint of one ordering never
+// replays against the other.
 #include "graph/reorder.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +15,9 @@
 #include "gen/datasets.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/graph.hpp"
+#include "linalg/lanczos.hpp"
+#include "linalg/walk_operator.hpp"
+#include "markov/mixing_time.hpp"
 
 namespace socmix::graph {
 namespace {
@@ -27,6 +33,11 @@ Graph path_graph(NodeId n) {
   return Graph::from_edges(std::move(edges));
 }
 
+/// The arbitrary vertex ids of a real edge-list crawl.
+Graph crawl_ordered(const Graph& g) {
+  return apply_permutation(g, shuffle_permutation(g.num_nodes(), 5));
+}
+
 void expect_same_csr(const Graph& a, const Graph& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
   ASSERT_EQ(a.num_edges(), b.num_edges());
@@ -38,30 +49,31 @@ void expect_same_csr(const Graph& a, const Graph& b) {
   EXPECT_TRUE(std::equal(an.begin(), an.end(), bn.begin(), bn.end()));
 }
 
-constexpr ReorderMode kAllModes[] = {ReorderMode::kNone, ReorderMode::kDegree,
-                                     ReorderMode::kRcm, ReorderMode::kBfs};
+/// Every permutation the library builds: the RCM ordering graph_pack
+/// stores, and the crawl-order shuffle benches and tests start from.
+std::vector<std::vector<NodeId>> every_permutation(const Graph& g) {
+  return {rcm_permutation(g), shuffle_permutation(g.num_nodes(), 5)};
+}
 
 TEST(Reorder, EveryModeProducesADeterministicBijection) {
   const Graph g = community_graph();
-  for (const ReorderMode mode : kAllModes) {
-    const auto perm = reorder_permutation(g, mode);
+  const auto first = every_permutation(g);
+  for (const auto& perm : first) {
     ASSERT_EQ(perm.size(), g.num_nodes());
     std::vector<bool> seen(perm.size(), false);
     for (const NodeId p : perm) {
       ASSERT_LT(p, perm.size());
-      ASSERT_FALSE(seen[p]) << "duplicate target under mode "
-                            << reorder_mode_name(mode);
+      ASSERT_FALSE(seen[p]) << "duplicate target";
       seen[p] = true;
     }
-    // Deterministic: a second computation is identical.
-    EXPECT_EQ(perm, reorder_permutation(g, mode));
   }
+  // Deterministic: a second computation is identical.
+  EXPECT_EQ(first, every_permutation(g));
 }
 
 TEST(Reorder, ApplyPermutationKeepsInvariantsAndRoundTrips) {
   const Graph g = community_graph();
-  for (const ReorderMode mode : kAllModes) {
-    const auto perm = reorder_permutation(g, mode);
+  for (const auto& perm : every_permutation(g)) {
     const Graph relabeled = apply_permutation(g, perm);
     ASSERT_EQ(relabeled.num_nodes(), g.num_nodes());
     ASSERT_EQ(relabeled.num_edges(), g.num_edges());
@@ -91,63 +103,57 @@ TEST(Reorder, InvertPermutationRejectsNonBijections) {
                std::invalid_argument);
 }
 
-TEST(Reorder, NamesAndParsingRoundTrip) {
-  for (const ReorderMode mode : kAllModes) {
-    const auto parsed = parse_reorder_mode(reorder_mode_name(mode));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, mode);
-  }
-  EXPECT_FALSE(parse_reorder_mode("cuthill").has_value());
-  EXPECT_EQ(parse_reorder_mode(""), ReorderMode::kNone);  // empty = default
-}
-
 TEST(Reorder, RcmRecoversUnitBandwidthOnAShuffledPath) {
   // A path has bandwidth 1 under its natural order; shuffle destroys that
   // and RCM must recover it exactly (the path is the textbook case).
   const Graph path = path_graph(64);
   const Graph shuffled = apply_permutation(path, shuffle_permutation(64, 99));
   EXPECT_GT(locality_stats(shuffled).bandwidth, 1u);
-  const Graph rcm =
-      apply_permutation(shuffled, reorder_permutation(shuffled, ReorderMode::kRcm));
+  const Graph rcm = apply_permutation(shuffled, rcm_permutation(shuffled));
   EXPECT_EQ(locality_stats(rcm).bandwidth, 1u);
 }
 
-TEST(Reorder, DegreeSortPutsHubsFirst) {
-  const Graph g = community_graph();
-  const Graph sorted =
-      apply_permutation(g, reorder_permutation(g, ReorderMode::kDegree));
-  for (NodeId v = 0; v + 1 < sorted.num_nodes(); ++v) {
-    ASSERT_GE(sorted.degree(v), sorted.degree(v + 1));
-  }
-}
-
 TEST(Reorder, RcmImprovesLocalityOnShuffledCommunityGraph) {
-  const Graph g = community_graph();
-  const Graph crawl = apply_permutation(g, shuffle_permutation(g.num_nodes(), 5));
+  const Graph crawl = crawl_ordered(community_graph());
   const LocalityStats before = locality_stats(crawl);
-  const Graph rcm =
-      apply_permutation(crawl, reorder_permutation(crawl, ReorderMode::kRcm));
+  const Graph rcm = apply_permutation(crawl, rcm_permutation(crawl));
   const LocalityStats after = locality_stats(rcm);
   EXPECT_LT(after.bandwidth, before.bandwidth);
   EXPECT_LT(after.avg_neighbor_distance, before.avg_neighbor_distance);
 }
 
-TEST(Reorder, ReorderGraphNoneIsZeroCopyIdentity) {
-  const Graph g = community_graph();
-  const ReorderedGraph reordered = reorder_graph(g, ReorderMode::kNone);
-  EXPECT_TRUE(reordered.identity());
-  EXPECT_EQ(&reordered.active(g), &g);  // no relabeled copy was built
-  EXPECT_EQ(reordered.to_new(3), 3u);
+TEST(ReorderParity, SlemMatchesIdentityOrderingWithinLanczosTolerance) {
+  // Eigenvalues are invariant under the similarity transform a relabeling
+  // induces; only the iteration's rounding differs. So the RCM pack of a
+  // crawl-ordered graph measures the graph's own SLEM.
+  for (const char* name : {"Physics 1", "Livejournal A", "Facebook"}) {
+    const auto spec = gen::find_dataset(name);
+    const Graph g = gen::build_dataset(*spec, 400, 17);
+    const linalg::LanczosOptions options;
+    const auto identity = linalg::slem_spectrum(linalg::WalkOperator{g}, options);
+    ASSERT_TRUE(identity.converged) << name;
+    const Graph crawl = crawl_ordered(g);
+    const Graph rcm = apply_permutation(crawl, rcm_permutation(crawl));
+    EXPECT_LT(locality_stats(rcm).avg_neighbor_distance,
+              locality_stats(crawl).avg_neighbor_distance)
+        << name;
+    const auto spectrum = linalg::slem_spectrum(linalg::WalkOperator{rcm}, options);
+    ASSERT_TRUE(spectrum.converged) << name;
+    EXPECT_NEAR(spectrum.slem, identity.slem, 100 * options.tolerance) << name;
+  }
 }
 
-TEST(Reorder, ReorderGraphMapsIdsConsistently) {
-  const Graph g = community_graph();
-  const ReorderedGraph reordered = reorder_graph(g, ReorderMode::kRcm);
-  ASSERT_FALSE(reordered.identity());
-  const Graph& active = reordered.active(g);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    ASSERT_EQ(active.degree(reordered.to_new(v)), g.degree(v));
-  }
+TEST(ReorderParity, FingerprintSeparatesOrderings) {
+  // The same source ids name different vertices in the two orderings, so
+  // a sampled checkpoint of the unordered graph must not restore against
+  // its RCM pack: the graph's structural fingerprint keys it apart.
+  const auto spec = gen::find_dataset("Physics 1");
+  const Graph g = gen::build_dataset(*spec, 400, 3);
+  const Graph rcm = apply_permutation(g, rcm_permutation(g));
+  const std::vector<NodeId> sources{0, 50, 100, 150};
+  const std::uint64_t base = markov::sampled_mixing_fingerprint(g, sources, 30, 0.0);
+  EXPECT_EQ(base, markov::sampled_mixing_fingerprint(g, sources, 30, 0.0));
+  EXPECT_NE(base, markov::sampled_mixing_fingerprint(rcm, sources, 30, 0.0));
 }
 
 }  // namespace

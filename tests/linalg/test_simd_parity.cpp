@@ -2,9 +2,9 @@
 //
 //  * the default f64 path is BIT-IDENTICAL across kernel tiers
 //    (scalar / AVX2 / AVX-512) — on every Table-1 generator config,
-//    at serial and contended thread counts, composed with --reorder rcm
-//    and with one-shard and four-shard sweeps (the SpMM over all rows
-//    with the fused TVD, and over a sub-range with the deferred one);
+//    at serial and contended thread counts, with one-shard and
+//    four-shard sweeps (the SpMM over all rows with the fused TVD, and
+//    over a sub-range with the deferred one);
 //  * the single-vector SpMV consumers (WalkOperator, WeightedWalkOperator,
 //    a one-lane BatchedEvolver) are bitwise tier-invariant too.
 //
@@ -20,7 +20,6 @@
 #include "gen/weights.hpp"
 #include "graph/components.hpp"
 #include "graph/graph.hpp"
-#include "graph/reorder.hpp"
 #include "graph/sharded/plan.hpp"
 #include "linalg/simd/kernels.hpp"
 #include "linalg/vector_ops.hpp"
@@ -75,10 +74,9 @@ std::vector<graph::NodeId> spread_sources(const graph::Graph& g,
 }
 
 markov::SampledMixing run(const graph::Graph& g, std::span<const graph::NodeId> sources,
-                          std::uint32_t shards, graph::ReorderMode reorder) {
+                          std::uint32_t shards) {
   markov::SampledMixingOptions options;
   options.max_steps = kSteps;
-  options.reorder = reorder;
   options.sharded = {.mode = graph::ShardPolicy::Mode::kFixed, .count = shards};
   return measure_sampled_mixing(g, sources, options);
 }
@@ -101,30 +99,25 @@ TEST(SimdTierParity, SampledMixingBitIdenticalAcrossTiersOnEveryTable1Config) {
   for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
     const graph::Graph g = gen::build_dataset(spec, kNodes, 11);
     const auto sources = spread_sources(g);
-    for (const graph::ReorderMode reorder :
-         {graph::ReorderMode::kNone, graph::ReorderMode::kRcm}) {
-      for (const std::uint32_t shards : {1u, 4u}) {
-        // Reference: forced scalar tier, serial. Every other
-        // (tier, threads) combination must reproduce it bit for bit.
-        const markov::SampledMixing reference = [&] {
-          const TierGuard guard{simd::Tier::kScalar};
-          return run(g, sources, shards, reorder);
-        }();
-        for (const simd::Tier tier : tiers) {
-          for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-            if (tier == simd::Tier::kScalar && threads == 1) continue;
-            const TierGuard guard{tier};
-            ASSERT_TRUE(guard.ok());
-            util::set_thread_count(threads);
-            const markov::SampledMixing got = run(g, sources, shards, reorder);
-            util::set_thread_count(0);
-            expect_bitwise_equal(
-                reference, got,
-                spec.name + " tier=" + simd::tier_name(tier) +
-                    " threads=" + std::to_string(threads) +
-                    " reorder=" + std::string{graph::reorder_mode_name(reorder)} +
-                    " shards=" + std::to_string(shards));
-          }
+    for (const std::uint32_t shards : {1u, 4u}) {
+      // Reference: forced scalar tier, serial. Every other
+      // (tier, threads) combination must reproduce it bit for bit.
+      const markov::SampledMixing reference = [&] {
+        const TierGuard guard{simd::Tier::kScalar};
+        return run(g, sources, shards);
+      }();
+      for (const simd::Tier tier : tiers) {
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+          if (tier == simd::Tier::kScalar && threads == 1) continue;
+          const TierGuard guard{tier};
+          ASSERT_TRUE(guard.ok());
+          util::set_thread_count(threads);
+          const markov::SampledMixing got = run(g, sources, shards);
+          util::set_thread_count(0);
+          expect_bitwise_equal(reference, got,
+                               spec.name + " tier=" + simd::tier_name(tier) +
+                                   " threads=" + std::to_string(threads) +
+                                   " shards=" + std::to_string(shards));
         }
       }
     }

@@ -4,7 +4,7 @@
 //
 //  * on every Table-1 generator config, for shard counts {1, 4, 16}, at
 //    serial and contended thread counts;
-//  * composed with the rcm reordering;
+//  * composed with the pack-time rcm ordering, raw or compressed;
 //  * through a packed .smxg container mapped back as a borrowed graph,
 //    raw or compressed (ADJC), staged by the pipeline's worker thread;
 //  * across a fault-injected kill and checkpoint resume under sharding,
@@ -99,19 +99,34 @@ TEST(ShardParity, BitIdenticalToDenseOnEveryTable1Config) {
 }
 
 TEST(ShardParity, ComposesWithReorder) {
+  // The ordering `graph_pack --reorder rcm` stores composes with every
+  // sweep, compression included: a crawl-ordered graph relabeled in RCM
+  // order and packed raw or compressed sweeps bit-identically to its dense
+  // in-memory sweep.
   const auto spec = gen::find_dataset("Physics 1");
   const graph::Graph g = gen::build_dataset(*spec, kNodes, 5);
-  const auto sources = spread_sources(g);
+  const graph::Graph crawl =
+      graph::apply_permutation(g, graph::shuffle_permutation(g.num_nodes(), 5));
+  const graph::Graph rcm = graph::apply_permutation(crawl, graph::rcm_permutation(crawl));
+  const auto sources = spread_sources(rcm);
   SampledMixingOptions dense_options = base_options();
-  dense_options.reorder = graph::ReorderMode::kRcm;
   dense_options.sharded = graph::ShardPolicy{.mode = graph::ShardPolicy::Mode::kOff};
-  const SampledMixing dense = run(g, sources, dense_options);
-  for (const std::uint32_t count : {4u, 16u}) {
-    SampledMixingOptions options = dense_options;
-    options.sharded = shards(count);
-    const SampledMixing sharded = run(g, sources, options);
-    expect_bitwise_equal(dense, sharded, "rcm shards=" + std::to_string(count));
+  const SampledMixing dense = run(rcm, sources, dense_options);
+  const fs::path path = fs::path{testing::TempDir()} / "rcm_pack.smxg";
+  for (const bool compressed : {false, true}) {
+    graph::sharded::WriteOptions write_options;
+    write_options.compress = compressed;
+    graph::sharded::write_smxg_file(path.string(), rcm,
+                                    graph::ShardPlan::balanced(rcm.offsets(), 4),
+                                    write_options);
+    const graph::sharded::MappedGraph mapped{path.string()};
+    SampledMixingOptions options = base_options();
+    options.sharded = shards(4);
+    options.mapped = &mapped;
+    const SampledMixing sharded = run(mapped.view(), sources, options);
+    expect_bitwise_equal(dense, sharded, compressed ? "rcm adjc" : "rcm raw");
   }
+  std::remove(path.string().c_str());
 }
 
 TEST(ShardParity, PipelineMatrixBitIdenticalToDenseOnEveryTable1Config) {
@@ -164,9 +179,8 @@ TEST(ShardParity, PipelineMatrixBitIdenticalToDenseOnEveryTable1Config) {
   }
 }
 
-TEST(ShardParity, CompressedRejectsReorderAndAMissingMapping) {
-  // The compressed gating: reordering needs in-memory adjacency; a
-  // headless graph without its mapped container is unusable.
+TEST(ShardParity, CompressedRejectsAMissingMapping) {
+  // A headless graph without its mapped container is unusable.
   const auto spec = gen::find_dataset("Physics 1");
   const graph::Graph g = gen::build_dataset(*spec, kNodes, 5);
   const fs::path path = fs::path{testing::TempDir()} / "pipe_gate.smxg";
@@ -176,13 +190,6 @@ TEST(ShardParity, CompressedRejectsReorderAndAMissingMapping) {
                                   graph::ShardPlan::balanced(g.offsets(), 4), compress);
   const graph::sharded::MappedGraph mapped{path.string()};
   const auto sources = spread_sources(mapped.view());
-
-  SampledMixingOptions options = base_options();
-  options.sharded = shards(4);
-  options.mapped = &mapped;
-  options.reorder = graph::ReorderMode::kRcm;
-  EXPECT_THROW(measure_sampled_mixing(mapped.view(), sources, options),
-               std::invalid_argument);
 
   SampledMixingOptions no_mapped = base_options();
   no_mapped.sharded = shards(4);

@@ -15,7 +15,6 @@
 
 #include "graph/edge_list.hpp"
 #include "graph/graph.hpp"
-#include "graph/reorder.hpp"
 #include "markov/mixing_time.hpp"
 #include "obs/obs.hpp"
 #include "resilience/fault.hpp"
@@ -115,16 +114,15 @@ TEST_F(CheckpointResumeTest, UnitRejectsForeignFingerprintAndShape) {
 }
 
 TEST_F(CheckpointResumeTest, UnitRejectsForeignContextAsStale) {
-  // The context word records the execution environment (the vertex
-  // reordering mode, for the sampled sweep); a frame written under a
-  // different context is internally valid but not replayable — it must be
+  // The context word records the execution environment (the shard
+  // geometry, for the sampled sweep); a frame written under a different
+  // context is internally valid but not replayable — it must be
   // classified stale and recomputed, never silently replayed.
   CheckpointOptions opts{dir_.string(), "unit", 1};
-  const auto context = [](graph::ReorderMode mode) {
-    return static_cast<std::uint64_t>(mode);
-  };
+  constexpr std::uint64_t kWritten = 0;
+  constexpr std::uint64_t kForeign = 2;
   {
-    BlockCheckpoint ckpt{opts, 99, 4, context(graph::ReorderMode::kNone)};
+    BlockCheckpoint ckpt{opts, 99, 4, kWritten};
     ckpt.record(0, {1.0});
     ckpt.finalize();
   }
@@ -137,16 +135,16 @@ TEST_F(CheckpointResumeTest, UnitRejectsForeignContextAsStale) {
   };
   const std::uint64_t stale_before = stale_count();
 #endif
-  BlockCheckpoint other_ordering{opts, 99, 4, context(graph::ReorderMode::kRcm)};
-  EXPECT_EQ(other_ordering.restore(), 0u);
-  EXPECT_EQ(other_ordering.context(), context(graph::ReorderMode::kRcm));
+  BlockCheckpoint other_context{opts, 99, 4, kForeign};
+  EXPECT_EQ(other_context.restore(), 0u);
+  EXPECT_EQ(other_context.context(), kForeign);
 #if SOCMIX_OBS_ENABLED
   EXPECT_EQ(stale_count(), stale_before + 1);
 #endif
   // The matching context still round-trips.
-  BlockCheckpoint same_ordering{opts, 99, 4, context(graph::ReorderMode::kNone)};
-  EXPECT_EQ(same_ordering.restore(), 1u);
-  EXPECT_EQ(same_ordering.restored_payload(0), (std::vector<double>{1.0}));
+  BlockCheckpoint same_context{opts, 99, 4, kWritten};
+  EXPECT_EQ(same_context.restore(), 1u);
+  EXPECT_EQ(same_context.restored_payload(0), (std::vector<double>{1.0}));
 }
 
 TEST_F(CheckpointResumeTest, InterruptedMeasurementResumesBitIdentical) {
@@ -174,10 +172,13 @@ TEST_F(CheckpointResumeTest, InterruptedMeasurementResumesBitIdentical) {
 /// `auto` switch fraction 0.5, and 0 for `off`.
 constexpr std::uint64_t kFrontierAutoWord = 0x3fe0000000000000;
 constexpr std::uint64_t kFrontierOffWord = 0;
+/// The word the retired --reorder knob folded at its `none` default.
+constexpr std::uint64_t kReorderNoneWord = 0;
 
 /// Writes a complete sampled-mixing snapshot the way builds with the
-/// frontier and precision knobs did: the context word hashes the ordering,
-/// the frontier word and then the precision word (0 for f64, 1 for mixed).
+/// reorder, frontier and precision knobs did at --reorder none: the
+/// context word hashes the ordering word, the frontier word and then the
+/// precision word (0 for f64, 1 for mixed).
 /// Every block holds a made-up trajectory no evolution produces, so a
 /// replay is distinguishable from a recomputation.
 std::vector<std::vector<double>> write_six_knob_snapshot(
@@ -186,11 +187,10 @@ std::vector<std::vector<double>> write_six_knob_snapshot(
     std::uint64_t precision_word) {
   constexpr std::size_t kBlock = markov::BatchedEvolver::kDefaultBlock;
   const std::size_t blocks = (sources.size() + kBlock - 1) / kBlock;
-  const std::uint64_t fingerprint = markov::sampled_mixing_fingerprint(
-      g, sources, options.max_steps, options.laziness, options.reorder);
+  const std::uint64_t fingerprint =
+      markov::sampled_mixing_fingerprint(g, sources, options.max_steps, options.laziness);
   const std::uint64_t context = util::hash_combine(
-      util::hash_combine(static_cast<std::uint64_t>(options.reorder), frontier_word),
-      precision_word);
+      util::hash_combine(kReorderNoneWord, frontier_word), precision_word);
   std::vector<std::vector<double>> recorded(sources.size());
   BlockCheckpoint previous{options.checkpoint, fingerprint, blocks, context};
   for (std::size_t blk = 0; blk < blocks; ++blk) {
@@ -263,28 +263,21 @@ TEST_F(CheckpointResumeTest, SampledSnapshotOfMixedPrecisionClassifiesStale) {
 TEST_F(CheckpointResumeTest, SampledSnapshotUnderTheFrontierAutoWordRestores) {
   // The frontier knob is gone, but an in-memory run still folds the word
   // its `auto` default did: a default snapshot of an earlier build restores
-  // with every block skipped, under every ordering.
+  // with every block skipped.
   const auto g = ring_with_chords(kNodes);
   const auto sources = first_sources(kSources);
-  for (const graph::ReorderMode reorder :
-       {graph::ReorderMode::kNone, graph::ReorderMode::kRcm}) {
-    fs::remove_all(dir_);
-    markov::SampledMixingOptions opts = options();
-    opts.reorder = reorder;
-    const auto recorded = write_six_knob_snapshot(g, sources, opts, kFrontierAutoWord,
-                                                  /*precision_word=*/0);
+  const markov::SampledMixingOptions opts = options();
+  const auto recorded =
+      write_six_knob_snapshot(g, sources, opts, kFrontierAutoWord, /*precision_word=*/0);
 #if SOCMIX_OBS_ENABLED
-    const std::uint64_t skipped_before =
-        counter_value("resilience.resume_blocks_skipped");
+  const std::uint64_t skipped_before = counter_value("resilience.resume_blocks_skipped");
 #endif
-    const auto resumed = markov::measure_sampled_mixing(g, sources, opts);
-    EXPECT_EQ(trajectories(resumed), recorded) << graph::reorder_mode_name(reorder);
+  const auto resumed = markov::measure_sampled_mixing(g, sources, opts);
+  EXPECT_EQ(trajectories(resumed), recorded);
 #if SOCMIX_OBS_ENABLED
-    EXPECT_EQ(counter_value("resilience.resume_blocks_skipped"),
-              skipped_before + kSources / markov::BatchedEvolver::kDefaultBlock)
-        << graph::reorder_mode_name(reorder);
+  EXPECT_EQ(counter_value("resilience.resume_blocks_skipped"),
+            skipped_before + kSources / markov::BatchedEvolver::kDefaultBlock);
 #endif
-  }
 }
 
 TEST_F(CheckpointResumeTest, SampledSnapshotUnderTheFrontierOffWordClassifiesStale) {

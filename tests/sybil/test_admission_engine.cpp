@@ -52,6 +52,8 @@ constexpr std::uint64_t kSeed = 0xadceed;
 /// The context word the retired --frontier knob folded at its `auto`
 /// default (hop-major routes): the bits of its 0.5 switch fraction.
 constexpr std::uint64_t kFrontierAutoWord = 0x3fe0000000000000;
+/// The word the retired --reorder knob folded at its `none` default.
+constexpr std::uint64_t kReorderNoneWord = 0;
 
 std::vector<graph::NodeId> spread_nodes(const graph::Graph& g, std::size_t count) {
   std::vector<graph::NodeId> nodes;
@@ -388,8 +390,7 @@ TEST(AdmissionEngine, PreEngineContextSnapshotClassifiesStale) {
     options.dir = dir.string();
     options.name = "sybil-admission";
     options.interval = 1;
-    const std::uint64_t old_context = util::hash_combine(
-        static_cast<std::uint64_t>(graph::ReorderMode::kNone), kFrontierAutoWord);
+    const std::uint64_t old_context = util::hash_combine(kReorderNoneWord, kFrontierAutoWord);
     resilience::BlockCheckpoint stale{options, admission_sweep_fingerprint(g, config),
                                       config.route_lengths.size(), old_context};
     for (std::size_t i = 0; i < config.route_lengths.size(); ++i) {
@@ -444,8 +445,7 @@ TEST(AdmissionEngine, SnapshotInThePreviousKnobLayoutRestores) {
   fingerprint =
       util::hash_combine(fingerprint, std::bit_cast<std::uint64_t>(config.balance_factor));
   fingerprint = util::hash_combine(fingerprint, config.seed);
-  fingerprint = util::hash_combine(
-      fingerprint, static_cast<std::uint64_t>(graph::ReorderMode::kNone));
+  fingerprint = util::hash_combine(fingerprint, kReorderNoneWord);
   ASSERT_EQ(admission_sweep_fingerprint(g, config), fingerprint);
 
   const fs::path dir = fs::path{testing::TempDir()} / "admission_previous_layout_test";
@@ -456,8 +456,7 @@ TEST(AdmissionEngine, SnapshotInThePreviousKnobLayoutRestores) {
     options.dir = dir.string();
     options.name = "sybil-admission";
     options.interval = 1;
-    std::uint64_t context = util::hash_combine(
-        static_cast<std::uint64_t>(graph::ReorderMode::kNone), kFrontierAutoWord);
+    std::uint64_t context = util::hash_combine(kReorderNoneWord, kFrontierAutoWord);
     context = util::hash_combine(context, kAdmissionEngineVersion);
     resilience::BlockCheckpoint previous{options, fingerprint,
                                          config.route_lengths.size(), context};

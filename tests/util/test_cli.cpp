@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace socmix::util {
 namespace {
@@ -123,6 +124,19 @@ TEST(Cli, FlagFollowedByOptionStaysBare) {
   const Cli cli = make({"--a", "--b", "3"});
   EXPECT_TRUE(cli.get_flag("a"));
   EXPECT_EQ(cli.get_i64("b", 0), 3);
+}
+
+TEST(Cli, RefuseUnknownNamesTheFirstUnlistedFlag) {
+  constexpr std::string_view kKnown[] = {"sources", "steps"};
+  EXPECT_NO_THROW(make({"--sources", "4", "--steps=5"}).refuse_unknown(kKnown));
+  EXPECT_NO_THROW(make({"positional"}).refuse_unknown(kKnown));
+  // A misspelt flag fails instead of leaving its default in place.
+  try {
+    make({"--steps", "5", "--source", "4"}).refuse_unknown(kKnown);
+    ADD_FAILURE() << "--source was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--source: unknown flag");
+  }
 }
 
 TEST(Cli, RecordsProgramName) {

@@ -3,15 +3,19 @@
 # the sharded evolver at the requested shard count, not the dense default
 # the BENCH flags would otherwise misreport.
 #
-# The retired knobs --precision, --io-mode and --frontier must be refused
-# by name, with exit status 1, by the figure drivers and socmix measure.
+# The retired knobs --reorder, --precision, --io-mode and --frontier must
+# be refused by name, with exit status 1, by the figure drivers and socmix
+# measure; --reorder's refusal names `graph_pack --reorder rcm`, where the
+# ordering now lives. graph_pack itself accepts only --reorder none|rcm.
 # The random-route drivers (socmix sybil and fig8) take no execution knobs:
-# they must refuse --reorder, --sharded and the retired knobs by name
-# instead of parsing and ignoring them, and socmix sybil must refuse a
-# malformed --w list instead of skipping tokens. Negative counts, zero
-# intervals, --verifiers 0, a non-positive --scale and an --eps outside
-# (0, 1) must fail closed, naming the flag and the value; so must
-# graph_pack --nodes -10, which must not wrap into a 4-billion-node build.
+# they must refuse --sharded and the retired knobs by name instead of
+# parsing and ignoring them, and socmix sybil must refuse a malformed --w
+# list instead of skipping tokens. Negative counts, zero intervals,
+# --verifiers 0, a non-positive --scale, an --eps outside (0, 1) and a
+# sampled measure of --steps 0 must fail closed, naming the flag and the
+# value; so must graph_pack --nodes -10, which must not wrap into a
+# 4-billion-node build. Every socmix subcommand and graph_pack refuse an
+# unknown (e.g. misspelt) flag by name instead of running with defaults.
 #
 # Driven by the driver_forwarding_e2e ctest (see tools/CMakeLists.txt):
 #   cmake -DFIG5_BIN=... -DFIG8_BIN=... -DSOCMIX_BIN=... -DGRAPH_PACK_BIN=...
@@ -82,6 +86,7 @@ function(expect_refused label needle)
 endfunction()
 
 set(measure_input --dataset "Physics 1" --nodes 300 --sources 8 --steps 20)
+file(REMOVE "${OUT_DIR}/refused.smxg")
 foreach(knob "precision;mixed" "io-mode;prefetch" "frontier;off")
   list(GET knob 0 flag)
   list(GET knob 1 value)
@@ -90,7 +95,11 @@ foreach(knob "precision;mixed" "io-mode;prefetch" "frontier;off")
   expect_refused("socmix measure --${flag} ${value}" "--${flag}"
                  "${SOCMIX_BIN}" measure ${measure_input} --${flag} ${value})
 endforeach()
-foreach(bad "sources;-5" "steps;-1" "eps;-1" "eps;1" "checkpoint-interval;0"
+expect_refused("fig5 --reorder rcm" "graph_pack --reorder rcm"
+               "${FIG5_BIN}" --scale 0.1 --sources 8 --steps 20 --reorder rcm)
+expect_refused("socmix measure --reorder rcm" "graph_pack --reorder rcm"
+               "${SOCMIX_BIN}" measure ${measure_input} --reorder rcm)
+foreach(bad "sources;-5" "steps;-1" "steps;0" "eps;-1" "eps;1" "checkpoint-interval;0"
             "sample-interval-ms;0")
   list(GET bad 0 flag)
   list(GET bad 1 value)
@@ -108,6 +117,27 @@ expect_refused("graph_pack --nodes -10" "--nodes=-10"
                --out "${OUT_DIR}/refused.smxg")
 expect_refused("socmix measure --nodes -10" "--nodes=-10"
                "${SOCMIX_BIN}" measure --dataset "Physics 1" --nodes -10 --sources 8)
+foreach(mode "degree" "bfs")
+  expect_refused("graph_pack --reorder ${mode}" "--reorder=${mode}"
+                 "${GRAPH_PACK_BIN}" --dataset "Physics 1" --nodes 300 --reorder ${mode}
+                 --out "${OUT_DIR}/refused.smxg")
+endforeach()
+
+# Unknown flags: a misspelt --sources/--steps must not run 200 x 400, and
+# a misspelt --compress must not write an uncompressed pack.
+expect_refused("socmix measure --source 4 --step 5" "--source: unknown flag"
+               "${SOCMIX_BIN}" measure --dataset "Physics 1" --source 4 --step 5)
+expect_refused("graph_pack --compres" "--compres: unknown flag"
+               "${GRAPH_PACK_BIN}" --dataset "Physics 1" --nodes 300 --compres
+               --out "${OUT_DIR}/refused.smxg")
+foreach(command "info" "measure" "sample" "trim" "convert" "sybil" "generate")
+  expect_refused("socmix ${command} --bogus-flag" "--bogus-flag: unknown flag"
+                 "${SOCMIX_BIN}" ${command} --dataset "Physics 1" --nodes 300
+                 --bogus-flag 1)
+endforeach()
+if(EXISTS "${OUT_DIR}/refused.smxg")
+  message(FATAL_ERROR "a refused graph_pack run wrote ${OUT_DIR}/refused.smxg")
+endif()
 
 set(sybil_input --dataset "Physics 1" --nodes 300 --suspects 20 --verifiers 1)
 expect_refused("socmix sybil --suspects -3" "--suspects=-3"
@@ -142,5 +172,5 @@ if(NOT rc EQUAL 0)
 endif()
 
 message(STATUS "driver forwarding e2e: fig5 ran with the requested shard geometry; "
-               "retired knobs, bad counts and the knobs sybil and fig8 cannot use "
-               "were refused")
+               "retired knobs, bad counts, unknown flags and the knobs sybil and "
+               "fig8 cannot use were refused")

@@ -1,14 +1,17 @@
 // graph_pack — converts an edge list (or a generated Table-1 stand-in)
 // into the `.smxg` memory-mappable sharded CSR container.
 //
-//   graph_pack --edges g.txt --out g.smxg [--sharded auto|off|N] [--compress]
+//   graph_pack --edges g.txt --out g.smxg [--sharded auto|off|N]
+//              [--reorder none|rcm] [--compress]
 //   graph_pack --dataset "Synthetic 1M" --nodes 1000000 --out g.smxg
 //   graph_pack --verify g.smxg
 //
 // Mirrors the preprocessing of `socmix measure`: load/build, extract the
-// largest connected component, optionally relabel (--reorder), then write
-// the CSR with a pack-time shard plan resolved by --sharded against the
-// CSR byte size. `socmix measure --pack g.smxg` maps the result with zero
+// largest connected component, optionally relabel it in reverse
+// Cuthill-McKee order (--reorder rcm), then write the CSR with a pack-time
+// shard plan resolved by --sharded against the CSR byte size. The ordering
+// is the stored graph's: every measurement of the pack computes under it,
+// raw or compressed. `socmix measure --pack g.smxg` maps the result with zero
 // parse cost; the sharded engines stream it window-at-a-time. --compress
 // emits the adjacency as the delta + stream-vbyte ADJC section (format
 // version 2, roughly half the bytes per edge; see sharded/adjc.hpp), which
@@ -22,13 +25,14 @@
 //
 // --verify maps an existing container (full CRC + structural validation)
 // and reports its geometry plus every section's stored CRC-32; exit 1 on
-// any defect.
+// any defect. An unknown flag or value is refused by name (exit 1).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -53,7 +57,7 @@ int usage() {
       "usage: graph_pack --edges FILE | --dataset NAME [--nodes N] [--seed N]\n"
       "                  --out FILE.smxg\n"
       "                  [--sharded auto|off|N]   pack-time shard plan (default auto)\n"
-      "                  [--reorder none|degree|rcm|bfs]\n"
+      "                  [--reorder none|rcm]     pack-time vertex ordering (default none)\n"
       "                  [--compress]             delta+vbyte ADJC adjacency (v2)\n"
       "       graph_pack --verify FILE.smxg      validate + report an existing pack\n",
       stderr);
@@ -179,13 +183,22 @@ graph::Graph load_edges_streaming(const std::string& path) {
   return graph::Graph::from_csr(std::move(offsets), std::move(neighbors));
 }
 
+/// Every flag graph_pack reads; anything else is refused by name.
+constexpr std::string_view kFlags[] = {"edges",   "dataset", "nodes",    "seed",  "out",
+                                       "sharded", "reorder", "compress", "verify"};
+
 int run(const util::Cli& cli) {
+  cli.refuse_unknown(kFlags);
   if (cli.has("verify")) return cmd_verify(cli.get("verify", ""));
 
   const std::string out = cli.get("out", "");
   if (out.empty()) return usage();
   // Every flag is checked before the input is loaded.
-  const markov::EngineOptions engine = core::engine_options_from_cli(cli);
+  const graph::ShardPolicy sharded = core::shard_policy_from_cli(cli);
+  const std::string reorder = cli.get("reorder", "none");
+  if (reorder != "none" && reorder != "rcm") {
+    throw std::invalid_argument{"--reorder=" + reorder + ": expected none or rcm"};
+  }
 
   graph::Graph raw;
   std::string name;
@@ -206,12 +219,12 @@ int run(const util::Cli& cli) {
 
   // Same preprocessing as the measurement: LCC first (the container
   // always holds a connected graph), then the optional kernel ordering —
-  // baked in at pack time so the mapped CSR is already gather-friendly
-  // and measure runs it with --reorder none.
-  graph::Graph lcc = graph::largest_component(raw).graph;
+  // baked in at pack time so the mapped CSR is already gather-friendly.
+  graph::Graph packed = graph::largest_component(raw).graph;
   raw = graph::Graph{};  // drop the raw CSR before the reorder copy
-  const graph::ReorderedGraph reordered = graph::reorder_graph(lcc, engine.reorder);
-  const graph::Graph& packed = reordered.active(lcc);
+  if (reorder == "rcm") {
+    packed = graph::apply_permutation(packed, graph::rcm_permutation(packed));
+  }
 
   graph::sharded::WriteOptions write_options;
   write_options.compress = cli.get_flag("compress");
@@ -219,7 +232,7 @@ int run(const util::Cli& cli) {
   // scratch window); fold that into the pack-time auto plan the same way
   // the measurement does at load time.
   const std::uint32_t shards = graph::resolve_shard_count(
-      engine.sharded, packed.memory_bytes(), packed.num_nodes(),
+      sharded, packed.memory_bytes(), packed.num_nodes(),
       write_options.compress ? 3u : 2u);
   const graph::ShardPlan plan =
       shards > 1 ? graph::ShardPlan::balanced(packed.offsets(), shards)

@@ -8,14 +8,18 @@
 //   socmix sybil    --edges g.txt [--w 2,4,..]       SybilLimit admission sweep
 //   socmix generate --dataset "Physics 1" [--nodes N] --out g.txt
 //
-// Every subcommand also accepts --dataset NAME (+ --nodes) in place of
-// --edges to run on a synthetic Table-1 stand-in, and --seed for
-// reproducibility.
+// Every subcommand but convert also accepts --dataset NAME (+ --nodes) in
+// place of --edges to run on a synthetic Table-1 stand-in, and --seed for
+// reproducibility. A flag the subcommand does not read is refused by name
+// (exit 1) rather than ignored.
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "bench_harness/harness.hpp"
 #include "core/experiment.hpp"
@@ -60,13 +64,13 @@ int usage() {
       "                                  socmix-bench/1; see tools/bench_compare)\n"
       "  resil:  --checkpoint-dir DIR [--checkpoint-interval N]  --fault-inject SPEC\n"
       "  perf:   --threads N                     kernel worker threads (0 = auto)\n"
-      "          --reorder none|degree|rcm|bfs   vertex ordering for the kernels\n"
       "          --sharded auto|off|N            shard-at-a-time out-of-core sweeps\n"
       "          (SOCMIX_SIMD=avx512|avx2|scalar forces the simd kernel tier)\n"
       "  info                                    structural report\n"
       "  measure [--sources N] [--steps N] [--eps X] [--tvd-out FILE]\n"
       "          [--spectral on|off]             skip the Lanczos phase\n"
-      "          (exits 3 if Lanczos does not converge or fails its certificate)\n"
+      "          (exits 3 if Lanczos does not converge or fails its certificate;\n"
+      "          vertex ordering is pack-time: graph_pack --reorder rcm)\n"
       "  sample  --method bfs|uniform|walk --size N --out FILE\n"
       "  trim    --min-degree K --out FILE\n"
       "  convert --arcs FILE --out FILE          directed -> undirected\n"
@@ -76,6 +80,23 @@ int usage() {
       "  generate --dataset NAME [--nodes N] --out FILE\n",
       stderr);
   return 2;
+}
+
+/// Flags main() reads for every subcommand.
+constexpr std::string_view kSharedFlags[] = {
+    "threads", "metrics-out", "trace-out", "sample-out", "sample-interval-ms",
+    "progress", "bench-out", "bench-name", "bench-repeats", "checkpoint-dir",
+    "checkpoint-interval", "fault-inject"};
+
+/// Refuses, by name, any flag that neither main() nor the subcommand reads
+/// (`command_flags`, plus load_input's --edges/--dataset/--nodes/--seed
+/// when `reads_input`), so a misspelt flag never runs with its default.
+void refuse_unknown_flags(const util::Cli& cli, bool reads_input,
+                          std::initializer_list<std::string_view> command_flags) {
+  std::vector<std::string_view> known{std::begin(kSharedFlags), std::end(kSharedFlags)};
+  if (reads_input) known.insert(known.end(), {"edges", "dataset", "nodes", "seed"});
+  known.insert(known.end(), command_flags);
+  cli.refuse_unknown(known);
 }
 
 /// Loads --edges FILE or builds --dataset NAME; exits with a message on error.
@@ -147,6 +168,7 @@ void save_output(const graph::Graph& g, const std::string& path) {
 }
 
 int cmd_info(const util::Cli& cli) {
+  refuse_unknown_flags(cli, true, {});
   std::string name;
   const auto raw = load_input(cli, name);
   const auto lcc = graph::largest_component(raw).graph;
@@ -193,13 +215,17 @@ void write_tvd(const markov::SampledMixing& sampled, const std::string& path) {
 }
 
 int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& checkpoint) {
-  const ComponentInput input = load_component_input(cli);
-
+  // Every flag is checked before the input is loaded; the retired knobs
+  // first, so they are refused with their reason.
   core::MeasurementOptions options;
   static_cast<markov::EngineOptions&>(options) = core::engine_options_from_cli(cli);
-  options.mapped = input.mapped_ptr();
+  refuse_unknown_flags(cli, true,
+                       {"pack", "sharded", "sources", "steps", "spectral", "eps", "tvd-out"});
   options.sources = cli.get_count("sources", 200);
-  options.max_steps = cli.get_count("steps", 400);
+  // A sampled phase of zero steps would report "average 0.0 steps", which
+  // reads as instant mixing.
+  options.max_steps = options.sources > 0 ? cli.get_positive("steps", 400)
+                                          : cli.get_count("steps", 400);
   options.seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
   options.checkpoint = checkpoint;
   const std::string spectral = cli.get("spectral", "on");
@@ -213,6 +239,8 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
     throw std::invalid_argument{"--eps=" + cli.get("eps", "") +
                                 ": expected a variation distance in (0, 1)"};
   }
+  const ComponentInput input = load_component_input(cli);
+  options.mapped = input.mapped_ptr();
 
   const auto report = core::measure_mixing(input.graph(), input.name, options);
   if (cli.has("tvd-out")) write_tvd(*report.sampled, cli.get("tvd-out", ""));
@@ -247,6 +275,7 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
 }
 
 int cmd_sample(const util::Cli& cli) {
+  refuse_unknown_flags(cli, true, {"size", "method", "out"});
   std::string name;
   const auto g = load_input(cli, name);
   const auto size = static_cast<graph::NodeId>(
@@ -265,6 +294,7 @@ int cmd_sample(const util::Cli& cli) {
 }
 
 int cmd_trim(const util::Cli& cli) {
+  refuse_unknown_flags(cli, true, {"min-degree", "out"});
   std::string name;
   const auto g = load_input(cli, name);
   const auto k = static_cast<graph::NodeId>(
@@ -277,6 +307,7 @@ int cmd_trim(const util::Cli& cli) {
 }
 
 int cmd_convert(const util::Cli& cli) {
+  refuse_unknown_flags(cli, false, {"arcs", "out"});
   const std::string path = cli.get("arcs", "");
   if (path.empty()) throw std::runtime_error{"convert needs --arcs FILE"};
   const auto loaded = digraph::load_directed_edge_list_file(path);
@@ -313,6 +344,7 @@ int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpo
   sybil::AdmissionSweepConfig config;
   config.checkpoint = checkpoint;
   core::refuse_engine_knobs(cli);
+  refuse_unknown_flags(cli, true, {"pack", "w", "suspects", "verifiers"});
   config.route_lengths = parse_route_lengths(cli);
   config.suspect_sample = cli.get_count("suspects", 200);
   config.verifier_sample = cli.get_positive("verifiers", 3);
@@ -341,6 +373,7 @@ int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpo
 }
 
 int cmd_generate(const util::Cli& cli) {
+  refuse_unknown_flags(cli, true, {"out"});
   std::string name;
   const auto g = load_input(cli, name);  // --dataset path of load_input
   save_output(g, cli.get("out", "generated.txt"));
