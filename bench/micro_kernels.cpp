@@ -315,14 +315,18 @@ double time_batched_sweeps(const graph::Graph& g, std::span<const double> pi,
 }
 
 /// Roofline traffic model for one 32-lane fused sweep: per edge, a gather
-/// of the lane state block plus the streamed neighbor id; per row, the
-/// state read/write pair and the stationary mass.
+/// of the prescaled lane row plus the streamed neighbor id; per row, the
+/// prescale pass (read cur and inv_deg, write scaled), the sweep's in-place
+/// read and write of cur, the CSR offset and the stationary mass.
 double sweep_bytes(const graph::Graph& g) {
   const double lanes = 32.0;
   const double state = sizeof(double);
   const double m = static_cast<double>(g.num_half_edges());
   const double n = static_cast<double>(g.num_nodes());
-  return m * (lanes * state + 4.0) + n * lanes * 2.0 * state + n * 8.0;
+  const double per_edge = lanes * state + sizeof(graph::NodeId);
+  const double prescale = 2.0 * lanes * state + sizeof(double);
+  const double sweep = 2.0 * lanes * state + sizeof(graph::EdgeIndex) + sizeof(double);
+  return m * per_edge + n * (prescale + sweep);
 }
 
 void run_simd_ablation(bool quick) {

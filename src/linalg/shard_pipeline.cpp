@@ -292,7 +292,7 @@ void ShardPipeline::finish_sweep() {
   }
   if (threaded_) {
     // Stage the next sweep's first window now: it fills behind the
-    // caller's between-sweep work (TVD reduction, prescale, vector ops).
+    // caller's between-sweep work (prescale, vector ops).
     const std::lock_guard<std::mutex> lock{mutex_};
     if (error_ == nullptr && ready_ != 0 && staging_ != 0) {
       request_ = 0;

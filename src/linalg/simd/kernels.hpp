@@ -44,11 +44,20 @@ inline constexpr std::size_t kMaxLanes = 32;
 enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// Batched multi-lane SpMM sweep over the contiguous rows [begin, end),
-/// optionally fused with the TVD-to-pi reduction (callers fuse it only
-/// when the range is every row). For each row j, ascending:
+/// optionally fused with the TVD-to-pi reduction. For each row j,
+/// ascending:
 ///   acc[b]  = sum_{e in row j} scaled[neighbors[e]*stride + b]
 ///   next_jb = walk_weight*acc[b] + laziness*cur[j*stride + b]
 ///   tvd[b] += |next_jb - pi[j]|
+/// `tvd_out` is a running sum: each call reads it, continues it over its
+/// rows in ascending order, and stores it back un-halved. A caller zeroes
+/// it before the first range and halves it after the last, so any split of
+/// [0, n) into ascending range calls sums the same terms in the same order
+/// as one call over every row — the same bits.
+///
+/// `next` may alias `cur` (an in-place sweep): row j reads only its own
+/// old value cur[j*stride + b], before it writes next_jb, and every gather
+/// reads `scaled`, never `next`. Every tier honors this.
 struct SpmmArgs {
   graph::NodeId begin = 0;
   graph::NodeId end = 0;
@@ -58,8 +67,8 @@ struct SpmmArgs {
   std::size_t lanes = 0;   ///< active lanes, <= min(stride, kMaxLanes)
   double walk_weight = 0.0;
   double laziness = 0.0;
-  const double* pi = nullptr;  ///< null: skip the fused TVD
-  double* tvd_out = nullptr;   ///< [lanes], written when pi != null
+  const double* pi = nullptr;  ///< null: skip the fused TVD; indexed by row
+  double* tvd_out = nullptr;   ///< [lanes] running TVD sum, updated when pi != null
 };
 
 using SpmmF64Fn = void (*)(const SpmmArgs& args, const double* scaled,
@@ -70,9 +79,11 @@ using SpmmF64Fn = void (*)(const SpmmArgs& args, const double* scaled,
 ///   y[i] = walk_weight*acc * (row_scale ? row_scale[i] : 1) + laziness*x[i]
 /// matching the scalar epilogues of WalkOperator (row_scale =
 /// inv_sqrt_deg), a one-lane BatchedEvolver (row_scale null) and
-/// WeightedWalkOperator (edge_scale = folded weights). The SIMD tiers use
-/// i32 gathers, so they require num_nodes < 2^31 — guaranteed by the u32
-/// NodeId CSR long before that bound matters.
+/// WeightedWalkOperator (edge_scale = folded weights). `y` may alias `x`
+/// (row i reads only x[i], before it writes y[i]) but never `gather`;
+/// every tier honors this. The SIMD tiers use i32 gathers, so they
+/// require num_nodes < 2^31 — guaranteed by the u32 NodeId CSR long
+/// before that bound matters.
 struct SpmvArgs {
   const graph::EdgeIndex* offsets = nullptr;
   const graph::NodeId* neighbors = nullptr;
@@ -132,16 +143,5 @@ void reset_tier() noexcept;
 
 [[nodiscard]] const char* tier_name(Tier tier) noexcept;
 [[nodiscard]] std::optional<Tier> parse_tier(std::string_view name) noexcept;
-
-/// Standalone TVD-to-pi reduction over a *stored* lane-major state block:
-/// per lane b, 0.5 * sum_j |state[j*stride + b] - pi[j]| with j ascending
-/// over [0, n). Bit-identical to the fused reduction the spmm kernels
-/// compute on the same stored state: every row stores exactly the value
-/// the fused term subtracts pi from. BatchedEvolver uses this after a
-/// multi-shard or single-vector sweep with pi == null. One scalar
-/// implementation serves every tier: the reduction is adds and fabs only,
-/// with nothing tier-specific to pin.
-void tvd_f64(const double* state, std::size_t stride, std::size_t lanes,
-             const double* pi, graph::NodeId n, double* tvd_out) noexcept;
 
 }  // namespace socmix::linalg::simd

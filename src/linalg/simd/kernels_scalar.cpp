@@ -51,7 +51,9 @@ void with_lanes(std::size_t lanes, F&& f) {
 // exact same rounded products, so the floating-point result per lane
 // remains the operation sequence of the single-vector spmv epilogue +
 // total_variation (CSR edge order, then ascending-row TVD) — bit-identical
-// to a one-lane sweep.
+// to a one-lane sweep. The TVD continues the caller's running sum in
+// a.tvd_out; next may alias cur (each lane reads cur_j[b] before it
+// stores next_j[b]).
 template <std::size_t B>
 void sweep_f64(const SpmmArgs& a, const double* scaled, const double* cur, double* next) {
   // Locals, not a.* reads: stores through next must not force reloads.
@@ -64,6 +66,9 @@ void sweep_f64(const SpmmArgs& a, const double* scaled, const double* cur, doubl
   const double* pi = a.pi;
   std::array<double, kLaneCap<B>> acc{};
   std::array<double, kLaneCap<B>> tvd_acc{};
+  if (pi != nullptr) {
+    for (std::size_t b = 0; b < lanes; ++b) tvd_acc[b] = a.tvd_out[b];
+  }
   for (graph::NodeId j = a.begin; j < a.end; ++j) {
     for (std::size_t b = 0; b < lanes; ++b) acc[b] = 0.0;
     const graph::EdgeIndex row_end = offsets[j + 1];
@@ -86,7 +91,7 @@ void sweep_f64(const SpmmArgs& a, const double* scaled, const double* cur, doubl
     }
   }
   if (pi != nullptr) {
-    for (std::size_t b = 0; b < lanes; ++b) a.tvd_out[b] = 0.5 * tvd_acc[b];
+    for (std::size_t b = 0; b < lanes; ++b) a.tvd_out[b] = tvd_acc[b];
   }
 }
 
@@ -145,23 +150,3 @@ std::size_t decode_u32(const std::uint8_t* ctrl, const std::uint8_t* data,
 }
 
 }  // namespace socmix::linalg::simd::scalar
-
-// ---------------------------------------------------------------------------
-// Tier-independent standalone TVD reduction (see kernels.hpp). Lives in
-// this TU for its -ffp-contract=off pinning; adds and fabs only, so there
-// is exactly one implementation for every tier.
-
-namespace socmix::linalg::simd {
-
-void tvd_f64(const double* state, std::size_t stride, std::size_t lanes,
-             const double* pi, graph::NodeId n, double* tvd_out) noexcept {
-  std::array<double, kMaxLanes> acc{};
-  for (graph::NodeId j = 0; j < n; ++j) {
-    const double p = pi[j];
-    const double* row = state + static_cast<std::size_t>(j) * stride;
-    for (std::size_t b = 0; b < lanes; ++b) acc[b] += std::fabs(row[b] - p);
-  }
-  for (std::size_t b = 0; b < lanes; ++b) tvd_out[b] = 0.5 * acc[b];
-}
-
-}  // namespace socmix::linalg::simd

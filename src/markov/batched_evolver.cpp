@@ -4,6 +4,7 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "linalg/vector_ops.hpp"
 #include "obs/obs.hpp"
 #include "util/parallel.hpp"
 
@@ -52,7 +53,6 @@ BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size
   }
   const std::size_t cells = static_cast<std::size_t>(n) * block_;
   cur_.resize(cells);
-  next_.resize(cells);
   scaled_.resize(cells);
   sharded_ = plan_.num_shards() > 1 || mapped_ != nullptr;
 #if SOCMIX_OBS_ENABLED
@@ -87,26 +87,28 @@ void BatchedEvolver::seed_point_masses(std::span<const graph::NodeId> sources) {
 void BatchedEvolver::sweep_window(const linalg::ShardWindow& w,
                                   linalg::simd::SpmmArgs args) {
   // A decoded window is kernel-local: rows [0, end-begin), offsets indexing
-  // the scratch neighbors. The streamed state blocks are rebased by begin
+  // the scratch neighbors. The streamed state and pi are rebased by begin
   // rows while the gather source stays absolute (neighbor ids are
   // absolute). Same per-row FP sequence, shifted pointers — bit-identical
   // by construction.
-  const std::size_t bias = w.local ? static_cast<std::size_t>(w.begin) * block_ : 0;
+  const std::size_t row_bias = w.local ? static_cast<std::size_t>(w.begin) : 0;
+  double* state = cur_.data() + row_bias * block_;
   args.begin = w.local ? 0 : w.begin;
   args.end = w.local ? w.end - w.begin : w.end;
   args.offsets = w.offsets;
   args.neighbors = w.neighbors;
+  if (args.pi != nullptr) args.pi += row_bias;
   const linalg::simd::KernelTable& kernels = linalg::simd::dispatch();
   if (single_vector()) {
     linalg::simd::SpmvArgs v;
     v.offsets = w.offsets;
     v.neighbors = w.neighbors;
     v.gather = scaled_.data();
-    v.x = cur_.data() + bias;
-    v.y = next_.data() + bias;
+    v.x = state;
+    v.y = state;
     v.walk_weight = args.walk_weight;
     v.laziness = args.laziness;
-    // Rows partition across the pool; each next[j] comes from one thread
+    // Rows partition across the pool; each y[j] comes from one thread
     // with a fixed accumulation order, so any thread count gives the same
     // bits. Inside a parallel region (one block per worker) this runs
     // inline.
@@ -116,7 +118,7 @@ void BatchedEvolver::sweep_window(const linalg::ShardWindow& w,
                                       static_cast<graph::NodeId>(hi));
                        });
   } else {
-    kernels.spmm_f64(args, scaled_.data(), cur_.data() + bias, next_.data() + bias);
+    kernels.spmm_f64(args, scaled_.data(), state, state);
   }
 }
 
@@ -136,16 +138,18 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   prescale(cur_.data(), inv_deg_.data(), scaled_.data(), block_, active_, 0, n);
 
   // Shard loop. Every shard sweep is one SpMM call over the shard's
-  // contiguous rows: the kernel runs the same per-row body as a full
-  // sweep, so grouping rows by shard changes no bits. Window staging
-  // (advise-ahead, prefetch thread, ADJC decode) lives in the pipeline;
-  // each acquired window holds the identical neighbor sequence, so staging
-  // and compression change no bits either. The kernel dispatches
+  // contiguous rows, in place: each row reads only its own old state and
+  // every gather reads the prescaled copy, so overwriting cur row by row
+  // changes no bits. The kernel runs the same per-row body as a full
+  // sweep and carries the TVD as a running sum across the ascending shard
+  // calls, so grouping rows by shard changes no bits either. Window
+  // staging (advise-ahead, prefetch thread, ADJC decode) lives in the
+  // pipeline; each acquired window holds the identical neighbor sequence,
+  // so staging and compression change no bits. The kernel dispatches
   // internally on the *active* lane count; stride stays block_, so
   // partially filled blocks (the tail of an odd source list) still hit a
-  // wide kernel when their lane count is a supported width. The TVD is
-  // fused only when one kernel call covers every row.
-  const bool fused_tvd = pi != nullptr && plan_.num_shards() == 1 && !single_vector();
+  // wide kernel when their lane count is a supported width.
+  const bool fused_tvd = pi != nullptr && !single_vector();
   linalg::simd::SpmmArgs args;
   args.stride = block_;
   args.lanes = active_;
@@ -154,6 +158,7 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   if (fused_tvd) {
     args.pi = pi;
     args.tvd_out = tvd_out;
+    std::fill_n(tvd_out, active_, 0.0);
   }
   const std::uint32_t shards = plan_.num_shards();
   for (std::uint32_t s = 0; s < shards; ++s) {
@@ -168,12 +173,13 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   }
   pipeline_->finish_sweep();
 
-  // Deferred TVD: one ascending-row pass over the stored next state,
-  // bit-identical to the fused reduction (see linalg::simd::tvd_*).
-  if (pi != nullptr && !fused_tvd) {
-    linalg::simd::tvd_f64(next_.data(), block_, active_, pi, n, tvd_out);
+  if (fused_tvd) {
+    for (std::size_t b = 0; b < active_; ++b) tvd_out[b] = 0.5 * tvd_out[b];
+  } else if (pi != nullptr && active_ == 1) {
+    // One lane: the state is a plain vector, and total_variation sums the
+    // same ascending-row terms from 0.0 and halves once — the same bits.
+    tvd_out[0] = linalg::total_variation({cur_.data(), cur_.size()}, {pi, n});
   }
-  cur_.swap(next_);
 
 #if SOCMIX_OBS_ENABLED
   SOCMIX_TIME_OBSERVE("markov.evolver.sweep_seconds",

@@ -10,7 +10,7 @@
 // reduction the measurement needs is fused into the same sweep instead of
 // costing a second pass over n doubles per lane.
 //
-// One sweep is three phases:
+// One sweep is two phases over two lane blocks:
 //
 //   1. prescale — one streaming pass over the RAM-resident lane state,
 //                 scaled = cur * inv_deg, so the irregular edge loop is a
@@ -18,19 +18,19 @@
 //   2. per shard — the shard pipeline (linalg::ShardPipeline) hands over
 //                 the shard's CSR window (advised ahead / prefetched /
 //                 ADJC-decoded when a mapped container backs the graph)
-//                 and one SpMM call sweeps the shard's row range.
-//                 Gathers of `scaled` rows owned by other shards are the
-//                 boundary exchange: the state is lane-major in RAM, so
-//                 crossing edges read it directly;
-//   3. reduce   — the TVD. With one shard it is fused into the sweep; with
-//                 several it is one standalone ascending-row pass over the
-//                 stored next state (linalg::simd::tvd_f64),
-//                 which reproduces the fused reduction bit for bit.
+//                 and one SpMM call sweeps the shard's row range in place,
+//                 cur -> cur: each row reads only its own old state, and
+//                 every gather reads `scaled`. Gathers of `scaled` rows
+//                 owned by other shards are the boundary exchange: the
+//                 state is lane-major in RAM, so crossing edges read it
+//                 directly. The TVD is fused into every call as a running
+//                 sum carried across the ascending shards and halved once
+//                 after the last, so no separate reduce pass exists.
 //
 // The default geometry is one shard over the in-memory CSR: the dense
 // engine. SweepSharding supplies a multi-shard plan and the mapped
-// container for out-of-core runs; only the state block
-// (3 x n x block values) must then fit in RAM.
+// container for out-of-core runs; only the state (2 x n x block values
+// per evolver, one evolver per worker thread) must then fit in RAM.
 //
 // Determinism contract: lane b of a block evolves through *exactly* the
 // same floating-point operations whatever the block — per-row
@@ -43,11 +43,11 @@
 // same rounding-point contract, so the SIMD tier never changes a bit
 // either (see src/linalg/simd/kernels.hpp).
 //
-// Single vector: a one-lane f64 evolver (block 1) sweeps with the gather-
-// stream SpMV kernel instead, its rows partitioned across the
+// Single vector: a one-lane f64 evolver (block 1) sweeps in place with the
+// gather-stream SpMV kernel instead, its rows partitioned across the
 // util::parallel pool — the single-source helpers below keep multi-core
-// speed — with the TVD deferred to the standalone pass. Same per-row
-// operation sequence, same bits.
+// speed — and takes its TVD from linalg::total_variation over the stored
+// state. Same per-row operation sequence, same bits.
 #pragma once
 
 #include <cstddef>
@@ -111,12 +111,16 @@ class BatchedEvolver {
   /// sources.size() <= block()).
   void seed_point_masses(std::span<const graph::NodeId> sources);
 
-  /// Advances every active lane one step: lane_b <- lane_b * P.
+  /// Advances every active lane one step: lane_b <- lane_b * P. The sweep
+  /// overwrites the lane state in place, so one that throws (a window
+  /// fault, a corrupt compressed shard) leaves the lane state unspecified
+  /// until the next seed_point_masses; the evolver itself stays usable.
   void step();
 
   /// step(), plus writes the total variation distance of each advanced
   /// lane against `pi` into tvd_out (size >= active()); bit-identical to
-  /// calling step() and then linalg::total_variation per lane.
+  /// calling step() and then linalg::total_variation per lane. Throws like
+  /// step(), with the same effect on the lane state and on tvd_out.
   void step_with_tvd(std::span<const double> pi, std::span<double> tvd_out);
 
   /// Copies lane `lane` (< active()) into `out` (size dim()).
@@ -125,8 +129,8 @@ class BatchedEvolver {
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
 
  private:
-  /// One sweep cur -> next (swapping after); when pi is non-null, also
-  /// writes each lane's TVD against pi into tvd_out.
+  /// One in-place sweep cur -> cur; when pi is non-null, also writes each
+  /// lane's TVD against pi into tvd_out.
   void sweep(const double* pi, double* tvd_out);
   /// Runs the SpMM (or single-vector SpMV) over one shard window's rows;
   /// `args` carries everything but the window.
@@ -141,11 +145,10 @@ class BatchedEvolver {
   /// copyable nor movable; the evolver stays movable through it.
   std::unique_ptr<linalg::ShardPipeline> pipeline_;
   util::aligned_vector<double> inv_deg_;
-  // Lane-major state blocks, [dim x block]: cur_[v*block + lane]. 64-byte
+  // The two lane-major blocks, [dim x block]: cur_[v*block + lane]. 64-byte
   // alignment makes every row of the default 32-lane block start on a
   // cache line (and a zmm-load boundary); see util/aligned.hpp.
   util::aligned_vector<double> cur_;
-  util::aligned_vector<double> next_;
   /// Prescaled block cur_[v*block + b] * inv_deg_[v], recomputed each
   /// sweep so the irregular edge gather is a single stream (see sweep()).
   util::aligned_vector<double> scaled_;

@@ -3,10 +3,14 @@
 //  * the default f64 path is BIT-IDENTICAL across kernel tiers
 //    (scalar / AVX2 / AVX-512) — on every Table-1 generator config,
 //    at serial and contended thread counts, with one-shard and
-//    four-shard sweeps (the SpMM over all rows with the fused TVD, and
-//    over a sub-range with the deferred one);
+//    four-shard sweeps (one SpMM call over all rows, and sub-range calls
+//    carrying the running TVD sum);
 //  * the single-vector SpMV consumers (WalkOperator, WeightedWalkOperator,
-//    a one-lane BatchedEvolver) are bitwise tier-invariant too.
+//    a one-lane BatchedEvolver) are bitwise tier-invariant too;
+//  * the kernel contract itself, on every tier: an in-place sweep
+//    (next == cur for the SpMM, y == x for the SpMV) matches separate
+//    buffers bit for bit, and a range split that carries the running TVD
+//    sum matches one call over every row.
 //
 // Tiers unavailable on the build/host (e.g. AVX-512 on a plain CI runner)
 // are skipped via the runtime tier_available probe.
@@ -182,6 +186,135 @@ TEST(SimdTierParity, EvolverTrajectoryBitIdenticalAcrossTiers) {
     const TierGuard guard{tier};
     const auto got = markov::tvd_trajectory(g, 123, kSteps, pi, 0.3);
     ASSERT_EQ(reference, got) << "tier=" << simd::tier_name(tier);
+  }
+}
+
+// ------------------------------------------------------- kernel contract --
+
+/// A random lane-major sweep input at the widest stride over a small
+/// graph, with a positive pi.
+struct SweepInput {
+  graph::Graph g;
+  std::vector<double> scaled;
+  std::vector<double> cur;
+  std::vector<double> pi;
+};
+
+SweepInput make_sweep_input() {
+  util::Rng rng{59};
+  auto g = graph::largest_component(gen::erdos_renyi_gnm(300, 1500, rng)).graph;
+  const auto uniform = [&rng](std::size_t size) {
+    std::vector<double> v(size);
+    for (double& x : v) x = rng.uniform();
+    return v;
+  };
+  const std::size_t cells = static_cast<std::size_t>(g.num_nodes()) * simd::kMaxLanes;
+  std::vector<double> scaled = uniform(cells);
+  std::vector<double> cur = uniform(cells);
+  std::vector<double> pi = uniform(g.num_nodes());
+  return {std::move(g), std::move(scaled), std::move(cur), std::move(pi)};
+}
+
+/// One SpMM call over rows [begin, end), continuing the running TVD in tvd.
+void spmm(const SweepInput& in, std::size_t lanes, graph::NodeId begin, graph::NodeId end,
+          const double* cur, double* next, double* tvd) {
+  simd::SpmmArgs args;
+  args.begin = begin;
+  args.end = end;
+  args.offsets = in.g.offsets().data();
+  args.neighbors = in.g.raw_neighbors().data();
+  args.stride = simd::kMaxLanes;
+  args.lanes = lanes;
+  args.walk_weight = 0.7;
+  args.laziness = 0.3;
+  args.pi = in.pi.data();
+  args.tvd_out = tvd;
+  simd::dispatch().spmm_f64(args, in.scaled.data(), cur, next);
+}
+
+std::string contract_label(simd::Tier tier, std::size_t lanes) {
+  return std::string{"tier="} + simd::tier_name(tier) + " lanes=" + std::to_string(lanes);
+}
+
+// The wide widths, and 7: the scalar fallback of every vector tier.
+constexpr std::size_t kContractLanes[] = {4, 8, 16, 32, 7};
+
+TEST(SimdKernelContract, InPlaceSpmmMatchesSeparateBuffersOnEveryTier) {
+  const SweepInput in = make_sweep_input();
+  const graph::NodeId n = in.g.num_nodes();
+  for (const simd::Tier tier : available_tiers()) {
+    const TierGuard guard{tier};
+    ASSERT_TRUE(guard.ok());
+    for (const std::size_t lanes : kContractLanes) {
+      std::vector<double> next(in.cur.size(), -1.0);
+      std::vector<double> tvd_separate(lanes, 0.0);
+      spmm(in, lanes, 0, n, in.cur.data(), next.data(), tvd_separate.data());
+
+      std::vector<double> state = in.cur;
+      std::vector<double> tvd_in_place(lanes, 0.0);
+      spmm(in, lanes, 0, n, state.data(), state.data(), tvd_in_place.data());
+
+      ASSERT_EQ(tvd_separate, tvd_in_place) << contract_label(tier, lanes);
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t b = 0; b < lanes; ++b) {
+          const std::size_t cell = j * simd::kMaxLanes + b;
+          ASSERT_EQ(next[cell], state[cell])
+              << contract_label(tier, lanes) << " row=" << j << " lane=" << b;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelContract, RangeSplitCarriesTheRunningTvdSum) {
+  const SweepInput in = make_sweep_input();
+  const graph::NodeId n = in.g.num_nodes();
+  const graph::NodeId cuts[] = {0, n / 5, (2 * n) / 3, n};
+  for (const simd::Tier tier : available_tiers()) {
+    const TierGuard guard{tier};
+    ASSERT_TRUE(guard.ok());
+    for (const std::size_t lanes : kContractLanes) {
+      std::vector<double> whole = in.cur;
+      std::vector<double> tvd_whole(lanes, 0.0);
+      spmm(in, lanes, 0, n, whole.data(), whole.data(), tvd_whole.data());
+
+      std::vector<double> split = in.cur;
+      std::vector<double> tvd_split(lanes, 0.0);
+      double* state = split.data();
+      for (std::size_t r = 0; r + 1 < std::size(cuts); ++r) {
+        spmm(in, lanes, cuts[r], cuts[r + 1], state, state, tvd_split.data());
+      }
+      ASSERT_EQ(tvd_whole, tvd_split) << contract_label(tier, lanes);
+      ASSERT_EQ(whole, split) << contract_label(tier, lanes);
+    }
+  }
+}
+
+TEST(SimdKernelContract, InPlaceSpmvMatchesSeparateBuffersOnEveryTier) {
+  const SweepInput in = make_sweep_input();
+  const graph::NodeId n = in.g.num_nodes();
+  const std::vector<double> gather(in.scaled.begin(), in.scaled.begin() + n);
+  const std::vector<double> x(in.cur.begin(), in.cur.begin() + n);
+  for (const simd::Tier tier : available_tiers()) {
+    const TierGuard guard{tier};
+    ASSERT_TRUE(guard.ok());
+    simd::SpmvArgs args;
+    args.offsets = in.g.offsets().data();
+    args.neighbors = in.g.raw_neighbors().data();
+    args.gather = gather.data();
+    args.walk_weight = 0.7;
+    args.laziness = 0.3;
+
+    std::vector<double> y(n, -1.0);
+    args.x = x.data();
+    args.y = y.data();
+    simd::dispatch().spmv(args, 0, n);
+
+    std::vector<double> state = x;
+    args.x = state.data();
+    args.y = state.data();
+    simd::dispatch().spmv(args, 0, n);
+    ASSERT_EQ(y, state) << "tier=" << simd::tier_name(tier);
   }
 }
 

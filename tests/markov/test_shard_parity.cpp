@@ -9,6 +9,8 @@
 //    raw or compressed (ADJC), staged by the pipeline's worker thread;
 //  * across a fault-injected kill and checkpoint resume under sharding,
 //    including a kill at a shard boundary mid-prefetch;
+//  * after a window fault mid-sweep has left the in-place lane state half
+//    advanced, reseeding the same evolver reproduces the clean trajectory;
 //  * and a snapshot written under a foreign shard geometry is classified
 //    stale and recomputed, never replayed.
 #include <gtest/gtest.h>
@@ -332,6 +334,61 @@ TEST_F(ShardResumeTest, KilledMidPrefetchAcrossShardBoundaryResumesBitIdentical)
       measure_sampled_mixing(mapped.view(), sources, prefetch_options());
   expect_bitwise_equal(dense, resumed,
                        "resumed compressed prefetch vs uninterrupted dense");
+  std::remove(pack.string().c_str());
+}
+
+TEST_F(ShardResumeTest, ReseedAfterMidSweepFaultReproducesCleanTrajectory) {
+  // The sweep overwrites the lane state in place, so a window fault between
+  // shards leaves some rows advanced and the rest not. The header promises
+  // only that the state is unspecified until reseeded: seed_point_masses on
+  // the same evolver must then reproduce an untouched evolver's bits, for
+  // an in-memory and a compressed, pipeline-staged 4-shard sweep.
+  const auto spec = gen::find_dataset("Physics 1");
+  const graph::Graph g = gen::build_dataset(*spec, kNodes, 13);
+  const std::vector<double> pi = stationary_distribution(g);
+  const fs::path pack = fs::path{testing::TempDir()} / "reseed_fault.smxg";
+  graph::sharded::WriteOptions compress;
+  compress.compress = true;
+  graph::sharded::write_smxg_file(pack.string(), g,
+                                  graph::ShardPlan::balanced(g.offsets(), 4), compress);
+  const graph::sharded::MappedGraph mapped{pack.string()};
+  const auto sources = spread_sources(g);
+
+  const auto trajectory = [&](BatchedEvolver& evolver) {
+    evolver.seed_point_masses(sources);
+    std::vector<double> tvd(kSteps * sources.size());
+    for (std::size_t t = 0; t < kSteps; ++t) {
+      evolver.step_with_tvd(pi, {tvd.data() + t * sources.size(), sources.size()});
+    }
+    return tvd;
+  };
+  for (const bool compressed : {false, true}) {
+    const char* label = compressed ? "adjc pack" : "in-memory";
+    const graph::Graph& view = compressed ? mapped.view() : g;
+    SweepSharding sharding;
+    sharding.plan = graph::ShardPlan::balanced(g.offsets(), 4);
+    if (compressed) sharding.mapped = &mapped;
+    BatchedEvolver clean{view, 0.1, BatchedEvolver::kDefaultBlock, sharding};
+    const std::vector<double> expected = trajectory(clean);
+
+    BatchedEvolver evolver{view, 0.1, BatchedEvolver::kDefaultBlock, sharding};
+    evolver.seed_point_masses(sources);
+    std::vector<double> tvd(sources.size());
+    const auto run_steps = [&] {
+      for (std::size_t t = 0; t < kSteps; ++t) evolver.step_with_tvd(pi, tvd);
+    };
+    // 4 acquires per sweep: the 23rd is the third shard of the sixth sweep,
+    // after two of its shards have already been overwritten in place.
+    resilience::arm_fault("shard.window:23:error");
+    EXPECT_THROW(run_steps(), resilience::InjectedFault);
+    resilience::disarm_faults();
+
+    ASSERT_EQ(expected, trajectory(evolver)) << label;
+    std::vector<double> dist_clean(g.num_nodes()), dist_got(g.num_nodes());
+    clean.copy_distribution(sources.size() - 1, dist_clean);
+    evolver.copy_distribution(sources.size() - 1, dist_got);
+    EXPECT_EQ(dist_clean, dist_got) << label;
+  }
   std::remove(pack.string().c_str());
 }
 
