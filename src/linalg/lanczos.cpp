@@ -1,5 +1,6 @@
 #include "linalg/lanczos.hpp"
 
+#include "resilience/fault.hpp"
 #include "util/parallel.hpp"
 
 namespace socmix::linalg {
@@ -36,6 +37,15 @@ void chunk_axpy(double alpha, const double* x, double* y, std::size_t len) noexc
 }
 
 }  // namespace
+
+bool certificate_fault_fired() {
+  try {
+    resilience::fault_point("lanczos.certificate");
+  } catch (const resilience::InjectedFault&) {
+    return true;
+  }
+  return false;
+}
 
 KrylovBasis::KrylovBasis(std::span<const double> deflate, std::size_t capacity)
     : n_{deflate.size()},

@@ -45,6 +45,7 @@
 #include "linalg/vector_ops.hpp"
 #include "linalg/walk_operator.hpp"
 #include "obs/obs.hpp"
+#include "util/aligned.hpp"
 #include "util/rng.hpp"
 
 namespace socmix::linalg {
@@ -144,9 +145,14 @@ class KrylovBasis {
   std::size_t n_;
   std::size_t chunks_;
   std::size_t stride_;  ///< doubles of partials per chunk
-  std::vector<double> data_;
+  util::aligned_vector<double> data_;  ///< (capacity + 1) * n: huge-page backed at scale
   std::vector<double> partial_;
 };
+
+/// Hits the "lanczos.certificate" fault site once per solve. True when an
+/// `error`-mode fault fired there: the solver reports it as a failed
+/// certificate (converged = false) rather than throwing out of the solve.
+[[nodiscard]] bool certificate_fault_fired();
 
 /// ||a - theta * b||, chunked like KrylovBasis.
 [[nodiscard]] double chunked_distance(std::span<const double> a, double theta,
@@ -297,6 +303,7 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
     certified = std::max(certified, chunked_distance(w, theta, y));
   }
   if (!(certified <= kLanczosCertificateSlack * options.tolerance)) converged = false;
+  if (certificate_fault_fired()) converged = false;
 
   result.iterations = applies;
   result.converged = converged;

@@ -30,6 +30,8 @@ BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size
                                SweepSharding sharding)
     : graph_(&g), mapped_(sharding.mapped), plan_(std::move(sharding.plan)),
       laziness_(laziness), block_(block) {
+  // Prices the lane-state allocation and its first-touch zero fill.
+  SOCMIX_TRACE_SPAN("evolver.init");
   const graph::NodeId n = g.num_nodes();
   if (plan_.bounds.empty()) plan_ = graph::ShardPlan::single(n);
   if (laziness < 0.0 || laziness >= 1.0) {

@@ -49,6 +49,7 @@ void append_json_double(std::string& out, double v) {
 struct ProcStats {
   std::uint64_t rss_kb = 0;
   std::uint64_t hwm_kb = 0;
+  std::uint64_t anon_huge_kb = 0;
   double utime_s = 0.0;
   double stime_s = 0.0;
 };
@@ -67,6 +68,19 @@ ProcStats read_proc_stats() {
       } else if (std::sscanf(line, "VmHWM: %llu kB", &v) == 1) {
         stats.hwm_kb = v;
         ++found;
+      }
+    }
+    std::fclose(f);
+  }
+  // Anonymous memory backed by transparent huge pages (see
+  // util/aligned.hpp). smaps_rollup needs Linux 4.14+; absent, it reads 0.
+  if (std::FILE* f = std::fopen("/proc/self/smaps_rollup", "r")) {
+    char line[256];
+    unsigned long long v = 0;
+    while (std::fgets(line, sizeof line, f)) {
+      if (std::sscanf(line, "AnonHugePages: %llu kB", &v) == 1) {
+        stats.anon_huge_kb = v;
+        break;
       }
     }
     std::fclose(f);
@@ -165,13 +179,15 @@ void Sampler::write_sample() {
 
   std::string line;
   line.reserve(512);
-  char buf[64];
+  char buf[128];
   std::snprintf(buf, sizeof buf,
                 "{\"t_ms\":%lld,\"seq\":%" PRIu64 ",", static_cast<long long>(t_ms),
                 seq_);
   line += buf;
-  std::snprintf(buf, sizeof buf, "\"rss_kb\":%" PRIu64 ",\"hwm_kb\":%" PRIu64 ",",
-                proc.rss_kb, proc.hwm_kb);
+  std::snprintf(buf, sizeof buf,
+                "\"rss_kb\":%" PRIu64 ",\"hwm_kb\":%" PRIu64
+                ",\"anon_huge_kb\":%" PRIu64 ",",
+                proc.rss_kb, proc.hwm_kb, proc.anon_huge_kb);
   line += buf;
   line += "\"utime_s\":";
   append_json_double(line, proc.utime_s);

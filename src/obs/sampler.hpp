@@ -2,18 +2,21 @@
 //
 // A Sampler owns a background thread that wakes every interval_ms, takes a
 // Registry snapshot plus process stats (VmRSS/VmHWM from /proc/self/status,
-// user/sys CPU seconds from /proc/self/stat), and appends one JSON object
-// per sample to a JSONL file:
+// AnonHugePages from /proc/self/smaps_rollup, user/sys CPU seconds from
+// /proc/self/stat), and appends one JSON object per sample to a JSONL file:
 //
-//   {"t_ms":..,"seq":..,"rss_kb":..,"hwm_kb":..,"utime_s":..,"stime_s":..,
+//   {"t_ms":..,"seq":..,"rss_kb":..,"hwm_kb":..,"anon_huge_kb":..,
+//    "utime_s":..,"stime_s":..,
 //    "counters":{"name":{"total":N,"delta":D}},
 //    "gauges":{"name":V},
 //    "histograms":{"name":{"count":N,"delta":D,"sum":S}}}
 //
-// Counters and histogram counts carry both the running total and the delta
-// since the previous sample, so consumers get rates without differencing
-// and monotonicity is directly checkable. Totals are monotone because the
-// underlying sharded counters are add-only.
+// anon_huge_kb is the anonymous memory on transparent huge pages (the
+// large kernel buffers, util/aligned.hpp); it reads 0 where smaps_rollup
+// is absent. Counters and histogram counts carry both the running total
+// and the delta since the previous sample, so consumers get rates without
+// differencing and monotonicity is directly checkable. Totals are
+// monotone because the underlying sharded counters are add-only.
 //
 // Threading contract: every file write happens on the sampler thread —
 // including the final sample, which the thread takes after seeing the stop

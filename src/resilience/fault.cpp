@@ -14,12 +14,13 @@ namespace socmix::resilience {
 
 namespace {
 
-constexpr std::array<std::string_view, 5> kSites = {
+constexpr std::array<std::string_view, 6> kSites = {
     "checkpoint.write",
     "checkpoint.rename",
     "block.complete",
     "graph.load",
     "shard.window",
+    "lanczos.certificate",
 };
 
 [[nodiscard]] std::size_t site_index(std::string_view site) {

@@ -60,6 +60,10 @@ struct FaultSpec {
 ///   shard.window       a shard window is about to be handed to compute
 ///                      (linalg::ShardPipeline::acquire, once per shard
 ///                      per sweep — kills/errors land mid-pipeline)
+///   lanczos.certificate  the Ritz residual certificate of a Lanczos solve;
+///                      `error` mode fails the certificate (converged =
+///                      false) instead of throwing, so `socmix measure`
+///                      takes its exit-3 path
 [[nodiscard]] std::span<const std::string_view> known_fault_sites() noexcept;
 
 /// Parses "<site>:<nth>[:abort|:error]". Throws std::invalid_argument on

@@ -19,6 +19,7 @@
 #include "graph/components.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/vector_ops.hpp"
+#include "resilience/fault.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -201,6 +202,29 @@ TEST(Lanczos, IterationCapRespected) {
   }
   EXPECT_THROW((void)slem_spectrum(op, LanczosOptions{.max_iterations = 2}),
                std::invalid_argument);
+}
+
+TEST(Lanczos, CertificateFaultFailsTheSolveWithoutThrowing) {
+  // An `error` fault at "lanczos.certificate" marks the certificate failed
+  // and leaves every computed value as it was; the next solve is clean.
+  util::Rng rng{13};
+  const auto g = graph::largest_component(gen::erdos_renyi_gnm(100, 250, rng)).graph;
+  const WalkOperator op{g};
+  const auto clean = slem_spectrum(op);
+  ASSERT_TRUE(clean.converged);
+
+  resilience::arm_fault("lanczos.certificate:1:error");
+  SpectrumResult faulted;
+  EXPECT_NO_THROW(faulted = slem_spectrum(op));
+  const auto after = slem_spectrum(op);
+  resilience::disarm_faults();
+
+  EXPECT_FALSE(faulted.converged);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(faulted.slem),
+            std::bit_cast<std::uint64_t>(clean.slem));
+  EXPECT_EQ(faulted.iterations, clean.iterations);
+  EXPECT_EQ(faulted.certified_residual, clean.certified_residual);
+  EXPECT_TRUE(after.converged);
 }
 
 /// Graphs of n <= 300 whose spectra take more than kLanczosBasis applies.

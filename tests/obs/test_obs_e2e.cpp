@@ -76,7 +76,7 @@ TEST(ObsE2E, MeasurementPopulatesPipelineMetrics) {
                            "lanczos.solve", "lanczos.apply", "lanczos.reorth",
                            "lanczos.eig", "lanczos.restart", "spmv.apply",
                            "measure_sampled_mixing",
-                           "evolve_block", "evolver.sweep"}) {
+                           "evolve_block", "evolver.init", "evolver.sweep"}) {
     EXPECT_NE(tjson.find(span), std::string::npos) << "missing span " << span;
   }
   clear_trace();

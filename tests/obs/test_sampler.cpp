@@ -82,6 +82,8 @@ TEST(Sampler, EmitsParsableMonotonicSeries) {
     prev_seq = seq;
     // Process stats are present on every line (zero when /proc is absent).
     EXPECT_TRUE(doc.find("rss_kb") != nullptr);
+    EXPECT_TRUE(doc.find("hwm_kb") != nullptr);
+    EXPECT_TRUE(doc.find("anon_huge_kb") != nullptr);
     EXPECT_TRUE(doc.find("utime_s") != nullptr);
 
     const bench::Json* sample = doc.at("counters").find("sampler.test.series");

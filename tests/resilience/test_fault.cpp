@@ -38,7 +38,7 @@ TEST_F(FaultTest, RejectsMalformedSpecs) {
 
 TEST_F(FaultTest, RegistryListsEverySite) {
   const auto sites = known_fault_sites();
-  ASSERT_EQ(sites.size(), 5u);
+  ASSERT_EQ(sites.size(), 6u);
   for (const auto site : sites) {
     EXPECT_NO_THROW(fault_point(site)) << site;
   }
