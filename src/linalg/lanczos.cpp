@@ -144,8 +144,8 @@ double chunked_distance(std::span<const double> a, double theta, std::span<const
 
 }  // namespace detail
 
-// Explicit instantiation for the common unweighted operator keeps its code
-// out of every including translation unit.
+// Explicit instantiation for WalkOperator keeps its code out of every
+// including translation unit.
 
 template SpectrumResult slem_spectrum<WalkOperator>(const WalkOperator&,
                                                     const LanczosOptions&);

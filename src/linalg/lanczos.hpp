@@ -1,7 +1,7 @@
 // Symmetric thick-restart Lanczos eigensolver.
 //
 // Computes the extremal eigenvalues of a symmetrized walk operator
-// N = D^{-1/2} A D^{-1/2} (or its weighted analogue) — in particular
+// N = D^{-1/2} A D^{-1/2} — in particular
 // lambda_2 (second largest) and lambda_min — from which the paper's SLEM is
 //     mu = max(lambda_2, |lambda_min|).
 //
@@ -28,8 +28,8 @@
 // pairs is computed explicitly (two more applies): a certificate that does
 // not trust the Lanczos recurrence's own residual estimate.
 //
-// The solver is generic over any operator satisfying WalkLikeOperator
-// (unweighted WalkOperator, weighted WeightedWalkOperator, ...).
+// The solver is generic over any operator satisfying WalkLikeOperator:
+// WalkOperator, and wrappers around it that count or time its applies.
 #pragma once
 
 #include <algorithm>

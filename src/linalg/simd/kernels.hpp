@@ -2,8 +2,8 @@
 // hot sweeps.
 //
 // The batched 32-lane SpMM + fused TVD (markov::BatchedEvolver), the
-// single-vector gather-stream SpMV (linalg::{Walk,WeightedWalk}Operator,
-// one-lane markov::BatchedEvolver) all funnel through one table of kernel
+// single-vector gather-stream SpMV (linalg::WalkOperator, one-lane
+// markov::BatchedEvolver) all funnel through one table of kernel
 // function pointers. Three tiers implement the table:
 //
 //   scalar   the portable fallback — the exact pre-SIMD kernel code,
@@ -75,11 +75,10 @@ using SpmmF64Fn = void (*)(const SpmmArgs& args, const double* scaled,
                            const double* cur, double* next);
 
 /// Single-vector gather-stream SpMV over rows [row_begin, row_end):
-///   acc  = sum_{e in row i} (edge_scale ? edge_scale[e] : 1) * gather[neighbors[e]]
+///   acc  = sum_{e in row i} gather[neighbors[e]]
 ///   y[i] = walk_weight*acc * (row_scale ? row_scale[i] : 1) + laziness*x[i]
 /// matching the scalar epilogues of WalkOperator (row_scale =
-/// inv_sqrt_deg), a one-lane BatchedEvolver (row_scale null) and
-/// WeightedWalkOperator (edge_scale = folded weights). `y` may alias `x`
+/// inv_sqrt_deg) and a one-lane BatchedEvolver (row_scale null). `y` may alias `x`
 /// (row i reads only x[i], before it writes y[i]) but never `gather`;
 /// every tier honors this. The SIMD tiers use i32 gathers, so they
 /// require num_nodes < 2^31 — guaranteed by the u32 NodeId CSR long
@@ -92,8 +91,7 @@ struct SpmvArgs {
   double* y = nullptr;
   double walk_weight = 0.0;
   double laziness = 0.0;
-  const double* row_scale = nullptr;   ///< per-row factor, or null
-  const double* edge_scale = nullptr;  ///< per-edge factor, or null
+  const double* row_scale = nullptr;  ///< per-row factor, or null
 };
 
 using SpmvFn = void (*)(const SpmvArgs& args, graph::NodeId row_begin,

@@ -107,20 +107,11 @@ void spmv(const SpmvArgs& a, graph::NodeId row_begin, graph::NodeId row_end) {
   for (graph::NodeId i = row_begin; i < row_end; ++i) {
     double acc = 0.0;
     const graph::EdgeIndex end = a.offsets[i + 1];
-    if (a.edge_scale != nullptr) {
-      for (graph::EdgeIndex e = a.offsets[i]; e < end; ++e) {
-        if (e + kPrefetchDistance < end) {
-          util::prefetch_read(a.gather + a.neighbors[e + kPrefetchDistance]);
-        }
-        acc += a.edge_scale[e] * a.gather[a.neighbors[e]];
+    for (graph::EdgeIndex e = a.offsets[i]; e < end; ++e) {
+      if (e + kPrefetchDistance < end) {
+        util::prefetch_read(a.gather + a.neighbors[e + kPrefetchDistance]);
       }
-    } else {
-      for (graph::EdgeIndex e = a.offsets[i]; e < end; ++e) {
-        if (e + kPrefetchDistance < end) {
-          util::prefetch_read(a.gather + a.neighbors[e + kPrefetchDistance]);
-        }
-        acc += a.gather[a.neighbors[e]];
-      }
+      acc += a.gather[a.neighbors[e]];
     }
     const double base = walk_weight * acc;
     a.y[i] = (a.row_scale != nullptr ? base * a.row_scale[i] : base) + laziness * a.x[i];

@@ -45,13 +45,4 @@ struct AttackedGraph {
 [[nodiscard]] AttackedGraph attach_sybil_region(const graph::Graph& honest,
                                                 const AttackConfig& config);
 
-/// Outcome of running a SybilLimit verifier against every identity.
-struct SybilExperimentResult {
-  double honest_admitted_fraction = 0.0;
-  /// Total Sybil identities admitted (paper: bounded by ~ g * w).
-  std::uint64_t sybil_admitted = 0;
-  std::uint64_t honest_trials = 0;
-  std::uint64_t sybil_trials = 0;
-};
-
 }  // namespace socmix::sybil

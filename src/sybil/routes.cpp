@@ -85,23 +85,4 @@ std::optional<DirectedEdge> RouteTable::route_tail(std::uint32_t instance,
   return DirectedEdge{from, neighbors[e]};
 }
 
-std::vector<graph::NodeId> RouteTable::route_vertices(std::uint32_t instance,
-                                                      graph::NodeId start,
-                                                      std::size_t length) const {
-  const graph::Graph& g = *graph_;
-  std::vector<graph::NodeId> out;
-  out.reserve(length + 1);
-  out.push_back(start);
-  if (length == 0 || g.degree(start) == 0) return out;
-
-  const auto neighbors = g.raw_neighbors();
-  graph::EdgeIndex e = start_edge(instance, start);
-  out.push_back(neighbors[e]);
-  for (std::size_t walked = 1; walked < length; ++walked) {
-    e = hop(instance, e);
-    out.push_back(neighbors[e]);
-  }
-  return out;
-}
-
 }  // namespace socmix::sybil

@@ -1,4 +1,4 @@
-// SybilLimit/SybilGuard random routes.
+// SybilLimit random routes.
 //
 // A random route is a random walk made *deterministic* by per-node edge
 // permutations: in protocol instance i, a route entering node u through
@@ -140,12 +140,6 @@ class RouteTable {
       }
     }
   }
-
-  /// Walks a route and returns the full vertex sequence (length+1 entries,
-  /// shorter only if start is isolated).
-  [[nodiscard]] std::vector<graph::NodeId> route_vertices(std::uint32_t instance,
-                                                          graph::NodeId start,
-                                                          std::size_t length) const;
 
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
   [[nodiscard]] std::uint64_t protocol_seed() const noexcept { return seed_; }

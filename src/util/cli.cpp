@@ -54,6 +54,22 @@ T parsed_or_throw(const std::string& name, const std::string& value,
   return *parsed;
 }
 
+/// The one range check behind get_count and get_positive: an integer in
+/// [min, max], else std::invalid_argument naming the flag and the value.
+std::size_t count_in_range(const std::string& name, const std::string& value,
+                           std::size_t min, std::size_t max) {
+  const auto parsed = parse_i64(value);
+  if (!parsed || *parsed < 0 || static_cast<std::uint64_t>(*parsed) < min ||
+      static_cast<std::uint64_t>(*parsed) > max) {
+    const std::string expected =
+        max == std::numeric_limits<std::size_t>::max()
+            ? (min == 0 ? "a non-negative integer" : "a positive integer")
+            : "an integer in [" + std::to_string(min) + ", " + std::to_string(max) + "]";
+    throw std::invalid_argument{"--" + name + "=" + value + ": expected " + expected};
+  }
+  return static_cast<std::size_t>(*parsed);
+}
+
 }  // namespace
 
 std::int64_t Cli::get_i64(const std::string& name, std::int64_t fallback) const {
@@ -65,25 +81,13 @@ std::int64_t Cli::get_i64(const std::string& name, std::int64_t fallback) const 
 std::size_t Cli::get_count(const std::string& name, std::size_t fallback,
                            std::size_t max) const {
   const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  const auto parsed = parse_i64(it->second);
-  if (!parsed || *parsed < 0 || static_cast<std::uint64_t>(*parsed) > max) {
-    const std::string expected =
-        max == std::numeric_limits<std::size_t>::max()
-            ? "a non-negative integer"
-            : "an integer in [0, " + std::to_string(max) + "]";
-    throw std::invalid_argument{"--" + name + "=" + it->second + ": expected " + expected};
-  }
-  return static_cast<std::size_t>(*parsed);
+  return it == options_.end() ? fallback : count_in_range(name, it->second, 0, max);
 }
 
-std::size_t Cli::get_positive(const std::string& name, std::size_t fallback) const {
+std::size_t Cli::get_positive(const std::string& name, std::size_t fallback,
+                              std::size_t max) const {
   const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  auto parsed = parse_i64(it->second);
-  if (parsed && *parsed <= 0) parsed.reset();
-  return static_cast<std::size_t>(
-      parsed_or_throw(name, it->second, parsed, "a positive integer"));
+  return it == options_.end() ? fallback : count_in_range(name, it->second, 1, max);
 }
 
 double Cli::get_f64(const std::string& name, double fallback) const {

@@ -5,8 +5,8 @@
 //    at serial and contended thread counts, with one-shard and
 //    four-shard sweeps (one SpMM call over all rows, and sub-range calls
 //    carrying the running TVD sum);
-//  * the single-vector SpMV consumers (WalkOperator, WeightedWalkOperator,
-//    a one-lane BatchedEvolver) are bitwise tier-invariant too;
+//  * the single-vector SpMV consumers (WalkOperator, a one-lane
+//    BatchedEvolver) are bitwise tier-invariant too;
 //  * the kernel contract itself, on every tier: an in-place sweep
 //    (next == cur for the SpMM, y == x for the SpMV) matches separate
 //    buffers bit for bit, and a range split that carries the running TVD
@@ -21,14 +21,12 @@
 
 #include "gen/datasets.hpp"
 #include "gen/erdos_renyi.hpp"
-#include "gen/weights.hpp"
 #include "graph/components.hpp"
 #include "graph/graph.hpp"
 #include "graph/sharded/plan.hpp"
 #include "linalg/simd/kernels.hpp"
 #include "linalg/vector_ops.hpp"
 #include "linalg/walk_operator.hpp"
-#include "linalg/weighted_operator.hpp"
 #include "markov/batched_evolver.hpp"
 #include "markov/mixing_time.hpp"
 #include "markov/stationary.hpp"
@@ -132,29 +130,6 @@ TEST(SimdTierParity, WalkOperatorApplyBitIdenticalAcrossTiers) {
   util::Rng rng{31};
   const auto g = graph::largest_component(gen::erdos_renyi_gnm(300, 1200, rng)).graph;
   const linalg::WalkOperator op{g, 0.2};
-  linalg::Vec x(op.dim());
-  linalg::randomize_unit(x, rng);
-
-  linalg::Vec reference(op.dim());
-  {
-    const TierGuard guard{simd::Tier::kScalar};
-    op.apply(x, reference);
-  }
-  for (const simd::Tier tier : available_tiers()) {
-    const TierGuard guard{tier};
-    linalg::Vec y(op.dim());
-    op.apply(x, y);
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      ASSERT_EQ(reference[i], y[i]) << "tier=" << simd::tier_name(tier) << " i=" << i;
-    }
-  }
-}
-
-TEST(SimdTierParity, WeightedOperatorApplyBitIdenticalAcrossTiers) {
-  util::Rng rng{47};
-  const auto base = graph::largest_component(gen::erdos_renyi_gnm(250, 900, rng)).graph;
-  const auto g = gen::pareto_weights(base, 1.5, rng);
-  const linalg::WeightedWalkOperator op{g, 0.1};
   linalg::Vec x(op.dim());
   linalg::randomize_unit(x, rng);
 

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+
+#include "gen/barabasi_albert.hpp"
 #include "gen/erdos_renyi.hpp"
+#include "gen/powerlaw_cluster.hpp"
 #include "gen/reference.hpp"
+#include "gen/sbm.hpp"
+#include "gen/watts_strogatz.hpp"
 #include "graph/components.hpp"
 #include "markov/batched_evolver.hpp"
+#include "markov/mixing_time.hpp"
 #include "markov/stationary.hpp"
 #include "util/rng.hpp"
 
@@ -123,6 +131,47 @@ TEST(MonteCarloTvd, TracksExactOnSlowGraph) {
   const auto exact = tvd_trajectory(g, 0, 15, pi).back();
   const double estimate = monte_carlo_tvd(g, 0, 15, 100000, pi, rng);
   EXPECT_NEAR(estimate, exact, 0.05);
+}
+
+TEST(MonteCarloTvd, BatchedSampledMixingLiesInTheEstimatorsIntervalOnGenerators) {
+  // The batched evolver's per-source TVD (measure_sampled_mixing) against
+  // walks actually sampled. With f the empirical endpoint distribution of
+  // W walks, |estimate - tvd| <= ||f - p_t||_tv =: D, and
+  //   E[D] <= 1/2 sum_v sqrt(p_v / W) <= 1/2 sqrt(n / W)   (the upward bias);
+  // one walk moves D by at most 1/W, so by McDiarmid
+  //   P(D > E[D] + eps) <= exp(-2 W eps^2).
+  // eps is set for a 1e-9 miss probability per check.
+  constexpr std::size_t kWalks = 40000;
+  const double eps = std::sqrt(std::log(1e9) / (2.0 * kWalks));
+  constexpr std::size_t kMaxSteps = 30;
+  const std::size_t lengths[] = {1, 2, 5, 12, kMaxSteps};
+  const std::function<graph::Graph(util::Rng&)> generators[] = {
+      [](util::Rng& rng) { return gen::erdos_renyi_gnm(80, 200, rng); },
+      [](util::Rng& rng) { return gen::barabasi_albert(80, 2, rng); },
+      [](util::Rng& rng) { return gen::watts_strogatz(80, 4, 0.1, rng); },
+      [](util::Rng& rng) { return gen::planted_communities(4, 20, 5.0, 0.5, rng); },
+      [](util::Rng& rng) { return gen::powerlaw_cluster(80, 2, 0.5, rng); },
+  };
+  for (std::size_t kind = 0; kind < std::size(generators); ++kind) {
+    for (const std::uint64_t seed : {3u, 17u, 91u}) {
+      util::Rng rng{seed};
+      const auto g = graph::largest_component(generators[kind](rng)).graph;
+      const auto pi = stationary_distribution(g);
+      const auto sources = pick_sources(g, 4, rng);
+      const auto sampled = measure_sampled_mixing(g, sources, kMaxSteps);
+      const double bound =
+          0.5 * std::sqrt(static_cast<double>(g.num_nodes()) / kWalks) + eps;
+      ASSERT_LT(bound, 0.1) << "the interval must be able to fail";
+      for (std::size_t s = 0; s < sources.size(); ++s) {
+        for (const std::size_t t : lengths) {
+          const double estimate = monte_carlo_tvd(g, sources[s], t, kWalks, pi, rng);
+          EXPECT_NEAR(sampled.tvd(s, t), estimate, bound)
+              << "generator " << kind << " seed " << seed << " source " << sources[s]
+              << " t=" << t;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

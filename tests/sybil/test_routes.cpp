@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -45,6 +46,23 @@ DirectedEdge reference_tail(const RouteTable& routes, std::uint32_t instance,
                             graph::NodeId start, std::size_t length) {
   const auto walk = reference_route(routes, instance, start, length);
   return {walk[walk.size() - 2], walk.back()};
+}
+
+/// The route's vertex sequence as the production walker produces it: one
+/// for_each_tail walk to every length 1..length, keeping `instance`'s
+/// tails. Each tail must leave the vertex the previous one entered.
+std::vector<graph::NodeId> walker_route(const RouteTable& routes, std::uint32_t instance,
+                                        graph::NodeId start, std::size_t length) {
+  std::vector<std::size_t> lengths(length);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{1});
+  std::vector<graph::NodeId> walk{start};
+  routes.for_each_tail(instance + 1, start, lengths,
+                       [&](std::size_t k, std::uint32_t i, DirectedEdge tail) {
+                         if (i != instance) return;
+                         EXPECT_EQ(tail.from, walk.back()) << "tail " << k << " detached";
+                         walk.push_back(tail.to);
+                       });
+  return walk;
 }
 
 /// for_each_tail's visits gathered per length: out[k][i] is instance i's
@@ -90,16 +108,17 @@ TEST(RouteTable, NextOutIndexIsPermutation) {
 TEST(RouteTable, RouteIsDeterministic) {
   const auto g = gen::circulant(50, 4);
   const RouteTable routes{g, 99};
-  const auto a = routes.route_vertices(3, 10, 20);
-  const auto b = routes.route_vertices(3, 10, 20);
+  const auto a = walker_route(routes, 3, 10, 20);
+  const auto b = walker_route(routes, 3, 10, 20);
   EXPECT_EQ(a, b);
+  EXPECT_EQ(routes.route_tail(3, 10, 20), routes.route_tail(3, 10, 20));
 }
 
 TEST(RouteTable, DifferentInstancesDiverge) {
   const auto g = gen::circulant(200, 6);
   const RouteTable routes{g, 1};
-  const auto a = routes.route_vertices(0, 0, 30);
-  const auto b = routes.route_vertices(1, 0, 30);
+  const auto a = walker_route(routes, 0, 0, 30);
+  const auto b = walker_route(routes, 1, 0, 30);
   EXPECT_NE(a, b);
 }
 
@@ -107,7 +126,7 @@ TEST(RouteTable, RouteFollowsEdges) {
   util::Rng rng{2};
   const auto g = graph::largest_component(gen::erdos_renyi_gnm(60, 180, rng)).graph;
   const RouteTable routes{g, 3};
-  const auto walk = routes.route_vertices(2, 5, 15);
+  const auto walk = walker_route(routes, 2, 5, 15);
   ASSERT_EQ(walk.size(), 16u);
   for (std::size_t i = 1; i < walk.size(); ++i) {
     EXPECT_TRUE(g.has_edge(walk[i - 1], walk[i]));
@@ -118,7 +137,7 @@ TEST(RouteTable, TailMatchesVertexSequence) {
   const auto g = gen::circulant(80, 4);
   const RouteTable routes{g, 5};
   for (const std::size_t w : {1u, 3u, 10u}) {
-    const auto walk = routes.route_vertices(2, 7, w);
+    const auto walk = walker_route(routes, 2, 7, w);
     const auto tail = routes.route_tail(2, 7, w);
     ASSERT_TRUE(tail.has_value());
     EXPECT_EQ(tail->from, walk[walk.size() - 2]);
@@ -174,7 +193,7 @@ TEST(RouteTable, EveryWalkerMatchesTheBinarySearchOracleOnEveryTable1Config) {
     const RouteTable routes{g, 0x0dac1e};
     for (graph::NodeId start = 0; start < g.num_nodes(); start += 23) {
       for (std::uint32_t i = 0; i < kInstances; ++i) {
-        const auto walk = routes.route_vertices(i, start, lengths.back());
+        const auto walk = walker_route(routes, i, start, lengths.back());
         ASSERT_EQ(walk, reference_route(routes, i, start, lengths.back()))
             << spec.name << " start=" << start << " i=" << i;
         for (const std::size_t w : lengths) {
@@ -209,7 +228,7 @@ TEST(RouteTable, ReverseEdgesFollowInPlaceMutation) {
                                        before.raw_neighbors().end()};
   const graph::Graph view = graph::Graph::borrowed(offsets, neighbors);
   RouteTable routes{view, 5};
-  EXPECT_EQ(routes.route_vertices(1, 3, 12), reference_route(routes, 1, 3, 12));
+  EXPECT_EQ(walker_route(routes, 1, 3, 12), reference_route(routes, 1, 3, 12));
 
   std::copy(after.offsets().begin(), after.offsets().end(), offsets.begin());
   std::copy(after.raw_neighbors().begin(), after.raw_neighbors().end(),
@@ -217,8 +236,9 @@ TEST(RouteTable, ReverseEdgesFollowInPlaceMutation) {
   routes.rebuild_reverse_edges();
   const RouteTable fresh{after, 5};
   for (graph::NodeId start = 0; start < view.num_nodes(); start += 7) {
-    EXPECT_EQ(routes.route_vertices(1, start, 12), fresh.route_vertices(1, start, 12));
-    EXPECT_EQ(routes.route_vertices(1, start, 12), reference_route(routes, 1, start, 12));
+    EXPECT_EQ(walker_route(routes, 1, start, 12), walker_route(fresh, 1, start, 12));
+    EXPECT_EQ(walker_route(routes, 1, start, 12), reference_route(routes, 1, start, 12));
+    EXPECT_EQ(routes.route_tail(1, start, 12), fresh.route_tail(1, start, 12));
   }
 }
 
@@ -246,7 +266,7 @@ TEST(RouteTable, ConvergenceProperty) {
 
   std::vector<std::vector<graph::NodeId>> walks;
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    walks.push_back(routes.route_vertices(instance, v, w));
+    walks.push_back(walker_route(routes, instance, v, w));
   }
   for (std::size_t a = 0; a < walks.size(); ++a) {
     for (std::size_t b = a + 1; b < walks.size(); ++b) {

@@ -92,7 +92,8 @@ TEST(Cli, CountsFailClosed) {
 }
 
 TEST(Cli, PositiveCountsRefuseZero) {
-  const Cli cli = make({"--interval", "0", "--every", "-2", "--verifiers", "4"});
+  const Cli cli = make(
+      {"--interval", "0", "--every", "-2", "--verifiers", "4", "--size", "4294967296"});
   const auto message = [](auto read) -> std::string {
     try {
       read();
@@ -109,6 +110,11 @@ TEST(Cli, PositiveCountsRefuseZero) {
             std::string::npos);
   EXPECT_NE(message([&] { (void)cli.get_positive("every", 8); })
                 .find("--every=-2: expected a positive integer"),
+            std::string::npos);
+  // An upper bound is checked too, so a size never wraps into a NodeId.
+  EXPECT_EQ(cli.get_positive("verifiers", 3, 4), 4u);
+  EXPECT_NE(message([&] { (void)cli.get_positive("size", 8, 4294967295u); })
+                .find("--size=4294967296: expected an integer in [1, 4294967295]"),
             std::string::npos);
 }
 

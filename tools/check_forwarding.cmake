@@ -11,11 +11,13 @@
 # they must refuse --sharded and the retired knobs by name instead of
 # parsing and ignoring them, and socmix sybil must refuse a malformed --w
 # list instead of skipping tokens. Negative counts, zero intervals,
-# --verifiers 0, a non-positive --scale, an --eps outside (0, 1) and a
-# sampled measure of --steps 0 must fail closed, naming the flag and the
-# value; so must graph_pack --nodes -10, which must not wrap into a
-# 4-billion-node build. Every socmix subcommand and graph_pack refuse an
-# unknown (e.g. misspelt) flag by name instead of running with defaults.
+# --verifiers 0, sample --size 0, a non-positive --scale, an --eps
+# outside (0, 1) and a sampled measure of --steps 0 must fail closed,
+# naming the flag and the value; so must graph_pack --nodes -10, which
+# must not wrap into a 4-billion-node build. Every socmix subcommand and
+# graph_pack refuse an unknown (e.g. misspelt) flag by name instead of
+# running with defaults, and socmix refuses the retired `convert` command
+# by name.
 #
 # Driven by the driver_forwarding_e2e ctest (see tools/CMakeLists.txt):
 #   cmake -DFIG5_BIN=... -DFIG8_BIN=... -DSOCMIX_BIN=... -DGRAPH_PACK_BIN=...
@@ -86,7 +88,7 @@ function(expect_refused label needle)
 endfunction()
 
 set(measure_input --dataset "Physics 1" --nodes 300 --sources 8 --steps 20)
-file(REMOVE "${OUT_DIR}/refused.smxg")
+file(REMOVE "${OUT_DIR}/refused.smxg" "${OUT_DIR}/refused.txt")
 foreach(knob "precision;mixed" "io-mode;prefetch" "frontier;off")
   list(GET knob 0 flag)
   list(GET knob 1 value)
@@ -130,11 +132,15 @@ expect_refused("socmix measure --source 4 --step 5" "--source: unknown flag"
 expect_refused("graph_pack --compres" "--compres: unknown flag"
                "${GRAPH_PACK_BIN}" --dataset "Physics 1" --nodes 300 --compres
                --out "${OUT_DIR}/refused.smxg")
-foreach(command "info" "measure" "sample" "trim" "convert" "sybil" "generate")
+foreach(command "info" "measure" "sample" "trim" "sybil" "generate")
   expect_refused("socmix ${command} --bogus-flag" "--bogus-flag: unknown flag"
                  "${SOCMIX_BIN}" ${command} --dataset "Physics 1" --nodes 300
                  --bogus-flag 1)
 endforeach()
+# The retired directed-to-undirected converter: --edges symmetrizes.
+expect_refused("socmix convert" "every --edges input is symmetrized on load"
+               "${SOCMIX_BIN}" convert --arcs "${OUT_DIR}/arcs.txt"
+               --out "${OUT_DIR}/refused.txt")
 if(EXISTS "${OUT_DIR}/refused.smxg")
   message(FATAL_ERROR "a refused graph_pack run wrote ${OUT_DIR}/refused.smxg")
 endif()
@@ -146,6 +152,12 @@ expect_refused("socmix sybil --suspects -3" "--suspects=-3"
 expect_refused("socmix sybil --verifiers 0" "--verifiers=0"
                "${SOCMIX_BIN}" sybil --dataset "Physics 1" --nodes 300 --suspects 20
                --verifiers 0 --w 2)
+expect_refused("socmix sample --size 0" "--size=0"
+               "${SOCMIX_BIN}" sample --dataset "Physics 1" --nodes 300 --size 0
+               --out "${OUT_DIR}/refused.txt")
+if(EXISTS "${OUT_DIR}/refused.txt")
+  message(FATAL_ERROR "a refused socmix run wrote ${OUT_DIR}/refused.txt")
+endif()
 foreach(knob "reorder;rcm" "sharded;4" "precision;mixed" "io-mode;prefetch"
              "frontier;off")
   list(GET knob 0 flag)

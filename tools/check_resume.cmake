@@ -14,7 +14,10 @@ file(REMOVE_RECURSE "${OUT_DIR}")
 file(MAKE_DIRECTORY "${OUT_DIR}")
 
 # 256 sources = 8 blocks of 32; 5th block completion is killed, so the
-# resumed run genuinely has both restored and recomputed blocks.
+# resumed run genuinely has both restored and recomputed blocks. The killed
+# run uses one thread: the fault site sits before the block's record(), so
+# with several workers the 5th completion can fire while the first
+# snapshot is still being written, and the run dies with none on disk.
 set(common_args measure --dataset "Physics 1" --nodes 600
     --sources 256 --steps 40 --seed 7)
 set(fault_exit_code 42)
@@ -29,6 +32,7 @@ endif()
 foreach(threads 1 8)
   set(ckpt_dir "${OUT_DIR}/ckpt-${threads}")
 
+  set(ENV{SOCMIX_THREADS} 1)
   execute_process(
     COMMAND "${SOCMIX_BIN}" ${common_args}
             --checkpoint-dir "${ckpt_dir}" --checkpoint-interval 2

@@ -4,14 +4,14 @@
 //   socmix measure  --edges g.txt [--sources N]      mixing measurement
 //   socmix sample   --edges g.txt --method bfs --size 10000 --out s.txt
 //   socmix trim     --edges g.txt --min-degree 5 --out t.txt
-//   socmix convert  --arcs d.txt --out u.txt         directed -> undirected
 //   socmix sybil    --edges g.txt [--w 2,4,..]       SybilLimit admission sweep
 //   socmix generate --dataset "Physics 1" [--nodes N] --out g.txt
 //
-// Every subcommand but convert also accepts --dataset NAME (+ --nodes) in
-// place of --edges to run on a synthetic Table-1 stand-in, and --seed for
-// reproducibility. A flag the subcommand does not read is refused by name
-// (exit 1) rather than ignored.
+// Every subcommand also accepts --dataset NAME (+ --nodes) in place of
+// --edges to run on a synthetic Table-1 stand-in, and --seed for
+// reproducibility. An --edges file is read as undirected: a directed crawl
+// is symmetrized on load. A flag the subcommand does not read is refused
+// by name (exit 1) rather than ignored, and so is the retired `convert`.
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
@@ -24,8 +24,6 @@
 #include "bench_harness/harness.hpp"
 #include "core/experiment.hpp"
 #include "core/measurement.hpp"
-#include "digraph/io.hpp"
-#include "digraph/scc.hpp"
 #include "gen/datasets.hpp"
 #include "graph/components.hpp"
 #include "graph/io.hpp"
@@ -53,8 +51,10 @@ constexpr int kExitUnconverged = 3;
 
 int usage() {
   std::fputs(
-      "usage: socmix <info|measure|sample|trim|convert|sybil|generate> [options]\n"
+      "usage: socmix <info|measure|sample|trim|sybil|generate> [options]\n"
       "  input:  --edges FILE | --dataset NAME [--nodes N]   (--seed N)\n"
+      "          (an --edges file is symmetrized on load: arcs u v and v u\n"
+      "          are one undirected edge)\n"
       "          --pack FILE.smxg   mmap a packed container (measure/sybil;\n"
       "                             see tools/graph_pack; stores the LCC;\n"
       "                             compressed containers are measure-only)\n"
@@ -73,7 +73,6 @@ int usage() {
       "          vertex ordering is pack-time: graph_pack --reorder rcm)\n"
       "  sample  --method bfs|uniform|walk --size N --out FILE\n"
       "  trim    --min-degree K --out FILE\n"
-      "  convert --arcs FILE --out FILE          directed -> undirected\n"
       "  sybil   [--w 2,4,8,16] [--suspects N] [--verifiers N]\n"
       "                                          epoch-cached admission engine sweep\n"
       "                                          (takes no perf knobs but --threads)\n"
@@ -278,8 +277,9 @@ int cmd_sample(const util::Cli& cli) {
   refuse_unknown_flags(cli, true, {"size", "method", "out"});
   std::string name;
   const auto g = load_input(cli, name);
+  // A 0-node sample is an empty file, not a sample.
   const auto size = static_cast<graph::NodeId>(
-      cli.get_count("size", 10000, std::numeric_limits<graph::NodeId>::max()));
+      cli.get_positive("size", 10000, std::numeric_limits<graph::NodeId>::max()));
   const std::string method = cli.get("method", "bfs");
   util::Rng rng{static_cast<std::uint64_t>(cli.get_i64("seed", 42))};
 
@@ -303,21 +303,6 @@ int cmd_trim(const util::Cli& cli) {
   std::fprintf(stderr, "trim to min degree %u: kept %u of %u nodes\n", k,
                trimmed.graph.num_nodes(), g.num_nodes());
   save_output(trimmed.graph, cli.get("out", "trimmed.txt"));
-  return 0;
-}
-
-int cmd_convert(const util::Cli& cli) {
-  refuse_unknown_flags(cli, false, {"arcs", "out"});
-  const std::string path = cli.get("arcs", "");
-  if (path.empty()) throw std::runtime_error{"convert needs --arcs FILE"};
-  const auto loaded = digraph::load_directed_edge_list_file(path);
-  const auto scc = digraph::largest_scc(loaded.graph);
-  const auto sym = digraph::symmetrize(loaded.graph);
-  std::fprintf(stderr,
-               "%s: %llu arcs, reciprocity %.3f, largest SCC %u of %u nodes\n",
-               path.c_str(), static_cast<unsigned long long>(loaded.graph.num_arcs()),
-               sym.reciprocity, scc.graph.num_nodes(), loaded.graph.num_nodes());
-  save_output(sym.graph, cli.get("out", "undirected.txt"));
   return 0;
 }
 
@@ -387,6 +372,12 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   const util::Cli cli{argc - 1, argv + 1};
   try {
+    if (command == "convert") {
+      throw std::invalid_argument{
+          "retired; every --edges input is symmetrized on load, so run "
+          "`socmix trim --edges FILE --min-degree 0 --out FILE` to write the "
+          "undirected graph"};
+    }
     util::set_thread_count(cli.get_count("threads", 0));
     core::configure_observability(cli);
     // Opt-in only for the CLI: an explicit --bench-out turns the phase
@@ -397,7 +388,6 @@ int main(int argc, char** argv) {
     if (command == "measure") return cmd_measure(cli, checkpoint);
     if (command == "sample") return cmd_sample(cli);
     if (command == "trim") return cmd_trim(cli);
-    if (command == "convert") return cmd_convert(cli);
     if (command == "sybil") return cmd_sybil(cli, checkpoint);
     if (command == "generate") return cmd_generate(cli);
   } catch (const std::exception& e) {
