@@ -13,6 +13,7 @@
 //   --seed N
 #include <cstdio>
 #include <iostream>
+#include <limits>
 
 #include "bench_harness/harness.hpp"
 #include "core/experiment.hpp"
@@ -32,7 +33,8 @@ int main(int argc, char** argv) {
   bench::Harness::configure_process(cli);
   core::configure_observability(cli);
   const std::string dataset = cli.get("dataset", "Physics 1");
-  const auto nodes = static_cast<graph::NodeId>(cli.get_i64("nodes", 2600));
+  const auto nodes = static_cast<graph::NodeId>(cli.get_count_or_exit(
+      "nodes", 2600, std::numeric_limits<graph::NodeId>::max()));
   const auto seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
 
   const auto spec = gen::find_dataset(dataset);

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -64,10 +65,11 @@ double run_once(const graph::Graph& g, std::span<const graph::NodeId> sources,
 int main(int argc, char** argv) {
   const util::Cli cli{argc, argv};
   bench::Harness::configure_process(cli);
-  const auto nodes = static_cast<graph::NodeId>(cli.get_i64("nodes", 20000));
-  const auto num_sources = static_cast<std::size_t>(cli.get_i64("sources", 512));
-  const auto max_steps = static_cast<std::size_t>(cli.get_i64("steps", 100));
-  const auto rounds = static_cast<std::size_t>(cli.get_i64("rounds", 7));
+  const auto nodes = static_cast<graph::NodeId>(cli.get_count_or_exit(
+      "nodes", 20000, std::numeric_limits<graph::NodeId>::max()));
+  const std::size_t num_sources = cli.get_count_or_exit("sources", 512);
+  const std::size_t max_steps = cli.get_count_or_exit("steps", 100);
+  const std::size_t rounds = cli.get_count_or_exit("rounds", 7);
   const std::string out_path =
       cli.get("out", "bench_results/micro_checkpoint_overhead.csv");
   bench::Harness::process().set_flag("nodes", std::to_string(nodes));

@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -115,12 +116,13 @@ int main(int argc, char** argv) {
   const util::Cli cli{argc, argv};
   bench::Harness::configure_process(cli);
   const bool quick = cli.get_flag("quick");
-  const auto nodes_override = static_cast<graph::NodeId>(cli.get_i64("nodes", 0));
-  const auto steps = static_cast<std::size_t>(cli.get_i64("steps", quick ? 4 : 40));
+  const auto nodes_override = static_cast<graph::NodeId>(cli.get_count_or_exit(
+      "nodes", 0, std::numeric_limits<graph::NodeId>::max()));
+  const std::size_t steps = cli.get_count_or_exit("steps", quick ? 4 : 40);
   // 5 rounds by default (was 3/2): the BENCH artifact needs >= 5 repeats
   // per entry for the regression gate's median to be robust.
-  const auto rounds = static_cast<std::size_t>(
-      cli.get_i64("rounds", static_cast<std::int64_t>(bench::Harness::process_repeats(5))));
+  const std::size_t rounds =
+      cli.get_count_or_exit("rounds", bench::Harness::process_repeats(5));
   bench::Harness::process().set_flag("quick", quick ? "true" : "false");
   bench::Harness::process().set_flag("steps", std::to_string(steps));
   bench::Harness::process().set_flag("rounds", std::to_string(rounds));

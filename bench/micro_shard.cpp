@@ -59,6 +59,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -248,13 +249,14 @@ int main(int argc, char** argv) {
   const util::Cli cli{argc, argv};
   bench::Harness::configure_process(cli);
   const bool quick = cli.get_flag("quick");
-  const auto nodes_override = static_cast<graph::NodeId>(cli.get_i64("nodes", 0));
-  const auto steps = static_cast<std::size_t>(cli.get_i64("steps", quick ? 10 : 50));
+  const auto nodes_override = static_cast<graph::NodeId>(cli.get_count_or_exit(
+      "nodes", 0, std::numeric_limits<graph::NodeId>::max()));
+  const std::size_t steps = cli.get_count_or_exit("steps", quick ? 10 : 50);
   // >= 5 rounds so the BENCH artifact's per-entry median is robust for the
   // regression gate.
-  const auto rounds = static_cast<std::size_t>(
-      cli.get_i64("rounds", static_cast<std::int64_t>(bench::Harness::process_repeats(5))));
-  const auto cold_steps = static_cast<std::size_t>(cli.get_i64("cold-steps", 1));
+  const std::size_t rounds =
+      cli.get_count_or_exit("rounds", bench::Harness::process_repeats(5));
+  const std::size_t cold_steps = cli.get_count_or_exit("cold-steps", 1);
   bench::Harness::process().set_flag("quick", quick ? "true" : "false");
   bench::Harness::process().set_flag("rounds", std::to_string(rounds));
   bench::Harness::process().set_flag("steps", std::to_string(steps));
@@ -291,7 +293,8 @@ int main(int argc, char** argv) {
       const double boundary =
           static_cast<double>(graph::count_boundary_half_edges(g, plan)) /
           static_cast<double>(g.num_half_edges());
-      const std::string variant = "s" + std::to_string(shards);
+      std::string variant = "s";
+      variant += std::to_string(shards);
       const PairTiming t = time_shard_pair(g, g, plan, nullptr, sources, steps, rounds,
                                            prefix, variant);
       rows.push_back({spec.name, class_name(spec.paper_mixing_class), variant, shards,

@@ -1,8 +1,8 @@
-// Admission-as-a-service load generator (ROADMAP item 2): drives the
-// epoch-cached AdmissionEngine the way a verification service would —
-// verifier indexes precomputed once, then rounds of batched suspect
-// queries (verify_batch, kBatchLanes-wide) against warm caches — and
-// reports queries/sec plus p50/p99 batch-verify latency.
+// Admission-as-a-service load generator: drives the AdmissionEngine the
+// way a verification service would — cached verifiers filed once in one
+// tail directory per length, then rounds of batched suspect queries
+// (verify_batch, kBatchLanes-wide) against them — and reports
+// queries/sec plus p50/p99 batch-verify latency.
 //
 // One Table-1 stand-in per paper mixing class (the micro_shard pick), at
 // the paper's w = 10 operating point. Per round the per-batch wall times
@@ -25,6 +25,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -68,11 +69,9 @@ int main(int argc, char** argv) {
   const util::Cli cli{argc, argv};
   bench::Harness::configure_process(cli);
   const bool quick = cli.has("quick");
-  const auto rounds = static_cast<std::size_t>(cli.get_i64("rounds", quick ? 3 : 5));
-  const auto batches =
-      static_cast<std::size_t>(cli.get_i64("batches", quick ? 6 : 24));
-  const auto verifier_count =
-      static_cast<std::size_t>(cli.get_i64("verifiers", 4));
+  const std::size_t rounds = cli.get_count_or_exit("rounds", quick ? 3 : 5);
+  const std::size_t batches = cli.get_count_or_exit("batches", quick ? 6 : 24);
+  const std::size_t verifier_count = cli.get_count_or_exit("verifiers", 4);
   bench::Harness::process().set_flag("rounds", std::to_string(rounds));
   bench::Harness::process().set_flag("batches", std::to_string(batches));
 
@@ -91,9 +90,11 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::string>> csv_rows;
 
   for (const gen::DatasetSpec& spec : picks) {
-    const auto nodes = static_cast<graph::NodeId>(cli.get_i64(
-        "nodes", quick ? std::min<graph::NodeId>(4'000, spec.default_nodes)
-                       : std::min<graph::NodeId>(20'000, spec.default_nodes)));
+    const auto nodes = static_cast<graph::NodeId>(cli.get_count_or_exit(
+        "nodes",
+        quick ? std::min<graph::NodeId>(4'000, spec.default_nodes)
+              : std::min<graph::NodeId>(20'000, spec.default_nodes),
+        std::numeric_limits<graph::NodeId>::max()));
     const graph::Graph g = gen::build_dataset(spec, nodes, kSeed);
     const std::string prefix = "serve/" + util::slugify(spec.name);
     std::fprintf(stderr, "%s (%s): n=%u m=%llu\n", spec.name.c_str(),

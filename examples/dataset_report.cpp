@@ -10,6 +10,7 @@
 //   ./dataset_report --edges my_graph.txt
 #include <cstdio>
 #include <iostream>
+#include <limits>
 
 #include "core/experiment.hpp"
 #include "core/measurement.hpp"
@@ -41,7 +42,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown dataset '%s'\n", name.c_str());
       return 1;
     }
-    const auto nodes = static_cast<graph::NodeId>(cli.get_i64("nodes", 8000));
+    const auto nodes = static_cast<graph::NodeId>(cli.get_count_or_exit(
+        "nodes", 8000, std::numeric_limits<graph::NodeId>::max()));
     raw = gen::build_dataset(*spec, nodes, seed);
     name = spec->name + " stand-in";
   }

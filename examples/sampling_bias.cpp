@@ -11,6 +11,7 @@
 //                   [--sample 2500] [--trials 3] [--seed 42]
 #include <cstdio>
 #include <iostream>
+#include <limits>
 
 #include "core/experiment.hpp"
 #include "gen/datasets.hpp"
@@ -45,9 +46,12 @@ int main(int argc, char** argv) {
   const util::Cli cli{argc, argv};
   core::configure_observability(cli);
   const std::string dataset = cli.get("dataset", "Physics 3");
-  const auto nodes = static_cast<graph::NodeId>(cli.get_i64("nodes", 8000));
-  const auto sample_size = static_cast<graph::NodeId>(cli.get_i64("sample", 2500));
-  const int trials = static_cast<int>(cli.get_i64("trials", 3));
+  const auto nodes = static_cast<graph::NodeId>(cli.get_count_or_exit(
+      "nodes", 8000, std::numeric_limits<graph::NodeId>::max()));
+  const auto sample_size = static_cast<graph::NodeId>(cli.get_count_or_exit(
+      "sample", 2500, std::numeric_limits<graph::NodeId>::max()));
+  const auto trials = static_cast<int>(
+      cli.get_count_or_exit("trials", 3, std::numeric_limits<int>::max()));
   const auto seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
 
   const auto spec = gen::find_dataset(dataset);

@@ -11,6 +11,7 @@
 //   ./sybil_tuning [--dataset "Physics 1"] [--nodes 2600] [--seed 42]
 #include <cstdio>
 #include <iostream>
+#include <limits>
 
 #include "core/experiment.hpp"
 #include "core/measurement.hpp"
@@ -27,7 +28,8 @@ int main(int argc, char** argv) {
   const util::Cli cli{argc, argv};
   core::configure_observability(cli);
   const std::string dataset = cli.get("dataset", "Physics 1");
-  const auto nodes = static_cast<graph::NodeId>(cli.get_i64("nodes", 2600));
+  const auto nodes = static_cast<graph::NodeId>(cli.get_count_or_exit(
+      "nodes", 2600, std::numeric_limits<graph::NodeId>::max()));
   const auto seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
 
   const auto spec = gen::find_dataset(dataset);

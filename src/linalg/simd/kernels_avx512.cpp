@@ -35,9 +35,13 @@ inline vd vd_abs(vd v) noexcept {
       _mm512_castpd_si512(v), _mm512_set1_epi64(INT64_C(0x7fffffffffffffff))));
 }
 // i32 gather: sign-extends the u32 node ids, so it requires
-// num_nodes < 2^31 (see kernels.hpp).
+// num_nodes < 2^31 (see kernels.hpp). As in the AVX2 tier, the masked
+// form with an all-ones mask is the same instruction with a defined
+// source operand (the unmasked intrinsic's _mm512_undefined_pd trips
+// GCC 12's -Wmaybe-uninitialized under -Werror).
 inline vd vd_gather_i32(const double* base, const graph::NodeId* idx) noexcept {
-  return _mm512_i32gather_pd(
+  return _mm512_mask_i32gather_pd(
+      _mm512_setzero_pd(), __mmask8{0xFF},
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx)), base, 8);
 }
 

@@ -201,14 +201,18 @@ void Sampler::write_sample() {
     const std::uint64_t delta = c.value >= prev ? c.value - prev : 0;
     prev = c.value;
     if (i > 0) line += ",";
-    line += "\"" + jsonl_escape(c.name) + "\":{\"total\":";
+    line += '"';
+    line += jsonl_escape(c.name);
+    line += "\":{\"total\":";
     std::snprintf(buf, sizeof buf, "%" PRIu64 ",\"delta\":%" PRIu64 "}", c.value, delta);
     line += buf;
   }
   line += "},\"gauges\":{";
   for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
     if (i > 0) line += ",";
-    line += "\"" + jsonl_escape(snap.gauges[i].name) + "\":";
+    line += '"';
+    line += jsonl_escape(snap.gauges[i].name);
+    line += "\":";
     append_json_double(line, snap.gauges[i].value);
   }
   line += "},\"histograms\":{";
@@ -218,7 +222,9 @@ void Sampler::write_sample() {
     const std::uint64_t delta = h.count >= prev ? h.count - prev : 0;
     prev = h.count;
     if (i > 0) line += ",";
-    line += "\"" + jsonl_escape(h.name) + "\":{\"count\":";
+    line += '"';
+    line += jsonl_escape(h.name);
+    line += "\":{\"count\":";
     std::snprintf(buf, sizeof buf, "%" PRIu64 ",\"delta\":%" PRIu64 ",\"sum\":", h.count,
                   delta);
     line += buf;

@@ -199,13 +199,13 @@ bool ByteReader::take(std::span<std::byte> out) noexcept {
 
 std::uint32_t ByteReader::u32() noexcept {
   std::byte buf[4];
-  take(buf);
+  (void)take(buf);  // a short read zero-fills buf and clears ok()
   return static_cast<std::uint32_t>(get_le(buf, 4));
 }
 
 std::uint64_t ByteReader::u64() noexcept {
   std::byte buf[8];
-  take(buf);
+  (void)take(buf);
   return get_le(buf, 8);
 }
 

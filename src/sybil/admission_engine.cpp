@@ -1,7 +1,6 @@
 #include "sybil/admission_engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -131,32 +130,7 @@ AdmissionEngine::AdmissionEngine(const graph::Graph& g,
       config_(config),
       instances_(config.instances(g)),
       lengths_(normalize_lengths(route_lengths)),
-      directory_(lengths_.size()) {
-  graph_fingerprint_ = graph::structural_fingerprint(g);
-  recompute_epoch();
-}
-
-void AdmissionEngine::recompute_epoch() {
-  std::uint64_t h = util::hash_combine(kAdmissionEngineVersion, graph_fingerprint_);
-  h = util::hash_combine(h, config_.seed);
-  h = util::hash_combine(h, instances_);
-  h = util::hash_combine(h, std::bit_cast<std::uint64_t>(config_.balance_factor));
-  h = util::hash_combine(h, lengths_.size());
-  for (const std::size_t w : lengths_) h = util::hash_combine(h, w);
-  epoch_ = util::hash_combine(h, generation_);
-}
-
-void AdmissionEngine::invalidate() {
-  verifiers_.clear();
-  slots_.clear();
-  filed_slots_ = 0;
-  directory_.assign(lengths_.size(), {});
-  routes_.rebuild_reverse_edges();
-  ++generation_;
-  graph_fingerprint_ = graph::structural_fingerprint(routes_.graph());
-  recompute_epoch();
-  SOCMIX_COUNTER_ADD("sybil.engine.invalidations", 1);
-}
+      directory_(lengths_.size()) {}
 
 std::uint64_t AdmissionEngine::CachedVerifier::max_load(std::size_t li) const {
   std::uint64_t max = 0;
@@ -200,7 +174,6 @@ void AdmissionEngine::build_verifier(CachedVerifier& v, graph::NodeId node) {
   SOCMIX_TRACE_SPAN("sybil.engine.precompute");
   const util::Timer timer;
   v.node_ = node;
-  v.epoch_ = epoch_;
   v.state_.assign(lengths_.size(), {});
   std::vector<std::vector<DirectedEdge>> tails;
   registration_tails_multi(node, tails);

@@ -1,11 +1,10 @@
-// Epoch-cached SybilLimit admission engine.
+// Cached SybilLimit admission engine.
 //
-// admission_sweep (and, per ROADMAP item 2, the admission service it is
-// growing into) answers the same question over and over: "does suspect S
-// intersect verifier V's registered tails within the balance bound, at
+// admission_sweep answers the same question over and over: "does suspect
+// S intersect verifier V's registered tails within the balance bound, at
 // route length w?" The run-to-completion sweep re-walked every route from
 // scratch for every (verifier, suspect, w) triple. This engine is the
-// resident, reusable replacement, built on three observations:
+// reusable replacement, built on three observations:
 //
 //  1. Incremental tail extension. SybilLimit routes are deterministic:
 //     the length-w tail is hop w of the *same* route, so a sweep over
@@ -14,14 +13,15 @@
 //     (RouteTable::for_each_tail) — O(w_max) route hops instead of
 //     O(sum of w_i).
 //
-//  2. Cached verifier state. A verifier's tails depend only on (graph
-//     fingerprint, protocol seed, r, w). The engine walks them once per
-//     epoch and files them in one inverted tail directory per length —
-//     undirected tail key -> the contiguous run of (verifier slot,
-//     load-counter index) entries of every cached verifier holding that
-//     tail — shared across every suspect, batch and sweep point. Balance
-//     counters (the only mutable part) live in the verifier, so queries
-//     can accumulate or reset without touching the directory.
+//  2. Cached verifiers. A verifier's tails depend only on (graph,
+//     protocol seed, r, w), all fixed for the engine's lifetime. The
+//     engine walks them once and files them in one inverted tail
+//     directory per length — undirected tail key -> the contiguous run of
+//     (verifier slot, load-counter index) entries of every cached verifier
+//     holding that tail — shared across every suspect, batch and sweep
+//     point. Balance counters (the only mutable part) live in the
+//     verifier, so queries can accumulate or reset without touching the
+//     directory.
 //
 //  3. Batched queries. verify_batch() and sweep_fractions() group
 //     suspects into kBatchLanes-wide blocks: each lane walks its suspect's
@@ -32,15 +32,11 @@
 //     order — which is what makes the results independent of batching and
 //     threading, and bit-identical to the protocol's admit() loop.
 //
-// Epochs: the engine fingerprints its graph at construction. epoch() keys
-// every cached index; invalidate() (an edge-stream landed, the graph was
-// rebuilt) clears the verifier cache and the directory, rebuilds the
-// route table's reverse-edge table and bumps the epoch so stale indexes
-// can never serve queries. Block checkpoints written by admission_sweep
-// fold kAdmissionEngineVersion into their context word, so sweep
-// snapshots from the pre-engine code (whose per-length protocol seeds
-// differ — see ProtocolParams::seed) are classified stale and
-// recomputed rather than replayed.
+// The graph must not change while an engine walks it. Block checkpoints
+// written by admission_sweep fold kAdmissionEngineVersion into their
+// context word, so sweep snapshots from the pre-engine code (whose
+// per-length protocol seeds differ — see ProtocolParams::seed) are
+// classified stale and recomputed rather than replayed.
 #pragma once
 
 #include <cstdint>
@@ -99,23 +95,12 @@ class AdmissionEngine {
     return lengths_;
   }
 
-  /// Epoch key: (graph fingerprint, seed, r, length set) hashed with the
-  /// invalidation generation. Every cached verifier index is implicitly
-  /// keyed by this value.
-  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-
-  /// Drops every cached verifier and the tail directory, rebuilds the
-  /// route table's reverse-edge table and bumps the epoch. Call when the
-  /// underlying graph mutated in place (the engine re-fingerprints it).
-  void invalidate();
-
   /// Per-verifier resident state: per-length balance counters, one per
   /// distinct tail edge, which queries commit to. The tails themselves are
-  /// filed in the engine's tail directory, built once per epoch.
+  /// filed in the engine's tail directory.
   class CachedVerifier {
    public:
     [[nodiscard]] graph::NodeId node() const noexcept { return node_; }
-    [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
     /// Distinct undirected tail edges indexed at length index `li`
     /// (several instances sharing a tail edge share one load counter).
     [[nodiscard]] std::size_t distinct_tails(std::size_t li) const {
@@ -142,15 +127,14 @@ class AdmissionEngine {
       std::uint64_t accepted = 0;
     };
     graph::NodeId node_ = graph::kInvalidNode;
-    std::uint64_t epoch_ = 0;
     std::uint32_t slot_ = 0;  ///< this verifier's id in the tail directory
     std::vector<PerLength> state_;  ///< parallel to engine route_lengths()
   };
 
   /// The cached verifier for `node`: one multi-length route walk on first
-  /// use per epoch (sybil.engine.verifier_cache_misses), a map lookup
-  /// afterwards (…_hits). Its tails join the tail directory before the
-  /// next query. The reference stays valid until invalidate().
+  /// use (sybil.engine.verifier_cache_misses), a map lookup afterwards
+  /// (…_hits). Its tails join the tail directory before the next query.
+  /// The reference stays valid for the engine's lifetime.
   CachedVerifier& verifier(graph::NodeId node);
 
   /// Suspect-side registration tails at every engine length from one
@@ -225,7 +209,6 @@ class AdmissionEngine {
     std::vector<Entry> entries_;
   };
 
-  void recompute_epoch();
   void build_verifier(CachedVerifier& v, graph::NodeId node);
   /// Files the tails of verifiers built since the last call in every
   /// length's directory; a no-op when none were.
@@ -244,9 +227,6 @@ class AdmissionEngine {
   AdmissionEngineConfig config_;
   std::uint32_t instances_ = 0;
   std::vector<std::size_t> lengths_;  ///< sorted, deduplicated
-  std::uint64_t graph_fingerprint_ = 0;
-  std::uint64_t generation_ = 0;
-  std::uint64_t epoch_ = 0;
   std::unordered_map<graph::NodeId, CachedVerifier> verifiers_;
   std::vector<CachedVerifier*> slots_;      ///< slot -> verifier, in build order
   std::size_t filed_slots_ = 0;             ///< slots_ prefix the directory holds

@@ -25,22 +25,9 @@ std::uint32_t ProtocolParams::instances(const graph::Graph& g) const {
 RouteTable::RouteTable(const graph::Graph& g, std::uint64_t protocol_seed)
     : graph_(&g), seed_(protocol_seed) {
   require_adjacency(g);
-  rebuild_reverse_edges();
-}
-
-void RouteTable::require_adjacency(const graph::Graph& g) {
-  if (g.headless()) {
-    throw std::invalid_argument{
-        "sybil::RouteTable: headless graph (compressed .smxg view) has no "
-        "in-memory adjacency for random routes; repack without --compress"};
-  }
-}
-
-void RouteTable::rebuild_reverse_edges() {
   // Sorted, symmetric adjacency: visiting u in ascending order reaches
   // each v's neighbors in v's list order, so a per-v cursor counts u's
   // local index in v's list — O(m), no search.
-  const graph::Graph& g = *graph_;
   const auto offsets = g.offsets();
   const auto neighbors = g.raw_neighbors();
   rev_.resize(neighbors.size());
@@ -49,6 +36,14 @@ void RouteTable::rebuild_reverse_edges() {
     for (graph::EdgeIndex e = offsets[u]; e < offsets[u + 1]; ++e) {
       rev_[e] = cursor[neighbors[e]]++;
     }
+  }
+}
+
+void RouteTable::require_adjacency(const graph::Graph& g) {
+  if (g.headless()) {
+    throw std::invalid_argument{
+        "sybil::RouteTable: headless graph (compressed .smxg view) has no "
+        "in-memory adjacency for random routes; repack without --compress"};
   }
 }
 

@@ -75,10 +75,6 @@ class RouteTable {
   /// lists, which such a view does not hold in memory.
   static void require_adjacency(const graph::Graph& g);
 
-  /// Rebuilds the reverse-edge table from the graph's current arrays. Call
-  /// after the graph (a Graph::borrowed view) was mutated in place.
-  void rebuild_reverse_edges();
-
   /// Outgoing local edge index for a route entering `node` via local edge
   /// index `in_index`, in protocol instance `instance`.
   [[nodiscard]] graph::NodeId next_out_index(std::uint32_t instance, graph::NodeId node,

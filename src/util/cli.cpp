@@ -1,6 +1,9 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <optional>
 #include <stdexcept>
 
@@ -82,6 +85,17 @@ std::size_t Cli::get_count(const std::string& name, std::size_t fallback,
                            std::size_t max) const {
   const auto it = options_.find(name);
   return it == options_.end() ? fallback : count_in_range(name, it->second, 0, max);
+}
+
+std::size_t Cli::get_count_or_exit(const std::string& name, std::size_t fallback,
+                                   std::size_t max) const {
+  try {
+    return get_count(name, fallback, max);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n",
+                 std::filesystem::path{program_}.filename().string().c_str(), e.what());
+    std::exit(1);
+  }
 }
 
 std::size_t Cli::get_positive(const std::string& name, std::size_t fallback,

@@ -41,6 +41,12 @@ class Cli {
   [[nodiscard]] std::size_t get_count(
       const std::string& name, std::size_t fallback,
       std::size_t max = std::numeric_limits<std::size_t>::max()) const;
+  /// get_count for drivers that read a count outside any try block: a bad
+  /// value prints "<program>: <message naming the flag>" to stderr and
+  /// exits 1, instead of escaping main as an uncaught exception.
+  [[nodiscard]] std::size_t get_count_or_exit(
+      const std::string& name, std::size_t fallback,
+      std::size_t max = std::numeric_limits<std::size_t>::max()) const;
   /// get_count for counts that must be at least 1 (intervals, verifier
   /// counts, sample sizes): 0 throws as well, naming the flag and the value.
   [[nodiscard]] std::size_t get_positive(

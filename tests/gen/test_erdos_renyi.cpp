@@ -65,7 +65,9 @@ TEST(ErdosRenyiGnp, NoSelfLoopsNoDuplicates) {
     const auto adj = g.neighbors(v);
     for (std::size_t i = 0; i < adj.size(); ++i) {
       EXPECT_NE(adj[i], v);
-      if (i > 0) EXPECT_LT(adj[i - 1], adj[i]);
+      if (i > 0) {
+        EXPECT_LT(adj[i - 1], adj[i]);
+      }
     }
   }
 }

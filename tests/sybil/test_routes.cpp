@@ -14,7 +14,6 @@
 #include "gen/erdos_renyi.hpp"
 #include "gen/reference.hpp"
 #include "graph/components.hpp"
-#include "graph/reorder.hpp"
 #include "util/rng.hpp"
 
 namespace socmix::sybil {
@@ -210,35 +209,6 @@ TEST(RouteTable, EveryWalkerMatchesTheBinarySearchOracleOnEveryTable1Config) {
         }
       }
     }
-  }
-}
-
-TEST(RouteTable, ReverseEdgesFollowInPlaceMutation) {
-  // A borrowed view over caller-owned arrays, rewritten in place with a
-  // relabeling of the graph (same shape, different adjacency): after
-  // rebuild_reverse_edges the walkers follow the new adjacency exactly
-  // like a fresh table.
-  util::Rng rng{17};
-  const graph::Graph before =
-      graph::largest_component(gen::erdos_renyi_gnm(60, 180, rng)).graph;
-  const graph::Graph after = graph::apply_permutation(
-      before, graph::shuffle_permutation(before.num_nodes(), 23));
-  std::vector<graph::EdgeIndex> offsets{before.offsets().begin(), before.offsets().end()};
-  std::vector<graph::NodeId> neighbors{before.raw_neighbors().begin(),
-                                       before.raw_neighbors().end()};
-  const graph::Graph view = graph::Graph::borrowed(offsets, neighbors);
-  RouteTable routes{view, 5};
-  EXPECT_EQ(walker_route(routes, 1, 3, 12), reference_route(routes, 1, 3, 12));
-
-  std::copy(after.offsets().begin(), after.offsets().end(), offsets.begin());
-  std::copy(after.raw_neighbors().begin(), after.raw_neighbors().end(),
-            neighbors.begin());
-  routes.rebuild_reverse_edges();
-  const RouteTable fresh{after, 5};
-  for (graph::NodeId start = 0; start < view.num_nodes(); start += 7) {
-    EXPECT_EQ(walker_route(routes, 1, start, 12), walker_route(fresh, 1, start, 12));
-    EXPECT_EQ(walker_route(routes, 1, start, 12), reference_route(routes, 1, start, 12));
-    EXPECT_EQ(routes.route_tail(1, start, 12), fresh.route_tail(1, start, 12));
   }
 }
 

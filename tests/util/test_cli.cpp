@@ -91,6 +91,14 @@ TEST(Cli, CountsFailClosed) {
   EXPECT_EQ(cli.get_i64("sources", 0), -5);
 }
 
+TEST(CliDeathTest, CountOrExitExitsOneNamingTheFlag) {
+  const Cli cli = make({"--nodes", "-10", "--steps", "4"});
+  EXPECT_EQ(cli.get_count_or_exit("steps", 0), 4u);
+  EXPECT_EQ(cli.get_count_or_exit("missing", 7), 7u);
+  EXPECT_EXIT((void)cli.get_count_or_exit("nodes", 0, 4294967295u),
+              ::testing::ExitedWithCode(1), "prog: --nodes=-10: expected an integer");
+}
+
 TEST(Cli, PositiveCountsRefuseZero) {
   const Cli cli = make(
       {"--interval", "0", "--every", "-2", "--verifiers", "4", "--size", "4294967296"});

@@ -10,7 +10,7 @@ TEST(Timer, MeasuresElapsedTime) {
   Timer timer;
   // Burn a little CPU deterministically.
   volatile double sink = 0;
-  for (int i = 0; i < 2000000; ++i) sink += static_cast<double>(i);
+  for (int i = 0; i < 2000000; ++i) sink = sink + static_cast<double>(i);
   EXPECT_GT(timer.seconds(), 0.0);
   const double first = timer.millis();
   const double second = timer.millis();
@@ -20,7 +20,7 @@ TEST(Timer, MeasuresElapsedTime) {
 TEST(Timer, ResetRestarts) {
   Timer timer;
   volatile double sink = 0;
-  for (int i = 0; i < 2000000; ++i) sink += static_cast<double>(i);
+  for (int i = 0; i < 2000000; ++i) sink = sink + static_cast<double>(i);
   const double before = timer.seconds();
   timer.reset();
   EXPECT_LT(timer.seconds(), before + 1.0);  // fresh epoch

@@ -13,18 +13,19 @@
 # list instead of skipping tokens. Negative counts, zero intervals,
 # --verifiers 0, sample --size 0, a non-positive --scale, an --eps
 # outside (0, 1) and a sampled measure of --steps 0 must fail closed,
-# naming the flag and the value; so must graph_pack --nodes -10, which
-# must not wrap into a 4-billion-node build. Every socmix subcommand and
+# naming the flag and the value; so must graph_pack --nodes -10 and
+# ablation_estimators --nodes -10, which must not wrap into a
+# 4-billion-node build. Every socmix subcommand and
 # graph_pack refuse an unknown (e.g. misspelt) flag by name instead of
 # running with defaults, and socmix refuses the retired `convert` command
 # by name.
 #
 # Driven by the driver_forwarding_e2e ctest (see tools/CMakeLists.txt):
 #   cmake -DFIG5_BIN=... -DFIG8_BIN=... -DSOCMIX_BIN=... -DGRAPH_PACK_BIN=...
-#         -DOUT_DIR=... -P check_forwarding.cmake
+#         -DESTIMATORS_BIN=... -DOUT_DIR=... -P check_forwarding.cmake
 if(NOT DEFINED FIG5_BIN OR NOT DEFINED FIG8_BIN OR NOT DEFINED SOCMIX_BIN
-   OR NOT DEFINED GRAPH_PACK_BIN OR NOT DEFINED OUT_DIR)
-  message(FATAL_ERROR "usage: cmake -DFIG5_BIN=<fig5_bound_vs_sampled> -DFIG8_BIN=<fig8_sybillimit_admission> -DSOCMIX_BIN=<socmix> -DGRAPH_PACK_BIN=<graph_pack> -DOUT_DIR=<dir> -P check_forwarding.cmake")
+   OR NOT DEFINED GRAPH_PACK_BIN OR NOT DEFINED ESTIMATORS_BIN OR NOT DEFINED OUT_DIR)
+  message(FATAL_ERROR "usage: cmake -DFIG5_BIN=<fig5_bound_vs_sampled> -DFIG8_BIN=<fig8_sybillimit_admission> -DSOCMIX_BIN=<socmix> -DGRAPH_PACK_BIN=<graph_pack> -DESTIMATORS_BIN=<ablation_estimators> -DOUT_DIR=<dir> -P check_forwarding.cmake")
 endif()
 
 file(MAKE_DIRECTORY "${OUT_DIR}")
@@ -119,6 +120,8 @@ expect_refused("graph_pack --nodes -10" "--nodes=-10"
                --out "${OUT_DIR}/refused.smxg")
 expect_refused("socmix measure --nodes -10" "--nodes=-10"
                "${SOCMIX_BIN}" measure --dataset "Physics 1" --nodes -10 --sources 8)
+expect_refused("ablation_estimators --nodes -10" "--nodes=-10"
+               "${ESTIMATORS_BIN}" --nodes -10)
 foreach(mode "degree" "bfs")
   expect_refused("graph_pack --reorder ${mode}" "--reorder=${mode}"
                  "${GRAPH_PACK_BIN}" --dataset "Physics 1" --nodes 300 --reorder ${mode}

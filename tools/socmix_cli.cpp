@@ -74,7 +74,7 @@ int usage() {
       "  sample  --method bfs|uniform|walk --size N --out FILE\n"
       "  trim    --min-degree K --out FILE\n"
       "  sybil   [--w 2,4,8,16] [--suspects N] [--verifiers N]\n"
-      "                                          epoch-cached admission engine sweep\n"
+      "                                          cached-verifier admission engine sweep\n"
       "                                          (takes no perf knobs but --threads)\n"
       "  generate --dataset NAME [--nodes N] --out FILE\n",
       stderr);
