@@ -8,7 +8,7 @@
 // structure is the cause.
 //
 //   --scale F   node multiplier (default 0.5)
-//   --swaps F   swap multiplier x edge count (default 10)
+//   --swaps F   swap multiplier x edge count (default 10, > 0)
 //   --seed N
 #include <cstdio>
 #include <iostream>
@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
   bench::Harness::configure_process(cli);
   auto config = core::ExperimentConfig::from_cli_or_exit(cli);
   if (!cli.has("scale")) config.scale = 0.5;
-  const double swap_factor = cli.get_f64("swaps", 10.0);
+  const double swap_factor =
+      cli.or_exit([&] { return cli.get_positive_f64("swaps", 10.0); });
 
   std::cout << "Ablation: degree-preserving null model vs community structure\n\n";
 

@@ -7,14 +7,14 @@
 // physics graphs need much longer routes to admit almost all honest nodes.
 //
 //   --scale F     node-count multiplier (default 0.6)
-//   --suspects N  honest suspects sampled per point (default 200)
-//   --r0 F        route-count multiplier r = r0 sqrt(m) (default 4)
+//   --suspects N  honest suspects sampled per point (default 200, >= 1)
+//   --r0 F        route-count multiplier r = r0 sqrt(m) (default 4, > 0)
 //   --seed N
 // The execution knob --sharded is rejected: random routes have no
-// evolver, so it would change no admission work.
+// evolver, so it would change no admission work. A malformed or
+// out-of-range value exits 1 naming the flag, before any work.
 #include <cstdio>
 #include <iostream>
-#include <stdexcept>
 
 #include "bench_harness/harness.hpp"
 #include "core/experiment.hpp"
@@ -31,21 +31,15 @@ using namespace socmix;
 
 int main(int argc, char** argv) {
   const util::Cli cli{argc, argv};
-  // Random routes take no execution knobs; they fail here, before any
-  // work.
-  try {
-    core::refuse_engine_knobs(cli);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "fig8_sybillimit_admission: %s\n", e.what());
-    return 1;
-  }
   // Phase seconds recorded by core::measure_mixing land in the process
   // harness; the atexit hook writes BENCH_<bench>.json next to the CSVs.
   bench::Harness::configure_process(cli);
+  // Refuses --sharded and the retired knobs: random routes take none.
   auto config = core::ExperimentConfig::from_cli_or_exit(cli);
   if (!cli.has("scale")) config.scale = 0.6;
-  const auto suspects = static_cast<std::size_t>(cli.get_i64("suspects", 200));
-  const double r0 = cli.get_f64("r0", 4.0);
+  const std::size_t suspects =
+      cli.or_exit([&] { return cli.get_positive("suspects", 200); });
+  const double r0 = cli.or_exit([&] { return cli.get_positive_f64("r0", 4.0); });
 
   const std::vector<std::size_t> lengths{1, 2, 4, 6, 8, 10, 15, 20, 30, 40};
 

@@ -413,7 +413,7 @@ void run_simd_ablation(bool quick) {
 // pre-harness discipline) and fully instrumented (Harness::time_once with
 // hardware counters armed while the process sampler snapshots the metrics
 // registry in the background). Rounds interleave the two arms with the
-// order alternating — the pairing discipline micro_shard uses too — and the
+// order alternating — an adjacent-pair discipline — and the
 // per-arm min is compared, so a co-tenant burst cannot masquerade as
 // instrumentation cost. The acceptance bar is <= 2% overhead; the result
 // goes to bench_results/micro_obs_overhead.csv.

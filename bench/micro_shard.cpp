@@ -1,44 +1,33 @@
-// Sharded-vs-dense roofline of the evolution engine (--sharded).
+// Out-of-core roofline of the evolution engine (--sharded on compressed
+// packs).
 //
 // For one Table-1 stand-in of each mixing class this times the batched
-// sweep (step_with_tvd over a 32-source block, the sampled measurement's
-// inner loop) through three engines that are bit-identical by contract
+// sweep (step_with_tvd over a source block, the sampled measurement's
+// inner loop) through engines that are bit-identical by contract
 // (tests/markov/test_shard_parity.cpp):
 //
-//   * dense      — BatchedEvolver with its default one-shard plan, the
-//                  in-memory baseline;
-//   * s<N>       — the same engine over the same heap CSR with a balanced
-//                  N-shard plan: isolates the pure sweep-phasing cost
-//                  (per-shard range dispatch + standalone TVD pass);
-//   * s<N>-mapped — the same sharded sweep through a `.smxg` container
-//                  (mmap + madvise windowing): adds the paging cost the
-//                  out-of-core path pays when the CSR streams from disk.
+//   * dense — BatchedEvolver with its default one-shard plan over the
+//             in-memory CSR, warm: the roofline every in-memory graph and
+//             raw pack runs at.
 //
-// A second, cold section measures the shard pipeline out of core. Each
-// round evicts the container's pages (posix_fadvise DONTNEED — real on the
-// ext4-backed runners; filesystems that ignore the advice only make
-// "cold" read warm, never wrong) and maps it fresh, so every sweep pays
-// actual I/O, then times the 16-shard sweep over both adjacency
-// encodings. The pipeline stages windows on its worker thread on any
-// multi-core host (inline on one core):
+// A cold section measures the out-of-core paths. Each round evicts the
+// container's pages (posix_fadvise DONTNEED — real on the ext4-backed
+// runners; filesystems that ignore the advice only make "cold" read warm,
+// never wrong) and maps it fresh, so every sweep pays actual I/O:
 //
-//   * s16-cold      — raw ADJ4: the worker faults shard k+1 in behind
-//                     shard k's compute; the cold baseline;
-//   * s16-adjc-cold — the compressed container: half the bytes off disk,
-//                     decoded one shard ahead.
+//   * s1-cold       — a raw ADJ4 pack swept as one shard, as every raw
+//                     pack runs: the kernels fault the mapped CSR in; the
+//                     cold baseline;
+//   * s16-adjc-cold — the compressed container at 16 shards: half the
+//                     bytes off disk, decoded one shard ahead by the shard
+//                     pipeline (on its worker thread on any multi-core
+//                     host, inline on one core).
 //
-// Cold rows report the speedup over s16-cold in the ratio column and the
+// Cold rows report the speedup over s1-cold in the ratio column and the
 // accumulated markov.shard.prefetch_stall_seconds — the direct evidence
-// of how much I/O the compute failed to hide.
-//
-// Alongside the slowdown it records the boundary half-edge fraction (the
-// cross-shard gather traffic of the plan) and the sweep throughput in
-// half-edges/s — the roofline axis: dense is compute/RAM-bandwidth bound,
-// mapped shards add the fault/advise floor, and the gap between the three
-// is exactly what `--sharded auto` trades for residency. Pairing: per
-// round the dense and sharded run adjacently with the
-// order alternating, the reported slowdown is the median of the paired
-// per-round ratios, and absolute seconds are the per-variant minima.
+// of how much decode the compute failed to hide. Every row records the
+// sweep throughput in half-edges/s, the roofline axis. Absolute seconds
+// are the per-variant minima over rounds.
 //
 //   micro_shard [--nodes N] [--steps N] [--rounds N] [--cold-steps N] [--quick]
 //               [--out bench_results/micro_shard.csv]
@@ -47,9 +36,8 @@
 // --quick shrinks everything for CI smoke coverage. Every timed run also
 // reports through the process bench::Harness, so the run additionally
 // emits bench_results/BENCH_micro-shard.json (entries
-// sweep/<dataset>/{dense,s4,s16,s16-mapped,s16-cold,s16-adjc-cold}, one
-// repeat per round) — the committed
-// bench_results/baseline/BENCH_micro-shard.json and the CI
+// sweep/<dataset>/{dense,s1-cold,s16-adjc-cold}, one repeat per round) —
+// the committed bench_results/baseline/BENCH_micro-shard.json and the CI
 // `bench_compare --require` gate key on these entry names.
 #include <fcntl.h>
 #include <unistd.h>
@@ -62,7 +50,6 @@
 #include <limits>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_harness/harness.hpp"
@@ -97,79 +84,34 @@ const char* class_name(gen::MixingClass c) {
 struct Row {
   std::string dataset;
   std::string mixing_class;
-  std::string variant;  // "s4" | "s16" | "s16-mapped"
+  std::string variant;  // "dense" | "s1-cold" | "s16-adjc-cold"
   std::uint32_t shards = 0;
-  bool mapped = false;
+  bool compressed = false;
   graph::NodeId nodes = 0;
   std::uint64_t edges = 0;
-  double boundary_fraction = 0.0;  // cross-shard half-edges / all half-edges
-  double dense_seconds = 0.0;
-  double shard_seconds = 0.0;
-  double slowdown = 0.0;       // median paired dense/sharded ratio (<= 1 is cost)
-  double medge_per_s = 0.0;    // sharded sweep throughput, 1e6 half-edges/s
+  double base_seconds = 0.0;   // the row's baseline: itself, or s1-cold
+  double seconds = 0.0;
+  double medge_per_s = 0.0;    // sweep throughput, 1e6 half-edges/s
   double stall_seconds = 0.0;  // pipeline stall total across rounds (cold rows)
 };
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t mid = v.size() / 2;
-  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
-}
-
-struct PairTiming {
-  double dense_min = 0.0;
-  double shard_min = 0.0;
-  double ratio = 0.0;  // median over rounds of the paired dense/sharded ratio
-};
-
-// Times one (dense, sharded) pair, interleaved round by round with the
-// order swapped on odd rounds: a fresh evolver per timed run keeps
-// lane-buffer placement luck out of the min, and the paired per-round
-// ratio cancels co-tenant bursts the ratio-of-mins would mistake for a
-// real gap.
-PairTiming time_shard_pair(const graph::Graph& g, const graph::Graph& view,
-                           const graph::ShardPlan& plan,
-                           const graph::sharded::MappedGraph* mapped,
-                           std::span<const graph::NodeId> sources, std::size_t steps,
-                           std::size_t rounds, const std::string& entry_prefix,
-                           const std::string& variant) {
+// Times the warm in-memory sweep: a fresh evolver per timed run keeps
+// lane-buffer placement luck out of the min.
+double time_dense(const graph::Graph& g, std::span<const graph::NodeId> sources,
+                  std::size_t steps, std::size_t rounds, const std::string& entry) {
   const std::vector<double> pi = markov::stationary_distribution(g);
   std::vector<double> tvd(sources.size());
-  const auto run_dense = [&] {
+  double min_seconds = 0.0;
+  for (std::size_t r = 0; r < rounds; ++r) {
     markov::BatchedEvolver evolver{g};
     evolver.seed_point_masses(sources);
-    return bench::Harness::process().time_once(entry_prefix + "/dense", [&] {
+    const double seconds = bench::Harness::process().time_once(entry, [&] {
       for (std::size_t t = 0; t < steps; ++t) evolver.step_with_tvd(pi, tvd);
     });
-  };
-  const auto run_sharded = [&] {
-    markov::BatchedEvolver evolver{
-        view, 0.0, markov::BatchedEvolver::kDefaultBlock, {plan, mapped}};
-    evolver.seed_point_masses(sources);
-    return bench::Harness::process().time_once(entry_prefix + "/" + variant, [&] {
-      for (std::size_t t = 0; t < steps; ++t) evolver.step_with_tvd(pi, tvd);
-    });
-  };
-  PairTiming out;
-  std::vector<double> ratios;
-  ratios.reserve(rounds);
-  for (std::size_t r = 0; r < rounds; ++r) {
-    double dense_s = 0.0;
-    double shard_s = 0.0;
-    if (r % 2 == 0) {
-      dense_s = run_dense();
-      shard_s = run_sharded();
-    } else {
-      shard_s = run_sharded();
-      dense_s = run_dense();
-    }
     if (tvd[0] < 0.0) std::abort();  // keep the loops observable
-    if (r == 0 || dense_s < out.dense_min) out.dense_min = dense_s;
-    if (r == 0 || shard_s < out.shard_min) out.shard_min = shard_s;
-    ratios.push_back(dense_s / shard_s);
+    if (r == 0 || seconds < min_seconds) min_seconds = seconds;
   }
-  out.ratio = median(std::move(ratios));
-  return out;
+  return min_seconds;
 }
 
 // Evict the pack's pages so the next sweep pays real reads. The fsync
@@ -186,11 +128,9 @@ void drop_page_cache(const std::string& path) {
 }
 
 double stall_seconds_total() {
-#if SOCMIX_OBS_ENABLED
   for (const auto& h : obs::Registry::instance().snapshot().histograms) {
     if (h.name == "markov.shard.prefetch_stall_seconds") return h.sum;
   }
-#endif
   return 0.0;
 }
 
@@ -199,18 +139,18 @@ struct ColdTiming {
   double stall_seconds = 0.0;  // prefetch_stall_seconds delta over all rounds
 };
 
-// Times one cold out-of-core variant: per round the container's pages are
-// dropped and the file mapped fresh (CRC verification off — it would warm
-// the cache right back up; tier-1 covers integrity), so the sweep itself
-// faults every adjacency byte in. Steps is deliberately tiny (default 1):
-// a released window's pages stay in the page cache, so only the first
-// sweep is cold, and it is exactly the within-sweep overlap — compute
-// shard k while shard k+1 streams — the pipeline claims. More steps only
-// dilute the cold sweep with warm ones.
+// Times one cold out-of-core variant at `shards` shards: per round the
+// container's pages are dropped and the file mapped fresh (CRC
+// verification off — it would warm the cache right back up; tier-1 covers
+// integrity), so the sweep itself faults every adjacency byte in. Steps
+// is deliberately tiny (default 1): a released window's pages stay in the
+// page cache, so only the first sweep is cold, and it is exactly the
+// within-sweep overlap — compute shard k while shard k+1 streams — the
+// pipeline claims. More steps only dilute the cold sweep with warm ones.
 ColdTiming time_cold_variant(const graph::Graph& g, const std::string& pack,
                              std::span<const graph::NodeId> sources,
-                             std::size_t steps, std::size_t rounds,
-                             const std::string& entry) {
+                             std::uint32_t shards, std::size_t steps,
+                             std::size_t rounds, const std::string& entry) {
   const std::vector<double> pi = markov::stationary_distribution(g);
   std::vector<double> tvd(sources.size());
   ColdTiming out;
@@ -218,9 +158,9 @@ ColdTiming time_cold_variant(const graph::Graph& g, const std::string& pack,
   for (std::size_t r = 0; r < rounds; ++r) {
     drop_page_cache(pack);
     const graph::sharded::MappedGraph mapped{pack, {.verify = false}};
-    markov::BatchedEvolver evolver{mapped.view(), 0.0,
-                                   markov::BatchedEvolver::kDefaultBlock,
-                                   {mapped.pack_plan(), &mapped}};
+    markov::BatchedEvolver evolver{
+        mapped.view(), 0.0, markov::BatchedEvolver::kDefaultBlock,
+        {graph::ShardPlan::balanced(mapped.view().offsets(), shards), &mapped}};
     evolver.seed_point_masses(sources);
     const double seconds = bench::Harness::process().time_once(entry, [&] {
       for (std::size_t t = 0; t < steps; ++t) evolver.step_with_tvd(pi, tvd);
@@ -287,90 +227,53 @@ int main(int argc, char** argv) {
     const std::vector<graph::NodeId> sources = spread_sources(g, 32);
     const std::string prefix = "sweep/" + util::slugify(spec.name);
 
-    // Heap-CSR sharded variants: pure sweep-phasing cost, no paging.
-    for (const std::uint32_t shards : {4u, 16u}) {
-      const graph::ShardPlan plan = graph::ShardPlan::balanced(g.offsets(), shards);
-      const double boundary =
-          static_cast<double>(graph::count_boundary_half_edges(g, plan)) /
-          static_cast<double>(g.num_half_edges());
-      std::string variant = "s";
-      variant += std::to_string(shards);
-      const PairTiming t = time_shard_pair(g, g, plan, nullptr, sources, steps, rounds,
-                                           prefix, variant);
-      rows.push_back({spec.name, class_name(spec.paper_mixing_class), variant, shards,
-                      false, n, g.num_edges(), boundary, t.dense_min, t.shard_min,
-                      t.ratio,
-                      static_cast<double>(g.num_half_edges()) *
-                          static_cast<double>(steps) / t.shard_min / 1e6});
-    }
+    const double dense_s = time_dense(g, sources, steps, rounds, prefix + "/dense");
+    rows.push_back({spec.name, class_name(spec.paper_mixing_class), "dense", 1, false, n,
+                    g.num_edges(), dense_s, dense_s,
+                    static_cast<double>(g.num_half_edges()) * static_cast<double>(steps) /
+                        dense_s / 1e6});
 
-    // Mapped variant: the same 16-shard sweep through a `.smxg` container,
-    // paying the mmap + madvise windowing the out-of-core path relies on.
-    const fs::path pack =
-        fs::temp_directory_path() / ("micro_shard_" + util::slugify(spec.name) + ".smxg");
-    const graph::ShardPlan plan = graph::ShardPlan::balanced(g.offsets(), 16);
-    graph::sharded::write_smxg_file(pack.string(), g, plan);
-    {
-      const graph::sharded::MappedGraph mapped{pack.string()};
-      const double boundary =
-          static_cast<double>(graph::count_boundary_half_edges(g, plan)) /
-          static_cast<double>(g.num_half_edges());
-      const PairTiming t = time_shard_pair(g, mapped.view(), plan, &mapped, sources,
-                                           steps, rounds, prefix, "s16-mapped");
-      rows.push_back({spec.name, class_name(spec.paper_mixing_class), "s16-mapped", 16,
-                      true, n, g.num_edges(), boundary, t.dense_min, t.shard_min,
-                      t.ratio,
-                      static_cast<double>(g.num_half_edges()) *
-                          static_cast<double>(steps) / t.shard_min / 1e6});
-    }
-
-    // Cold pipeline rows: the same 16-shard plan through raw and
-    // compressed containers, every round from an evicted page cache.
-    // s16-cold is the baseline the ratio column compares against. The
-    // cold sweeps use a narrow 8-lane block (the scale-smoke lane's
-    // --sources 8): bigger-than-RAM sweeps are I/O-bound by construction,
-    // and a full 32-lane block of compute at bench scale would bury the
-    // I/O being measured — wide blocks are the warm rows' job above.
-    const fs::path pack_adjc =
-        fs::temp_directory_path() /
-        ("micro_shard_" + util::slugify(spec.name) + "_adjc.smxg");
-    graph::sharded::WriteOptions compress_options;
-    compress_options.compress = true;
-    graph::sharded::write_smxg_file(pack_adjc.string(), g, plan, compress_options);
+    // Cold rows: a raw pack swept as one shard and a compressed pack at 16
+    // shards, every round from an evicted page cache. s1-cold is the
+    // baseline the ratio column compares against. The cold sweeps use a
+    // narrow 8-lane block (the scale-smoke lane's --sources 8):
+    // bigger-than-RAM sweeps are I/O-bound by construction, and a full
+    // 32-lane block of compute at bench scale would bury the I/O being
+    // measured — wide blocks are the warm row's job above.
     const std::vector<graph::NodeId> cold_sources = spread_sources(g, 8);
-    const double boundary =
-        static_cast<double>(graph::count_boundary_half_edges(g, plan)) /
-        static_cast<double>(g.num_half_edges());
     double cold_raw_min = 0.0;
     for (const bool compressed : {false, true}) {
-      const char* variant = compressed ? "s16-adjc-cold" : "s16-cold";
-      const std::string cold_pack = compressed ? pack_adjc.string() : pack.string();
-      const ColdTiming t = time_cold_variant(g, cold_pack, cold_sources, cold_steps,
-                                             rounds, prefix + "/" + variant);
+      const char* variant = compressed ? "s16-adjc-cold" : "s1-cold";
+      const std::uint32_t shards = compressed ? 16 : 1;
+      const fs::path pack = fs::temp_directory_path() /
+                            ("micro_shard_" + util::slugify(spec.name) +
+                             (compressed ? "_adjc" : "") + ".smxg");
+      graph::sharded::WriteOptions write_options;
+      write_options.compress = compressed;
+      graph::sharded::write_smxg_file(pack.string(), g,
+                                      graph::ShardPlan::balanced(g.offsets(), shards),
+                                      write_options);
+      const ColdTiming t = time_cold_variant(g, pack.string(), cold_sources, shards,
+                                             cold_steps, rounds, prefix + "/" + variant);
+      fs::remove(pack);
       if (!compressed) cold_raw_min = t.min_seconds;
-      // dense_seconds carries the s16-cold baseline here, so the ratio
-      // column reads as speedup over the raw cold path.
-      rows.push_back({spec.name, class_name(spec.paper_mixing_class), variant,
-                      16, true, n, g.num_edges(), boundary, cold_raw_min,
-                      t.min_seconds, cold_raw_min / t.min_seconds,
+      rows.push_back({spec.name, class_name(spec.paper_mixing_class), variant, shards,
+                      compressed, n, g.num_edges(), cold_raw_min, t.min_seconds,
                       static_cast<double>(g.num_half_edges()) *
                           static_cast<double>(cold_steps) / t.min_seconds / 1e6,
                       t.stall_seconds});
     }
-    fs::remove(pack);
-    fs::remove(pack_adjc);
   }
 
-  // For warm rows "base s" is the paired dense sweep; for cold rows it is
-  // the s16-cold raw sweep, so base/shard reads as the compression speedup.
+  // For the dense row "base s" is itself; for cold rows it is the s1-cold
+  // raw sweep, so base/s reads as the compression speedup.
   util::TextTable table;
-  table.header({"dataset", "class", "variant", "boundary", "base s", "sharded s",
-                "base/shard", "Medge/s", "stall s"});
+  table.header({"dataset", "class", "variant", "base s", "s", "base/s", "Medge/s",
+                "stall s"});
   for (const Row& row : rows) {
     table.row({row.dataset, row.mixing_class, row.variant,
-               util::fmt_fixed(row.boundary_fraction, 3),
-               util::fmt_fixed(row.dense_seconds, 4),
-               util::fmt_fixed(row.shard_seconds, 4), util::fmt_fixed(row.slowdown, 2),
+               util::fmt_fixed(row.base_seconds, 4), util::fmt_fixed(row.seconds, 4),
+               util::fmt_fixed(row.base_seconds / row.seconds, 2),
                util::fmt_fixed(row.medge_per_s, 1),
                util::fmt_fixed(row.stall_seconds, 4)});
   }
@@ -379,16 +282,15 @@ int main(int argc, char** argv) {
   const std::string out =
       cli.get("out", util::bench_results_dir().value_or(".") + "/micro_shard.csv");
   util::CsvWriter csv{out};
-  csv.row({"dataset", "class", "variant", "shards", "mapped", "nodes", "edges",
-           "boundary_fraction", "base_seconds", "shard_seconds", "ratio",
-           "medge_per_s", "stall_seconds"});
+  csv.row({"dataset", "class", "variant", "shards", "compressed", "nodes", "edges",
+           "base_seconds", "seconds", "ratio", "medge_per_s", "stall_seconds"});
   for (const Row& row : rows) {
     csv.row({row.dataset, row.mixing_class, row.variant, std::to_string(row.shards),
-             row.mapped ? "yes" : "no", std::to_string(row.nodes),
-             std::to_string(row.edges), util::fmt_fixed(row.boundary_fraction, 4),
-             util::fmt_sci(row.dense_seconds, 6), util::fmt_sci(row.shard_seconds, 6),
-             util::fmt_fixed(row.slowdown, 3), util::fmt_fixed(row.medge_per_s, 2),
-             util::fmt_sci(row.stall_seconds, 4)});
+             row.compressed ? "yes" : "no", std::to_string(row.nodes),
+             std::to_string(row.edges), util::fmt_sci(row.base_seconds, 6),
+             util::fmt_sci(row.seconds, 6),
+             util::fmt_fixed(row.base_seconds / row.seconds, 3),
+             util::fmt_fixed(row.medge_per_s, 2), util::fmt_sci(row.stall_seconds, 4)});
   }
   if (csv.ok()) std::fprintf(stderr, "wrote %s\n", out.c_str());
   return 0;

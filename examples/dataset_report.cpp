@@ -28,7 +28,8 @@ using namespace socmix;
 int main(int argc, char** argv) {
   const util::Cli cli{argc, argv};
   core::configure_observability(cli);
-  const auto seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
+  const auto seed = static_cast<std::uint64_t>(
+      cli.or_exit([&] { return cli.get_i64("seed", 42); }));
 
   graph::Graph raw;
   std::string name;

@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
       "sample", 2500, std::numeric_limits<graph::NodeId>::max()));
   const auto trials = static_cast<int>(
       cli.get_count_or_exit("trials", 3, std::numeric_limits<int>::max()));
-  const auto seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
+  const auto seed = static_cast<std::uint64_t>(
+      cli.or_exit([&] { return cli.get_i64("seed", 42); }));
 
   const auto spec = gen::find_dataset(dataset);
   if (!spec) {

@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
   const std::string dataset = cli.get("dataset", "Physics 1");
   const auto nodes = static_cast<graph::NodeId>(cli.get_count_or_exit(
       "nodes", 2600, std::numeric_limits<graph::NodeId>::max()));
-  const auto seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
+  const auto seed = static_cast<std::uint64_t>(
+      cli.or_exit([&] { return cli.get_i64("seed", 42); }));
 
   const auto spec = gen::find_dataset(dataset);
   if (!spec) {

@@ -10,7 +10,7 @@
 //                         shape; opts.repeats >= 5 for gate-able entries)
 //   time_once(name, fn)   one timed repeat appended to `name` (for benches
 //                         with their own pairing/interleaving discipline —
-//                         micro_shard's paired rounds — that still want
+//                         micro_shard's cold rounds — that still want
 //                         per-repeat counters and harness stats)
 //   record(name, s)       append an externally timed sample (the figure
 //                         benches' phase seconds, measured by the code

@@ -66,6 +66,8 @@ void apply_metrics_provenance() {
   obs::set_provenance_entry("compiler", SOCMIX_COMPILER_ID);
   obs::set_provenance_entry("simd_tier",
                             linalg::simd::tier_name(linalg::simd::active_tier()));
+  obs::set_provenance_entry("nproc", std::to_string(util::hardware_threads()));
+  obs::set_provenance_entry("threads", std::to_string(util::thread_count()));
 }
 
 }  // namespace socmix::bench

@@ -40,8 +40,10 @@ struct Provenance {
 
 /// Pushes the build/environment facts into the obs exporter's provenance
 /// registry so every --metrics-out snapshot (JSON and CSV) is stamped with
-/// git describe, build type, compiler, and the resolved SIMD tier.
-/// Idempotent; called by core::configure_observability.
+/// git describe, build type, compiler, the resolved SIMD tier, the host's
+/// hardware threads (nproc) and the util::parallel pool width (threads).
+/// Idempotent; called by core::configure_observability after the driver
+/// has applied --threads.
 void apply_metrics_provenance();
 
 }  // namespace socmix::bench

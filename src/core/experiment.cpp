@@ -23,23 +23,19 @@ namespace socmix::core {
 
 ExperimentConfig ExperimentConfig::from_cli(const util::Cli& cli) {
   ExperimentConfig config;
-  config.scale = cli.get_f64("scale", 1.0);
-  if (!(config.scale > 0.0) || !std::isfinite(config.scale)) {
-    throw std::invalid_argument{"--scale=" + cli.get("scale", "") +
-                                ": expected a positive number"};
-  }
+  config.scale = cli.get_positive_f64("scale", 1.0);
   config.sources = cli.get_count("sources", 0);
   config.max_steps = cli.get_count("steps", 0);
   config.seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
   config.threads = cli.get_count("threads", 0);
   util::set_thread_count(config.threads);
-  // Stamp the perf-relevant flags (engine_options_from_cli adds the knobs)
-  // so any BENCH_*.json this driver emits records what it actually ran
-  // with. (Recording flags on an unconfigured harness is inert.)
+  // Stamp the perf-relevant flags so any BENCH_*.json this driver emits
+  // records what it actually ran with. (Recording flags on an unconfigured
+  // harness is inert.)
   bench::Harness& harness = bench::Harness::process();
   harness.set_flag("scale", cli.get("scale", "1"));
   harness.set_flag("threads", std::to_string(util::thread_count()));
-  config.engine = engine_options_from_cli(cli);
+  refuse_engine_knobs(cli);
   configure_observability(cli);
   config.checkpoint = configure_resilience(cli);
   return config;
@@ -57,7 +53,6 @@ ExperimentConfig ExperimentConfig::from_cli_or_exit(const util::Cli& cli) {
 
 MeasurementOptions ExperimentConfig::measurement_options() const {
   MeasurementOptions options;
-  static_cast<markov::EngineOptions&>(options) = engine;
   options.seed = seed;
   options.checkpoint = checkpoint;
   return options;
@@ -66,8 +61,8 @@ MeasurementOptions ExperimentConfig::measurement_options() const {
 namespace {
 
 /// Flags refused by name, whatever the value, rather than silently
-/// ignored. Retired knobs no longer exist anywhere; the rest are evolver
-/// knobs, which only the random-route drivers refuse.
+/// ignored. Retired knobs no longer exist anywhere; --sharded exists only
+/// for `socmix measure`.
 struct RefusedFlag {
   const char* flag;
   bool retired;
@@ -82,15 +77,16 @@ constexpr RefusedFlag kRefusedFlags[] = {
     {"reorder", true,
      "retired; vertex ordering is a property of the stored graph: pack it once with "
      "`graph_pack --reorder rcm` and measure the pack"},
-    {"sharded", false, "random routes take no execution knobs; this knob changes no "
-                       "admission work"},
+    {"sharded", false,
+     "only `socmix measure --pack` of a compressed pack sweeps in shards; this run "
+     "takes no execution knobs"},
 };
 
 /// Throws naming the first refused flag passed: retired ones always,
-/// evolver knobs only for the random-route drivers.
-void refuse_flags(const util::Cli& cli, bool random_routes) {
+/// --sharded only for the drivers that take no execution knobs.
+void refuse_flags(const util::Cli& cli, bool no_knobs) {
   for (const RefusedFlag& refused : kRefusedFlags) {
-    if ((refused.retired || random_routes) && cli.has(refused.flag)) {
+    if ((refused.retired || no_knobs) && cli.has(refused.flag)) {
       throw std::invalid_argument{std::string{"--"} + refused.flag + ": " +
                                   refused.reason};
     }
@@ -112,14 +108,14 @@ graph::ShardPolicy shard_policy_from_cli(const util::Cli& cli) {
 }
 
 markov::EngineOptions engine_options_from_cli(const util::Cli& cli) {
-  refuse_flags(cli, /*random_routes=*/false);
+  refuse_flags(cli, /*no_knobs=*/false);
   markov::EngineOptions engine;
   engine.sharded = shard_policy_from_cli(cli);
   return engine;
 }
 
 void refuse_engine_knobs(const util::Cli& cli) {
-  refuse_flags(cli, /*random_routes=*/true);
+  refuse_flags(cli, /*no_knobs=*/true);
 }
 
 void configure_observability(const util::Cli& cli) {

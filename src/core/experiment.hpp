@@ -35,25 +35,24 @@ struct ExperimentConfig {
   /// Checkpoint/resume for the long sweeps, parsed from --checkpoint-dir /
   /// --checkpoint-interval (dir empty = off).
   resilience::CheckpointOptions checkpoint;
-  /// The execution knobs, parsed by engine_options_from_cli (`mapped` is
-  /// always null: the drivers build their graphs in memory).
-  markov::EngineOptions engine;
 
   /// Parses the CLI and applies `threads` to the global util::parallel
-  /// pool, so every driver honors --threads with no further wiring. Also
-  /// calls engine_options_from_cli, configure_observability (--metrics-out
-  /// / --trace-out / --progress) and configure_resilience
-  /// (--checkpoint-dir / --checkpoint-interval / --fault-inject), so those
-  /// flags work in every driver. Throws std::invalid_argument on a
-  /// malformed value or a --scale that is not a positive number.
+  /// pool, so every driver honors --threads with no further wiring. The
+  /// drivers build their graphs in memory, which sweep as one shard, so
+  /// --sharded and the retired knobs are refused (refuse_engine_knobs).
+  /// Also calls configure_observability (--metrics-out / --trace-out /
+  /// --progress) and configure_resilience (--checkpoint-dir /
+  /// --checkpoint-interval / --fault-inject), so those flags work in every
+  /// driver. Throws std::invalid_argument on a malformed or refused value
+  /// or a --scale that is not a positive number.
   [[nodiscard]] static ExperimentConfig from_cli(const util::Cli& cli);
 
   /// from_cli for a driver's main: on a malformed or refused flag, prints
   /// "<program>: <message>" to stderr and exits 1 instead of throwing.
   [[nodiscard]] static ExperimentConfig from_cli_or_exit(const util::Cli& cli);
 
-  /// Measurement options carrying this config's seed, checkpoint and
-  /// execution knobs; drivers set the walk budget and phases on top.
+  /// Measurement options carrying this config's seed and checkpoint;
+  /// drivers set the walk budget and phases on top.
   [[nodiscard]] MeasurementOptions measurement_options() const;
 };
 
@@ -63,16 +62,18 @@ struct ExperimentConfig {
 /// ones. graph_pack resolves its pack-time plan from the same flag.
 [[nodiscard]] graph::ShardPolicy shard_policy_from_cli(const util::Cli& cli);
 
-/// Parses the execution knobs: shard_policy_from_cli, after refusing the
+/// Parses the execution knobs for `socmix measure`, the one command that
+/// can read a compressed pack: shard_policy_from_cli, after refusing the
 /// retired --reorder, --precision, --io-mode and --frontier by name
 /// (std::invalid_argument; --reorder's message names `graph_pack --reorder
-/// rcm`). `mapped` is left null for callers that load a --pack container.
+/// rcm`). `mapped` is left null for the caller to set from --pack.
 [[nodiscard]] markov::EngineOptions engine_options_from_cli(const util::Cli& cli);
 
-/// The random-route drivers (socmix sybil, fig8) take no execution knobs:
-/// random routes have no evolver, so --sharded would change no admission
-/// work. Throws std::invalid_argument naming the first of those, or of
-/// the retired knobs engine_options_from_cli refuses, that is passed.
+/// Every other driver takes no execution knobs: the figure drivers build
+/// in-memory graphs, which sweep as one shard, and random routes (socmix
+/// sybil, fig8) have no evolver. Throws std::invalid_argument naming
+/// --sharded, or the first retired knob engine_options_from_cli refuses,
+/// when it is passed.
 void refuse_engine_knobs(const util::Cli& cli);
 
 /// Wires the shared observability flags into the obs layer:

@@ -4,12 +4,12 @@
 // section CRCs, CSR structural invariants — every failure mode rejects
 // with a graph.io.* metric, see format.hpp), then exposes the on-disk
 // arrays as a borrowed graph::Graph with zero copies: the kernels index
-// the file's pages directly and the OS pages them in on demand. The
-// sharded engines drive residency explicitly — advise_rows(WILLNEED) on
-// the shard about to be swept, release_rows(DONTNEED) on the one just
-// finished, prefetch_rows to additionally fault the window in from a
-// pipeline thread — so a graph far larger than RAM streams through a
-// bounded window instead of thrashing. madvise failures are counted
+// the file's pages directly and the OS pages them in on demand. A raw
+// (uncompressed) pack is swept like an in-memory CSR, as one shard. Over
+// a compressed pack the shard pipeline drives residency explicitly —
+// advise_rows(WILLNEED) on the shard window about to be decoded,
+// release_rows(DONTNEED) on the one just finished — so a graph far larger
+// than RAM streams through a bounded window. madvise failures are counted
 // (graph.io.smxg_advise_failed) and degrade to the sync paging path;
 // they are hints, never correctness. On platforms without mmap the
 // container degrades to a heap read of the whole file (same validation,
@@ -109,10 +109,6 @@ class MappedGraph {
 
   /// madvise(WILLNEED) the pages backing rows [begin, end).
   void advise_rows(NodeId begin, NodeId end) const noexcept;
-  /// advise_rows, then fault the window in by touching one byte per page —
-  /// the blocking read a pipeline thread performs so the compute thread
-  /// never stalls on disk. Returns the bytes walked (0 off-mmap).
-  std::size_t prefetch_rows(NodeId begin, NodeId end) const noexcept;
   /// madvise(DONTNEED) the pages backing rows [begin, end).
   void release_rows(NodeId begin, NodeId end) const noexcept;
   /// madvise(DONTNEED) the whole mapping (load-time validation warms the

@@ -16,15 +16,6 @@ std::optional<ShardPolicy> parse_shard_policy(std::string_view name) noexcept {
                      .count = static_cast<std::uint32_t>(*count)};
 }
 
-std::string shard_policy_name(const ShardPolicy& policy) {
-  switch (policy.mode) {
-    case ShardPolicy::Mode::kAuto: return "auto";
-    case ShardPolicy::Mode::kOff: return "off";
-    case ShardPolicy::Mode::kFixed: return std::to_string(policy.count);
-  }
-  return "auto";
-}
-
 std::uint32_t resolve_shard_count(const ShardPolicy& policy, std::size_t csr_bytes,
                                   NodeId n, std::uint32_t resident_copies) noexcept {
   if (n == 0) return 1;
@@ -81,22 +72,6 @@ ShardPlan ShardPlan::balanced(std::span<const EdgeIndex> offsets, std::uint32_t 
     plan.bounds[s] = row;
   }
   return plan;
-}
-
-EdgeIndex count_boundary_half_edges(const Graph& g, const ShardPlan& plan) {
-  const std::uint32_t shards = plan.num_shards();
-  if (shards <= 1) return 0;
-  EdgeIndex boundary = 0;
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    const NodeId lo = plan.begin(s);
-    const NodeId hi = plan.end(s);
-    for (NodeId u = lo; u < hi; ++u) {
-      for (const NodeId v : g.neighbors(u)) {
-        if (v < lo || v >= hi) ++boundary;
-      }
-    }
-  }
-  return boundary;
 }
 
 }  // namespace socmix::graph

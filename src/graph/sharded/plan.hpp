@@ -3,19 +3,21 @@
 // A shard is a contiguous vertex range [bounds[s], bounds[s+1]) together
 // with the CSR edge span those rows own. Contiguity is what makes the
 // out-of-core sweep work: one shard's offsets/neighbors occupy one
-// contiguous byte window of a `.smxg` file, so the sharded engines can
-// madvise(WILLNEED) the next window and madvise(DONTNEED) the previous
-// one while sweeping the current shard, keeping CSR residency near one
-// shard regardless of graph size (see DESIGN.md "Sharded out-of-core
+// contiguous byte window of a compressed `.smxg` file, so the shard
+// pipeline can decode the next window while the current one is swept and
+// madvise(DONTNEED) the previous one, keeping adjacency residency near a
+// few shards regardless of graph size (see DESIGN.md "Sharded out-of-core
 // evolution"). Shards partition rows, rows are independent within a
 // sweep, and every kernel row body is unchanged — so shard geometry can
 // never change an output bit, only the order pages stream from disk.
+// In-memory graphs and raw packs always sweep as one shard.
 //
-// ShardPolicy is the user-facing knob (--sharded auto|off|N): `auto`
-// targets a fixed per-shard CSR byte budget (small graphs resolve to one
-// shard, i.e. the dense in-memory path), `off` forces dense, `N` forces a
-// shard count. The resolved count feeds shard_context_word so block
-// checkpoints written under a different geometry classify stale.
+// ShardPolicy is the knob (`socmix measure --pack <compressed> --sharded
+// auto|off|N`, and graph_pack's pack-time plan): `auto` targets a fixed
+// per-shard CSR byte budget (small graphs resolve to one shard), `off`
+// forces one shard, `N` forces a shard count. The resolved count feeds
+// shard_context_word so block checkpoints written under a different
+// geometry classify stale.
 #pragma once
 
 #include <cstdint>
@@ -49,16 +51,11 @@ struct ShardPolicy {
   Mode mode = Mode::kAuto;
   /// Shard count for kFixed; ignored otherwise.
   std::uint32_t count = 0;
-
-  [[nodiscard]] bool enabled() const noexcept { return mode != Mode::kOff; }
 };
 
 /// Parses a --sharded flag value: "auto", "off", or a shard count >= 1.
 /// Empty parses as auto (the default); anything else is nullopt.
 [[nodiscard]] std::optional<ShardPolicy> parse_shard_policy(std::string_view name) noexcept;
-
-/// Canonical flag spelling ("auto", "off", or the count digits).
-[[nodiscard]] std::string shard_policy_name(const ShardPolicy& policy);
 
 /// Shard count a policy resolves to for a CSR of `csr_bytes` over `n`
 /// rows. 1 means "run the dense path" (off, auto under the byte budget,
@@ -104,11 +101,5 @@ struct ShardPlan {
   [[nodiscard]] static ShardPlan balanced(std::span<const EdgeIndex> offsets,
                                           std::uint32_t shards);
 };
-
-/// Half-edges (u, v) whose endpoints live in different shards of `plan` —
-/// the state that conceptually crosses shard boundaries each sweep (the
-/// gather of v's prescaled lane block while sweeping u's shard). One
-/// sequential CSR pass; feeds the markov.shard.boundary_* metrics.
-[[nodiscard]] EdgeIndex count_boundary_half_edges(const Graph& g, const ShardPlan& plan);
 
 }  // namespace socmix::graph

@@ -26,48 +26,41 @@ namespace adjc = graph::sharded::adjc;
 ShardPipeline::ShardPipeline(const graph::Graph& g, graph::ShardPlan plan,
                              const graph::sharded::MappedGraph* mapped,
                              unsigned hardware_threads)
-    : graph_(&g), mapped_(mapped), plan_(std::move(plan)) {
-  compressed_ = g.headless();
-  if (compressed_ && (mapped_ == nullptr || !mapped_->compressed())) {
+    : graph_(&g), mapped_(g.headless() ? mapped : nullptr), plan_(std::move(plan)) {
+  if (!g.headless()) return;  // in-memory CSR or raw pack: nothing to stage
+  if (mapped_ == nullptr || !mapped_->compressed()) {
     throw std::invalid_argument{
         "ShardPipeline: a headless graph needs its compressed MappedGraph"};
   }
-  if (compressed_) {
-    // Size both scratch slots for the worst shard now, so staging never
-    // allocates: the largest group-aligned value span and row count any
-    // shard's window covers.
-    const auto& view = mapped_->adjc_view();
-    const auto offsets = graph_->offsets();
-    const graph::NodeId n = graph_->num_nodes();
-    std::size_t max_values = 0;
-    std::size_t max_rows = 0;
-    for (std::uint32_t s = 0; s < plan_.num_shards(); ++s) {
-      const graph::NodeId lo = plan_.begin(s);
-      const graph::NodeId hi = plan_.end(s);
-      if (lo >= hi) continue;
-      const auto gs_row = static_cast<graph::NodeId>(view.group_of_row(lo) *
-                                                     view.group_rows);
-      const graph::NodeId ge_row = std::min<graph::NodeId>(
-          n, static_cast<graph::NodeId>((view.group_of_row(hi - 1) + 1) *
-                                        view.group_rows));
-      max_values = std::max<std::size_t>(max_values, offsets[ge_row] - offsets[gs_row]);
-      max_rows = std::max<std::size_t>(max_rows, hi - lo);
-    }
-    for (Slot& slot : slots_) {
-      slot.values.reserve(max_values);
-      slot.offsets.reserve(max_rows + 1);
-    }
-    scratch_bytes_ = 2 * (max_values * sizeof(graph::NodeId) +
-                          (max_rows + 1) * sizeof(graph::EdgeIndex));
-    SOCMIX_GAUGE_SET("markov.shard.scratch_bytes", scratch_bytes_);
+  // Size both scratch slots for the worst shard now, so staging never
+  // allocates: the largest group-aligned value span and row count any
+  // shard's window covers.
+  const auto& view = mapped_->adjc_view();
+  const auto offsets = graph_->offsets();
+  const graph::NodeId n = graph_->num_nodes();
+  std::size_t max_values = 0;
+  std::size_t max_rows = 0;
+  for (std::uint32_t s = 0; s < plan_.num_shards(); ++s) {
+    const graph::NodeId lo = plan_.begin(s);
+    const graph::NodeId hi = plan_.end(s);
+    if (lo >= hi) continue;
+    const auto gs_row =
+        static_cast<graph::NodeId>(view.group_of_row(lo) * view.group_rows);
+    const graph::NodeId ge_row = std::min<graph::NodeId>(
+        n, static_cast<graph::NodeId>((view.group_of_row(hi - 1) + 1) * view.group_rows));
+    max_values = std::max<std::size_t>(max_values, offsets[ge_row] - offsets[gs_row]);
+    max_rows = std::max<std::size_t>(max_rows, hi - lo);
   }
-  // A worker only earns its keep when staging does real work: paging a
-  // mapping in, or decoding. A plain in-memory graph stays synchronous,
-  // and so does a single-hardware-thread host — there the "worker" could
-  // only time-slice against compute, turning overlap into pure context-
-  // switch overhead (kernel readahead still overlaps the device side).
-  threaded_ = (mapped_ != nullptr || compressed_) && plan_.num_shards() > 0 &&
-              hardware_threads > 1;
+  for (Slot& slot : slots_) {
+    slot.values.reserve(max_values);
+    slot.offsets.reserve(max_rows + 1);
+  }
+  scratch_bytes_ = 2 * (max_values * sizeof(graph::NodeId) +
+                        (max_rows + 1) * sizeof(graph::EdgeIndex));
+  SOCMIX_GAUGE_SET("markov.shard.scratch_bytes", scratch_bytes_);
+  // On a single-hardware-thread host a worker could only time-slice
+  // against compute, turning overlap into pure context-switch overhead.
+  threaded_ = plan_.num_shards() > 0 && hardware_threads > 1;
   if (threaded_) {
     request_ = 0;
     worker_ = std::thread{[this] { worker_main(); }};
@@ -116,20 +109,12 @@ void ShardPipeline::stage(std::uint32_t s) {
   SOCMIX_TRACE_SPAN("shard.prefetch_fill");
   const graph::NodeId lo = plan_.begin(s);
   const graph::NodeId hi = plan_.end(s);
-  std::size_t bytes = 0;
-  if (compressed_) {
-    if (mapped_ != nullptr) {
-      mapped_->advise_rows(lo, hi);
-      bytes = mapped_->window_bytes(lo, hi);
-    }
-    // The decode streams every compressed byte of the window, so it *is*
-    // the blocking read — no separate page touching needed.
-    decode_window(s, slots_[s % 2]);
-  } else if (mapped_ != nullptr) {
-    bytes = mapped_->prefetch_rows(lo, hi);
-  }
+  mapped_->advise_rows(lo, hi);
+  // The decode streams every compressed byte of the window, so it *is*
+  // the blocking read — no separate page touching needed.
+  decode_window(s, slots_[s % 2]);
   SOCMIX_COUNTER_ADD("markov.shard.prefetch_issued", 1);
-  SOCMIX_COUNTER_ADD("markov.shard.prefetch_bytes", bytes);
+  SOCMIX_COUNTER_ADD("markov.shard.prefetch_bytes", mapped_->window_bytes(lo, hi));
 }
 
 void ShardPipeline::decode_window(std::uint32_t s, Slot& slot) {
@@ -216,7 +201,7 @@ ShardWindow ShardPipeline::window_for(std::uint32_t s) const noexcept {
   ShardWindow w;
   w.begin = plan_.begin(s);
   w.end = plan_.end(s);
-  if (compressed_) {
+  if (mapped_ != nullptr) {
     const Slot& slot = slots_[s % 2];
     w.offsets = slot.offsets.data();
     w.neighbors = slot.values.data();
@@ -268,15 +253,12 @@ ShardWindow ShardPipeline::acquire(std::uint32_t s) {
       SOCMIX_COUNTER_ADD("markov.shard.prefetch_stalls", 1);
       SOCMIX_TIME_OBSERVE("markov.shard.prefetch_stall_seconds", stall_seconds);
     }
-  } else {
-    // Inline staging (no staging work, or one hardware thread): advise
-    // this window on the first shard, advise one ahead, and let the
-    // compute thread take the faults (and the decode, when compressed).
-    if (mapped_ != nullptr) {
-      if (s == 0) mapped_->advise_rows(plan_.begin(0), plan_.end(0));
-      if (s + 1 < shards) mapped_->advise_rows(plan_.begin(s + 1), plan_.end(s + 1));
-    }
-    if (compressed_) decode_window(s, slots_[s % 2]);
+  } else if (mapped_ != nullptr) {
+    // Inline staging (one hardware thread): advise this window on the
+    // first shard, advise one ahead, and decode on the compute thread.
+    if (s == 0) mapped_->advise_rows(plan_.begin(0), plan_.end(0));
+    if (s + 1 < shards) mapped_->advise_rows(plan_.begin(s + 1), plan_.end(s + 1));
+    decode_window(s, slots_[s % 2]);
   }
   if (s > 0 && mapped_ != nullptr) {
     mapped_->release_rows(plan_.begin(s - 1), plan_.end(s - 1));

@@ -14,7 +14,8 @@ WalkOperator::WalkOperator(const graph::Graph& g, double laziness)
     : WalkOperator(g, graph::ShardPlan::single(g.num_nodes()), laziness) {}
 
 WalkOperator::WalkOperator(const graph::Graph& g, graph::ShardPlan plan, double laziness,
-                           const graph::sharded::MappedGraph* mapped)
+                           const graph::sharded::MappedGraph* mapped,
+                           unsigned hardware_threads)
     : graph_(&g), plan_(std::move(plan)), laziness_(laziness) {
   if (laziness < 0.0 || laziness >= 1.0) {
     throw std::invalid_argument{"WalkOperator: laziness must be in [0, 1)"};
@@ -34,7 +35,7 @@ WalkOperator::WalkOperator(const graph::Graph& g, graph::ShardPlan plan, double 
     inv_sqrt_deg_[v] = 1.0 / std::sqrt(static_cast<double>(d));
   }
   scaled_.resize(n);
-  pipeline_ = std::make_unique<ShardPipeline>(g, plan_, mapped);
+  pipeline_ = std::make_unique<ShardPipeline>(g, plan_, mapped, hardware_threads);
 }
 
 void WalkOperator::apply(std::span<const double> x, std::span<double> y) const {

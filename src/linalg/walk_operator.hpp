@@ -12,17 +12,19 @@
 // (I + P)/2 whose spectrum is the affine map (1 + lambda)/2.
 //
 // apply() sweeps the rows one contiguous vertex shard at a time through a
-// ShardPipeline, which stages each shard's CSR window (madvise windowing,
-// ADJC decode, on its worker thread when it has one) — with a multi-shard
-// plan over a memory-mapped graph the adjacency residency stays near two
-// shards however large the graph is. The default plan is one shard over
-// the in-memory CSR. Rows are independent and every row runs the
-// identical spmv kernel, so shard geometry, staging and compression never
-// change an output bit (tests/linalg/test_sharded_operator.cpp).
+// ShardPipeline, which stages each shard's window of a compressed pack
+// (madvise windowing and ADJC decode, on its worker thread when it has
+// one) — the decoded adjacency stays near two shards however large the
+// graph is. The default plan is one shard over the in-memory CSR, which is
+// how in-memory graphs and raw packs run. Rows are independent and every
+// row runs the identical spmv kernel, so shard geometry, staging and
+// compression never change an output bit
+// (tests/linalg/test_sharded_operator.cpp).
 #pragma once
 
 #include <memory>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -43,11 +45,13 @@ class WalkOperator {
   explicit WalkOperator(const graph::Graph& g, double laziness = 0.0);
 
   /// Shard-at-a-time operator for out-of-core spectra. `plan.dim()` must
-  /// equal g.num_nodes(). `mapped`, when non-null, must back `g` and
-  /// outlive the operator; it enables the madvise windowing. A headless
-  /// `g` (compressed container) requires its `mapped`.
+  /// equal g.num_nodes(). A headless `g` requires `mapped`, its compressed
+  /// container, which must outlive the operator; for any other graph
+  /// `mapped` is ignored. `hardware_threads` is passed to the
+  /// ShardPipeline (tests pass 1 to stage windows inline on any host).
   WalkOperator(const graph::Graph& g, graph::ShardPlan plan, double laziness = 0.0,
-               const graph::sharded::MappedGraph* mapped = nullptr);
+               const graph::sharded::MappedGraph* mapped = nullptr,
+               unsigned hardware_threads = std::thread::hardware_concurrency());
 
   /// y = Op * x. x and y must have size dim() and not alias. Rows are
   /// partitioned across the util::parallel pool; the gather formulation

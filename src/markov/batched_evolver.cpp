@@ -27,9 +27,9 @@ void prescale(const double* cur, const double* inv_deg, double* scaled, std::siz
 }  // namespace
 
 BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size_t block,
-                               SweepSharding sharding)
-    : graph_(&g), mapped_(sharding.mapped), plan_(std::move(sharding.plan)),
-      laziness_(laziness), block_(block) {
+                               SweepSharding sharding, unsigned hardware_threads)
+    : graph_(&g), mapped_(g.headless() ? sharding.mapped : nullptr),
+      plan_(std::move(sharding.plan)), laziness_(laziness), block_(block) {
   // Prices the lane-state allocation and its first-touch zero fill.
   SOCMIX_TRACE_SPAN("evolver.init");
   const graph::NodeId n = g.num_nodes();
@@ -57,17 +57,9 @@ BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size
   cur_.resize(cells);
   scaled_.resize(cells);
   sharded_ = plan_.num_shards() > 1 || mapped_ != nullptr;
-#if SOCMIX_OBS_ENABLED
-  if (sharded_) {
-    // One sequential CSR pass; prices the boundary-exchange metric. A
-    // headless view has no in-memory adjacency to walk — the metric reads
-    // 0 there rather than decoding the whole container to price it.
-    if (!g.headless()) boundary_half_edges_ = graph::count_boundary_half_edges(g, plan_);
-    SOCMIX_GAUGE_SET("markov.shard.count", plan_.num_shards());
-    SOCMIX_GAUGE_SET("markov.shard.boundary_half_edges", boundary_half_edges_);
-  }
-#endif
-  pipeline_ = std::make_unique<linalg::ShardPipeline>(g, plan_, mapped_);
+  if (sharded_) SOCMIX_GAUGE_SET("markov.shard.count", plan_.num_shards());
+  pipeline_ =
+      std::make_unique<linalg::ShardPipeline>(g, plan_, mapped_, hardware_threads);
 }
 
 void BatchedEvolver::seed_point_masses(std::span<const graph::NodeId> sources) {
@@ -128,13 +120,11 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   SOCMIX_TRACE_SPAN("evolver.sweep");
   const graph::NodeId n = graph_->num_nodes();
 
-#if SOCMIX_OBS_ENABLED
   // Sweep-granular accounting only: the kernels below stay untouched.
   const auto sweep_start = std::chrono::steady_clock::now();
   const auto faults_before = mapped_ != nullptr ? graph::sharded::process_page_faults()
                                                 : graph::sharded::PageFaults{};
   std::size_t max_window_bytes = 0;
-#endif
 
   // Prescale pass: one sequential stream over the block.
   prescale(cur_.data(), inv_deg_.data(), scaled_.data(), block_, active_, 0, n);
@@ -145,12 +135,13 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   // changes no bits. The kernel runs the same per-row body as a full
   // sweep and carries the TVD as a running sum across the ascending shard
   // calls, so grouping rows by shard changes no bits either. Window
-  // staging (advise-ahead, prefetch thread, ADJC decode) lives in the
-  // pipeline; each acquired window holds the identical neighbor sequence,
-  // so staging and compression change no bits. The kernel dispatches
-  // internally on the *active* lane count; stride stays block_, so
-  // partially filled blocks (the tail of an odd source list) still hit a
-  // wide kernel when their lane count is a supported width.
+  // staging (advise-ahead and ADJC decode, on the pipeline's worker when
+  // it has one) lives in the pipeline; each acquired window holds the
+  // identical neighbor sequence, so staging and compression change no
+  // bits. The kernel dispatches internally on the *active* lane count;
+  // stride stays block_, so partially filled blocks (the tail of an odd
+  // source list) still hit a wide kernel when their lane count is a
+  // supported width.
   const bool fused_tvd = pi != nullptr && !single_vector();
   linalg::simd::SpmmArgs args;
   args.stride = block_;
@@ -166,12 +157,10 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   for (std::uint32_t s = 0; s < shards; ++s) {
     const linalg::ShardWindow w = pipeline_->acquire(s);
     sweep_window(w, args);
-#if SOCMIX_OBS_ENABLED
     if (mapped_ != nullptr) {
       max_window_bytes =
           std::max(max_window_bytes, mapped_->window_bytes(w.begin, w.end));
     }
-#endif
   }
   pipeline_->finish_sweep();
 
@@ -183,7 +172,6 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
     tvd_out[0] = linalg::total_variation({cur_.data(), cur_.size()}, {pi, n});
   }
 
-#if SOCMIX_OBS_ENABLED
   SOCMIX_TIME_OBSERVE("markov.evolver.sweep_seconds",
                       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                     sweep_start)
@@ -200,10 +188,6 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   if (sharded_) {
     SOCMIX_COUNTER_ADD("markov.shard.sweeps", 1);
     SOCMIX_COUNTER_ADD("markov.shard.shards_swept", shards);
-    // Cross-shard gather traffic of a dense sweep: every boundary half-edge
-    // reads one foreign lane row of the prescaled state.
-    SOCMIX_COUNTER_ADD("markov.shard.boundary_bytes",
-                       boundary_half_edges_ * active_ * sizeof(double));
     if (mapped_ != nullptr) {
       const auto faults_after = graph::sharded::process_page_faults();
       SOCMIX_COUNTER_ADD("markov.shard.mmap_minor_faults",
@@ -215,7 +199,6 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
       SOCMIX_GAUGE_SET("markov.shard.window_bytes", max_window_bytes);
     }
   }
-#endif
 }
 
 void BatchedEvolver::step() { sweep(nullptr, nullptr); }

@@ -16,8 +16,8 @@
 //                 scaled = cur * inv_deg, so the irregular edge loop is a
 //                 single gather per edge;
 //   2. per shard — the shard pipeline (linalg::ShardPipeline) hands over
-//                 the shard's CSR window (advised ahead / prefetched /
-//                 ADJC-decoded when a mapped container backs the graph)
+//                 the shard's CSR window (advised ahead and ADJC-decoded
+//                 when a compressed container backs the graph)
 //                 and one SpMM call sweeps the shard's row range in place,
 //                 cur -> cur: each row reads only its own old state, and
 //                 every gather reads `scaled`. Gathers of `scaled` rows
@@ -28,9 +28,10 @@
 //                 after the last, so no separate reduce pass exists.
 //
 // The default geometry is one shard over the in-memory CSR: the dense
-// engine. SweepSharding supplies a multi-shard plan and the mapped
-// container for out-of-core runs; only the state (2 x n x block values
-// per evolver, one evolver per worker thread) must then fit in RAM.
+// engine, which is how every in-memory graph and raw pack is measured.
+// SweepSharding supplies a multi-shard plan and the compressed container
+// for out-of-core runs; only the state (2 x n x block values per evolver,
+// one evolver per worker thread) must then fit in RAM.
 //
 // Determinism contract: lane b of a block evolves through *exactly* the
 // same floating-point operations whatever the block — per-row
@@ -54,6 +55,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -71,9 +73,9 @@ namespace socmix::markov {
 struct SweepSharding {
   /// Row partition of the graph; empty means ShardPlan::single.
   graph::ShardPlan plan;
-  /// The container the graph is borrowed from, when there is one. Enables
-  /// the madvise windowing; mandatory for a headless (compressed) graph,
-  /// whose adjacency the pipeline decodes window by window.
+  /// The compressed container a headless graph is borrowed from, whose
+  /// adjacency the pipeline decodes window by window; mandatory for a
+  /// headless graph and ignored for any other.
   const graph::sharded::MappedGraph* mapped = nullptr;
 };
 
@@ -95,10 +97,13 @@ class BatchedEvolver {
 
   /// Throws on laziness outside [0, 1), an isolated vertex, block outside
   /// [1, kMaxBlock], or a plan that does not cover the graph.
-  /// `sharding.mapped`, when non-null, must back `g` and outlive the
-  /// evolver.
-  explicit BatchedEvolver(const graph::Graph& g, double laziness = 0.0,
-                          std::size_t block = kDefaultBlock, SweepSharding sharding = {});
+  /// `sharding.mapped`, when used, must back `g` and outlive the evolver.
+  /// `hardware_threads` is passed to the linalg::ShardPipeline (tests pass
+  /// 1 to stage compressed windows inline on any host).
+  explicit BatchedEvolver(
+      const graph::Graph& g, double laziness = 0.0, std::size_t block = kDefaultBlock,
+      SweepSharding sharding = {},
+      unsigned hardware_threads = std::thread::hardware_concurrency());
 
   [[nodiscard]] std::size_t dim() const noexcept { return inv_deg_.size(); }
   [[nodiscard]] std::size_t block() const noexcept { return block_; }
@@ -139,6 +144,7 @@ class BatchedEvolver {
   [[nodiscard]] bool single_vector() const noexcept { return block_ == 1; }
 
   const graph::Graph* graph_;
+  /// The compressed container; null unless `g` is headless.
   const graph::sharded::MappedGraph* mapped_;
   graph::ShardPlan plan_;
   /// unique_ptr: the pipeline may own a worker thread and is neither
@@ -155,12 +161,9 @@ class BatchedEvolver {
   double laziness_;
   std::size_t block_;
   std::size_t active_ = 0;
-  /// More than one shard or a mapped container: the markov.shard.*
+  /// More than one shard or a compressed container: the markov.shard.*
   /// residency metrics apply.
   bool sharded_ = false;
-  /// Half-edges crossing shard boundaries (for the boundary-traffic
-  /// metric); computed once at construction when observability is on.
-  graph::EdgeIndex boundary_half_edges_ = 0;
 };
 
 /// Distribution of a walk started at `source` after `steps` steps:

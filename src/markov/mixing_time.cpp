@@ -176,19 +176,19 @@ std::uint64_t sampled_mixing_fingerprint(const graph::Graph& g,
 }
 
 SweepSharding resolve_engine(const graph::Graph& g, const EngineOptions& options) {
+  // In-memory graphs and raw packs sweep their CSR as one shard.
+  if (!g.headless()) return {graph::ShardPlan::single(g.num_nodes()), nullptr};
   // Compressed containers hand us a headless CSR (offsets only): the
   // adjacency exists solely as ADJC blocks the shard pipeline decodes on
   // the fly, so the mapping is not optional.
-  const bool headless = g.headless();
-  if (headless && (options.mapped == nullptr || !options.mapped->compressed())) {
+  if (options.mapped == nullptr || !options.mapped->compressed()) {
     throw std::invalid_argument{
         "a headless graph needs its compressed MappedGraph "
         "(EngineOptions::mapped)"};
   }
-  const std::uint32_t shards = graph::resolve_shard_count(
-      options.sharded, g.memory_bytes(), g.num_nodes(), headless ? 3u : 2u);
-  return {graph::ShardPlan::balanced(g.offsets(), shards),
-          shards > 1 || headless ? options.mapped : nullptr};
+  const std::uint32_t shards =
+      graph::resolve_shard_count(options.sharded, g.memory_bytes(), g.num_nodes(), 3u);
+  return {graph::ShardPlan::balanced(g.offsets(), shards), options.mapped};
 }
 
 SampledMixing measure_sampled_mixing(const graph::Graph& g,
@@ -227,13 +227,11 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // once and recompute (--reorder rcm|degree|bfs also changed the
   // fingerprint, so those classify foreign). A snapshot from a foreign
   // combination classifies stale, not corrupt.
-  // Shard geometry: resolve_engine sized it against the CSR. One shard is
-  // the dense path — no context word, so pre-shard snapshots stay
-  // compatible.
+  // Shard geometry: resolve_engine sized it against the CSR of a
+  // compressed pack. One shard is the dense path — no context word, so
+  // pre-shard snapshots stay compatible.
   const std::uint32_t resolved_shards = sharding.plan.num_shards();
-#if SOCMIX_OBS_ENABLED
   SOCMIX_GAUGE_SET("markov.sampled.shards", resolved_shards);
-#endif
   std::uint64_t context = util::hash_combine(
       util::hash_combine(util::kReorderNoneWord, headless ? 0 : util::kFrontierAutoWord),
       kPrecisionWordF64);
@@ -288,21 +286,17 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
     for (std::size_t b = 0; b < lanes; ++b) {
       trajectories[first + b].reserve(max_steps);
     }
-#if SOCMIX_OBS_ENABLED
     // Lanes whose TVD has not yet dropped below the paper's headline
     // epsilon (markov.sampled.tvd_crossings counts first crossings).
     std::uint32_t above_eps = (lanes >= 32 ? 0xffffffffu : (1u << lanes) - 1u);
-#endif
     for (std::size_t t = 0; t < max_steps; ++t) {
       evolver.step_with_tvd(pi, tvd);
       for (std::size_t b = 0; b < lanes; ++b) {
         trajectories[first + b].push_back(tvd[b]);
-#if SOCMIX_OBS_ENABLED
         if ((above_eps & (1u << b)) != 0 && tvd[b] < kHeadlineEpsilon) {
           above_eps &= ~(1u << b);
           SOCMIX_COUNTER_ADD("markov.sampled.tvd_crossings", 1);
         }
-#endif
       }
     }
     SOCMIX_COUNTER_ADD("markov.sampled.steps", lanes * max_steps);

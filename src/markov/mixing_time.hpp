@@ -130,42 +130,42 @@ struct EngineOptions {
   /// Retired (--precision is refused): both phases run f64. perfbench/
   /// still copies this field; delete it with the next benchmark change.
   util::RetiredKnob precision;
-  /// Shard-at-a-time evolution (--sharded auto|off|N; auto stays dense
-  /// until the CSR exceeds the per-shard byte budget). Resolved against
-  /// the graph's CSR footprint; when the resolved count is > 1 both phases
+  /// Shard-at-a-time evolution of a compressed pack (--sharded auto|off|N;
+  /// auto stays at one shard until the CSR exceeds the per-shard byte
+  /// budget). Resolved against the pack's CSR footprint; both phases then
   /// sweep one contiguous vertex shard at a time (spectral: a sharded
   /// WalkOperator under Lanczos; sampled: a sharded BatchedEvolver) —
-  /// bit-identical to the one-shard sweep for every shard count; with a
-  /// mapped container the CSR residency stays near two shard windows. A
-  /// non-trivial resolved geometry folds graph::shard_context_word into
-  /// the checkpoint context, so a snapshot written under a foreign shard
-  /// geometry classifies stale; dense-geometry runs fold nothing and stay
+  /// bit-identical to the in-memory sweep for every shard count, with the
+  /// decoded adjacency near two shard windows. Ignored for any graph that
+  /// is not headless: in-memory graphs and raw packs sweep as one shard. A
+  /// resolved count above one folds graph::shard_context_word into the
+  /// checkpoint context, so a snapshot written under a foreign shard
+  /// geometry classifies stale; one-shard runs fold nothing and stay
   /// compatible with pre-shard snapshots.
   graph::ShardPolicy sharded;
   /// The mmap-backed .smxg container `g` was borrowed from (socmix --pack),
-  /// or null; must outlive the call. Enables the madvise windowing of the
-  /// shard sweeps. A *compressed* container (headless `g`, see
-  /// MappedGraph::compressed()) is mandatory: the shard pipeline decodes
-  /// adjacency windows out of it. Compressed runs always stream through
-  /// the pipeline (even at one shard), which changes no output bit versus
-  /// the same flags on the dense CSR.
+  /// or null; must outlive the call. Mandatory for a *compressed*
+  /// container (headless `g`, see MappedGraph::compressed()): the shard
+  /// pipeline decodes adjacency windows out of it. Compressed runs always
+  /// stream through the pipeline (even at one shard), which changes no
+  /// output bit versus the same flags on the dense CSR. Ignored for a raw
+  /// container, whose CSR is swept like an in-memory one.
   const graph::sharded::MappedGraph* mapped = nullptr;
-  /// Retired (--io-mode is refused): linalg::ShardPipeline stages windows
-  /// on its worker thread whenever it has staging work and a second
-  /// hardware thread. perfbench/ still copies this field; delete it with
-  /// the next benchmark change.
+  /// Retired (--io-mode is refused): linalg::ShardPipeline decodes windows
+  /// on its worker thread whenever the host has a second hardware thread.
+  /// perfbench/ still copies this field; delete it with the next benchmark
+  /// change.
   util::RetiredKnob io_mode;
 };
 
 /// The one place the execution knobs meet the graph: the shard geometry
-/// both phases sweep `g` with. Rejects a headless (compressed) graph
-/// without its compressed mapping, and resolves --sharded against the
-/// CSR: a compressed sweep keeps three adjacency copies per staged window
-/// in flight (two decoded scratch slots + the mapped ADJC bytes), so the
-/// auto formula gets resident_copies = 3, otherwise 2. The mapping is
-/// passed on only when the sweep windows several shards or must decode
-/// them — a one-shard sweep would release the whole mapping every step.
-/// Throws std::invalid_argument on a rejected combination.
+/// both phases sweep `g` with. A graph that is not headless (in memory or
+/// a raw pack) sweeps as one shard with no mapping, whatever `sharded`
+/// says. A headless (compressed) graph needs its compressed mapping, and
+/// --sharded resolves against its CSR with resident_copies = 3: a
+/// compressed sweep keeps three adjacency copies per staged window in
+/// flight (two decoded scratch slots + the mapped ADJC bytes). Throws
+/// std::invalid_argument on a headless graph without its mapping.
 [[nodiscard]] SweepSharding resolve_engine(const graph::Graph& g,
                                            const EngineOptions& options);
 

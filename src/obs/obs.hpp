@@ -1,9 +1,8 @@
 // Umbrella header + instrumentation macros for the observability layer.
 //
-// Hot paths are instrumented through these macros only, so a build with
-// -DSOCMIX_OBS=OFF (which defines SOCMIX_OBS_ENABLED=0) reduces every one
-// of them to nothing and leaves the instrumented code byte-for-byte on the
-// PR-1 fast paths.
+// Hot paths are instrumented through these macros only. They are always
+// compiled in: CI asserts counters such as markov.sampled.oracle_violations
+// are zero, so a build without them could not be checked.
 //
 // Macro usage rules for hot paths (see DESIGN.md "Observability"):
 //  * Counters/histograms at block/sweep/iteration granularity, never per
@@ -15,10 +14,6 @@
 //    relaxed load.
 #pragma once
 
-#ifndef SOCMIX_OBS_ENABLED
-#define SOCMIX_OBS_ENABLED 1
-#endif
-
 #include "obs/export.hpp"    // IWYU pragma: export
 #include "obs/metrics.hpp"   // IWYU pragma: export
 #include "obs/progress.hpp"  // IWYU pragma: export
@@ -26,8 +21,6 @@
 
 #define SOCMIX_OBS_CONCAT_INNER(a, b) a##b
 #define SOCMIX_OBS_CONCAT(a, b) SOCMIX_OBS_CONCAT_INNER(a, b)
-
-#if SOCMIX_OBS_ENABLED
 
 /// Adds `n` to the counter named `name` (a string literal).
 #define SOCMIX_COUNTER_ADD(name, n)                                    \
@@ -66,22 +59,3 @@
 #define SOCMIX_TRACE_SPAN(name) \
   const ::socmix::obs::TraceSpan SOCMIX_OBS_CONCAT(socmix_obs_span_, __LINE__){name}
 
-#else  // !SOCMIX_OBS_ENABLED
-
-#define SOCMIX_COUNTER_ADD(name, n) \
-  do {                              \
-  } while (0)
-#define SOCMIX_GAUGE_SET(name, v) \
-  do {                            \
-  } while (0)
-#define SOCMIX_TIME_OBSERVE(name, v) \
-  do {                               \
-  } while (0)
-#define SOCMIX_HISTOGRAM_OBSERVE(name, bounds, v) \
-  do {                                            \
-  } while (0)
-#define SOCMIX_TRACE_SPAN(name) \
-  do {                          \
-  } while (0)
-
-#endif  // SOCMIX_OBS_ENABLED

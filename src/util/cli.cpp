@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -89,13 +90,13 @@ std::size_t Cli::get_count(const std::string& name, std::size_t fallback,
 
 std::size_t Cli::get_count_or_exit(const std::string& name, std::size_t fallback,
                                    std::size_t max) const {
-  try {
-    return get_count(name, fallback, max);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s: %s\n",
-                 std::filesystem::path{program_}.filename().string().c_str(), e.what());
-    std::exit(1);
-  }
+  return or_exit([&] { return get_count(name, fallback, max); });
+}
+
+void Cli::exit_refused(const std::invalid_argument& e) const {
+  std::fprintf(stderr, "%s: %s\n",
+               std::filesystem::path{program_}.filename().string().c_str(), e.what());
+  std::exit(1);
 }
 
 std::size_t Cli::get_positive(const std::string& name, std::size_t fallback,
@@ -108,6 +109,15 @@ double Cli::get_f64(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
   return parsed_or_throw(name, it->second, parse_f64(it->second), "a number");
+}
+
+double Cli::get_positive_f64(const std::string& name, double fallback) const {
+  const double value = get_f64(name, fallback);
+  if (!(value > 0.0) || !std::isfinite(value)) {
+    throw std::invalid_argument{"--" + name + "=" + get(name, "") +
+                                ": expected a positive finite number"};
+  }
+  return value;
 }
 
 bool Cli::get_flag(const std::string& name) const {

@@ -9,6 +9,7 @@
 #include <limits>
 #include <map>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,9 +42,8 @@ class Cli {
   [[nodiscard]] std::size_t get_count(
       const std::string& name, std::size_t fallback,
       std::size_t max = std::numeric_limits<std::size_t>::max()) const;
-  /// get_count for drivers that read a count outside any try block: a bad
-  /// value prints "<program>: <message naming the flag>" to stderr and
-  /// exits 1, instead of escaping main as an uncaught exception.
+  /// get_count for drivers that read a count outside any try block; see
+  /// or_exit.
   [[nodiscard]] std::size_t get_count_or_exit(
       const std::string& name, std::size_t fallback,
       std::size_t max = std::numeric_limits<std::size_t>::max()) const;
@@ -52,7 +52,24 @@ class Cli {
   [[nodiscard]] std::size_t get_positive(
       const std::string& name, std::size_t fallback,
       std::size_t max = std::numeric_limits<std::size_t>::max()) const;
+  /// get_f64 for magnitudes that must be a positive finite number
+  /// (multipliers, rates): 0, a negative, NaN or infinity throws as well,
+  /// naming the flag and the value.
+  [[nodiscard]] double get_positive_f64(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
+
+  /// Runs `parse` (a get_* call) for a driver that reads a flag outside
+  /// any try block: a std::invalid_argument it throws prints
+  /// "<program>: <message naming the flag>" to stderr and exits 1, instead
+  /// of escaping main as an uncaught exception.
+  template <typename Parse>
+  [[nodiscard]] auto or_exit(Parse&& parse) const {
+    try {
+      return parse();
+    } catch (const std::invalid_argument& e) {
+      exit_refused(e);
+    }
+  }
 
   /// Positional (non --option) arguments, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
@@ -62,6 +79,8 @@ class Cli {
   [[nodiscard]] const std::string& program() const noexcept { return program_; }
 
  private:
+  [[noreturn]] void exit_refused(const std::invalid_argument& e) const;
+
   std::string program_;
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;

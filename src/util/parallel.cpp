@@ -22,7 +22,6 @@ thread_local bool t_inside_parallel_region = false;
 /// asking the OS for billions of workers.
 constexpr std::size_t kMaxThreads = 1024;
 
-#if SOCMIX_OBS_ENABLED
 /// Utilization = busy-thread-time / (width * wall-time) per pooled job;
 /// deciles make saturation vs straggler jobs visible at a glance.
 constexpr std::array<double, 10> kUtilizationBounds = {0.1, 0.2, 0.3, 0.4, 0.5,
@@ -34,7 +33,6 @@ std::uint64_t steady_ns() noexcept {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-#endif
 
 }  // namespace
 
@@ -76,15 +74,12 @@ void ThreadPool::work(std::unique_lock<std::mutex>& lock) {
     std::exception_ptr thrown;
     const bool was_inside = t_inside_parallel_region;
     t_inside_parallel_region = true;
-#if SOCMIX_OBS_ENABLED
     const std::uint64_t chunk_start = steady_ns();
-#endif
     try {
       (*body)(lo, hi);
     } catch (...) {
       thrown = std::current_exception();
     }
-#if SOCMIX_OBS_ENABLED
     {
       const std::uint64_t chunk_ns = steady_ns() - chunk_start;
       busy_ns_.fetch_add(chunk_ns, std::memory_order_relaxed);
@@ -92,7 +87,6 @@ void ThreadPool::work(std::unique_lock<std::mutex>& lock) {
       SOCMIX_TIME_OBSERVE("util.pool.chunk_seconds",
                           static_cast<double>(chunk_ns) / 1e9);
     }
-#endif
     t_inside_parallel_region = was_inside;
 
     lock.lock();
@@ -117,9 +111,7 @@ void ThreadPool::for_range(std::size_t begin, std::size_t end, std::size_t grain
     return;
   }
   SOCMIX_COUNTER_ADD("util.pool.jobs", 1);
-#if SOCMIX_OBS_ENABLED
   const std::uint64_t job_start = steady_ns();
-#endif
 
   // ~4 chunks per thread balances skewed per-index cost against dispatch
   // overhead; grain bounds it below so cache-line-sized work stays fused.
@@ -142,14 +134,11 @@ void ThreadPool::for_range(std::size_t begin, std::size_t end, std::size_t grain
   busy_ = false;
   const std::exception_ptr err = error_;
   error_ = nullptr;
-#if SOCMIX_OBS_ENABLED
   // Read under the lock: a queued caller zeroes busy_ns_ for its own job
   // the moment we release it.
   const std::uint64_t job_busy_ns = busy_ns_.load(std::memory_order_relaxed);
-#endif
   done_.notify_all();  // release any caller queued behind this job
   lock.unlock();
-#if SOCMIX_OBS_ENABLED
   {
     const std::uint64_t wall_ns = steady_ns() - job_start;
     if (wall_ns > 0) {
@@ -160,7 +149,6 @@ void ThreadPool::for_range(std::size_t begin, std::size_t end, std::size_t grain
                                utilization);
     }
   }
-#endif
   if (err) std::rethrow_exception(err);
 }
 

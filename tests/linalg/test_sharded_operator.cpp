@@ -1,11 +1,14 @@
-// WalkOperator over a shard plan: apply() is bitwise equal to the
-// one-shard apply for any shard count (rows are independent; every row
-// runs the identical kernel), so Lanczos on a sharded — or memory-mapped —
-// graph produces the exact same spectrum.
+// WalkOperator over a shard plan of a compressed pack: apply() is bitwise
+// equal to the in-memory one-shard apply for any shard count and either
+// window staging (rows are independent; every row runs the identical
+// kernel over bit-identical decoded neighbors), so Lanczos on a compressed
+// pack produces the exact same spectrum. A raw pack is swept like an
+// in-memory CSR, as one shard.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "gen/datasets.hpp"
@@ -22,6 +25,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// Hardware threads handed to the pipeline: 1 stages inline on the
+/// compute thread, 2 starts the staging worker.
+constexpr unsigned kStagings[] = {1, 2};
+
 graph::Graph test_graph() {
   const auto spec = gen::find_dataset("Physics 1");
   return gen::build_dataset(*spec, 500, 29);
@@ -34,6 +41,38 @@ std::vector<double> random_unit(std::size_t n, std::uint64_t seed) {
   return x;
 }
 
+/// A `.smxg` pack of `g` (compressed unless `compress` is false) in the
+/// test temp dir, mapped back; the file is removed with the object.
+class Pack {
+ public:
+  Pack(const graph::Graph& g, const std::string& name, bool compress = true)
+      : path_{(fs::path{testing::TempDir()} / (name + ".smxg")).string()} {
+    graph::sharded::WriteOptions options;
+    options.compress = compress;
+    graph::sharded::write_smxg_file(path_, g, graph::ShardPlan::balanced(g.offsets(), 4),
+                                    options);
+    mapped_ = graph::sharded::MappedGraph{path_};
+  }
+  ~Pack() { std::remove(path_.c_str()); }
+  Pack(const Pack&) = delete;
+  Pack& operator=(const Pack&) = delete;
+
+  [[nodiscard]] const graph::sharded::MappedGraph& mapped() const { return mapped_; }
+  [[nodiscard]] const graph::Graph& view() const { return mapped_.view(); }
+
+ private:
+  std::string path_;
+  graph::sharded::MappedGraph mapped_;
+};
+
+void expect_same_spectrum(const SpectrumResult& got, const SpectrumResult& want,
+                          const std::string& label) {
+  EXPECT_EQ(got.slem, want.slem) << label;
+  EXPECT_EQ(got.lambda2, want.lambda2) << label;
+  EXPECT_EQ(got.lambda_min, want.lambda_min) << label;
+  EXPECT_EQ(got.iterations, want.iterations) << label;
+}
+
 TEST(ShardedWalkOperator, ApplyBitwiseEqualToDenseForEveryShardCount) {
   const graph::Graph g = test_graph();
   const WalkOperator dense{g, 0.0};
@@ -41,21 +80,30 @@ TEST(ShardedWalkOperator, ApplyBitwiseEqualToDenseForEveryShardCount) {
   std::vector<double> y_dense(g.num_nodes());
   dense.apply(x, y_dense);
 
-  for (const std::uint32_t shards : {1u, 4u, 16u, 61u}) {
-    const WalkOperator sharded{
-        g, graph::ShardPlan::balanced(g.offsets(), shards), 0.0};
-    ASSERT_EQ(sharded.dim(), dense.dim());
-    std::vector<double> y(g.num_nodes());
-    sharded.apply(x, y);
-    ASSERT_EQ(y, y_dense) << "shards=" << shards;
+  const Pack pack{g, "sharded_operator_apply"};
+  for (const std::uint32_t shards : {1u, 3u, 16u, 61u}) {
+    for (const unsigned staging : kStagings) {
+      const WalkOperator sharded{pack.view(),
+                                 graph::ShardPlan::balanced(g.offsets(), shards), 0.0,
+                                 &pack.mapped(), staging};
+      ASSERT_EQ(sharded.dim(), dense.dim());
+      std::vector<double> y(g.num_nodes());
+      // Twice: the second apply reuses the recycled window slots.
+      for (int apply = 0; apply < 2; ++apply) {
+        sharded.apply(x, y);
+        ASSERT_EQ(y, y_dense) << "shards=" << shards << " hardware_threads=" << staging;
+      }
+    }
   }
 }
 
 TEST(ShardedWalkOperator, LazyApplyAndEigenvalueMapMatchDense) {
   const graph::Graph g = test_graph();
   const double laziness = 0.35;
+  const Pack pack{g, "sharded_operator_lazy"};
   const WalkOperator dense{g, laziness};
-  const WalkOperator sharded{g, graph::ShardPlan::balanced(g.offsets(), 8), laziness};
+  const WalkOperator sharded{pack.view(), graph::ShardPlan::balanced(g.offsets(), 8),
+                             laziness, &pack.mapped()};
   std::vector<double> x = random_unit(g.num_nodes(), 7);
   std::vector<double> y_dense(g.num_nodes()), y(g.num_nodes());
   dense.apply(x, y_dense);
@@ -66,57 +114,44 @@ TEST(ShardedWalkOperator, LazyApplyAndEigenvalueMapMatchDense) {
 }
 
 TEST(ShardedWalkOperator, LanczosSpectrumIdenticalThroughMappedContainer) {
+  // A raw pack's mapped CSR is swept like an in-memory one: one shard, and
+  // the mapping is not used.
   const graph::Graph g = test_graph();
-  const fs::path path = fs::path{testing::TempDir()} / "sharded_operator.smxg";
-  graph::sharded::write_smxg_file(path.string(), g,
-                                  graph::ShardPlan::balanced(g.offsets(), 4));
-  const graph::sharded::MappedGraph mapped{path.string()};
+  const Pack raw{g, "sharded_operator_raw", /*compress=*/false};
+  ASSERT_FALSE(raw.mapped().compressed());
 
   LanczosOptions options;
   const WalkOperator dense{g, 0.0};
-  const auto dense_spectrum = slem_spectrum(dense, options);
-
-  const WalkOperator sharded{mapped.view(), graph::ShardPlan::balanced(g.offsets(), 4),
-                             0.0, &mapped};
-  const auto sharded_spectrum = slem_spectrum(sharded, options);
-
-  EXPECT_EQ(sharded_spectrum.slem, dense_spectrum.slem);
-  EXPECT_EQ(sharded_spectrum.lambda2, dense_spectrum.lambda2);
-  EXPECT_EQ(sharded_spectrum.lambda_min, dense_spectrum.lambda_min);
-  EXPECT_EQ(sharded_spectrum.iterations, dense_spectrum.iterations);
-  std::remove(path.string().c_str());
+  const WalkOperator mapped{raw.view(), graph::ShardPlan::single(g.num_nodes()), 0.0,
+                            &raw.mapped()};
+  expect_same_spectrum(slem_spectrum(mapped, options), slem_spectrum(dense, options),
+                       "raw pack");
 }
 
 TEST(ShardedWalkOperator, LanczosSpectrumIdenticalThroughCompressedPrefetch) {
   // The spectral analogue of the sampled-mixing pipeline matrix: a
-  // compressed (ADJC) container, decoded window by window (by the
-  // pipeline's worker on a multi-core host), yields exactly the spectrum
-  // the dense in-memory operator computes — staging and compression never
-  // move a bit.
+  // compressed (ADJC) container, decoded window by window (on the
+  // pipeline's worker or inline), yields exactly the spectrum the dense
+  // in-memory operator computes — staging and compression never move a
+  // bit.
   const graph::Graph g = test_graph();
-  const fs::path path = fs::path{testing::TempDir()} / "sharded_operator_adjc.smxg";
-  graph::sharded::WriteOptions compress;
-  compress.compress = true;
-  graph::sharded::write_smxg_file(path.string(), g,
-                                  graph::ShardPlan::balanced(g.offsets(), 4),
-                                  compress);
-  const graph::sharded::MappedGraph mapped{path.string()};
-  ASSERT_TRUE(mapped.compressed());
-  ASSERT_TRUE(mapped.view().headless());
+  const Pack pack{g, "sharded_operator_adjc"};
+  ASSERT_TRUE(pack.mapped().compressed());
+  ASSERT_TRUE(pack.view().headless());
 
   LanczosOptions options;
   const WalkOperator dense{g, 0.0};
   const auto dense_spectrum = slem_spectrum(dense, options);
-
-  const WalkOperator sharded{mapped.view(),
-                             graph::ShardPlan::balanced(mapped.view().offsets(), 4), 0.0,
-                             &mapped};
-  const auto sharded_spectrum = slem_spectrum(sharded, options);
-  EXPECT_EQ(sharded_spectrum.slem, dense_spectrum.slem);
-  EXPECT_EQ(sharded_spectrum.lambda2, dense_spectrum.lambda2);
-  EXPECT_EQ(sharded_spectrum.lambda_min, dense_spectrum.lambda_min);
-  EXPECT_EQ(sharded_spectrum.iterations, dense_spectrum.iterations);
-  std::remove(path.string().c_str());
+  for (const std::uint32_t shards : {1u, 3u, 16u}) {
+    for (const unsigned staging : kStagings) {
+      const WalkOperator sharded{pack.view(),
+                                 graph::ShardPlan::balanced(g.offsets(), shards), 0.0,
+                                 &pack.mapped(), staging};
+      expect_same_spectrum(slem_spectrum(sharded, options), dense_spectrum,
+                           "shards=" + std::to_string(shards) +
+                               " hardware_threads=" + std::to_string(staging));
+    }
+  }
 }
 
 TEST(ShardedWalkOperator, RejectsBadPlanAndIsolatedVertices) {

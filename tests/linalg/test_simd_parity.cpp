@@ -2,9 +2,10 @@
 //
 //  * the default f64 path is BIT-IDENTICAL across kernel tiers
 //    (scalar / AVX2 / AVX-512) — on every Table-1 generator config,
-//    at serial and contended thread counts, with one-shard and
-//    four-shard sweeps (one SpMM call over all rows, and sub-range calls
-//    carrying the running TVD sum);
+//    at serial and contended thread counts, with the in-memory one-shard
+//    sweep (one SpMM call over all rows) and a four-shard sweep of a
+//    compressed pack (ADJC decode, and sub-range calls carrying the
+//    running TVD sum);
 //  * the single-vector SpMV consumers (WalkOperator, a one-lane
 //    BatchedEvolver) are bitwise tier-invariant too;
 //  * the kernel contract itself, on every tier: an in-place sweep
@@ -16,6 +17,8 @@
 // are skipped via the runtime tier_available probe.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,8 @@
 #include "gen/erdos_renyi.hpp"
 #include "graph/components.hpp"
 #include "graph/graph.hpp"
+#include "graph/sharded/format.hpp"
+#include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
 #include "linalg/simd/kernels.hpp"
 #include "linalg/vector_ops.hpp"
@@ -75,12 +80,16 @@ std::vector<graph::NodeId> spread_sources(const graph::Graph& g,
   return sources;
 }
 
+/// The sampled measurement of `g` in memory, or (with `pack`) of its
+/// compressed pack at four shards.
 markov::SampledMixing run(const graph::Graph& g, std::span<const graph::NodeId> sources,
-                          std::uint32_t shards) {
+                          const graph::sharded::MappedGraph* pack) {
   markov::SampledMixingOptions options;
   options.max_steps = kSteps;
-  options.sharded = {.mode = graph::ShardPolicy::Mode::kFixed, .count = shards};
-  return measure_sampled_mixing(g, sources, options);
+  if (pack == nullptr) return measure_sampled_mixing(g, sources, options);
+  options.sharded = {.mode = graph::ShardPolicy::Mode::kFixed, .count = 4};
+  options.mapped = pack;
+  return measure_sampled_mixing(pack->view(), sources, options);
 }
 
 void expect_bitwise_equal(const markov::SampledMixing& a, const markov::SampledMixing& b,
@@ -101,12 +110,20 @@ TEST(SimdTierParity, SampledMixingBitIdenticalAcrossTiersOnEveryTable1Config) {
   for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
     const graph::Graph g = gen::build_dataset(spec, kNodes, 11);
     const auto sources = spread_sources(g);
-    for (const std::uint32_t shards : {1u, 4u}) {
+    const std::string path =
+        (std::filesystem::path{testing::TempDir()} / "simd_parity.smxg").string();
+    graph::sharded::WriteOptions compress;
+    compress.compress = true;
+    graph::sharded::write_smxg_file(path, g, graph::ShardPlan::single(g.num_nodes()),
+                                    compress);
+    const graph::sharded::MappedGraph pack{path};
+    for (const bool compressed : {false, true}) {
+      const graph::sharded::MappedGraph* mapped = compressed ? &pack : nullptr;
       // Reference: forced scalar tier, serial. Every other
       // (tier, threads) combination must reproduce it bit for bit.
       const markov::SampledMixing reference = [&] {
         const TierGuard guard{simd::Tier::kScalar};
-        return run(g, sources, shards);
+        return run(g, sources, mapped);
       }();
       for (const simd::Tier tier : tiers) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
@@ -114,15 +131,16 @@ TEST(SimdTierParity, SampledMixingBitIdenticalAcrossTiersOnEveryTable1Config) {
           const TierGuard guard{tier};
           ASSERT_TRUE(guard.ok());
           util::set_thread_count(threads);
-          const markov::SampledMixing got = run(g, sources, shards);
+          const markov::SampledMixing got = run(g, sources, mapped);
           util::set_thread_count(0);
           expect_bitwise_equal(reference, got,
                                spec.name + " tier=" + simd::tier_name(tier) +
                                    " threads=" + std::to_string(threads) +
-                                   " shards=" + std::to_string(shards));
+                                   (compressed ? " compressed, 4 shards" : " in memory"));
         }
       }
     }
+    std::remove(path.c_str());
   }
 }
 

@@ -18,7 +18,6 @@
 namespace socmix::obs {
 namespace {
 
-#if SOCMIX_OBS_ENABLED
 TEST(ObsE2E, MeasurementPopulatesPipelineMetrics) {
   Registry::instance().reset();
   set_tracing_enabled(true);
@@ -81,7 +80,6 @@ TEST(ObsE2E, MeasurementPopulatesPipelineMetrics) {
   }
   clear_trace();
 }
-#endif  // SOCMIX_OBS_ENABLED
 
 TEST(ObsE2E, InstrumentationDoesNotPerturbResults) {
   // Two identical runs (metrics accumulating across them) must produce

@@ -126,7 +126,6 @@ TEST_F(CheckpointResumeTest, UnitRejectsForeignContextAsStale) {
     ckpt.record(0, {1.0});
     ckpt.finalize();
   }
-#if SOCMIX_OBS_ENABLED
   const auto stale_count = [] {
     for (const auto& counter : obs::Registry::instance().snapshot().counters) {
       if (counter.name == "resilience.stale_discarded") return counter.value;
@@ -134,13 +133,10 @@ TEST_F(CheckpointResumeTest, UnitRejectsForeignContextAsStale) {
     return std::uint64_t{0};
   };
   const std::uint64_t stale_before = stale_count();
-#endif
   BlockCheckpoint other_context{opts, 99, 4, kForeign};
   EXPECT_EQ(other_context.restore(), 0u);
   EXPECT_EQ(other_context.context(), kForeign);
-#if SOCMIX_OBS_ENABLED
   EXPECT_EQ(stale_count(), stale_before + 1);
-#endif
   // The matching context still round-trips.
   BlockCheckpoint same_context{opts, 99, 4, kWritten};
   EXPECT_EQ(same_context.restore(), 1u);
@@ -208,14 +204,12 @@ std::vector<std::vector<double>> write_six_knob_snapshot(
   return recorded;
 }
 
-#if SOCMIX_OBS_ENABLED
 std::uint64_t counter_value(const std::string& name) {
   for (const auto& counter : obs::Registry::instance().snapshot().counters) {
     if (counter.name == name) return counter.value;
   }
   return 0;
 }
-#endif
 
 TEST_F(CheckpointResumeTest, SampledSnapshotInThePreviousKnobLayoutRestores) {
   // The precision knob is gone, but the context word still folds the f64
@@ -226,17 +220,13 @@ TEST_F(CheckpointResumeTest, SampledSnapshotInThePreviousKnobLayoutRestores) {
   const markov::SampledMixingOptions opts = options();
   const auto recorded =
       write_six_knob_snapshot(g, sources, opts, kFrontierAutoWord, /*precision_word=*/0);
-#if SOCMIX_OBS_ENABLED
   const std::uint64_t skipped_before = counter_value("resilience.resume_blocks_skipped");
-#endif
   const auto resumed = markov::measure_sampled_mixing(g, sources, opts);
   EXPECT_EQ(trajectories(resumed), recorded);
-#if SOCMIX_OBS_ENABLED
   const std::size_t blocks =
       (sources.size() + markov::BatchedEvolver::kDefaultBlock - 1) /
       markov::BatchedEvolver::kDefaultBlock;
   EXPECT_EQ(counter_value("resilience.resume_blocks_skipped"), skipped_before + blocks);
-#endif
 }
 
 TEST_F(CheckpointResumeTest, SampledSnapshotOfMixedPrecisionClassifiesStale) {
@@ -250,14 +240,10 @@ TEST_F(CheckpointResumeTest, SampledSnapshotOfMixedPrecisionClassifiesStale) {
   const markov::SampledMixingOptions opts = options();
   (void)write_six_knob_snapshot(g, sources, opts, kFrontierAutoWord,
                                 /*precision_word=*/1);
-#if SOCMIX_OBS_ENABLED
   const std::uint64_t stale_before = counter_value("resilience.stale_discarded");
-#endif
   const auto resumed = markov::measure_sampled_mixing(g, sources, opts);
   EXPECT_EQ(trajectories(resumed), baseline);
-#if SOCMIX_OBS_ENABLED
   EXPECT_GT(counter_value("resilience.stale_discarded"), stale_before);
-#endif
 }
 
 TEST_F(CheckpointResumeTest, SampledSnapshotUnderTheFrontierAutoWordRestores) {
@@ -269,15 +255,11 @@ TEST_F(CheckpointResumeTest, SampledSnapshotUnderTheFrontierAutoWordRestores) {
   const markov::SampledMixingOptions opts = options();
   const auto recorded =
       write_six_knob_snapshot(g, sources, opts, kFrontierAutoWord, /*precision_word=*/0);
-#if SOCMIX_OBS_ENABLED
   const std::uint64_t skipped_before = counter_value("resilience.resume_blocks_skipped");
-#endif
   const auto resumed = markov::measure_sampled_mixing(g, sources, opts);
   EXPECT_EQ(trajectories(resumed), recorded);
-#if SOCMIX_OBS_ENABLED
   EXPECT_EQ(counter_value("resilience.resume_blocks_skipped"),
             skipped_before + kSources / markov::BatchedEvolver::kDefaultBlock);
-#endif
 }
 
 TEST_F(CheckpointResumeTest, SampledSnapshotUnderTheFrontierOffWordClassifiesStale) {
@@ -291,14 +273,10 @@ TEST_F(CheckpointResumeTest, SampledSnapshotUnderTheFrontierOffWordClassifiesSta
       trajectories(markov::measure_sampled_mixing(g, sources, /*max_steps=*/25));
   const markov::SampledMixingOptions opts = options();
   (void)write_six_knob_snapshot(g, sources, opts, kFrontierOffWord, /*precision_word=*/0);
-#if SOCMIX_OBS_ENABLED
   const std::uint64_t stale_before = counter_value("resilience.stale_discarded");
-#endif
   const auto resumed = markov::measure_sampled_mixing(g, sources, opts);
   EXPECT_EQ(trajectories(resumed), baseline);
-#if SOCMIX_OBS_ENABLED
   EXPECT_EQ(counter_value("resilience.stale_discarded"), stale_before + 1);
-#endif
 }
 
 TEST_F(CheckpointResumeTest, SurvivesAKillAtEveryMeasurementFaultSite) {

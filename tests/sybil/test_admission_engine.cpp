@@ -218,14 +218,12 @@ TEST(AdmissionEngine, VerifierCacheMissesOnceThenHits) {
   EXPECT_EQ(engine.stats().verifier_cache_misses, 1u);
 }
 
-#if SOCMIX_OBS_ENABLED
 std::uint64_t counter_value(const std::string& name) {
   for (const auto& counter : obs::Registry::instance().snapshot().counters) {
     if (counter.name == name) return counter.value;
   }
   return 0;
 }
-#endif
 
 TEST(AdmissionEngine, VerifyBatchCountsNoHopsForIsolatedSuspect) {
   // Node 3 is isolated: its walk is empty, so it costs no hops — the
@@ -240,9 +238,7 @@ TEST(AdmissionEngine, VerifyBatchCountsNoHopsForIsolatedSuspect) {
   AdmissionEngine engine{g, config, lengths};
   auto& verifier = engine.verifier(0);
   const std::uint64_t walked_before = engine.stats().route_hops_walked;
-#if SOCMIX_OBS_ENABLED
   const std::uint64_t counter_before = counter_value("sybil.engine.hops_walked");
-#endif
   const std::vector<graph::NodeId> suspects{1, 3, 2, 3};
   const auto result = engine.verify_batch(verifier, 0, suspects);
   EXPECT_EQ(result.admitted[1], 0);
@@ -250,9 +246,7 @@ TEST(AdmissionEngine, VerifyBatchCountsNoHopsForIsolatedSuspect) {
   EXPECT_EQ(result.rejected_no_intersection, 2u);
   const std::uint64_t walked = engine.stats().route_hops_walked - walked_before;
   EXPECT_EQ(walked, 2u * 5u * 4u);  // two non-isolated suspects, r = 5, w = 4
-#if SOCMIX_OBS_ENABLED
   EXPECT_EQ(counter_value("sybil.engine.hops_walked") - counter_before, walked);
-#endif
 }
 
 TEST(AdmissionEngine, HeadlessPackFailsClosed) {
@@ -345,7 +339,6 @@ TEST(AdmissionEngine, PreEngineContextSnapshotClassifiesStale) {
     stale.finalize();
   }
 
-#if SOCMIX_OBS_ENABLED
   const auto stale_count = [] {
     for (const auto& counter : obs::Registry::instance().snapshot().counters) {
       if (counter.name == "resilience.stale_discarded") return counter.value;
@@ -353,13 +346,10 @@ TEST(AdmissionEngine, PreEngineContextSnapshotClassifiesStale) {
     return std::uint64_t{0};
   };
   const std::uint64_t stale_before = stale_count();
-#endif
   config.checkpoint.dir = dir.string();
   config.checkpoint.interval = 1;
   const auto resumed = admission_sweep(g, config);
-#if SOCMIX_OBS_ENABLED
   EXPECT_GT(stale_count(), stale_before);
-#endif
   ASSERT_EQ(resumed.size(), baseline.size());
   for (std::size_t i = 0; i < baseline.size(); ++i) {
     EXPECT_EQ(resumed[i].admitted_fraction, baseline[i].admitted_fraction) << i;

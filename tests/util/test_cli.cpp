@@ -126,6 +126,39 @@ TEST(Cli, PositiveCountsRefuseZero) {
             std::string::npos);
 }
 
+TEST(Cli, PositiveNumbersRefuseZeroNegativeAndNonFinite) {
+  const Cli cli = make({"--r0", "-3", "--swaps", "0", "--scale", "inf", "--rate", "nan",
+                        "--factor", "2.5", "--bad", "x"});
+  const auto message = [](auto read) -> std::string {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  EXPECT_EQ(cli.get_positive_f64("factor", 1.0), 2.5);
+  EXPECT_EQ(cli.get_positive_f64("missing", 4.0), 4.0);
+  for (const char* flag : {"r0", "swaps", "scale", "rate"}) {
+    EXPECT_NE(message([&] { (void)cli.get_positive_f64(flag, 1.0); })
+                  .find("--" + std::string{flag} + "=" + cli.get(flag, "") +
+                        ": expected a positive finite number"),
+              std::string::npos)
+        << flag;
+  }
+  EXPECT_NE(message([&] { (void)cli.get_positive_f64("bad", 1.0); }).find("--bad=x"),
+            std::string::npos);
+}
+
+TEST(CliDeathTest, OrExitExitsOneNamingTheFlag) {
+  const Cli cli = make({"--seed", "abc", "--r0", "-3", "--swaps", "2"});
+  EXPECT_EQ(cli.or_exit([&] { return cli.get_positive_f64("swaps", 10.0); }), 2.0);
+  EXPECT_EXIT((void)cli.or_exit([&] { return cli.get_i64("seed", 42); }),
+              ::testing::ExitedWithCode(1), "prog: --seed=abc: expected an integer");
+  EXPECT_EXIT((void)cli.or_exit([&] { return cli.get_positive_f64("r0", 4.0); }),
+              ::testing::ExitedWithCode(1), "prog: --r0=-3: expected a positive finite");
+}
+
 TEST(Cli, CollectsPositionalArguments) {
   const Cli cli = make({"input.txt", "--flag", "out.txt"});
   // "out.txt" is consumed as --flag's value (space-separated form).

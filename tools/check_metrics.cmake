@@ -17,7 +17,7 @@ set(bench_file "${OUT_DIR}/bench.json")
 
 execute_process(
   COMMAND "${SOCMIX_BIN}" measure --dataset "Physics 1" --nodes 600
-          --sources 32 --steps 40 --seed 7
+          --sources 32 --steps 40 --seed 7 --threads 2
           --metrics-out "${metrics_file}" --trace-out "${trace_file}" --progress
           --sample-out "${sample_file}" --sample-interval-ms 5
           --bench-out "${bench_file}"
@@ -46,6 +46,13 @@ foreach(prov_key "git" "build_type" "compiler" "simd_tier")
     message(FATAL_ERROR "metrics JSON provenance is missing '${prov_key}'")
   endif()
 endforeach()
+# The host and the pool width the run used, as the BENCH provenance has.
+if(NOT metrics MATCHES "\"nproc\":\"[1-9][0-9]*\"")
+  message(FATAL_ERROR "metrics JSON provenance is missing 'nproc'")
+endif()
+if(NOT metrics MATCHES "\"threads\":\"2\"")
+  message(FATAL_ERROR "metrics JSON provenance does not record --threads 2")
+endif()
 # Histogram snapshots carry interpolated quantiles.
 if(NOT metrics MATCHES "\"p50\":" OR NOT metrics MATCHES "\"p95\":" OR NOT metrics MATCHES "\"p99\":")
   message(FATAL_ERROR "metrics JSON histograms are missing p50/p95/p99 quantiles")

@@ -69,15 +69,13 @@ foreach(threads 1 8)
   endif()
 
   # The resumed run must actually have skipped restored blocks, not
-  # recomputed everything. Only checkable when the metrics registry is
-  # compiled in (SOCMIX_OBS=ON emits resilience.* counters; OFF emits an
-  # empty snapshot) — the byte-compare above holds either way.
-  if(EXISTS "${ckpt_dir}/metrics.json")
-    file(READ "${ckpt_dir}/metrics.json" metrics)
-    if(metrics MATCHES "\"resilience\\."
-       AND NOT metrics MATCHES "\"resilience.resume_blocks_skipped\":([1-9][0-9]*)")
-      message(FATAL_ERROR "resumed run skipped no blocks; metrics:\n${metrics}")
-    endif()
+  # recomputed everything.
+  if(NOT EXISTS "${ckpt_dir}/metrics.json")
+    message(FATAL_ERROR "resumed run wrote no ${ckpt_dir}/metrics.json")
+  endif()
+  file(READ "${ckpt_dir}/metrics.json" metrics)
+  if(NOT metrics MATCHES "\"resilience.resume_blocks_skipped\":([1-9][0-9]*)")
+    message(FATAL_ERROR "resumed run skipped no blocks; metrics:\n${metrics}")
   endif()
 endforeach()
 

@@ -64,7 +64,9 @@ int usage() {
       "                                  socmix-bench/1; see tools/bench_compare)\n"
       "  resil:  --checkpoint-dir DIR [--checkpoint-interval N]  --fault-inject SPEC\n"
       "  perf:   --threads N                     kernel worker threads (0 = auto)\n"
-      "          --sharded auto|off|N            shard-at-a-time out-of-core sweeps\n"
+      "          --sharded auto|off|N            shard count of a compressed --pack\n"
+      "                                          (measure only; every other input\n"
+      "                                          sweeps as one shard)\n"
       "          (SOCMIX_SIMD=avx512|avx2|scalar forces the simd kernel tier)\n"
       "  info                                    structural report\n"
       "  measure [--sources N] [--steps N] [--eps X] [--tvd-out FILE]\n"
@@ -238,7 +240,19 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
     throw std::invalid_argument{"--eps=" + cli.get("eps", "") +
                                 ": expected a variation distance in (0, 1)"};
   }
+  // Only a compressed pack sweeps in shards: an in-memory graph or a raw
+  // pack always sweeps as one, so a shard count there would be ignored.
+  const auto refuse_sharded = [&] {
+    if (cli.has("sharded")) {
+      throw std::invalid_argument{
+          "--sharded=" + cli.get("sharded", "") +
+          ": only a compressed --pack sweeps in shards; in-memory graphs and raw "
+          "packs sweep as one shard"};
+    }
+  };
+  if (!cli.has("pack")) refuse_sharded();
   const ComponentInput input = load_component_input(cli);
+  if (!input.mapped.compressed()) refuse_sharded();
   options.mapped = input.mapped_ptr();
 
   const auto report = core::measure_mixing(input.graph(), input.name, options);
