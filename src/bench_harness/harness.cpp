@@ -272,8 +272,9 @@ void Harness::configure_process(const util::Cli& cli) {
   if (name.empty()) name = "bench";
   configure_process(std::move(name));
   g_process_out = cli.get("bench-out", "");
-  const std::int64_t repeats = cli.get_i64("bench-repeats", 0);
-  g_process_repeats = repeats > 0 ? static_cast<std::size_t>(repeats) : 0;
+  // Drivers call this at the top of main, outside any try block: a
+  // malformed or negative count exits 1 naming the flag (0 = unset).
+  g_process_repeats = cli.get_count_or_exit("bench-repeats", 0);
 }
 
 std::size_t Harness::process_repeats(std::size_t fallback) {

@@ -126,8 +126,10 @@ class Harness {
 
   /// Names the process harness (basename of cli.program() unless
   /// --bench-name overrides), honors --bench-out PATH and
-  /// --bench-repeats N (min 1; read via process_repeats()), and registers
-  /// an atexit hook that writes the artifact if any entry was recorded.
+  /// --bench-repeats N (0 = unset; read via process_repeats()), and
+  /// registers an atexit hook that writes the artifact if any entry was
+  /// recorded. A --bench-repeats that is not a count (malformed or
+  /// negative) exits 1 naming the flag.
   static void configure_process(const util::Cli& cli);
 
   /// Explicit-name variant for drivers without a Cli.

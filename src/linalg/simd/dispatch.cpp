@@ -22,13 +22,15 @@ namespace {
 
 constexpr KernelTable kScalarTable{
     Tier::kScalar,         &scalar::spmm_f64,   &scalar::spmv,
-    &scalar::prescale_f64, &scalar::decode_u32,
+    &scalar::prescale_f64, &scalar::decode_u32, &scalar::route_hops,
 };
 
 #if defined(SOCMIX_SIMD_HAVE_AVX2)
+// AVX2 has no 64-bit lane multiply, which every mix of the route hop's
+// Feistel network needs; the AVX2 tier reuses the scalar route hop.
 constexpr KernelTable kAvx2Table{
     Tier::kAvx2,         &avx2::spmm_f64,   &avx2::spmv,
-    &avx2::prescale_f64, &avx2::decode_u32,
+    &avx2::prescale_f64, &avx2::decode_u32, &scalar::route_hops,
 };
 #endif
 
@@ -44,6 +46,7 @@ constexpr KernelTable kAvx512Table{
 #else
     &scalar::decode_u32,
 #endif
+    &avx512::route_hops,
 };
 #endif
 

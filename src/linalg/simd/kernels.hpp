@@ -3,13 +3,16 @@
 //
 // The batched 32-lane SpMM + fused TVD (markov::BatchedEvolver), the
 // single-vector gather-stream SpMV (linalg::WalkOperator, one-lane
-// markov::BatchedEvolver) all funnel through one table of kernel
-// function pointers. Three tiers implement the table:
+// markov::BatchedEvolver), the ADJC varint decoder and the SybilLimit
+// route hop (sybil::RouteTable::for_each_tail) all funnel through one
+// table of kernel function pointers. Three tiers implement the table:
 //
 //   scalar   the portable fallback — the exact pre-SIMD kernel code,
 //            compiled with the build's baseline flags;
-//   avx2     256-bit vertical ops + i32 gathers;
-//   avx512   512-bit vertical ops + i32 gathers.
+//   avx2     256-bit vertical ops + i32 gathers (route hops: scalar —
+//            AVX2 has no 64-bit multiply);
+//   avx512   512-bit vertical ops + i32 gathers, 8 route hops per vector
+//            with vpmullq (AVX512DQ).
 //
 // The active tier is chosen once at first use: the widest tier that was
 // compiled in AND that the running CPU reports support for (via
@@ -25,7 +28,9 @@
 // compiled with -ffp-contract=off and the vector code never uses FMA),
 // and TVD terms reduced in ascending-row order. Tier choice therefore
 // never changes a single output bit; tests/linalg/test_simd_parity.cpp
-// enforces scalar↔avx2↔avx512 bitwise equality on all Table-1 configs.
+// enforces scalar↔avx2↔avx512 bitwise equality on all Table-1 configs
+// (tests/sybil/test_route_hops.cpp does the same for the integer-only
+// route hops).
 #pragma once
 
 #include <cstddef>
@@ -113,12 +118,41 @@ using PrescaleF64Fn = void (*)(const double* x, const double* w, double* out,
 using DecodeU32Fn = std::size_t (*)(const std::uint8_t* ctrl, const std::uint8_t* data,
                                     std::size_t count, std::uint32_t* out);
 
+/// One hop level of SybilLimit's hop-major random-route walk
+/// (sybil::RouteTable::for_each_tail): route i (protocol instance i,
+/// 0 <= i < count) crossed half-edge edge[i] = (u -> head) into head at
+/// local index rev[edge[i]]; it leaves head by local edge
+/// sigma_{head,i}(rev[edge[i]]), the keyed permutation of
+/// util/feistel.hpp under key util::route_permutation_key(seed, i, head).
+/// Each call sets from[i] = head and edge[i] = offsets[head] + that index.
+/// Integer-only, so every tier produces identical words. Every head must
+/// have degree >= 1 (a symmetric CSR guarantees it for any half-edge).
+struct RouteHopArgs {
+  const graph::EdgeIndex* offsets = nullptr;
+  const graph::NodeId* neighbors = nullptr;
+  const graph::NodeId* rev = nullptr;  ///< per half-edge: its local index at its head
+  std::uint64_t seed = 0;              ///< protocol seed keying the permutations
+  std::uint32_t count = 0;             ///< routes (instances 0..count-1)
+  graph::NodeId* from = nullptr;       ///< [count] out: the head each route crossed into
+  graph::EdgeIndex* edge = nullptr;    ///< [count] in: half-edge crossed; out: the next
+  std::uint64_t* scratch = nullptr;    ///< [route_hop_scratch_words(count)] working space
+};
+
+/// Scratch words a RouteHopArgs of `count` routes needs: four per-route
+/// arrays, each padded by one 8-lane vector.
+[[nodiscard]] constexpr std::size_t route_hop_scratch_words(std::size_t count) noexcept {
+  return 4 * (count + 8);
+}
+
+using RouteHopsFn = void (*)(const RouteHopArgs& args);
+
 struct KernelTable {
   Tier tier = Tier::kScalar;
   SpmmF64Fn spmm_f64 = nullptr;
   SpmvFn spmv = nullptr;
   PrescaleF64Fn prescale_f64 = nullptr;
   DecodeU32Fn decode_u32 = nullptr;
+  RouteHopsFn route_hops = nullptr;
 };
 
 /// The active kernel table (cpuid probe + SOCMIX_SIMD override, resolved

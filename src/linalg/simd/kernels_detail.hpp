@@ -17,6 +17,7 @@ void prescale_f64(const double* x, const double* w, double* out, std::size_t beg
                   std::size_t end);
 std::size_t decode_u32(const std::uint8_t* ctrl, const std::uint8_t* data,
                        std::size_t count, std::uint32_t* out);
+void route_hops(const RouteHopArgs& args);
 }  // namespace socmix::linalg::simd::scalar
 
 #if defined(SOCMIX_SIMD_HAVE_AVX2)
@@ -36,5 +37,6 @@ void spmm_f64(const SpmmArgs& args, const double* scaled, const double* cur, dou
 void spmv(const SpmvArgs& args, graph::NodeId row_begin, graph::NodeId row_end);
 void prescale_f64(const double* x, const double* w, double* out, std::size_t begin,
                   std::size_t end);
+void route_hops(const RouteHopArgs& args);
 }  // namespace socmix::linalg::simd::avx512
 #endif

@@ -15,6 +15,7 @@
 #include <cstddef>
 
 #include "linalg/simd/kernels_detail.hpp"
+#include "util/feistel.hpp"
 #include "util/prefetch.hpp"
 
 namespace socmix::linalg::simd::scalar {
@@ -138,6 +139,19 @@ std::size_t decode_u32(const std::uint8_t* ctrl, const std::uint8_t* data,
     pos += len;
   }
   return pos;
+}
+
+void route_hops(const RouteHopArgs& a) {
+  // Route by route: the reference the AVX-512 tier reproduces word for
+  // word (sybil::RouteTable::hop per instance).
+  for (std::uint32_t i = 0; i < a.count; ++i) {
+    const graph::EdgeIndex e = a.edge[i];
+    const graph::NodeId head = a.neighbors[e];
+    const graph::EdgeIndex base = a.offsets[head];
+    const std::uint64_t key = util::route_permutation_key<std::uint64_t>(a.seed, i, head);
+    a.from[i] = head;
+    a.edge[i] = base + util::feistel_permute(key, a.offsets[head + 1] - base, a.rev[e]);
+  }
 }
 
 }  // namespace socmix::linalg::simd::scalar

@@ -1,65 +1,22 @@
 #include "sybil/permutation.hpp"
 
-#include <bit>
 #include <stdexcept>
 
-#include "util/rng.hpp"
+#include "util/feistel.hpp"
 
 namespace socmix::sybil {
-
-namespace {
-constexpr int kRounds = 4;
-
-/// Round function: mix the half-block with the key and round index.
-[[nodiscard]] std::uint64_t round_fn(std::uint64_t key, int round, std::uint64_t half) noexcept {
-  return util::mix64(key ^ (static_cast<std::uint64_t>(round) << 56) ^ half);
-}
-}  // namespace
 
 KeyedPermutation::KeyedPermutation(std::uint64_t key, std::uint64_t size)
     : key_(key), size_(size) {
   if (size == 0) throw std::invalid_argument{"KeyedPermutation: size must be >= 1"};
-  // Feistel over 2*half_bits_ >= bits needed to represent size-1.
-  const unsigned bits = size <= 2 ? 2 : std::bit_width(size - 1);
-  half_bits_ = (bits + 1) / 2;
-  half_mask_ = (std::uint64_t{1} << half_bits_) - 1;
-}
-
-std::uint64_t KeyedPermutation::feistel(std::uint64_t x, bool forward) const noexcept {
-  std::uint64_t left = x >> half_bits_;
-  std::uint64_t right = x & half_mask_;
-  if (forward) {
-    for (int round = 0; round < kRounds; ++round) {
-      const std::uint64_t next = left ^ (round_fn(key_, round, right) & half_mask_);
-      left = right;
-      right = next;
-    }
-  } else {
-    for (int round = kRounds - 1; round >= 0; --round) {
-      const std::uint64_t prev = right ^ (round_fn(key_, round, left) & half_mask_);
-      right = left;
-      left = prev;
-    }
-  }
-  return (left << half_bits_) | right;
 }
 
 std::uint64_t KeyedPermutation::apply(std::uint64_t x) const noexcept {
-  // Cycle-walking: iterate until the image falls back inside the domain.
-  // Expected < 2 iterations because the Feistel domain is < 4 * size.
-  std::uint64_t y = x;
-  do {
-    y = feistel(y, /*forward=*/true);
-  } while (y >= size_);
-  return y;
+  return util::feistel_permute(key_, size_, x);
 }
 
 std::uint64_t KeyedPermutation::invert(std::uint64_t y) const noexcept {
-  std::uint64_t x = y;
-  do {
-    x = feistel(x, /*forward=*/false);
-  } while (x >= size_);
-  return x;
+  return util::feistel_unpermute(key_, size_, y);
 }
 
 }  // namespace socmix::sybil

@@ -6,7 +6,8 @@
 // 4-round Feistel network keyed by (node, instance) with cycle-walking to
 // restrict an arbitrary power-of-two Feistel domain to [0, n). This is the
 // standard format-preserving-encryption construction: exact permutation,
-// O(1) memory, O(1) expected evaluation time.
+// O(1) memory, O(1) expected evaluation time. The network itself lives in
+// util/feistel.hpp, shared with the SIMD route-hop kernels.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +29,8 @@ class KeyedPermutation {
   [[nodiscard]] std::uint64_t invert(std::uint64_t y) const noexcept;
 
  private:
-  [[nodiscard]] std::uint64_t feistel(std::uint64_t x, bool forward) const noexcept;
-
   std::uint64_t key_;
   std::uint64_t size_;
-  unsigned half_bits_;       // Feistel halves of half_bits_ bits each
-  std::uint64_t half_mask_;
 };
 
 }  // namespace socmix::sybil

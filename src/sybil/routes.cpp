@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "sybil/permutation.hpp"
+#include "util/feistel.hpp"
 #include "util/rng.hpp"
 
 namespace socmix::sybil {
@@ -50,9 +51,8 @@ void RouteTable::require_adjacency(const graph::Graph& g) {
 graph::NodeId RouteTable::next_out_index(std::uint32_t instance, graph::NodeId node,
                                          graph::NodeId in_index) const {
   const graph::NodeId deg = graph_->degree(node);
-  const std::uint64_t key = util::hash_combine(
-      seed_, (static_cast<std::uint64_t>(instance) << 32) | node);
-  const KeyedPermutation sigma{key, deg};
+  const KeyedPermutation sigma{
+      util::route_permutation_key<std::uint64_t>(seed_, instance, node), deg};
   return static_cast<graph::NodeId>(sigma.apply(in_index));
 }
 

@@ -17,7 +17,9 @@
 // crossed half-edge e = (u -> v) enters v at local index rev[e] (u's
 // position in v's sorted list), read from a reverse-edge table built once
 // per table — 4 B per half-edge, the size of the neighbor array — instead
-// of a per-hop binary search.
+// of a per-hop binary search. The batched walk (for_each_tail) runs the
+// same hop for all instances at once through the linalg::simd route_hops
+// kernel.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "linalg/simd/kernels.hpp"
 
 namespace socmix::sybil {
 
@@ -118,19 +121,20 @@ class RouteTable {
     const auto neighbors = graph_->raw_neighbors();
 
     // The hop-h loop touches only the start's h-hop ball, so its CSR rows
-    // and permutation keys stay hot across instances; each checkpoint
-    // length visits the current (from, head) pairs.
+    // stay hot across instances; each checkpoint length visits the
+    // current (from, head) pairs. One route_hops call advances every
+    // instance one hop — hop() per instance, on the active SIMD tier.
     std::vector<graph::NodeId> from(instances, start);
     std::vector<graph::EdgeIndex> edge(instances);
     for (std::uint32_t i = 0; i < instances; ++i) edge[i] = start_edge(i, start);
+    std::vector<std::uint64_t> scratch(linalg::simd::route_hop_scratch_words(instances));
+    const linalg::simd::RouteHopArgs hops{
+        graph_->offsets().data(), neighbors.data(), rev_.data(), seed_, instances,
+        from.data(),              edge.data(),      scratch.data()};
+    const linalg::simd::RouteHopsFn route_hops = linalg::simd::dispatch().route_hops;
     std::size_t walked = 1;  // (from, head) is the length-1 tail
     for (std::size_t k = first; k < lengths.size(); ++k) {
-      for (; walked < lengths[k]; ++walked) {
-        for (std::uint32_t i = 0; i < instances; ++i) {
-          from[i] = neighbors[edge[i]];
-          edge[i] = hop(i, edge[i]);
-        }
-      }
+      for (; walked < lengths[k]; ++walked) route_hops(hops);
       for (std::uint32_t i = 0; i < instances; ++i) {
         visit(k, i, DirectedEdge{from[i], neighbors[edge[i]]});
       }

@@ -16,23 +16,40 @@
 
 namespace socmix::util {
 
-/// splitmix64 step; also useful as a cheap 64-bit mixing function.
-[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+/// Stateless mix of a 64-bit value (the splitmix64 step from state x),
+/// lane-wise over U: std::uint64_t, or a GCC vector of u64 lanes (the SIMD
+/// route-hop kernels, linalg/simd), whose +, ^, * and >> act per lane with
+/// a scalar operand broadcast. Integer-only, so every lane yields the bits
+/// the scalar form does.
+template <typename U>
+[[nodiscard]] constexpr U mix64_lanes(U x) noexcept {
+  U z = x + 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
 
+/// splitmix64 step; also useful as a cheap 64-bit mixing function.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  const std::uint64_t x = state;
+  state += 0x9e3779b97f4a7c15ULL;
+  return mix64_lanes(x);
+}
+
 /// Stateless mix of a 64-bit value (finalizer of splitmix64).
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  std::uint64_t s = x;
-  return splitmix64(s);
+  return mix64_lanes(x);
+}
+
+/// hash_combine lane-wise over U (see mix64_lanes).
+template <typename U>
+[[nodiscard]] constexpr U hash_combine_lanes(U a, U b) noexcept {
+  return mix64_lanes(a ^ (0x9e3779b97f4a7c15ULL + (b << 6) + (b >> 2) + mix64_lanes(b)));
 }
 
 /// Combine two 64-bit values into one well-mixed value (for keyed hashing).
 [[nodiscard]] constexpr std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
-  return mix64(a ^ (0x9e3779b97f4a7c15ULL + (b << 6) + (b >> 2) + mix64(b)));
+  return hash_combine_lanes(a, b);
 }
 
 /// xoshiro256** — the project-wide PRNG. Satisfies

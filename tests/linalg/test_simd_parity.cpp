@@ -37,6 +37,7 @@
 #include "markov/stationary.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "simd_tiers.hpp"
 
 namespace socmix {
 namespace {
@@ -47,27 +48,8 @@ constexpr graph::NodeId kNodes = 400;
 constexpr std::size_t kSources = 8;
 constexpr std::size_t kSteps = 30;
 
-/// Forces a kernel tier for one scope; restores runtime dispatch on exit.
-class TierGuard {
- public:
-  explicit TierGuard(simd::Tier tier) : ok_(simd::set_tier(tier)) {}
-  ~TierGuard() { simd::reset_tier(); }
-  TierGuard(const TierGuard&) = delete;
-  TierGuard& operator=(const TierGuard&) = delete;
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-
- private:
-  bool ok_;
-};
-
-std::vector<simd::Tier> available_tiers() {
-  std::vector<simd::Tier> tiers;
-  for (const simd::Tier tier :
-       {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512}) {
-    if (simd::tier_available(tier)) tiers.push_back(tier);
-  }
-  return tiers;
-}
+using test::available_tiers;
+using test::TierGuard;
 
 std::vector<graph::NodeId> spread_sources(const graph::Graph& g,
                                           std::size_t count = kSources) {
