@@ -268,7 +268,9 @@ BENCHMARK(BM_TotalVariation)->Arg(1000)->Arg(100000);
 // Hand-rolled ablation (not google-benchmark) because it forces kernel
 // tiers via simd::set_tier and emits its own CSVs:
 //   bench_results/micro_simd.csv  per tier throughput of the batched
-//                                 SpMM + fused-TVD sweep,
+//                                 SpMM + fused-TVD sweep, and of the
+//                                 single-vector SpMV (WalkOperator::apply;
+//                                 one kernel, so one row),
 //   bench_results/e2e_simd.csv    end-to-end measure_sampled_mixing before
 //                                 (forced scalar) / after (dispatched).
 // Run with --simd-only for just this part (CI smoke), --quick for small
@@ -314,6 +316,44 @@ double time_batched_sweeps(const graph::Graph& g, std::span<const double> pi,
   return best;
 }
 
+/// Repeated timed runs of `applies` WalkOperator applies — the single-vector
+/// SpMV Lanczos leans on — recorded into the process harness under `entry`
+/// like time_batched_sweeps; returns the best wall seconds.
+double time_spmv_applies(const graph::Graph& g, std::size_t applies, const std::string& entry) {
+  const linalg::WalkOperator op{g};
+  std::vector<double> x(op.dim());
+  std::vector<double> y(op.dim());
+  util::Rng rng{1};
+  linalg::randomize_unit(x, rng);
+  bench::Harness& harness = bench::Harness::process();
+  harness.set_items(entry, static_cast<double>(g.num_half_edges()) * static_cast<double>(applies));
+  const std::size_t repeats = bench::Harness::process_repeats(5);
+  double best = 1e300;
+  for (std::size_t rep = 0; rep < repeats; ++rep) {
+    op.apply(x, y);  // warm-up apply
+    best = std::min(best, harness.time_once(entry, [&] {
+      for (std::size_t t = 0; t < applies; ++t) {
+        op.apply(x, y);
+        std::swap(x, y);
+      }
+    }));
+    benchmark::DoNotOptimize(x.data());
+  }
+  return best;
+}
+
+/// Roofline traffic model for one WalkOperator apply: per edge, the
+/// gathered prescaled source and the streamed neighbor id; per row, the
+/// prescale pass (read x and inv_sqrt_deg, write scaled) and the epilogue
+/// (CSR offset, row scale, x, y).
+double spmv_bytes(const graph::Graph& g) {
+  const double m = static_cast<double>(g.num_half_edges());
+  const double n = static_cast<double>(g.num_nodes());
+  const double per_edge = sizeof(double) + sizeof(graph::NodeId);
+  const double per_row = 3.0 * sizeof(double) + sizeof(graph::EdgeIndex) + 3.0 * sizeof(double);
+  return m * per_edge + n * per_row;
+}
+
 /// Roofline traffic model for one 32-lane fused sweep: per edge, a gather
 /// of the prescaled lane row plus the streamed neighbor id; per row, the
 /// prescale pass (read cur and inv_deg, write scaled), the sweep's in-place
@@ -350,6 +390,11 @@ void run_simd_ablation(bool quick) {
     rows.push_back({tier, seconds, 1e-9 * sweep_bytes(g) * static_cast<double>(steps)});
   }
 
+  // Every tier's table holds the same SpMV kernel, so it is timed once.
+  constexpr std::size_t kApplies = 40;
+  const Row spmv{simd::active_tier(), time_spmv_applies(g, kApplies, "spmv/f64"),
+                 1e-9 * spmv_bytes(g) * static_cast<double>(kApplies)};
+
   std::printf("\n== batched SpMM + fused TVD (n=%u, m=%llu, 32 lanes, %zu sweeps) ==\n",
               g.num_nodes(), static_cast<unsigned long long>(g.num_edges()), steps);
   const auto dir = util::bench_results_dir();
@@ -365,6 +410,14 @@ void run_simd_ablation(bool quick) {
              util::fmt_fixed(row.gb, 4), util::fmt_fixed(row.gb / row.seconds, 3),
              util::fmt_fixed(speedup, 3)});
   }
+
+  std::printf("== single-vector SpMV (WalkOperator::apply, %zu applies, every tier) ==\n",
+              kApplies);
+  std::printf("  %-7s  %8.4f s  %6.2f GB/s\n", simd::tier_name(spmv.tier), spmv.seconds,
+              spmv.gb / spmv.seconds);
+  csv.row({"spmv", simd::tier_name(spmv.tier), util::fmt_sci(spmv.seconds, 6),
+           util::fmt_fixed(spmv.gb, 4), util::fmt_fixed(spmv.gb / spmv.seconds, 3),
+           util::fmt_fixed(1.0, 3)});
 
   // End-to-end: the sampled mixing measurement on the forced scalar tier
   // vs the dispatched best tier.

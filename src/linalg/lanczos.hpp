@@ -18,11 +18,22 @@
 // at most (kLanczosBasis + 4) n doubles however many applies convergence
 // takes.
 //
-// Every new vector is orthogonalized against the whole basis by classical
-// Gram-Schmidt run twice ("twice is enough" — Kahan/Parlett). The row loops
-// run in fixed kLanczosRowChunk-row chunks over util::parallel_for and the
-// per-chunk partial sums are reduced in chunk order, so every output bit is
-// the same at any thread count.
+// Partial reorthogonalization (Simon 1984, as in PROPACK). Each new vector
+// is orthogonalized, by classical Gram-Schmidt run twice ("twice is
+// enough" — Kahan/Parlett), against the deflation column and the two
+// newest Lanczos vectors only. Simon's omega recurrence, written over the
+// projected matrix T so it also covers the arrowhead after a thick
+// restart, estimates the vector's loss of orthogonality against the rest
+// of the basis. When the largest estimate passes sqrt(eps), that vector
+// and the next one get a full pass against the whole basis, which keeps
+// the basis semi-orthogonal: T is then the projection of the operator to
+// working precision, so the Ritz values are those of full
+// reorthogonalization. The first step after a restart is always a full
+// pass, because its arrowhead couples it to every kept Ritz vector. Most
+// steps thus touch three basis columns instead of all of them. The row
+// loops run in fixed kLanczosRowChunk-row chunks over util::parallel_for
+// and the per-chunk partial sums are reduced in chunk order, so every
+// output bit is the same at any thread count.
 //
 // After convergence the residual ||N y - theta y|| of both extremal Ritz
 // pairs is computed explicitly (two more applies): a certificate that does
@@ -33,9 +44,11 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <concepts>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -72,6 +85,9 @@ inline constexpr std::size_t kLanczosKeep = kLanczosBasis / 8;
 /// reduced in — and hence every output bit — is independent of the thread
 /// count.
 inline constexpr std::size_t kLanczosRowChunk = 1024;
+/// A residual norm at or below this ends the solve: the Krylov space is an
+/// invariant subspace and the Ritz values are exact.
+inline constexpr double kLanczosBreakdown = 1e-14;
 /// The certificate fails when an explicit Ritz residual exceeds this
 /// multiple of LanczosOptions::tolerance.
 inline constexpr double kLanczosCertificateSlack = 10.0;
@@ -102,6 +118,9 @@ struct SpectrumResult {
   std::size_t iterations = 0;
   /// Thick restarts performed.
   std::size_t restarts = 0;
+  /// Steps whose new vector got a full pass against the whole basis (the
+  /// rest were orthogonalized against the two newest vectors only).
+  std::size_t full_reorthogonalizations = 0;
   /// max over the two extremal Ritz pairs (theta, y) of ||Op y - theta y||,
   /// computed explicitly in the operator's own (possibly lazy) space.
   double certified_residual = 0.0;
@@ -132,6 +151,12 @@ class KrylovBasis {
   /// passes; returns ||w|| afterwards.
   double orthogonalize(std::span<double> w, std::size_t last, std::vector<double>& coeff);
 
+  /// CGS2 against the deflation column and the newest columns j - 1 and j
+  /// only (j >= 1; for j = 1 those are columns 0 and 1). `coeff.back()`
+  /// receives the coefficient of column j summed over both passes; returns
+  /// ||w|| afterwards.
+  double orthogonalize_local(std::span<double> w, std::size_t j, std::vector<double>& coeff);
+
   /// column(j) = w / norm.
   void set_column(std::size_t j, std::span<const double> w, double norm);
 
@@ -142,11 +167,53 @@ class KrylovBasis {
                std::span<const std::span<double>> out);
 
  private:
+  /// CGS2 of w against `columns`; coeff[i] is the coefficient of
+  /// columns[i]. Returns ||w|| afterwards.
+  double orthogonalize_columns(std::span<double> w, std::span<const std::size_t> columns,
+                               std::vector<double>& coeff);
+
   std::size_t n_;
   std::size_t chunks_;
   std::size_t stride_;  ///< doubles of partials per chunk
   util::aligned_vector<double> data_;  ///< (capacity + 1) * n: huge-page backed at scale
   std::vector<double> partial_;
+  std::vector<std::size_t> all_columns_;  ///< 0..capacity, for full passes
+  std::vector<double> h_;
+};
+
+/// Simon's omega recurrence: running estimates omega(i, k) ~ q_i^T q_k of
+/// the loss of orthogonality between the Lanczos vectors of T indices i
+/// and k (basis columns i + 1 and k + 1). Pure O(m^2) bookkeeping on the
+/// projected matrix, so it costs nothing next to one basis column.
+class OrthogonalityEstimate {
+ public:
+  /// Estimates over T indices 0..size-1 for an operator of dimension n.
+  OrthogonalityEstimate(std::size_t size, std::size_t n);
+
+  /// Estimates the row of the candidate vector q (T index p + 1) from the
+  /// rows before it: beta * omega(q, k) = (T omega)(k, p) - (T omega)(p, k)
+  /// over T indices 0..p, plus a rounding term. Only the first p + 1 rows
+  /// of `t` (rows 0..p) may be set. Returns max_k |omega(q, k)|.
+  double advance(const DenseSym& t, std::size_t p, double beta);
+
+  /// Row q after a full pass: orthogonal to working precision.
+  void reset(std::size_t q);
+
+  /// After a thick restart onto the Ritz vectors `kept` (indices into the
+  /// row-major Ritz vectors `vectors` of T_m): the kept vectors become T
+  /// indices 0..k-1 and the residual (old T index m) becomes index k.
+  void restart(std::span<const double> vectors, std::size_t m,
+               std::span<const std::size_t> kept);
+
+ private:
+  [[nodiscard]] double& at(std::size_t i, std::size_t k) noexcept { return w_[i * size_ + k]; }
+  [[nodiscard]] double at(std::size_t i, std::size_t k) const noexcept {
+    return w_[i * size_ + k];
+  }
+
+  std::size_t size_;
+  double eps1_;  ///< rounding level of one step: eps * sqrt(n) * ||Op|| (<= 1)
+  std::vector<double> w_;
 };
 
 /// Hits the "lanczos.certificate" fault site once per solve. True when an
@@ -180,6 +247,8 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
   const std::size_t m = std::min(kLanczosBasis, n - 1);
   const std::size_t budget = options.max_iterations - 2;
   KrylovBasis basis{op.top_eigenvector(), m};
+  OrthogonalityEstimate omega{m + 1, n};
+  const double semi_orthogonal = std::sqrt(std::numeric_limits<double>::epsilon());
   std::vector<double> w(n);
   std::vector<double> coeff;
 
@@ -210,21 +279,39 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
   };
 
   bool converged = false;
+  bool full_pass_next = false;  // the pass after a triggered one, or after a restart
   while (true) {
     {
       SOCMIX_TRACE_SPAN("lanczos.apply");
       op.apply(basis.column(j), w);
     }
     ++applies;
-    {
-      SOCMIX_TRACE_SPAN("lanczos.reorth");
-      beta = basis.orthogonalize(w, j, coeff);
+    bool full_pass = full_pass_next;
+    full_pass_next = false;
+    double alpha = 0.0;
+    if (!full_pass) {
+      beta = basis.orthogonalize_local(w, j, coeff);
+      alpha = coeff.back();
+      t.at(j - 1, j - 1) = alpha;
+      // A breakdown gets a full pass too: the local residual then is
+      // rounding noise in directions the local pass did not touch.
+      if (!(beta > kLanczosBreakdown) || omega.advance(t, j - 1, beta) > semi_orthogonal) {
+        full_pass = true;
+        full_pass_next = true;
+      }
     }
-    t.at(j - 1, j - 1) = coeff[j];
+    if (full_pass) {
+      SOCMIX_TRACE_SPAN("lanczos.reorth");
+      ++result.full_reorthogonalizations;
+      beta = basis.orthogonalize(w, j, coeff);
+      alpha += coeff[j];
+      omega.reset(j);
+    }
+    t.at(j - 1, j - 1) = alpha;
 
     // Invariant subspace reached (or the whole deflated space spanned):
     // the Ritz values are exact.
-    const bool exhausted = beta <= 1e-14 || j == n - 1;
+    const bool exhausted = beta <= kLanczosBreakdown || j == n - 1;
     const bool full = j == m;
     const bool spent = applies >= budget;
     if (applies % options.check_every == 0 || full || exhausted || spent) {
@@ -252,23 +339,26 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
       SOCMIX_COUNTER_ADD("linalg.lanczos.restarts", 1);
       ++result.restarts;
       constexpr std::size_t k = 2 * kLanczosKeep;
-      const auto ritz_index = [m](std::size_t c) { return c < kLanczosKeep ? c : m - k + c; };
+      std::array<std::size_t, k> ritz_index{};
       std::vector<double> coeffs(k * m);
       std::vector<std::span<double>> kept(k);
       for (std::size_t c = 0; c < k; ++c) {
-        std::copy_n(eig.vectors.begin() + static_cast<std::ptrdiff_t>(ritz_index(c) * m), m,
+        ritz_index[c] = c < kLanczosKeep ? c : m - k + c;
+        std::copy_n(eig.vectors.begin() + static_cast<std::ptrdiff_t>(ritz_index[c] * m), m,
                     coeffs.begin() + static_cast<std::ptrdiff_t>(c * m));
         kept[c] = basis.column(1 + c);
       }
       basis.combine(m, coeffs, kept);
+      omega.restart(eig.vectors, m, ritz_index);
       std::fill(t.a.begin(), t.a.end(), 0.0);
       for (std::size_t c = 0; c < k; ++c) {
-        const std::size_t idx = ritz_index(c);
+        const std::size_t idx = ritz_index[c];
         t.at(c, c) = eig.values[idx];
         t.at(c, k) = t.at(k, c) = beta * eig.vectors[idx * m + (m - 1)];
       }
       j = k + 1;
       basis.set_column(j, w, beta);
+      full_pass_next = true;
       continue;
     }
 
@@ -307,6 +397,8 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
 
   result.iterations = applies;
   result.converged = converged;
+  SOCMIX_COUNTER_ADD("linalg.lanczos.full_reorthogonalizations",
+                     result.full_reorthogonalizations);
   result.certified_residual = certified;
   SOCMIX_COUNTER_ADD("linalg.lanczos.iterations", applies);
   SOCMIX_GAUGE_SET("linalg.lanczos.last_iterations", applies);

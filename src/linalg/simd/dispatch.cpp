@@ -25,11 +25,16 @@ constexpr KernelTable kScalarTable{
     &scalar::prescale_f64, &scalar::decode_u32, &scalar::route_hops,
 };
 
+// The single-vector SpMV is latency-bound, not width-bound: on the
+// LiveJournal A stand-ins a hardware gather per kW edges, summed serially,
+// ran slower than the scalar kernel, which keeps four rows' add chains in
+// flight. Every tier uses the scalar SpMV.
+
 #if defined(SOCMIX_SIMD_HAVE_AVX2)
 // AVX2 has no 64-bit lane multiply, which every mix of the route hop's
 // Feistel network needs; the AVX2 tier reuses the scalar route hop.
 constexpr KernelTable kAvx2Table{
-    Tier::kAvx2,         &avx2::spmm_f64,   &avx2::spmv,
+    Tier::kAvx2,         &avx2::spmm_f64,   &scalar::spmv,
     &avx2::prescale_f64, &avx2::decode_u32, &scalar::route_hops,
 };
 #endif
@@ -39,7 +44,7 @@ constexpr KernelTable kAvx2Table{
 // having; the AVX-512 tier reuses the AVX2 decoder (an AVX-512 build
 // always compiles the AVX2 TU too — see src/linalg/CMakeLists.txt).
 constexpr KernelTable kAvx512Table{
-    Tier::kAvx512,         &avx512::spmm_f64, &avx512::spmv,
+    Tier::kAvx512,         &avx512::spmm_f64, &scalar::spmv,
     &avx512::prescale_f64,
 #if defined(SOCMIX_SIMD_HAVE_AVX2)
     &avx2::decode_u32,

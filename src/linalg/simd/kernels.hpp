@@ -7,12 +7,16 @@
 // route hop (sybil::RouteTable::for_each_tail) all funnel through one
 // table of kernel function pointers. Three tiers implement the table:
 //
-//   scalar   the portable fallback — the exact pre-SIMD kernel code,
-//            compiled with the build's baseline flags;
-//   avx2     256-bit vertical ops + i32 gathers (route hops: scalar —
-//            AVX2 has no 64-bit multiply);
-//   avx512   512-bit vertical ops + i32 gathers, 8 route hops per vector
-//            with vpmullq (AVX512DQ).
+//   scalar   the portable fallback, compiled with the build's baseline
+//            flags;
+//   avx2     256-bit vertical ops and a pshufb varint decode (route hops:
+//            scalar — AVX2 has no 64-bit multiply);
+//   avx512   512-bit vertical ops, 8 route hops per vector with vpmullq
+//            (AVX512DQ).
+//
+// The single-vector SpMV is one plain C++ kernel in every tier's table: it
+// is bound by the latency of each row's add chain, which four rows in
+// flight hide and vector width does not.
 //
 // The active tier is chosen once at first use: the widest tier that was
 // compiled in AND that the running CPU reports support for (via
@@ -80,14 +84,12 @@ using SpmmF64Fn = void (*)(const SpmmArgs& args, const double* scaled,
                            const double* cur, double* next);
 
 /// Single-vector gather-stream SpMV over rows [row_begin, row_end):
-///   acc  = sum_{e in row i} gather[neighbors[e]]
+///   acc  = sum_{e in row i} gather[neighbors[e]]   (in CSR edge order)
 ///   y[i] = walk_weight*acc * (row_scale ? row_scale[i] : 1) + laziness*x[i]
 /// matching the scalar epilogues of WalkOperator (row_scale =
-/// inv_sqrt_deg) and a one-lane BatchedEvolver (row_scale null). `y` may alias `x`
-/// (row i reads only x[i], before it writes y[i]) but never `gather`;
-/// every tier honors this. The SIMD tiers use i32 gathers, so they
-/// require num_nodes < 2^31 — guaranteed by the u32 NodeId CSR long
-/// before that bound matters.
+/// inv_sqrt_deg) and a one-lane BatchedEvolver (row_scale null). `y` may
+/// alias `x` (row i reads only x[i], before it writes y[i]) but never
+/// `gather`.
 struct SpmvArgs {
   const graph::EdgeIndex* offsets = nullptr;
   const graph::NodeId* neighbors = nullptr;

@@ -1,5 +1,5 @@
-// AVX2 kernel tier: 256-bit vertical ops (4 doubles) + i32 gathers.
-// Compiled with -mavx2 -ffp-contract=off (see src/linalg/CMakeLists.txt);
+// AVX2 kernel tier: 256-bit vertical ops (4 doubles) and the pshufb
+// varint decode. Compiled with -mavx2 -ffp-contract=off (see src/linalg/CMakeLists.txt);
 // only reached when dispatch.cpp probed AVX2 support at runtime. All
 // shared logic lives in kernels_body.inc — this TU only binds the vector
 // primitives.
@@ -32,18 +32,6 @@ inline vd vd_mul(vd a, vd b) noexcept { return _mm256_mul_pd(a, b); }
 inline vd vd_abs(vd v) noexcept {
   return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);
 }
-// i32 gather: sign-extends the u32 node ids, so it requires
-// num_nodes < 2^31 (see kernels.hpp). The masked form with an all-ones
-// mask is the same instruction but gives the source operand a defined
-// value (the unmasked intrinsic's _mm256_undefined_pd trips
-// -Wmaybe-uninitialized under -Werror).
-inline vd vd_gather_i32(const double* base, const graph::NodeId* idx) noexcept {
-  const vd ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  return _mm256_mask_i32gather_pd(
-      _mm256_setzero_pd(), base,
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)), ones, 8);
-}
-
 }  // namespace
 
 #include "linalg/simd/kernels_body.inc"

@@ -1,5 +1,5 @@
-// AVX-512 kernel tier: 512-bit vertical ops (8 doubles) + i32 gathers,
-// and the route hop over 8 routes per vector. Compiled with -mavx2
+// AVX-512 kernel tier: 512-bit vertical ops (8 doubles) and the route
+// hop over 8 routes per vector. Compiled with -mavx2
 // -mavx512f -mavx512dq -ffp-contract=off (see src/linalg/CMakeLists.txt);
 // only reached when dispatch.cpp probed AVX-512 support at runtime. The
 // sweep kernels' shared logic lives in kernels_body.inc — this TU binds
@@ -37,17 +37,6 @@ inline vd vd_abs(vd v) noexcept {
   return _mm512_castsi512_pd(_mm512_and_epi64(
       _mm512_castpd_si512(v), _mm512_set1_epi64(INT64_C(0x7fffffffffffffff))));
 }
-// i32 gather: sign-extends the u32 node ids, so it requires
-// num_nodes < 2^31 (see kernels.hpp). As in the AVX2 tier, the masked
-// form with an all-ones mask is the same instruction with a defined
-// source operand (the unmasked intrinsic's _mm512_undefined_pd trips
-// GCC 12's -Wmaybe-uninitialized under -Werror).
-inline vd vd_gather_i32(const double* base, const graph::NodeId* idx) noexcept {
-  return _mm512_mask_i32gather_pd(
-      _mm512_setzero_pd(), __mmask8{0xFF},
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx)), base, 8);
-}
-
 }  // namespace
 
 #include "linalg/simd/kernels_body.inc"

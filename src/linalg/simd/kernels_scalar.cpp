@@ -10,6 +10,7 @@
 // so a native build cannot contract the affine epilogues into FMAs —
 // that pins the rounding points the vector tiers match.
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
@@ -103,19 +104,40 @@ void spmm_f64(const SpmmArgs& a, const double* scaled, const double* cur, double
 }
 
 void spmv(const SpmvArgs& a, graph::NodeId row_begin, graph::NodeId row_end) {
-  const double walk_weight = a.walk_weight;
-  const double laziness = a.laziness;
-  for (graph::NodeId i = row_begin; i < row_end; ++i) {
-    double acc = 0.0;
-    const graph::EdgeIndex end = a.offsets[i + 1];
-    for (graph::EdgeIndex e = a.offsets[i]; e < end; ++e) {
-      if (e + kPrefetchDistance < end) {
-        util::prefetch_read(a.gather + a.neighbors[e + kPrefetchDistance]);
-      }
-      acc += a.gather[a.neighbors[e]];
+  // Rows go kSpmvRows at a time, one accumulator each. Every row is still
+  // one serial chain of adds in CSR edge order — the same bits as a
+  // one-row loop — but the chains of the group overlap instead of each
+  // waiting out its own add latency: the group steps together through
+  // its shortest row's length, then each row finishes its own tail.
+  constexpr std::size_t kSpmvRows = 4;
+  const graph::EdgeIndex* offsets = a.offsets;
+  const graph::NodeId* neighbors = a.neighbors;
+  const double* gather = a.gather;
+  const auto finish = [&a](graph::NodeId i, double acc) {
+    const double base = a.walk_weight * acc;
+    a.y[i] = (a.row_scale != nullptr ? base * a.row_scale[i] : base) + a.laziness * a.x[i];
+  };
+  graph::NodeId i = row_begin;
+  for (; row_end - i >= kSpmvRows; i += kSpmvRows) {
+    graph::EdgeIndex edge[kSpmvRows + 1];
+    for (std::size_t s = 0; s <= kSpmvRows; ++s) edge[s] = offsets[i + s];
+    graph::EdgeIndex run = edge[1] - edge[0];
+    for (std::size_t s = 1; s < kSpmvRows; ++s) run = std::min(run, edge[s + 1] - edge[s]);
+    double acc[kSpmvRows] = {};
+    for (graph::EdgeIndex k = 0; k < run; ++k) {
+      for (std::size_t s = 0; s < kSpmvRows; ++s) acc[s] += gather[neighbors[edge[s] + k]];
     }
-    const double base = walk_weight * acc;
-    a.y[i] = (a.row_scale != nullptr ? base * a.row_scale[i] : base) + laziness * a.x[i];
+    for (std::size_t s = 0; s < kSpmvRows; ++s) {
+      for (graph::EdgeIndex e = edge[s] + run; e < edge[s + 1]; ++e) {
+        acc[s] += gather[neighbors[e]];
+      }
+      finish(i + static_cast<graph::NodeId>(s), acc[s]);
+    }
+  }
+  for (; i < row_end; ++i) {
+    double acc = 0.0;
+    for (graph::EdgeIndex e = offsets[i]; e < offsets[i + 1]; ++e) acc += gather[neighbors[e]];
+    finish(i, acc);
   }
 }
 

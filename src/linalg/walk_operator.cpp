@@ -54,12 +54,10 @@ void WalkOperator::apply(std::span<const double> x, std::span<double> y) const {
   // single gather per edge instead of two (x[j] and inv_sqrt_deg_[j]).
   // Rows are partitioned across threads: each y[i] is produced by exactly
   // one thread with a fixed accumulation order, making the result
-  // bit-identical for any thread count — and the simd dispatch table
-  // guarantees the same bits for any kernel tier (the vector tier gathers
-  // in hardware but sums edges in scalar order; see linalg/simd). Lanczos
-  // scales with cores through this one kernel. Rows
-  // are grouped by shard only in the outer order, which no row's result
-  // depends on.
+  // bit-identical for any thread count — and every kernel tier runs the
+  // same SpMV (see linalg/simd). Lanczos scales with cores through this
+  // one kernel. Rows are grouped by shard only in the outer order, which
+  // no row's result depends on.
   double* const scaled = scaled_.data();
   const simd::KernelTable& kernels = simd::dispatch();
   util::parallel_for(0, n, kApplyGrain, [&](std::size_t lo, std::size_t hi) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <numbers>
 #include <string>
 
@@ -277,6 +278,58 @@ TEST(Lanczos, RestartedRitzVectorIsEigenvector) {
   EXPECT_LE(s.certified_residual, kLanczosCertificateSlack * LanczosOptions{}.tolerance);
 }
 
+/// mu (= lambda_2 on every row) and lambda_min of the Table-1 stand-ins at
+/// 2000 nodes (generator seed 11), with the applies they took, as solved
+/// with a full CGS2 pass on every Lanczos step. Partial
+/// reorthogonalization must reproduce them.
+struct Table1Spectrum {
+  const char* name;
+  double mu;
+  double lambda_min;
+  std::size_t applies;
+};
+constexpr Table1Spectrum kFullReorthSpectra[] = {
+    {"Wiki-vote", 0.84197666577440611, -0.30201193536343002, 152},
+    {"Slashdot 2", 0.97417929877966569, -0.46852189007092154, 132},
+    {"Slashdot 1", 0.9767400659317742, -0.47212015397128487, 112},
+    {"Facebook", 0.89697543673344404, -0.3019352035214275, 152},
+    {"Physics 1", 0.99726174222583397, -0.63281319943775793, 157},
+    {"Physics 2", 0.99703690357297448, -0.36211102705331466, 157},
+    {"Physics 3", 0.99708207559288398, -0.64237317633193525, 147},
+    {"Enron", 0.99558736856373709, -0.52481669386861274, 147},
+    {"Epinion", 0.99387765276013529, -0.53731751039092213, 137},
+    {"DBLP", 0.99773961597934635, -0.67183691234361687, 102},
+    {"Facebook A", 0.32305275940459294, -0.29600657122951218, 122},
+    {"Facebook B", 0.36126712759763835, -0.3258781890294225, 172},
+    {"Livejournal A", 0.29594419524035515, -0.250813934770376, 132},
+    {"Livejournal B", 0.28665995553955664, -0.24371936435802882, 122},
+    {"Youtube", 0.99556635797427939, -0.68725173594972744, 152},
+};
+
+TEST(Lanczos, PartialReorthogonalizationKeepsTable1Spectra) {
+  ASSERT_EQ(std::size(kFullReorthSpectra), gen::table1_datasets().size());
+  for (const Table1Spectrum& want : kFullReorthSpectra) {
+    const auto spec = gen::find_dataset(want.name);
+    ASSERT_TRUE(spec.has_value()) << want.name;
+    const auto s = slem_spectrum(WalkOperator{gen::build_dataset(*spec, 2000, 11)});
+    EXPECT_TRUE(s.converged) << want.name;
+    EXPECT_NEAR(s.slem, want.mu, 1e-9) << want.name;
+    EXPECT_NEAR(s.lambda2, want.mu, 1e-9) << want.name;
+    EXPECT_NEAR(s.lambda_min, want.lambda_min, 1e-9) << want.name;
+    EXPECT_LE(s.iterations, want.applies + want.applies / 20) << want.name;
+  }
+}
+
+TEST(Lanczos, FullPassesAreTheExceptionOnASlowMixingStandIn) {
+  // Physics 1 (slow class): a restarted solve of about 160 applies.
+  const auto s = slem_spectrum(
+      WalkOperator{gen::build_dataset(*gen::find_dataset("Physics 1"), 2000, 11)});
+  ASSERT_TRUE(s.converged);
+  ASSERT_GT(s.restarts, 0u);
+  EXPECT_GT(s.full_reorthogonalizations, 0u);
+  EXPECT_LE(s.full_reorthogonalizations, s.iterations / 3);
+}
+
 TEST(Lanczos, BitIdenticalAcrossThreadCounts) {
   // Several kLanczosRowChunk chunks and several WalkOperator grains.
   util::Rng rng{77};
@@ -294,6 +347,7 @@ TEST(Lanczos, BitIdenticalAcrossThreadCounts) {
   const SpectrumResult& ref = runs.front();
   EXPECT_TRUE(ref.converged);
   EXPECT_GT(ref.restarts, 0u);
+  EXPECT_GT(ref.full_reorthogonalizations, 0u);
   for (std::size_t r = 1; r < runs.size(); ++r) {
     const SpectrumResult& s = runs[r];
     EXPECT_EQ(bits(s.lambda2), bits(ref.lambda2)) << "run " << r;
@@ -302,6 +356,7 @@ TEST(Lanczos, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(bits(s.certified_residual), bits(ref.certified_residual)) << "run " << r;
     EXPECT_EQ(s.iterations, ref.iterations) << "run " << r;
     EXPECT_EQ(s.restarts, ref.restarts) << "run " << r;
+    EXPECT_EQ(s.full_reorthogonalizations, ref.full_reorthogonalizations) << "run " << r;
     EXPECT_EQ(s.converged, ref.converged) << "run " << r;
     ASSERT_EQ(s.lambda2_vector.size(), ref.lambda2_vector.size());
     EXPECT_EQ(std::memcmp(s.lambda2_vector.data(), ref.lambda2_vector.data(),

@@ -10,8 +10,9 @@
 //    BatchedEvolver) are bitwise tier-invariant too;
 //  * the kernel contract itself, on every tier: an in-place sweep
 //    (next == cur for the SpMM, y == x for the SpMV) matches separate
-//    buffers bit for bit, and a range split that carries the running TVD
-//    sum matches one call over every row.
+//    buffers bit for bit, a range split that carries the running TVD
+//    sum matches one call over every row, and the SpMV matches a naive
+//    row-by-row reference on any row range.
 //
 // Tiers unavailable on the build/host (e.g. AVX-512 on a plain CI runner)
 // are skipped via the runtime tier_available probe.
@@ -290,6 +291,114 @@ TEST(SimdKernelContract, InPlaceSpmvMatchesSeparateBuffersOnEveryTier) {
     args.y = state.data();
     simd::dispatch().spmv(args, 0, n);
     ASSERT_EQ(y, state) << "tier=" << simd::tier_name(tier);
+  }
+}
+
+/// A hand-made CSR for the SpMV kernel, which walks rows four at a time
+/// through their shortest row's length and then finishes each tail: a star
+/// hub (row 2, adjacent to every other row) between degree-1 rows, an
+/// empty row, and then degrees cycling through 0..9.
+struct SpmvInput {
+  std::vector<graph::EdgeIndex> offsets{0};
+  std::vector<graph::NodeId> neighbors;
+  std::vector<double> gather;
+  std::vector<double> x;
+  std::vector<double> row_scale;
+  [[nodiscard]] graph::NodeId rows() const {
+    return static_cast<graph::NodeId>(offsets.size() - 1);
+  }
+};
+
+SpmvInput make_spmv_input() {
+  constexpr graph::NodeId kRows = 70;
+  constexpr graph::NodeId kHub = 2;
+  util::Rng rng{73};
+  SpmvInput in;
+  for (graph::NodeId v = 0; v < kRows; ++v) {
+    if (v == kHub) {
+      for (graph::NodeId u = 0; u < kRows; ++u) {
+        if (u != kHub) in.neighbors.push_back(u);
+      }
+    } else if (v < 5) {
+      in.neighbors.push_back(kHub);
+    } else if (v > 5) {
+      for (graph::NodeId e = 0; e < v % 10; ++e) {
+        in.neighbors.push_back(static_cast<graph::NodeId>(rng.below(kRows)));
+      }
+    }
+    in.offsets.push_back(in.neighbors.size());
+  }
+  const auto uniform = [&rng] {
+    std::vector<double> v(kRows);
+    for (double& x : v) x = rng.uniform() - 0.5;
+    return v;
+  };
+  in.gather = uniform();
+  in.x = uniform();
+  in.row_scale = uniform();
+  return in;
+}
+
+constexpr double kSpmvWalkWeight = 0.7;
+constexpr double kSpmvLaziness = 0.3;
+
+/// y = SpMV(x) row by row in CSR edge order: the operation sequence of
+/// simd::SpmvArgs. Every product is rounded on its own (the volatile
+/// stores keep a compiler from contracting it into an FMA, which no
+/// kernel tier uses).
+std::vector<double> naive_spmv(const SpmvInput& in, bool scaled) {
+  std::vector<double> y(in.rows());
+  for (graph::NodeId i = 0; i < in.rows(); ++i) {
+    double acc = 0.0;
+    for (graph::EdgeIndex e = in.offsets[i]; e < in.offsets[i + 1]; ++e) {
+      acc += in.gather[in.neighbors[e]];
+    }
+    volatile double base = kSpmvWalkWeight * acc;
+    if (scaled) base = base * in.row_scale[i];
+    volatile const double lazy = kSpmvLaziness * in.x[i];
+    y[i] = base + lazy;
+  }
+  return y;
+}
+
+TEST(SimdKernelContract, SpmvMatchesTheRowByRowReferenceOnEveryTier) {
+  const SpmvInput in = make_spmv_input();
+  const graph::NodeId n = in.rows();
+  // Row ranges as parallel_for chunks cut them: lengths 1..9 at odd
+  // starts (the hub, row 2, sits inside several), plus every row at once.
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> ranges{{0, n}};
+  for (const graph::NodeId start : {1u, 3u, 7u, 13u, 61u}) {
+    for (graph::NodeId len = 1; len <= 9; ++len) ranges.emplace_back(start, start + len);
+  }
+  for (const simd::Tier tier : available_tiers()) {
+    const TierGuard guard{tier};
+    ASSERT_TRUE(guard.ok());
+    for (const bool scaled : {false, true}) {
+      const std::vector<double> want = naive_spmv(in, scaled);
+      simd::SpmvArgs args;
+      args.offsets = in.offsets.data();
+      args.neighbors = in.neighbors.data();
+      args.gather = in.gather.data();
+      args.walk_weight = kSpmvWalkWeight;
+      args.laziness = kSpmvLaziness;
+      args.row_scale = scaled ? in.row_scale.data() : nullptr;
+      for (const auto& [lo, hi] : ranges) {
+        for (const bool in_place : {false, true}) {
+          // Rows outside the range keep their old value: the sentinel, or
+          // x itself when y is x.
+          std::vector<double> state = in_place ? in.x : std::vector<double>(n, -7.0);
+          const std::vector<double> before = state;
+          args.x = in_place ? state.data() : in.x.data();
+          args.y = state.data();
+          simd::dispatch().spmv(args, lo, hi);
+          for (graph::NodeId i = 0; i < n; ++i) {
+            ASSERT_EQ(state[i], lo <= i && i < hi ? want[i] : before[i])
+                << "tier=" << simd::tier_name(tier) << " row_scale=" << scaled
+                << " rows=[" << lo << "," << hi << ") in_place=" << in_place << " row=" << i;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -20,7 +20,10 @@
 # 4-billion-node build, a malformed --seed to ablation_estimators and the
 # dataset_report, sampling_bias and sybil_tuning examples, a malformed or
 # non-positive fig8 --suspects or --r0, and a malformed or non-positive
-# ablation_null_model --swaps. Every socmix subcommand and graph_pack
+# ablation_null_model --swaps. socmix measure refuses --tvd-out with
+# --sources 0 (there are no trajectories) before it loads the input, and
+# fails on an unwritable --tvd-out path before it measures anything.
+# Every socmix subcommand and graph_pack
 # refuse an unknown (e.g. misspelt) flag by name instead of running with
 # defaults, and socmix refuses the retired `convert` command by name.
 #
@@ -116,7 +119,7 @@ function(expect_refused label needle)
 endfunction()
 
 set(measure_input --dataset "Physics 1" --nodes 300 --sources 8 --steps 20)
-file(REMOVE "${OUT_DIR}/refused.smxg" "${OUT_DIR}/refused.txt")
+file(REMOVE "${OUT_DIR}/refused.smxg" "${OUT_DIR}/refused.txt" "${OUT_DIR}/refused.tvd")
 # Only a compressed pack sweeps in shards: in-memory graphs (every figure
 # driver, socmix measure --dataset) and raw packs sweep as one.
 expect_refused("fig5 --sharded 4" "--sharded"
@@ -145,6 +148,18 @@ foreach(bad "sources;-5" "steps;-1" "steps;0" "eps;-1" "eps;1" "checkpoint-inter
   expect_refused("socmix measure --${flag} ${value}" "--${flag}=${value}"
                  "${SOCMIX_BIN}" measure ${measure_input} --${flag} ${value})
 endforeach()
+# The missing --edges file would fail the load without naming --tvd-out;
+# the abort armed at the first sampled block would exit 42 instead of 1.
+expect_refused("socmix measure --sources 0 --tvd-out" "--tvd-out"
+               "${SOCMIX_BIN}" measure --edges "${OUT_DIR}/no-such-graph.txt"
+               --sources 0 --tvd-out "${OUT_DIR}/refused.tvd")
+if(EXISTS "${OUT_DIR}/refused.tvd")
+  message(FATAL_ERROR "a refused socmix measure wrote ${OUT_DIR}/refused.tvd")
+endif()
+expect_refused("socmix measure --tvd-out <unwritable>" "--tvd-out"
+               "${SOCMIX_BIN}" measure ${measure_input}
+               --tvd-out "${OUT_DIR}/no-such-dir/out.tvd"
+               --fault-inject block.complete:1:abort)
 foreach(bad "scale;0" "scale;-1" "scale;nan" "checkpoint-interval;-2")
   list(GET bad 0 flag)
   list(GET bad 1 value)

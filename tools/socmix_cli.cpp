@@ -17,8 +17,10 @@
 #include <initializer_list>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench_harness/harness.hpp"
@@ -197,20 +199,34 @@ int cmd_info(const util::Cli& cli) {
   return 0;
 }
 
+/// The --tvd-out file, open for writing; null without the flag.
+using TvdFile = std::unique_ptr<std::FILE, int (*)(std::FILE*)>;
+
+/// Opens --tvd-out before the run, so an unwritable path fails before the
+/// work instead of after it.
+TvdFile open_tvd_out(const util::Cli& cli) {
+  if (!cli.has("tvd-out")) return {nullptr, &std::fclose};
+  const std::string path = cli.get("tvd-out", "");
+  TvdFile out{std::fopen(path.c_str(), "w"), &std::fclose};
+  if (!out) throw std::runtime_error{"--tvd-out=" + path + ": cannot open for writing"};
+  return out;
+}
+
 /// Dumps every source's full TVD trajectory at full double precision —
 /// the artifact the resume-equivalence ctest compares byte-for-byte.
-void write_tvd(const markov::SampledMixing& sampled, const std::string& path) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (!out) throw std::runtime_error{"cannot open " + path};
-  std::fprintf(out, "# source tvd(t=1) .. tvd(t=%zu)\n", sampled.max_steps());
+void write_tvd(const markov::SampledMixing& sampled, TvdFile out, const std::string& path) {
+  std::fprintf(out.get(), "# source tvd(t=1) .. tvd(t=%zu)\n", sampled.max_steps());
   for (std::size_t s = 0; s < sampled.num_sources(); ++s) {
-    std::fprintf(out, "%u", sampled.sources()[s]);
+    std::fprintf(out.get(), "%u", sampled.sources()[s]);
     for (std::size_t t = 1; t <= sampled.max_steps(); ++t) {
-      std::fprintf(out, " %.17g", sampled.tvd(s, t));
+      std::fprintf(out.get(), " %.17g", sampled.tvd(s, t));
     }
-    std::fputc('\n', out);
+    std::fputc('\n', out.get());
   }
-  std::fclose(out);
+  const bool write_failed = std::ferror(out.get()) != 0;
+  if (std::fclose(out.release()) != 0 || write_failed) {
+    throw std::runtime_error{"--tvd-out=" + path + ": write failed"};
+  }
   std::fprintf(stderr, "wrote %s: %zu trajectories\n", path.c_str(),
                sampled.num_sources());
 }
@@ -223,6 +239,11 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
   refuse_unknown_flags(cli, true,
                        {"pack", "sharded", "sources", "steps", "spectral", "eps", "tvd-out"});
   options.sources = cli.get_count("sources", 200);
+  // With no sampled walks there are no trajectories to dump.
+  if (options.sources == 0 && cli.has("tvd-out")) {
+    throw std::invalid_argument{"--tvd-out=" + cli.get("tvd-out", "") +
+                                ": --sources 0 samples no trajectories to write"};
+  }
   // A sampled phase of zero steps would report "average 0.0 steps", which
   // reads as instant mixing.
   options.max_steps = options.sources > 0 ? cli.get_positive("steps", 400)
@@ -255,8 +276,9 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
   if (!input.mapped.compressed()) refuse_sharded();
   options.mapped = input.mapped_ptr();
 
+  TvdFile tvd_out = open_tvd_out(cli);
   const auto report = core::measure_mixing(input.graph(), input.name, options);
-  if (cli.has("tvd-out")) write_tvd(*report.sampled, cli.get("tvd-out", ""));
+  if (tvd_out) write_tvd(*report.sampled, std::move(tvd_out), cli.get("tvd-out", ""));
   std::printf("%s\n", core::summarize(report).c_str());
   if (report.spectral_ran) {
     std::printf("T(%.3g) bounds: %.1f .. %.1f steps\n", eps, report.lower_bound(eps),
