@@ -10,9 +10,9 @@
 //   --suspects N  honest suspects sampled per point (default 200, >= 1)
 //   --r0 F        route-count multiplier r = r0 sqrt(m) (default 4, > 0)
 //   --seed N
-// The execution knob --sharded is rejected: random routes have no
-// evolver, so it would change no admission work. A malformed or
-// out-of-range value exits 1 naming the flag, before any work.
+// The retired execution knobs (--sharded among them) are rejected by name.
+// A malformed or out-of-range value exits 1 naming the flag, before any
+// work.
 #include <cstdio>
 #include <iostream>
 
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   // Phase seconds recorded by core::measure_mixing land in the process
   // harness; the atexit hook writes BENCH_<bench>.json next to the CSVs.
   bench::Harness::configure_process(cli);
-  // Refuses --sharded and the retired knobs: random routes take none.
+  // Refuses the retired execution knobs by name.
   auto config = core::ExperimentConfig::from_cli_or_exit(cli);
   if (!cli.has("scale")) config.scale = 0.6;
   const std::size_t suspects =

@@ -4,7 +4,7 @@
 // (verify_batch, kBatchLanes-wide) against them — and reports
 // queries/sec plus p50/p99 batch-verify latency.
 //
-// One Table-1 stand-in per paper mixing class (the micro_shard pick), at
+// One Table-1 stand-in per paper mixing class, at
 // the paper's w = 10 operating point. Per round the per-batch wall times
 // are sorted into p50/p99 and recorded as harness samples, so the
 // committed baseline
@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
   bench::Harness::process().set_flag("rounds", std::to_string(rounds));
   bench::Harness::process().set_flag("batches", std::to_string(batches));
 
-  // First Table-1 config of each paper mixing class (micro_shard uses the
-  // same picks, so the lanes are comparable).
+  // First Table-1 config of each paper mixing class.
   std::vector<gen::DatasetSpec> picks;
   for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
     bool seen = false;

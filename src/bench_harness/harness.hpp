@@ -9,8 +9,8 @@
 //   run(name, fn, opts)   warmup + N timed repeats of fn (the micro-bench
 //                         shape; opts.repeats >= 5 for gate-able entries)
 //   time_once(name, fn)   one timed repeat appended to `name` (for benches
-//                         with their own pairing/interleaving discipline —
-//                         micro_shard's cold rounds — that still want
+//                         with their own pairing/interleaving discipline
+//                         that still want
 //                         per-repeat counters and harness stats)
 //   record(name, s)       append an externally timed sample (the figure
 //                         benches' phase seconds, measured by the code
@@ -87,7 +87,7 @@ class Harness {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   void set_name(std::string name);
 
-  /// Records a provenance flag (sharded/scale/...).
+  /// Records a provenance flag (scale/threads/...).
   void set_flag(std::string key, std::string value);
 
   /// Disables per-repeat counter capture (the obs-overhead control arm

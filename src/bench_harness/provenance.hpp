@@ -28,7 +28,7 @@ struct Provenance {
   std::string simd_tier;   ///< resolved linalg.simd tier (forces the probe)
   std::uint64_t threads = 0;  ///< util::parallel pool width at capture
   std::uint64_t nproc = 0;    ///< hardware threads of the host
-  /// Perf-relevant run flags (sharded/scale/...), caller-set.
+  /// Perf-relevant run flags (scale/threads/...), caller-set.
   std::vector<std::pair<std::string, std::string>> flags;
 };
 

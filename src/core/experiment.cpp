@@ -60,62 +60,33 @@ MeasurementOptions ExperimentConfig::measurement_options() const {
 
 namespace {
 
-/// Flags refused by name, whatever the value, rather than silently
-/// ignored. Retired knobs no longer exist anywhere; --sharded exists only
-/// for `socmix measure`.
+/// Retired flags, refused by name whatever the value rather than silently
+/// ignored.
 struct RefusedFlag {
   const char* flag;
-  bool retired;
   const char* reason;
 };
 constexpr RefusedFlag kRefusedFlags[] = {
-    {"precision", true, "retired; both phases always run f64"},
-    {"io-mode", true,
-     "retired; the shard pipeline stages windows on its own worker whenever it has "
-     "staging work"},
-    {"frontier", true, "retired; every sweep is dense, and random routes walk hop-major"},
-    {"reorder", true,
+    {"precision", "retired; both phases always run f64"},
+    {"io-mode", "retired; no pack is staged: each is one resident CSR"},
+    {"frontier", "retired; every sweep is dense, and random routes walk hop-major"},
+    {"reorder",
      "retired; vertex ordering is a property of the stored graph: pack it once with "
      "`graph_pack --reorder rcm` and measure the pack"},
-    {"sharded", false,
-     "only `socmix measure --pack` of a compressed pack sweeps in shards; this run "
-     "takes no execution knobs"},
+    {"sharded",
+     "retired; every graph is swept as one resident CSR, a compressed pack decoded "
+     "once when it is opened"},
 };
 
-/// Throws naming the first refused flag passed: retired ones always,
-/// --sharded only for the drivers that take no execution knobs.
-void refuse_flags(const util::Cli& cli, bool no_knobs) {
+}  // namespace
+
+void refuse_engine_knobs(const util::Cli& cli) {
   for (const RefusedFlag& refused : kRefusedFlags) {
-    if ((refused.retired || no_knobs) && cli.has(refused.flag)) {
+    if (cli.has(refused.flag)) {
       throw std::invalid_argument{std::string{"--"} + refused.flag + ": " +
                                   refused.reason};
     }
   }
-}
-
-}  // namespace
-
-graph::ShardPolicy shard_policy_from_cli(const util::Cli& cli) {
-  const std::string value = cli.get("sharded", "auto");
-  const auto policy = graph::parse_shard_policy(value);
-  if (!policy) {
-    throw std::invalid_argument{"--sharded=" + value +
-                                ": expected auto, off, or a shard count in [1, " +
-                                std::to_string(graph::ShardPolicy::kMaxShards) + "]"};
-  }
-  bench::Harness::process().set_flag("sharded", value);
-  return *policy;
-}
-
-markov::EngineOptions engine_options_from_cli(const util::Cli& cli) {
-  refuse_flags(cli, /*no_knobs=*/false);
-  markov::EngineOptions engine;
-  engine.sharded = shard_policy_from_cli(cli);
-  return engine;
-}
-
-void refuse_engine_knobs(const util::Cli& cli) {
-  refuse_flags(cli, /*no_knobs=*/true);
 }
 
 void configure_observability(const util::Cli& cli) {

@@ -12,7 +12,6 @@
 #include "core/measurement.hpp"
 #include "gen/datasets.hpp"
 #include "graph/graph.hpp"
-#include "graph/sharded/plan.hpp"
 #include "markov/mixing_time.hpp"
 #include "resilience/checkpoint.hpp"
 #include "util/cli.hpp"
@@ -38,8 +37,7 @@ struct ExperimentConfig {
 
   /// Parses the CLI and applies `threads` to the global util::parallel
   /// pool, so every driver honors --threads with no further wiring. The
-  /// drivers build their graphs in memory, which sweep as one shard, so
-  /// --sharded and the retired knobs are refused (refuse_engine_knobs).
+  /// retired execution knobs are refused (refuse_engine_knobs).
   /// Also calls configure_observability (--metrics-out / --trace-out /
   /// --progress) and configure_resilience (--checkpoint-dir /
   /// --checkpoint-interval / --fault-inject), so those flags work in every
@@ -56,24 +54,11 @@ struct ExperimentConfig {
   [[nodiscard]] MeasurementOptions measurement_options() const;
 };
 
-/// Parses --sharded (default auto) and stamps it on the process bench
-/// harness, so any BENCH json records what the run actually used. Throws
-/// std::invalid_argument naming the flag, the bad value and the accepted
-/// ones. graph_pack resolves its pack-time plan from the same flag.
-[[nodiscard]] graph::ShardPolicy shard_policy_from_cli(const util::Cli& cli);
-
-/// Parses the execution knobs for `socmix measure`, the one command that
-/// can read a compressed pack: shard_policy_from_cli, after refusing the
-/// retired --reorder, --precision, --io-mode and --frontier by name
-/// (std::invalid_argument; --reorder's message names `graph_pack --reorder
-/// rcm`). `mapped` is left null for the caller to set from --pack.
-[[nodiscard]] markov::EngineOptions engine_options_from_cli(const util::Cli& cli);
-
-/// Every other driver takes no execution knobs: the figure drivers build
-/// in-memory graphs, which sweep as one shard, and random routes (socmix
-/// sybil, fig8) have no evolver. Throws std::invalid_argument naming
-/// --sharded, or the first retired knob engine_options_from_cli refuses,
-/// when it is passed.
+/// No command takes an execution knob: every measurement sweeps one
+/// resident CSR, and random routes (socmix sybil, fig8) have no evolver.
+/// Throws std::invalid_argument naming the first retired knob passed —
+/// --sharded, --reorder (whose message names `graph_pack --reorder rcm`),
+/// --precision, --io-mode or --frontier — whatever its value.
 void refuse_engine_knobs(const util::Cli& cli);
 
 /// Wires the shared observability flags into the obs layer:

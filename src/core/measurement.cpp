@@ -53,10 +53,7 @@ MixingReport measure_mixing(const graph::Graph& g, std::string name,
   if (options.spectral && g.num_nodes() > 0) {
     SOCMIX_TRACE_SPAN("phase.spectral");
     const util::Timer timer;
-    // Shard geometry never changes an output bit (rows are independent
-    // under spmv); it only bounds the CSR residency.
-    const markov::SweepSharding sharding = markov::resolve_engine(g, options);
-    const linalg::WalkOperator op{g, sharding.plan, options.laziness, sharding.mapped};
+    const linalg::WalkOperator op{g, options.laziness};
     const linalg::SpectrumResult spectrum = linalg::slem_spectrum(op, options.lanczos);
     report.spectral_ran = true;
     report.spectral_converged = spectrum.converged;

@@ -24,9 +24,8 @@
 
 namespace socmix::core {
 
-/// One measurement: the sampled sweep's knobs (walk, checkpoint, and the
-/// markov::EngineOptions execution knobs both phases run under) plus the
-/// source sample and the spectral solve. When checkpoint.name is empty it
+/// One measurement: the sampled sweep's knobs (walk and checkpoint) plus
+/// the source sample and the spectral solve. When checkpoint.name is empty it
 /// is derived from the measurement name, so multi-dataset drivers sharing
 /// one --checkpoint-dir keep distinct snapshots.
 struct MeasurementOptions : markov::SampledMixingOptions {

@@ -52,19 +52,6 @@ Graph Graph::borrowed(std::span<const EdgeIndex> offsets, std::span<const NodeId
   return g;
 }
 
-Graph Graph::borrowed_headless(std::span<const EdgeIndex> offsets,
-                               EdgeIndex num_half_edges) {
-  if (offsets.empty() || offsets.front() != 0 || offsets.back() != num_half_edges) {
-    throw std::invalid_argument{"Graph::borrowed_headless: malformed offsets"};
-  }
-  Graph g;
-  g.offsets_ = offsets.data();
-  g.offsets_size_ = offsets.size();
-  g.neighbors_ = nullptr;
-  g.neighbors_size_ = num_half_edges;
-  return g;
-}
-
 bool Graph::has_edge(NodeId u, NodeId v) const noexcept {
   const auto adj = neighbors(u);
   return std::binary_search(adj.begin(), adj.end(), v);

@@ -21,9 +21,9 @@ namespace socmix::graph {
 ///  * every undirected edge {u,v} appears in both lists.
 ///
 /// Storage is either owned (the builders below) or borrowed
-/// (`Graph::borrowed`, used by the memory-mapped `.smxg` container): a
-/// borrowed view aliases caller-managed CSR arrays and must not outlive
-/// them. Every accessor reads through one pointer+size pair per array, so
+/// (`Graph::borrowed`, used by the `.smxg` container loader): a borrowed
+/// view aliases caller-managed CSR arrays and must not outlive them.
+/// Every accessor reads through one pointer+size pair per array, so
 /// kernels are oblivious to the storage mode.
 class Graph {
  public:
@@ -49,25 +49,17 @@ class Graph {
   [[nodiscard]] static Graph from_csr(std::vector<EdgeIndex> offsets,
                                       std::vector<NodeId> neighbors);
 
-  /// Wraps caller-owned CSR arrays without copying (the mmap path). The
+  /// Wraps caller-owned CSR arrays without copying (the pack loader). The
   /// arrays must satisfy the class invariants and outlive the view — and
   /// any copy of it, which stays borrowed. `offsets` must have n+1 entries
   /// with offsets.front() == 0 and offsets.back() == neighbors.size().
   [[nodiscard]] static Graph borrowed(std::span<const EdgeIndex> offsets,
                                       std::span<const NodeId> neighbors);
 
-  /// Wraps caller-owned row offsets with NO adjacency array: the view of a
-  /// compressed (ADJC) `.smxg` container, whose neighbor ids exist only as
-  /// per-shard decoded scratch (linalg::ShardPipeline). Degree/offset/size
-  /// accessors all work; neighbor accessors must not be called — engines
-  /// detect the case via headless() and route around them.
-  [[nodiscard]] static Graph borrowed_headless(std::span<const EdgeIndex> offsets,
-                                               EdgeIndex num_half_edges);
-
-  /// True for a borrowed_headless view (offsets only, no adjacency).
-  [[nodiscard]] bool headless() const noexcept {
-    return neighbors_ == nullptr && neighbors_size_ != 0;
-  }
+  /// Always false: every graph, a compressed pack's included, carries its
+  /// adjacency. perfbench/ still asks; delete with the next benchmark
+  /// change.
+  [[nodiscard]] bool headless() const noexcept { return false; }
 
   /// False for views created by `borrowed` (and their copies).
   [[nodiscard]] bool owns_storage() const noexcept {
@@ -116,13 +108,10 @@ class Graph {
     return {offsets_, offsets_size_};
   }
   [[nodiscard]] std::span<const NodeId> raw_neighbors() const noexcept {
-    // Headless views report an empty span (a null pointer with a nonzero
-    // extent is not a constructible std::span).
-    return {neighbors_, neighbors_ == nullptr ? 0 : neighbors_size_};
+    return {neighbors_, neighbors_size_};
   }
 
-  /// Footprint of the CSR arrays in bytes. For a borrowed (mmap-backed)
-  /// view this counts mapped bytes, not resident heap.
+  /// Footprint of the CSR arrays in bytes.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return offsets_size_ * sizeof(EdgeIndex) + neighbors_size_ * sizeof(NodeId);
   }

@@ -1,6 +1,9 @@
 #include "graph/sharded/adjc.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#include "linalg/simd/kernels.hpp"
 
 namespace socmix::graph::sharded::adjc {
 
@@ -50,14 +53,6 @@ std::size_t encode_group(std::span<const EdgeIndex> offsets, const NodeId* neigh
   return out.size() - start;
 }
 
-std::pair<std::uint64_t, std::uint64_t> AdjcView::byte_window(
-    NodeId begin, NodeId end) const noexcept {
-  if (begin >= end || num_groups == 0) return {0, 0};
-  const std::uint64_t g_lo = group_of_row(begin);
-  const std::uint64_t g_hi = group_of_row(end - 1) + 1;
-  return {group_offsets[g_lo], group_offsets[g_hi]};
-}
-
 std::string parse_adjc(const std::uint8_t* payload, std::uint64_t bytes,
                        std::uint64_t num_nodes, std::uint64_t num_values,
                        AdjcView& out) {
@@ -91,6 +86,65 @@ std::string parse_adjc(const std::uint8_t* payload, std::uint64_t bytes,
   out.num_values = num_values;
   out.num_groups = groups;
   out.group_offsets = index;
+  return {};
+}
+
+std::string decode_adjc(const AdjcView& view, std::span<const EdgeIndex> offsets,
+                        NodeId* out) {
+  const linalg::simd::DecodeU32Fn decode = linalg::simd::dispatch().decode_u32;
+  const std::uint64_t n = offsets.size() - 1;
+  for (std::uint64_t g = 0; g < view.num_groups; ++g) {
+    const std::uint64_t r0 = g * view.group_rows;
+    const std::uint64_t r1 = std::min<std::uint64_t>(n, r0 + view.group_rows);
+    const std::size_t count = offsets[r1] - offsets[r0];
+    const std::uint64_t stream_lo = view.group_offsets[g];
+    const std::uint64_t stream_hi = view.group_offsets[g + 1];
+    const std::size_t ctrl_bytes = (count + 3) / 4;
+    if (stream_hi - stream_lo < ctrl_bytes) {
+      return "corrupt ADJC group stream (too short)";
+    }
+    const std::uint8_t* ctrl = view.base + stream_lo;
+    // Sum the coded lengths *before* decoding: the exact-byte-count check
+    // both rejects corruption and bounds the vector decoder's 16-byte
+    // overreads inside the payload (the slack only guarantees room past
+    // an honest stream).
+    std::uint64_t expect = 0;
+    {
+      std::size_t i = 0;
+      for (; i + 4 <= count; i += 4) {
+        const unsigned c = ctrl[i >> 2];
+        expect += 4 + (c & 3u) + ((c >> 2) & 3u) + ((c >> 4) & 3u) + ((c >> 6) & 3u);
+      }
+      for (; i < count; ++i) {
+        expect += ((ctrl[i >> 2] >> ((i & 3) * 2)) & 3u) + 1u;
+      }
+    }
+    if (stream_lo + ctrl_bytes + expect != stream_hi) {
+      return "corrupt ADJC group stream (byte count mismatch)";
+    }
+    if (decode(ctrl, ctrl + ctrl_bytes, count, out) != expect) {
+      return "corrupt ADJC group stream (decoder disagreement)";
+    }
+    // Undelta in u64 so a corrupt gap cannot wrap, and range-check every
+    // reconstructed id — the decoded CSR upholds the same invariant the
+    // loader's id scan enforces on ADJ4. Gaps are unsigned, so the
+    // accumulator is monotone across a row: its final value bounds every
+    // id stored before it, and one check per row rejects exactly the
+    // streams a per-element check would.
+    NodeId* p = out;
+    for (std::uint64_t r = r0; r < r1; ++r) {
+      const std::size_t deg = offsets[r + 1] - offsets[r];
+      if (deg == 0) continue;
+      std::uint64_t acc = p[0];
+      for (std::size_t e = 1; e < deg; ++e) {
+        acc += p[e];
+        p[e] = static_cast<NodeId>(acc);
+      }
+      if (acc >= n) return "corrupt ADJC stream (neighbor id out of range)";
+      p += deg;
+    }
+    out += count;
+  }
   return {};
 }
 

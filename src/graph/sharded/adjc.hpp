@@ -4,9 +4,9 @@
 // stored as its first id raw followed by strictly-positive gaps, and the
 // resulting value stream is stream-vbyte coded: 2-bit length codes packed
 // four-per-control-byte, then the 1..4 little-endian data bytes per value.
-// Values are grouped by fixed row blocks (kGroupRows) so a shard window
-// can be decoded without touching the rest of the file; a trailing group
-// index makes any window locatable in O(1).
+// Values are grouped by fixed row blocks (kGroupRows), each group's stream
+// located by a trailing group index, so the writer streams one group at a
+// time and the decoder re-validates every group on its own.
 //
 // Payload layout (all inside one CRC-checked section):
 //
@@ -21,9 +21,9 @@
 // incremental CRC without buffering the whole payload. Value counts per
 // group are not stored: they are re-derived from the OFFS section, which
 // keeps ADJC pure compression — no structural authority. Decoding
-// reconstructs the exact neighbor ids (integers, no rounding), so the
-// scratch CSR handed to the kernels is bit-identical to an uncompressed
-// ADJ4 payload; see DESIGN.md "Shard pipeline & compression".
+// reconstructs the exact neighbor ids (integers, no rounding), so the CSR
+// a compressed pack is decoded into when it is opened is bit-identical to
+// an uncompressed ADJ4 payload; see DESIGN.md "Packs".
 #pragma once
 
 #include <cstddef>
@@ -37,9 +37,7 @@
 namespace socmix::graph::sharded::adjc {
 
 /// Rows per compression group. 256 rows keeps the per-group index tiny
-/// (16 B/group of overhead on million-node graphs) while a group of
-/// median-degree rows still decodes from a few KB — far below any shard
-/// window, so windows never over-decode meaningfully.
+/// (16 B/group of overhead on million-node graphs).
 inline constexpr std::uint32_t kGroupRows = 256;
 inline constexpr std::size_t kHeadBytes = 16;
 /// Zero bytes after the last group stream, inside the CRC'd payload, so a
@@ -68,14 +66,6 @@ struct AdjcView {
   /// entries, the last marking the end of the final stream.
   const std::uint64_t* group_offsets = nullptr;
 
-  [[nodiscard]] bool present() const noexcept { return base != nullptr; }
-  [[nodiscard]] std::uint64_t group_of_row(NodeId row) const noexcept {
-    return row / group_rows;
-  }
-  /// Payload-relative byte span of the group streams covering rows
-  /// [begin, end) — the compressed analogue of a CSR row window.
-  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> byte_window(
-      NodeId begin, NodeId end) const noexcept;
 };
 
 /// Validates an ADJC payload's head, geometry, and group index against the
@@ -85,5 +75,17 @@ struct AdjcView {
 [[nodiscard]] std::string parse_adjc(const std::uint8_t* payload, std::uint64_t bytes,
                                      std::uint64_t num_nodes,
                                      std::uint64_t num_values, AdjcView& out);
+
+/// Decodes every group of a parsed payload into `out` (view.num_values
+/// ids, in CSR order), re-deriving each group's value count from the
+/// validated row `offsets`. Fails closed on any stream the ids cannot come
+/// from, whether or not the section CRC was checked: the coded lengths are
+/// summed before decoding and must consume the group's bytes exactly (which
+/// also bounds the vector decoder's 16-byte reads), and each row is
+/// undeltaed in u64 so a corrupt gap cannot wrap, with every id checked
+/// against the node count. Returns an empty string on success, otherwise
+/// the defect.
+[[nodiscard]] std::string decode_adjc(const AdjcView& view,
+                                      std::span<const EdgeIndex> offsets, NodeId* out);
 
 }  // namespace socmix::graph::sharded::adjc

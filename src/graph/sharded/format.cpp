@@ -39,31 +39,17 @@ struct SectionMeta {
   std::uint64_t bytes = 0;
 };
 
-}  // namespace
-
-void write_smxg_file(const std::string& path, const Graph& g, const ShardPlan& plan) {
-  write_smxg_file(path, g, plan, WriteOptions{});
-}
-
-void write_smxg_file(const std::string& path, const Graph& g, const ShardPlan& plan,
-                     const WriteOptions& options) {
+/// Writes the container with `bounds64` (ascending row bounds, widened
+/// to u64 so the payload layout is NodeId-width independent) as its SHRD
+/// section.
+void write_pack(const std::string& path, const Graph& g,
+                const std::vector<std::uint64_t>& bounds64, const WriteOptions& options) {
   // The payload images are the in-memory arrays, so the writer requires a
   // little-endian host (every deployment target; the header's endian tag
   // protects readers either way).
   if constexpr (std::endian::native != std::endian::little) {
     throw std::runtime_error{"write_smxg_file: big-endian hosts are unsupported"};
   }
-  if (plan.dim() != g.num_nodes() || plan.num_shards() == 0) {
-    throw std::runtime_error{"write_smxg_file: shard plan does not cover the graph"};
-  }
-  if (g.raw_neighbors().data() == nullptr) {
-    throw std::runtime_error{
-        "write_smxg_file: cannot repack a compressed (headless) view"};
-  }
-
-  // Shard bounds widened to u64 so the payload layout is NodeId-width
-  // independent.
-  std::vector<std::uint64_t> bounds64(plan.bounds.begin(), plan.bounds.end());
 
   constexpr std::uint32_t kNumSections = 3;
   const std::uint64_t head_bytes = kHeaderBytes + kNumSections * kSectionEntryBytes;
@@ -158,7 +144,7 @@ void write_smxg_file(const std::string& path, const Graph& g, const ShardPlan& p
     store_u32(head.data() + 12, kNumSections);
     store_u64(head.data() + 16, g.num_nodes());
     store_u64(head.data() + 24, g.num_half_edges());
-    store_u32(head.data() + 32, plan.num_shards());
+    store_u32(head.data() + 32, static_cast<std::uint32_t>(bounds64.size() - 1));
     store_u64(head.data() + 40, file_bytes);
     store_u64(head.data() + 48, structural_fingerprint(g));
     store_u32(head.data() + 60,
@@ -181,6 +167,21 @@ void write_smxg_file(const std::string& path, const Graph& g, const ShardPlan& p
     std::filesystem::remove(tmp, ec);
     throw std::runtime_error{"write_smxg_file: cannot rename into " + path};
   }
+}
+
+}  // namespace
+
+void write_smxg_file(const std::string& path, const Graph& g,
+                     const WriteOptions& options) {
+  write_pack(path, g, {0, g.num_nodes()}, options);
+}
+
+void write_smxg_file(const std::string& path, const Graph& g, const ShardPlan& plan,
+                     const WriteOptions& options) {
+  if (plan.dim() != g.num_nodes() || plan.num_shards() == 0) {
+    throw std::runtime_error{"write_smxg_file: shard plan does not cover the graph"};
+  }
+  write_pack(path, g, {plan.bounds.begin(), plan.bounds.end()}, options);
 }
 
 }  // namespace socmix::graph::sharded

@@ -1,14 +1,13 @@
-// The `.smxg` binary container: a memory-mappable sharded CSR.
+// The `.smxg` binary container: a packed CSR.
 //
-// Layout (all integers little-endian; payloads 64-byte aligned so the
-// mmap'ed arrays can be indexed in place with vector loads):
+// Layout (all integers little-endian; payloads 64-byte aligned):
 //
 //   [ 64 B header ]
 //   [ 32 B x num_sections section table ]
 //   [ OFFS payload ]  (n+1) x u64   CSR row offsets
 //   [ ADJ4 payload ]  2m    x u32   neighbor ids            (version 1)
 //   [ ADJC payload ]  stream-vbyte delta-coded neighbors    (version 2)
-//   [ SHRD payload ]  (S+1) x u64   pack-time shard row bounds
+//   [ SHRD payload ]  (S+1) x u64   shard row bounds (written, never read)
 //
 // A container carries exactly one adjacency section: raw ADJ4 under
 // format version 1 (unchanged from PR 8), or the compressed ADJC form
@@ -23,7 +22,7 @@
 //   12  u32  num_sections
 //   16  u64  num_nodes
 //   24  u64  num_half_edges
-//   32  u32  num_shards (pack-time default plan; runtime may re-plan)
+//   32  u32  num_shards (the SHRD section's shard count)
 //   36  u32  reserved
 //   40  u64  file_bytes (total file size the header commits to)
 //   48  u64  graph structural fingerprint
@@ -36,8 +35,9 @@
 // Every field a reader indexes by is validated before use and the
 // payloads are CRC-checked, so a truncated, bit-rotted, version-skewed or
 // foreign-endian file fails closed (graph.io.smxg_rejected) instead of
-// mapping garbage into the kernels. See sharded/mapped_graph.hpp for the
-// reader.
+// handing garbage to the kernels. See sharded/mapped_graph.hpp for the
+// reader, which skips SHRD: the format keeps the section so packs written
+// before and after the engines stopped sharding stay interchangeable.
 #pragma once
 
 #include <cstddef>
@@ -70,14 +70,19 @@ struct WriteOptions {
   bool compress = false;
 };
 
-/// Writes `g` and its pack-time shard plan as a `.smxg` file (temp file +
-/// atomic rename, like the resilience snapshots). `plan.dim()` must equal
-/// `g.num_nodes()`. Payloads are streamed through incremental CRCs and
-/// the header/section table patched in afterwards, so the writer's extra
-/// memory stays O(one compression group) regardless of graph size.
-/// Throws std::runtime_error on I/O failure.
+/// Writes `g` as a `.smxg` file with a one-shard SHRD section (temp file +
+/// atomic rename, like the resilience snapshots). Payloads are streamed
+/// through incremental CRCs and the header/section table patched in
+/// afterwards, so the writer's extra memory stays O(one compression group)
+/// regardless of graph size. Throws std::runtime_error on I/O failure.
+void write_smxg_file(const std::string& path, const Graph& g,
+                     const WriteOptions& options = {});
+
+/// The same with `plan`'s bounds as the SHRD section, which no reader
+/// uses; `plan.dim()` must equal `g.num_nodes()`. perfbench/ still writes
+/// its plan through this overload; delete it with the next benchmark
+/// change.
 void write_smxg_file(const std::string& path, const Graph& g, const ShardPlan& plan,
                      const WriteOptions& options);
-void write_smxg_file(const std::string& path, const Graph& g, const ShardPlan& plan);
 
 }  // namespace socmix::graph::sharded

@@ -2,19 +2,7 @@
 
 #include <algorithm>
 
-#include "util/rng.hpp"
-#include "util/string_util.hpp"
-
 namespace socmix::graph {
-
-std::optional<ShardPolicy> parse_shard_policy(std::string_view name) noexcept {
-  if (name.empty() || name == "auto") return ShardPolicy{};
-  if (name == "off") return ShardPolicy{.mode = ShardPolicy::Mode::kOff};
-  const auto count = util::parse_i64(name);
-  if (!count || *count < 1 || *count > ShardPolicy::kMaxShards) return std::nullopt;
-  return ShardPolicy{.mode = ShardPolicy::Mode::kFixed,
-                     .count = static_cast<std::uint32_t>(*count)};
-}
 
 std::uint32_t resolve_shard_count(const ShardPolicy& policy, std::size_t csr_bytes,
                                   NodeId n, std::uint32_t resident_copies) noexcept {
@@ -41,13 +29,6 @@ std::uint32_t resolve_shard_count(const ShardPolicy& policy, std::size_t csr_byt
   shards = std::min<std::uint32_t>(shards, ShardPolicy::kMaxShards);
   // More shards than rows would only manufacture empty shards.
   return std::max<std::uint32_t>(1, std::min<std::uint32_t>(shards, n));
-}
-
-std::uint64_t shard_context_word(std::uint32_t resolved_shards) noexcept {
-  if (resolved_shards <= 1) return 0;
-  // 'SHRD' tag so the word cannot collide with the retired frontier and
-  // precision words it is hash-combined alongside.
-  return util::hash_combine(std::uint64_t{0x53485244}, resolved_shards);
 }
 
 ShardPlan ShardPlan::single(NodeId n) { return ShardPlan{.bounds = {0, n}}; }

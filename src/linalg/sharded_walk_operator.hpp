@@ -1,13 +1,12 @@
-// The shard-at-a-time walk operator is WalkOperator constructed with a
-// ShardPlan (see walk_operator.hpp). This name survives only because
-// perfbench/ constructs it with a trailing io-mode argument; that knob is
-// retired (ShardPipeline picks its own staging), so the argument is a
-// RetiredKnob and nothing reads it. Delete this header with the next
-// benchmark change.
+// The five-argument ShardedWalkOperator survives only because perfbench/
+// constructs it. Every graph is now swept as one resident CSR, so it is a
+// plain WalkOperator that ignores its plan, its pack and its (retired)
+// io-mode argument. Delete this header with the next benchmark change.
 #pragma once
 
-#include <utility>
-
+#include "graph/graph.hpp"
+#include "graph/sharded/mapped_graph.hpp"
+#include "graph/sharded/plan.hpp"
 #include "linalg/walk_operator.hpp"
 #include "util/retired_knob.hpp"
 
@@ -15,10 +14,10 @@ namespace socmix::linalg {
 
 class ShardedWalkOperator : public WalkOperator {
  public:
-  ShardedWalkOperator(const graph::Graph& g, graph::ShardPlan plan, double laziness,
-                      const graph::sharded::MappedGraph* mapped,
+  ShardedWalkOperator(const graph::Graph& g, const graph::ShardPlan& /*plan*/,
+                      double laziness, const graph::sharded::MappedGraph* /*mapped*/,
                       util::RetiredKnob /*io_mode*/)
-      : WalkOperator(g, std::move(plan), laziness, mapped) {}
+      : WalkOperator(g, laziness) {}
 };
 
 }  // namespace socmix::linalg

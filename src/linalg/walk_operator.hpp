@@ -10,27 +10,12 @@
 // A lazy-walk variant (I + N)/2 is provided for graphs whose simple walk is
 // periodic (bipartite components), mirroring the standard lazy chain
 // (I + P)/2 whose spectrum is the affine map (1 + lambda)/2.
-//
-// apply() sweeps the rows one contiguous vertex shard at a time through a
-// ShardPipeline, which stages each shard's window of a compressed pack
-// (madvise windowing and ADJC decode, on its worker thread when it has
-// one) — the decoded adjacency stays near two shards however large the
-// graph is. The default plan is one shard over the in-memory CSR, which is
-// how in-memory graphs and raw packs run. Rows are independent and every
-// row runs the identical spmv kernel, so shard geometry, staging and
-// compression never change an output bit
-// (tests/linalg/test_sharded_operator.cpp).
 #pragma once
 
-#include <memory>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/sharded/mapped_graph.hpp"
-#include "graph/sharded/plan.hpp"
-#include "linalg/shard_pipeline.hpp"
 
 namespace socmix::linalg {
 
@@ -43,15 +28,6 @@ class WalkOperator {
   /// laziness alpha in [0, 1): the operator is (1-alpha) N + alpha I.
   /// alpha = 0 is the simple walk; alpha = 0.5 the standard lazy walk.
   explicit WalkOperator(const graph::Graph& g, double laziness = 0.0);
-
-  /// Shard-at-a-time operator for out-of-core spectra. `plan.dim()` must
-  /// equal g.num_nodes(). A headless `g` requires `mapped`, its compressed
-  /// container, which must outlive the operator; for any other graph
-  /// `mapped` is ignored. `hardware_threads` is passed to the
-  /// ShardPipeline (tests pass 1 to stage windows inline on any host).
-  WalkOperator(const graph::Graph& g, graph::ShardPlan plan, double laziness = 0.0,
-               const graph::sharded::MappedGraph* mapped = nullptr,
-               unsigned hardware_threads = std::thread::hardware_concurrency());
 
   /// y = Op * x. x and y must have size dim() and not alias. Rows are
   /// partitioned across the util::parallel pool; the gather formulation
@@ -74,7 +50,6 @@ class WalkOperator {
   [[nodiscard]] std::vector<double> top_eigenvector() const;
 
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
-  [[nodiscard]] const graph::ShardPlan& plan() const noexcept { return plan_; }
 
   /// Maps an eigenvalue of the *simple* operator to this operator's:
   /// lambda -> (1-alpha) lambda + alpha.
@@ -84,14 +59,10 @@ class WalkOperator {
 
  private:
   const graph::Graph* graph_;
-  graph::ShardPlan plan_;
   std::vector<double> inv_sqrt_deg_;
   /// apply() scratch: the pre-scaled source x[j] * inv_sqrt_deg_[j], so
   /// the edge loop is a single gather. Sized n at construction.
   mutable std::vector<double> scaled_;
-  /// unique_ptr: the pipeline may own a worker thread and is neither
-  /// copyable nor movable; the operator stays movable through it.
-  std::unique_ptr<ShardPipeline> pipeline_;
   double laziness_;
 };
 

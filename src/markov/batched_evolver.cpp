@@ -26,22 +26,16 @@ void prescale(const double* cur, const double* inv_deg, double* scaled, std::siz
 
 }  // namespace
 
-BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size_t block,
-                               SweepSharding sharding, unsigned hardware_threads)
-    : graph_(&g), mapped_(g.headless() ? sharding.mapped : nullptr),
-      plan_(std::move(sharding.plan)), laziness_(laziness), block_(block) {
+BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size_t block)
+    : graph_(&g), laziness_(laziness), block_(block) {
   // Prices the lane-state allocation and its first-touch zero fill.
   SOCMIX_TRACE_SPAN("evolver.init");
   const graph::NodeId n = g.num_nodes();
-  if (plan_.bounds.empty()) plan_ = graph::ShardPlan::single(n);
   if (laziness < 0.0 || laziness >= 1.0) {
     throw std::invalid_argument{"BatchedEvolver: laziness must be in [0, 1)"};
   }
   if (block < 1 || block > kMaxBlock) {
     throw std::invalid_argument{"BatchedEvolver: block must be in [1, kMaxBlock]"};
-  }
-  if (plan_.dim() != n || plan_.num_shards() == 0) {
-    throw std::invalid_argument{"BatchedEvolver: plan does not cover the graph"};
   }
   inv_deg_.resize(n);
   for (graph::NodeId v = 0; v < n; ++v) {
@@ -56,10 +50,6 @@ BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size
   const std::size_t cells = static_cast<std::size_t>(n) * block_;
   cur_.resize(cells);
   scaled_.resize(cells);
-  sharded_ = plan_.num_shards() > 1 || mapped_ != nullptr;
-  if (sharded_) SOCMIX_GAUGE_SET("markov.shard.count", plan_.num_shards());
-  pipeline_ =
-      std::make_unique<linalg::ShardPipeline>(g, plan_, mapped_, hardware_threads);
 }
 
 void BatchedEvolver::seed_point_masses(std::span<const graph::NodeId> sources) {
@@ -78,91 +68,59 @@ void BatchedEvolver::seed_point_masses(std::span<const graph::NodeId> sources) {
   active_ = sources.size();
 }
 
-void BatchedEvolver::sweep_window(const linalg::ShardWindow& w,
-                                  linalg::simd::SpmmArgs args) {
-  // A decoded window is kernel-local: rows [0, end-begin), offsets indexing
-  // the scratch neighbors. The streamed state and pi are rebased by begin
-  // rows while the gather source stays absolute (neighbor ids are
-  // absolute). Same per-row FP sequence, shifted pointers — bit-identical
-  // by construction.
-  const std::size_t row_bias = w.local ? static_cast<std::size_t>(w.begin) : 0;
-  double* state = cur_.data() + row_bias * block_;
-  args.begin = w.local ? 0 : w.begin;
-  args.end = w.local ? w.end - w.begin : w.end;
-  args.offsets = w.offsets;
-  args.neighbors = w.neighbors;
-  if (args.pi != nullptr) args.pi += row_bias;
-  const linalg::simd::KernelTable& kernels = linalg::simd::dispatch();
-  if (single_vector()) {
-    linalg::simd::SpmvArgs v;
-    v.offsets = w.offsets;
-    v.neighbors = w.neighbors;
-    v.gather = scaled_.data();
-    v.x = state;
-    v.y = state;
-    v.walk_weight = args.walk_weight;
-    v.laziness = args.laziness;
-    // Rows partition across the pool; each y[j] comes from one thread
-    // with a fixed accumulation order, so any thread count gives the same
-    // bits. Inside a parallel region (one block per worker) this runs
-    // inline.
-    util::parallel_for(args.begin, args.end, kRowGrain,
-                       [&](std::size_t lo, std::size_t hi) {
-                         kernels.spmv(v, static_cast<graph::NodeId>(lo),
-                                      static_cast<graph::NodeId>(hi));
-                       });
-  } else {
-    kernels.spmm_f64(args, scaled_.data(), state, state);
-  }
-}
-
 void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   SOCMIX_TRACE_SPAN("evolver.sweep");
   const graph::NodeId n = graph_->num_nodes();
 
   // Sweep-granular accounting only: the kernels below stay untouched.
   const auto sweep_start = std::chrono::steady_clock::now();
-  const auto faults_before = mapped_ != nullptr ? graph::sharded::process_page_faults()
-                                                : graph::sharded::PageFaults{};
-  std::size_t max_window_bytes = 0;
 
   // Prescale pass: one sequential stream over the block.
   prescale(cur_.data(), inv_deg_.data(), scaled_.data(), block_, active_, 0, n);
 
-  // Shard loop. Every shard sweep is one SpMM call over the shard's
-  // contiguous rows, in place: each row reads only its own old state and
-  // every gather reads the prescaled copy, so overwriting cur row by row
-  // changes no bits. The kernel runs the same per-row body as a full
-  // sweep and carries the TVD as a running sum across the ascending shard
-  // calls, so grouping rows by shard changes no bits either. Window
-  // staging (advise-ahead and ADJC decode, on the pipeline's worker when
-  // it has one) lives in the pipeline; each acquired window holds the
-  // identical neighbor sequence, so staging and compression change no
-  // bits. The kernel dispatches internally on the *active* lane count;
-  // stride stays block_, so partially filled blocks (the tail of an odd
-  // source list) still hit a wide kernel when their lane count is a
-  // supported width.
+  // One sweep over every row, in place: each row reads only its own old
+  // state and every gather reads the prescaled copy, so overwriting cur
+  // row by row changes no bits.
+  const linalg::simd::KernelTable& kernels = linalg::simd::dispatch();
+  const graph::EdgeIndex* offsets = graph_->offsets().data();
+  const graph::NodeId* neighbors = graph_->raw_neighbors().data();
   const bool fused_tvd = pi != nullptr && !single_vector();
-  linalg::simd::SpmmArgs args;
-  args.stride = block_;
-  args.lanes = active_;
-  args.walk_weight = 1.0 - laziness_;
-  args.laziness = laziness_;
-  if (fused_tvd) {
-    args.pi = pi;
-    args.tvd_out = tvd_out;
-    std::fill_n(tvd_out, active_, 0.0);
-  }
-  const std::uint32_t shards = plan_.num_shards();
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    const linalg::ShardWindow w = pipeline_->acquire(s);
-    sweep_window(w, args);
-    if (mapped_ != nullptr) {
-      max_window_bytes =
-          std::max(max_window_bytes, mapped_->window_bytes(w.begin, w.end));
+  if (single_vector()) {
+    linalg::simd::SpmvArgs v;
+    v.offsets = offsets;
+    v.neighbors = neighbors;
+    v.gather = scaled_.data();
+    v.x = cur_.data();
+    v.y = cur_.data();
+    v.walk_weight = 1.0 - laziness_;
+    v.laziness = laziness_;
+    // Rows partition across the pool; each y[j] comes from one thread
+    // with a fixed accumulation order, so any thread count gives the same
+    // bits. Inside a parallel region (one block per worker) this runs
+    // inline.
+    util::parallel_for(0, n, kRowGrain, [&](std::size_t lo, std::size_t hi) {
+      kernels.spmv(v, static_cast<graph::NodeId>(lo), static_cast<graph::NodeId>(hi));
+    });
+  } else {
+    // The kernel dispatches internally on the *active* lane count; stride
+    // stays block_, so partially filled blocks (the tail of an odd source
+    // list) still hit a wide kernel when their lane count is a supported
+    // width.
+    linalg::simd::SpmmArgs args;
+    args.offsets = offsets;
+    args.neighbors = neighbors;
+    args.end = n;
+    args.stride = block_;
+    args.lanes = active_;
+    args.walk_weight = 1.0 - laziness_;
+    args.laziness = laziness_;
+    if (fused_tvd) {
+      args.pi = pi;
+      args.tvd_out = tvd_out;
+      std::fill_n(tvd_out, active_, 0.0);
     }
+    kernels.spmm_f64(args, scaled_.data(), cur_.data(), cur_.data());
   }
-  pipeline_->finish_sweep();
 
   if (fused_tvd) {
     for (std::size_t b = 0; b < active_; ++b) tvd_out[b] = 0.5 * tvd_out[b];
@@ -185,20 +143,6 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
     SOCMIX_COUNTER_ADD("markov.evolver.sweeps_generic", 1);
   }
   if (fused_tvd) SOCMIX_COUNTER_ADD("markov.evolver.fused_tvd_sweeps", 1);
-  if (sharded_) {
-    SOCMIX_COUNTER_ADD("markov.shard.sweeps", 1);
-    SOCMIX_COUNTER_ADD("markov.shard.shards_swept", shards);
-    if (mapped_ != nullptr) {
-      const auto faults_after = graph::sharded::process_page_faults();
-      SOCMIX_COUNTER_ADD("markov.shard.mmap_minor_faults",
-                         faults_after.minor - faults_before.minor);
-      SOCMIX_COUNTER_ADD("markov.shard.mmap_major_faults",
-                         faults_after.major - faults_before.major);
-    }
-    if (max_window_bytes > 0) {
-      SOCMIX_GAUGE_SET("markov.shard.window_bytes", max_window_bytes);
-    }
-  }
 }
 
 void BatchedEvolver::step() { sweep(nullptr, nullptr); }

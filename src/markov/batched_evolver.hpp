@@ -1,5 +1,4 @@
-// The walk evolution engine: B distributions per CSR sweep, streamed one
-// contiguous vertex shard at a time.
+// The walk evolution engine: B distributions per CSR sweep.
 //
 // The sampled measurement (§3.3) evolves a point mass from every source;
 // done one source at a time the graph's offsets/neighbors arrays are
@@ -12,34 +11,25 @@
 //
 // One sweep is two phases over two lane blocks:
 //
-//   1. prescale — one streaming pass over the RAM-resident lane state,
+//   1. prescale — one streaming pass over the lane state,
 //                 scaled = cur * inv_deg, so the irregular edge loop is a
 //                 single gather per edge;
-//   2. per shard — the shard pipeline (linalg::ShardPipeline) hands over
-//                 the shard's CSR window (advised ahead and ADJC-decoded
-//                 when a compressed container backs the graph)
-//                 and one SpMM call sweeps the shard's row range in place,
-//                 cur -> cur: each row reads only its own old state, and
-//                 every gather reads `scaled`. Gathers of `scaled` rows
-//                 owned by other shards are the boundary exchange: the
-//                 state is lane-major in RAM, so crossing edges read it
-//                 directly. The TVD is fused into every call as a running
-//                 sum carried across the ascending shards and halved once
-//                 after the last, so no separate reduce pass exists.
+//   2. sweep    — one SpMM call over every row, in place, cur -> cur: each
+//                 row reads only its own old state, and every gather reads
+//                 `scaled`. The TVD is fused into the call as a running
+//                 sum over the ascending rows, halved once at the end, so
+//                 no separate reduce pass exists.
 //
-// The default geometry is one shard over the in-memory CSR: the dense
-// engine, which is how every in-memory graph and raw pack is measured.
-// SweepSharding supplies a multi-shard plan and the compressed container
-// for out-of-core runs; only the state (2 x n x block values per evolver,
-// one evolver per worker thread) must then fit in RAM.
+// Every graph is swept this way: in memory, or a pack (raw, or compressed
+// and decoded when it was opened), which is one resident CSR either way.
 //
 // Determinism contract: lane b of a block evolves through *exactly* the
 // same floating-point operations whatever the block — per-row
 // accumulation in CSR edge order, the identical laziness affine
 // combination, and a TVD summed over rows in ascending order (matching
 // linalg::total_variation). Trajectories are therefore bit-identical for
-// any block size, block composition, shard count, window staging, adjacency
-// encoding, or thread count of the surrounding driver. The sweep runs
+// any block size, block composition, adjacency encoding of the pack, or
+// thread count of the surrounding driver. The sweep runs
 // through the linalg::simd dispatch table; every kernel tier honors the
 // same rounding-point contract, so the SIMD tier never changes a bit
 // either (see src/linalg/simd/kernels.hpp).
@@ -53,31 +43,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/sharded/mapped_graph.hpp"
-#include "graph/sharded/plan.hpp"
-#include "linalg/shard_pipeline.hpp"
 #include "linalg/simd/kernels.hpp"
 #include "util/aligned.hpp"
 
 namespace socmix::markov {
-
-/// Where a BatchedEvolver's CSR rows come from (--sharded, --pack). The
-/// default is the in-memory dense engine: one shard over every row, no
-/// mapping.
-struct SweepSharding {
-  /// Row partition of the graph; empty means ShardPlan::single.
-  graph::ShardPlan plan;
-  /// The compressed container a headless graph is borrowed from, whose
-  /// adjacency the pipeline decodes window by window; mandatory for a
-  /// headless graph and ignored for any other.
-  const graph::sharded::MappedGraph* mapped = nullptr;
-};
 
 class BatchedEvolver {
  public:
@@ -95,37 +68,27 @@ class BatchedEvolver {
   /// graphs run inline).
   static constexpr std::size_t kRowGrain = 2048;
 
-  /// Throws on laziness outside [0, 1), an isolated vertex, block outside
-  /// [1, kMaxBlock], or a plan that does not cover the graph.
-  /// `sharding.mapped`, when used, must back `g` and outlive the evolver.
-  /// `hardware_threads` is passed to the linalg::ShardPipeline (tests pass
-  /// 1 to stage compressed windows inline on any host).
-  explicit BatchedEvolver(
-      const graph::Graph& g, double laziness = 0.0, std::size_t block = kDefaultBlock,
-      SweepSharding sharding = {},
-      unsigned hardware_threads = std::thread::hardware_concurrency());
+  /// Throws on laziness outside [0, 1), an isolated vertex, or block
+  /// outside [1, kMaxBlock].
+  explicit BatchedEvolver(const graph::Graph& g, double laziness = 0.0,
+                          std::size_t block = kDefaultBlock);
 
   [[nodiscard]] std::size_t dim() const noexcept { return inv_deg_.size(); }
   [[nodiscard]] std::size_t block() const noexcept { return block_; }
   /// Lanes currently holding a distribution (set by seed_point_masses).
   [[nodiscard]] std::size_t active() const noexcept { return active_; }
   [[nodiscard]] double laziness() const noexcept { return laziness_; }
-  [[nodiscard]] const graph::ShardPlan& plan() const noexcept { return plan_; }
 
   /// Resets the block to point masses at `sources` (one lane per source,
   /// sources.size() <= block()).
   void seed_point_masses(std::span<const graph::NodeId> sources);
 
-  /// Advances every active lane one step: lane_b <- lane_b * P. The sweep
-  /// overwrites the lane state in place, so one that throws (a window
-  /// fault, a corrupt compressed shard) leaves the lane state unspecified
-  /// until the next seed_point_masses; the evolver itself stays usable.
+  /// Advances every active lane one step: lane_b <- lane_b * P, in place.
   void step();
 
   /// step(), plus writes the total variation distance of each advanced
   /// lane against `pi` into tvd_out (size >= active()); bit-identical to
-  /// calling step() and then linalg::total_variation per lane. Throws like
-  /// step(), with the same effect on the lane state and on tvd_out.
+  /// calling step() and then linalg::total_variation per lane.
   void step_with_tvd(std::span<const double> pi, std::span<double> tvd_out);
 
   /// Copies lane `lane` (< active()) into `out` (size dim()).
@@ -137,19 +100,10 @@ class BatchedEvolver {
   /// One in-place sweep cur -> cur; when pi is non-null, also writes each
   /// lane's TVD against pi into tvd_out.
   void sweep(const double* pi, double* tvd_out);
-  /// Runs the SpMM (or single-vector SpMV) over one shard window's rows;
-  /// `args` carries everything but the window.
-  void sweep_window(const linalg::ShardWindow& w, linalg::simd::SpmmArgs args);
   /// One-lane state: swept by the row-parallel SpMV kernel.
   [[nodiscard]] bool single_vector() const noexcept { return block_ == 1; }
 
   const graph::Graph* graph_;
-  /// The compressed container; null unless `g` is headless.
-  const graph::sharded::MappedGraph* mapped_;
-  graph::ShardPlan plan_;
-  /// unique_ptr: the pipeline may own a worker thread and is neither
-  /// copyable nor movable; the evolver stays movable through it.
-  std::unique_ptr<linalg::ShardPipeline> pipeline_;
   util::aligned_vector<double> inv_deg_;
   // The two lane-major blocks, [dim x block]: cur_[v*block + lane]. 64-byte
   // alignment makes every row of the default 32-lane block start on a
@@ -161,9 +115,6 @@ class BatchedEvolver {
   double laziness_;
   std::size_t block_;
   std::size_t active_ = 0;
-  /// More than one shard or a compressed container: the markov.shard.*
-  /// residency metrics apply.
-  bool sharded_ = false;
 };
 
 /// Distribution of a walk started at `source` after `steps` steps:

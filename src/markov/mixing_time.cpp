@@ -151,44 +151,18 @@ namespace {
 // f64 default (its mixed mode folded 1).
 constexpr std::uint64_t kPrecisionWordF64 = 0;
 
-// The non-graph half of the checkpoint fingerprint, shared between the
-// public entry point (which hashes the CSR) and the compressed path
-// (which substitutes the container's pack-time fingerprint).
-std::uint64_t mixing_fingerprint_from(std::uint64_t h,
-                                      std::span<const graph::NodeId> sources,
-                                      std::size_t max_steps, double laziness) {
-  h = util::hash_combine(h, sources.size());
+}  // namespace
+
+std::uint64_t sampled_mixing_fingerprint(const graph::Graph& g,
+                                         std::span<const graph::NodeId> sources,
+                                         std::size_t max_steps, double laziness) {
+  std::uint64_t h = util::hash_combine(graph::structural_fingerprint(g), sources.size());
   for (const graph::NodeId s : sources) h = util::hash_combine(h, s);
   h = util::hash_combine(h, max_steps);
   h = util::hash_combine(h, std::bit_cast<std::uint64_t>(laziness));
   h = util::hash_combine(h, BatchedEvolver::kDefaultBlock);
   h = util::hash_combine(h, util::kReorderNoneWord);
   return h;
-}
-
-}  // namespace
-
-std::uint64_t sampled_mixing_fingerprint(const graph::Graph& g,
-                                         std::span<const graph::NodeId> sources,
-                                         std::size_t max_steps, double laziness) {
-  return mixing_fingerprint_from(graph::structural_fingerprint(g), sources, max_steps,
-                                 laziness);
-}
-
-SweepSharding resolve_engine(const graph::Graph& g, const EngineOptions& options) {
-  // In-memory graphs and raw packs sweep their CSR as one shard.
-  if (!g.headless()) return {graph::ShardPlan::single(g.num_nodes()), nullptr};
-  // Compressed containers hand us a headless CSR (offsets only): the
-  // adjacency exists solely as ADJC blocks the shard pipeline decodes on
-  // the fly, so the mapping is not optional.
-  if (options.mapped == nullptr || !options.mapped->compressed()) {
-    throw std::invalid_argument{
-        "a headless graph needs its compressed MappedGraph "
-        "(EngineOptions::mapped)"};
-  }
-  const std::uint32_t shards =
-      graph::resolve_shard_count(options.sharded, g.memory_bytes(), g.num_nodes(), 3u);
-  return {graph::ShardPlan::balanced(g.offsets(), shards), options.mapped};
 }
 
 SampledMixing measure_sampled_mixing(const graph::Graph& g,
@@ -200,8 +174,6 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   const std::size_t num_sources = sources.size();
   std::vector<std::vector<double>> trajectories(num_sources);
 
-  const SweepSharding sharding = resolve_engine(g, options);
-  const bool headless = g.headless();
   const std::vector<double> pi = stationary_distribution(g);
 
   // Sources are evolved B at a time by a BatchedEvolver (one CSR sweep per
@@ -226,36 +198,20 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // Crash tolerance: completed blocks are checkpointed, and restored
   // blocks are replayed from their stored (bit-exact) trajectories instead
   // of being recomputed, so resume composes with the determinism contract.
-  // The context word versions the knobs that change how results are
-  // produced: the words the retired reorder, frontier and precision knobs
-  // folded at their defaults (frontier `auto` folded 0 on a headless
-  // graph, where it was always forced off) — so default snapshots of
-  // earlier builds still restore, while their --frontier off or fraction
+  // The context word versions the knobs that once changed how results
+  // were produced: the words the retired reorder, frontier and precision
+  // knobs folded at their defaults — so default snapshots of earlier
+  // builds still restore, while their --frontier off or fraction
   // snapshots and mixed-precision ones (precision word 1) classify stale
   // once and recompute (--reorder rcm|degree|bfs also changed the
   // fingerprint, so those classify foreign). A snapshot from a foreign
   // combination classifies stale, not corrupt.
-  // Shard geometry: resolve_engine sized it against the CSR of a
-  // compressed pack. One shard is the dense path — no context word, so
-  // pre-shard snapshots stay compatible.
-  const std::uint32_t resolved_shards = sharding.plan.num_shards();
-  SOCMIX_GAUGE_SET("markov.sampled.shards", resolved_shards);
-  std::uint64_t context = util::hash_combine(
-      util::hash_combine(util::kReorderNoneWord, headless ? 0 : util::kFrontierAutoWord),
+  const std::uint64_t context = util::hash_combine(
+      util::hash_combine(util::kReorderNoneWord, util::kFrontierAutoWord),
       kPrecisionWordF64);
-  const std::uint64_t shard_word = graph::shard_context_word(resolved_shards);
-  if (shard_word != 0) context = util::hash_combine(context, shard_word);
-  // A headless graph's structural fingerprint would sample an empty
-  // neighbor span; the container carries the pack-time fingerprint of the
-  // full CSR, which is what keeps compressed checkpoints interchangeable
-  // with dense/uncompressed ones. Window staging is absent from the
-  // context word (results are bit-identical either way, like threads).
-  const std::uint64_t graph_word =
-      headless ? options.mapped->fingerprint() : graph::structural_fingerprint(g);
   resilience::BlockCheckpoint checkpoint{
-      options.checkpoint,
-      mixing_fingerprint_from(graph_word, sources, max_steps, laziness), num_blocks,
-      context};
+      options.checkpoint, sampled_mixing_fingerprint(g, sources, max_steps, laziness),
+      num_blocks, context};
   std::vector<std::size_t> pending;
   pending.reserve(num_blocks);
   if (checkpoint.enabled()) checkpoint.restore();
@@ -332,7 +288,7 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   util::parallel_for(0, workers, 1, [&](std::size_t, std::size_t) {
     std::size_t p = next_block++;
     if (p >= pending.size()) return;
-    BatchedEvolver evolver{g, laziness, kBlock, sharding};
+    BatchedEvolver evolver{g, laziness, kBlock};
     try {
       for (; p < pending.size(); p = next_block++) run_block(evolver, p);
     } catch (...) {

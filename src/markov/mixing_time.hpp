@@ -21,7 +21,6 @@
 #include "graph/graph.hpp"
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
-#include "markov/batched_evolver.hpp"
 #include "resilience/checkpoint.hpp"
 #include "util/retired_knob.hpp"
 #include "util/rng.hpp"
@@ -114,62 +113,27 @@ class SampledMixing {
   std::size_t max_steps_ = 0;
 };
 
-/// The two execution knobs both measurement phases run under, parsed
-/// once from --sharded (and --pack for `mapped`) by
-/// core::engine_options_from_cli. They choose how a measurement is
-/// computed, never what it measures. Vertex ordering is not among them: it
-/// is a property of the stored graph (`graph_pack --reorder rcm`).
+/// The execution knobs both measurement phases once ran under. Every one
+/// is retired: a measurement runs one way, on one resident CSR, whatever
+/// the input. perfbench/ still copies these fields; delete the struct with
+/// the next benchmark change. Nothing reads them.
 struct EngineOptions {
-  /// Retired (--reorder is refused): the kernels compute under the stored
-  /// graph's ordering. perfbench/ still copies this field; delete it with
-  /// the next benchmark change.
+  /// Retired --reorder: the ordering is the stored graph's.
   util::RetiredKnob reorder;
-  /// Retired (--frontier is refused): every sweep is dense. perfbench/
-  /// still copies this field; delete it with the next benchmark change.
+  /// Retired --frontier: every sweep is dense.
   util::RetiredKnob frontier;
-  /// Retired (--precision is refused): both phases run f64. perfbench/
-  /// still copies this field; delete it with the next benchmark change.
+  /// Retired --precision: both phases run f64.
   util::RetiredKnob precision;
-  /// Shard-at-a-time evolution of a compressed pack (--sharded auto|off|N;
-  /// auto stays at one shard until the CSR exceeds the per-shard byte
-  /// budget). Resolved against the pack's CSR footprint; both phases then
-  /// sweep one contiguous vertex shard at a time (spectral: a sharded
-  /// WalkOperator under Lanczos; sampled: a sharded BatchedEvolver) —
-  /// bit-identical to the in-memory sweep for every shard count, with the
-  /// decoded adjacency near two shard windows. Ignored for any graph that
-  /// is not headless: in-memory graphs and raw packs sweep as one shard. A
-  /// resolved count above one folds graph::shard_context_word into the
-  /// checkpoint context, so a snapshot written under a foreign shard
-  /// geometry classifies stale; one-shard runs fold nothing and stay
-  /// compatible with pre-shard snapshots.
+  /// Retired --sharded: no engine shards the CSR.
   graph::ShardPolicy sharded;
-  /// The mmap-backed .smxg container `g` was borrowed from (socmix --pack),
-  /// or null; must outlive the call. Mandatory for a *compressed*
-  /// container (headless `g`, see MappedGraph::compressed()): the shard
-  /// pipeline decodes adjacency windows out of it. Compressed runs always
-  /// stream through the pipeline (even at one shard), which changes no
-  /// output bit versus the same flags on the dense CSR. Ignored for a raw
-  /// container, whose CSR is swept like an in-memory one.
+  /// The pack the graph was loaded from; a compressed pack is decoded
+  /// when it is opened, so the measurement never needs it.
   const graph::sharded::MappedGraph* mapped = nullptr;
-  /// Retired (--io-mode is refused): linalg::ShardPipeline decodes windows
-  /// on its worker thread whenever the host has a second hardware thread.
-  /// perfbench/ still copies this field; delete it with the next benchmark
-  /// change.
+  /// Retired --io-mode: no pack is staged.
   util::RetiredKnob io_mode;
 };
 
-/// The one place the execution knobs meet the graph: the shard geometry
-/// both phases sweep `g` with. A graph that is not headless (in memory or
-/// a raw pack) sweeps as one shard with no mapping, whatever `sharded`
-/// says. A headless (compressed) graph needs its compressed mapping, and
-/// --sharded resolves against its CSR with resident_copies = 3: a
-/// compressed sweep keeps three adjacency copies per staged window in
-/// flight (two decoded scratch slots + the mapped ADJC bytes). Throws
-/// std::invalid_argument on a headless graph without its mapping.
-[[nodiscard]] SweepSharding resolve_engine(const graph::Graph& g,
-                                           const EngineOptions& options);
-
-/// Knobs of the sampled sweep: the execution knobs plus the walk itself.
+/// Knobs of the sampled sweep: the walk itself.
 struct SampledMixingOptions : EngineOptions {
   /// Walk-length budget per source (paper plots up to 500).
   std::size_t max_steps = 500;

@@ -50,10 +50,10 @@ class BlockCheckpoint {
   /// `fingerprint` must cover everything the payloads depend on (graph,
   /// sources, step budget, parameters, seed); restore() only accepts
   /// snapshots carrying the identical value. `context` tags the execution
-  /// environment the payloads were computed under (e.g. the shard
-  /// geometry driving the sweep and the words retired knobs folded at
-  /// their defaults, hash-combined by the caller) — it is recorded in
-  /// every frame, and a frame whose context differs from this run's is
+  /// environment the payloads were computed under (e.g. the words
+  /// retired knobs folded at their defaults, hash-combined by the caller)
+  /// — it is recorded in every frame, and a frame whose context differs
+  /// from this run's is
   /// classified *stale* (counted under resilience.stale_discarded) and
   /// recomputed rather than replayed.
   BlockCheckpoint(CheckpointOptions options, std::uint64_t fingerprint,

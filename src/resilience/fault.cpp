@@ -14,12 +14,11 @@ namespace socmix::resilience {
 
 namespace {
 
-constexpr std::array<std::string_view, 6> kSites = {
+constexpr std::array<std::string_view, 5> kSites = {
     "checkpoint.write",
     "checkpoint.rename",
     "block.complete",
     "graph.load",
-    "shard.window",
     "lanczos.certificate",
 };
 

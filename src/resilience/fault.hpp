@@ -57,9 +57,6 @@ struct FaultSpec {
 ///   checkpoint.rename  between the temp write and the atomic publish
 ///   block.complete     a source block (or sweep point) just finished
 ///   graph.load         entry of an edge-list / binary graph load
-///   shard.window       a shard window is about to be handed to compute
-///                      (linalg::ShardPipeline::acquire, once per shard
-///                      per sweep — kills/errors land mid-pipeline)
 ///   lanczos.certificate  the Ritz residual certificate of a Lanczos solve;
 ///                      `error` mode fails the certificate (converged =
 ///                      false) instead of throwing, so `socmix measure`

@@ -38,9 +38,8 @@ namespace socmix::resilience {
 
 // Version history: 1 = original frame; 2 = BlockCheckpoint payloads gained
 // a leading u64 execution-context word (then the vertex reorder mode; now
-// the shard geometry plus the words retired knobs folded at their
-// defaults), so files written before it must be rejected as kBadVersion
-// rather than misparsed.
+// the words retired knobs folded at their defaults), so files written
+// before it must be rejected as kBadVersion rather than misparsed.
 inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 enum class SnapshotStatus {

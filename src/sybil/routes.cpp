@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "sybil/permutation.hpp"
 #include "util/feistel.hpp"
@@ -25,7 +24,6 @@ std::uint32_t ProtocolParams::instances(const graph::Graph& g) const {
 
 RouteTable::RouteTable(const graph::Graph& g, std::uint64_t protocol_seed)
     : graph_(&g), seed_(protocol_seed) {
-  require_adjacency(g);
   // Sorted, symmetric adjacency: visiting u in ascending order reaches
   // each v's neighbors in v's list order, so a per-v cursor counts u's
   // local index in v's list — O(m), no search.
@@ -37,14 +35,6 @@ RouteTable::RouteTable(const graph::Graph& g, std::uint64_t protocol_seed)
     for (graph::EdgeIndex e = offsets[u]; e < offsets[u + 1]; ++e) {
       rev_[e] = cursor[neighbors[e]]++;
     }
-  }
-}
-
-void RouteTable::require_adjacency(const graph::Graph& g) {
-  if (g.headless()) {
-    throw std::invalid_argument{
-        "sybil::RouteTable: headless graph (compressed .smxg view) has no "
-        "in-memory adjacency for random routes; repack without --compress"};
   }
 }
 

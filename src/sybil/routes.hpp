@@ -69,14 +69,8 @@ struct ProtocolParams {
 /// evaluation); the only per-graph state is the reverse-edge table.
 class RouteTable {
  public:
-  /// Throws std::invalid_argument (see require_adjacency) on a headless
-  /// graph. Builds the reverse-edge table in O(m).
+  /// Builds the reverse-edge table in O(m).
   RouteTable(const graph::Graph& g, std::uint64_t protocol_seed);
-
-  /// Throws std::invalid_argument naming RouteTable when `g` is headless
-  /// (a compressed .smxg view): random routes walk individual adjacency
-  /// lists, which such a view does not hold in memory.
-  static void require_adjacency(const graph::Graph& g);
 
   /// Outgoing local edge index for a route entering `node` via local edge
   /// index `in_index`, in protocol instance `instance`.

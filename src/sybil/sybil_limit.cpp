@@ -112,8 +112,6 @@ std::uint64_t admission_sweep_fingerprint(const graph::Graph& g,
 std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
                                             const AdmissionSweepConfig& config) {
   SOCMIX_TRACE_SPAN("sybil.admission_sweep");
-  // Fail closed before the fingerprint or the sampling reads adjacency.
-  RouteTable::require_adjacency(g);
   if (config.verifier_sample == 0) {
     throw std::invalid_argument{"admission_sweep: verifier_sample must be at least 1"};
   }

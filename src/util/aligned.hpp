@@ -11,8 +11,8 @@
 // fresh line. The allocator is stateless and interchangeable across
 // alignments >= alignof(T), so containers stay assignable.
 //
-// Buffers of at least kHugeBufferBytes (the walk state, decoded shard
-// windows and the Krylov basis at paper scale) are instead placed on a
+// Buffers of at least kHugeBufferBytes (the walk state, a loaded pack's
+// CSR and the Krylov basis at paper scale) are instead placed on a
 // 2 MiB boundary and advised MADV_HUGEPAGE before std::vector first
 // touches them, so transparent huge pages back them under THP `madvise`
 // as well as `always`: one fault and one TLB entry per 2 MiB instead of

@@ -1,5 +1,5 @@
 // Retired execution knobs. --precision (the sampled phase always runs
-// f64), --io-mode (the shard pipeline picks its own staging), --frontier
+// f64), --io-mode (no pack is staged any more), --frontier
 // (every sweep is dense; random routes walk hop-major) and --reorder (the
 // ordering is baked into the stored graph by `graph_pack --reorder rcm`)
 // are refused on the command line, but perfbench/ still spells out the

@@ -39,28 +39,17 @@ util::Cli make_cli(std::initializer_list<const char*> args) {
   return util::Cli{static_cast<int>(argv.size()), argv.data()};
 }
 
-TEST(ExperimentConfig, ParsesEveryExecutionKnob) {
-  // socmix measure parses the one knob, --sharded, for a compressed pack.
-  const markov::EngineOptions engine =
-      engine_options_from_cli(make_cli({"--sharded", "4"}));
-  EXPECT_EQ(engine.sharded.mode, graph::ShardPolicy::Mode::kFixed);
-  EXPECT_EQ(engine.sharded.count, 4u);
-  EXPECT_EQ(engine.mapped, nullptr);
-
-  // The figure drivers build in-memory graphs, which sweep as one shard:
-  // they refuse the knob by name, and their measurement options carry the
-  // defaults.
-  try {
-    (void)ExperimentConfig::from_cli(make_cli({"--sharded", "4"}));
-    ADD_FAILURE() << "--sharded 4 was accepted by a figure driver";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string{e.what()}.find("--sharded"), std::string::npos) << e.what();
+TEST(ExperimentConfig, ShardedIsRefusedByName) {
+  // Every graph is swept as one resident CSR: --sharded is retired like
+  // the other execution knobs, whatever its value.
+  for (const char* value : {"4", "off", "auto"}) {
+    try {
+      (void)ExperimentConfig::from_cli(make_cli({"--sharded", value}));
+      ADD_FAILURE() << "--sharded " << value << " was accepted by a figure driver";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("--sharded"), std::string::npos) << e.what();
+    }
   }
-  const auto config = ExperimentConfig::from_cli(make_cli({"--seed", "9"}));
-  const MeasurementOptions options = config.measurement_options();
-  EXPECT_EQ(options.sharded.mode, graph::ShardPolicy::Mode::kAuto);
-  EXPECT_EQ(options.mapped, nullptr);
-  EXPECT_EQ(options.seed, 9u);
 }
 
 TEST(ExperimentConfig, RetiredKnobsAreRefusedByName) {
@@ -74,14 +63,14 @@ TEST(ExperimentConfig, RetiredKnobsAreRefusedByName) {
         std::pair{"--frontier", "auto"}, std::pair{"--frontier", "off"},
         std::pair{"--frontier", "0.25"}}) {
     try {
-      (void)engine_options_from_cli(make_cli({flag, value}));
+      refuse_engine_knobs(make_cli({flag, value}));
       ADD_FAILURE() << flag << " " << value << " was accepted";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string{e.what()}.find(flag), std::string::npos) << e.what();
     }
   }
   try {
-    (void)engine_options_from_cli(make_cli({"--reorder", "rcm"}));
+    refuse_engine_knobs(make_cli({"--reorder", "rcm"}));
     ADD_FAILURE() << "--reorder rcm was accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string{e.what()}.find("graph_pack --reorder rcm"), std::string::npos)

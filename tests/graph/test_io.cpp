@@ -7,7 +7,6 @@
 
 #include "graph/sharded/format.hpp"
 #include "graph/sharded/mapped_graph.hpp"
-#include "graph/sharded/plan.hpp"
 
 namespace socmix::graph {
 namespace {
@@ -113,13 +112,13 @@ TEST(FileIo, MissingFileThrows) {
 }
 
 TEST(FileIo, BinaryFileRoundTrip) {
-  // The binary container is .smxg: a written file maps back to the graph.
+  // The binary container is .smxg: a written file loads back to the graph.
   EdgeList edges;
   edges.add(0, 1);
   edges.add(1, 2);
   const Graph g = Graph::from_edges(std::move(edges));
   const std::string path = testing::TempDir() + "/socmix_io_test.smxg";
-  sharded::write_smxg_file(path, g, ShardPlan::balanced(g.offsets(), 1));
+  sharded::write_smxg_file(path, g);
   {
     const sharded::MappedGraph mapped{path};
     EXPECT_EQ(mapped.view().num_edges(), 2u);

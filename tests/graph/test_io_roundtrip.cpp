@@ -14,7 +14,6 @@
 #include "graph/io.hpp"
 #include "graph/sharded/format.hpp"
 #include "graph/sharded/mapped_graph.hpp"
-#include "graph/sharded/plan.hpp"
 #include "util/rng.hpp"
 
 namespace socmix::graph {
@@ -73,7 +72,7 @@ TEST_P(IoRoundTrip, TextPreservesTopology) {
 TEST_P(IoRoundTrip, BinaryPreservesEverything) {
   const Graph g = make();
   const std::string path = smxg_path("once");
-  sharded::write_smxg_file(path, g, ShardPlan::balanced(g.offsets(), 3));
+  sharded::write_smxg_file(path, g);
   {
     const sharded::MappedGraph reloaded{path};
     expect_isomorphic_by_ids(g, reloaded.view());
@@ -82,16 +81,15 @@ TEST_P(IoRoundTrip, BinaryPreservesEverything) {
 }
 
 TEST_P(IoRoundTrip, DoubleRoundTripIsStable) {
-  // Repacking a mapped view reproduces it: nothing is lost or reordered
+  // Repacking a loaded view reproduces it: nothing is lost or reordered
   // on a second trip through the container.
   const Graph g = make();
   const std::string first = smxg_path("once");
   const std::string second = smxg_path("twice");
-  sharded::write_smxg_file(first, g, ShardPlan::balanced(g.offsets(), 3));
+  sharded::write_smxg_file(first, g);
   {
     const sharded::MappedGraph once{first};
-    sharded::write_smxg_file(second, once.view(),
-                             ShardPlan::balanced(once.view().offsets(), 3));
+    sharded::write_smxg_file(second, once.view());
     const sharded::MappedGraph twice{second};
     expect_isomorphic_by_ids(once.view(), twice.view());
   }

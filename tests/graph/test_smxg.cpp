@@ -1,9 +1,10 @@
-// The .smxg container: round-trip fidelity, pack-plan geometry, and —
-// critically — the loader's failure paths. Every malformed container must
-// fail closed (std::runtime_error + a graph.io.smxg_rejected bump), never
-// map garbage into the kernels: truncation, payload bit-rot, a wrong-
-// endian header, version skew, and a file shorter than its header claims
-// are each exercised by corrupting a valid pack in place.
+// The .smxg container: round-trip fidelity, the decode of a compressed
+// pack at open, and — critically — the loader's failure paths. Every
+// malformed container must fail closed (std::runtime_error + a
+// graph.io.smxg_rejected bump), never hand garbage to the kernels:
+// truncation, payload bit-rot, a wrong-endian header, version skew, a file
+// shorter than its header claims and every kind of damaged ADJC stream are
+// each exercised by corrupting a valid pack in place.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +25,6 @@
 #include "graph/sharded/format.hpp"
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
-#include "linalg/shard_pipeline.hpp"
 #include "obs/obs.hpp"
 #include "util/checksum.hpp"
 
@@ -44,7 +44,7 @@ class SmxgTest : public ::testing::Test {
                 .string();
     const auto spec = gen::find_dataset("Physics 1");
     graph_ = gen::build_dataset(*spec, 400, 23);
-    write_smxg_file(path_, graph_, ShardPlan::balanced(graph_.offsets(), 4));
+    write_smxg_file(path_, graph_);
   }
   void TearDown() override { fs::remove(path_); }
 
@@ -72,10 +72,11 @@ class SmxgTest : public ::testing::Test {
     return 0;
   }
 
-  void expect_rejected(const std::string& what_substr) {
+  void expect_rejected(const std::string& what_substr,
+                       MappedGraph::Options options = MappedGraph::Options{}) {
     const std::uint64_t before = rejected_count();
     try {
-      const MappedGraph mapped{path_};
+      const MappedGraph mapped{path_, options};
       FAIL() << "expected rejection containing '" << what_substr << "'";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string{e.what()}.find(what_substr), std::string::npos)
@@ -102,8 +103,6 @@ TEST_F(SmxgTest, RoundTripsBitExact) {
   }
   EXPECT_EQ(mapped.fingerprint(), structural_fingerprint(graph_));
   EXPECT_EQ(structural_fingerprint(view), structural_fingerprint(graph_));
-  EXPECT_EQ(mapped.pack_plan().num_shards(), 4u);
-  EXPECT_EQ(mapped.pack_plan().dim(), graph_.num_nodes());
 }
 
 TEST_F(SmxgTest, PackPlanBalancesHalfEdges) {
@@ -125,15 +124,28 @@ TEST_F(SmxgTest, PackPlanBalancesHalfEdges) {
   }
 }
 
-TEST_F(SmxgTest, AdviseAndReleaseAreSafeOverTheWholeRange) {
+TEST_F(SmxgTest, ShardSectionIsAcceptedAndSkipped) {
+  // A pack written with a multi-shard SHRD section (as earlier builds and
+  // perfbench/ write them) loads to the same CSR, and a damaged SHRD
+  // payload is never read.
+  write_smxg_file(path_, graph_, ShardPlan::balanced(graph_.offsets(), 4),
+                  WriteOptions{});
+  auto bytes = slurp();
+  std::uint32_t num_sections = 0;
+  std::memcpy(&num_sections, bytes.data() + 12, sizeof num_sections);
+  for (std::uint32_t i = 0; i < num_sections; ++i) {
+    const char* entry = bytes.data() + kHeaderBytes + i * kSectionEntryBytes;
+    std::uint32_t id = 0;
+    std::uint64_t offset = 0;
+    std::memcpy(&id, entry, sizeof id);
+    std::memcpy(&offset, entry + 8, sizeof offset);
+    if (id == kSectionShards) bytes[static_cast<std::size_t>(offset)] ^= 0x5a;
+  }
+  dump(bytes);
   const MappedGraph mapped{path_};
-  // Paging hints must be valid (no crash, no state change) for any row
-  // window, mapped or heap fallback.
-  mapped.advise_rows(0, mapped.view().num_nodes());
-  mapped.release_rows(0, mapped.view().num_nodes());
-  mapped.release_all();
-  EXPECT_GT(mapped.window_bytes(0, mapped.view().num_nodes()), 0u);
-  EXPECT_EQ(mapped.window_bytes(5, 5), 0u);
+  const auto a = mapped.view().raw_neighbors();
+  const auto b = graph_.raw_neighbors();
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
 }
 
 TEST_F(SmxgTest, TruncatedHeaderRejects) {
@@ -218,7 +230,7 @@ class SmxgCompressedTest : public SmxgTest {
     SmxgTest::SetUp();
     WriteOptions options;
     options.compress = true;
-    write_smxg_file(path_, graph_, ShardPlan::balanced(graph_.offsets(), 4), options);
+    write_smxg_file(path_, graph_, options);
   }
 
   /// Byte range of the ADJC payload, read from the section table.
@@ -242,7 +254,7 @@ class SmxgCompressedTest : public SmxgTest {
   }
 
   /// Re-stamps the ADJC section CRC after a deliberate payload edit, so
-  /// the test reaches the structural group-index checks behind it.
+  /// the test reaches the structural checks behind it.
   static void restamp_adjc_crc(std::vector<char>& bytes) {
     const auto [offset, size] = adjc_extent(bytes);
     std::uint32_t num_sections = 0;
@@ -258,22 +270,19 @@ class SmxgCompressedTest : public SmxgTest {
   }
 };
 
-TEST_F(SmxgCompressedTest, LoadsHeadlessWithMatchingGeometry) {
+TEST_F(SmxgCompressedTest, LoadsDecodedWithMatchingGeometry) {
   const MappedGraph mapped{path_};
   EXPECT_TRUE(mapped.compressed());
   const Graph& view = mapped.view();
-  EXPECT_TRUE(view.headless());
-  EXPECT_EQ(view.raw_neighbors().data(), nullptr);
   ASSERT_EQ(view.num_nodes(), graph_.num_nodes());
   ASSERT_EQ(view.num_half_edges(), graph_.num_half_edges());
   const auto a = view.offsets();
   const auto b = graph_.offsets();
   EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-  // The pack-time fingerprint survives even though the view cannot
-  // recompute it — this is what keeps checkpoints interchangeable across
-  // dense/uncompressed/compressed runs of the same graph.
+  // The pack-time fingerprint and the decoded CSR's agree, so checkpoints
+  // stay interchangeable across in-memory, raw and compressed runs.
   EXPECT_EQ(mapped.fingerprint(), structural_fingerprint(graph_));
-  EXPECT_EQ(mapped.pack_plan().num_shards(), 4u);
+  EXPECT_EQ(structural_fingerprint(view), structural_fingerprint(graph_));
 }
 
 TEST_F(SmxgCompressedTest, HalvesAdjacencyBytes) {
@@ -286,33 +295,16 @@ TEST_F(SmxgCompressedTest, HalvesAdjacencyBytes) {
 }
 
 TEST_F(SmxgCompressedTest, DecodesBitIdenticalAdjacency) {
-  const MappedGraph mapped{path_};
-  const ShardPlan plan = ShardPlan::balanced(graph_.offsets(), 3);
-  // One hardware thread stages inline on the compute thread; two start
-  // the staging worker. Both must hand over the same windows.
-  for (const unsigned hardware_threads : {1u, 2u}) {
-    linalg::ShardPipeline pipeline{mapped.view(), plan, &mapped, hardware_threads};
-    ASSERT_TRUE(pipeline.decodes());
-    EXPECT_GT(pipeline.scratch_bytes(), 0u);
-    // Two sweeps: the second exercises the recycled slots (and, with a
-    // worker, the finish_sweep handoff that pre-stages shard 0).
-    for (int sweep = 0; sweep < 2; ++sweep) {
-      for (std::uint32_t s = 0; s < plan.num_shards(); ++s) {
-        const linalg::ShardWindow w = pipeline.acquire(s);
-        ASSERT_TRUE(w.local);
-        ASSERT_EQ(w.begin, plan.begin(s));
-        ASSERT_EQ(w.end, plan.end(s));
-        for (NodeId v = w.begin; v < w.end; ++v) {
-          const auto expect = graph_.neighbors(v);
-          const EdgeIndex lo = w.offsets[v - w.begin];
-          const EdgeIndex hi = w.offsets[v - w.begin + 1];
-          ASSERT_EQ(hi - lo, expect.size()) << "row " << v;
-          ASSERT_TRUE(std::equal(expect.begin(), expect.end(), w.neighbors + lo))
-              << "row " << v << " hardware_threads=" << hardware_threads;
-        }
-      }
-      pipeline.finish_sweep();
-    }
+  // Decoded once at open, on every kernel tier's decoder alike: the view is
+  // the packed CSR, id for id.
+  for (const bool verify : {true, false}) {
+    MappedGraph::Options options;
+    options.verify = verify;
+    const MappedGraph mapped{path_, options};
+    const auto a = mapped.view().raw_neighbors();
+    const auto b = graph_.raw_neighbors();
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "verify=" << verify;
   }
 }
 
@@ -349,28 +341,93 @@ TEST_F(SmxgCompressedTest, CorruptGroupIndexRejects) {
 
 TEST_F(SmxgCompressedTest, CorruptStreamFailsClosedAtDecodeTime) {
   // Skip load-time CRC verification (the fast path for huge containers)
-  // and damage a group's ctrl stream: the pipeline's pre-decode byte-count
-  // check must reject it before any value reaches a kernel.
+  // and damage a group's ctrl stream: the decoder's pre-decode byte-count
+  // check must reject it while the pack is opened.
   auto bytes = slurp();
   const auto [offset, size] = adjc_extent(bytes);
   bytes[static_cast<std::size_t>(offset) + adjc::kHeadBytes] = static_cast<char>(0xff);
   dump(bytes);
   MappedGraph::Options options;
   options.verify = false;
-  const MappedGraph mapped{path_, options};
-  const ShardPlan plan = ShardPlan::balanced(graph_.offsets(), 2);
-  // Inline, the decode throws on the compute thread; with a worker, the
-  // worker's error is rethrown there.
-  for (const unsigned hardware_threads : {1u, 2u}) {
-    linalg::ShardPipeline pipeline{mapped.view(), plan, &mapped, hardware_threads};
-    try {
-      const linalg::ShardWindow w = pipeline.acquire(0);
-      (void)w;
-      FAIL() << "expected decode-time rejection";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string{e.what()}.find("corrupt ADJC"), std::string::npos)
-          << "actual: " << e.what();
-    }
+  expect_rejected("byte count mismatch", options);
+}
+
+// Every decoder defect, with the CRC re-stamped so the decoder — not the
+// checksum — must catch it, and with verification on and off.
+
+TEST_F(SmxgCompressedTest, TruncatedGroupStreamRejectsAtOpen) {
+  // Group 1's stream starts at group 0's: group 0 has no bytes at all, not
+  // even its ctrl bytes.
+  auto bytes = slurp();
+  const auto [offset, size] = adjc_extent(bytes);
+  const std::uint64_t groups = adjc::num_groups(graph_.num_nodes(), adjc::kGroupRows);
+  ASSERT_GE(groups, 2u);
+  const std::uint64_t head = adjc::kHeadBytes;
+  std::memcpy(bytes.data() + offset + size - (groups + 1) * 8 + 8, &head, sizeof head);
+  restamp_adjc_crc(bytes);
+  dump(bytes);
+  for (const bool verify : {true, false}) {
+    MappedGraph::Options options;
+    options.verify = verify;
+    expect_rejected("too short", options);
+  }
+}
+
+TEST_F(SmxgCompressedTest, ByteCountMismatchRejectsAtOpen) {
+  // Widen one coded length: the stream no longer ends where the index says.
+  auto bytes = slurp();
+  const auto [offset, size] = adjc_extent(bytes);
+  char& ctrl = bytes[static_cast<std::size_t>(offset + adjc::kHeadBytes)];
+  ctrl = static_cast<char>(ctrl ^ 0x01);
+  restamp_adjc_crc(bytes);
+  dump(bytes);
+  for (const bool verify : {true, false}) {
+    MappedGraph::Options options;
+    options.verify = verify;
+    expect_rejected("byte count mismatch", options);
+  }
+}
+
+/// graph_'s CSR with `edit` applied to its neighbor array, as a Graph
+/// that breaks the class invariants on purpose (from_csr does not check
+/// them), so the writer encodes a stream no honest graph produces.
+Graph tampered(const Graph& g, void (*edit)(const Graph&, std::vector<NodeId>&)) {
+  std::vector<EdgeIndex> offsets(g.offsets().begin(), g.offsets().end());
+  std::vector<NodeId> neighbors(g.raw_neighbors().begin(), g.raw_neighbors().end());
+  edit(g, neighbors);
+  return Graph::from_csr(std::move(offsets), std::move(neighbors));
+}
+
+TEST_F(SmxgCompressedTest, NeighborIdOutOfRangeRejectsAtOpen) {
+  // The last row's last id becomes n: a positive gap past the last vertex.
+  const Graph bad = tampered(graph_, [](const Graph& g, std::vector<NodeId>& nbrs) {
+    nbrs.back() = g.num_nodes();
+  });
+  WriteOptions options;
+  options.compress = true;
+  write_smxg_file(path_, bad, options);
+  for (const bool verify : {true, false}) {
+    MappedGraph::Options open;
+    open.verify = verify;
+    expect_rejected("neighbor id out of range", open);
+  }
+}
+
+TEST_F(SmxgCompressedTest, GapOverflowRejectsAtOpen) {
+  // Row 0's first two ids swapped: the second is stored as the 4-byte gap
+  // a - b, which a u32 accumulator would wrap back to the in-range id a.
+  // Undeltaed in u64 it lands past 2^32 and is rejected.
+  ASSERT_GE(graph_.degree(0), 2u);
+  const Graph bad = tampered(graph_, [](const Graph& g, std::vector<NodeId>& nbrs) {
+    std::swap(nbrs[g.offsets()[0]], nbrs[g.offsets()[0] + 1]);
+  });
+  WriteOptions options;
+  options.compress = true;
+  write_smxg_file(path_, bad, options);
+  for (const bool verify : {true, false}) {
+    MappedGraph::Options open;
+    open.verify = verify;
+    expect_rejected("neighbor id out of range", open);
   }
 }
 

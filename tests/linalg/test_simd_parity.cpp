@@ -29,7 +29,6 @@
 #include "graph/graph.hpp"
 #include "graph/sharded/format.hpp"
 #include "graph/sharded/mapped_graph.hpp"
-#include "graph/sharded/plan.hpp"
 #include "linalg/simd/kernels.hpp"
 #include "linalg/vector_ops.hpp"
 #include "linalg/walk_operator.hpp"
@@ -63,16 +62,15 @@ std::vector<graph::NodeId> spread_sources(const graph::Graph& g,
   return sources;
 }
 
-/// The sampled measurement of `g` in memory, or (with `pack`) of its
-/// compressed pack at four shards.
+/// The sampled measurement of `g` in memory, or (with a `pack_path`) of
+/// its compressed pack, opened — and so decoded — on the active tier.
 markov::SampledMixing run(const graph::Graph& g, std::span<const graph::NodeId> sources,
-                          const graph::sharded::MappedGraph* pack) {
+                          const std::string& pack_path) {
   markov::SampledMixingOptions options;
   options.max_steps = kSteps;
-  if (pack == nullptr) return measure_sampled_mixing(g, sources, options);
-  options.sharded = {.mode = graph::ShardPolicy::Mode::kFixed, .count = 4};
-  options.mapped = pack;
-  return measure_sampled_mixing(pack->view(), sources, options);
+  if (pack_path.empty()) return measure_sampled_mixing(g, sources, options);
+  const graph::sharded::MappedGraph pack{pack_path};
+  return measure_sampled_mixing(pack.view(), sources, options);
 }
 
 void expect_bitwise_equal(const markov::SampledMixing& a, const markov::SampledMixing& b,
@@ -97,16 +95,14 @@ TEST(SimdTierParity, SampledMixingBitIdenticalAcrossTiersOnEveryTable1Config) {
         (std::filesystem::path{testing::TempDir()} / "simd_parity.smxg").string();
     graph::sharded::WriteOptions compress;
     compress.compress = true;
-    graph::sharded::write_smxg_file(path, g, graph::ShardPlan::single(g.num_nodes()),
-                                    compress);
-    const graph::sharded::MappedGraph pack{path};
+    graph::sharded::write_smxg_file(path, g, compress);
     for (const bool compressed : {false, true}) {
-      const graph::sharded::MappedGraph* mapped = compressed ? &pack : nullptr;
       // Reference: forced scalar tier, serial. Every other
       // (tier, threads) combination must reproduce it bit for bit.
+      const std::string pack_path = compressed ? path : std::string{};
       const markov::SampledMixing reference = [&] {
         const TierGuard guard{simd::Tier::kScalar};
-        return run(g, sources, mapped);
+        return run(g, sources, pack_path);
       }();
       for (const simd::Tier tier : tiers) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
@@ -114,12 +110,12 @@ TEST(SimdTierParity, SampledMixingBitIdenticalAcrossTiersOnEveryTable1Config) {
           const TierGuard guard{tier};
           ASSERT_TRUE(guard.ok());
           util::set_thread_count(threads);
-          const markov::SampledMixing got = run(g, sources, mapped);
+          const markov::SampledMixing got = run(g, sources, pack_path);
           util::set_thread_count(0);
           expect_bitwise_equal(reference, got,
                                spec.name + " tier=" + simd::tier_name(tier) +
                                    " threads=" + std::to_string(threads) +
-                                   (compressed ? " compressed, 4 shards" : " in memory"));
+                                   (compressed ? " compressed pack" : " in memory"));
         }
       }
     }

@@ -3,11 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <string>
 
+#include "gen/datasets.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/reference.hpp"
 #include "graph/components.hpp"
+#include "graph/sharded/format.hpp"
+#include "graph/sharded/mapped_graph.hpp"
+#include "graph/sharded/plan.hpp"
 #include "linalg/dense.hpp"
+#include "linalg/lanczos.hpp"
+#include "linalg/sharded_walk_operator.hpp"
 #include "linalg/vector_ops.hpp"
 #include "util/rng.hpp"
 
@@ -103,6 +111,74 @@ TEST(WalkOperator, RejectsBadLaziness) {
   const auto g = gen::complete(3);
   EXPECT_THROW((WalkOperator{g, -0.1}), std::invalid_argument);
   EXPECT_THROW((WalkOperator{g, 1.0}), std::invalid_argument);
+}
+
+// ShardedWalkOperator is how perfbench/ spells the operator: whatever plan
+// and pack it is handed, it must be exactly WalkOperator, or the frozen
+// benchmark's spectrum digests would move.
+
+/// `g` written as a compressed pack and loaded back.
+graph::sharded::MappedGraph compressed_pack(const graph::Graph& g,
+                                            const std::string& name) {
+  const std::string path = (std::filesystem::path{testing::TempDir()} / name).string();
+  graph::sharded::WriteOptions options;
+  options.compress = true;
+  graph::sharded::write_smxg_file(path, g, options);
+  graph::sharded::MappedGraph pack{path};
+  std::filesystem::remove(path);
+  return pack;
+}
+
+TEST(ShardedWalkOperator, ApplyBitwiseEqualToDenseForEveryShardCount) {
+  const graph::Graph g = gen::build_dataset(*gen::find_dataset("Physics 1"), 500, 29);
+  const auto pack = compressed_pack(g, "sharded_operator_apply.smxg");
+  const WalkOperator dense{g};
+  util::Rng rng{3};
+  Vec x(g.num_nodes());
+  randomize_unit(x, rng);
+  Vec want(g.num_nodes());
+  dense.apply(x, want);
+  for (const std::uint32_t shards : {1u, 3u, 16u, 61u}) {
+    const ShardedWalkOperator op{pack.view(),
+                                 graph::ShardPlan::balanced(g.offsets(), shards), 0.0,
+                                 &pack, {}};
+    Vec got(g.num_nodes());
+    op.apply(x, got);
+    EXPECT_EQ(got, want) << "shards=" << shards;
+  }
+}
+
+TEST(ShardedWalkOperator, LazyApplyAndEigenvalueMapMatchDense) {
+  const graph::Graph g = gen::build_dataset(*gen::find_dataset("Physics 1"), 500, 29);
+  const double laziness = 0.35;
+  const WalkOperator dense{g, laziness};
+  const ShardedWalkOperator op{g, graph::ShardPlan::balanced(g.offsets(), 8), laziness,
+                               nullptr, {}};
+  util::Rng rng{7};
+  Vec x(g.num_nodes());
+  randomize_unit(x, rng);
+  Vec want(g.num_nodes());
+  Vec got(g.num_nodes());
+  dense.apply(x, want);
+  op.apply(x, got);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(op.map_eigenvalue(0.5), dense.map_eigenvalue(0.5));
+  EXPECT_EQ(op.top_eigenvector(), dense.top_eigenvector());
+}
+
+TEST(ShardedWalkOperator, LanczosSpectrumIdenticalThroughMappedContainer) {
+  const graph::Graph g = gen::build_dataset(*gen::find_dataset("Physics 1"), 500, 29);
+  const auto pack = compressed_pack(g, "sharded_operator_lanczos.smxg");
+  const LanczosOptions options;
+  const SpectrumResult want = slem_spectrum(WalkOperator{g}, options);
+  const SpectrumResult got = slem_spectrum(
+      ShardedWalkOperator{pack.view(), graph::ShardPlan::balanced(g.offsets(), 16), 0.0,
+                          &pack, {}},
+      options);
+  EXPECT_EQ(got.slem, want.slem);
+  EXPECT_EQ(got.lambda2, want.lambda2);
+  EXPECT_EQ(got.lambda_min, want.lambda_min);
+  EXPECT_EQ(got.iterations, want.iterations);
 }
 
 }  // namespace

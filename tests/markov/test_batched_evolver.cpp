@@ -85,9 +85,6 @@ TEST(BatchedEvolver, RejectsBadArguments) {
   BatchedEvolver ok{g, 0.0, 8};
   const std::vector<graph::NodeId> too_many(9, 0);
   EXPECT_THROW(ok.seed_point_masses(too_many), std::invalid_argument);
-  // A shard plan must cover exactly the graph's rows.
-  EXPECT_THROW(BatchedEvolver(g, 0.0, 8, {graph::ShardPlan::single(g.num_nodes() + 1)}),
-               std::invalid_argument);
 }
 
 TEST(BatchedEvolver, LanesMatchScalarEvolutionBitForBit) {

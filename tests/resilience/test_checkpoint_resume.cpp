@@ -15,6 +15,7 @@
 
 #include "graph/edge_list.hpp"
 #include "graph/graph.hpp"
+#include "markov/batched_evolver.hpp"
 #include "markov/mixing_time.hpp"
 #include "obs/obs.hpp"
 #include "resilience/fault.hpp"

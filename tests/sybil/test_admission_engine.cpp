@@ -11,7 +11,8 @@
 //  * the verifier cache misses once per node and hits on reuse;
 //  * hop accounting: an isolated suspect walks no hops, and verify_batch's
 //    stats agree with the sybil.engine.hops_walked counter;
-//  * a headless (compressed-pack) view is refused by name, not walked;
+//  * a compressed pack sweeps to the same admitted fractions as its raw
+//    twin and the in-memory graph;
 //  * sweep snapshots written without the engine-version context word (the
 //    pre-engine layout, measured under per-length seeds) are classified
 //    stale and recomputed, never replayed — while snapshots in the layout
@@ -31,7 +32,6 @@
 #include "graph/graph.hpp"
 #include "graph/sharded/format.hpp"
 #include "graph/sharded/mapped_graph.hpp"
-#include "graph/sharded/plan.hpp"
 #include "obs/obs.hpp"
 #include "resilience/checkpoint.hpp"
 #include "sybil/routes.hpp"
@@ -249,39 +249,36 @@ TEST(AdmissionEngine, VerifyBatchCountsNoHopsForIsolatedSuspect) {
   EXPECT_EQ(counter_value("sybil.engine.hops_walked") - counter_before, walked);
 }
 
-TEST(AdmissionEngine, HeadlessPackFailsClosed) {
-  // A compressed .smxg view has offsets but no in-memory adjacency; every
-  // SybilLimit entry point refuses it with RouteTable's named error
-  // instead of walking a null neighbor array.
+TEST(AdmissionEngine, CompressedPackAdmitsLikeRawPackAndInMemory) {
+  // A compressed pack is decoded into an ordinary CSR when it is opened,
+  // so the admission sweep runs on it — and admits exactly what it admits
+  // on the raw pack of the same graph and on the graph in memory.
   const graph::Graph g =
       gen::build_dataset(*gen::find_dataset("Physics 1"), kNodes, 9);
-  const fs::path path = fs::path{testing::TempDir()} / "admission_headless.smxg";
-  graph::sharded::WriteOptions compress;
-  compress.compress = true;
-  graph::sharded::write_smxg_file(path.string(), g,
-                                  graph::ShardPlan::balanced(g.offsets(), 2), compress);
-  {
-    const graph::sharded::MappedGraph mapped{path.string()};
-    const graph::Graph& view = mapped.view();
-    ASSERT_TRUE(view.headless());
-    const auto expect_named = [](const auto& construct) {
-      try {
-        construct();
-        ADD_FAILURE() << "headless graph accepted";
-      } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string{e.what()}.find("RouteTable"), std::string::npos)
-            << e.what();
-      }
-    };
-    const std::vector<std::size_t> lengths{2, 4};
-    expect_named([&] { (void)AdmissionEngine{view, AdmissionEngineConfig{}, lengths}; });
-    expect_named([&] { (void)SybilLimit{view, SybilLimitParams{}}; });
-    AdmissionSweepConfig sweep;
-    sweep.route_lengths = lengths;
-    sweep.suspect_sample = 10;
-    expect_named([&] { (void)admission_sweep(view, sweep); });
+  AdmissionSweepConfig sweep;
+  sweep.route_lengths = {2, 4, 8};
+  sweep.suspect_sample = 40;
+  sweep.verifier_sample = 2;
+  const auto fractions = [&](const graph::Graph& graph) {
+    std::vector<double> out;
+    for (const AdmissionPoint& p : admission_sweep(graph, sweep)) {
+      out.push_back(p.admitted_fraction);
+    }
+    return out;
+  };
+  const std::vector<double> in_memory = fractions(g);
+  for (const bool compress : {false, true}) {
+    const fs::path path = fs::path{testing::TempDir()} / "admission_pack.smxg";
+    graph::sharded::WriteOptions options;
+    options.compress = compress;
+    graph::sharded::write_smxg_file(path.string(), g, options);
+    {
+      const graph::sharded::MappedGraph pack{path.string()};
+      EXPECT_EQ(pack.compressed(), compress);
+      EXPECT_EQ(fractions(pack.view()), in_memory) << "compress=" << compress;
+    }
+    fs::remove(path);
   }
-  fs::remove(path);
 }
 
 TEST(AdmissionEngine, InstancesSharingATailEdgeShareOneLoadCounter) {

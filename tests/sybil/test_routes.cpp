@@ -6,7 +6,6 @@
 #include <numeric>
 #include <set>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -209,18 +208,6 @@ TEST(RouteTable, EveryWalkerMatchesTheBinarySearchOracleOnEveryTable1Config) {
         }
       }
     }
-  }
-}
-
-TEST(RouteTable, HeadlessGraphFailsClosed) {
-  const std::vector<graph::EdgeIndex> offsets{0, 1, 2};
-  const graph::Graph headless = graph::Graph::borrowed_headless(offsets, 2);
-  ASSERT_TRUE(headless.headless());
-  try {
-    const RouteTable routes{headless, 1};
-    FAIL() << "RouteTable accepted a headless graph";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string{e.what()}.find("RouteTable"), std::string::npos) << e.what();
   }
 }
 

@@ -1,18 +1,15 @@
-# Runs `socmix measure --pack <compressed> --sharded 4` and checks that
-# the measurement actually ran under that shard count: the metrics
-# snapshot must show the sharded evolver at 4 shards, and the BENCH
-# provenance must record the flag. Only a compressed pack sweeps in
-# shards: --sharded on a figure driver, on an in-memory socmix measure or
-# on a raw pack is refused by name.
+# Packs a small graph raw and compressed with graph_pack and runs `socmix
+# sybil` on the in-memory graph and on both packs: a compressed pack is
+# decoded when it is opened, so all three must print the same admitted
+# fractions.
 #
-# The retired knobs --reorder, --precision, --io-mode and --frontier must
-# be refused by name, with exit status 1, by the figure drivers and socmix
-# measure; --reorder's refusal names `graph_pack --reorder rcm`, where the
-# ordering now lives. graph_pack itself accepts only --reorder none|rcm.
-# The random-route drivers (socmix sybil and fig8) take no execution knobs:
-# they must refuse --sharded and the retired knobs by name instead of
-# parsing and ignoring them, and socmix sybil must refuse a malformed --w
-# list instead of skipping tokens. Negative counts, zero intervals,
+# The retired knobs --sharded, --reorder, --precision, --io-mode and
+# --frontier must be refused by name, with exit status 1, by the figure
+# drivers, socmix measure (on every input, a compressed pack included),
+# socmix sybil and fig8; --reorder's refusal names `graph_pack --reorder
+# rcm`, where the ordering now lives. graph_pack refuses --sharded by name
+# and accepts only --reorder none|rcm. socmix sybil must refuse a
+# malformed --w list instead of skipping tokens. Negative counts, zero intervals,
 # --verifiers 0, sample --size 0, a non-positive --scale, an --eps
 # outside (0, 1) and a sampled measure of --steps 0 must fail closed,
 # naming the flag and the value; so must graph_pack --nodes -10 and
@@ -42,9 +39,7 @@ endforeach()
 file(MAKE_DIRECTORY "${OUT_DIR}")
 set(adjc_pack "${OUT_DIR}/forwarding_adjc.smxg")
 set(raw_pack "${OUT_DIR}/forwarding_raw.smxg")
-set(metrics_file "${OUT_DIR}/measure_metrics.json")
-set(bench_file "${OUT_DIR}/measure_bench.json")
-file(REMOVE "${adjc_pack}" "${raw_pack}" "${metrics_file}" "${bench_file}")
+file(REMOVE "${adjc_pack}" "${raw_pack}")
 
 foreach(encoding "adjc" "raw")
   set(compress_flag "")
@@ -60,41 +55,6 @@ foreach(encoding "adjc" "raw")
     message(FATAL_ERROR "graph_pack (${encoding}) failed (${rc}):\n${run_stderr}")
   endif()
 endforeach()
-
-execute_process(
-  COMMAND "${SOCMIX_BIN}" measure --pack "${adjc_pack}" --sources 8 --steps 20
-          --spectral off --sharded 4 --metrics-out "${metrics_file}"
-          --bench-out "${bench_file}"
-  WORKING_DIRECTORY "${OUT_DIR}"
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE run_stdout
-  ERROR_VARIABLE run_stderr)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "socmix measure --pack <compressed> --sharded 4 failed (${rc}):\n"
-                      "${run_stdout}\n${run_stderr}")
-endif()
-if(NOT EXISTS "${metrics_file}")
-  message(FATAL_ERROR "--metrics-out wrote nothing to ${metrics_file}")
-endif()
-file(READ "${metrics_file}" metrics)
-
-foreach(key "markov.sampled.shards" "markov.shard.count")
-  if(NOT metrics MATCHES "\"${key}\":4[,}]")
-    message(FATAL_ERROR "--sharded 4 did not reach the measurement: '${key}' is not 4")
-  endif()
-endforeach()
-if(NOT metrics MATCHES "\"markov\\.shard\\.shards_swept\":([0-9]+)" OR CMAKE_MATCH_1 LESS 1)
-  message(FATAL_ERROR "the sharded evolver swept no shards")
-endif()
-
-# The same flag must also reach the BENCH provenance of the run.
-if(NOT EXISTS "${bench_file}")
-  message(FATAL_ERROR "--bench-out wrote nothing to ${bench_file}")
-endif()
-file(READ "${bench_file}" bench)
-if(NOT bench MATCHES "\"sharded\":\"4\"")
-  message(FATAL_ERROR "${bench_file} does not record --sharded 4")
-endif()
 
 # Runs one command that must exit 1 with `needle` on stderr. A refusal
 # happens before any work, so a run still going after 60 s has failed.
@@ -120,16 +80,18 @@ endfunction()
 
 set(measure_input --dataset "Physics 1" --nodes 300 --sources 8 --steps 20)
 file(REMOVE "${OUT_DIR}/refused.smxg" "${OUT_DIR}/refused.txt" "${OUT_DIR}/refused.tvd")
-# Only a compressed pack sweeps in shards: in-memory graphs (every figure
-# driver, socmix measure --dataset) and raw packs sweep as one.
-expect_refused("fig5 --sharded 4" "--sharded"
-               "${FIG5_BIN}" --scale 0.1 --sources 8 --steps 20 --sharded 4)
-expect_refused("socmix measure --dataset --sharded 4" "--sharded"
-               "${SOCMIX_BIN}" measure ${measure_input} --sharded 4)
+# Every graph is swept as one resident CSR: --sharded is retired on every
+# input, a compressed pack included, and on graph_pack.
+expect_refused("socmix measure --pack <compressed> --sharded 4" "--sharded"
+               "${SOCMIX_BIN}" measure --pack "${adjc_pack}" --sources 8 --steps 20
+               --sharded 4)
 expect_refused("socmix measure --pack <raw> --sharded off" "--sharded"
                "${SOCMIX_BIN}" measure --pack "${raw_pack}" --sources 8 --steps 20
                --sharded off)
-foreach(knob "precision;mixed" "io-mode;prefetch" "frontier;off")
+expect_refused("graph_pack --sharded 4" "--sharded"
+               "${GRAPH_PACK_BIN}" --dataset "Physics 1" --nodes 300 --sharded 4
+               --out "${OUT_DIR}/refused.smxg")
+foreach(knob "sharded;4" "precision;mixed" "io-mode;prefetch" "frontier;off")
   list(GET knob 0 flag)
   list(GET knob 1 value)
   expect_refused("fig5 --${flag} ${value}" "--${flag}"
@@ -243,17 +205,27 @@ expect_refused("socmix sybil --w 2,x,8" "--w: 'x'"
 expect_refused("socmix sybil --w x" "--w: 'x'"
                "${SOCMIX_BIN}" sybil ${sybil_input} --w x)
 
-# Without knobs the admission sweep still runs.
-execute_process(
-  COMMAND "${SOCMIX_BIN}" sybil ${sybil_input} --w 2,4
-  WORKING_DIRECTORY "${OUT_DIR}"
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE run_stdout
-  ERROR_VARIABLE run_stderr)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "socmix sybil --w 2,4 failed (${rc}):\n${run_stderr}")
-endif()
+# The admission sweep admits the same fractions on the in-memory graph,
+# its raw pack and its compressed pack (graph_pack stored the same LCC).
+unset(in_memory_table)
+foreach(input "--dataset;Physics 1;--nodes;600" "--pack;${raw_pack}" "--pack;${adjc_pack}")
+  execute_process(
+    COMMAND "${SOCMIX_BIN}" sybil ${input} --seed 7 --suspects 40 --verifiers 2 --w 2,4,8
+    WORKING_DIRECTORY "${OUT_DIR}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE table
+    ERROR_VARIABLE run_stderr)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "socmix sybil ${input} failed (${rc}):\n${run_stderr}")
+  endif()
+  if(NOT DEFINED in_memory_table)
+    set(in_memory_table "${table}")
+  elseif(NOT table STREQUAL in_memory_table)
+    message(FATAL_ERROR "socmix sybil ${input} admitted other fractions than in memory:\n"
+                        "${in_memory_table}\nvs\n${table}")
+  endif()
+endforeach()
 
-message(STATUS "driver forwarding e2e: a compressed pack ran with the requested shard "
-               "geometry; --sharded elsewhere, retired knobs, bad counts and numbers, "
-               "unknown flags and the knobs sybil and fig8 cannot use were refused")
+message(STATUS "driver forwarding e2e: socmix sybil admitted the same fractions in memory "
+               "and on raw and compressed packs; retired knobs (--sharded included), bad "
+               "counts and numbers and unknown flags were refused")

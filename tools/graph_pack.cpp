@@ -1,21 +1,19 @@
 // graph_pack — converts an edge list (or a generated Table-1 stand-in)
-// into the `.smxg` memory-mappable sharded CSR container.
+// into the `.smxg` packed CSR container.
 //
-//   graph_pack --edges g.txt --out g.smxg [--sharded auto|off|N]
-//              [--reorder none|rcm] [--compress]
+//   graph_pack --edges g.txt --out g.smxg [--reorder none|rcm] [--compress]
 //   graph_pack --dataset "Synthetic 1M" --nodes 1000000 --out g.smxg
 //   graph_pack --verify g.smxg
 //
 // Mirrors the preprocessing of `socmix measure`: load/build, extract the
 // largest connected component, optionally relabel it in reverse
-// Cuthill-McKee order (--reorder rcm), then write the CSR with a pack-time
-// shard plan resolved by --sharded against the CSR byte size. The ordering
-// is the stored graph's: every measurement of the pack computes under it,
-// raw or compressed. `socmix measure --pack g.smxg` maps the result with zero
-// parse cost; the sharded engines stream it window-at-a-time. --compress
-// emits the adjacency as the delta + stream-vbyte ADJC section (format
-// version 2, roughly half the bytes per edge; see sharded/adjc.hpp), which
-// the measurement decodes shard-wise through linalg::ShardPipeline.
+// Cuthill-McKee order (--reorder rcm), then write the CSR. The ordering is
+// the stored graph's: every measurement of the pack computes under it, raw
+// or compressed. `socmix measure --pack g.smxg` loads the result with no
+// text parse. --compress emits the adjacency as the delta + stream-vbyte
+// ADJC section (format version 2, roughly half the bytes per edge; see
+// sharded/adjc.hpp), decoded once when the pack is opened. The retired
+// --sharded is refused by name.
 //
 // The --edges path converts text to CSR in two streaming passes over the
 // file (count degrees, then fill rows) instead of materializing an edge
@@ -23,7 +21,7 @@
 // runs under the same address-space cap the scale-smoke CI lane measures
 // under.
 //
-// --verify maps an existing container (full CRC + structural validation)
+// --verify loads an existing container (full CRC + structural validation)
 // and reports its geometry plus every section's stored CRC-32; exit 1 on
 // any defect. An unknown flag or value is refused by name (exit 1).
 #include <algorithm>
@@ -36,7 +34,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "gen/datasets.hpp"
 #include "graph/components.hpp"
 #include "graph/graph.hpp"
@@ -44,7 +41,6 @@
 #include "graph/reorder.hpp"
 #include "graph/sharded/format.hpp"
 #include "graph/sharded/mapped_graph.hpp"
-#include "graph/sharded/plan.hpp"
 #include "util/cli.hpp"
 #include "util/string_util.hpp"
 
@@ -56,7 +52,6 @@ int usage() {
   std::fputs(
       "usage: graph_pack --edges FILE | --dataset NAME [--nodes N] [--seed N]\n"
       "                  --out FILE.smxg\n"
-      "                  [--sharded auto|off|N]   pack-time shard plan (default auto)\n"
       "                  [--reorder none|rcm]     pack-time vertex ordering (default none)\n"
       "                  [--compress]             delta+vbyte ADJC adjacency (v2)\n"
       "       graph_pack --verify FILE.smxg      validate + report an existing pack\n",
@@ -68,12 +63,9 @@ int cmd_verify(const std::string& path) {
   const graph::sharded::MappedGraph mapped{path};
   const graph::Graph& g = mapped.view();
   std::printf("%s: OK\n", path.c_str());
-  std::printf("  nodes %s, edges %s, shards %u%s%s\n",
-              util::with_commas(g.num_nodes()).c_str(),
+  std::printf("  nodes %s, edges %s%s\n", util::with_commas(g.num_nodes()).c_str(),
               util::with_commas(static_cast<std::int64_t>(g.num_edges())).c_str(),
-              mapped.pack_plan().num_shards(),
-              mapped.compressed() ? ", compressed" : "",
-              mapped.is_mapped() ? "" : " (heap fallback)");
+              mapped.compressed() ? ", compressed" : "");
   std::printf("  fingerprint %016llx\n",
               static_cast<unsigned long long>(mapped.fingerprint()));
   for (const auto& s : mapped.sections()) {
@@ -184,17 +176,21 @@ graph::Graph load_edges_streaming(const std::string& path) {
 }
 
 /// Every flag graph_pack reads; anything else is refused by name.
-constexpr std::string_view kFlags[] = {"edges",   "dataset", "nodes",    "seed",  "out",
-                                       "sharded", "reorder", "compress", "verify"};
+constexpr std::string_view kFlags[] = {"edges", "dataset", "nodes",    "seed",
+                                       "out",   "reorder", "compress", "verify"};
 
 int run(const util::Cli& cli) {
+  if (cli.has("sharded")) {
+    throw std::invalid_argument{
+        "--sharded: retired; a pack is read into one resident CSR, so no shard "
+        "plan is used"};
+  }
   cli.refuse_unknown(kFlags);
   if (cli.has("verify")) return cmd_verify(cli.get("verify", ""));
 
   const std::string out = cli.get("out", "");
   if (out.empty()) return usage();
   // Every flag is checked before the input is loaded.
-  const graph::ShardPolicy sharded = core::shard_policy_from_cli(cli);
   const std::string reorder = cli.get("reorder", "none");
   if (reorder != "none" && reorder != "rcm") {
     throw std::invalid_argument{"--reorder=" + reorder + ": expected none or rcm"};
@@ -228,21 +224,10 @@ int run(const util::Cli& cli) {
 
   graph::sharded::WriteOptions write_options;
   write_options.compress = cli.get_flag("compress");
-  // Compressed runs keep a third adjacency copy in flight (the decoded
-  // scratch window); fold that into the pack-time auto plan the same way
-  // the measurement does at load time.
-  const std::uint32_t shards = graph::resolve_shard_count(
-      sharded, packed.memory_bytes(), packed.num_nodes(),
-      write_options.compress ? 3u : 2u);
-  const graph::ShardPlan plan =
-      shards > 1 ? graph::ShardPlan::balanced(packed.offsets(), shards)
-                 : graph::ShardPlan::single(packed.num_nodes());
-  graph::sharded::write_smxg_file(out, packed, plan, write_options);
-  std::fprintf(stderr, "packed %s -> %s: %s nodes, %s edges, %u shard%s%s\n",
-               name.c_str(), out.c_str(),
-               util::with_commas(packed.num_nodes()).c_str(),
+  graph::sharded::write_smxg_file(out, packed, write_options);
+  std::fprintf(stderr, "packed %s -> %s: %s nodes, %s edges%s\n", name.c_str(),
+               out.c_str(), util::with_commas(packed.num_nodes()).c_str(),
                util::with_commas(static_cast<std::int64_t>(packed.num_edges())).c_str(),
-               plan.num_shards(), plan.num_shards() == 1 ? "" : "s",
                write_options.compress ? ", compressed" : "");
   return 0;
 }

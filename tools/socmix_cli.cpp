@@ -57,18 +57,14 @@ int usage() {
       "  input:  --edges FILE | --dataset NAME [--nodes N]   (--seed N)\n"
       "          (an --edges file is symmetrized on load: arcs u v and v u\n"
       "          are one undirected edge)\n"
-      "          --pack FILE.smxg   mmap a packed container (measure/sybil;\n"
-      "                             see tools/graph_pack; stores the LCC;\n"
-      "                             compressed containers are measure-only)\n"
+      "          --pack FILE.smxg   load a packed container (measure/sybil;\n"
+      "                             see tools/graph_pack; stores the LCC)\n"
       "  obs:    --metrics-out FILE (.json/.csv)  --trace-out FILE  --progress\n"
       "          --sample-out FILE.jsonl [--sample-interval-ms N]   in-run time-series\n"
       "          --bench-out FILE        BENCH json of phase timings (schema\n"
       "                                  socmix-bench/1; see tools/bench_compare)\n"
       "  resil:  --checkpoint-dir DIR [--checkpoint-interval N]  --fault-inject SPEC\n"
       "  perf:   --threads N                     kernel worker threads (0 = auto)\n"
-      "          --sharded auto|off|N            shard count of a compressed --pack\n"
-      "                                          (measure only; every other input\n"
-      "                                          sweeps as one shard)\n"
       "          (SOCMIX_SIMD=avx512|avx2|scalar forces the simd kernel tier)\n"
       "  info                                    structural report\n"
       "  measure [--sources N] [--steps N] [--eps X] [--tvd-out FILE]\n"
@@ -126,21 +122,18 @@ graph::Graph load_input(const util::Cli& cli, std::string& name) {
 }
 
 /// The measured graph for measure/sybil: either the largest component of
-/// a loaded/generated edge list (owned), or a borrowed view over an
-/// mmapped .smxg container (--pack; tools/graph_pack already extracted
-/// the LCC at pack time). The container must outlive the measurement, so
-/// it lives here, in the subcommand's scope.
+/// a loaded/generated edge list (owned), or a borrowed view over a loaded
+/// .smxg container (--pack; tools/graph_pack already extracted the LCC at
+/// pack time). The container must outlive the measurement, so it lives
+/// here, in the subcommand's scope.
 struct ComponentInput {
   std::string name;
   graph::Graph owned;
-  graph::sharded::MappedGraph mapped;
+  graph::sharded::MappedGraph pack;
   bool packed = false;
 
   [[nodiscard]] const graph::Graph& graph() const noexcept {
-    return packed ? mapped.view() : owned;
-  }
-  [[nodiscard]] const graph::sharded::MappedGraph* mapped_ptr() const noexcept {
-    return packed ? &mapped : nullptr;
+    return packed ? pack.view() : owned;
   }
 };
 
@@ -148,14 +141,12 @@ ComponentInput load_component_input(const util::Cli& cli) {
   ComponentInput in;
   if (cli.has("pack")) {
     in.name = cli.get("pack", "");
-    in.mapped = graph::sharded::MappedGraph{in.name};
+    in.pack = graph::sharded::MappedGraph{in.name};
     in.packed = true;
-    std::fprintf(stderr, "mapped %s: %u nodes, %llu edges, %u pack shards%s%s\n",
-                 in.name.c_str(), in.mapped.view().num_nodes(),
-                 static_cast<unsigned long long>(in.mapped.view().num_edges()),
-                 in.mapped.pack_plan().num_shards(),
-                 in.mapped.compressed() ? ", compressed" : "",
-                 in.mapped.is_mapped() ? "" : " (heap fallback)");
+    std::fprintf(stderr, "loaded %s: %u nodes, %llu edges%s\n", in.name.c_str(),
+                 in.pack.view().num_nodes(),
+                 static_cast<unsigned long long>(in.pack.view().num_edges()),
+                 in.pack.compressed() ? ", compressed" : "");
   } else {
     in.owned = graph::largest_component(load_input(cli, in.name)).graph;
   }
@@ -234,10 +225,10 @@ void write_tvd(const markov::SampledMixing& sampled, TvdFile out, const std::str
 int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& checkpoint) {
   // Every flag is checked before the input is loaded; the retired knobs
   // first, so they are refused with their reason.
-  core::MeasurementOptions options;
-  static_cast<markov::EngineOptions&>(options) = core::engine_options_from_cli(cli);
+  core::refuse_engine_knobs(cli);
   refuse_unknown_flags(cli, true,
-                       {"pack", "sharded", "sources", "steps", "spectral", "eps", "tvd-out"});
+                       {"pack", "sources", "steps", "spectral", "eps", "tvd-out"});
+  core::MeasurementOptions options;
   options.sources = cli.get_count("sources", 200);
   // With no sampled walks there are no trajectories to dump.
   if (options.sources == 0 && cli.has("tvd-out")) {
@@ -261,20 +252,7 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
     throw std::invalid_argument{"--eps=" + cli.get("eps", "") +
                                 ": expected a variation distance in (0, 1)"};
   }
-  // Only a compressed pack sweeps in shards: an in-memory graph or a raw
-  // pack always sweeps as one, so a shard count there would be ignored.
-  const auto refuse_sharded = [&] {
-    if (cli.has("sharded")) {
-      throw std::invalid_argument{
-          "--sharded=" + cli.get("sharded", "") +
-          ": only a compressed --pack sweeps in shards; in-memory graphs and raw "
-          "packs sweep as one shard"};
-    }
-  };
-  if (!cli.has("pack")) refuse_sharded();
   const ComponentInput input = load_component_input(cli);
-  if (!input.mapped.compressed()) refuse_sharded();
-  options.mapped = input.mapped_ptr();
 
   TvdFile tvd_out = open_tvd_out(cli);
   const auto report = core::measure_mixing(input.graph(), input.name, options);
@@ -370,8 +348,6 @@ int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpo
   config.suspect_sample = cli.get_count("suspects", 200);
   config.verifier_sample = cli.get_positive("verifiers", 3);
   config.seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
-  // A compressed container is headless: admission_sweep rejects it
-  // (RouteTable::require_adjacency) before any route is walked.
   const ComponentInput input = load_component_input(cli);
   sybil::AdmissionEngineStats engine_stats;
   config.engine_stats = &engine_stats;
