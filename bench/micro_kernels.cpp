@@ -356,17 +356,17 @@ double spmv_bytes(const graph::Graph& g) {
 
 /// Roofline traffic model for one 32-lane fused sweep: per edge, a gather
 /// of the prescaled lane row plus the streamed neighbor id; per row, the
-/// prescale pass (read cur and inv_deg, write scaled), the sweep's in-place
-/// read and write of cur, the CSR offset and the stationary mass.
+/// written lane row of the other prescaled block, the CSR offset, 1/deg
+/// and the stationary mass. The state is kept prescaled and ping-ponged,
+/// so no prescale pass and no read of the old row exist.
 double sweep_bytes(const graph::Graph& g) {
   const double lanes = 32.0;
   const double state = sizeof(double);
   const double m = static_cast<double>(g.num_half_edges());
   const double n = static_cast<double>(g.num_nodes());
   const double per_edge = lanes * state + sizeof(graph::NodeId);
-  const double prescale = 2.0 * lanes * state + sizeof(double);
-  const double sweep = 2.0 * lanes * state + sizeof(graph::EdgeIndex) + sizeof(double);
-  return m * per_edge + n * (prescale + sweep);
+  const double per_row = lanes * state + sizeof(graph::EdgeIndex) + 2.0 * sizeof(double);
+  return m * per_edge + n * per_row;
 }
 
 void run_simd_ablation(bool quick) {

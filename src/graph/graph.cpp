@@ -9,12 +9,13 @@
 namespace socmix::graph {
 
 Graph Graph::from_edges(EdgeList edges) {
-  edges.remove_self_loops();
-  edges.symmetrize_and_dedup();
-
+  // Counting sort into rows, then from_unsorted_csr orders and dedups
+  // them: the same clean CSR a sort of the whole edge list gives, at two
+  // linear passes.
   const NodeId n = edges.num_nodes();
   std::vector<EdgeIndex> offsets(static_cast<std::size_t>(n) + 1, 0);
   for (const Edge& e : edges.edges()) {
+    if (e.u == e.v) continue;
     ++offsets[e.u + 1];
     ++offsets[e.v + 1];
   }
@@ -23,14 +24,56 @@ Graph Graph::from_edges(EdgeList edges) {
   std::vector<NodeId> neighbors(offsets.back());
   std::vector<EdgeIndex> cursor(offsets.begin(), offsets.end() - 1);
   for (const Edge& e : edges.edges()) {
+    if (e.u == e.v) continue;
     neighbors[cursor[e.u]++] = e.v;
     neighbors[cursor[e.v]++] = e.u;
   }
-  for (NodeId v = 0; v < n; ++v) {
-    std::sort(neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-              neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
+  edges = EdgeList{};
+  return from_unsorted_csr(std::move(offsets), std::move(neighbors));
+}
+
+Graph Graph::from_unsorted_csr(std::vector<EdgeIndex> offsets,
+                               std::vector<NodeId> neighbors) {
+  if (offsets.empty() || offsets.front() != 0 || offsets.back() != neighbors.size()) {
+    throw std::invalid_argument{"Graph::from_unsorted_csr: malformed offsets"};
   }
-  return Graph{std::move(offsets), std::move(neighbors)};
+  const auto n = static_cast<NodeId>(offsets.size() - 1);
+  // Rows come out sorted with no comparison sort: walking the rows in
+  // ascending order and appending each row's id to the rows it lists
+  // fills every row in ascending order, and, the CSR being symmetric,
+  // with exactly the entries (and repeats) it held.
+  std::vector<NodeId> sorted(neighbors.size());
+  {
+    std::vector<EdgeIndex> cursor(offsets.begin(), offsets.end() - 1);
+    for (NodeId a = 0; a < n; ++a) {
+      for (EdgeIndex e = offsets[a]; e < offsets[a + 1]; ++e) {
+        const NodeId b = neighbors[e];
+        if (b >= n || cursor[b] == offsets[b + 1]) {
+          throw std::invalid_argument{"Graph::from_unsorted_csr: rows are not symmetric"};
+        }
+        sorted[cursor[b]++] = a;
+      }
+    }
+  }
+  neighbors = {};
+  // Compact away repeats in place (an entry is kept unless it equals the
+  // last one kept in its row), rebuilding the offsets as the write cursor
+  // advances.
+  EdgeIndex write = 0;
+  EdgeIndex row_begin = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const EdgeIndex row_end = offsets[v + 1];
+    offsets[v] = write;
+    for (EdgeIndex e = row_begin; e < row_end; ++e) {
+      const NodeId u = sorted[e];
+      if (write == offsets[v] || u != sorted[write - 1]) sorted[write++] = u;
+    }
+    row_begin = row_end;
+  }
+  offsets[n] = write;
+  sorted.resize(write);
+  sorted.shrink_to_fit();
+  return Graph{std::move(offsets), std::move(sorted)};
 }
 
 Graph Graph::from_csr(std::vector<EdgeIndex> offsets, std::vector<NodeId> neighbors) {

@@ -44,6 +44,12 @@ class Graph {
   /// symmetrized, deduplicated) as the paper's preprocessing prescribes.
   [[nodiscard]] static Graph from_edges(EdgeList edges);
 
+  /// Builds from a CSR whose rows may be unsorted and may repeat entries:
+  /// each row is sorted and its repeats merged, in place. The rows must
+  /// hold no self loop and list each undirected edge from both ends.
+  [[nodiscard]] static Graph from_unsorted_csr(std::vector<EdgeIndex> offsets,
+                                               std::vector<NodeId> neighbors);
+
   /// Builds from an already-clean sorted CSR (used by subgraph extraction;
   /// callers must uphold the class invariants).
   [[nodiscard]] static Graph from_csr(std::vector<EdgeIndex> offsets,

@@ -7,8 +7,11 @@
 // which are densified to [0, n).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "graph/graph.hpp"
 
@@ -38,6 +41,52 @@ struct EdgeListOptions {
   std::size_t max_malformed = 1000;
 };
 
+/// What one line of a text edge list holds (see parse_edge_line).
+enum class EdgeLine : std::uint8_t {
+  kSkip,          ///< blank, or a '#' / '%' comment
+  kEdge,          ///< two non-negative integer ids
+  kTooFewFields,  ///< fewer than two whitespace-separated fields
+  kBadId,         ///< a first or second field that is not a non-negative integer
+};
+
+/// Parses one line of an edge list in place: ASCII whitespace separates
+/// fields, fields past the second are ignored, and each id must be a whole
+/// field that parses as a non-negative int64. On kEdge, `u` and `v` hold
+/// the ids. The one parser of both edge-list loaders.
+[[nodiscard]] EdgeLine parse_edge_line(std::string_view line, std::uint64_t& u,
+                                       std::uint64_t& v) noexcept;
+
+/// Densifies raw vertex ids to [0, n) in first-appearance order: the first
+/// id seen becomes 0, the next new one 1, and so on. An open-addressing
+/// table of (raw id, dense id) slots, kept at most half full. The one
+/// labeling of both edge-list loaders.
+class IdDensifier {
+ public:
+  /// The dense id of `raw` (< 2^63), assigning the next one on its first
+  /// appearance.
+  NodeId operator()(std::uint64_t raw);
+
+  /// Distinct ids seen so far.
+  [[nodiscard]] NodeId size() const noexcept { return count_; }
+
+ private:
+  struct Slot {
+    std::uint64_t raw;
+    NodeId id;
+  };
+  /// Marks a free slot: no parsed id (a non-negative int64) equals it.
+  static constexpr std::uint64_t kFree = ~std::uint64_t{0};
+
+  [[nodiscard]] std::size_t home(std::uint64_t raw) const noexcept {
+    return static_cast<std::size_t>((raw * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  void grow();
+
+  std::vector<Slot> slots_;
+  unsigned shift_ = 64;
+  NodeId count_ = 0;
+};
+
 /// Parses a whitespace-separated edge list ("u v" per line, '#'/'%'
 /// comments). Vertex ids may be arbitrary non-negative integers; they are
 /// remapped to a dense range in first-appearance order. Directed inputs are
@@ -50,6 +99,14 @@ struct EdgeListOptions {
 /// fault-injection site.
 [[nodiscard]] LoadResult load_edge_list_file(const std::string& path,
                                              const EdgeListOptions& options = {});
+
+/// Strict two-pass conversion of an edge-list file to CSR: counts degrees,
+/// then fills the rows, with no materialized edge list, so peak memory is
+/// the duplicate-inflated CSR plus the id table. Returns the graph
+/// load_edge_list_file(path).graph would (same labeling, self loops
+/// dropped, duplicates merged, rows sorted); throws on the first
+/// malformed line.
+[[nodiscard]] Graph load_edge_list_file_two_pass(const std::string& path);
 
 /// Writes one "u v" line per undirected edge (u < v), suitable for
 /// round-tripping through load_edge_list().

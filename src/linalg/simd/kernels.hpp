@@ -53,25 +53,35 @@ inline constexpr std::size_t kMaxLanes = 32;
 enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// Batched multi-lane SpMM sweep over the contiguous rows [begin, end),
-/// optionally fused with the TVD-to-pi reduction. For each row j,
-/// ascending:
+/// optionally fused with the TVD-to-pi reduction. The walk state is held
+/// prescaled, s_t = x_t * inv_deg (one rounded product per cell), so the
+/// edge loop is a single gather per edge. For each row j, ascending:
 ///   acc[b]  = sum_{e in row j} scaled[neighbors[e]*stride + b]
-///   next_jb = walk_weight*acc[b] + laziness*cur[j*stride + b]
-///   tvd[b] += |next_jb - pi[j]|
+///   nx[b]   = walk_weight*acc[b]                            (cur null)
+///   nx[b]   = walk_weight*acc[b] + laziness*cur[j*stride + b]  (cur set)
+///   next[j*stride + b] = nx[b] * inv_deg[j]
+///   tvd[b] += |nx[b] - pi[j]|
+/// and, when `cur` is set, cur[j*stride + b] = nx[b]. `cur` holds the
+/// unscaled x_t that only a lazy walk needs; a caller passes null exactly
+/// when laziness is 0, where walk_weight*acc equals the lazy form's
+/// walk_weight*acc + 0.0*x (every value is >= +0) — the same bits.
+///
 /// `tvd_out` is a running sum: each call reads it, continues it over its
 /// rows in ascending order, and stores it back un-halved. A caller zeroes
 /// it before the first range and halves it after the last, so any split of
 /// [0, n) into ascending range calls sums the same terms in the same order
 /// as one call over every row — the same bits.
 ///
-/// `next` may alias `cur` (an in-place sweep): row j reads only its own
-/// old value cur[j*stride + b], before it writes next_jb, and every gather
-/// reads `scaled`, never `next`. Every tier honors this.
+/// `next` must not alias `scaled` (every gather reads the old state); the
+/// evolver ping-pongs its two prescaled blocks. `cur` is updated in place:
+/// row j reads only its own old value cur[j*stride + b] before it writes
+/// nx. Every tier honors this.
 struct SpmmArgs {
   graph::NodeId begin = 0;
   graph::NodeId end = 0;
   const graph::EdgeIndex* offsets = nullptr;
   const graph::NodeId* neighbors = nullptr;
+  const double* inv_deg = nullptr;  ///< per-row 1/deg, prescales the written state
   std::size_t stride = 0;  ///< lane stride of the block buffers
   std::size_t lanes = 0;   ///< active lanes, <= min(stride, kMaxLanes)
   double walk_weight = 0.0;
@@ -80,8 +90,8 @@ struct SpmmArgs {
   double* tvd_out = nullptr;   ///< [lanes] running TVD sum, updated when pi != null
 };
 
-using SpmmF64Fn = void (*)(const SpmmArgs& args, const double* scaled,
-                           const double* cur, double* next);
+using SpmmF64Fn = void (*)(const SpmmArgs& args, const double* scaled, double* cur,
+                           double* next);
 
 /// Single-vector gather-stream SpMV over rows [row_begin, row_end):
 ///   acc  = sum_{e in row i} gather[neighbors[e]]   (in CSR edge order)

@@ -11,7 +11,7 @@
 #include "linalg/simd/kernels.hpp"
 
 namespace socmix::linalg::simd::scalar {
-void spmm_f64(const SpmmArgs& args, const double* scaled, const double* cur, double* next);
+void spmm_f64(const SpmmArgs& args, const double* scaled, double* cur, double* next);
 void spmv(const SpmvArgs& args, graph::NodeId row_begin, graph::NodeId row_end);
 void prescale_f64(const double* x, const double* w, double* out, std::size_t begin,
                   std::size_t end);
@@ -22,7 +22,7 @@ void route_hops(const RouteHopArgs& args);
 
 #if defined(SOCMIX_SIMD_HAVE_AVX2)
 namespace socmix::linalg::simd::avx2 {
-void spmm_f64(const SpmmArgs& args, const double* scaled, const double* cur, double* next);
+void spmm_f64(const SpmmArgs& args, const double* scaled, double* cur, double* next);
 void prescale_f64(const double* x, const double* w, double* out, std::size_t begin,
                   std::size_t end);
 std::size_t decode_u32(const std::uint8_t* ctrl, const std::uint8_t* data,
@@ -32,7 +32,7 @@ std::size_t decode_u32(const std::uint8_t* ctrl, const std::uint8_t* data,
 
 #if defined(SOCMIX_SIMD_HAVE_AVX512)
 namespace socmix::linalg::simd::avx512 {
-void spmm_f64(const SpmmArgs& args, const double* scaled, const double* cur, double* next);
+void spmm_f64(const SpmmArgs& args, const double* scaled, double* cur, double* next);
 void prescale_f64(const double* x, const double* w, double* out, std::size_t begin,
                   std::size_t end);
 void route_hops(const RouteHopArgs& args);

@@ -48,21 +48,21 @@ void with_lanes(std::size_t lanes, F&& f) {
 }
 
 // f64 row sweep over [a.begin, a.end). The inner loop is a single gather
-// + add per edge: the per-source scaling src[b] * inv_deg[i] was hoisted
-// into the prescale pass (see BatchedEvolver::sweep), which computes the
-// exact same rounded products, so the floating-point result per lane
-// remains the operation sequence of the single-vector spmv epilogue +
-// total_variation (CSR edge order, then ascending-row TVD) — bit-identical
-// to a one-lane sweep. The TVD continues the caller's running sum in
-// a.tvd_out; next may alias cur (each lane reads cur_j[b] before it
-// stores next_j[b]).
-template <std::size_t B>
-void sweep_f64(const SpmmArgs& a, const double* scaled, const double* cur, double* next) {
+// + add per edge: the state is kept prescaled (each row's new value is
+// written times inv_deg[j] — the exact product a separate prescale pass
+// would round), so the floating-point result per lane remains the
+// operation sequence of the single-vector spmv epilogue + total_variation
+// (CSR edge order, then ascending-row TVD) — bit-identical to a one-lane
+// sweep. Lazy (cur set) also reads and rewrites the row's unscaled state
+// in place. The TVD continues the caller's running sum in a.tvd_out.
+template <std::size_t B, bool Lazy>
+void sweep_f64(const SpmmArgs& a, const double* scaled, double* cur, double* next) {
   // Locals, not a.* reads: stores through next must not force reloads.
   const std::size_t lanes = B != 0 ? B : a.lanes;
   const std::size_t stride = a.stride;
   const graph::EdgeIndex* offsets = a.offsets;
   const graph::NodeId* neighbors = a.neighbors;
+  const double* inv_deg = a.inv_deg;
   const double walk_weight = a.walk_weight;
   const double laziness = a.laziness;
   const double* pi = a.pi;
@@ -82,14 +82,22 @@ void sweep_f64(const SpmmArgs& a, const double* scaled, const double* cur, doubl
       const double* src = scaled + static_cast<std::size_t>(neighbors[e]) * stride;
       for (std::size_t b = 0; b < lanes; ++b) acc[b] += src[b];
     }
-    const double* cur_j = cur + static_cast<std::size_t>(j) * stride;
-    double* next_j = next + static_cast<std::size_t>(j) * stride;
-    for (std::size_t b = 0; b < lanes; ++b) {
-      next_j[b] = walk_weight * acc[b] + laziness * cur_j[b];
+    // acc becomes nx, the row's new unscaled value.
+    if constexpr (Lazy) {
+      double* cur_j = cur + static_cast<std::size_t>(j) * stride;
+      for (std::size_t b = 0; b < lanes; ++b) {
+        acc[b] = walk_weight * acc[b] + laziness * cur_j[b];
+        cur_j[b] = acc[b];
+      }
+    } else {
+      for (std::size_t b = 0; b < lanes; ++b) acc[b] = walk_weight * acc[b];
     }
+    const double w = inv_deg[j];
+    double* next_j = next + static_cast<std::size_t>(j) * stride;
+    for (std::size_t b = 0; b < lanes; ++b) next_j[b] = acc[b] * w;
     if (pi != nullptr) {
       const double p = pi[j];
-      for (std::size_t b = 0; b < lanes; ++b) tvd_acc[b] += std::fabs(next_j[b] - p);
+      for (std::size_t b = 0; b < lanes; ++b) tvd_acc[b] += std::fabs(acc[b] - p);
     }
   }
   if (pi != nullptr) {
@@ -99,8 +107,14 @@ void sweep_f64(const SpmmArgs& a, const double* scaled, const double* cur, doubl
 
 }  // namespace
 
-void spmm_f64(const SpmmArgs& a, const double* scaled, const double* cur, double* next) {
-  with_lanes(a.lanes, [&]<std::size_t B>() { sweep_f64<B>(a, scaled, cur, next); });
+void spmm_f64(const SpmmArgs& a, const double* scaled, double* cur, double* next) {
+  with_lanes(a.lanes, [&]<std::size_t B>() {
+    if (cur != nullptr) {
+      sweep_f64<B, true>(a, scaled, cur, next);
+    } else {
+      sweep_f64<B, false>(a, scaled, cur, next);
+    }
+  });
 }
 
 void spmv(const SpmvArgs& a, graph::NodeId row_begin, graph::NodeId row_end) {

@@ -10,22 +10,6 @@
 
 namespace socmix::markov {
 
-namespace {
-
-/// scaled[i*stride + b] = cur[i*stride + b] * inv_deg[i] over rows [lo, hi).
-/// Each product rounds exactly as a per-edge multiply would, so hoisting
-/// it out of the edge loop changes no bits.
-void prescale(const double* cur, const double* inv_deg, double* scaled, std::size_t stride,
-              std::size_t lanes, graph::NodeId lo, graph::NodeId hi) {
-  for (graph::NodeId i = lo; i < hi; ++i) {
-    const double w = inv_deg[i];
-    const std::size_t base = static_cast<std::size_t>(i) * stride;
-    for (std::size_t b = 0; b < lanes; ++b) scaled[base + b] = cur[base + b] * w;
-  }
-}
-
-}  // namespace
-
 BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size_t block)
     : graph_(&g), laziness_(laziness), block_(block) {
   // Prices the lane-state allocation and its first-touch zero fill.
@@ -48,8 +32,11 @@ BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size
     inv_deg_[v] = 1.0 / static_cast<double>(d);
   }
   const std::size_t cells = static_cast<std::size_t>(n) * block_;
-  cur_.resize(cells);
-  scaled_.resize(cells);
+  scaled_[0].resize(cells);
+  if (single_vector() || laziness_ > 0.0) {
+    state_.resize(cells);
+  }
+  if (!single_vector()) scaled_[1].resize(cells);
 }
 
 void BatchedEvolver::seed_point_masses(std::span<const graph::NodeId> sources) {
@@ -61,11 +48,23 @@ void BatchedEvolver::seed_point_masses(std::span<const graph::NodeId> sources) {
       throw std::out_of_range{"BatchedEvolver: source vertex out of range"};
     }
   }
-  std::fill(cur_.begin(), cur_.end(), 0.0);
-  for (std::size_t b = 0; b < sources.size(); ++b) {
-    cur_[static_cast<std::size_t>(sources[b]) * block_ + b] = 1.0;
-  }
+  std::copy(sources.begin(), sources.end(), sources_.begin());
   active_ = sources.size();
+  steps_ = 0;
+  front_ = 0;
+  if (!state_.empty()) {
+    std::fill(state_.begin(), state_.end(), 0.0);
+    for (std::size_t b = 0; b < active_; ++b) {
+      state_[static_cast<std::size_t>(sources[b]) * block_ + b] = 1.0;
+    }
+  }
+  if (single_vector()) return;  // prescaled into scaled_[0] by each sweep
+  // s_0: the point mass prescaled, 1.0 * inv_deg[source].
+  util::aligned_vector<double>& front = scaled_[front_];
+  std::fill(front.begin(), front.end(), 0.0);
+  for (std::size_t b = 0; b < active_; ++b) {
+    front[static_cast<std::size_t>(sources[b]) * block_ + b] = inv_deg_[sources[b]];
+  }
 }
 
 void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
@@ -75,23 +74,22 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   // Sweep-granular accounting only: the kernels below stay untouched.
   const auto sweep_start = std::chrono::steady_clock::now();
 
-  // Prescale pass: one sequential stream over the block.
-  prescale(cur_.data(), inv_deg_.data(), scaled_.data(), block_, active_, 0, n);
-
-  // One sweep over every row, in place: each row reads only its own old
-  // state and every gather reads the prescaled copy, so overwriting cur
-  // row by row changes no bits.
   const linalg::simd::KernelTable& kernels = linalg::simd::dispatch();
   const graph::EdgeIndex* offsets = graph_->offsets().data();
   const graph::NodeId* neighbors = graph_->raw_neighbors().data();
   const bool fused_tvd = pi != nullptr && !single_vector();
   if (single_vector()) {
+    // Prescale pass, then one in-place sweep: each row reads only its own
+    // old state and every gather reads the prescaled copy, so overwriting
+    // the state row by row changes no bits.
+    double* scaled = scaled_[0].data();
+    kernels.prescale_f64(state_.data(), inv_deg_.data(), scaled, 0, n);
     linalg::simd::SpmvArgs v;
     v.offsets = offsets;
     v.neighbors = neighbors;
-    v.gather = scaled_.data();
-    v.x = cur_.data();
-    v.y = cur_.data();
+    v.gather = scaled;
+    v.x = state_.data();
+    v.y = state_.data();
     v.walk_weight = 1.0 - laziness_;
     v.laziness = laziness_;
     // Rows partition across the pool; each y[j] comes from one thread
@@ -102,6 +100,7 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
       kernels.spmv(v, static_cast<graph::NodeId>(lo), static_cast<graph::NodeId>(hi));
     });
   } else {
+    // One sweep over every row from the front block into the back one.
     // The kernel dispatches internally on the *active* lane count; stride
     // stays block_, so partially filled blocks (the tail of an odd source
     // list) still hit a wide kernel when their lane count is a supported
@@ -109,6 +108,7 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
     linalg::simd::SpmmArgs args;
     args.offsets = offsets;
     args.neighbors = neighbors;
+    args.inv_deg = inv_deg_.data();
     args.end = n;
     args.stride = block_;
     args.lanes = active_;
@@ -119,15 +119,19 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
       args.tvd_out = tvd_out;
       std::fill_n(tvd_out, active_, 0.0);
     }
-    kernels.spmm_f64(args, scaled_.data(), cur_.data(), cur_.data());
+    double* lazy_state = state_.empty() ? nullptr : state_.data();
+    kernels.spmm_f64(args, scaled_[front_].data(), lazy_state,
+                     scaled_[front_ ^ 1].data());
+    front_ ^= 1;
   }
+  ++steps_;
 
   if (fused_tvd) {
     for (std::size_t b = 0; b < active_; ++b) tvd_out[b] = 0.5 * tvd_out[b];
   } else if (pi != nullptr && active_ == 1) {
     // One lane: the state is a plain vector, and total_variation sums the
     // same ascending-row terms from 0.0 and halves once — the same bits.
-    tvd_out[0] = linalg::total_variation({cur_.data(), cur_.size()}, {pi, n});
+    tvd_out[0] = linalg::total_variation({state_.data(), state_.size()}, {pi, n});
   }
 
   SOCMIX_TIME_OBSERVE("markov.evolver.sweep_seconds",
@@ -165,7 +169,28 @@ void BatchedEvolver::copy_distribution(std::size_t lane, std::span<double> out) 
     throw std::invalid_argument{"BatchedEvolver: output has wrong dimension"};
   }
   const std::size_t n = dim();
-  for (std::size_t v = 0; v < n; ++v) out[v] = cur_[v * block_ + lane];
+  if (!state_.empty()) {
+    for (std::size_t v = 0; v < n; ++v) out[v] = state_[v * block_ + lane];
+    return;
+  }
+  if (steps_ == 0) {
+    std::fill(out.begin(), out.end(), 0.0);
+    out[sources_[lane]] = 1.0;
+    return;
+  }
+  // x_t = (1 - laziness) * sum_{i ~ v} s_{t-1}[i]: the sum the last sweep
+  // formed, in the same CSR order, from the idle block.
+  const double* prev = scaled_[front_ ^ 1].data() + lane;
+  const double walk_weight = 1.0 - laziness_;
+  const graph::EdgeIndex* offsets = graph_->offsets().data();
+  const graph::NodeId* neighbors = graph_->raw_neighbors().data();
+  for (std::size_t v = 0; v < n; ++v) {
+    double acc = 0.0;
+    for (graph::EdgeIndex e = offsets[v]; e < offsets[v + 1]; ++e) {
+      acc += prev[static_cast<std::size_t>(neighbors[e]) * block_];
+    }
+    out[v] = walk_weight * acc;
+  }
 }
 
 std::vector<double> walk_distribution(const graph::Graph& g, graph::NodeId source,

@@ -9,16 +9,21 @@
 // reduction the measurement needs is fused into the same sweep instead of
 // costing a second pass over n doubles per lane.
 //
-// One sweep is two phases over two lane blocks:
+// The block is held prescaled: s_t = x_t * inv_deg, one rounded product
+// per cell, so the irregular edge loop is a single gather per edge. Two
+// lane blocks take turns as old and new (ping-pong), and one sweep is one
+// SpMM call over every row: it gathers s_t from the old block, forms the
+// row's new value nx = (1 - laziness) * acc, adds its TVD term, and
+// writes nx * inv_deg straight into the other block. The TVD is a running
+// sum over the ascending rows, halved once at the end, so no separate
+// prescale or reduce pass exists.
 //
-//   1. prescale — one streaming pass over the lane state,
-//                 scaled = cur * inv_deg, so the irregular edge loop is a
-//                 single gather per edge;
-//   2. sweep    — one SpMM call over every row, in place, cur -> cur: each
-//                 row reads only its own old state, and every gather reads
-//                 `scaled`. The TVD is fused into the call as a running
-//                 sum over the ascending rows, halved once at the end, so
-//                 no separate reduce pass exists.
+// Two cases still need the unscaled x_t:
+//   * a lazy walk (laziness > 0; no driver or figure runs one) keeps it
+//     in a third block, which the same kernel call updates in place;
+//   * copy_distribution rebuilds lane x_t bit-exactly from s_{t-1}, which
+//     the idle block still holds (the same CSR-order sum the sweep
+//     formed); at t = 0 it is the point mass.
 //
 // Every graph is swept this way: in memory, or a pack (raw, or compressed
 // and decoded when it was opened), which is one resident CSR either way.
@@ -34,13 +39,15 @@
 // same rounding-point contract, so the SIMD tier never changes a bit
 // either (see src/linalg/simd/kernels.hpp).
 //
-// Single vector: a one-lane f64 evolver (block 1) sweeps in place with the
+// Single vector: a one-lane f64 evolver (block 1) keeps x_t, prescales it
+// into a scratch vector each step and sweeps in place with the
 // gather-stream SpMV kernel instead, its rows partitioned across the
 // util::parallel pool — the single-source helpers below keep multi-core
 // speed — and takes its TVD from linalg::total_variation over the stored
 // state. Same per-row operation sequence, same bits.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -83,7 +90,7 @@ class BatchedEvolver {
   /// sources.size() <= block()).
   void seed_point_masses(std::span<const graph::NodeId> sources);
 
-  /// Advances every active lane one step: lane_b <- lane_b * P, in place.
+  /// Advances every active lane one step: lane_b <- lane_b * P.
   void step();
 
   /// step(), plus writes the total variation distance of each advanced
@@ -91,13 +98,14 @@ class BatchedEvolver {
   /// calling step() and then linalg::total_variation per lane.
   void step_with_tvd(std::span<const double> pi, std::span<double> tvd_out);
 
-  /// Copies lane `lane` (< active()) into `out` (size dim()).
+  /// Copies lane `lane` (< active()) into `out` (size dim()): the exact
+  /// x_t the sweeps formed, bit for bit.
   void copy_distribution(std::size_t lane, std::span<double> out) const;
 
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
 
  private:
-  /// One in-place sweep cur -> cur; when pi is non-null, also writes each
+  /// One sweep s_t -> s_{t+1}; when pi is non-null, also writes each
   /// lane's TVD against pi into tvd_out.
   void sweep(const double* pi, double* tvd_out);
   /// One-lane state: swept by the row-parallel SpMV kernel.
@@ -105,13 +113,19 @@ class BatchedEvolver {
 
   const graph::Graph* graph_;
   util::aligned_vector<double> inv_deg_;
-  // The two lane-major blocks, [dim x block]: cur_[v*block + lane]. 64-byte
-  // alignment makes every row of the default 32-lane block start on a
-  // cache line (and a zmm-load boundary); see util/aligned.hpp.
-  util::aligned_vector<double> cur_;
-  /// Prescaled block cur_[v*block + b] * inv_deg_[v], recomputed each
-  /// sweep so the irregular edge gather is a single stream (see sweep()).
-  util::aligned_vector<double> scaled_;
+  // The two prescaled lane-major blocks, [dim x block]:
+  // scaled_[k][v*block + lane] = x_t[v] * inv_deg[v]. scaled_[front_]
+  // holds s_t; after a step the other holds s_{t-1}. 64-byte alignment
+  // makes every row of the default 32-lane block start on a cache line
+  // (and a zmm-load boundary); see util/aligned.hpp. The one-lane evolver
+  // uses scaled_[0] as its prescale scratch.
+  std::array<util::aligned_vector<double>, 2> scaled_;
+  /// x_t itself, [dim x block]: kept only by a lazy walk and by the
+  /// one-lane evolver, empty otherwise.
+  util::aligned_vector<double> state_;
+  std::array<graph::NodeId, kMaxBlock> sources_{};  ///< per active lane, for t = 0
+  std::size_t front_ = 0;
+  std::size_t steps_ = 0;  ///< sweeps since seed_point_masses
   double laziness_;
   std::size_t block_;
   std::size_t active_ = 0;

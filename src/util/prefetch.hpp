@@ -1,22 +1,21 @@
-// Software prefetch for the irregular gathers the CSR kernels issue.
+// Software prefetch for the irregular gathers of the batched SpMM.
 //
-// The evolution/SpMV inner loops chase neighbors[e] through a multi-MB
-// state array — an address stream the hardware prefetchers cannot
-// predict. Hinting a fixed number of edges ahead overlaps those line
-// transfers with the arithmetic; ~8 edges ahead is the distance that won
-// on every measured kernel shape (1-lane SpMV up to the 32-lane block
-// sweep), so all kernels share the one constant
-// instead of each carrying its own copy.
+// The sweep's inner loop chases neighbors[e] through a multi-MB lane
+// block — an address stream the hardware prefetchers cannot predict.
+// Hinting a fixed number of edges ahead overlaps those line transfers
+// with the arithmetic. Whether that pays depends on how much work each
+// edge does: the scalar and AVX2 tiers keep the hint, the AVX-512 tier
+// (whose short per-edge body already keeps enough loads in flight) does
+// not, and the single-vector SpMV never did (see DESIGN.md "Kernel
+// tiers").
 #pragma once
 
 #include <cstddef>
 
 namespace socmix::util {
 
-/// Edges-ahead distance every gather kernel prefetches at. Tuned on the
-/// batched evolver at B=32 (worth ~1.5x on AVX-512 hardware) and flat
-/// within noise from 6..12 on the single-vector kernels — pure hint, no
-/// effect on results.
+/// Edges-ahead distance of the gather prefetch. Pure hint, no effect on
+/// results.
 inline constexpr std::size_t kGatherPrefetchDistance = 8;
 
 /// Read-prefetch `addr` into the low cache levels with minimal-pollution

@@ -8,16 +8,18 @@
 //    running TVD sum);
 //  * the single-vector SpMV consumers (WalkOperator, a one-lane
 //    BatchedEvolver) are bitwise tier-invariant too;
-//  * the kernel contract itself, on every tier: an in-place sweep
-//    (next == cur for the SpMM, y == x for the SpMV) matches separate
-//    buffers bit for bit, a range split that carries the running TVD
-//    sum matches one call over every row, and the SpMV matches a naive
-//    row-by-row reference on any row range.
+//  * the kernel contract itself, on every tier: the SpMM writes the next
+//    prescaled state (and, lazy, updates the unscaled one in place)
+//    exactly as a naive row loop does, a range split that carries the
+//    running TVD sum matches one call over every row, an in-place SpMV
+//    (y == x) matches separate buffers bit for bit, and the SpMV matches
+//    a naive row-by-row reference on any row range.
 //
 // Tiers unavailable on the build/host (e.g. AVX-512 on a plain CI runner)
 // are skipped via the runtime tier_available probe.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -170,6 +172,7 @@ struct SweepInput {
   std::vector<double> scaled;
   std::vector<double> cur;
   std::vector<double> pi;
+  std::vector<double> inv_deg;
 };
 
 SweepInput make_sweep_input() {
@@ -184,21 +187,28 @@ SweepInput make_sweep_input() {
   std::vector<double> scaled = uniform(cells);
   std::vector<double> cur = uniform(cells);
   std::vector<double> pi = uniform(g.num_nodes());
-  return {std::move(g), std::move(scaled), std::move(cur), std::move(pi)};
+  std::vector<double> inv_deg(g.num_nodes());
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    inv_deg[v] = 1.0 / static_cast<double>(g.degree(v));
+  }
+  return {std::move(g), std::move(scaled), std::move(cur), std::move(pi),
+          std::move(inv_deg)};
 }
 
-/// One SpMM call over rows [begin, end), continuing the running TVD in tvd.
+/// One SpMM call over rows [begin, end), continuing the running TVD in
+/// tvd; `cur` is null for a non-lazy sweep.
 void spmm(const SweepInput& in, std::size_t lanes, graph::NodeId begin, graph::NodeId end,
-          const double* cur, double* next, double* tvd) {
+          double* cur, double* next, double* tvd) {
   simd::SpmmArgs args;
   args.begin = begin;
   args.end = end;
   args.offsets = in.g.offsets().data();
   args.neighbors = in.g.raw_neighbors().data();
+  args.inv_deg = in.inv_deg.data();
   args.stride = simd::kMaxLanes;
   args.lanes = lanes;
-  args.walk_weight = 0.7;
-  args.laziness = 0.3;
+  args.laziness = cur != nullptr ? 0.3 : 0.0;
+  args.walk_weight = 1.0 - args.laziness;
   args.pi = in.pi.data();
   args.tvd_out = tvd;
   simd::dispatch().spmm_f64(args, in.scaled.data(), cur, next);
@@ -211,33 +221,6 @@ std::string contract_label(simd::Tier tier, std::size_t lanes) {
 // The wide widths, and 7: the scalar fallback of every vector tier.
 constexpr std::size_t kContractLanes[] = {4, 8, 16, 32, 7};
 
-TEST(SimdKernelContract, InPlaceSpmmMatchesSeparateBuffersOnEveryTier) {
-  const SweepInput in = make_sweep_input();
-  const graph::NodeId n = in.g.num_nodes();
-  for (const simd::Tier tier : available_tiers()) {
-    const TierGuard guard{tier};
-    ASSERT_TRUE(guard.ok());
-    for (const std::size_t lanes : kContractLanes) {
-      std::vector<double> next(in.cur.size(), -1.0);
-      std::vector<double> tvd_separate(lanes, 0.0);
-      spmm(in, lanes, 0, n, in.cur.data(), next.data(), tvd_separate.data());
-
-      std::vector<double> state = in.cur;
-      std::vector<double> tvd_in_place(lanes, 0.0);
-      spmm(in, lanes, 0, n, state.data(), state.data(), tvd_in_place.data());
-
-      ASSERT_EQ(tvd_separate, tvd_in_place) << contract_label(tier, lanes);
-      for (std::size_t j = 0; j < n; ++j) {
-        for (std::size_t b = 0; b < lanes; ++b) {
-          const std::size_t cell = j * simd::kMaxLanes + b;
-          ASSERT_EQ(next[cell], state[cell])
-              << contract_label(tier, lanes) << " row=" << j << " lane=" << b;
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdKernelContract, RangeSplitCarriesTheRunningTvdSum) {
   const SweepInput in = make_sweep_input();
   const graph::NodeId n = in.g.num_nodes();
@@ -246,18 +229,160 @@ TEST(SimdKernelContract, RangeSplitCarriesTheRunningTvdSum) {
     const TierGuard guard{tier};
     ASSERT_TRUE(guard.ok());
     for (const std::size_t lanes : kContractLanes) {
-      std::vector<double> whole = in.cur;
-      std::vector<double> tvd_whole(lanes, 0.0);
-      spmm(in, lanes, 0, n, whole.data(), whole.data(), tvd_whole.data());
+      for (const bool lazy : {false, true}) {
+        std::vector<double> whole_cur = in.cur;
+        std::vector<double> whole(in.scaled.size(), -1.0);
+        std::vector<double> tvd_whole(lanes, 0.0);
+        spmm(in, lanes, 0, n, lazy ? whole_cur.data() : nullptr, whole.data(),
+             tvd_whole.data());
 
-      std::vector<double> split = in.cur;
-      std::vector<double> tvd_split(lanes, 0.0);
-      double* state = split.data();
-      for (std::size_t r = 0; r + 1 < std::size(cuts); ++r) {
-        spmm(in, lanes, cuts[r], cuts[r + 1], state, state, tvd_split.data());
+        std::vector<double> split_cur = in.cur;
+        std::vector<double> split(in.scaled.size(), -1.0);
+        std::vector<double> tvd_split(lanes, 0.0);
+        for (std::size_t r = 0; r + 1 < std::size(cuts); ++r) {
+          spmm(in, lanes, cuts[r], cuts[r + 1], lazy ? split_cur.data() : nullptr,
+               split.data(), tvd_split.data());
+        }
+        const std::string label =
+            contract_label(tier, lanes) + " lazy=" + std::to_string(lazy);
+        ASSERT_EQ(tvd_whole, tvd_split) << label;
+        ASSERT_EQ(whole, split) << label;
+        ASSERT_EQ(whole_cur, split_cur) << label;
       }
-      ASSERT_EQ(tvd_whole, tvd_split) << contract_label(tier, lanes);
-      ASSERT_EQ(whole, split) << contract_label(tier, lanes);
+    }
+  }
+}
+
+/// A hand-made CSR: a star hub (row 2, adjacent to every other row)
+/// between degree-1 rows, an empty row, and then degrees cycling through
+/// 0..9 — the row shapes a parallel_for chunk or a pack can hand a kernel.
+struct CsrInput {
+  std::vector<graph::EdgeIndex> offsets{0};
+  std::vector<graph::NodeId> neighbors;
+  [[nodiscard]] graph::NodeId rows() const {
+    return static_cast<graph::NodeId>(offsets.size() - 1);
+  }
+};
+
+CsrInput make_star_csr(util::Rng& rng) {
+  constexpr graph::NodeId kRows = 70;
+  constexpr graph::NodeId kHub = 2;
+  CsrInput in;
+  for (graph::NodeId v = 0; v < kRows; ++v) {
+    if (v == kHub) {
+      for (graph::NodeId u = 0; u < kRows; ++u) {
+        if (u != kHub) in.neighbors.push_back(u);
+      }
+    } else if (v < 5) {
+      in.neighbors.push_back(kHub);
+    } else if (v > 5) {
+      for (graph::NodeId e = 0; e < v % 10; ++e) {
+        in.neighbors.push_back(static_cast<graph::NodeId>(rng.below(kRows)));
+      }
+    }
+    in.offsets.push_back(in.neighbors.size());
+  }
+  return in;
+}
+
+std::vector<double> uniform_values(util::Rng& rng, std::size_t size) {
+  std::vector<double> v(size);
+  for (double& x : v) x = rng.uniform();
+  return v;
+}
+
+/// What one SpMM sweep of every row writes.
+struct SpmmResult {
+  std::vector<double> next;
+  std::vector<double> cur;
+  std::vector<double> tvd;
+};
+
+/// The SpMM of simd::SpmmArgs written as a naive row loop over lanes
+/// [0, lanes) of a stride-kMaxLanes block. Every product is rounded on its
+/// own (the volatile stores keep a compiler from contracting it into an
+/// FMA, which no kernel tier uses).
+SpmmResult naive_spmm(const CsrInput& csr, const std::vector<double>& scaled,
+                      std::vector<double> cur, std::vector<double> next,
+                      const std::vector<double>& inv_deg, const std::vector<double>& pi,
+                      std::size_t lanes, double laziness, bool with_pi) {
+  constexpr std::size_t kStride = simd::kMaxLanes;
+  std::vector<double> tvd(lanes, 0.0);
+  for (graph::NodeId j = 0; j < csr.rows(); ++j) {
+    for (std::size_t b = 0; b < lanes; ++b) {
+      double acc = 0.0;
+      for (graph::EdgeIndex e = csr.offsets[j]; e < csr.offsets[j + 1]; ++e) {
+        acc += scaled[csr.neighbors[e] * kStride + b];
+      }
+      volatile double nx = (1.0 - laziness) * acc;
+      if (laziness > 0.0) {
+        volatile const double lazy = laziness * cur[j * kStride + b];
+        nx = nx + lazy;
+        cur[j * kStride + b] = nx;
+      }
+      next[j * kStride + b] = nx * inv_deg[j];
+      if (with_pi) tvd[b] += std::fabs(nx - pi[j]);
+    }
+  }
+  if (!with_pi) tvd.clear();
+  return {std::move(next), std::move(cur), std::move(tvd)};
+}
+
+TEST(SimdKernelContract, SpmmWritesTheNextPrescaledStateOnEveryTier) {
+  util::Rng rng{97};
+  const CsrInput csr = make_star_csr(rng);
+  const graph::NodeId n = csr.rows();
+  const std::size_t cells = static_cast<std::size_t>(n) * simd::kMaxLanes;
+  const std::vector<double> scaled = uniform_values(rng, cells);
+  const std::vector<double> cur = uniform_values(rng, cells);
+  const std::vector<double> pi = uniform_values(rng, n);
+  const std::vector<double> inv_deg = uniform_values(rng, n);
+  // Sentinels mark the cells a call must leave alone (lanes >= `lanes`).
+  const std::vector<double> untouched(cells, -7.0);
+  // Ascending row splits: every row at once, the hub row alone, and the
+  // pieces of a three-way parallel_for cut.
+  const std::vector<std::vector<graph::NodeId>> splits{
+      {0, n}, {0, 2, 3, n}, {0, 1, 23, 47, n}};
+  for (const simd::Tier tier : available_tiers()) {
+    const TierGuard guard{tier};
+    ASSERT_TRUE(guard.ok());
+    for (const std::size_t lanes : {1, 3, 4, 5, 8, 16, 17, 31, 32}) {
+      for (const double laziness : {0.0, 0.3}) {
+        for (const bool with_pi : {false, true}) {
+          const SpmmResult want = naive_spmm(csr, scaled, cur, untouched, inv_deg, pi,
+                                             lanes, laziness, with_pi);
+          for (const auto& cuts : splits) {
+            SpmmResult got{untouched, cur, std::vector<double>(lanes, 0.0)};
+            simd::SpmmArgs args;
+            args.offsets = csr.offsets.data();
+            args.neighbors = csr.neighbors.data();
+            args.inv_deg = inv_deg.data();
+            args.stride = simd::kMaxLanes;
+            args.lanes = lanes;
+            args.walk_weight = 1.0 - laziness;
+            args.laziness = laziness;
+            args.pi = with_pi ? pi.data() : nullptr;
+            args.tvd_out = with_pi ? got.tvd.data() : nullptr;
+            for (std::size_t r = 0; r + 1 < cuts.size(); ++r) {
+              args.begin = cuts[r];
+              args.end = cuts[r + 1];
+              simd::dispatch().spmm_f64(args, scaled.data(),
+                                        laziness > 0.0 ? got.cur.data() : nullptr,
+                                        got.next.data());
+            }
+            if (!with_pi) got.tvd.clear();
+            const std::string label = contract_label(tier, lanes) +
+                                      " laziness=" + std::to_string(laziness) +
+                                      " pi=" + std::to_string(with_pi) +
+                                      " ranges=" + std::to_string(cuts.size() - 1);
+            ASSERT_EQ(got.tvd, want.tvd) << label;
+            for (std::size_t cell = 0; cell < cells; ++cell) {
+              ASSERT_EQ(got.next[cell], want.next[cell]) << label << " cell=" << cell;
+              ASSERT_EQ(got.cur[cell], want.cur[cell]) << label << " cur cell=" << cell;
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -290,42 +415,20 @@ TEST(SimdKernelContract, InPlaceSpmvMatchesSeparateBuffersOnEveryTier) {
   }
 }
 
-/// A hand-made CSR for the SpMV kernel, which walks rows four at a time
-/// through their shortest row's length and then finishes each tail: a star
-/// hub (row 2, adjacent to every other row) between degree-1 rows, an
-/// empty row, and then degrees cycling through 0..9.
-struct SpmvInput {
-  std::vector<graph::EdgeIndex> offsets{0};
-  std::vector<graph::NodeId> neighbors;
+/// The star CSR for the SpMV kernel, which walks rows four at a time
+/// through their shortest row's length and then finishes each tail.
+struct SpmvInput : CsrInput {
   std::vector<double> gather;
   std::vector<double> x;
   std::vector<double> row_scale;
-  [[nodiscard]] graph::NodeId rows() const {
-    return static_cast<graph::NodeId>(offsets.size() - 1);
-  }
 };
 
 SpmvInput make_spmv_input() {
-  constexpr graph::NodeId kRows = 70;
-  constexpr graph::NodeId kHub = 2;
   util::Rng rng{73};
   SpmvInput in;
-  for (graph::NodeId v = 0; v < kRows; ++v) {
-    if (v == kHub) {
-      for (graph::NodeId u = 0; u < kRows; ++u) {
-        if (u != kHub) in.neighbors.push_back(u);
-      }
-    } else if (v < 5) {
-      in.neighbors.push_back(kHub);
-    } else if (v > 5) {
-      for (graph::NodeId e = 0; e < v % 10; ++e) {
-        in.neighbors.push_back(static_cast<graph::NodeId>(rng.below(kRows)));
-      }
-    }
-    in.offsets.push_back(in.neighbors.size());
-  }
-  const auto uniform = [&rng] {
-    std::vector<double> v(kRows);
+  static_cast<CsrInput&>(in) = make_star_csr(rng);
+  const auto uniform = [&rng, &in] {
+    std::vector<double> v(in.rows());
     for (double& x : v) x = rng.uniform() - 0.5;
     return v;
   };

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -153,6 +154,53 @@ TEST(BatchedEvolver, FusedTvdMatchesTotalVariationBitForBit) {
     ASSERT_EQ(tvd_trajectory(g, sources[0], 10, pi, laziness),
               scalar_reference(g, first, 10, laziness)[0])
         << "laziness=" << laziness;
+  }
+}
+
+// A non-lazy block keeps only the prescaled state, so copy_distribution
+// rebuilds x_t from s_{t-1}; a lazy block keeps x_t itself. Either way the
+// copy is the reference walk's state, bit for bit, at the seed and after
+// steps taken with or without the fused TVD.
+TEST(BatchedEvolver, CopyDistributionMatchesScalarBitForBit) {
+  const auto g = test_graph();
+  const auto pi = stationary_distribution(g);
+  std::vector<graph::NodeId> sources(BatchedEvolver::kDefaultBlock);
+  for (std::size_t b = 0; b < sources.size(); ++b) {
+    sources[b] = static_cast<graph::NodeId>((b * 37) % g.num_nodes());
+  }
+  struct Case {
+    std::size_t lanes;
+    double laziness;
+  };
+  // Full block, remainder block, lazy block.
+  for (const Case c : {Case{32, 0.0}, Case{21, 0.0}, Case{32, 0.3}}) {
+    const std::span<const graph::NodeId> lanes{sources.data(), c.lanes};
+    for (const bool with_tvd : {false, true}) {
+      BatchedEvolver batched{g, c.laziness, BatchedEvolver::kDefaultBlock};
+      batched.seed_point_masses(lanes);
+      std::vector<std::vector<double>> want;
+      for (const graph::NodeId s : lanes) {
+        want.push_back(reference_walk(g, s, 0, c.laziness));
+      }
+      std::vector<double> tvd(BatchedEvolver::kDefaultBlock);
+      std::vector<double> lane(batched.dim());
+      for (std::size_t t = 0; t <= 7; ++t) {
+        if (t > 0) {
+          if (with_tvd) {
+            batched.step_with_tvd(pi, tvd);
+          } else {
+            batched.step();
+          }
+          for (auto& x : want) x = reference_step(g, x, c.laziness);
+        }
+        if (t != 0 && t != 1 && t != 7) continue;
+        for (std::size_t b = 0; b < c.lanes; ++b) {
+          batched.copy_distribution(b, lane);
+          ASSERT_EQ(lane, want[b]) << "lanes=" << c.lanes << " laziness=" << c.laziness
+                                   << " tvd=" << with_tvd << " t=" << t << " lane=" << b;
+        }
+      }
+    }
   }
 }
 

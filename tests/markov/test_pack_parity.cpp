@@ -92,14 +92,16 @@ enum class PackKind { kRaw, kCompressed };
 /// pack kind in `kinds`, compared bit for bit at 1 and 4 threads.
 void expect_sampled_parity_on_every_table1_config(bool rcm,
                                                   std::initializer_list<PackKind> kinds) {
+  // Pack files are named after the running test: ctest runs each test
+  // case as its own process, concurrently, so shared names would race.
+  const std::string test = testing::UnitTest::GetInstance()->current_test_info()->name();
   std::size_t index = 0;
   for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
     const graph::Graph generated = gen::build_dataset(spec, kNodes, 11);
     const graph::Graph g =
         rcm ? graph::apply_permutation(generated, graph::rcm_permutation(generated))
             : generated;
-    const Packs packs{g, std::string{rcm ? "parity_rcm_" : "parity_"} +
-                             std::to_string(index++)};
+    const Packs packs{g, test + "_" + std::to_string(index++)};
     const auto sources = spread_sources(g, 8);
     for (const std::size_t threads : kThreadCounts) {
       util::set_thread_count(threads);

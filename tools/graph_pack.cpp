@@ -16,23 +16,19 @@
 // --sharded is refused by name.
 //
 // The --edges path converts text to CSR in two streaming passes over the
-// file (count degrees, then fill rows) instead of materializing an edge
-// list, so peak memory is the CSR itself plus the id remap — the packer
-// runs under the same address-space cap the scale-smoke CI lane measures
-// under.
+// file (graph::load_edge_list_file_two_pass: count degrees, then fill
+// rows) instead of materializing an edge list, so peak memory is the CSR
+// itself plus the id table — the packer runs under the same address-space
+// cap the scale-smoke CI lane measures under.
 //
 // --verify loads an existing container (full CRC + structural validation)
 // and reports its geometry plus every section's stored CRC-32; exit 1 on
 // any defect. An unknown flag or value is refused by name (exit 1).
-#include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "gen/datasets.hpp"
 #include "graph/components.hpp"
@@ -81,100 +77,6 @@ int cmd_verify(const std::string& path) {
   return 0;
 }
 
-/// Streaming text -> CSR conversion: two passes over the file with one
-/// reused line buffer, no materialized edge list. Produces the exact graph
-/// load_edge_list_file would (same first-appearance id densification, self
-/// loops dropped, duplicates deduped, rows sorted) at a fraction of the
-/// peak memory — the duplicate-inflated CSR plus the id remap.
-graph::Graph load_edges_streaming(const std::string& path) {
-  std::unordered_map<std::uint64_t, graph::NodeId> remap;
-  std::vector<graph::EdgeIndex> degree;
-  const auto densify = [&](std::uint64_t raw) {
-    const auto [it, inserted] =
-        remap.try_emplace(raw, static_cast<graph::NodeId>(remap.size()));
-    if (inserted) degree.push_back(0);
-    return it->second;
-  };
-
-  // Strict parse, same acceptance as load_edge_list: '#'/'%' comments,
-  // whitespace-separated non-negative integer pairs. `emit` is invoked
-  // once per parsed edge (self loops included — they still claim dense
-  // ids, matching load_edge_list's first-appearance order exactly); both
-  // passes share the parse so they cannot disagree on which lines count.
-  const auto parse = [&](auto&& emit) {
-    std::ifstream in{path};
-    if (!in) throw std::runtime_error{"graph_pack: cannot open " + path};
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-      ++line_no;
-      const std::string_view trimmed = util::trim(line);
-      if (trimmed.empty() || trimmed.front() == '#' || trimmed.front() == '%') continue;
-      const auto fields = util::split_ws(trimmed);
-      const auto u = fields.size() >= 2 ? util::parse_i64(fields[0]) : std::nullopt;
-      const auto v = fields.size() >= 2 ? util::parse_i64(fields[1]) : std::nullopt;
-      if (!u || !v || *u < 0 || *v < 0) {
-        throw std::runtime_error{"graph_pack: malformed line " +
-                                 std::to_string(line_no) + " in " + path};
-      }
-      emit(static_cast<std::uint64_t>(*u), static_cast<std::uint64_t>(*v));
-    }
-  };
-
-  // Pass 1: id remap + duplicate-inflated degrees (each text edge counts
-  // both directions; dedup happens after the rows are sorted).
-  parse([&](std::uint64_t u, std::uint64_t v) {
-    const graph::NodeId du = densify(u);
-    const graph::NodeId dv = densify(v);
-    if (du == dv) return;  // self loop: id claimed, edge dropped
-    ++degree[du];
-    ++degree[dv];
-  });
-  const auto n = static_cast<graph::NodeId>(remap.size());
-  std::vector<graph::EdgeIndex> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (graph::NodeId i = 0; i < n; ++i) offsets[i + 1] = offsets[i] + degree[i];
-  degree.clear();
-  degree.shrink_to_fit();
-
-  // Pass 2: fill rows through per-row cursors. Ids resolve through the
-  // now-complete remap, so pass order no longer matters.
-  std::vector<graph::NodeId> neighbors(offsets.back());
-  std::vector<graph::EdgeIndex> cursor(offsets.begin(), offsets.end() - 1);
-  parse([&](std::uint64_t u, std::uint64_t v) {
-    const graph::NodeId du = remap.at(u);
-    const graph::NodeId dv = remap.at(v);
-    if (du == dv) return;
-    neighbors[cursor[du]++] = dv;
-    neighbors[cursor[dv]++] = du;
-  });
-  remap.clear();
-  cursor.clear();
-  cursor.shrink_to_fit();
-
-  // Sort each row and compact away duplicate edges in place, rebuilding
-  // the offsets as the write cursor advances.
-  graph::EdgeIndex write = 0;
-  graph::EdgeIndex row_begin = 0;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    const auto lo = static_cast<std::ptrdiff_t>(row_begin);
-    const auto hi = static_cast<std::ptrdiff_t>(offsets[v + 1]);
-    row_begin = offsets[v + 1];
-    std::sort(neighbors.begin() + lo, neighbors.begin() + hi);
-    const auto last = std::unique(neighbors.begin() + lo, neighbors.begin() + hi);
-    const auto count = static_cast<graph::EdgeIndex>(last - (neighbors.begin() + lo));
-    std::copy(neighbors.begin() + lo, last,
-              neighbors.begin() + static_cast<std::ptrdiff_t>(write));
-    offsets[v] = write;
-    write += count;
-  }
-  // offsets[0..n-1] now hold the compacted row starts (row 0 starts at 0);
-  // cap with the final write cursor.
-  offsets[n] = write;
-  neighbors.resize(write);
-  neighbors.shrink_to_fit();
-  return graph::Graph::from_csr(std::move(offsets), std::move(neighbors));
-}
-
 /// Every flag graph_pack reads; anything else is refused by name.
 constexpr std::string_view kFlags[] = {"edges", "dataset", "nodes",    "seed",
                                        "out",   "reorder", "compress", "verify"};
@@ -200,7 +102,7 @@ int run(const util::Cli& cli) {
   std::string name;
   if (cli.has("edges")) {
     name = cli.get("edges", "");
-    raw = load_edges_streaming(name);
+    raw = graph::load_edge_list_file_two_pass(name);
   } else if (cli.has("dataset")) {
     name = cli.get("dataset", "");
     const auto spec = gen::find_dataset(name);
