@@ -10,18 +10,6 @@ void EdgeList::add(NodeId u, NodeId v) {
   if (hi >= num_nodes_) num_nodes_ = hi + 1;
 }
 
-void EdgeList::remove_self_loops() {
-  std::erase_if(edges_, [](const Edge& e) { return e.u == e.v; });
-}
-
-void EdgeList::symmetrize_and_dedup() {
-  for (Edge& e : edges_) {
-    if (e.u > e.v) std::swap(e.u, e.v);
-  }
-  std::sort(edges_.begin(), edges_.end());
-  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-}
-
 std::size_t EdgeList::count_self_loops() const noexcept {
   return static_cast<std::size_t>(
       std::count_if(edges_.begin(), edges_.end(), [](const Edge& e) { return e.u == e.v; }));

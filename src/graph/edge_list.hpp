@@ -3,7 +3,8 @@
 //
 // The paper's preprocessing pipeline (§4): take a possibly-directed crawl,
 // make it undirected, drop self-loops and duplicate edges, then extract the
-// largest connected component. EdgeList implements the first three steps.
+// largest connected component. EdgeList only collects the raw edges;
+// Graph::from_edges does the first three steps while it builds the CSR.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +24,8 @@ struct Edge {
   friend constexpr auto operator<=>(const Edge&, const Edge&) = default;
 };
 
-/// Growable list of edges with the cleanup passes needed to build a simple
-/// undirected graph. Node ids are dense indices [0, num_nodes).
+/// Growable list of raw edges, possibly directed, repeated or self loops.
+/// Node ids are dense indices [0, num_nodes).
 class EdgeList {
  public:
   EdgeList() = default;
@@ -46,13 +47,6 @@ class EdgeList {
   void ensure_nodes(NodeId n) { num_nodes_ = n > num_nodes_ ? n : num_nodes_; }
 
   [[nodiscard]] const std::vector<Edge>& edges() const noexcept { return edges_; }
-
-  /// Removes u==v edges in place.
-  void remove_self_loops();
-
-  /// Reorders each edge so u <= v, then removes exact duplicates. After this
-  /// the list represents a simple undirected graph.
-  void symmetrize_and_dedup();
 
   /// Number of edges with u == v currently present.
   [[nodiscard]] std::size_t count_self_loops() const noexcept;

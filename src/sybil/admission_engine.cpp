@@ -1,21 +1,18 @@
 #include "sybil/admission_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "obs/obs.hpp"
 #include "util/parallel.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace socmix::sybil {
 
 namespace {
 
-/// Free directory slot; no edge has this key (it needs both endpoints at
-/// kInvalidNode).
-constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 constexpr std::uint32_t kNoColumn = std::numeric_limits<std::uint32_t>::max();
 
 std::vector<std::size_t> normalize_lengths(std::span<const std::size_t> lengths) {
@@ -23,11 +20,6 @@ std::vector<std::size_t> normalize_lengths(std::span<const std::size_t> lengths)
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
-}
-
-/// Home slot of `key` in a table of `capacity` (< 2^32) slots.
-std::size_t home_slot(std::uint64_t key, std::size_t capacity) noexcept {
-  return static_cast<std::size_t>(((util::mix64(key) >> 32) * capacity) >> 32);
 }
 
 /// One lane of a batched block: the verifier load counters its suspect's
@@ -62,65 +54,74 @@ struct alignas(64) Lane {
 
 }  // namespace
 
-std::span<const AdmissionEngine::TailDirectory::Entry>
-AdmissionEngine::TailDirectory::find(std::uint64_t key) const noexcept {
-  const std::size_t capacity = keys_.size();
-  if (capacity == 0) return {};
-  for (std::size_t h = home_slot(key, capacity);;) {
-    const std::uint64_t k = keys_[h];
-    if (k == key) return {entries_.data() + begin_[h], entries_.data() + begin_[h + 1]};
-    if (k == kEmptyKey) return {};
-    if (++h == capacity) h = 0;
+AdmissionEngine::TailDirectory::TailDirectory(const RouteTable& routes)
+    : bits_((routes.graph().raw_neighbors().size() + 63) / 64, 0) {}
+
+std::size_t AdmissionEngine::TailDirectory::rank(graph::EdgeIndex e) const noexcept {
+  const std::size_t word = e >> 6;
+  std::size_t rank = block_rank_[word / kBlockWords];
+  for (std::size_t w = word - word % kBlockWords; w < word; ++w) {
+    rank += static_cast<std::size_t>(std::popcount(bits_[w]));
   }
+  const std::uint64_t below = (std::uint64_t{1} << (e & 63)) - 1;
+  return rank + static_cast<std::size_t>(std::popcount(bits_[word] & below));
 }
 
 void AdmissionEngine::TailDirectory::postings(std::vector<Posting>& out) const {
-  for (std::size_t h = 0; h < keys_.size(); ++h) {
-    for (std::uint32_t e = begin_[h]; e < begin_[h + 1]; ++e) {
-      out.push_back({keys_[h], entries_[e]});
+  // Runs lie in ascending canonical half-edge order and a canonical
+  // half-edge precedes its twin, so walking the marked bits upward meets
+  // each run first at its canonical bit — the one whose run starts where
+  // the previous canonical run ended. The twin's bit revisits an earlier
+  // run and is skipped.
+  std::uint32_t next = 0;
+  std::size_t marked = 0;
+  for (std::size_t w = 0; w < bits_.size(); ++w) {
+    for (std::uint64_t word = bits_[w]; word != 0; word &= word - 1, ++marked) {
+      const Run run = runs_[marked];
+      if (run.begin != next) continue;
+      const graph::EdgeIndex e = w * 64 + static_cast<unsigned>(std::countr_zero(word));
+      for (std::uint32_t i = run.begin; i < run.end; ++i) out.push_back({e, entries_[i]});
+      next = run.end;
     }
   }
 }
 
-void AdmissionEngine::TailDirectory::assign(std::vector<Posting>& postings) {
+void AdmissionEngine::TailDirectory::assign(std::vector<Posting>& postings,
+                                            const RouteTable& routes) {
   std::sort(postings.begin(), postings.end(), [](const Posting& a, const Posting& b) {
-    return a.key != b.key ? a.key < b.key : a.entry.slot < b.entry.slot;
+    return a.edge != b.edge ? a.edge < b.edge : a.entry.slot < b.entry.slot;
   });
-  std::size_t distinct = 0;
-  for (std::size_t i = 0; i < postings.size(); ++i) {
-    if (i == 0 || postings[i].key != postings[i - 1].key) ++distinct;
-  }
-  const std::size_t capacity = distinct + (distinct + 1) / 2;
-  keys_.assign(capacity, kEmptyKey);
-  begin_.assign(capacity + 1, 0);
+  std::fill(bits_.begin(), bits_.end(), 0);
   entries_.resize(postings.size());
-  // Place each distinct key, recording its run length in begin_[h + 1];
-  // a prefix sum then turns lengths into run offsets.
-  std::vector<std::uint32_t> home;
-  home.reserve(distinct);
-  for (std::size_t i = 0; i < postings.size();) {
-    std::size_t j = i;
-    while (j < postings.size() && postings[j].key == postings[i].key) ++j;
-    std::size_t h = home_slot(postings[i].key, capacity);
-    while (keys_[h] != kEmptyKey) h = h + 1 == capacity ? 0 : h + 1;
-    keys_[h] = postings[i].key;
-    begin_[h + 1] = static_cast<std::uint32_t>(j - i);
-    home.push_back(static_cast<std::uint32_t>(h));
-    i = j;
+  for (std::size_t i = 0; i < postings.size(); ++i) {
+    const graph::EdgeIndex e = postings[i].edge;
+    const graph::EdgeIndex t = routes.twin(e);
+    bits_[e >> 6] |= std::uint64_t{1} << (e & 63);
+    bits_[t >> 6] |= std::uint64_t{1} << (t & 63);
+    entries_[i] = postings[i].entry;
   }
-  for (std::size_t h = 0; h < capacity; ++h) begin_[h + 1] += begin_[h];
-  std::size_t run = 0;
-  for (std::size_t i = 0; i < postings.size(); ++run) {
-    std::uint32_t at = begin_[home[run]];
-    for (const std::uint64_t key = postings[i].key;
-         i < postings.size() && postings[i].key == key; ++i) {
-      entries_[at++] = postings[i].entry;
-    }
+  block_rank_.assign((bits_.size() + kBlockWords - 1) / kBlockWords, 0);
+  std::uint32_t marked = 0;
+  for (std::size_t w = 0; w < bits_.size(); ++w) {
+    if (w % kBlockWords == 0) block_rank_[w / kBlockWords] = marked;
+    marked += static_cast<std::uint32_t>(std::popcount(bits_[w]));
+  }
+  // Both directions of a tail index the one run its postings form.
+  runs_.assign(marked, {});
+  for (std::size_t i = 0; i < postings.size();) {
+    const graph::EdgeIndex e = postings[i].edge;
+    const auto begin = static_cast<std::uint32_t>(i);
+    while (i < postings.size() && postings[i].edge == e) ++i;
+    const Run run{begin, static_cast<std::uint32_t>(i)};
+    runs_[rank(e)] = run;
+    runs_[rank(routes.twin(e))] = run;
   }
 }
 
-std::size_t AdmissionEngine::TailDirectory::size() const noexcept {
-  return entries_.size();
+std::size_t AdmissionEngine::TailDirectory::heap_bytes() const noexcept {
+  return bits_.capacity() * sizeof(std::uint64_t) +
+         block_rank_.capacity() * sizeof(std::uint32_t) + runs_.capacity() * sizeof(Run) +
+         entries_.capacity() * sizeof(Entry);
 }
 
 AdmissionEngine::AdmissionEngine(const graph::Graph& g,
@@ -129,8 +130,9 @@ AdmissionEngine::AdmissionEngine(const graph::Graph& g,
     : routes_(g, config.seed),
       config_(config),
       instances_(config.instances(g)),
+      log_r_(std::log(static_cast<double>(instances_))),
       lengths_(normalize_lengths(route_lengths)),
-      directory_(lengths_.size()) {}
+      directory_(lengths_.size(), TailDirectory{routes_}) {}
 
 std::uint64_t AdmissionEngine::CachedVerifier::max_load(std::size_t li) const {
   std::uint64_t max = 0;
@@ -164,10 +166,11 @@ std::uint64_t AdmissionEngine::hops_to(graph::NodeId start, std::size_t length) 
 void AdmissionEngine::registration_tails_multi(
     graph::NodeId suspect, std::vector<std::vector<DirectedEdge>>& out) const {
   out.assign(lengths_.size(), {});
-  routes_.for_each_tail(instances_, suspect, lengths_,
-                        [&](std::size_t k, std::uint32_t, DirectedEdge tail) {
-                          out[k].push_back(tail);
-                        });
+  routes_.for_each_tail(
+      instances_, suspect, lengths_,
+      [&](std::size_t k, std::uint32_t, DirectedEdge tail, graph::EdgeIndex) {
+        out[k].push_back(tail);
+      });
 }
 
 void AdmissionEngine::build_verifier(CachedVerifier& v, graph::NodeId node) {
@@ -175,17 +178,19 @@ void AdmissionEngine::build_verifier(CachedVerifier& v, graph::NodeId node) {
   const util::Timer timer;
   v.node_ = node;
   v.state_.assign(lengths_.size(), {});
-  std::vector<std::vector<DirectedEdge>> tails;
-  registration_tails_multi(node, tails);
-  for (std::size_t li = 0; li < lengths_.size(); ++li) {
+  for (CachedVerifier::PerLength& per : v.state_) per.unfiled_tails.reserve(instances_);
+  routes_.for_each_tail(
+      instances_, node, lengths_,
+      [&](std::size_t k, std::uint32_t, DirectedEdge, graph::EdgeIndex e) {
+        v.state_[k].unfiled_tails.push_back(std::min(e, routes_.twin(e)));
+      });
+  for (CachedVerifier::PerLength& per : v.state_) {
     // Several instances sharing a tail edge share one load counter.
-    CachedVerifier::PerLength& per = v.state_[li];
-    std::vector<std::uint64_t>& keys = per.unfiled_keys;
-    keys.reserve(tails[li].size());
-    for (const DirectedEdge tail : tails[li]) keys.push_back(undirected_key(tail));
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    per.load.assign(keys.size(), 0);
+    std::vector<graph::EdgeIndex>& tails = per.unfiled_tails;
+    std::sort(tails.begin(), tails.end());
+    tails.erase(std::unique(tails.begin(), tails.end()), tails.end());
+    tails.shrink_to_fit();  // a short route's tails repeat: w = 1 keeps ~deg
+    per.load.assign(tails.size(), 0);
   }
   // One incremental walk to w_max replaced a per-length rewalk.
   const std::uint64_t walked = hops_to(node, lengths_.back());
@@ -221,25 +226,25 @@ void AdmissionEngine::file_new_verifiers() {
   SOCMIX_TRACE_SPAN("sybil.engine.file_tails");
   const util::Timer timer;
   // Rebuild each length's directory from its current postings plus the
-  // new verifiers' keys; a sweep or a warmed service files once.
+  // new verifiers' tails; a sweep or a warmed service files once.
   std::vector<TailDirectory::Posting> postings;
   for (std::size_t li = 0; li < lengths_.size(); ++li) {
     std::size_t count = directory_[li].size();
     for (std::size_t slot = filed_slots_; slot < slots_.size(); ++slot) {
-      count += slots_[slot]->state_[li].unfiled_keys.size();
+      count += slots_[slot]->state_[li].unfiled_tails.size();
     }
     postings.clear();
     postings.reserve(count);
     directory_[li].postings(postings);
     for (std::size_t slot = filed_slots_; slot < slots_.size(); ++slot) {
-      std::vector<std::uint64_t>& keys = slots_[slot]->state_[li].unfiled_keys;
-      for (std::size_t j = 0; j < keys.size(); ++j) {
-        postings.push_back({keys[j], {static_cast<std::uint32_t>(slot),
-                                      static_cast<std::uint32_t>(j)}});
+      std::vector<graph::EdgeIndex>& tails = slots_[slot]->state_[li].unfiled_tails;
+      for (std::size_t j = 0; j < tails.size(); ++j) {
+        postings.push_back({tails[j], {static_cast<std::uint32_t>(slot),
+                                       static_cast<std::uint32_t>(j)}});
       }
-      std::vector<std::uint64_t>{}.swap(keys);
+      std::vector<graph::EdgeIndex>{}.swap(tails);
     }
-    directory_[li].assign(postings);
+    directory_[li].assign(postings, routes_);
   }
   filed_slots_ = slots_.size();
   stats_.precompute_seconds += timer.seconds();
@@ -264,7 +269,7 @@ bool AdmissionEngine::commit(CachedVerifier& v, std::size_t li,
   const double r = static_cast<double>(instances_);
   const double bound =
       config_.balance_factor *
-      std::max(std::log(r), (static_cast<double>(per.accepted) + 1.0) / r);
+      std::max(log_r_, (static_cast<double>(per.accepted) + 1.0) / r);
   if (static_cast<double>(per.load[least]) + 1.0 > bound) {
     if (diagnostics != nullptr) ++diagnostics->rejected_balance;
     return false;
@@ -287,7 +292,6 @@ AdmissionEngine::BatchResult AdmissionEngine::verify_batch(
   // then the balance commits replay serially in suspect order — results
   // do not depend on thread count or block boundaries.
   const std::size_t w[] = {lengths_[li]};
-  const TailDirectory& directory = directory_[li];
   std::vector<Lane> lanes(kBatchLanes);
   std::uint64_t walked = 0;
   for (std::size_t base = 0; base < suspects.size(); base += kBatchLanes) {
@@ -298,8 +302,8 @@ AdmissionEngine::BatchResult AdmissionEngine::verify_batch(
         candidates.clear();
         routes_.for_each_tail(
             instances_, suspects[base + s], w,
-            [&](std::size_t, std::uint32_t, DirectedEdge tail) {
-              for (const TailDirectory::Entry e : directory.find(undirected_key(tail))) {
+            [&](std::size_t, std::uint32_t, DirectedEdge, graph::EdgeIndex tail) {
+              for (const TailDirectory::Entry e : directory_[li].find(tail)) {
                 if (e.slot == v.slot_) candidates.push_back(e.load);
               }
             });
@@ -318,8 +322,7 @@ AdmissionEngine::BatchResult AdmissionEngine::verify_batch(
   const double r = static_cast<double>(instances_);
   result.balance_bound =
       config_.balance_factor *
-      std::max(std::log(r),
-               (static_cast<double>(v.state_[li].accepted) + 1.0) / r);
+      std::max(log_r_, (static_cast<double>(v.state_[li].accepted) + 1.0) / r);
 
   stats_.route_hops_walked += walked;
   stats_.queries += suspects.size();
@@ -385,10 +388,10 @@ std::vector<double> AdmissionEngine::sweep_fractions(
         lane.hits.clear();
         routes_.for_each_tail(
             instances_, suspects[base + s], walk_lengths,
-            [&](std::size_t u, std::uint32_t, DirectedEdge tail) {
+            [&](std::size_t u, std::uint32_t, DirectedEdge, graph::EdgeIndex tail) {
               const auto group = static_cast<std::uint32_t>(u * columns);
-              for (const TailDirectory::Entry e :
-                   directory_[unique_indexes[u]].find(undirected_key(tail))) {
+              const TailDirectory& dir = directory_[unique_indexes[u]];
+              for (const TailDirectory::Entry e : dir.find(tail)) {
                 const std::uint32_t col = column[e.slot];
                 if (col != kNoColumn) lane.hits.push_back({group + col, e.load});
               }

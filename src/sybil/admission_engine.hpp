@@ -16,12 +16,15 @@
 //  2. Cached verifiers. A verifier's tails depend only on (graph,
 //     protocol seed, r, w), all fixed for the engine's lifetime. The
 //     engine walks them once and files them in one inverted tail
-//     directory per length — undirected tail key -> the contiguous run of
+//     directory per length — tail half-edge -> the contiguous run of
 //     (verifier slot, load-counter index) entries of every cached verifier
 //     holding that tail — shared across every suspect, batch and sweep
-//     point. Balance counters (the only mutable part) live in the
-//     verifier, so queries can accumulate or reset without touching the
-//     directory.
+//     point. The directory is a bitmap over the graph's half-edges with
+//     both directions of every filed tail set, so a suspect tail no
+//     verifier holds (most of them) costs one bit test; only a hit ranks
+//     the bit to reach its run. Balance counters (the only mutable part)
+//     live in the verifier, so queries can accumulate or reset without
+//     touching the directory.
 //
 //  3. Batched queries. verify_batch() and sweep_fractions() group
 //     suspects into kBatchLanes-wide blocks: each lane walks its suspect's
@@ -46,6 +49,7 @@
 
 #include "graph/graph.hpp"
 #include "sybil/routes.hpp"
+#include "util/aligned.hpp"
 #include "util/retired_knob.hpp"
 
 namespace socmix::sybil {
@@ -120,9 +124,10 @@ class AdmissionEngine {
    private:
     friend class AdmissionEngine;
     struct PerLength {
-      /// Distinct undirected tail keys, ascending; key j owns load[j].
-      /// Held only until the engine files them in its tail directory.
-      std::vector<std::uint64_t> unfiled_keys;
+      /// Distinct canonical tail half-edges (min(e, twin(e))), ascending;
+      /// tail j owns load[j]. Held only until the engine files them in
+      /// its tail directory.
+      std::vector<graph::EdgeIndex> unfiled_tails;
       std::vector<std::uint64_t> load;
       std::uint64_t accepted = 0;
     };
@@ -179,11 +184,15 @@ class AdmissionEngine {
   /// metrics as they accrue).
   [[nodiscard]] const AdmissionEngineStats& stats() const noexcept { return stats_; }
 
- private:
-  /// Inverted tail directory for one route length: undirected tail key ->
-  /// the contiguous run of entries of every cached verifier holding that
-  /// tail. Flat open addressing (load factor 2/3, linear probing); only
-  /// read while lanes probe it in parallel.
+  /// Inverted tail directory for one route length: the half-edge a tail
+  /// crossed -> the contiguous run of entries of every cached verifier
+  /// holding that tail, the same run for either direction. A bitmap over
+  /// the graph's 2m half-edges marks both directions of every filed tail;
+  /// a probe tests one bit, and only a hit ranks it (a popcount prefix per
+  /// 512-bit block, 1/16 of the bitmap, plus at most eight word popcounts
+  /// within the block's one cache line) to index its run. Heap per length:
+  /// 2m * (1 + 1/16) bits, plus 8 B per marked half-edge and 8 B per
+  /// entry. Only read while lanes probe it in parallel.
   class TailDirectory {
    public:
     struct Entry {
@@ -191,24 +200,50 @@ class AdmissionEngine {
       std::uint32_t load;  ///< that verifier's load-counter index
     };
     struct Posting {
-      std::uint64_t key;
+      graph::EdgeIndex edge;  ///< canonical tail half-edge, min(e, twin(e))
       Entry entry;
     };
-    /// The run of `key`, empty when no cached verifier holds that tail.
-    [[nodiscard]] std::span<const Entry> find(std::uint64_t key) const noexcept;
-    /// Appends every filed (key, entry) pair to `out`.
+    /// A directory over `routes`' half-edges that has filed nothing.
+    explicit TailDirectory(const RouteTable& routes);
+    /// The run of the tail that crossed half-edge `e`, in either
+    /// direction; empty when no cached verifier holds that tail.
+    [[nodiscard]] std::span<const Entry> find(graph::EdgeIndex e) const noexcept {
+      if (((bits_[e >> 6] >> (e & 63)) & 1) == 0) return {};
+      const Run run = runs_[rank(e)];
+      return {entries_.data() + run.begin, entries_.data() + run.end};
+    }
+    /// Appends every filed (canonical half-edge, entry) pair to `out`.
     void postings(std::vector<Posting>& out) const;
-    /// Replaces the contents with `postings` (sorted in place).
-    void assign(std::vector<Posting>& postings);
+    /// Replaces the contents with `postings` (sorted in place), marking
+    /// both directions of each tail; `routes` must be the constructor's.
+    void assign(std::vector<Posting>& postings, const RouteTable& routes);
     /// Filed entries.
-    [[nodiscard]] std::size_t size() const noexcept;
+    [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+    /// Heap the directory holds.
+    [[nodiscard]] std::size_t heap_bytes() const noexcept;
 
    private:
-    std::vector<std::uint64_t> keys_;   ///< table; kEmptyKey marks a free slot
-    std::vector<std::uint32_t> begin_;  ///< run of table slot h: [begin_[h], begin_[h+1])
-    std::vector<Entry> entries_;
+    struct Run {
+      std::uint32_t begin;
+      std::uint32_t end;
+    };
+    static constexpr std::size_t kBlockWords = 8;  ///< 512 bits, one cache line
+    /// Marked half-edges before `e`.
+    [[nodiscard]] std::size_t rank(graph::EdgeIndex e) const noexcept;
+
+    /// Bit e set iff a filed tail crossed half-edge e in either direction.
+    std::vector<std::uint64_t, util::AlignedAlloc<std::uint64_t>> bits_;
+    std::vector<std::uint32_t> block_rank_;  ///< marked bits before each block
+    std::vector<Run> runs_;                  ///< per marked bit, in bit order
+    std::vector<Entry> entries_;  ///< runs in canonical half-edge order
   };
 
+  /// The directory filed at length index `li` (read-only).
+  [[nodiscard]] const TailDirectory& directory(std::size_t li) const {
+    return directory_[li];
+  }
+
+ private:
   void build_verifier(CachedVerifier& v, graph::NodeId node);
   /// Files the tails of verifiers built since the last call in every
   /// length's directory; a no-op when none were.
@@ -226,6 +261,7 @@ class AdmissionEngine {
   RouteTable routes_;
   AdmissionEngineConfig config_;
   std::uint32_t instances_ = 0;
+  double log_r_ = 0.0;  ///< log(instances_), the balance bound's floor
   std::vector<std::size_t> lengths_;  ///< sorted, deduplicated
   std::unordered_map<graph::NodeId, CachedVerifier> verifiers_;
   std::vector<CachedVerifier*> slots_;      ///< slot -> verifier, in build order

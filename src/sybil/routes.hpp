@@ -90,11 +90,14 @@ class RouteTable {
                                                        std::size_t length) const;
 
   /// Every batched walk: instances 0..instances-1 from `start`, each
-  /// handing its tail at every requested length to `visit(k, i, tail)` as
-  /// it is reached. Incremental tail extension: the length-w tail is hop w
-  /// of the same deterministic route, so one walk to lengths.back() yields
-  /// the tails at *every* requested length on the way, and `tail` is
-  /// bitwise equal to *route_tail(i, start, lengths[k]). `lengths` must be
+  /// handing its tail at every requested length to `visit(k, i, tail, e)`
+  /// as it is reached, where `e` is the half-edge index of `tail` (the
+  /// walker's own cursor, so handing it over costs nothing; an index keyed
+  /// by half-edge probes with it directly). Incremental tail extension:
+  /// the length-w tail is hop w of the same deterministic route, so one
+  /// walk to lengths.back() yields the tails at *every* requested length
+  /// on the way, and `tail` is bitwise equal to *route_tail(i, start,
+  /// lengths[k]). `lengths` must be
   /// strictly ascending; zero lengths are allowed as a leading entry and
   /// visit nothing (route_tail's nullopt). Cost is O(instances *
   /// lengths.back()) hops — a route-length sweep pays for its longest
@@ -130,9 +133,18 @@ class RouteTable {
     for (std::size_t k = first; k < lengths.size(); ++k) {
       for (; walked < lengths[k]; ++walked) route_hops(hops);
       for (std::uint32_t i = 0; i < instances; ++i) {
-        visit(k, i, DirectedEdge{from[i], neighbors[edge[i]]});
+        visit(k, i, DirectedEdge{from[i], neighbors[edge[i]]}, edge[i]);
       }
     }
+  }
+
+  /// The reverse of half-edge `e` = (u -> v): the half-edge (v -> u),
+  /// found through the reverse-edge table with no search. twin(twin(e)) ==
+  /// e. On the sorted CSR, min(e, twin(e)) leaves the smaller endpoint, so
+  /// ordering tails by that canonical half-edge is ordering them by
+  /// undirected_key.
+  [[nodiscard]] graph::EdgeIndex twin(graph::EdgeIndex e) const {
+    return half_edge(graph_->raw_neighbors()[e], rev_[e]);
   }
 
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }

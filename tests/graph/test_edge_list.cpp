@@ -30,38 +30,6 @@ TEST(EdgeList, ConstructorPresetsNodeCount) {
   EXPECT_TRUE(edges.empty());
 }
 
-TEST(EdgeList, RemoveSelfLoops) {
-  EdgeList edges;
-  edges.add(0, 0);
-  edges.add(0, 1);
-  edges.add(2, 2);
-  EXPECT_EQ(edges.count_self_loops(), 2u);
-  edges.remove_self_loops();
-  EXPECT_EQ(edges.size(), 1u);
-  EXPECT_EQ(edges.count_self_loops(), 0u);
-}
-
-TEST(EdgeList, SymmetrizeAndDedupMergesDirections) {
-  EdgeList edges;
-  edges.add(1, 0);
-  edges.add(0, 1);
-  edges.add(0, 1);
-  edges.add(2, 1);
-  edges.symmetrize_and_dedup();
-  ASSERT_EQ(edges.size(), 2u);
-  EXPECT_EQ(edges.edges()[0], (Edge{0, 1}));
-  EXPECT_EQ(edges.edges()[1], (Edge{1, 2}));
-}
-
-TEST(EdgeList, SymmetrizeKeepsSelfLoopsDistinct) {
-  EdgeList edges;
-  edges.add(3, 3);
-  edges.add(3, 3);
-  edges.symmetrize_and_dedup();
-  EXPECT_EQ(edges.size(), 1u);  // duplicates merged, loop preserved
-  EXPECT_EQ(edges.count_self_loops(), 1u);
-}
-
 TEST(EdgeList, EdgeOrderingOperator) {
   EXPECT_LT((Edge{0, 1}), (Edge{0, 2}));
   EXPECT_LT((Edge{0, 9}), (Edge{1, 0}));

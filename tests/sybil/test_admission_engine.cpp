@@ -72,7 +72,7 @@ TEST(AdmissionEngineParity, MultiLengthTailsByteIdenticalOnEveryTable1Config) {
       std::size_t visits = 0;
       routes.for_each_tail(
           kInstances, start, lengths,
-          [&](std::size_t k, std::uint32_t i, DirectedEdge tail) {
+          [&](std::size_t k, std::uint32_t i, DirectedEdge tail, graph::EdgeIndex) {
             ++visits;
             const auto expected = routes.route_tail(i, start, lengths[k]);
             ASSERT_TRUE(expected.has_value());
@@ -92,8 +92,9 @@ TEST(AdmissionEngineParity, ZeroAndLeadingLengthsMatchRouteTailSemantics) {
   const RouteTable routes{g, kSeed};
   const std::vector<std::size_t> lengths{0, 1, 4};
   std::vector<std::size_t> visits(lengths.size(), 0);
-  routes.for_each_tail(8, 3, lengths,
-                       [&](std::size_t k, std::uint32_t, DirectedEdge) { ++visits[k]; });
+  routes.for_each_tail(
+      8, 3, lengths,
+      [&](std::size_t k, std::uint32_t, DirectedEdge, graph::EdgeIndex) { ++visits[k]; });
   EXPECT_EQ(visits, (std::vector<std::size_t>{0, 8, 8}));
 
   AdmissionEngineConfig config;

@@ -212,7 +212,8 @@ TEST(RouteHopsParity, ForEachTailEqualsRouteTailAtEveryLengthOnEveryTier) {
       for (const graph::NodeId start : {graph::NodeId{0}, g.num_nodes() / 2}) {
         std::size_t visits = 0;
         routes.for_each_tail(r, start, lengths,
-                             [&](std::size_t k, std::uint32_t i, DirectedEdge tail) {
+                             [&](std::size_t k, std::uint32_t i, DirectedEdge tail,
+                                 graph::EdgeIndex) {
                                ++visits;
                                ASSERT_EQ(tail, *routes.route_tail(i, start, lengths[k]))
                                    << simd::tier_name(tier) << " instance " << i

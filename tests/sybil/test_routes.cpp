@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 #include <set>
@@ -55,7 +56,8 @@ std::vector<graph::NodeId> walker_route(const RouteTable& routes, std::uint32_t 
   std::iota(lengths.begin(), lengths.end(), std::size_t{1});
   std::vector<graph::NodeId> walk{start};
   routes.for_each_tail(instance + 1, start, lengths,
-                       [&](std::size_t k, std::uint32_t i, DirectedEdge tail) {
+                       [&](std::size_t k, std::uint32_t i, DirectedEdge tail,
+                           graph::EdgeIndex) {
                          if (i != instance) return;
                          EXPECT_EQ(tail.from, walk.back()) << "tail " << k << " detached";
                          walk.push_back(tail.to);
@@ -71,8 +73,13 @@ std::vector<std::vector<DirectedEdge>> batched_tails(
     std::span<const std::size_t> lengths) {
   std::vector<std::vector<DirectedEdge>> out(lengths.size());
   routes.for_each_tail(instances, start, lengths,
-                       [&](std::size_t k, std::uint32_t i, DirectedEdge tail) {
+                       [&](std::size_t k, std::uint32_t i, DirectedEdge tail,
+                           graph::EdgeIndex e) {
                          EXPECT_EQ(i, out[k].size()) << "instance order at k=" << k;
+                         // The half-edge handed over is the tail's own.
+                         const auto heads = routes.graph().raw_neighbors();
+                         EXPECT_EQ(heads[e], tail.to);
+                         EXPECT_EQ(heads[routes.twin(e)], tail.from);
                          out[k].push_back(tail);
                        });
   return out;
@@ -207,6 +214,52 @@ TEST(RouteTable, EveryWalkerMatchesTheBinarySearchOracleOnEveryTable1Config) {
               << spec.name << " start=" << start << " i=" << i << " w=" << lengths[k];
         }
       }
+    }
+  }
+}
+
+TEST(RouteTable, TwinRunsBackAcrossTheSameEdgeOnEveryTable1Config) {
+  // Every half-edge e = (u -> v): twin(e) lies in v's row, points back at
+  // u, and twin(twin(e)) == e.
+  for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
+    const graph::Graph g = gen::build_dataset(spec, 300, 5);
+    const RouteTable routes{g, 0x7411};
+    const auto offsets = g.offsets();
+    const auto heads = g.raw_neighbors();
+    for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+      for (graph::EdgeIndex e = offsets[u]; e < offsets[u + 1]; ++e) {
+        const graph::EdgeIndex t = routes.twin(e);
+        ASSERT_LT(t, heads.size()) << spec.name << " e=" << e;
+        EXPECT_EQ(routes.twin(t), e) << spec.name << " e=" << e;
+        EXPECT_EQ(heads[t], u) << spec.name << " e=" << e;
+        EXPECT_GE(t, offsets[heads[e]]) << spec.name << " e=" << e;
+        EXPECT_LT(t, offsets[heads[e] + 1]) << spec.name << " e=" << e;
+      }
+    }
+  }
+}
+
+TEST(RouteTable, CanonicalHalfEdgeOrderIsUndirectedKeyOrder) {
+  // min(e, twin(e)) names an undirected edge exactly as undirected_key
+  // does, and sorts the edges in the same order — so a verifier's load
+  // counters are numbered alike under either key.
+  for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
+    const graph::Graph g = gen::build_dataset(spec, 300, 5);
+    const RouteTable routes{g, 0x7411};
+    const auto offsets = g.offsets();
+    const auto heads = g.raw_neighbors();
+    std::vector<std::pair<graph::EdgeIndex, std::uint64_t>> named;
+    for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+      for (graph::EdgeIndex e = offsets[u]; e < offsets[u + 1]; ++e) {
+        named.emplace_back(std::min(e, routes.twin(e)), undirected_key({u, heads[e]}));
+      }
+    }
+    std::sort(named.begin(), named.end());
+    for (std::size_t i = 1; i < named.size(); ++i) {
+      const bool same_edge = named[i].first == named[i - 1].first;
+      EXPECT_EQ(same_edge, named[i].second == named[i - 1].second)
+          << spec.name << " i=" << i;
+      EXPECT_LE(named[i - 1].second, named[i].second) << spec.name << " i=" << i;
     }
   }
 }
