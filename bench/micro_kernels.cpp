@@ -268,9 +268,11 @@ BENCHMARK(BM_TotalVariation)->Arg(1000)->Arg(100000);
 // Hand-rolled ablation (not google-benchmark) because it forces kernel
 // tiers via simd::set_tier and emits its own CSVs:
 //   bench_results/micro_simd.csv  per tier throughput of the batched
-//                                 SpMM + fused-TVD sweep, and of the
-//                                 single-vector SpMV (WalkOperator::apply;
-//                                 one kernel, so one row),
+//                                 SpMM + fused-TVD sweep, per tier time of
+//                                 a Lanczos solve (its basis kernels are
+//                                 the tier's), and of the single-vector
+//                                 SpMV (WalkOperator::apply; one kernel,
+//                                 so one row),
 //   bench_results/e2e_simd.csv    end-to-end measure_sampled_mixing before
 //                                 (forced scalar) / after (dispatched).
 // Run with --simd-only for just this part (CI smoke), --quick for small
@@ -342,6 +344,25 @@ double time_spmv_applies(const graph::Graph& g, std::size_t applies, const std::
   return best;
 }
 
+/// Repeated timed Lanczos solves (slem_spectrum) of `g` on the active tier,
+/// recorded into the process harness under `entry` like
+/// time_batched_sweeps; returns the best wall seconds and, through
+/// `applies`, the operator applies one solve takes.
+double time_lanczos(const graph::Graph& g, const std::string& entry, std::size_t& applies) {
+  const linalg::WalkOperator op{g};
+  applies = linalg::slem_spectrum(op).iterations;  // warm-up solve
+  bench::Harness& harness = bench::Harness::process();
+  harness.set_items(entry, static_cast<double>(g.num_half_edges()) * static_cast<double>(applies));
+  const std::size_t repeats = bench::Harness::process_repeats(5);
+  double best = 1e300;
+  for (std::size_t rep = 0; rep < repeats; ++rep) {
+    best = std::min(best, harness.time_once(entry, [&] {
+      benchmark::DoNotOptimize(linalg::slem_spectrum(op).slem);
+    }));
+  }
+  return best;
+}
+
 /// Roofline traffic model for one WalkOperator apply: per edge, the
 /// gathered prescaled source and the streamed neighbor id; per row, the
 /// prescale pass (read x and inv_sqrt_deg, write scaled) and the epilogue
@@ -408,6 +429,26 @@ void run_simd_ablation(bool quick) {
                 row.seconds, row.gb / row.seconds, speedup);
     csv.row({"batched_spmm_tvd", simd::tier_name(row.tier), util::fmt_sci(row.seconds, 6),
              util::fmt_fixed(row.gb, 4), util::fmt_fixed(row.gb / row.seconds, 3),
+             util::fmt_fixed(speedup, 3)});
+  }
+
+  // Lanczos on a slow-mixing stand-in: the SpMV plus the Krylov-basis
+  // kernels (dot, axpy, divide, combine) of the tier.
+  const graph::Graph lj =
+      gen::build_dataset(*gen::find_dataset("Livejournal A"), quick ? 5000 : 20000, 42);
+  std::printf("== Lanczos slem_spectrum (Livejournal A stand-in, n=%u) ==\n", lj.num_nodes());
+  double lanczos_scalar = 0.0;  // the scalar tier runs first
+  for (const simd::Tier tier : available_tiers()) {
+    if (!simd::set_tier(tier)) continue;
+    std::size_t applies = 0;
+    const double seconds =
+        time_lanczos(lj, std::string{"lanczos/"} + simd::tier_name(tier), applies);
+    simd::reset_tier();
+    if (lanczos_scalar == 0.0) lanczos_scalar = seconds;
+    const double speedup = lanczos_scalar / seconds;
+    std::printf("  %-7s  %8.4f s  %4zu applies  %5.2fx\n", simd::tier_name(tier), seconds,
+                applies, speedup);
+    csv.row({"lanczos", simd::tier_name(tier), util::fmt_sci(seconds, 6), "", "",
              util::fmt_fixed(speedup, 3)});
   }
 

@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 
+#include "linalg/simd/kernels.hpp"
 #include "resilience/fault.hpp"
 #include "util/parallel.hpp"
 
@@ -22,22 +23,6 @@ void for_chunks(std::size_t n, const Body& body) {
       body(c, c * kLanczosRowChunk, std::min(n, (c + 1) * kLanczosRowChunk));
     }
   });
-}
-
-/// Dot product of one chunk with eight independent accumulators, so the
-/// adds do not form one serial dependency chain.
-double chunk_dot(const double* a, const double* b, std::size_t len) noexcept {
-  double s[8] = {};
-  std::size_t r = 0;
-  for (; r + 8 <= len; r += 8) {
-    for (std::size_t u = 0; u < 8; ++u) s[u] += a[r + u] * b[r + u];
-  }
-  for (; r < len; ++r) s[0] += a[r] * b[r];
-  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
-}
-
-void chunk_axpy(double alpha, const double* x, double* y, std::size_t len) noexcept {
-  for (std::size_t r = 0; r < len; ++r) y[r] += alpha * x[r];
 }
 
 }  // namespace
@@ -80,6 +65,7 @@ double KrylovBasis::orthogonalize_local(std::span<double> w, std::size_t j,
 double KrylovBasis::orthogonalize_columns(std::span<double> w,
                                           std::span<const std::size_t> columns,
                                           std::vector<double>& coeff) {
+  const simd::KernelTable& kernels = simd::dispatch();
   const std::size_t cols = columns.size();
   coeff.assign(cols, 0.0);
   std::vector<double>& h = h_;
@@ -94,12 +80,12 @@ double KrylovBasis::orthogonalize_columns(std::span<double> w,
   const auto dots = [&](std::size_t c, std::size_t lo, std::size_t hi) {
     double* part = partial_.data() + c * stride_;
     for (std::size_t i = 0; i < cols; ++i) {
-      part[i] = chunk_dot(data_.data() + columns[i] * n_ + lo, w.data() + lo, hi - lo);
+      part[i] = kernels.dot_f64(data_.data() + columns[i] * n_ + lo, w.data() + lo, hi - lo);
     }
   };
   const auto subtract = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = 0; i < cols; ++i) {
-      chunk_axpy(-h[i], data_.data() + columns[i] * n_ + lo, w.data() + lo, hi - lo);
+      kernels.axpy_f64(-h[i], data_.data() + columns[i] * n_ + lo, w.data() + lo, hi - lo);
     }
   };
 
@@ -117,35 +103,35 @@ double KrylovBasis::orthogonalize_columns(std::span<double> w,
   for (std::size_t i = 0; i < cols; ++i) coeff[i] += h[i];
   for_chunks(n_, [&](std::size_t c, std::size_t lo, std::size_t hi) {
     subtract(lo, hi);
-    partial_[c * stride_] = chunk_dot(w.data() + lo, w.data() + lo, hi - lo);
+    partial_[c * stride_] = kernels.dot_f64(w.data() + lo, w.data() + lo, hi - lo);
   });
   reduce(1);
   return std::sqrt(h[0]);
 }
 
 void KrylovBasis::set_column(std::size_t j, std::span<const double> w, double norm) {
+  const simd::DivideF64Fn divide = simd::dispatch().divide_f64;
   double* q = data_.data() + j * n_;
   for_chunks(n_, [&](std::size_t, std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) q[r] = w[r] / norm;
+    divide(w.data() + lo, norm, q + lo, hi - lo);
   });
 }
 
 void KrylovBasis::combine(std::size_t used, std::span<const double> coeffs,
                           std::span<const std::span<double>> out) {
-  const std::size_t k = out.size();
-  for_chunks(n_, [&](std::size_t, std::size_t lo, std::size_t hi) {
-    const std::size_t len = hi - lo;
-    std::vector<double> acc(k * len, 0.0);
-    for (std::size_t i = 0; i < used; ++i) {
-      const double* q = data_.data() + (1 + i) * n_ + lo;
-      for (std::size_t c = 0; c < k; ++c) {
-        chunk_axpy(coeffs[c * used + i], q, acc.data() + c * len, len);
-      }
-    }
-    for (std::size_t c = 0; c < k; ++c) {
-      std::copy_n(acc.data() + c * len, len, out[c].data() + lo);
-    }
-  });
+  if (out.size() > simd::kMaxCombineOutputs) {
+    throw std::invalid_argument{"KrylovBasis::combine: too many outputs"};
+  }
+  std::array<double*, simd::kMaxCombineOutputs> targets{};
+  for (std::size_t c = 0; c < out.size(); ++c) targets[c] = out[c].data();
+  const simd::CombineArgs args{.columns = data_.data() + n_,
+                               .stride = n_,
+                               .used = used,
+                               .coeffs = coeffs.data(),
+                               .out = targets.data(),
+                               .outputs = out.size()};
+  const simd::CombineF64Fn combine = simd::dispatch().combine_f64;
+  for_chunks(n_, [&](std::size_t, std::size_t lo, std::size_t hi) { combine(args, lo, hi); });
 }
 
 OrthogonalityEstimate::OrthogonalityEstimate(std::size_t size, std::size_t n)

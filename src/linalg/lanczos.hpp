@@ -35,6 +35,20 @@
 // and the per-chunk partial sums are reduced in chunk order, so every
 // output bit is the same at any thread count.
 //
+// The row loops over the basis (CGS2 dots and subtractions, the column
+// divide, the restart rotation and the Ritz vectors) are the dispatched
+// SIMD tier's basis kernels (linalg/simd/kernels.hpp), bitwise equal on
+// every tier.
+//
+// Convergence is checked every check_every applies: both extremal Ritz
+// pairs need |beta * s_last| <= tolerance. The full Jacobi eigensolve with
+// eigenvectors runs at a restart, when the basis is exhausted, when the
+// applies are spent, and when the O(j^2) extremal_eigen_last estimate is
+// within kLanczosCheckGuard of the tolerance; only Jacobi's estimate
+// decides. Every other check costs the O(j^2) solve alone, and the stop,
+// the restarts and every Ritz value are those of a Jacobi solve at every
+// check.
+//
 // After convergence the residual ||N y - theta y|| of both extremal Ritz
 // pairs is computed explicitly (two more applies): a certificate that does
 // not trust the Lanczos recurrence's own residual estimate.
@@ -91,6 +105,12 @@ inline constexpr double kLanczosBreakdown = 1e-14;
 /// The certificate fails when an explicit Ritz residual exceeds this
 /// multiple of LanczosOptions::tolerance.
 inline constexpr double kLanczosCertificateSlack = 10.0;
+/// A convergence check runs the Jacobi eigensolve only when both cheap
+/// residual estimates (extremal_eigen_last) are within this multiple of
+/// LanczosOptions::tolerance. The two solvers' estimates agree far more
+/// closely than this band, so the decision, and every bit after it, is the
+/// one a Jacobi solve at every check would make.
+inline constexpr double kLanczosCheckGuard = 10.0;
 
 struct LanczosOptions {
   /// Maximum operator applications, restarts and the two certificate
@@ -121,6 +141,9 @@ struct SpectrumResult {
   /// Steps whose new vector got a full pass against the whole basis (the
   /// rest were orthogonalized against the two newest vectors only).
   std::size_t full_reorthogonalizations = 0;
+  /// Jacobi eigensolves of the projected matrix (restarts, the final
+  /// check, and checks whose cheap estimate fell within the guard band).
+  std::size_t jacobi_solves = 0;
   /// max over the two extremal Ritz pairs (theta, y) of ||Op y - theta y||,
   /// computed explicitly in the operator's own (possibly lazy) space.
   double certified_residual = 0.0;
@@ -232,7 +255,10 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
   SOCMIX_COUNTER_ADD("linalg.lanczos.solves", 1);
   const std::size_t n = op.dim();
   SpectrumResult result;
-  if (n == 0) return result;
+  if (n == 0) {
+    SOCMIX_COUNTER_ADD("linalg.lanczos.unconverged", 1);
+    return result;
+  }
   if (n == 1) {
     // A single vertex is the trivial chain; SLEM is 0 by convention.
     result.converged = true;
@@ -249,7 +275,7 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
   KrylovBasis basis{op.top_eigenvector(), m};
   OrthogonalityEstimate omega{m + 1, n};
   const double semi_orthogonal = std::sqrt(std::numeric_limits<double>::epsilon());
-  std::vector<double> w(n);
+  util::aligned_vector<double> w(n);
   std::vector<double> coeff;
 
   util::Rng rng{options.seed};
@@ -316,17 +342,29 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
     const bool spent = applies >= budget;
     if (applies % options.check_every == 0 || full || exhausted || spent) {
       SOCMIX_TRACE_SPAN("lanczos.eig");
-      DenseSym leading;
-      leading.n = j;
-      leading.a.resize(j * j);
-      for (std::size_t r = 0; r < j; ++r) {
-        std::copy_n(t.a.begin() + static_cast<std::ptrdiff_t>(r * m), j,
-                    leading.a.begin() + static_cast<std::ptrdiff_t>(r * j));
+      // A restart and the certificate need Ritz vectors; any other check
+      // first asks the O(j^2) solver whether convergence is within reach.
+      bool decide = full || exhausted || spent;
+      if (!decide) {
+        const ExtremalEigen cheap = extremal_eigen_last(t, j);
+        const double band = kLanczosCheckGuard * options.tolerance;
+        decide = !cheap.converged || (std::fabs(beta * cheap.max_last) <= band &&
+                                      std::fabs(beta * cheap.min_last) <= band);
       }
-      eig = jacobi_eigen(std::move(leading), /*want_vectors=*/true);
-      if (exhausted || extremal_residuals_ok()) {
-        converged = true;
-        break;
+      if (decide) {
+        DenseSym leading;
+        leading.n = j;
+        leading.a.resize(j * j);
+        for (std::size_t r = 0; r < j; ++r) {
+          std::copy_n(t.a.begin() + static_cast<std::ptrdiff_t>(r * m), j,
+                      leading.a.begin() + static_cast<std::ptrdiff_t>(r * j));
+        }
+        eig = jacobi_eigen(std::move(leading), /*want_vectors=*/true);
+        ++result.jacobi_solves;
+        if (exhausted || extremal_residuals_ok()) {
+          converged = true;
+          break;
+        }
       }
     }
     if (spent) break;
@@ -397,6 +435,9 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
 
   result.iterations = applies;
   result.converged = converged;
+  // Added even when 0, so a metrics snapshot always carries it.
+  SOCMIX_COUNTER_ADD("linalg.lanczos.unconverged", converged ? 0 : 1);
+  SOCMIX_COUNTER_ADD("linalg.lanczos.jacobi_solves", result.jacobi_solves);
   SOCMIX_COUNTER_ADD("linalg.lanczos.full_reorthogonalizations",
                      result.full_reorthogonalizations);
   result.certified_residual = certified;

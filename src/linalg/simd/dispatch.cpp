@@ -23,6 +23,8 @@ namespace {
 constexpr KernelTable kScalarTable{
     Tier::kScalar,         &scalar::spmm_f64,   &scalar::spmv,
     &scalar::prescale_f64, &scalar::decode_u32, &scalar::route_hops,
+    &scalar::dot_f64,      &scalar::axpy_f64,   &scalar::divide_f64,
+    &scalar::combine_f64,
 };
 
 // The single-vector SpMV is latency-bound, not width-bound: on the
@@ -36,6 +38,8 @@ constexpr KernelTable kScalarTable{
 constexpr KernelTable kAvx2Table{
     Tier::kAvx2,         &avx2::spmm_f64,   &scalar::spmv,
     &avx2::prescale_f64, &avx2::decode_u32, &scalar::route_hops,
+    &avx2::dot_f64,      &avx2::axpy_f64,   &avx2::divide_f64,
+    &avx2::combine_f64,
 };
 #endif
 
@@ -51,7 +55,8 @@ constexpr KernelTable kAvx512Table{
 #else
     &scalar::decode_u32,
 #endif
-    &avx512::route_hops,
+    &avx512::route_hops,   &avx512::dot_f64,  &avx512::axpy_f64,
+    &avx512::divide_f64,   &avx512::combine_f64,
 };
 #endif
 

@@ -3,9 +3,11 @@
 //
 // The batched 32-lane SpMM + fused TVD (markov::BatchedEvolver), the
 // single-vector gather-stream SpMV (linalg::WalkOperator, one-lane
-// markov::BatchedEvolver), the ADJC varint decoder and the SybilLimit
-// route hop (sybil::RouteTable::for_each_tail) all funnel through one
-// table of kernel function pointers. Three tiers implement the table:
+// markov::BatchedEvolver), the Krylov-basis kernels of Lanczos
+// (linalg::detail::KrylovBasis: dot, axpy, divide, combine), the ADJC
+// varint decoder and the SybilLimit route hop
+// (sybil::RouteTable::for_each_tail) all funnel through one table of
+// kernel function pointers. Three tiers implement the table:
 //
 //   scalar   the portable fallback, compiled with the build's baseline
 //            flags;
@@ -30,11 +32,13 @@
 // floating-point operation sequence per lane — per-row accumulation in
 // CSR edge order, multiply-then-add affine combines (the kernel TUs are
 // compiled with -ffp-contract=off and the vector code never uses FMA),
-// and TVD terms reduced in ascending-row order. Tier choice therefore
+// TVD terms reduced in ascending-row order, and the basis dot product's
+// eight accumulators each held in one vector lane. Tier choice therefore
 // never changes a single output bit; tests/linalg/test_simd_parity.cpp
 // enforces scalar↔avx2↔avx512 bitwise equality on all Table-1 configs
-// (tests/sybil/test_route_hops.cpp does the same for the integer-only
-// route hops).
+// and each kernel's contract on every tier, Lanczos.BitIdenticalAcrossTiers
+// (tests/linalg/test_lanczos.cpp) the spectrum's, and
+// tests/sybil/test_route_hops.cpp the integer-only route hops'.
 #pragma once
 
 #include <cstddef>
@@ -158,6 +162,42 @@ struct RouteHopArgs {
 
 using RouteHopsFn = void (*)(const RouteHopArgs& args);
 
+/// Dot product of a[0, len) and b[0, len) with eight accumulators:
+/// s[u] sums a[r] * b[r] over the r = u (mod 8) of the whole groups of
+/// eight, in ascending r; the tail past the last whole group is added into
+/// s[0]; the result is ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)).
+/// Every product is rounded before its add, so each tier holds one
+/// accumulator per vector lane and returns the same bits.
+using DotF64Fn = double (*)(const double* a, const double* b, std::size_t len);
+
+/// y[r] += alpha * x[r] for r < len (the product rounded, then the sum).
+using AxpyF64Fn = void (*)(double alpha, const double* x, double* y, std::size_t len);
+
+/// y[r] = x[r] / d for r < len; y may alias x.
+using DivideF64Fn = void (*)(const double* x, double d, double* y, std::size_t len);
+
+/// Most outputs one CombineArgs may carry: a combine holds every output of
+/// a row tile before it writes any of them.
+inline constexpr std::size_t kMaxCombineOutputs = 16;
+
+/// Linear combinations of basis columns. Column i (i < used) holds its
+/// rows at columns + i * stride; output c (c < outputs) is
+///   out[c][r] = sum_{i < used} coeffs[c * used + i] * column_i[r],
+/// summed from +0.0 in ascending i, each product rounded before its add.
+/// An output may be one of the columns (an in-place rotation): a row of
+/// every output is written only after that row of every column was read.
+struct CombineArgs {
+  const double* columns = nullptr;
+  std::size_t stride = 0;       ///< doubles between consecutive columns
+  std::size_t used = 0;         ///< columns combined
+  const double* coeffs = nullptr;  ///< [outputs * used], by output
+  double* const* out = nullptr;    ///< [outputs] output vectors
+  std::size_t outputs = 0;         ///< <= kMaxCombineOutputs
+};
+
+/// Writes rows [begin, end) of every output of `args`.
+using CombineF64Fn = void (*)(const CombineArgs& args, std::size_t begin, std::size_t end);
+
 struct KernelTable {
   Tier tier = Tier::kScalar;
   SpmmF64Fn spmm_f64 = nullptr;
@@ -165,6 +205,10 @@ struct KernelTable {
   PrescaleF64Fn prescale_f64 = nullptr;
   DecodeU32Fn decode_u32 = nullptr;
   RouteHopsFn route_hops = nullptr;
+  DotF64Fn dot_f64 = nullptr;
+  AxpyF64Fn axpy_f64 = nullptr;
+  DivideF64Fn divide_f64 = nullptr;
+  CombineF64Fn combine_f64 = nullptr;
 };
 
 /// The active kernel table (cpuid probe + SOCMIX_SIMD override, resolved

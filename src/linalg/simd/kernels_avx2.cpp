@@ -24,6 +24,9 @@ constexpr std::size_t kW = 4;
 // The gather prefetch pays on this tier: a BA(200K) sweep at one thread
 // ran 0.49 s with it and 0.71 s without (bench/micro_kernels --simd-only).
 constexpr std::size_t kPrefetch = util::kGatherPrefetchDistance;
+// One vector of rows per combine tile: 8 outputs take 8 of the 16 ymm
+// registers.
+constexpr std::size_t kCombineVectors = 1;
 
 inline vd vd_zero() noexcept { return _mm256_setzero_pd(); }
 inline vd vd_loadu(const double* p) noexcept { return _mm256_loadu_pd(p); }
@@ -32,6 +35,7 @@ inline vd vd_set1(double x) noexcept { return _mm256_set1_pd(x); }
 inline vd vd_add(vd a, vd b) noexcept { return _mm256_add_pd(a, b); }
 inline vd vd_sub(vd a, vd b) noexcept { return _mm256_sub_pd(a, b); }
 inline vd vd_mul(vd a, vd b) noexcept { return _mm256_mul_pd(a, b); }
+inline vd vd_div(vd a, vd b) noexcept { return _mm256_div_pd(a, b); }
 inline vd vd_abs(vd v) noexcept {
   return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);
 }

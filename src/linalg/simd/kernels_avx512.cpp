@@ -28,6 +28,9 @@ constexpr std::size_t kW = 8;
 // No gather prefetch: on the 500K LiveJournal A stand-in (perfbench
 // lj500k-pack) the sampled sweep ran 3-5% faster without it.
 constexpr std::size_t kPrefetch = 0;
+// Two vectors of rows per combine tile: 8 outputs take 16 of the 32 zmm
+// registers.
+constexpr std::size_t kCombineVectors = 2;
 
 inline vd vd_zero() noexcept { return _mm512_setzero_pd(); }
 inline vd vd_loadu(const double* p) noexcept { return _mm512_loadu_pd(p); }
@@ -36,6 +39,7 @@ inline vd vd_set1(double x) noexcept { return _mm512_set1_pd(x); }
 inline vd vd_add(vd a, vd b) noexcept { return _mm512_add_pd(a, b); }
 inline vd vd_sub(vd a, vd b) noexcept { return _mm512_sub_pd(a, b); }
 inline vd vd_mul(vd a, vd b) noexcept { return _mm512_mul_pd(a, b); }
+inline vd vd_div(vd a, vd b) noexcept { return _mm512_div_pd(a, b); }
 inline vd vd_abs(vd v) noexcept {
   return _mm512_castsi512_pd(_mm512_and_epi64(
       _mm512_castpd_si512(v), _mm512_set1_epi64(INT64_C(0x7fffffffffffffff))));

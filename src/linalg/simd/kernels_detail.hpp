@@ -18,6 +18,10 @@ void prescale_f64(const double* x, const double* w, double* out, std::size_t beg
 std::size_t decode_u32(const std::uint8_t* ctrl, const std::uint8_t* data,
                        std::size_t count, std::uint32_t* out);
 void route_hops(const RouteHopArgs& args);
+double dot_f64(const double* a, const double* b, std::size_t len);
+void axpy_f64(double alpha, const double* x, double* y, std::size_t len);
+void divide_f64(const double* x, double d, double* y, std::size_t len);
+void combine_f64(const CombineArgs& args, std::size_t begin, std::size_t end);
 }  // namespace socmix::linalg::simd::scalar
 
 #if defined(SOCMIX_SIMD_HAVE_AVX2)
@@ -27,6 +31,10 @@ void prescale_f64(const double* x, const double* w, double* out, std::size_t beg
                   std::size_t end);
 std::size_t decode_u32(const std::uint8_t* ctrl, const std::uint8_t* data,
                        std::size_t count, std::uint32_t* out);
+double dot_f64(const double* a, const double* b, std::size_t len);
+void axpy_f64(double alpha, const double* x, double* y, std::size_t len);
+void divide_f64(const double* x, double d, double* y, std::size_t len);
+void combine_f64(const CombineArgs& args, std::size_t begin, std::size_t end);
 }  // namespace socmix::linalg::simd::avx2
 #endif
 
@@ -36,5 +44,9 @@ void spmm_f64(const SpmmArgs& args, const double* scaled, double* cur, double* n
 void prescale_f64(const double* x, const double* w, double* out, std::size_t begin,
                   std::size_t end);
 void route_hops(const RouteHopArgs& args);
+double dot_f64(const double* a, const double* b, std::size_t len);
+void axpy_f64(double alpha, const double* x, double* y, std::size_t len);
+void divide_f64(const double* x, double d, double* y, std::size_t len);
+void combine_f64(const CombineArgs& args, std::size_t begin, std::size_t end);
 }  // namespace socmix::linalg::simd::avx512
 #endif

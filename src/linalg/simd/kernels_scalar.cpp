@@ -190,4 +190,62 @@ void route_hops(const RouteHopArgs& a) {
   }
 }
 
+double dot_f64(const double* a, const double* b, std::size_t len) {
+  // Eight independent accumulators, so the adds do not form one serial
+  // dependency chain; the vector tiers hold one per lane.
+  double s[8] = {};
+  std::size_t r = 0;
+  for (; r + 8 <= len; r += 8) {
+    for (std::size_t u = 0; u < 8; ++u) s[u] += a[r + u] * b[r + u];
+  }
+  for (; r < len; ++r) s[0] += a[r] * b[r];
+  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
+
+void axpy_f64(double alpha, const double* x, double* y, std::size_t len) {
+  for (std::size_t r = 0; r < len; ++r) y[r] += alpha * x[r];
+}
+
+void divide_f64(const double* x, double d, double* y, std::size_t len) {
+  for (std::size_t r = 0; r < len; ++r) y[r] = x[r] / d;
+}
+
+namespace {
+
+constexpr std::size_t kCombineRows = 8;
+
+// Sums rows [r, r + rows) of every output into tile[c], reading each
+// column's rows once per output; Rows > 0 fixes rows at compile time.
+template <std::size_t Rows>
+void combine_tile(const CombineArgs& a, std::size_t r, std::size_t rows,
+                  double (*tile)[kCombineRows]) {
+  if constexpr (Rows != 0) rows = Rows;
+  for (std::size_t c = 0; c < a.outputs; ++c) {
+    const double* coeff = a.coeffs + c * a.used;
+    double acc[kCombineRows] = {};
+    for (std::size_t i = 0; i < a.used; ++i) {
+      const double* q = a.columns + i * a.stride + r;
+      for (std::size_t s = 0; s < rows; ++s) acc[s] += coeff[i] * q[s];
+    }
+    std::copy_n(acc, rows, tile[c]);
+  }
+}
+
+}  // namespace
+
+void combine_f64(const CombineArgs& a, std::size_t begin, std::size_t end) {
+  // Every output of a row tile is summed before any is written, so an
+  // output may be one of the columns.
+  double tile[kMaxCombineOutputs][kCombineRows];
+  for (std::size_t r = begin; r < end; r += kCombineRows) {
+    const std::size_t rows = std::min(kCombineRows, end - r);
+    if (rows == kCombineRows) {
+      combine_tile<kCombineRows>(a, r, rows, tile);
+    } else {
+      combine_tile<0>(a, r, rows, tile);
+    }
+    for (std::size_t c = 0; c < a.outputs; ++c) std::copy_n(tile[c], rows, a.out[c] + r);
+  }
+}
+
 }  // namespace socmix::linalg::simd::scalar

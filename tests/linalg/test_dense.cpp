@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "gen/reference.hpp"
+#include "util/rng.hpp"
 
 namespace socmix::linalg {
 namespace {
@@ -151,6 +153,139 @@ TEST(JacobiEigen, ValuesAscending) {
   for (std::size_t i = 1; i < eig.values.size(); ++i) {
     EXPECT_LE(eig.values[i - 1], eig.values[i]);
   }
+}
+
+// ------------------------------------------------------ extremal_eigen_last --
+
+/// extremal_eigen_last on the leading size x size block of `m` against the
+/// Jacobi oracle: extreme values within 1e-13 ||T||, and (when
+/// `compare_last`) the magnitudes of their eigenvectors' last components
+/// within 1e-10. The sign of an eigenvector is arbitrary.
+void expect_matches_jacobi(const DenseSym& m, std::size_t size, const std::string& label,
+                           bool compare_last = true) {
+  DenseSym leading;
+  leading.n = size;
+  leading.a.resize(size * size);
+  for (std::size_t r = 0; r < size; ++r) {
+    for (std::size_t c = 0; c < size; ++c) leading.at(r, c) = m.at(r, c);
+  }
+  const DenseEigen oracle = jacobi_eigen(leading, true);
+  const ExtremalEigen cheap = extremal_eigen_last(m, size);
+  ASSERT_TRUE(cheap.converged) << label;
+  const double norm = std::max(std::fabs(oracle.values.front()), std::fabs(oracle.values.back()));
+  EXPECT_NEAR(cheap.min_value, oracle.values.front(), 1e-13 * norm) << label;
+  EXPECT_NEAR(cheap.max_value, oracle.values.back(), 1e-13 * norm) << label;
+  if (!compare_last) return;
+  const double min_last = oracle.vectors[size - 1];
+  const double max_last = oracle.vectors[(size - 1) * size + (size - 1)];
+  EXPECT_NEAR(std::fabs(cheap.min_last), std::fabs(min_last), 1e-10) << label;
+  EXPECT_NEAR(std::fabs(cheap.max_last), std::fabs(max_last), 1e-10) << label;
+}
+
+/// A thick-restarted Lanczos matrix: k kept Ritz values on the diagonal
+/// (half near the bottom of [-1, 1], half near the top), coupled to index k
+/// through the arrowhead `s`, then a tridiagonal tail up to `size`.
+DenseSym restarted(std::size_t size, std::size_t k, const std::vector<double>& s,
+                   util::Rng& rng) {
+  std::vector<double> diag(size);
+  std::vector<double> off(size - 1);
+  for (std::size_t i = 0; i < size; ++i) diag[i] = 2.0 * rng.uniform() - 1.0;
+  for (std::size_t i = 0; i + 1 < size; ++i) off[i] = i < k ? 0.0 : 0.1 + 0.4 * rng.uniform();
+  for (std::size_t c = 0; c < k; ++c) {
+    diag[c] = c < k / 2 ? -0.9 + 0.01 * static_cast<double>(c)
+                        : 0.99 - 0.01 * static_cast<double>(c - k / 2);
+  }
+  DenseSym m = tridiagonal(diag, off);
+  for (std::size_t c = 0; c < k; ++c) m.at(c, k) = m.at(k, c) = s[c];
+  return m;
+}
+
+TEST(ExtremalEigenLast, EmptyAndScalar) {
+  EXPECT_FALSE(extremal_eigen_last(DenseSym{}, 0).converged);
+  const ExtremalEigen one = extremal_eigen_last(tridiagonal({-0.25}, {}), 1);
+  ASSERT_TRUE(one.converged);
+  EXPECT_EQ(one.min_value, -0.25);
+  EXPECT_EQ(one.max_value, -0.25);
+  EXPECT_EQ(std::fabs(one.min_last), 1.0);
+  EXPECT_EQ(std::fabs(one.max_last), 1.0);
+}
+
+TEST(ExtremalEigenLast, MatchesJacobiOnTridiagonalMatricesOfEverySize) {
+  util::Rng rng{41};
+  for (std::size_t size = 1; size <= 64; ++size) {
+    std::vector<double> diag(size);
+    std::vector<double> off(size - 1);
+    for (double& d : diag) d = 2.0 * rng.uniform() - 1.0;
+    for (double& e : off) e = rng.uniform() - 0.5;
+    expect_matches_jacobi(tridiagonal(diag, off), size, "size " + std::to_string(size));
+  }
+}
+
+TEST(ExtremalEigenLast, ReadsOnlyTheLeadingBlock) {
+  // Lanczos's projected matrix is stored at its full m x m size with only
+  // the leading j x j block in use.
+  util::Rng rng{42};
+  std::vector<double> diag(64);
+  std::vector<double> off(63);
+  for (double& d : diag) d = 2.0 * rng.uniform() - 1.0;
+  for (double& e : off) e = rng.uniform() - 0.5;
+  const DenseSym m = tridiagonal(diag, off);
+  for (const std::size_t size : {1u, 2u, 17u, 40u, 63u}) {
+    expect_matches_jacobi(m, size, "leading " + std::to_string(size));
+  }
+}
+
+TEST(ExtremalEigenLast, HandlesSplitsAtAZeroOffDiagonal) {
+  util::Rng rng{43};
+  for (const std::size_t split : {0u, 1u, 20u, 38u}) {
+    std::vector<double> diag(40);
+    std::vector<double> off(39);
+    for (double& d : diag) d = 2.0 * rng.uniform() - 1.0;
+    for (double& e : off) e = rng.uniform() - 0.5;
+    off[split] = 0.0;
+    expect_matches_jacobi(tridiagonal(diag, off), 40, "split " + std::to_string(split));
+  }
+}
+
+TEST(ExtremalEigenLast, ClusteredAndRepeatedEigenvalues) {
+  // Toeplitz 1 + 2b cos(k pi / 65): 64 eigenvalues clustered within 4e-3.
+  expect_matches_jacobi(tridiagonal(std::vector<double>(64, 1.0), std::vector<double>(63, 1e-3)),
+                        64, "clustered");
+  // Two identical blocks split apart: every eigenvalue is double, the
+  // extremes included, so which eigenvector either solver returns for an
+  // extreme (and so its last component) is arbitrary; the values are not.
+  std::vector<double> diag{0.3, -0.2, 0.8, 0.1, 0.3, -0.2, 0.8, 0.1};
+  std::vector<double> off{0.5, 0.4, -0.3, 0.0, 0.5, 0.4, -0.3};
+  expect_matches_jacobi(tridiagonal(diag, off), 8, "repeated", /*compare_last=*/false);
+  // Repeated values inside the spectrum, extremes simple.
+  diag = {0.5, 0.5, 0.5, -0.9, 0.95, 0.5, 0.5};
+  off = {0.0, 0.0, 0.0, 0.2, 0.0, 0.3};
+  expect_matches_jacobi(tridiagonal(diag, off), 7, "repeated inside");
+}
+
+TEST(ExtremalEigenLast, MatchesJacobiOnRestartedArrowheads) {
+  util::Rng rng{44};
+  constexpr std::size_t k = 16;
+  std::vector<double> s(k);
+  const auto couplings = [&](double scale) {
+    for (double& x : s) x = scale * (rng.uniform() - 0.5);
+  };
+  // j = k + 1 right after a restart (a pure arrowhead), then the growing
+  // tridiagonal tail up to the full basis.
+  for (const std::size_t size : {k + 1, k + 2, k + 5, std::size_t{40}, std::size_t{64}}) {
+    for (const double scale : {1e-1, 1e-4, 1e-9}) {
+      couplings(scale);
+      expect_matches_jacobi(restarted(size, k, s, rng), size,
+                            "size " + std::to_string(size) + " s~" + std::to_string(scale));
+    }
+  }
+  // A converged kept pair (s_c = 0) decouples; so does a whole half.
+  couplings(1e-2);
+  s[0] = 0.0;
+  s[k - 1] = 0.0;
+  expect_matches_jacobi(restarted(30, k, s, rng), 30, "decoupled pairs");
+  std::fill(s.begin(), s.begin() + k / 2, 0.0);
+  expect_matches_jacobi(restarted(30, k, s, rng), 30, "decoupled half");
 }
 
 TEST(DenseWalkMatrix, RowSumsViaSimilarity) {

@@ -8,6 +8,7 @@
 #include <functional>
 #include <iterator>
 #include <numbers>
+#include <sstream>
 #include <string>
 
 #include "gen/barabasi_albert.hpp"
@@ -18,11 +19,14 @@
 #include "gen/sbm.hpp"
 #include "gen/watts_strogatz.hpp"
 #include "graph/components.hpp"
+#include "graph/io.hpp"
 #include "linalg/dense.hpp"
+#include "linalg/simd/kernels.hpp"
 #include "linalg/vector_ops.hpp"
 #include "resilience/fault.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "simd_tiers.hpp"
 
 namespace socmix::linalg {
 namespace {
@@ -364,6 +368,56 @@ TEST(Lanczos, BitIdenticalAcrossThreadCounts) {
               0)
         << "run " << r;
   }
+}
+
+TEST(Lanczos, BitIdenticalAcrossTiers) {
+  // The basis kernels (dot, axpy, divide, combine) run on the dispatched
+  // tier; every tier must give the same bits, restarts included.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const char* name : {"Wiki-vote", "Physics 1", "Facebook A", "Livejournal A", "Youtube"}) {
+    const graph::Graph g = gen::build_dataset(*gen::find_dataset(name), 3000, 11);
+    const WalkOperator op{g};
+    std::vector<SpectrumResult> runs;
+    for (const simd::Tier tier : test::available_tiers()) {
+      const test::TierGuard guard{tier};
+      ASSERT_TRUE(guard.ok());
+      runs.push_back(slem_spectrum_with_vector(op));
+    }
+    const SpectrumResult& ref = runs.front();
+    EXPECT_TRUE(ref.converged) << name;
+    EXPECT_GT(ref.restarts, 0u) << name;
+    for (std::size_t r = 1; r < runs.size(); ++r) {
+      const SpectrumResult& s = runs[r];
+      EXPECT_EQ(bits(s.slem), bits(ref.slem)) << name << " tier " << r;
+      EXPECT_EQ(bits(s.lambda2), bits(ref.lambda2)) << name << " tier " << r;
+      EXPECT_EQ(bits(s.lambda_min), bits(ref.lambda_min)) << name << " tier " << r;
+      EXPECT_EQ(bits(s.certified_residual), bits(ref.certified_residual)) << name;
+      EXPECT_EQ(s.iterations, ref.iterations) << name << " tier " << r;
+      EXPECT_EQ(s.jacobi_solves, ref.jacobi_solves) << name << " tier " << r;
+      ASSERT_EQ(s.lambda2_vector.size(), ref.lambda2_vector.size());
+      EXPECT_EQ(std::memcmp(s.lambda2_vector.data(), ref.lambda2_vector.data(),
+                            ref.lambda2_vector.size() * sizeof(double)),
+                0)
+          << name << " tier " << r;
+    }
+  }
+}
+
+TEST(Lanczos, ConvergenceChecksRarelyNeedTheJacobiSolve) {
+  // The 20K LiveJournal A stand-in as an edge list loads it (first-
+  // appearance labels, then the largest component): 267 applies over five
+  // restarts. Besides the restarts, only checks whose cheap residual
+  // estimate is within kLanczosCheckGuard of the tolerance pay for Jacobi.
+  const graph::Graph generated =
+      gen::build_dataset(*gen::find_dataset("Livejournal A"), 20000, 42);
+  std::stringstream edges;
+  graph::save_edge_list(generated, edges);
+  const graph::Graph g = graph::largest_component(graph::load_edge_list(edges).graph).graph;
+  const auto s = slem_spectrum(WalkOperator{g});
+  ASSERT_TRUE(s.converged);
+  ASSERT_GT(s.restarts, 0u);
+  EXPECT_GT(s.jacobi_solves, s.restarts);
+  EXPECT_LE(s.jacobi_solves, s.restarts + 6);
 }
 
 }  // namespace

@@ -12,14 +12,18 @@
 //    prescaled state (and, lazy, updates the unscaled one in place)
 //    exactly as a naive row loop does, a range split that carries the
 //    running TVD sum matches one call over every row, an in-place SpMV
-//    (y == x) matches separate buffers bit for bit, and the SpMV matches
-//    a naive row-by-row reference on any row range.
+//    (y == x) matches separate buffers bit for bit, the SpMV matches
+//    a naive row-by-row reference on any row range, and the Krylov-basis
+//    kernels (dot, axpy, divide, combine, in place too) match their
+//    elementwise references.
 //
 // Tiers unavailable on the build/host (e.g. AVX-512 on a plain CI runner)
 // are skipped via the runtime tier_available probe.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -494,6 +498,154 @@ TEST(SimdKernelContract, SpmvMatchesTheRowByRowReferenceOnEveryTier) {
             ASSERT_EQ(state[i], lo <= i && i < hi ? want[i] : before[i])
                 << "tier=" << simd::tier_name(tier) << " row_scale=" << scaled
                 << " rows=[" << lo << "," << hi << ") in_place=" << in_place << " row=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------- Krylov-basis kernels --
+
+/// Lengths around the eight-accumulator groups, the vector widths and the
+/// kLanczosRowChunk = 1024 chunk Lanczos calls the basis kernels on.
+constexpr std::size_t kBasisLengths[] = {1, 7, 8, 1023, 1024, 1025};
+
+/// Values of mixed sign and magnitude, so every rounding shows.
+std::vector<double> basis_values(std::size_t len, std::uint64_t seed) {
+  util::Rng rng{seed};
+  std::vector<double> v(len);
+  for (double& x : v) {
+    x = (rng.uniform() - 0.5) * std::ldexp(1.0, static_cast<int>(rng.below(9)) - 4);
+  }
+  return v;
+}
+
+TEST(SimdKernelContract, DotMatchesTheEightAccumulatorReferenceOnEveryTier) {
+  for (const std::size_t len : kBasisLengths) {
+    // One past an aligned start as well, as a chunk of a column may be.
+    const std::vector<double> a = basis_values(len + 1, 1);
+    const std::vector<double> b = basis_values(len + 1, 2);
+    for (const std::size_t offset : {0u, 1u}) {
+      const double* pa = a.data() + offset;
+      const double* pb = b.data() + offset;
+      const std::size_t n = len + 1 - offset;
+      double s[8] = {};
+      std::size_t r = 0;
+      for (; r + 8 <= n; r += 8) {
+        for (std::size_t u = 0; u < 8; ++u) {
+          volatile const double product = pa[r + u] * pb[r + u];
+          s[u] += product;
+        }
+      }
+      for (; r < n; ++r) {
+        volatile const double product = pa[r] * pb[r];
+        s[0] += product;
+      }
+      const double want = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+      for (const simd::Tier tier : available_tiers()) {
+        const TierGuard guard{tier};
+        ASSERT_TRUE(guard.ok());
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(simd::dispatch().dot_f64(pa, pb, n)),
+                  std::bit_cast<std::uint64_t>(want))
+            << "tier=" << simd::tier_name(tier) << " len=" << n;
+      }
+    }
+  }
+  // The tail joins s[0] before s[0] + s[1]: (1e16 + 1) + 1 rounds to 1e16,
+  // where 1e16 + (1 + 1) would not.
+  const std::vector<double> ones(9, 1.0);
+  const std::vector<double> skewed{1e16, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0};
+  for (const simd::Tier tier : available_tiers()) {
+    const TierGuard guard{tier};
+    ASSERT_TRUE(guard.ok());
+    EXPECT_EQ(simd::dispatch().dot_f64(skewed.data(), ones.data(), 9), 1e16)
+        << "tier=" << simd::tier_name(tier);
+  }
+}
+
+TEST(SimdKernelContract, AxpyAndDivideMatchTheElementwiseReferenceOnEveryTier) {
+  constexpr double kAlpha = -0.3183098861837907;
+  constexpr double kDivisor = 2.718281828459045;
+  for (const std::size_t len : kBasisLengths) {
+    const std::vector<double> x = basis_values(len, 3);
+    const std::vector<double> y0 = basis_values(len, 4);
+    std::vector<double> want_axpy(len);
+    std::vector<double> want_divide(len);
+    for (std::size_t r = 0; r < len; ++r) {
+      volatile const double product = kAlpha * x[r];
+      want_axpy[r] = y0[r] + product;
+      want_divide[r] = x[r] / kDivisor;
+    }
+    for (const simd::Tier tier : available_tiers()) {
+      const TierGuard guard{tier};
+      ASSERT_TRUE(guard.ok());
+      std::vector<double> y = y0;
+      simd::dispatch().axpy_f64(kAlpha, x.data(), y.data(), len);
+      EXPECT_EQ(y, want_axpy) << "tier=" << simd::tier_name(tier) << " len=" << len;
+      std::vector<double> q(len, -7.0);
+      simd::dispatch().divide_f64(x.data(), kDivisor, q.data(), len);
+      EXPECT_EQ(q, want_divide) << "tier=" << simd::tier_name(tier) << " len=" << len;
+      // In place, as a column may be divided into itself.
+      q = x;
+      simd::dispatch().divide_f64(q.data(), kDivisor, q.data(), len);
+      EXPECT_EQ(q, want_divide) << "tier=" << simd::tier_name(tier) << " len=" << len;
+    }
+  }
+}
+
+TEST(SimdKernelContract, CombineMatchesTheReferenceAndRotatesInPlaceOnEveryTier) {
+  // Columns as a KrylovBasis holds them; row ranges [lo, lo + len) as
+  // Lanczos's chunks cut them, at an unaligned start too; up to
+  // kMaxCombineOutputs outputs (a restart keeps 16 Ritz vectors).
+  constexpr std::size_t kUsed = 17;
+  constexpr std::size_t kStride = 1027;
+  const std::vector<double> columns = basis_values(kUsed * kStride, 5);
+  for (const std::size_t outputs : {1u, 2u, 3u, 7u, 16u}) {
+    const std::vector<double> coeffs = basis_values(outputs * kUsed, 6 + outputs);
+    for (const std::size_t len : kBasisLengths) {
+      for (const std::size_t lo : {0u, 1u}) {
+        const std::size_t hi = std::min(lo + len, kStride);
+        // out[c][r] from +0.0 in ascending i, each product rounded.
+        std::vector<double> want(outputs * kStride);
+        for (std::size_t c = 0; c < outputs; ++c) {
+          for (std::size_t r = 0; r < kStride; ++r) {
+            double acc = 0.0;
+            for (std::size_t i = 0; i < kUsed; ++i) {
+              volatile const double product = coeffs[c * kUsed + i] * columns[i * kStride + r];
+              acc += product;
+            }
+            want[c * kStride + r] = acc;
+          }
+        }
+        for (const simd::Tier tier : available_tiers()) {
+          const TierGuard guard{tier};
+          ASSERT_TRUE(guard.ok());
+          for (const bool in_place : {false, true}) {
+            // In place: output c is column c, as a thick restart rotates
+            // the basis onto its kept Ritz vectors.
+            std::vector<double> basis = columns;
+            std::vector<double> separate(outputs * kStride, -7.0);
+            double* target = in_place ? basis.data() : separate.data();
+            const std::vector<double> before{target, target + outputs * kStride};
+            std::vector<double*> out(outputs);
+            for (std::size_t c = 0; c < outputs; ++c) out[c] = target + c * kStride;
+            const simd::CombineArgs args{.columns = basis.data(),
+                                         .stride = kStride,
+                                         .used = kUsed,
+                                         .coeffs = coeffs.data(),
+                                         .out = out.data(),
+                                         .outputs = outputs};
+            simd::dispatch().combine_f64(args, lo, hi);
+            for (std::size_t c = 0; c < outputs; ++c) {
+              for (std::size_t r = 0; r < kStride; ++r) {
+                const std::size_t cell = c * kStride + r;
+                ASSERT_EQ(target[cell], lo <= r && r < hi ? want[cell] : before[cell])
+                    << "tier=" << simd::tier_name(tier) << " outputs=" << outputs
+                    << " rows=[" << lo << "," << hi << ") in_place=" << in_place
+                    << " c=" << c << " r=" << r;
+              }
+            }
           }
         }
       }
