@@ -79,5 +79,5 @@ int main(int argc, char** argv) {
                "inherit the same floor — no finite-sample tail histogram can\n"
                "certify the eps = Theta(1/n) the defenses' proofs require, the\n"
                "paper's SS2 point about circumstantial evidence.\n";
-  return 0;
+  return core::exit_status(cli);
 }

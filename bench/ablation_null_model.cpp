@@ -69,5 +69,5 @@ int main(int argc, char** argv) {
   std::cout << "\nReading: identical degree sequences, randomized wiring -> the\n"
                "null mixes 1-3 orders of magnitude faster. Community structure,\n"
                "not degree heterogeneity, causes the paper's slow mixing.\n";
-  return 0;
+  return core::exit_status(cli);
 }

@@ -53,5 +53,5 @@ int main(int argc, char** argv) {
 
   core::emit_series("T(eps) lower bound vs eps (walk steps)", "eps", series,
                     "fig1_lower_bound_small");
-  return 0;
+  return core::exit_status(cli);
 }

@@ -55,5 +55,5 @@ int main(int argc, char** argv) {
 
   core::emit_series("T(eps) lower bound vs eps (walk steps)", "eps", series,
                     "fig2_lower_bound_large");
-  return 0;
+  return core::exit_status(cli);
 }

@@ -77,5 +77,5 @@ int main(int argc, char** argv) {
              "fig3_cdf_short_" + std::string{"abc"}.substr(panel, 1));
     ++panel;
   }
-  return 0;
+  return core::exit_status(cli);
 }

@@ -70,5 +70,5 @@ int main(int argc, char** argv) {
                       "fig4_cdf_long_" + std::string{"abc"}.substr(panel, 1));
     ++panel;
   }
-  return 0;
+  return core::exit_status(cli);
 }

@@ -81,5 +81,5 @@ int main(int argc, char** argv) {
                       "fig5_bound_vs_sampled_" + std::string{"abc"}.substr(panel, 1));
     ++panel;
   }
-  return 0;
+  return core::exit_status(cli);
 }

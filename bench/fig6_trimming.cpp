@@ -92,5 +92,5 @@ int main(int argc, char** argv) {
                     bound_series, "fig6a_trimming_lower_bound");
   core::emit_series("Fig 6(b): average sampled mixing time vs eps per trim level",
                     "eps", average_series, "fig6b_trimming_average");
-  return 0;
+  return core::exit_status(cli);
 }

@@ -110,5 +110,5 @@ int main(int argc, char** argv) {
       std::fflush(stdout);
     }
   }
-  return 0;
+  return core::exit_status(cli);
 }

@@ -80,11 +80,6 @@ int main(int argc, char** argv) {
     sweep.verifier_sample = 3;
     sweep.r0 = r0;
     sweep.seed = config.seed;
-    sweep.checkpoint = config.checkpoint;
-    // Per-panel stem: panels share one --checkpoint-dir without clobbering.
-    if (sweep.checkpoint.enabled()) {
-      sweep.checkpoint.name = "fig8-" + util::slugify(label);
-    }
     sybil::AdmissionEngineStats stats;
     sweep.engine_stats = &stats;
     const auto points = sybil::admission_sweep(g, sweep);
@@ -160,5 +155,5 @@ int main(int argc, char** argv) {
     }
   }
   sybil_table.print(std::cout);
-  return 0;
+  return core::exit_status(cli);
 }

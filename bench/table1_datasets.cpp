@@ -71,5 +71,5 @@ int main(int argc, char** argv) {
     csv.row({"dataset", "class", "nodes", "edges", "mu"});
     for (const auto& row : csv_rows) csv.row(row);
   }
-  return 0;
+  return core::exit_status(cli);
 }

@@ -37,7 +37,7 @@ ExperimentConfig ExperimentConfig::from_cli(const util::Cli& cli) {
   harness.set_flag("threads", std::to_string(util::thread_count()));
   refuse_engine_knobs(cli);
   configure_observability(cli);
-  config.checkpoint = configure_resilience(cli);
+  configure_faults(cli);
   return config;
 }
 
@@ -54,7 +54,6 @@ ExperimentConfig ExperimentConfig::from_cli_or_exit(const util::Cli& cli) {
 MeasurementOptions ExperimentConfig::measurement_options() const {
   MeasurementOptions options;
   options.seed = seed;
-  options.checkpoint = checkpoint;
   return options;
 }
 
@@ -76,6 +75,8 @@ constexpr RefusedFlag kRefusedFlags[] = {
     {"sharded",
      "retired; every graph is swept as one resident CSR, a compressed pack decoded "
      "once when it is opened"},
+    {"checkpoint-dir", "retired; every measurement runs to completion, with no resume"},
+    {"checkpoint-interval", "retired; every measurement runs to completion, with no resume"},
 };
 
 }  // namespace
@@ -110,14 +111,22 @@ void configure_observability(const util::Cli& cli) {
   if (!metrics.empty() || !trace.empty() || !sample.empty()) obs::flush_on_exit();
 }
 
-resilience::CheckpointOptions configure_resilience(const util::Cli& cli) {
-  resilience::CheckpointOptions checkpoint;
-  checkpoint.dir = cli.get("checkpoint-dir", "");
-  checkpoint.interval = cli.get_positive("checkpoint-interval", 8);
+void configure_faults(const util::Cli& cli) {
   resilience::configure_faults_from_env();
   const std::string fault = cli.get("fault-inject", "");
   if (!fault.empty()) resilience::arm_fault(fault);
-  return checkpoint;
+}
+
+int exit_status(const util::Cli& cli) {
+  std::uint64_t unconverged = 0;
+  for (const auto& counter : obs::Registry::instance().snapshot().counters) {
+    if (counter.name == "linalg.lanczos.unconverged") unconverged = counter.value;
+  }
+  if (unconverged == 0) return 0;
+  std::cerr << std::filesystem::path{cli.program()}.filename().string()
+            << ": error: lanczos-unconverged: " << unconverged
+            << " spectral solve(s) did not converge\n";
+  return kExitUnconverged;
 }
 
 graph::Graph build_scaled_dataset(const gen::DatasetSpec& spec,

@@ -13,7 +13,6 @@
 #include "gen/datasets.hpp"
 #include "graph/graph.hpp"
 #include "markov/mixing_time.hpp"
-#include "resilience/checkpoint.hpp"
 #include "util/cli.hpp"
 
 namespace socmix::core {
@@ -21,8 +20,9 @@ namespace socmix::core {
 /// Scale/seed/source knobs common to all experiment drivers, parsed from
 /// --scale, --sources, --steps, --seed, --threads.
 struct ExperimentConfig {
-  /// Multiplier on each dataset's default node count; 1.0 = bench default.
-  /// The paper-scale run uses whatever reaches spec.paper_nodes.
+  /// Multiplier on each dataset's default_nodes; 1.0 = bench default. A
+  /// paper-scale run needs the scale that takes default_nodes to
+  /// spec.paper_nodes (10 for the 1M-node sets).
   double scale = 1.0;
   std::size_t sources = 0;      ///< 0 = per-experiment default
   std::size_t max_steps = 0;    ///< 0 = per-experiment default
@@ -31,26 +31,22 @@ struct ExperimentConfig {
   /// SOCMIX_THREADS, then hardware concurrency. Results are bit-identical
   /// for every value — this is purely a speed knob.
   std::size_t threads = 0;
-  /// Checkpoint/resume for the long sweeps, parsed from --checkpoint-dir /
-  /// --checkpoint-interval (dir empty = off).
-  resilience::CheckpointOptions checkpoint;
 
   /// Parses the CLI and applies `threads` to the global util::parallel
   /// pool, so every driver honors --threads with no further wiring. The
   /// retired execution knobs are refused (refuse_engine_knobs).
   /// Also calls configure_observability (--metrics-out / --trace-out /
-  /// --progress) and configure_resilience (--checkpoint-dir /
-  /// --checkpoint-interval / --fault-inject), so those flags work in every
-  /// driver. Throws std::invalid_argument on a malformed or refused value
-  /// or a --scale that is not a positive number.
+  /// --progress) and configure_faults (--fault-inject), so those flags
+  /// work in every driver. Throws std::invalid_argument on a malformed or
+  /// refused value or a --scale that is not a positive number.
   [[nodiscard]] static ExperimentConfig from_cli(const util::Cli& cli);
 
   /// from_cli for a driver's main: on a malformed or refused flag, prints
   /// "<program>: <message>" to stderr and exits 1 instead of throwing.
   [[nodiscard]] static ExperimentConfig from_cli_or_exit(const util::Cli& cli);
 
-  /// Measurement options carrying this config's seed and checkpoint;
-  /// drivers set the walk budget and phases on top.
+  /// Measurement options carrying this config's seed; drivers set the
+  /// walk budget and phases on top.
   [[nodiscard]] MeasurementOptions measurement_options() const;
 };
 
@@ -58,7 +54,8 @@ struct ExperimentConfig {
 /// resident CSR, and random routes (socmix sybil, fig8) have no evolver.
 /// Throws std::invalid_argument naming the first retired knob passed —
 /// --sharded, --reorder (whose message names `graph_pack --reorder rcm`),
-/// --precision, --io-mode or --frontier — whatever its value.
+/// --precision, --io-mode, --frontier, --checkpoint-dir or
+/// --checkpoint-interval — whatever its value.
 void refuse_engine_knobs(const util::Cli& cli);
 
 /// Wires the shared observability flags into the obs layer:
@@ -75,17 +72,20 @@ void refuse_engine_knobs(const util::Cli& cli);
 /// their own Cli call it directly.
 void configure_observability(const util::Cli& cli);
 
-/// Wires the shared resilience flags:
-///   --checkpoint-dir=DIR      snapshot completed sweep blocks into DIR
-///   --checkpoint-interval=N   write every N completed blocks (default 8;
-///                             0 throws)
-///   --fault-inject=SPEC       arm a deterministic fault (<site>:<nth>
-///                             [:abort|:error]; see resilience/fault.hpp);
-///                             the SOCMIX_FAULT env var is honored too,
-///                             with the flag taking precedence
-/// Returns the parsed checkpoint options. Drivers that go through
+/// Arms a deterministic fault from --fault-inject=SPEC (<site>:<nth>
+/// [:abort|:error]; see resilience/fault.hpp) or the SOCMIX_FAULT env var,
+/// the flag taking precedence. Drivers that go through
 /// ExperimentConfig::from_cli get this for free.
-[[nodiscard]] resilience::CheckpointOptions configure_resilience(const util::Cli& cli);
+void configure_faults(const util::Cli& cli);
+
+/// Exit code of a run whose spectral solve did not converge.
+inline constexpr int kExitUnconverged = 3;
+
+/// A figure driver's exit status, returned from main once every output is
+/// written: kExitUnconverged, after printing `lanczos-unconverged` and the
+/// count to stderr, when any Lanczos solve in this process returned
+/// unconverged (the linalg.lanczos.unconverged counter); 0 otherwise.
+[[nodiscard]] int exit_status(const util::Cli& cli);
 
 /// Builds a Table-1 stand-in at config.scale times its default size (at
 /// least 64 nodes) and returns its largest connected component. Throws

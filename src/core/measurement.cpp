@@ -76,11 +76,7 @@ MixingReport measure_mixing(const graph::Graph& g, std::string name,
     const auto sources = options.all_sources
                              ? markov::all_sources(g)
                              : markov::pick_sources(g, options.sources, rng);
-    markov::SampledMixingOptions sampled_options = options;
-    if (sampled_options.checkpoint.enabled() && sampled_options.checkpoint.name.empty()) {
-      sampled_options.checkpoint.name = "mixing-" + util::slugify(report.name);
-    }
-    report.sampled = markov::measure_sampled_mixing(g, sources, sampled_options);
+    report.sampled = markov::measure_sampled_mixing(g, sources, options);
     report.sampled_seconds = timer.seconds();
     report.oracle_violations = count_oracle_violations(g, report, options.laziness);
     SOCMIX_COUNTER_ADD("markov.sampled.oracle_violations", report.oracle_violations);

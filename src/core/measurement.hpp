@@ -24,10 +24,8 @@
 
 namespace socmix::core {
 
-/// One measurement: the sampled sweep's knobs (walk and checkpoint) plus
-/// the source sample and the spectral solve. When checkpoint.name is empty it
-/// is derived from the measurement name, so multi-dataset drivers sharing
-/// one --checkpoint-dir keep distinct snapshots.
+/// One measurement: the sampled sweep's walk knobs plus the source sample
+/// and the spectral solve.
 struct MeasurementOptions : markov::SampledMixingOptions {
   /// Sampled-measurement sources (paper uses 1000); 0 disables sampling.
   std::size_t sources = 1000;

@@ -15,8 +15,9 @@
 // the paper reports (its Table 1 mu column and Figs 1-2), which
 // EXPERIMENTS.md compares against our measured values. Paper-scale node
 // counts are kept in the spec; benches build them at a reduced
-// `default_nodes` so every figure regenerates on one core in minutes
-// (--scale 1.0 restores paper-scale n).
+// `default_nodes` so every figure regenerates on one core in minutes.
+// --scale multiplies `default_nodes`, so paper-scale n takes
+// paper_nodes / default_nodes (10 for the 1M-node sets).
 #pragma once
 
 #include <cstdint>

@@ -176,9 +176,9 @@ class Graph {
 
 /// Deterministic structural fingerprint of a graph: hashes n, m, and a
 /// bounded stride-sample of the CSR arrays (at most ~64K positions each,
-/// so it stays O(1)-ish on paper-scale graphs). Used by the resilience
-/// layer to refuse resuming a checkpoint against a different graph; not a
-/// collision-resistant digest.
+/// so it stays O(1)-ish on paper-scale graphs). The `.smxg` header stores
+/// it at pack time (MappedGraph::fingerprint); not a collision-resistant
+/// digest.
 [[nodiscard]] std::uint64_t structural_fingerprint(const Graph& g) noexcept;
 
 }  // namespace socmix::graph

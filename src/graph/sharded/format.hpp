@@ -71,7 +71,7 @@ struct WriteOptions {
 };
 
 /// Writes `g` as a `.smxg` file with a one-shard SHRD section (temp file +
-/// atomic rename, like the resilience snapshots). Payloads are streamed
+/// atomic rename). Payloads are streamed
 /// through incremental CRCs and the header/section table patched in
 /// afterwards, so the writer's extra memory stays O(one compression group)
 /// regardless of graph size. Throws std::runtime_error on I/O failure.

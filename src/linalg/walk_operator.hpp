@@ -28,6 +28,9 @@ class WalkOperator {
   /// laziness alpha in [0, 1): the operator is (1-alpha) N + alpha I.
   /// alpha = 0 is the simple walk; alpha = 0.5 the standard lazy walk.
   explicit WalkOperator(const graph::Graph& g, double laziness = 0.0);
+  /// The operator keeps a pointer to its graph, so a temporary would
+  /// dangle: name the graph instead.
+  explicit WalkOperator(graph::Graph&& g, double laziness = 0.0) = delete;
 
   /// y = Op * x. x and y must have size dim() and not alias. Rows are
   /// partitioned across the util::parallel pool; the gather formulation

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -145,26 +144,6 @@ SampledMixing::PercentileCurves SampledMixing::percentile_curves(
   return out;
 }
 
-namespace {
-
-// The checkpoint context word the retired --precision knob folded for its
-// f64 default (its mixed mode folded 1).
-constexpr std::uint64_t kPrecisionWordF64 = 0;
-
-}  // namespace
-
-std::uint64_t sampled_mixing_fingerprint(const graph::Graph& g,
-                                         std::span<const graph::NodeId> sources,
-                                         std::size_t max_steps, double laziness) {
-  std::uint64_t h = util::hash_combine(graph::structural_fingerprint(g), sources.size());
-  for (const graph::NodeId s : sources) h = util::hash_combine(h, s);
-  h = util::hash_combine(h, max_steps);
-  h = util::hash_combine(h, std::bit_cast<std::uint64_t>(laziness));
-  h = util::hash_combine(h, BatchedEvolver::kDefaultBlock);
-  h = util::hash_combine(h, util::kReorderNoneWord);
-  return h;
-}
-
 SampledMixing measure_sampled_mixing(const graph::Graph& g,
                                      std::span<const graph::NodeId> sources,
                                      const SampledMixingOptions& options) {
@@ -195,55 +174,12 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   SOCMIX_COUNTER_ADD("markov.sampled.sources", num_sources);
   SOCMIX_COUNTER_ADD("markov.sampled.source_blocks", num_blocks);
 
-  // Crash tolerance: completed blocks are checkpointed, and restored
-  // blocks are replayed from their stored (bit-exact) trajectories instead
-  // of being recomputed, so resume composes with the determinism contract.
-  // The context word versions the knobs that once changed how results
-  // were produced: the words the retired reorder, frontier and precision
-  // knobs folded at their defaults — so default snapshots of earlier
-  // builds still restore, while their --frontier off or fraction
-  // snapshots and mixed-precision ones (precision word 1) classify stale
-  // once and recompute (--reorder rcm|degree|bfs also changed the
-  // fingerprint, so those classify foreign). A snapshot from a foreign
-  // combination classifies stale, not corrupt.
-  const std::uint64_t context = util::hash_combine(
-      util::hash_combine(util::kReorderNoneWord, util::kFrontierAutoWord),
-      kPrecisionWordF64);
-  resilience::BlockCheckpoint checkpoint{
-      options.checkpoint, sampled_mixing_fingerprint(g, sources, max_steps, laziness),
-      num_blocks, context};
-  std::vector<std::size_t> pending;
-  pending.reserve(num_blocks);
-  if (checkpoint.enabled()) checkpoint.restore();
-  for (std::size_t blk = 0; blk < num_blocks; ++blk) {
-    if (!checkpoint.is_restored(blk)) {
-      pending.push_back(blk);
-      continue;
-    }
-    const std::vector<double>& payload = checkpoint.restored_payload(blk);
-    const std::size_t first = blk * kBlock;
-    const std::size_t lanes = block_lanes(first);
-    if (payload.size() != lanes * max_steps) {  // shape drift: recompute
-      pending.push_back(blk);
-      continue;
-    }
-    for (std::size_t b = 0; b < lanes; ++b) {
-      const auto begin = payload.begin() + static_cast<std::ptrdiff_t>(b * max_steps);
-      trajectories[first + b].assign(begin, begin + static_cast<std::ptrdiff_t>(max_steps));
-    }
-  }
-
   // Completed source blocks drive the --progress ETA: every block costs
   // the same max_steps sweeps, so block rate extrapolates directly.
   obs::ProgressMeter progress{"sampled-mixing", num_blocks};
-  // Checkpoint-restored blocks are seeded, not added: they count toward
-  // done/percent but not the rate, so the ETA after a resume reflects this
-  // run's throughput instead of collapsing toward zero.
-  progress.seed_restored(num_blocks - pending.size());
-  const auto run_block = [&](BatchedEvolver& evolver, std::size_t p) {
+  const auto run_block = [&](BatchedEvolver& evolver, std::size_t blk) {
     SOCMIX_TRACE_SPAN("evolve_block");
     std::array<double, kBlock> tvd{};
-    const std::size_t blk = pending[p];
     const std::size_t first = blk * kBlock;
     const std::size_t lanes = block_lanes(first);
     evolver.seed_point_masses(sources.subspan(first, lanes));
@@ -264,19 +200,7 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
       }
     }
     SOCMIX_COUNTER_ADD("markov.sampled.steps", lanes * max_steps);
-    // The block is complete the moment its checkpoint record lands; the
-    // fault site sits before record() so an abort here loses exactly the
-    // blocks not yet recorded — the scenario resume must cover.
     resilience::fault_point("block.complete");
-    if (checkpoint.enabled()) {
-      std::vector<double> payload;
-      payload.reserve(lanes * max_steps);
-      for (std::size_t b = 0; b < lanes; ++b) {
-        payload.insert(payload.end(), trajectories[first + b].begin(),
-                       trajectories[first + b].end());
-      }
-      checkpoint.record(blk, std::move(payload));
-    }
     progress.add(1);
   };
   // One evolver per worker, fed blocks from a shared counter: every block
@@ -284,19 +208,18 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // lane state is allocated once per worker rather than once per block.
   // A failing block drains the counter so the other workers stop too.
   std::atomic<std::size_t> next_block{0};
-  const std::size_t workers = std::min(util::thread_count(), pending.size());
+  const std::size_t workers = std::min(util::thread_count(), num_blocks);
   util::parallel_for(0, workers, 1, [&](std::size_t, std::size_t) {
-    std::size_t p = next_block++;
-    if (p >= pending.size()) return;
+    std::size_t blk = next_block++;
+    if (blk >= num_blocks) return;
     BatchedEvolver evolver{g, laziness, kBlock};
     try {
-      for (; p < pending.size(); p = next_block++) run_block(evolver, p);
+      for (; blk < num_blocks; blk = next_block++) run_block(evolver, blk);
     } catch (...) {
-      next_block = pending.size();
+      next_block = num_blocks;
       throw;
     }
   });
-  checkpoint.finalize();
   progress.finish();
   return SampledMixing{{sources.begin(), sources.end()}, std::move(trajectories)};
 }

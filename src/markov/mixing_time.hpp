@@ -21,7 +21,6 @@
 #include "graph/graph.hpp"
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
-#include "resilience/checkpoint.hpp"
 #include "util/retired_knob.hpp"
 #include "util/rng.hpp"
 
@@ -139,36 +138,22 @@ struct SampledMixingOptions : EngineOptions {
   std::size_t max_steps = 500;
   /// Lazy-walk parameter in [0, 1); 0 = the paper's simple walk.
   double laziness = 0.0;
-  /// Block-granular crash tolerance (dir empty = off): completed source
-  /// blocks are snapshotted every `checkpoint.interval` completions, and a
-  /// rerun with the same graph/sources/steps/laziness resumes by skipping
-  /// them. Resumed results are bit-identical to an uninterrupted run.
-  resilience::CheckpointOptions checkpoint;
 };
 
 /// Evolves a point mass from each source for max_steps steps and records
 /// the TVD trajectory. O(sources * max_steps * m) work, executed in
 /// blocks of BatchedEvolver::kDefaultBlock sources per CSR sweep and
 /// distributed over the util::parallel pool (--threads / SOCMIX_THREADS).
-/// Trajectories are bit-identical for every thread count — and, with
-/// checkpointing enabled, across any interrupt/resume schedule.
+/// Trajectories are bit-identical for every thread count.
 [[nodiscard]] SampledMixing measure_sampled_mixing(const graph::Graph& g,
                                                    std::span<const graph::NodeId> sources,
                                                    const SampledMixingOptions& options);
 
-/// Convenience overload without checkpointing.
+/// Convenience overload for the walk knobs alone.
 [[nodiscard]] SampledMixing measure_sampled_mixing(const graph::Graph& g,
                                                    std::span<const graph::NodeId> sources,
                                                    std::size_t max_steps,
                                                    double laziness = 0.0);
-
-/// The fingerprint a sampled-mixing checkpoint is keyed on: the graph's
-/// structural fingerprint combined with the exact source list, step
-/// budget, laziness bits, the engine's block width, and the word the
-/// retired --reorder knob folded at its default (util::kReorderNoneWord).
-[[nodiscard]] std::uint64_t sampled_mixing_fingerprint(
-    const graph::Graph& g, std::span<const graph::NodeId> sources,
-    std::size_t max_steps, double laziness);
 
 /// Uniformly samples `count` distinct sources (all vertices if count >= n).
 [[nodiscard]] std::vector<graph::NodeId> pick_sources(const graph::Graph& g,

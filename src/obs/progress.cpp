@@ -42,11 +42,6 @@ void ProgressMeter::add(std::uint64_t n) {
   print_line(done_now, /*final=*/false);
 }
 
-void ProgressMeter::seed_restored(std::uint64_t n) {
-  restored_.fetch_add(n, std::memory_order_relaxed);
-  done_.fetch_add(n, std::memory_order_relaxed);
-}
-
 void ProgressMeter::finish() {
   if (!progress_enabled()) return;
   const std::uint64_t done_now = done_.load(std::memory_order_relaxed);
@@ -59,13 +54,8 @@ void ProgressMeter::print_line(std::uint64_t done_now, bool final) {
   const double elapsed =
       static_cast<double>(trace_now_ns() - start_ns_) / 1e9;
   char eta[32] = "";
-  // Rate (and thus ETA) is computed from units done *this run*: restored
-  // checkpoint blocks count toward done/percent but took no time here, and
-  // crediting them would skew the ETA toward zero right after a resume.
-  const std::uint64_t restored = restored_.load(std::memory_order_relaxed);
-  const std::uint64_t live = done_now > restored ? done_now - restored : 0;
-  if (!final && total_ > 0 && live > 0 && done_now < total_) {
-    const double rate = static_cast<double>(live) / elapsed;
+  if (!final && total_ > 0 && done_now > 0 && done_now < total_) {
+    const double rate = static_cast<double>(done_now) / elapsed;
     std::snprintf(eta, sizeof eta, " eta %.1fs",
                   static_cast<double>(total_ - done_now) / rate);
   }

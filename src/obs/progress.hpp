@@ -26,12 +26,6 @@ class ProgressMeter {
   /// Thread-safe. Records n completed units and maybe prints a line.
   void add(std::uint64_t n = 1);
 
-  /// Records n units completed *before this process started* (checkpoint
-  /// restore). They count toward done/percent but are excluded from the
-  /// rate, so the ETA reflects live throughput instead of crediting this
-  /// run with work a previous one did. Call before the first add().
-  void seed_restored(std::uint64_t n);
-
   /// Prints the final 100% line (if enabled and anything was added).
   void finish();
 
@@ -45,7 +39,6 @@ class ProgressMeter {
   std::string label_;
   std::uint64_t total_;
   std::atomic<std::uint64_t> done_{0};
-  std::atomic<std::uint64_t> restored_{0};
   std::atomic<std::int64_t> next_print_ns_;
   std::uint64_t start_ns_;
   std::mutex print_mutex_;

@@ -14,9 +14,7 @@ namespace socmix::resilience {
 
 namespace {
 
-constexpr std::array<std::string_view, 5> kSites = {
-    "checkpoint.write",
-    "checkpoint.rename",
+constexpr std::array<std::string_view, 3> kSites = {
     "block.complete",
     "graph.load",
     "lanczos.certificate",

@@ -1,9 +1,8 @@
-// Deterministic fault injection for crash-tolerance testing.
-//
-// Long measurements recover from interruption via the checkpoint layer
-// (checkpoint.hpp); this is the harness that proves it. A fault is armed
-// either from the SOCMIX_FAULT environment variable or the --fault-inject
-// flag, with the spec syntax
+// Deterministic fault injection: proves that a failure mid-run is loud (a
+// killed sweep, a failed graph load, an uncertified Lanczos solve) rather
+// than a quietly wrong number. A fault is armed either from the
+// SOCMIX_FAULT environment variable or the --fault-inject flag, with the
+// spec syntax
 //
 //     <site>:<nth>[:abort|:error]
 //
@@ -12,7 +11,7 @@
 // no destructors, no atexit flushes — which is the closest stand-in for an
 // OOM-kill or preemption a test can schedule deterministically. `error`
 // throws resilience::InjectedFault instead, so in-process tests can
-// exercise the same recovery paths without forking.
+// exercise the same failure paths without forking.
 //
 // Sites are plain string literals checked against the registry below; the
 // hit counting is process-wide and thread-safe, so the nth hit is
@@ -53,8 +52,6 @@ struct FaultSpec {
 /// Every site compiled into the binary. fault_point() and arm_fault()
 /// reject names outside this registry so a typo in a test or a CI matrix
 /// fails loudly instead of never firing.
-///   checkpoint.write   snapshot temp-file write, before any bytes land
-///   checkpoint.rename  between the temp write and the atomic publish
 ///   block.complete     a source block (or sweep point) just finished
 ///   graph.load         entry of an edge-list / binary graph load
 ///   lanczos.certificate  the Ritz residual certificate of a Lanczos solve;

@@ -9,7 +9,7 @@
 //  1. Incremental tail extension. SybilLimit routes are deterministic:
 //     the length-w tail is hop w of the *same* route, so a sweep over
 //     lengths {w_1 < ... < w_k} needs one walk to w_k per (node,
-//     instance), recording a checkpoint at every requested length
+//     instance), recording the tail at every requested length
 //     (RouteTable::for_each_tail) — O(w_max) route hops instead of
 //     O(sum of w_i).
 //
@@ -35,11 +35,7 @@
 //     order — which is what makes the results independent of batching and
 //     threading, and bit-identical to the protocol's admit() loop.
 //
-// The graph must not change while an engine walks it. Block checkpoints
-// written by admission_sweep fold kAdmissionEngineVersion into their
-// context word, so sweep snapshots from the pre-engine code (whose
-// per-length protocol seeds differ — see ProtocolParams::seed) are
-// classified stale and recomputed rather than replayed.
+// The graph must not change while an engine walks it.
 #pragma once
 
 #include <cstdint>
@@ -53,12 +49,6 @@
 #include "util/retired_knob.hpp"
 
 namespace socmix::sybil {
-
-/// Bumped whenever the engine changes what a sweep's per-point payloads
-/// mean (today: one shared protocol seed across all route lengths, where
-/// the pre-engine sweep derived a per-length seed). Folded into the
-/// BlockCheckpoint context word so foreign-version snapshots are stale.
-inline constexpr std::uint64_t kAdmissionEngineVersion = 1;
 
 struct AdmissionEngineConfig : ProtocolParams {
   /// Retired (--frontier is refused): routes always walk hop-major.

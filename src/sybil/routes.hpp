@@ -118,7 +118,7 @@ class RouteTable {
     const auto neighbors = graph_->raw_neighbors();
 
     // The hop-h loop touches only the start's h-hop ball, so its CSR rows
-    // stay hot across instances; each checkpoint length visits the
+    // stay hot across instances; each requested length visits the
     // current (from, head) pairs. One route_hops call advances every
     // instance one hop — hop() per instance, on the active SIMD tier.
     std::vector<graph::NodeId> from(instances, start);

@@ -1,7 +1,6 @@
 #include "sybil/sybil_limit.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -9,7 +8,6 @@
 #include "obs/obs.hpp"
 #include "resilience/fault.hpp"
 #include "sybil/admission_engine.hpp"
-#include "util/retired_knob.hpp"
 #include "util/rng.hpp"
 
 namespace socmix::sybil {
@@ -92,23 +90,6 @@ bool SybilLimit::Verifier::admit(const SybilLimit& protocol, graph::NodeId suspe
   return true;
 }
 
-std::uint64_t admission_sweep_fingerprint(const graph::Graph& g,
-                                          const AdmissionSweepConfig& config) {
-  std::uint64_t h = graph::structural_fingerprint(g);
-  h = util::hash_combine(h, config.route_lengths.size());
-  for (const std::size_t w : config.route_lengths) h = util::hash_combine(h, w);
-  h = util::hash_combine(h, config.suspect_sample);
-  h = util::hash_combine(h, config.verifier_sample);
-  h = util::hash_combine(h, std::bit_cast<std::uint64_t>(config.r0));
-  h = util::hash_combine(h, std::bit_cast<std::uint64_t>(config.balance_factor));
-  h = util::hash_combine(h, config.seed);
-  // Only a set override joins, so default-config hashes are unchanged.
-  if (config.instances_override != 0) h = util::hash_combine(h, config.instances_override);
-  // The word the removed ordering knob folded at its default, kept so
-  // snapshots written before the removal still restore.
-  return util::hash_combine(h, util::kReorderNoneWord);
-}
-
 std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
                                             const AdmissionSweepConfig& config) {
   SOCMIX_TRACE_SPAN("sybil.admission_sweep");
@@ -123,65 +104,24 @@ std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
   const std::vector<graph::NodeId> verifiers =
       markov::pick_sources(g, config.verifier_sample, rng);
 
-  // Route-length points are independent (per-length admission state over
-  // one shared protocol seed), so each one is a checkpoint block holding
-  // its admitted fraction.
-  resilience::CheckpointOptions checkpoint_options = config.checkpoint;
-  if (checkpoint_options.enabled() && checkpoint_options.name.empty()) {
-    checkpoint_options.name = "sybil-admission";
-  }
-  // The engine version joins the context word: pre-engine snapshots were
-  // measured under per-length protocol seeds, so replaying them against
-  // the shared-seed engine would silently mix distributions — classify
-  // them stale and recompute instead. The two leading words are the
-  // removed ordering knob's default and the retired frontier knob's `auto`
-  // (hop-major) word, kept so older snapshots still restore; the route-
-  // major snapshots that frontier off wrote (word 0) classify stale once.
-  std::uint64_t context = util::hash_combine(util::kReorderNoneWord, util::kFrontierAutoWord);
-  context = util::hash_combine(context, kAdmissionEngineVersion);
-  resilience::BlockCheckpoint checkpoint{checkpoint_options,
-                                         admission_sweep_fingerprint(g, config),
-                                         config.route_lengths.size(), context};
-  if (checkpoint.enabled()) checkpoint.restore();
-
-  // Pending points = blocks the checkpoint could not restore.
-  std::vector<std::size_t> pending_lengths;
-  const auto restored = [&](std::size_t i) {
-    return checkpoint.is_restored(i) && checkpoint.restored_payload(i).size() == 1;
-  };
-  for (std::size_t i = 0; i < config.route_lengths.size(); ++i) {
-    if (!restored(i)) pending_lengths.push_back(config.route_lengths[i]);
-  }
-
-  // One engine serves every pending point: O(w_max) route hops per node
+  // One engine serves every point: O(w_max) route hops per node
   // (incremental tail extension) and one verifier index build, where the
-  // pre-engine interior rewalked and rebuilt per length. Points restored
-  // in an earlier run recompute bit-identically on resume because each
-  // length's admission state is independent.
+  // pre-engine interior rewalked and rebuilt per length.
   std::vector<double> fractions;
   AdmissionEngineStats stats;
-  if (!pending_lengths.empty()) {
+  if (!config.route_lengths.empty()) {
     AdmissionEngine engine{g, config, config.route_lengths};
-    fractions = engine.sweep_fractions(verifiers, suspects, pending_lengths);
+    fractions = engine.sweep_fractions(verifiers, suspects, config.route_lengths);
     stats = engine.stats();
   }
   if (config.engine_stats != nullptr) *config.engine_stats = stats;
 
   std::vector<AdmissionPoint> out;
   out.reserve(config.route_lengths.size());
-  std::size_t next_pending = 0;
   for (std::size_t i = 0; i < config.route_lengths.size(); ++i) {
-    const std::size_t w = config.route_lengths[i];
-    if (restored(i)) {
-      out.push_back({w, checkpoint.restored_payload(i).front()});
-      continue;
-    }
-    const double fraction = fractions[next_pending++];
     resilience::fault_point("block.complete");
-    checkpoint.record(i, {fraction});
-    out.push_back({w, fraction});
+    out.push_back({config.route_lengths[i], fractions[i]});
   }
-  checkpoint.finalize();
   return out;
 }
 

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "resilience/checkpoint.hpp"
 #include "sybil/admission_engine.hpp"
 #include "sybil/routes.hpp"
 
@@ -96,13 +95,11 @@ struct AdmissionPoint {
 };
 
 /// The Fig.-8 sweep: the engine's protocol parameters and walk order,
-/// plus the grid, the samples and crash tolerance.
+/// plus the grid and the samples.
 struct AdmissionSweepConfig : AdmissionEngineConfig {
   /// `seed` is the sampling seed *and* the one protocol seed shared by
   /// every route length (see ProtocolParams::seed); the sweep defaults it
-  /// to the IMC'10 conference date. (The pre-engine sweep derived a
-  /// per-length seed; kAdmissionEngineVersion in the checkpoint context
-  /// marks those snapshots stale.)
+  /// to the IMC'10 conference date.
   AdmissionSweepConfig() { seed = 20101101; }
 
   std::vector<std::size_t> route_lengths;
@@ -110,30 +107,16 @@ struct AdmissionSweepConfig : AdmissionEngineConfig {
   std::size_t suspect_sample = 300;
   /// Verifiers averaged per point; admission_sweep throws on 0.
   std::size_t verifier_sample = 3;
-  /// Crash tolerance (dir empty = off): each route-length point is one
-  /// checkpoint block, so an interrupted sweep resumes by skipping the
-  /// points already measured — bit-identical, since points only depend on
-  /// (graph, config, w).
-  resilience::CheckpointOptions checkpoint;
   /// When non-null, receives the engine's cumulative statistics for the
   /// sweep (route hops walked/saved, verifier-cache traffic, precompute vs
-  /// query seconds) so drivers can report phase splits. Zeroed when every
-  /// point was restored from checkpoint.
+  /// query seconds) so drivers can report phase splits.
   AdmissionEngineStats* engine_stats = nullptr;
 };
 
-/// Everything an admission sweep's per-point results depend on — the
-/// BlockCheckpoint fingerprint, exported so tests (and tools) can address
-/// a sweep's snapshots directly.
-[[nodiscard]] std::uint64_t admission_sweep_fingerprint(
-    const graph::Graph& g, const AdmissionSweepConfig& config);
-
 /// Fig. 8 experiment driver. Thin: samples suspects/verifiers, then hands
 /// the whole route-length grid to an AdmissionEngine, which serves every
-/// pending point from one incremental O(w_max) walk per node instead of
-/// per-length rewalks. Each point is still one checkpoint block; the
-/// context word folds kAdmissionEngineVersion, so snapshots written by the
-/// pre-engine sweep (per-length protocol seeds) are stale, not replayed.
+/// point from one incremental O(w_max) walk per node instead of
+/// per-length rewalks.
 [[nodiscard]] std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
                                                           const AdmissionSweepConfig& config);
 

@@ -1,9 +1,9 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for integrity
-// checking of on-disk artifacts (resilience snapshots, binary graphs).
+// checking of on-disk artifacts (the header and sections of `.smxg` packs).
 //
 // Not cryptographic — it detects the corruption that actually happens to
-// checkpoint files (truncation, torn writes, bit rot), which is all the
-// resume path needs before it decides to trust a snapshot.
+// files (truncation, torn writes, bit rot), which is all a loader needs
+// before it decides to trust a pack.
 #pragma once
 
 #include <cstddef>

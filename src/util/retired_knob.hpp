@@ -7,21 +7,8 @@
 // RetiredKnob type, so the assignments compile and nothing reads them.
 #pragma once
 
-#include <bit>
-#include <cstdint>
-
 namespace socmix::util {
 
 struct RetiredKnob {};
-
-/// The checkpoint context word --frontier folded at its `auto` default:
-/// the bits of its 0.5 switch fraction. Checkpoint contexts still fold it
-/// where the knob did, so default snapshots of earlier builds restore.
-inline constexpr std::uint64_t kFrontierAutoWord = std::bit_cast<std::uint64_t>(0.5);
-
-/// The word --reorder folded at its `none` default, into both checkpoint
-/// fingerprints and context words. They still fold it where the knob did,
-/// so default snapshots of earlier builds restore.
-inline constexpr std::uint64_t kReorderNoneWord = 0;
 
 }  // namespace socmix::util

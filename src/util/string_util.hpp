@@ -34,7 +34,7 @@ namespace socmix::util {
 
 /// Filesystem-safe slug: lower-cased, runs of non-alphanumerics collapsed
 /// to single '-', trimmed of leading/trailing '-'; "snapshot" when nothing
-/// survives. Used for checkpoint file stems derived from dataset names.
+/// survives. Used for file and record names derived from dataset names.
 [[nodiscard]] std::string slugify(std::string_view s);
 
 }  // namespace socmix::util

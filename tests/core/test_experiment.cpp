@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/components.hpp"
+#include "obs/obs.hpp"
 
 namespace socmix::core {
 namespace {
@@ -102,12 +103,27 @@ TEST(ExperimentConfig, MalformedKnobThrowsNamingTheFlag) {
   }
 }
 
+TEST(ExperimentConfig, CheckpointFlagsAreRefusedByName) {
+  // Every measurement runs to completion: the checkpoint flags are retired,
+  // and any value, even a valid one, is refused rather than ignored.
+  for (const auto& [flag, value] :
+       {std::pair{"--checkpoint-dir", "D"}, std::pair{"--checkpoint-interval", "8"}}) {
+    try {
+      (void)ExperimentConfig::from_cli(make_cli({flag, value}));
+      ADD_FAILURE() << flag << " " << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(std::string{flag} + ": retired"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ExperimentConfig, NonPositiveIntervalsAndScaleThrowNamingTheFlag) {
-  // Zero intervals and a non-positive or NaN scale used to be clamped
+  // A zero interval and a non-positive or NaN scale used to be clamped
   // silently (to 1, and to a 64-node graph); they now fail closed.
   for (const auto& [flag, value] :
-       {std::pair{"--checkpoint-interval", "0"}, std::pair{"--checkpoint-interval", "-3"},
-        std::pair{"--sample-interval-ms", "0"}, std::pair{"--scale", "0"},
+       {std::pair{"--sample-interval-ms", "0"}, std::pair{"--scale", "0"},
         std::pair{"--scale", "-0.5"}, std::pair{"--scale", "nan"}}) {
     try {
       (void)ExperimentConfig::from_cli(make_cli({flag, value}));
@@ -135,6 +151,18 @@ TEST(RefuseEngineKnobs, RandomRoutesTakeNoExecutionKnobs) {
       EXPECT_NE(std::string{e.what()}.find(flag), std::string::npos) << e.what();
     }
   }
+}
+
+TEST(ExitStatus, UnconvergedSolveExitsThreeNamingTheCount) {
+  obs::Registry::instance().reset();
+  const util::Cli cli = make_cli({});
+  EXPECT_EQ(exit_status(cli), 0);
+  SOCMIX_COUNTER_ADD("linalg.lanczos.unconverged", 2);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(exit_status(cli), kExitUnconverged);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("lanczos-unconverged: 2 "), std::string::npos) << err;
+  obs::Registry::instance().reset();
 }
 
 TEST(BuildScaledDataset, ScalesNodeCount) {

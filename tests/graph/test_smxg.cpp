@@ -279,8 +279,8 @@ TEST_F(SmxgCompressedTest, LoadsDecodedWithMatchingGeometry) {
   const auto a = view.offsets();
   const auto b = graph_.offsets();
   EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-  // The pack-time fingerprint and the decoded CSR's agree, so checkpoints
-  // stay interchangeable across in-memory, raw and compressed runs.
+  // The pack-time fingerprint and the decoded CSR's agree: the compressed
+  // pack decodes to the graph it was written from.
   EXPECT_EQ(mapped.fingerprint(), structural_fingerprint(graph_));
   EXPECT_EQ(structural_fingerprint(view), structural_fingerprint(graph_));
 }

@@ -10,6 +10,7 @@
 #include <numbers>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "gen/barabasi_albert.hpp"
 #include "gen/datasets.hpp"
@@ -31,10 +32,17 @@
 namespace socmix::linalg {
 namespace {
 
+// The operator keeps a pointer to its graph: built from a temporary it
+// would dangle, so that is a compile error.
+static_assert(!std::is_constructible_v<WalkOperator, graph::Graph&&>);
+static_assert(!std::is_constructible_v<WalkOperator, graph::Graph&&, double>);
+static_assert(std::is_constructible_v<WalkOperator, const graph::Graph&>);
+
 TEST(Lanczos, CompleteGraphClosedForm) {
   // K_n: lambda_2 = ... = lambda_n = -1/(n-1) -> mu = 1/(n-1).
   for (const graph::NodeId n : {3u, 8u, 20u, 100u}) {
-    const auto s = slem_spectrum(WalkOperator{gen::complete(n)});
+    const auto g = gen::complete(n);
+    const auto s = slem_spectrum(WalkOperator{g});
     EXPECT_TRUE(s.converged);
     EXPECT_NEAR(s.slem, 1.0 / (n - 1.0), 1e-8) << "n=" << n;
     EXPECT_NEAR(s.lambda2, -1.0 / (n - 1.0), 1e-8) << "n=" << n;
@@ -44,7 +52,8 @@ TEST(Lanczos, CompleteGraphClosedForm) {
 TEST(Lanczos, OddCycleClosedForm) {
   // C_n eigenvalues cos(2 pi k/n); for odd n the SLEM is |cos(pi(n-1)/n)|.
   for (const graph::NodeId n : {5u, 11u, 25u}) {
-    const auto s = slem_spectrum(WalkOperator{gen::cycle(n)});
+    const auto g = gen::cycle(n);
+    const auto s = slem_spectrum(WalkOperator{g});
     const double lambda2 = std::cos(2 * std::numbers::pi / n);
     const double lambda_min = std::cos(2 * std::numbers::pi * ((n - 1) / 2) / n);
     EXPECT_NEAR(s.lambda2, lambda2, 1e-8) << "n=" << n;
@@ -68,7 +77,8 @@ TEST(Lanczos, BipartiteGraphsHaveSlemOne) {
 TEST(Lanczos, HypercubeLambda2ClosedForm) {
   // Q_d: eigenvalues 1 - 2k/d -> lambda_2 = 1 - 2/d.
   for (const unsigned d : {3u, 5u, 7u}) {
-    const auto s = slem_spectrum(WalkOperator{gen::hypercube(d)});
+    const auto g = gen::hypercube(d);
+    const auto s = slem_spectrum(WalkOperator{g});
     EXPECT_NEAR(s.lambda2, 1.0 - 2.0 / d, 1e-8) << "d=" << d;
   }
 }
@@ -120,8 +130,10 @@ TEST(Lanczos, BarabasiAlbertVsDense) {
 TEST(Lanczos, DumbbellSlowMixing) {
   // Sparse-cut graphs push mu toward 1; the single-bridge dumbbell must be
   // much slower than the two-clique volume suggests.
-  const auto tight = slem_spectrum(WalkOperator{gen::dumbbell(20, 10)});
-  const auto loose = slem_spectrum(WalkOperator{gen::dumbbell(20, 1)});
+  const auto tight_graph = gen::dumbbell(20, 10);
+  const auto loose_graph = gen::dumbbell(20, 1);
+  const auto tight = slem_spectrum(WalkOperator{tight_graph});
+  const auto loose = slem_spectrum(WalkOperator{loose_graph});
   EXPECT_GT(loose.slem, tight.slem);
   EXPECT_GT(loose.slem, 0.99);
 }
@@ -142,7 +154,8 @@ TEST(Lanczos, Lambda2VectorIsEigenvector) {
 
 TEST(Lanczos, TwoNodeGraph) {
   // Single edge: spectrum {1, -1}; deflated spectrum {-1}.
-  const auto s = slem_spectrum(WalkOperator{gen::path(2)});
+  const auto g = gen::path(2);
+  const auto s = slem_spectrum(WalkOperator{g});
   EXPECT_TRUE(s.converged);
   EXPECT_NEAR(s.slem, 1.0, 1e-10);
   EXPECT_NEAR(s.lambda_min, -1.0, 1e-10);
@@ -315,7 +328,8 @@ TEST(Lanczos, PartialReorthogonalizationKeepsTable1Spectra) {
   for (const Table1Spectrum& want : kFullReorthSpectra) {
     const auto spec = gen::find_dataset(want.name);
     ASSERT_TRUE(spec.has_value()) << want.name;
-    const auto s = slem_spectrum(WalkOperator{gen::build_dataset(*spec, 2000, 11)});
+    const auto g = gen::build_dataset(*spec, 2000, 11);
+    const auto s = slem_spectrum(WalkOperator{g});
     EXPECT_TRUE(s.converged) << want.name;
     EXPECT_NEAR(s.slem, want.mu, 1e-9) << want.name;
     EXPECT_NEAR(s.lambda2, want.mu, 1e-9) << want.name;
@@ -326,8 +340,8 @@ TEST(Lanczos, PartialReorthogonalizationKeepsTable1Spectra) {
 
 TEST(Lanczos, FullPassesAreTheExceptionOnASlowMixingStandIn) {
   // Physics 1 (slow class): a restarted solve of about 160 applies.
-  const auto s = slem_spectrum(
-      WalkOperator{gen::build_dataset(*gen::find_dataset("Physics 1"), 2000, 11)});
+  const auto g = gen::build_dataset(*gen::find_dataset("Physics 1"), 2000, 11);
+  const auto s = slem_spectrum(WalkOperator{g});
   ASSERT_TRUE(s.converged);
   ASSERT_GT(s.restarts, 0u);
   EXPECT_GT(s.full_reorthogonalizations, 0u);

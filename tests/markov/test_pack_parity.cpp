@@ -3,14 +3,12 @@
 //
 //  * sampled TVD trajectories on every Table-1 generator config, in the
 //    generator order and in the pack-time RCM order, at 1 and 4 threads;
-//  * the Lanczos spectrum (µ, λ₂, λ_min and the apply count);
-//  * across a kill at block.complete and a checkpoint resume, whichever
-//    kind of input wrote the snapshot and whichever resumes it.
+//  * the Lanczos spectrum (µ, λ₂, λ_min and the apply count).
 //
 // A compressed pack is decoded into an ordinary CSR when it is opened, so
 // all three inputs are swept by the same engines over the same ids. The
-// ShardParity / ShardResumeTest names are the ones these checks had when
-// packs were swept shard by shard; the claims they name still hold.
+// ShardParity names are the ones these checks had when packs were swept
+// shard by shard; the claims they name still hold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,8 +27,6 @@
 #include "linalg/walk_operator.hpp"
 #include "markov/batched_evolver.hpp"
 #include "markov/mixing_time.hpp"
-#include "obs/obs.hpp"
-#include "resilience/fault.hpp"
 #include "util/parallel.hpp"
 
 namespace socmix::markov {
@@ -157,106 +153,6 @@ TEST(PackParity, SpectrumBitIdenticalAcrossPackKinds) {
         EXPECT_EQ(got.iterations, dense.iterations) << label;
       }
       util::set_thread_count(0);
-    }
-  }
-}
-
-std::uint64_t counter_value(const std::string& name) {
-  for (const auto& counter : obs::Registry::instance().snapshot().counters) {
-    if (counter.name == name) return counter.value;
-  }
-  return 0;
-}
-
-class ShardResumeTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::path{testing::TempDir()} /
-           ("pack_resume_" +
-            std::string{::testing::UnitTest::GetInstance()->current_test_info()->name()});
-    fs::remove_all(dir_);
-  }
-  void TearDown() override {
-    resilience::disarm_faults();
-    util::set_thread_count(0);
-    fs::remove_all(dir_);
-  }
-
-  /// kSteps sampled options, checkpointing every completed block.
-  [[nodiscard]] SampledMixingOptions options() const {
-    SampledMixingOptions opts;
-    opts.max_steps = kSteps;
-    opts.checkpoint.dir = dir_.string();
-    opts.checkpoint.interval = 1;
-    return opts;
-  }
-
-  void expect_resume(const graph::Graph& killed, const graph::Graph& resumed,
-                     const std::vector<graph::NodeId>& sources,
-                     const SampledMixing& baseline, const std::string& label);
-
-  fs::path dir_;
-};
-
-/// Kills a run on `killed` after its first block, resumes it on `resumed`,
-/// and checks the resume replayed the snapshot onto `baseline`'s bits.
-void ShardResumeTest::expect_resume(const graph::Graph& killed, const graph::Graph& resumed,
-                                    const std::vector<graph::NodeId>& sources,
-                                    const SampledMixing& baseline,
-                                    const std::string& label) {
-  fs::remove_all(dir_);
-  resilience::arm_fault("block.complete:2:error");
-  EXPECT_THROW(measure_sampled_mixing(killed, sources, options()),
-               resilience::InjectedFault)
-      << label;
-  resilience::disarm_faults();
-  const std::uint64_t skipped = counter_value("resilience.resume_blocks_skipped");
-  expect_bitwise_equal(baseline, measure_sampled_mixing(resumed, sources, options()),
-                       label);
-  EXPECT_GT(counter_value("resilience.resume_blocks_skipped"), skipped) << label;
-}
-
-TEST_F(ShardResumeTest, KilledShardedRunResumesBitIdenticalToDense) {
-  // Killed and resumed on the same kind of input, each kind lands on the
-  // uninterrupted in-memory bits.
-  const graph::Graph g = gen::build_dataset(*gen::find_dataset("Physics 1"), kNodes, 13);
-  const Packs packs{g, "resume_same"};
-  const auto sources = spread_sources(g, 3 * BatchedEvolver::kDefaultBlock);
-  const SampledMixing baseline = measure_sampled_mixing(g, sources, kSteps);
-  const std::pair<const char*, const graph::Graph*> inputs[] = {
-      {"in memory", &g},
-      {"raw pack", &packs.raw()},
-      {"compressed pack", &packs.compressed()}};
-  for (const std::size_t threads : kThreadCounts) {
-    util::set_thread_count(threads);
-    for (const auto& [name, input] : inputs) {
-      expect_resume(*input, *input, sources, baseline,
-                    std::string{name} + " threads=" + std::to_string(threads));
-    }
-  }
-}
-
-TEST_F(ShardResumeTest, DenseGeometryKeepsPreShardSnapshotsCompatible) {
-  // Killed on one kind of input and resumed on another: the fingerprint
-  // and the context word are the same for all three, so a snapshot written
-  // in memory restores on a pack and the other way round.
-  const graph::Graph g = gen::build_dataset(*gen::find_dataset("Physics 1"), kNodes, 13);
-  const Packs packs{g, "resume_cross"};
-  const auto sources = spread_sources(g, 3 * BatchedEvolver::kDefaultBlock);
-  const SampledMixing baseline = measure_sampled_mixing(g, sources, kSteps);
-  const std::pair<const char*, const graph::Graph*> inputs[] = {
-      {"in memory", &g},
-      {"raw pack", &packs.raw()},
-      {"compressed pack", &packs.compressed()}};
-  for (const std::size_t threads : kThreadCounts) {
-    util::set_thread_count(threads);
-    for (const auto& [killed_name, killed] : inputs) {
-      for (const auto& [resumed_name, resumed] : inputs) {
-        if (killed == resumed) continue;
-        expect_resume(*killed, *resumed, sources, baseline,
-                      std::string{killed_name} + " killed, " + resumed_name +
-                          " resumed, threads=" + std::to_string(threads));
-      }
     }
   }
 }

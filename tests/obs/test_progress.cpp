@@ -1,5 +1,4 @@
-// ProgressMeter: restored-block seeding must count toward done/percent but
-// not the ETA rate (the checkpoint-resume skew fix).
+// ProgressMeter: done/percent counting and the rate-derived ETA.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -18,42 +17,30 @@ struct ProgressEnabledScope {
   ~ProgressEnabledScope() { set_progress_enabled(false); }
 };
 
-TEST(Progress, SeedRestoredCountsTowardDone) {
-  ProgressMeter meter{"test", 10};
-  meter.seed_restored(4);
-  EXPECT_EQ(meter.done(), 4u);
-  meter.add(2);
-  EXPECT_EQ(meter.done(), 6u);
-}
-
 TEST(Progress, FinishPrintsFullCount) {
   const ProgressEnabledScope scope;
-  ProgressMeter meter{"restore-finish", 8};
-  meter.seed_restored(8);
+  ProgressMeter meter{"finish", 8};
+  meter.add(8);
+  EXPECT_EQ(meter.done(), 8u);
   testing::internal::CaptureStderr();
   meter.finish();
   const std::string line = testing::internal::GetCapturedStderr();
-  EXPECT_NE(line.find("[restore-finish] 8/8 (100%)"), std::string::npos);
+  EXPECT_NE(line.find("[finish] 8/8 (100%)"), std::string::npos);
 }
 
-TEST(Progress, EtaExcludesRestoredBlocks) {
-  // After a resume that restored 90 of 100 blocks, completing 5 more in
-  // ~1.1s means a live rate of ~4.5 blocks/s, so the remaining 5 blocks
-  // are ~1s away. The pre-fix behavior credited all 95 done blocks to this
-  // run's elapsed time (~86 blocks/s), predicting an ETA ~20x too small.
+TEST(Progress, EtaExtrapolatesTheRate) {
+  // 5 of 10 blocks in ~1.1s is ~4.5 blocks/s, so the other 5 are ~1.1s
+  // away.
   const ProgressEnabledScope scope;
-  ProgressMeter meter{"resume-eta", 100};
-  meter.seed_restored(90);
+  ProgressMeter meter{"eta", 10};
   std::this_thread::sleep_for(std::chrono::milliseconds(1100));
   testing::internal::CaptureStderr();
   meter.add(5);  // past the 1s print interval -> prints with an ETA
   const std::string line = testing::internal::GetCapturedStderr();
-  ASSERT_NE(line.find("95/100"), std::string::npos) << line;
+  ASSERT_NE(line.find("5/10"), std::string::npos) << line;
   const auto eta_pos = line.find("eta ");
   ASSERT_NE(eta_pos, std::string::npos) << line;
   const double eta = std::stod(line.substr(eta_pos + 4));
-  // Live rate ~4.5/s, 5 blocks left: expect ~1.1s. The buggy rate would
-  // report ~0.06s; anything clearly above that proves the exclusion.
   EXPECT_GT(eta, 0.5) << line;
   EXPECT_LT(eta, 10.0) << line;
 }

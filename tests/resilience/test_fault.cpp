@@ -14,8 +14,8 @@ class FaultTest : public ::testing::Test {
 };
 
 TEST_F(FaultTest, ParsesFullSpec) {
-  const FaultSpec spec = parse_fault_spec("checkpoint.write:3:error");
-  EXPECT_EQ(spec.site, "checkpoint.write");
+  const FaultSpec spec = parse_fault_spec("lanczos.certificate:3:error");
+  EXPECT_EQ(spec.site, "lanczos.certificate");
   EXPECT_EQ(spec.nth, 3u);
   EXPECT_EQ(spec.mode, FaultMode::kError);
 }
@@ -36,9 +36,16 @@ TEST_F(FaultTest, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_fault_spec("graph.load:1:explode"), std::invalid_argument);
 }
 
+TEST_F(FaultTest, RetiredCheckpointSitesAreUnknown) {
+  // Block checkpoints are gone, and their write/rename sites with them.
+  EXPECT_THROW(parse_fault_spec("checkpoint.write:1"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("checkpoint.rename:1"), std::invalid_argument);
+  EXPECT_THROW(fault_point("checkpoint.write"), std::invalid_argument);
+}
+
 TEST_F(FaultTest, RegistryListsEverySite) {
   const auto sites = known_fault_sites();
-  ASSERT_EQ(sites.size(), 5u);
+  ASSERT_EQ(sites.size(), 3u);
   for (const auto site : sites) {
     EXPECT_NO_THROW(fault_point(site)) << site;
   }
@@ -59,10 +66,10 @@ TEST_F(FaultTest, ErrorModeFiresOnExactlyTheNthHit) {
 }
 
 TEST_F(FaultTest, OtherSitesAreUnaffected) {
-  arm_fault("checkpoint.write:1:error");
-  EXPECT_NO_THROW(fault_point("checkpoint.rename"));
+  arm_fault("lanczos.certificate:1:error");
+  EXPECT_NO_THROW(fault_point("block.complete"));
   EXPECT_NO_THROW(fault_point("graph.load"));
-  EXPECT_THROW(fault_point("checkpoint.write"), InjectedFault);
+  EXPECT_THROW(fault_point("lanczos.certificate"), InjectedFault);
 }
 
 TEST_F(FaultTest, DisarmResetsCounters) {
@@ -77,9 +84,9 @@ TEST_F(FaultTest, DisarmResetsCounters) {
 
 TEST_F(FaultTest, ReArmingReplacesTheSpec) {
   arm_fault("graph.load:1:error");
-  arm_fault("checkpoint.write:1:error");
+  arm_fault("block.complete:1:error");
   EXPECT_NO_THROW(fault_point("graph.load"));
-  EXPECT_THROW(fault_point("checkpoint.write"), InjectedFault);
+  EXPECT_THROW(fault_point("block.complete"), InjectedFault);
 }
 
 TEST_F(FaultTest, ConfiguresFromEnvironment) {

@@ -12,16 +12,11 @@
 //  * hop accounting: an isolated suspect walks no hops, and verify_batch's
 //    stats agree with the sybil.engine.hops_walked counter;
 //  * a compressed pack sweeps to the same admitted fractions as its raw
-//    twin and the in-memory graph;
-//  * sweep snapshots written without the engine-version context word (the
-//    pre-engine layout, measured under per-length seeds) are classified
-//    stale and recomputed, never replayed — while snapshots in the layout
-//    from before the sweep's ordering/shard knobs were removed restore.
+//    twin and the in-memory graph.
 #include "sybil/admission_engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -33,7 +28,6 @@
 #include "graph/sharded/format.hpp"
 #include "graph/sharded/mapped_graph.hpp"
 #include "obs/obs.hpp"
-#include "resilience/checkpoint.hpp"
 #include "sybil/routes.hpp"
 #include "sybil/sybil_limit.hpp"
 #include "util/parallel.hpp"
@@ -46,11 +40,6 @@ namespace fs = std::filesystem;
 
 constexpr graph::NodeId kNodes = 150;
 constexpr std::uint64_t kSeed = 0xadceed;
-/// The context word the retired --frontier knob folded at its `auto`
-/// default (hop-major routes): the bits of its 0.5 switch fraction.
-constexpr std::uint64_t kFrontierAutoWord = 0x3fe0000000000000;
-/// The word the retired --reorder knob folded at its `none` default.
-constexpr std::uint64_t kReorderNoneWord = 0;
 
 std::vector<graph::NodeId> spread_nodes(const graph::Graph& g, std::size_t count) {
   std::vector<graph::NodeId> nodes;
@@ -305,106 +294,6 @@ TEST(AdmissionEngine, InstancesSharingATailEdgeShareOneLoadCounter) {
   const auto& cached = engine.verifier(0);
   EXPECT_EQ(cached.distinct_tails(0), 1u);
   EXPECT_EQ(cached.distinct_tails(1), 1u);
-}
-
-TEST(AdmissionEngine, PreEngineContextSnapshotClassifiesStale) {
-  const graph::Graph g =
-      gen::build_dataset(*gen::find_dataset("Physics 1"), kNodes, 9);
-  AdmissionSweepConfig config;
-  config.route_lengths = {2, 3, 4};
-  config.suspect_sample = 20;
-  config.verifier_sample = 2;
-  const auto baseline = admission_sweep(g, config);
-
-  const fs::path dir =
-      fs::path{testing::TempDir()} / "admission_engine_stale_test";
-  fs::remove_all(dir);
-  {
-    // A complete snapshot in the pre-engine context layout: same
-    // fingerprint and block count, but no kAdmissionEngineVersion in the
-    // context word (those runs measured under per-length protocol seeds,
-    // so their payloads must not be replayed).
-    resilience::CheckpointOptions options;
-    options.dir = dir.string();
-    options.name = "sybil-admission";
-    options.interval = 1;
-    const std::uint64_t old_context = util::hash_combine(kReorderNoneWord, kFrontierAutoWord);
-    resilience::BlockCheckpoint stale{options, admission_sweep_fingerprint(g, config),
-                                      config.route_lengths.size(), old_context};
-    for (std::size_t i = 0; i < config.route_lengths.size(); ++i) {
-      stale.record(i, {0.123});  // poison: replaying would be visible
-    }
-    stale.finalize();
-  }
-
-  const auto stale_count = [] {
-    for (const auto& counter : obs::Registry::instance().snapshot().counters) {
-      if (counter.name == "resilience.stale_discarded") return counter.value;
-    }
-    return std::uint64_t{0};
-  };
-  const std::uint64_t stale_before = stale_count();
-  config.checkpoint.dir = dir.string();
-  config.checkpoint.interval = 1;
-  const auto resumed = admission_sweep(g, config);
-  EXPECT_GT(stale_count(), stale_before);
-  ASSERT_EQ(resumed.size(), baseline.size());
-  for (std::size_t i = 0; i < baseline.size(); ++i) {
-    EXPECT_EQ(resumed[i].admitted_fraction, baseline[i].admitted_fraction) << i;
-    EXPECT_NE(resumed[i].admitted_fraction, 0.123) << i;
-  }
-  fs::remove_all(dir);
-}
-
-TEST(AdmissionEngine, SnapshotInThePreviousKnobLayoutRestores) {
-  // Before the sweep's ordering/shard knobs were removed, its fingerprint
-  // and context word folded the ordering mode (kNone by default) and no
-  // shard word on a small graph; before the walk-order knob was retired,
-  // the context also folded its `auto` word. A default sweep must replay
-  // such a snapshot, not classify it stale.
-  const graph::Graph g =
-      gen::build_dataset(*gen::find_dataset("Physics 1"), kNodes, 9);
-  AdmissionSweepConfig config;
-  config.route_lengths = {2, 3, 4};
-  config.suspect_sample = 20;
-  config.verifier_sample = 2;
-  std::uint64_t fingerprint = graph::structural_fingerprint(g);
-  fingerprint = util::hash_combine(fingerprint, config.route_lengths.size());
-  for (const std::size_t w : config.route_lengths) {
-    fingerprint = util::hash_combine(fingerprint, w);
-  }
-  fingerprint = util::hash_combine(fingerprint, config.suspect_sample);
-  fingerprint = util::hash_combine(fingerprint, config.verifier_sample);
-  fingerprint = util::hash_combine(fingerprint, std::bit_cast<std::uint64_t>(config.r0));
-  fingerprint =
-      util::hash_combine(fingerprint, std::bit_cast<std::uint64_t>(config.balance_factor));
-  fingerprint = util::hash_combine(fingerprint, config.seed);
-  fingerprint = util::hash_combine(fingerprint, kReorderNoneWord);
-  ASSERT_EQ(admission_sweep_fingerprint(g, config), fingerprint);
-
-  const fs::path dir = fs::path{testing::TempDir()} / "admission_previous_layout_test";
-  fs::remove_all(dir);
-  const std::vector<double> recorded{0.125, 0.25, 0.375};  // not a real sweep's
-  {
-    resilience::CheckpointOptions options;
-    options.dir = dir.string();
-    options.name = "sybil-admission";
-    options.interval = 1;
-    std::uint64_t context = util::hash_combine(kReorderNoneWord, kFrontierAutoWord);
-    context = util::hash_combine(context, kAdmissionEngineVersion);
-    resilience::BlockCheckpoint previous{options, fingerprint,
-                                         config.route_lengths.size(), context};
-    for (std::size_t i = 0; i < recorded.size(); ++i) previous.record(i, {recorded[i]});
-    previous.finalize();
-  }
-  config.checkpoint.dir = dir.string();
-  config.checkpoint.interval = 1;
-  const auto resumed = admission_sweep(g, config);
-  ASSERT_EQ(resumed.size(), recorded.size());
-  for (std::size_t i = 0; i < recorded.size(); ++i) {
-    EXPECT_EQ(resumed[i].admitted_fraction, recorded[i]) << i;
-  }
-  fs::remove_all(dir);
 }
 
 TEST(AdmissionEngine, SweepStatsReportPhaseSplit) {

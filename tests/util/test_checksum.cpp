@@ -41,7 +41,7 @@ TEST(Crc32, StreamingMatchesOneShot) {
 }
 
 TEST(Crc32, DetectsSingleBitFlip) {
-  auto data = as_bytes("checkpoint frame bytes");
+  auto data = as_bytes("smxg section bytes");
   const auto clean = crc32(data);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] ^= std::byte{0x01};

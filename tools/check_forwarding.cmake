@@ -4,7 +4,8 @@
 # fractions.
 #
 # The retired knobs --sharded, --reorder, --precision, --io-mode and
-# --frontier must be refused by name, with exit status 1, by the figure
+# --frontier, and the retired --checkpoint-dir and --checkpoint-interval,
+# must be refused by name, with exit status 1, by the figure
 # drivers, socmix measure (on every input, a compressed pack included),
 # socmix sybil and fig8; --reorder's refusal names `graph_pack --reorder
 # rcm`, where the ordering now lives. graph_pack refuses --sharded by name
@@ -91,7 +92,8 @@ expect_refused("socmix measure --pack <raw> --sharded off" "--sharded"
 expect_refused("graph_pack --sharded 4" "--sharded"
                "${GRAPH_PACK_BIN}" --dataset "Physics 1" --nodes 300 --sharded 4
                --out "${OUT_DIR}/refused.smxg")
-foreach(knob "sharded;4" "precision;mixed" "io-mode;prefetch" "frontier;off")
+foreach(knob "sharded;4" "precision;mixed" "io-mode;prefetch" "frontier;off"
+             "checkpoint-dir;D" "checkpoint-interval;8")
   list(GET knob 0 flag)
   list(GET knob 1 value)
   expect_refused("fig5 --${flag} ${value}" "--${flag}"
@@ -103,8 +105,7 @@ expect_refused("fig5 --reorder rcm" "graph_pack --reorder rcm"
                "${FIG5_BIN}" --scale 0.1 --sources 8 --steps 20 --reorder rcm)
 expect_refused("socmix measure --reorder rcm" "graph_pack --reorder rcm"
                "${SOCMIX_BIN}" measure ${measure_input} --reorder rcm)
-foreach(bad "sources;-5" "steps;-1" "steps;0" "eps;-1" "eps;1" "checkpoint-interval;0"
-            "sample-interval-ms;0")
+foreach(bad "sources;-5" "steps;-1" "steps;0" "eps;-1" "eps;1" "sample-interval-ms;0")
   list(GET bad 0 flag)
   list(GET bad 1 value)
   expect_refused("socmix measure --${flag} ${value}" "--${flag}=${value}"
@@ -122,7 +123,7 @@ expect_refused("socmix measure --tvd-out <unwritable>" "--tvd-out"
                "${SOCMIX_BIN}" measure ${measure_input}
                --tvd-out "${OUT_DIR}/no-such-dir/out.tvd"
                --fault-inject block.complete:1:abort)
-foreach(bad "scale;0" "scale;-1" "scale;nan" "checkpoint-interval;-2")
+foreach(bad "scale;0" "scale;-1" "scale;nan")
   list(GET bad 0 flag)
   list(GET bad 1 value)
   expect_refused("fig5 --${flag} ${value}" "--${flag}=${value}"
@@ -192,7 +193,7 @@ if(EXISTS "${OUT_DIR}/refused.txt")
   message(FATAL_ERROR "a refused socmix run wrote ${OUT_DIR}/refused.txt")
 endif()
 foreach(knob "reorder;rcm" "sharded;4" "precision;mixed" "io-mode;prefetch"
-             "frontier;off")
+             "frontier;off" "checkpoint-dir;D" "checkpoint-interval;8")
   list(GET knob 0 flag)
   list(GET knob 1 value)
   expect_refused("socmix sybil --${flag} ${value}" "--${flag}"
@@ -227,5 +228,6 @@ foreach(input "--dataset;Physics 1;--nodes;600" "--pack;${raw_pack}" "--pack;${a
 endforeach()
 
 message(STATUS "driver forwarding e2e: socmix sybil admitted the same fractions in memory "
-               "and on raw and compressed packs; retired knobs (--sharded included), bad "
+               "and on raw and compressed packs; retired knobs (--sharded and the "
+               "checkpoint flags included), bad "
                "counts and numbers and unknown flags were refused")

@@ -1,6 +1,8 @@
-# Proves socmix measure's exit-3 contract at the process level: a spectral
-# run whose Lanczos certificate fails must still print its result, then
-# exit 3 with `lanczos-unconverged` on stderr. No real graph can be relied
+# Proves the exit-3 contract at the process level, for socmix measure and
+# for a figure driver (table1_datasets, which returns core::exit_status): a
+# spectral run whose Lanczos certificate fails must still print its result
+# (and the driver write its CSV), then exit 3 with `lanczos-unconverged` on
+# stderr. No real graph can be relied
 # on to defeat the solver, so the "lanczos.certificate" fault site fails
 # the certificate on demand (`error` mode marks it failed, it does not
 # throw). The same run without the fault must exit 0, so the exit code is
@@ -10,10 +12,12 @@
 # linalg.lanczos.unconverged, and the clean run's must carry it as 0.
 #
 # Driven by the unconverged_cli_e2e ctest (see tools/CMakeLists.txt):
-#   cmake -DSOCMIX_BIN=<socmix> -DOUT_DIR=<dir> -P check_unconverged.cmake
-if(NOT DEFINED SOCMIX_BIN OR NOT DEFINED OUT_DIR)
+#   cmake -DSOCMIX_BIN=<socmix> -DTABLE1_BIN=<table1_datasets> -DOUT_DIR=<dir>
+#         -P check_unconverged.cmake
+if(NOT DEFINED SOCMIX_BIN OR NOT DEFINED TABLE1_BIN OR NOT DEFINED OUT_DIR)
   message(FATAL_ERROR
-    "usage: cmake -DSOCMIX_BIN=<socmix> -DOUT_DIR=<dir> -P check_unconverged.cmake")
+    "usage: cmake -DSOCMIX_BIN=<socmix> -DTABLE1_BIN=<table1_datasets> -DOUT_DIR=<dir> "
+    "-P check_unconverged.cmake")
 endif()
 file(MAKE_DIRECTORY "${OUT_DIR}")
 
@@ -54,5 +58,45 @@ if(run_stdout STREQUAL "")
 endif()
 expect_unconverged_count("${OUT_DIR}/faulted.json" 1)
 
-message(STATUS "unconverged CLI e2e: failed certificate exits 3 with lanczos-unconverged "
-               "and counts one unconverged solve")
+# table1_datasets at a small --scale: the faulted run fails the first of
+# its 15 solves, and must still write every CSV row before exiting 3; the
+# clean run exits 0. Each runs in its own directory, where the driver
+# writes bench_results/.
+set(table1_args --scale 0.01 --seed 7)
+foreach(variant clean faulted)
+  file(REMOVE_RECURSE "${OUT_DIR}/table1_${variant}")
+  file(MAKE_DIRECTORY "${OUT_DIR}/table1_${variant}")
+endforeach()
+execute_process(
+  COMMAND "${TABLE1_BIN}" ${table1_args}
+  WORKING_DIRECTORY "${OUT_DIR}/table1_clean"
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE run_stderr)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "unfaulted table1_datasets failed (${rc}):\n${run_stderr}")
+endif()
+execute_process(
+  COMMAND "${TABLE1_BIN}" ${table1_args} --fault-inject lanczos.certificate:1:error
+  WORKING_DIRECTORY "${OUT_DIR}/table1_faulted"
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE run_stderr)
+if(NOT rc EQUAL ${unconverged_exit_code})
+  message(FATAL_ERROR "table1_datasets with a failed certificate: exit ${rc}, expected "
+                      "${unconverged_exit_code}\nstderr:\n${run_stderr}")
+endif()
+if(NOT run_stderr MATCHES "lanczos-unconverged: 1 ")
+  message(FATAL_ERROR "table1_datasets exited 3 without `lanczos-unconverged: 1` on "
+                      "stderr:\n${run_stderr}")
+endif()
+set(table1_csv "${OUT_DIR}/table1_faulted/bench_results/table1_datasets.csv")
+if(NOT EXISTS "${table1_csv}")
+  message(FATAL_ERROR "table1_datasets exited 3 before writing ${table1_csv}")
+endif()
+file(STRINGS "${table1_csv}" table1_rows)
+list(LENGTH table1_rows table1_row_count)
+if(NOT table1_row_count EQUAL 16)
+  message(FATAL_ERROR "${table1_csv}: ${table1_row_count} lines, expected a header "
+                      "and 15 datasets")
+endif()
+
+message(STATUS "unconverged CLI e2e: a failed certificate exits 3 with lanczos-unconverged "
+               "from socmix measure and table1_datasets, after their output, and counts "
+               "one unconverged solve")

@@ -35,7 +35,6 @@
 #include "graph/trim.hpp"
 #include "markov/conductance.hpp"
 #include "markov/mixing_time.hpp"
-#include "resilience/checkpoint.hpp"
 #include "sybil/admission_engine.hpp"
 #include "sybil/sybil_limit.hpp"
 #include "util/cli.hpp"
@@ -46,10 +45,6 @@
 using namespace socmix;
 
 namespace {
-
-/// Exit status of `measure` when the spectral phase ran but Lanczos did not
-/// converge or failed its residual certificate.
-constexpr int kExitUnconverged = 3;
 
 int usage() {
   std::fputs(
@@ -63,7 +58,7 @@ int usage() {
       "          --sample-out FILE.jsonl [--sample-interval-ms N]   in-run time-series\n"
       "          --bench-out FILE        BENCH json of phase timings (schema\n"
       "                                  socmix-bench/1; see tools/bench_compare)\n"
-      "  resil:  --checkpoint-dir DIR [--checkpoint-interval N]  --fault-inject SPEC\n"
+      "  faults: --fault-inject SPEC             <site>:<nth>[:abort|:error]\n"
       "  perf:   --threads N                     kernel worker threads (0 = auto)\n"
       "          (SOCMIX_SIMD=avx512|avx2|scalar forces the simd kernel tier)\n"
       "  info                                    structural report\n"
@@ -84,8 +79,7 @@ int usage() {
 /// Flags main() reads for every subcommand.
 constexpr std::string_view kSharedFlags[] = {
     "threads", "metrics-out", "trace-out", "sample-out", "sample-interval-ms",
-    "progress", "bench-out", "bench-name", "bench-repeats", "checkpoint-dir",
-    "checkpoint-interval", "fault-inject"};
+    "progress", "bench-out", "bench-name", "bench-repeats", "fault-inject"};
 
 /// Refuses, by name, any flag that neither main() nor the subcommand reads
 /// (`command_flags`, plus load_input's --edges/--dataset/--nodes/--seed
@@ -204,7 +198,8 @@ TvdFile open_tvd_out(const util::Cli& cli) {
 }
 
 /// Dumps every source's full TVD trajectory at full double precision —
-/// the artifact the resume-equivalence ctest compares byte-for-byte.
+/// the artifact to compare byte-for-byte between builds, thread counts and
+/// pack kinds.
 void write_tvd(const markov::SampledMixing& sampled, TvdFile out, const std::string& path) {
   std::fprintf(out.get(), "# source tvd(t=1) .. tvd(t=%zu)\n", sampled.max_steps());
   for (std::size_t s = 0; s < sampled.num_sources(); ++s) {
@@ -222,7 +217,7 @@ void write_tvd(const markov::SampledMixing& sampled, TvdFile out, const std::str
                sampled.num_sources());
 }
 
-int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& checkpoint) {
+int cmd_measure(const util::Cli& cli) {
   // Every flag is checked before the input is loaded; the retired knobs
   // first, so they are refused with their reason.
   core::refuse_engine_knobs(cli);
@@ -240,7 +235,6 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
   options.max_steps = options.sources > 0 ? cli.get_positive("steps", 400)
                                           : cli.get_count("steps", 400);
   options.seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
-  options.checkpoint = checkpoint;
   const std::string spectral = cli.get("spectral", "on");
   if (spectral == "on" || spectral == "off") {
     options.spectral = spectral == "on";
@@ -282,7 +276,7 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
                  report.lanczos_iterations, options.lanczos.max_iterations,
                  report.lanczos_certified_residual,
                  linalg::kLanczosCertificateSlack * options.lanczos.tolerance);
-    return kExitUnconverged;
+    return core::kExitUnconverged;
   }
   return 0;
 }
@@ -338,10 +332,9 @@ std::vector<std::size_t> parse_route_lengths(const util::Cli& cli) {
   return lengths;
 }
 
-int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpoint) {
+int cmd_sybil(const util::Cli& cli) {
   // Every flag is checked before the input is loaded.
   sybil::AdmissionSweepConfig config;
-  config.checkpoint = checkpoint;
   core::refuse_engine_knobs(cli);
   refuse_unknown_flags(cli, true, {"pack", "w", "suspects", "verifiers"});
   config.route_lengths = parse_route_lengths(cli);
@@ -395,12 +388,12 @@ int main(int argc, char** argv) {
     // Opt-in only for the CLI: an explicit --bench-out turns the phase
     // timings measure_mixing records into a BENCH artifact at exit.
     if (cli.has("bench-out")) bench::Harness::configure_process(cli);
-    const auto checkpoint = core::configure_resilience(cli);
+    core::configure_faults(cli);
     if (command == "info") return cmd_info(cli);
-    if (command == "measure") return cmd_measure(cli, checkpoint);
+    if (command == "measure") return cmd_measure(cli);
     if (command == "sample") return cmd_sample(cli);
     if (command == "trim") return cmd_trim(cli);
-    if (command == "sybil") return cmd_sybil(cli, checkpoint);
+    if (command == "sybil") return cmd_sybil(cli);
     if (command == "generate") return cmd_generate(cli);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "socmix %s: %s\n", command.c_str(), e.what());
