@@ -59,8 +59,9 @@ int main(int argc, char** argv) {
 
     const double t_orig = original.lower_bound(0.1);
     const double t_null = null_report.lower_bound(0.1);
-    table.row({spec.name, util::fmt_fixed(original.slem, 5),
-               util::fmt_fixed(null_report.slem, 5), util::fmt_fixed(t_orig, 0),
+    table.row({spec.name, core::mark_unconverged(util::fmt_fixed(original.slem, 5), original),
+               core::mark_unconverged(util::fmt_fixed(null_report.slem, 5), null_report),
+               util::fmt_fixed(t_orig, 0),
                util::fmt_fixed(t_null, 1),
                util::fmt_fixed(t_null > 0 ? t_orig / t_null : 0.0, 1) + "x"});
     std::fflush(stdout);

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
 
     core::Series s;
-    s.name = spec.name;
+    s.name = core::mark_unconverged(spec.name, report);
     for (const double eps : epsilons) {
       s.x.push_back(eps);
       s.y.push_back(report.lower_bound(eps));

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     }
     if (ts.back() != max_steps) ts.push_back(max_steps);
 
-    core::Series lower{"Lower-bound", {}, {}};
+    core::Series lower{core::mark_unconverged("Lower-bound", report), {}, {}};
     core::Series top{"Top 10%", {}, {}};
     core::Series mean{"Average", {}, {}};
     core::Series worst{"Top 99.9%", {}, {}};

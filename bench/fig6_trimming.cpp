@@ -64,13 +64,13 @@ int main(int argc, char** argv) {
     summary.row({"DBLP " + std::to_string(k),
                  util::with_commas(static_cast<std::int64_t>(report.nodes)),
                  util::with_commas(static_cast<std::int64_t>(report.edges)),
-                 util::fmt_fixed(report.slem, 5),
+                 core::mark_unconverged(util::fmt_fixed(report.slem, 5), report),
                  util::fmt_fixed(100.0 * static_cast<double>(report.nodes) /
                                      static_cast<double>(base.num_nodes()),
                                  1)});
 
     core::Series bound;
-    bound.name = "DBLP " + std::to_string(k);
+    bound.name = core::mark_unconverged("DBLP " + std::to_string(k), report);
     for (const double eps : epsilons) {
       bound.x.push_back(eps);
       bound.y.push_back(report.lower_bound(eps));

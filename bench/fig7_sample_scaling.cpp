@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       }
       if (ts.back() != max_steps) ts.push_back(max_steps);
 
-      core::Series lower{"Lower bound", {}, {}};
+      core::Series lower{core::mark_unconverged("Lower bound", report), {}, {}};
       core::Series top{"Top 10%", {}, {}};
       core::Series mid{"Median 20%", {}, {}};
       core::Series low{"Lowest 10%", {}, {}};
@@ -106,7 +106,8 @@ int main(int argc, char** argv) {
       char title[128];
       std::snprintf(title, sizeof title, "%s %uK sample (mu=%.5f, n=%u)",
                     spec.name.c_str(), size / 1000, report.slem, g.num_nodes());
-      core::emit_series(title, "t", {lower, top, mid, low}, csv_name);
+      core::emit_series(core::mark_unconverged(title, report), "t", {lower, top, mid, low},
+                        csv_name);
       std::fflush(stdout);
     }
   }

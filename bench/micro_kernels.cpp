@@ -37,6 +37,7 @@
 #include "markov/stationary.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "util/checksum.hpp"
 #include "util/csv.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -270,9 +271,9 @@ BENCHMARK(BM_TotalVariation)->Arg(1000)->Arg(100000);
 //   bench_results/micro_simd.csv  per tier throughput of the batched
 //                                 SpMM + fused-TVD sweep, per tier time of
 //                                 a Lanczos solve (its basis kernels are
-//                                 the tier's), and of the single-vector
+//                                 the tier's), of the single-vector
 //                                 SpMV (WalkOperator::apply; one kernel,
-//                                 so one row),
+//                                 so one row), and per tier CRC-32 GB/s,
 //   bench_results/e2e_simd.csv    end-to-end measure_sampled_mixing before
 //                                 (forced scalar) / after (dispatched).
 // Run with --simd-only for just this part (CI smoke), --quick for small
@@ -459,6 +460,39 @@ void run_simd_ablation(bool quick) {
   csv.row({"spmv", simd::tier_name(spmv.tier), util::fmt_sci(spmv.seconds, 6),
            util::fmt_fixed(spmv.gb, 4), util::fmt_fixed(spmv.gb / spmv.seconds, 3),
            util::fmt_fixed(1.0, 3)});
+
+  // CRC-32 per tier over one block of a streamed pack open (1 MiB, so the
+  // bytes are cache-resident as they are at open): the check every pack
+  // open and write runs on each payload byte.
+  constexpr std::size_t kCrcBytes = std::size_t{1} << 20;
+  const std::size_t crc_passes = quick ? 16 : 128;
+  std::vector<std::byte> crc_block(kCrcBytes);
+  util::Rng crc_rng{7};
+  for (std::byte& b : crc_block) b = static_cast<std::byte>(crc_rng() & 0xffu);
+  std::printf("== CRC-32 (1 MiB block, %zu passes) ==\n", crc_passes);
+  double crc_scalar = 0.0;  // the scalar tier runs first
+  for (const simd::Tier tier : available_tiers()) {
+    if (!simd::set_tier(tier)) continue;
+    const std::string entry = std::string{"crc32/"} + simd::tier_name(tier);
+    const simd::Crc32UpdateFn crc = simd::dispatch().crc32_update;
+    bench::Harness& harness = bench::Harness::process();
+    harness.set_items(entry, static_cast<double>(kCrcBytes * crc_passes));
+    std::uint32_t state = util::kCrc32Init;
+    double seconds = 1e300;
+    for (std::size_t rep = 0; rep < bench::Harness::process_repeats(5); ++rep) {
+      seconds = std::min(seconds, harness.time_once(entry, [&] {
+        for (std::size_t pass = 0; pass < crc_passes; ++pass) state = crc(state, crc_block);
+      }));
+    }
+    benchmark::DoNotOptimize(state);
+    simd::reset_tier();
+    if (crc_scalar == 0.0) crc_scalar = seconds;
+    const double gb = 1e-9 * static_cast<double>(kCrcBytes * crc_passes);
+    std::printf("  %-7s  %8.4f s  %6.2f GB/s  %5.2fx\n", simd::tier_name(tier), seconds,
+                gb / seconds, crc_scalar / seconds);
+    csv.row({"crc32", simd::tier_name(tier), util::fmt_sci(seconds, 6), util::fmt_fixed(gb, 4),
+             util::fmt_fixed(gb / seconds, 3), util::fmt_fixed(crc_scalar / seconds, 3)});
+  }
 
   // End-to-end: the sampled mixing measurement on the forced scalar tier
   // vs the dispatched best tier.

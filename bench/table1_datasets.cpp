@@ -3,7 +3,8 @@
 //
 // Reproduces the paper's inventory over the synthetic stand-ins: for each
 // of the 15 datasets, build at bench scale, extract the largest connected
-// component, and compute mu by deflated Lanczos.
+// component, and compute mu by deflated Lanczos. A mu whose solve did not
+// converge reads "UNCONVERGED" after it, in the table and in the CSV.
 //
 //   --scale F    multiply every dataset's default node count (default 0.5)
 //   --seed N     generator seed (default 42)
@@ -53,7 +54,8 @@ int main(int argc, char** argv) {
                                                                            : "moderate";
     table.row({spec.name, cls, util::with_commas(static_cast<std::int64_t>(report.nodes)),
                util::with_commas(static_cast<std::int64_t>(report.edges)),
-               util::fmt_fixed(report.slem, 4), util::fmt_fixed(report.lambda2, 4),
+               core::mark_unconverged(util::fmt_fixed(report.slem, 4), report),
+               util::fmt_fixed(report.lambda2, 4),
                util::fmt_fixed(report.lambda_min, 4),
                util::with_commas(static_cast<std::int64_t>(spec.paper_nodes)),
                util::with_commas(static_cast<std::int64_t>(spec.paper_edges)),
@@ -61,7 +63,8 @@ int main(int argc, char** argv) {
                // the obs gauges) — no driver-side stopwatch to drift from it.
                util::format_seconds(report.spectral_seconds + report.sampled_seconds)});
     csv_rows.push_back({spec.name, cls, std::to_string(report.nodes),
-                        std::to_string(report.edges), util::fmt_fixed(report.slem, 6)});
+                        std::to_string(report.edges),
+                        core::mark_unconverged(util::fmt_fixed(report.slem, 6), report)});
     std::fflush(stdout);
   }
   table.print(std::cout);

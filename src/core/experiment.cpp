@@ -205,4 +205,9 @@ std::string summarize(const MixingReport& report) {
   return out;
 }
 
+std::string mark_unconverged(std::string text, const MixingReport& report) {
+  if (report.spectral_ran && !report.spectral_converged) text += " UNCONVERGED";
+  return text;
+}
+
 }  // namespace socmix::core

@@ -115,6 +115,13 @@ void emit_series(const std::string& title, const std::string& x_caption,
                  const std::vector<Series>& series, const std::string& csv_name);
 
 /// Human-readable one-line summary of a report (used by several benches).
+/// A spectral solve that did not converge reads ", UNCONVERGED".
 [[nodiscard]] std::string summarize(const MixingReport& report);
+
+/// `text`, followed by " UNCONVERGED" when `report`'s spectral solve ran
+/// and did not converge. Every driver that prints µ marks that µ's table
+/// cell, and the CSV cell or series name carrying µ or a bound built on
+/// it, this way; a converged result's text is unchanged.
+[[nodiscard]] std::string mark_unconverged(std::string text, const MixingReport& report);
 
 }  // namespace socmix::core

@@ -53,13 +53,13 @@ std::size_t encode_group(std::span<const EdgeIndex> offsets, const NodeId* neigh
   return out.size() - start;
 }
 
-std::string parse_adjc(const std::uint8_t* payload, std::uint64_t bytes,
-                       std::uint64_t num_nodes, std::uint64_t num_values,
-                       AdjcView& out) {
+std::string parse_adjc_head(const std::uint8_t* head, std::uint64_t bytes,
+                            std::uint64_t num_nodes, std::uint64_t num_values,
+                            AdjcLayout& out) {
   if (bytes < kHeadBytes + kSlackBytes) return "ADJC payload too small";
-  const std::uint32_t group_rows = load_u32(payload);
+  const std::uint32_t group_rows = load_u32(head);
   if (group_rows == 0) return "ADJC group_rows is zero";
-  if (load_u64(payload + 8) != num_values) {
+  if (load_u64(head + 8) != num_values) {
     return "ADJC value count disagrees with header";
   }
   const std::uint64_t groups = num_groups(num_nodes, group_rows);
@@ -67,43 +67,46 @@ std::string parse_adjc(const std::uint8_t* payload, std::uint64_t bytes,
   if (bytes < kHeadBytes + kSlackBytes + index_bytes) {
     return "ADJC payload shorter than its group index";
   }
-  const std::uint64_t index_off = bytes - index_bytes;
-  if (index_off % 8 != 0) return "ADJC group index misaligned";
-  const auto* index = reinterpret_cast<const std::uint64_t*>(payload + index_off);
-  // The index must be monotone and confined to the stream region: a rotted
-  // (CRC-evading) or hand-built index must never send the decoder outside
-  // the mapped payload.
-  std::uint64_t prev = kHeadBytes;
-  if (index[0] != kHeadBytes) return "ADJC group index does not start at the head";
-  for (std::uint64_t k = 1; k <= groups; ++k) {
-    if (index[k] < prev) return "ADJC group index not monotone";
-    prev = index[k];
-  }
-  if (prev + kSlackBytes > index_off) return "ADJC group streams overrun the index";
-  out.base = payload;
+  if ((bytes - index_bytes) % 8 != 0) return "ADJC group index misaligned";
   out.bytes = bytes;
   out.group_rows = group_rows;
-  out.num_values = num_values;
   out.num_groups = groups;
-  out.group_offsets = index;
+  out.group_offsets.resize(static_cast<std::size_t>(groups + 1));
   return {};
 }
 
-std::string decode_adjc(const AdjcView& view, std::span<const EdgeIndex> offsets,
-                        NodeId* out) {
+std::string check_group_index(const AdjcLayout& layout) {
+  // The index must be monotone and confined to the stream region: a rotted
+  // (CRC-evading) or hand-built index must never send the decoder outside
+  // the payload.
+  const std::vector<std::uint64_t>& index = layout.group_offsets;
+  if (index[0] != kHeadBytes) return "ADJC group index does not start at the head";
+  for (std::uint64_t k = 1; k <= layout.num_groups; ++k) {
+    if (index[k] < index[k - 1]) return "ADJC group index not monotone";
+  }
+  if (index[layout.num_groups] + kSlackBytes > layout.index_offset()) {
+    return "ADJC group streams overrun the index";
+  }
+  return {};
+}
+
+std::string decode_groups(const AdjcLayout& layout, std::uint64_t g_begin,
+                          std::uint64_t g_end, const std::uint8_t* streams,
+                          std::span<const EdgeIndex> offsets, NodeId* out) {
   const linalg::simd::DecodeU32Fn decode = linalg::simd::dispatch().decode_u32;
   const std::uint64_t n = offsets.size() - 1;
-  for (std::uint64_t g = 0; g < view.num_groups; ++g) {
-    const std::uint64_t r0 = g * view.group_rows;
-    const std::uint64_t r1 = std::min<std::uint64_t>(n, r0 + view.group_rows);
+  const std::uint64_t base = layout.group_offsets[g_begin];
+  for (std::uint64_t g = g_begin; g < g_end; ++g) {
+    const std::uint64_t r0 = g * layout.group_rows;
+    const std::uint64_t r1 = std::min<std::uint64_t>(n, r0 + layout.group_rows);
     const std::size_t count = offsets[r1] - offsets[r0];
-    const std::uint64_t stream_lo = view.group_offsets[g];
-    const std::uint64_t stream_hi = view.group_offsets[g + 1];
+    const std::uint64_t stream_lo = layout.group_offsets[g];
+    const std::uint64_t stream_hi = layout.group_offsets[g + 1];
     const std::size_t ctrl_bytes = (count + 3) / 4;
     if (stream_hi - stream_lo < ctrl_bytes) {
       return "corrupt ADJC group stream (too short)";
     }
-    const std::uint8_t* ctrl = view.base + stream_lo;
+    const std::uint8_t* ctrl = streams + (stream_lo - base);
     // Sum the coded lengths *before* decoding: the exact-byte-count check
     // both rejects corruption and bounds the vector decoder's 16-byte
     // overreads inside the payload (the slack only guarantees room past

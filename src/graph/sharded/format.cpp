@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "graph/sharded/adjc.hpp"
+#include "linalg/simd/kernels.hpp"
 #include "util/checksum.hpp"
 
 namespace socmix::graph::sharded {
@@ -76,13 +77,16 @@ void write_pack(const std::string& path, const Graph& g,
     // every payload size and CRC is known; payloads stream straight to disk.
     pad_to(head_bytes);
 
+    // Section CRCs run on the dispatched tier's kernel (util::crc32's value
+    // on every tier).
+    const linalg::simd::Crc32UpdateFn crc32_update = linalg::simd::dispatch().crc32_update;
     const auto plain_section = [&](std::uint32_t id, std::span<const std::byte> payload) {
       SectionMeta m;
       m.id = id;
       pad_to(align_up(cursor));
       m.offset = cursor;
       m.bytes = payload.size_bytes();
-      m.crc = util::crc32(payload);
+      m.crc = util::crc32_final(crc32_update(util::kCrc32Init, payload));
       put(payload.data(), payload.size_bytes());
       return m;
     };
@@ -100,7 +104,7 @@ void write_pack(const std::string& path, const Graph& g,
       m.offset = cursor;
       std::uint32_t crc = util::kCrc32Init;
       const auto put_crc = [&](const void* p, std::size_t n) {
-        crc = util::crc32_update(crc, {static_cast<const std::byte*>(p), n});
+        crc = crc32_update(crc, {static_cast<const std::byte*>(p), n});
         put(p, n);
       };
       std::byte adjc_head[adjc::kHeadBytes] = {};

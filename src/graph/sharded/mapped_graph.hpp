@@ -4,10 +4,11 @@
 // section CRCs, CSR structural invariants — every failure mode rejects
 // with a graph.io.* metric, see format.hpp) and reads its row offsets and
 // adjacency into two buffers of its own, placed on huge pages once they
-// are large (util::aligned_vector). A compressed (ADJC, format version 2)
+// are large (util::uninit_vector). A compressed (ADJC, format version 2)
 // container is decoded into the same adjacency buffer while it is opened,
-// and the coded bytes are dropped; the decoder re-validates every group,
-// so a damaged stream throws here even with Options::verify off. Either
+// its coded bytes streamed through one reused cache-sized block; the
+// decoder re-validates every group, so a damaged stream throws here even
+// with Options::verify off. Either
 // way view() is an ordinary CSR, bit-identical to the graph that was
 // packed, and every engine sweeps it like an in-memory graph.
 //
@@ -38,7 +39,8 @@ class MappedGraph {
     /// Verify section CRCs and scan raw neighbor ids (one sequential pass
     /// over the payloads; the cheap structural checks always run).
     /// Compressed adjacency needs no id scan: the decoder range-checks
-    /// every id it reconstructs.
+    /// every id it reconstructs. With verify off, the CSR read must match
+    /// the header's structural fingerprint instead.
     bool verify = true;
   };
 
@@ -71,8 +73,10 @@ class MappedGraph {
  private:
   void load(const std::string& path, Options options);
 
-  util::aligned_vector<EdgeIndex> offsets_;
-  util::aligned_vector<NodeId> neighbors_;
+  // Written in full before they are read (a short read throws), so they
+  // are allocated without zeroing.
+  util::uninit_vector<EdgeIndex> offsets_;
+  util::uninit_vector<NodeId> neighbors_;
   Graph view_;
   std::vector<SectionInfo> sections_;
   std::uint64_t fingerprint_ = 0;

@@ -316,6 +316,9 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
     full_pass_next = false;
     double alpha = 0.0;
     if (!full_pass) {
+      // The local step (CGS2 against the newest columns, the ω recurrence)
+      // and the column write at the end of the step share one span name.
+      SOCMIX_TRACE_SPAN("lanczos.local");
       beta = basis.orthogonalize_local(w, j, coeff);
       alpha = coeff.back();
       t.at(j - 1, j - 1) = alpha;
@@ -401,7 +404,10 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
     }
 
     t.at(j - 1, j) = t.at(j, j - 1) = beta;
-    basis.set_column(j + 1, w, beta);
+    {
+      SOCMIX_TRACE_SPAN("lanczos.local");
+      basis.set_column(j + 1, w, beta);
+    }
     ++j;
   }
 

@@ -7,6 +7,10 @@
 // probed tier can never fault. SOCMIX_SIMD=scalar|avx2|avx512 overrides
 // the probe (CI forces each tier on one machine); an override naming an
 // unavailable tier warns once on stderr and falls back to the probe.
+//
+// Both vector tiers also need PCLMULQDQ (their CRC-32 is carry-less
+// multiplication): every AVX2 CPU has it, but the probe checks it anyway
+// so a CPU without it takes the scalar tier instead of faulting.
 
 #include <atomic>
 #include <cstdio>
@@ -15,16 +19,17 @@
 
 #include "linalg/simd/kernels_detail.hpp"
 #include "obs/obs.hpp"
+#include "util/checksum.hpp"
 
 namespace socmix::linalg::simd {
 
 namespace {
 
 constexpr KernelTable kScalarTable{
-    Tier::kScalar,         &scalar::spmm_f64,   &scalar::spmv,
-    &scalar::prescale_f64, &scalar::decode_u32, &scalar::route_hops,
-    &scalar::dot_f64,      &scalar::axpy_f64,   &scalar::divide_f64,
-    &scalar::combine_f64,
+    Tier::kScalar,          &scalar::spmm_f64,   &scalar::spmv,
+    &scalar::prescale_f64,  &scalar::decode_u32, &util::crc32_update,
+    &scalar::route_hops,    &scalar::dot_f64,    &scalar::axpy_f64,
+    &scalar::divide_f64,    &scalar::combine_f64,
 };
 
 // The single-vector SpMV is latency-bound, not width-bound: on the
@@ -36,24 +41,25 @@ constexpr KernelTable kScalarTable{
 // AVX2 has no 64-bit lane multiply, which every mix of the route hop's
 // Feistel network needs; the AVX2 tier reuses the scalar route hop.
 constexpr KernelTable kAvx2Table{
-    Tier::kAvx2,         &avx2::spmm_f64,   &scalar::spmv,
-    &avx2::prescale_f64, &avx2::decode_u32, &scalar::route_hops,
-    &avx2::dot_f64,      &avx2::axpy_f64,   &avx2::divide_f64,
-    &avx2::combine_f64,
+    Tier::kAvx2,          &avx2::spmm_f64,   &scalar::spmv,
+    &avx2::prescale_f64,  &avx2::decode_u32, &avx2::crc32_update,
+    &scalar::route_hops,  &avx2::dot_f64,    &avx2::axpy_f64,
+    &avx2::divide_f64,    &avx2::combine_f64,
 };
 #endif
 
 #if defined(SOCMIX_SIMD_HAVE_AVX512)
 // The varint decode is SSSE3 shuffle work with no 512-bit form worth
-// having; the AVX-512 tier reuses the AVX2 decoder (an AVX-512 build
-// always compiles the AVX2 TU too — see src/linalg/CMakeLists.txt).
+// having, and at 128 bits the CRC-32 is already under a tenth of a pack
+// open; the AVX-512 tier reuses the AVX2 decoder and CRC-32 (an AVX-512 build always
+// compiles the AVX2 TU too — see src/linalg/CMakeLists.txt).
 constexpr KernelTable kAvx512Table{
     Tier::kAvx512,         &avx512::spmm_f64, &scalar::spmv,
     &avx512::prescale_f64,
 #if defined(SOCMIX_SIMD_HAVE_AVX2)
-    &avx2::decode_u32,
+    &avx2::decode_u32,     &avx2::crc32_update,
 #else
-    &scalar::decode_u32,
+    &scalar::decode_u32,   &util::crc32_update,
 #endif
     &avx512::route_hops,   &avx512::dot_f64,  &avx512::axpy_f64,
     &avx512::divide_f64,   &avx512::combine_f64,
@@ -86,7 +92,7 @@ bool cpu_supports(Tier tier) noexcept {
       return true;
     case Tier::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx2") != 0;
+      return __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("pclmul") != 0;
 #else
       return false;
 #endif
@@ -94,7 +100,7 @@ bool cpu_supports(Tier tier) noexcept {
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512dq") != 0 &&
-             __builtin_cpu_supports("avx2") != 0;
+             __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("pclmul") != 0;
 #else
       return false;
 #endif

@@ -5,16 +5,17 @@
 // single-vector gather-stream SpMV (linalg::WalkOperator, one-lane
 // markov::BatchedEvolver), the Krylov-basis kernels of Lanczos
 // (linalg::detail::KrylovBasis: dot, axpy, divide, combine), the ADJC
-// varint decoder and the SybilLimit route hop
-// (sybil::RouteTable::for_each_tail) all funnel through one table of
-// kernel function pointers. Three tiers implement the table:
+// varint decoder, the CRC-32 that checks every `.smxg` section and the
+// SybilLimit route hop (sybil::RouteTable::for_each_tail) all funnel
+// through one table of kernel function pointers. Three tiers implement
+// the table:
 //
 //   scalar   the portable fallback, compiled with the build's baseline
-//            flags;
-//   avx2     256-bit vertical ops and a pshufb varint decode (route hops:
-//            scalar — AVX2 has no 64-bit multiply);
+//            flags (CRC-32: util::crc32_update's slice-by-8);
+//   avx2     256-bit vertical ops, a pshufb varint decode and a PCLMULQDQ
+//            CRC-32 (route hops: scalar — AVX2 has no 64-bit multiply);
 //   avx512   512-bit vertical ops, 8 route hops per vector with vpmullq
-//            (AVX512DQ).
+//            (AVX512DQ); the decoder and CRC-32 are the AVX2 tier's.
 //
 // The single-vector SpMV is one plain C++ kernel in every tier's table: it
 // is bound by the latency of each row's add chain, which four rows in
@@ -44,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 
 #include "graph/types.hpp"
@@ -162,6 +164,15 @@ struct RouteHopArgs {
 
 using RouteHopsFn = void (*)(const RouteHopArgs& args);
 
+/// Continues a CRC-32 (IEEE 802.3, reflected) over `data`: the same
+/// contract and the same value as util::crc32_update, which is the scalar
+/// tier's entry (start from util::kCrc32Init, finish with
+/// util::crc32_final). The vector tiers fold 64 bytes per step with
+/// carry-less multiplies and reduce by Barrett; inputs shorter than 64
+/// bytes, and the last bytes past a whole 16, take the scalar path.
+using Crc32UpdateFn = std::uint32_t (*)(std::uint32_t state,
+                                        std::span<const std::byte> data) noexcept;
+
 /// Dot product of a[0, len) and b[0, len) with eight accumulators:
 /// s[u] sums a[r] * b[r] over the r = u (mod 8) of the whole groups of
 /// eight, in ascending r; the tail past the last whole group is added into
@@ -204,6 +215,7 @@ struct KernelTable {
   SpmvFn spmv = nullptr;
   PrescaleF64Fn prescale_f64 = nullptr;
   DecodeU32Fn decode_u32 = nullptr;
+  Crc32UpdateFn crc32_update = nullptr;
   RouteHopsFn route_hops = nullptr;
   DotF64Fn dot_f64 = nullptr;
   AxpyF64Fn axpy_f64 = nullptr;

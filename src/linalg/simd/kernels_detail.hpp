@@ -2,7 +2,8 @@
 //
 // Each tier lives in its own translation unit so it can carry its own
 // target flags (see src/linalg/CMakeLists.txt): the scalar TU uses the
-// build's baseline flags, the avx2/avx512 TUs add -mavx2 / -mavx512f.
+// build's baseline flags, the avx2/avx512 TUs add -mavx2 -mpclmul /
+// -mavx512f.
 // All three are compiled with -ffp-contract=off — the rounding-point
 // contract in kernels.hpp forbids fused multiply-adds in any tier.
 // dispatch.cpp is the only consumer.
@@ -31,6 +32,7 @@ void prescale_f64(const double* x, const double* w, double* out, std::size_t beg
                   std::size_t end);
 std::size_t decode_u32(const std::uint8_t* ctrl, const std::uint8_t* data,
                        std::size_t count, std::uint32_t* out);
+std::uint32_t crc32_update(std::uint32_t state, std::span<const std::byte> data) noexcept;
 double dot_f64(const double* a, const double* b, std::size_t len);
 void axpy_f64(double alpha, const double* x, double* y, std::size_t len);
 void divide_f64(const double* x, double d, double* y, std::size_t len);

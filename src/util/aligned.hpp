@@ -23,6 +23,8 @@
 
 #include <cstddef>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #if defined(__linux__)
@@ -91,5 +93,34 @@ struct AlignedAlloc {
 /// from kHugeBufferBytes up.
 template <class T>
 using aligned_vector = std::vector<T, AlignedAlloc<T>>;
+
+/// AlignedAlloc whose containers default-initialize: resize() leaves new
+/// elements of a trivial type unwritten instead of zeroing them. For a
+/// buffer that is filled before it is read (a pack's CSR, read or decoded
+/// when it is opened), so each page is touched once, by its first write.
+template <class T>
+struct UninitAlloc : AlignedAlloc<T> {
+  UninitAlloc() noexcept = default;
+  template <class U>
+  UninitAlloc(const UninitAlloc<U>&) noexcept {}  // NOLINT(google-explicit-constructor)
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
+  template <class U>
+  struct rebind {
+    using other = UninitAlloc<U>;
+  };
+};
+
+/// aligned_vector whose resize() does not value-initialize (UninitAlloc).
+template <class T>
+using uninit_vector = std::vector<T, UninitAlloc<T>>;
 
 }  // namespace socmix::util

@@ -27,6 +27,7 @@
 #include "graph/sharded/plan.hpp"
 #include "obs/obs.hpp"
 #include "util/checksum.hpp"
+#include "../linalg/simd_tiers.hpp"
 
 namespace socmix::graph::sharded {
 namespace {
@@ -233,24 +234,28 @@ class SmxgCompressedTest : public SmxgTest {
     write_smxg_file(path_, graph_, options);
   }
 
-  /// Byte range of the ADJC payload, read from the section table.
-  [[nodiscard]] static std::pair<std::uint64_t, std::uint64_t> adjc_extent(
-      const std::vector<char>& bytes) {
+  /// Byte range of section `want`'s payload, read from the section table.
+  [[nodiscard]] static std::pair<std::uint64_t, std::uint64_t> section_extent(
+      const std::vector<char>& bytes, std::uint32_t want) {
     std::uint32_t num_sections = 0;
     std::memcpy(&num_sections, bytes.data() + 12, sizeof num_sections);
     for (std::uint32_t i = 0; i < num_sections; ++i) {
       const char* entry = bytes.data() + kHeaderBytes + i * kSectionEntryBytes;
       std::uint32_t id = 0;
       std::memcpy(&id, entry, sizeof id);
-      if (id != kSectionAdjacencyCompressed) continue;
+      if (id != want) continue;
       std::uint64_t offset = 0;
       std::uint64_t size = 0;
       std::memcpy(&offset, entry + 8, sizeof offset);
       std::memcpy(&size, entry + 16, sizeof size);
       return {offset, size};
     }
-    ADD_FAILURE() << "no ADJC section";
+    ADD_FAILURE() << "no section " << want;
     return {0, 0};
+  }
+  [[nodiscard]] static std::pair<std::uint64_t, std::uint64_t> adjc_extent(
+      const std::vector<char>& bytes) {
+    return section_extent(bytes, kSectionAdjacencyCompressed);
   }
 
   /// Re-stamps the ADJC section CRC after a deliberate payload edit, so
@@ -429,6 +434,137 @@ TEST_F(SmxgCompressedTest, GapOverflowRejectsAtOpen) {
     open.verify = verify;
     expect_rejected("neighbor id out of range", open);
   }
+}
+
+TEST_F(SmxgCompressedTest, StreamsPayloadsLargerThanOneBlock) {
+  // An open reads ADJC about 1 MiB of whole groups at a time. Rows 0..299
+  // each list all 5000 vertices, so group 0 alone codes to more than a
+  // block and gets a block of its own; the other groups share blocks.
+  constexpr NodeId kNodes = 5000;
+  std::vector<EdgeIndex> offsets{0};
+  std::vector<NodeId> neighbors;
+  for (NodeId v = 0; v < kNodes; ++v) {
+    if (v < 300) {
+      for (NodeId u = 0; u < kNodes; ++u) neighbors.push_back(u);
+    } else {
+      neighbors.push_back(v % 7);
+    }
+    offsets.push_back(neighbors.size());
+  }
+  const Graph big = Graph::from_csr(std::move(offsets), std::move(neighbors));
+  WriteOptions compress;
+  compress.compress = true;
+  write_smxg_file(path_, big, compress);
+  const auto [offset, size] = adjc_extent(slurp());
+  ASSERT_GT(size, std::uint64_t{1} << 20);
+  for (const linalg::simd::Tier tier : test::available_tiers()) {
+    const test::TierGuard guard{tier};
+    ASSERT_TRUE(guard.ok());
+    for (const bool verify : {true, false}) {
+      MappedGraph::Options options;
+      options.verify = verify;
+      const MappedGraph mapped{path_, options};
+      const auto a = mapped.view().raw_neighbors();
+      const auto b = big.raw_neighbors();
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << linalg::simd::tier_name(tier) << " verify=" << verify;
+    }
+  }
+  // A decode defect in the first block does not end the read: the CRC
+  // over the whole payload still runs and its mismatch is what is
+  // reported; re-stamped, the decoder's defect is.
+  auto bytes = slurp();
+  char& ctrl = bytes[static_cast<std::size_t>(offset + adjc::kHeadBytes)];
+  ctrl = static_cast<char>(ctrl ^ 0x01);
+  dump(bytes);
+  expect_rejected("section CRC mismatch (ADJC)");
+  restamp_adjc_crc(bytes);
+  dump(bytes);
+  expect_rejected("byte count mismatch");
+}
+
+TEST_F(SmxgCompressedTest, EveryByteFlipAndTruncationFailsClosed) {
+  // A deterministic mutation sweep: every byte of the header, OFFS and
+  // ADJC inverted in turn, and the file cut at every length. With
+  // verification on, each mutant must be rejected. With it off, the
+  // header CRC, the structural checks, the decoder (on every kernel tier)
+  // and the header fingerprint are the guards: a mutant must be rejected
+  // or load exactly the packed CSR (a flipped slack byte changes nothing).
+  const std::vector<char> clean = slurp();
+  const auto [offs_offset, offs_size] = section_extent(clean, kSectionOffsets);
+  const auto [adjc_offset, adjc_size] = adjc_extent(clean);
+  const auto same_csr = [&](const Graph& view) {
+    const auto a = view.offsets();
+    const auto b = graph_.offsets();
+    const auto x = view.raw_neighbors();
+    const auto y = graph_.raw_neighbors();
+    return std::equal(a.begin(), a.end(), b.begin(), b.end()) &&
+           std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  // "rejected", "same" or "DIFFERENT CSR" for the file as it is now.
+  const auto outcome = [&](bool verify) -> std::string {
+    const std::uint64_t before = rejected_count();
+    MappedGraph::Options options;
+    options.verify = verify;
+    try {
+      const MappedGraph mapped{path_, options};
+      return same_csr(mapped.view()) ? "same" : "DIFFERENT CSR";
+    } catch (const std::runtime_error& e) {
+      return rejected_count() == before + 1 ? "rejected"
+                                            : std::string{"uncounted: "} + e.what();
+    }
+  };
+  struct Range {
+    const char* name;
+    std::uint64_t begin;
+    std::uint64_t end;
+  };
+  const Range ranges[] = {{"header", 0, kHeaderBytes},
+                          {"OFFS", offs_offset, offs_offset + offs_size},
+                          {"ADJC", adjc_offset, adjc_offset + adjc_size}};
+  // Mutants are written in place and cut with resize_file: rewriting a
+  // file from empty makes some filesystems flush it on every close.
+  std::size_t mutants = 0;
+  {
+    std::fstream file{path_, std::ios::binary | std::ios::in | std::ios::out};
+    ASSERT_TRUE(file.is_open());
+    const auto put = [&](std::uint64_t at, char byte) {
+      file.seekp(static_cast<std::streamoff>(at));
+      file.put(byte);
+      file.flush();
+    };
+    for (const Range& range : ranges) {
+      const bool decoded = std::string{range.name} == "ADJC";
+      // Only ADJC's decoder differs between tiers.
+      const std::vector<linalg::simd::Tier> tiers =
+          decoded ? test::available_tiers()
+                  : std::vector<linalg::simd::Tier>{linalg::simd::active_tier()};
+      for (std::uint64_t i = range.begin; i < range.end; ++i) {
+        const char original = clean[static_cast<std::size_t>(i)];
+        put(i, static_cast<char>(~original));
+        ++mutants;
+        ASSERT_EQ(outcome(true), "rejected") << range.name << " byte " << i - range.begin;
+        for (const linalg::simd::Tier tier : tiers) {
+          const test::TierGuard guard{tier};
+          ASSERT_TRUE(guard.ok());
+          const std::string unverified = outcome(false);
+          ASSERT_TRUE(unverified == "rejected" || unverified == "same")
+              << range.name << " byte " << i - range.begin << " unverified on "
+              << linalg::simd::tier_name(tier) << ": " << unverified;
+        }
+        put(i, original);
+      }
+    }
+  }
+  for (std::size_t len = clean.size(); len-- > 0;) {
+    fs::resize_file(path_, len);
+    ++mutants;
+    ASSERT_EQ(outcome(true), "rejected") << "truncated to " << len;
+    ASSERT_EQ(outcome(false), "rejected") << "truncated to " << len;
+  }
+  EXPECT_GT(mutants, clean.size());
+  dump(clean);
+  EXPECT_EQ(outcome(false), "same");
 }
 
 TEST_F(SmxgCompressedTest, CompressedVersionRelabeledUncompressedRejects) {

@@ -13,9 +13,10 @@
 //    exactly as a naive row loop does, a range split that carries the
 //    running TVD sum matches one call over every row, an in-place SpMV
 //    (y == x) matches separate buffers bit for bit, the SpMV matches
-//    a naive row-by-row reference on any row range, and the Krylov-basis
+//    a naive row-by-row reference on any row range, the Krylov-basis
 //    kernels (dot, axpy, divide, combine, in place too) match their
-//    elementwise references.
+//    elementwise references, and the CRC-32 returns util::crc32_update's
+//    value at every length, alignment and split.
 //
 // Tiers unavailable on the build/host (e.g. AVX-512 on a plain CI runner)
 // are skipped via the runtime tier_available probe.
@@ -41,6 +42,7 @@
 #include "markov/batched_evolver.hpp"
 #include "markov/mixing_time.hpp"
 #include "markov/stationary.hpp"
+#include "util/checksum.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "simd_tiers.hpp"
@@ -650,6 +652,41 @@ TEST(SimdKernelContract, CombineMatchesTheReferenceAndRotatesInPlaceOnEveryTier)
         }
       }
     }
+  }
+}
+
+TEST(SimdKernelContract, Crc32MatchesUtilOnEveryTier) {
+  // Every length that takes the short path, the 64-byte folds and the
+  // sub-16-byte tail, at every start offset within a cache line; every
+  // split of an incremental update; and 1 MB in one call.
+  std::vector<std::byte> bytes(std::size_t{1} << 20);
+  util::Rng rng{33};
+  for (std::byte& b : bytes) b = static_cast<std::byte>(rng() & 0xffu);
+  const std::span<const std::byte> all{bytes};
+  const std::span<const std::byte> page = all.first(4096);
+  const std::uint32_t page_crc = util::crc32_update(util::kCrc32Init, page);
+  for (const simd::Tier tier : available_tiers()) {
+    const TierGuard guard{tier};
+    ASSERT_TRUE(guard.ok());
+    const simd::Crc32UpdateFn crc = simd::dispatch().crc32_update;
+    for (std::size_t offset = 0; offset < 64; ++offset) {
+      for (std::size_t len = 0; len <= 300; ++len) {
+        const auto piece = all.subspan(offset, len);
+        // A running state other than the initial one enters the fold too.
+        for (const std::uint32_t state : {util::kCrc32Init, 0x1234abcdu}) {
+          ASSERT_EQ(crc(state, piece), util::crc32_update(state, piece))
+              << "tier=" << simd::tier_name(tier) << " offset=" << offset
+              << " len=" << len << " state=" << state;
+        }
+      }
+    }
+    for (std::size_t split = 0; split <= page.size(); ++split) {
+      ASSERT_EQ(crc(crc(util::kCrc32Init, page.first(split)), page.subspan(split)),
+                page_crc)
+          << "tier=" << simd::tier_name(tier) << " split=" << split;
+    }
+    EXPECT_EQ(util::crc32_final(crc(util::kCrc32Init, all)), util::crc32(all))
+        << "tier=" << simd::tier_name(tier);
   }
 }
 

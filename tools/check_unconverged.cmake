@@ -1,8 +1,8 @@
 # Proves the exit-3 contract at the process level, for socmix measure and
 # for a figure driver (table1_datasets, which returns core::exit_status): a
 # spectral run whose Lanczos certificate fails must still print its result
-# (and the driver write its CSV), then exit 3 with `lanczos-unconverged` on
-# stderr. No real graph can be relied
+# (and the driver write its CSV, with that row's mu marked UNCONVERGED in
+# both), then exit 3 with `lanczos-unconverged` on stderr. No real graph can be relied
 # on to defeat the solver, so the "lanczos.certificate" fault site fails
 # the certificate on demand (`error` mode marks it failed, it does not
 # throw). The same run without the fault must exit 0, so the exit code is
@@ -70,14 +70,21 @@ endforeach()
 execute_process(
   COMMAND "${TABLE1_BIN}" ${table1_args}
   WORKING_DIRECTORY "${OUT_DIR}/table1_clean"
-  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE run_stderr)
+  RESULT_VARIABLE rc OUTPUT_VARIABLE clean_stdout ERROR_VARIABLE run_stderr)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "unfaulted table1_datasets failed (${rc}):\n${run_stderr}")
+endif()
+if(clean_stdout MATCHES "UNCONVERGED")
+  message(FATAL_ERROR "unfaulted table1_datasets marked a row UNCONVERGED:\n${clean_stdout}")
+endif()
+file(READ "${OUT_DIR}/table1_clean/bench_results/table1_datasets.csv" clean_csv)
+if(clean_csv MATCHES "UNCONVERGED")
+  message(FATAL_ERROR "unfaulted table1_datasets marked a CSV row UNCONVERGED:\n${clean_csv}")
 endif()
 execute_process(
   COMMAND "${TABLE1_BIN}" ${table1_args} --fault-inject lanczos.certificate:1:error
   WORKING_DIRECTORY "${OUT_DIR}/table1_faulted"
-  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE run_stderr)
+  RESULT_VARIABLE rc OUTPUT_VARIABLE run_stdout ERROR_VARIABLE run_stderr)
 if(NOT rc EQUAL ${unconverged_exit_code})
   message(FATAL_ERROR "table1_datasets with a failed certificate: exit ${rc}, expected "
                       "${unconverged_exit_code}\nstderr:\n${run_stderr}")
@@ -96,7 +103,22 @@ if(NOT table1_row_count EQUAL 16)
   message(FATAL_ERROR "${table1_csv}: ${table1_row_count} lines, expected a header "
                       "and 15 datasets")
 endif()
+# The failed solve is the first dataset's: its row, and only its row, is
+# marked, in the printed table and in the CSV.
+list(GET table1_rows 1 first_row)
+list(FILTER table1_rows INCLUDE REGEX "UNCONVERGED")
+list(LENGTH table1_rows marked_rows)
+if(NOT marked_rows EQUAL 1 OR NOT first_row MATCHES " UNCONVERGED")
+  message(FATAL_ERROR "${table1_csv}: ${marked_rows} rows marked UNCONVERGED, expected "
+                      "the first dataset's only")
+endif()
+string(REGEX MATCHALL "[^\n]*UNCONVERGED[^\n]*" marked_lines "${run_stdout}")
+list(LENGTH marked_lines marked_lines_count)
+if(NOT marked_lines_count EQUAL 1)
+  message(FATAL_ERROR "table1_datasets printed ${marked_lines_count} rows marked "
+                      "UNCONVERGED, expected 1:\n${run_stdout}")
+endif()
 
 message(STATUS "unconverged CLI e2e: a failed certificate exits 3 with lanczos-unconverged "
-               "from socmix measure and table1_datasets, after their output, and counts "
-               "one unconverged solve")
+               "from socmix measure and table1_datasets, after their output, marks the "
+               "row UNCONVERGED, and counts one unconverged solve")
