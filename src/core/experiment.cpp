@@ -73,8 +73,8 @@ constexpr RefusedFlag kRefusedFlags[] = {
      "retired; vertex ordering is a property of the stored graph: pack it once with "
      "`graph_pack --reorder rcm` and measure the pack"},
     {"sharded",
-     "retired; every graph is swept as one resident CSR, a compressed pack decoded "
-     "once when it is opened"},
+     "retired; every graph is swept as one resident CSR, a pack decoded once when "
+     "it is opened"},
     {"checkpoint-dir", "retired; every measurement runs to completion, with no resume"},
     {"checkpoint-interval", "retired; every measurement runs to completion, with no resume"},
 };

@@ -62,7 +62,7 @@ class Graph {
   [[nodiscard]] static Graph borrowed(std::span<const EdgeIndex> offsets,
                                       std::span<const NodeId> neighbors);
 
-  /// Always false: every graph, a compressed pack's included, carries its
+  /// Always false: every graph, a decoded pack's included, carries its
   /// adjacency. perfbench/ still asks; delete with the next benchmark
   /// change.
   [[nodiscard]] bool headless() const noexcept { return false; }

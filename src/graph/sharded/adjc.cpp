@@ -129,8 +129,7 @@ std::string decode_groups(const AdjcLayout& layout, std::uint64_t g_begin,
       return "corrupt ADJC group stream (decoder disagreement)";
     }
     // Undelta in u64 so a corrupt gap cannot wrap, and range-check every
-    // reconstructed id — the decoded CSR upholds the same invariant the
-    // loader's id scan enforces on ADJ4. Gaps are unsigned, so the
+    // reconstructed id: every kernel indexes by it. Gaps are unsigned, so the
     // accumulator is monotone across a row: its final value bounds every
     // id stored before it, and one check per row rejects exactly the
     // streams a per-element check would.

@@ -23,8 +23,8 @@
 // counts per group are not stored: they are re-derived from the OFFS
 // section, which keeps ADJC pure compression — no structural authority.
 // Decoding reconstructs the exact neighbor ids (integers, no rounding), so
-// the CSR a compressed pack is decoded into when it is opened is
-// bit-identical to an uncompressed ADJ4 payload; see DESIGN.md "Packs".
+// the CSR a pack is decoded into when it is opened is bit-identical to the
+// graph that was packed; see DESIGN.md "Packs".
 #pragma once
 
 #include <cstddef>
@@ -92,8 +92,8 @@ struct AdjcLayout {
 /// value count from the validated row `offsets`. `streams` holds the
 /// payload from group_offsets[g_begin] through group_offsets[g_end], with
 /// kSlackBytes readable bytes after it for the vector decoder's 16-byte
-/// loads. Fails closed on any stream the ids cannot come from, whether or
-/// not the section CRC is checked: the coded lengths are summed before
+/// loads. Fails closed on any stream the ids cannot come from, even under
+/// a matching section CRC: the coded lengths are summed before
 /// decoding and must consume the group's bytes exactly (which also bounds
 /// the vector decoder's reads), and each row is undeltaed in u64 so a
 /// corrupt gap cannot wrap, with every id checked against the node count.

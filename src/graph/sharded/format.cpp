@@ -44,7 +44,7 @@ struct SectionMeta {
 /// to u64 so the payload layout is NodeId-width independent) as its SHRD
 /// section.
 void write_pack(const std::string& path, const Graph& g,
-                const std::vector<std::uint64_t>& bounds64, const WriteOptions& options) {
+                const std::vector<std::uint64_t>& bounds64) {
   // The payload images are the in-memory arrays, so the writer requires a
   // little-endian host (every deployment target; the header's endian tag
   // protects readers either way).
@@ -92,9 +92,7 @@ void write_pack(const std::string& path, const Graph& g,
     };
 
     metas[0] = plain_section(kSectionOffsets, bytes_of(g.offsets()));
-    if (!options.compress) {
-      metas[1] = plain_section(kSectionAdjacency, bytes_of(g.raw_neighbors()));
-    } else {
+    {
       // ADJC: head, group streams, slack, then the group index — written in
       // that order through one incremental CRC, buffering one group at a
       // time (layout contract in adjc.hpp).
@@ -144,7 +142,7 @@ void write_pack(const std::string& path, const Graph& g,
     std::vector<std::byte> head(static_cast<std::size_t>(head_bytes), std::byte{0});
     store_u32(head.data() + 0, kMagic);
     store_u32(head.data() + 4, kEndianTag);
-    store_u32(head.data() + 8, options.compress ? kVersionCompressed : kVersion);
+    store_u32(head.data() + 8, kVersion);
     store_u32(head.data() + 12, kNumSections);
     store_u64(head.data() + 16, g.num_nodes());
     store_u64(head.data() + 24, g.num_half_edges());
@@ -175,17 +173,16 @@ void write_pack(const std::string& path, const Graph& g,
 
 }  // namespace
 
-void write_smxg_file(const std::string& path, const Graph& g,
-                     const WriteOptions& options) {
-  write_pack(path, g, {0, g.num_nodes()}, options);
+void write_smxg_file(const std::string& path, const Graph& g) {
+  write_pack(path, g, {0, g.num_nodes()});
 }
 
 void write_smxg_file(const std::string& path, const Graph& g, const ShardPlan& plan,
-                     const WriteOptions& options) {
+                     const WriteOptions& /*options*/) {
   if (plan.dim() != g.num_nodes() || plan.num_shards() == 0) {
     throw std::runtime_error{"write_smxg_file: shard plan does not cover the graph"};
   }
-  write_pack(path, g, {plan.bounds.begin(), plan.bounds.end()}, options);
+  write_pack(path, g, {plan.bounds.begin(), plan.bounds.end()});
 }
 
 }  // namespace socmix::graph::sharded

@@ -5,15 +5,13 @@
 //   [ 64 B header ]
 //   [ 32 B x num_sections section table ]
 //   [ OFFS payload ]  (n+1) x u64   CSR row offsets
-//   [ ADJ4 payload ]  2m    x u32   neighbor ids            (version 1)
-//   [ ADJC payload ]  stream-vbyte delta-coded neighbors    (version 2)
+//   [ ADJC payload ]  stream-vbyte delta-coded neighbors (sharded/adjc.hpp)
 //   [ SHRD payload ]  (S+1) x u64   shard row bounds (written, never read)
 //
-// A container carries exactly one adjacency section: raw ADJ4 under
-// format version 1 (unchanged from PR 8), or the compressed ADJC form
-// under version 2 (`graph_pack --compress`; layout in sharded/adjc.hpp).
-// Version-1 readers fail closed on a version-2 file by the ordinary
-// version check — compression is a format change, not a silent variant.
+// Every pack is format version 2, whose adjacency is the compressed ADJC
+// section. Version 1 stored it as a raw u32 array (ADJ4); a reader
+// refuses such a file by name, so an old pack is repacked with
+// graph_pack, never half-read.
 //
 // Header (byte offsets):
 //    0  u32  magic 'SMXG'
@@ -51,37 +49,37 @@ namespace socmix::graph::sharded {
 
 inline constexpr std::uint32_t kMagic = 0x47584D53;      // 'S','M','X','G'
 inline constexpr std::uint32_t kEndianTag = 0x01020304;  // reads back swapped on BE
-inline constexpr std::uint32_t kVersion = 1;
-/// Version stamped on containers whose adjacency is ADJC-compressed.
-inline constexpr std::uint32_t kVersionCompressed = 2;
+inline constexpr std::uint32_t kVersion = 2;
+/// The retired raw-adjacency (ADJ4) format, refused by name.
+inline constexpr std::uint32_t kVersionRawAdjacency = 1;
 inline constexpr std::size_t kHeaderBytes = 64;
 inline constexpr std::size_t kSectionEntryBytes = 32;
 inline constexpr std::size_t kPayloadAlign = 64;
 
-// Section ids ('OFFS', 'ADJ4', 'ADJC', 'SHRD' as little-endian fourccs).
+// Section ids ('OFFS', 'ADJC', 'SHRD' as little-endian fourccs).
 inline constexpr std::uint32_t kSectionOffsets = 0x5346464F;
-inline constexpr std::uint32_t kSectionAdjacency = 0x344A4441;
 inline constexpr std::uint32_t kSectionAdjacencyCompressed = 0x434A4441;
 inline constexpr std::uint32_t kSectionShards = 0x44524853;
 
+/// The pack option the writer once took. It is retired: every pack is
+/// written compressed. perfbench/ still sets `compress`; delete the struct
+/// with the next benchmark change. Nothing reads it.
 struct WriteOptions {
-  /// Emit the adjacency as a compressed ADJC section (format version 2)
-  /// instead of the raw ADJ4 array.
+  /// Retired `graph_pack --compress`.
   bool compress = false;
 };
 
-/// Writes `g` as a `.smxg` file with a one-shard SHRD section (temp file +
-/// atomic rename). Payloads are streamed
-/// through incremental CRCs and the header/section table patched in
-/// afterwards, so the writer's extra memory stays O(one compression group)
-/// regardless of graph size. Throws std::runtime_error on I/O failure.
-void write_smxg_file(const std::string& path, const Graph& g,
-                     const WriteOptions& options = {});
+/// Writes `g` as a `.smxg` file (OFFS + ADJC + a one-shard SHRD section;
+/// temp file + atomic rename). Payloads are streamed through incremental
+/// CRCs and the header/section table patched in afterwards, so the
+/// writer's extra memory stays O(one compression group) regardless of
+/// graph size. Throws std::runtime_error on I/O failure.
+void write_smxg_file(const std::string& path, const Graph& g);
 
 /// The same with `plan`'s bounds as the SHRD section, which no reader
 /// uses; `plan.dim()` must equal `g.num_nodes()`. perfbench/ still writes
-/// its plan through this overload; delete it with the next benchmark
-/// change.
+/// its plan through this overload; delete it, with WriteOptions, with the
+/// next benchmark change.
 void write_smxg_file(const std::string& path, const Graph& g, const ShardPlan& plan,
                      const WriteOptions& options);
 

@@ -68,20 +68,16 @@ constexpr std::uint64_t kAdjcBlockBytes = std::uint64_t{1} << 20;
 /// cache. The head and the trailing group index are read and validated
 /// first (the index also places the block bounds on group boundaries).
 ///
-/// Fail-closed order: with `verify`, a CRC mismatch is reported before any
-/// structural or decode defect, so the whole payload is read and checked
-/// even after such a defect (the decode stops at the first). Without it,
-/// the first defect rejects at once.
+/// Fail-closed order: a CRC mismatch is reported before any structural or
+/// decode defect, so the whole payload is read and checked even after such
+/// a defect (the decode stops at the first).
 void load_adjc(PackFile& file, const SectionInfo& cadj, std::span<const EdgeIndex> offsets,
-               std::uint64_t num_half_edges, bool verify,
-               util::uninit_vector<NodeId>& neighbors) {
+               std::uint64_t num_half_edges, util::uninit_vector<NodeId>& neighbors) {
   const linalg::simd::Crc32UpdateFn crc32_update = linalg::simd::dispatch().crc32_update;
   std::uint32_t crc = util::kCrc32Init;
   const auto fold = [&](const std::uint8_t* p, std::uint64_t bytes) {
-    if (verify) {
-      crc = crc32_update(crc, {reinterpret_cast<const std::byte*>(p),
-                               static_cast<std::size_t>(bytes)});
-    }
+    crc = crc32_update(crc, {reinterpret_cast<const std::byte*>(p),
+                             static_cast<std::size_t>(bytes)});
   };
 
   std::uint8_t head[adjc::kHeadBytes] = {};
@@ -100,7 +96,6 @@ void load_adjc(PackFile& file, const SectionInfo& cadj, std::span<const EdgeInde
   if (defect.empty() && num_half_edges > cadj.bytes) {
     defect = "ADJC payload too small for its value count";
   }
-  if (!defect.empty() && !verify) rejected(defect);
   if (defect.empty()) neighbors.resize(static_cast<std::size_t>(num_half_edges));
 
   // Blocks of whole groups, each followed by kSlackBytes readable bytes
@@ -133,7 +128,6 @@ void load_adjc(PackFile& file, const SectionInfo& cadj, std::span<const EdgeInde
     if (defect.empty()) {
       defect = adjc::decode_groups(layout, group, group_end, block.data(), offsets,
                                    neighbors.data() + offsets[group * layout.group_rows]);
-      if (!defect.empty() && !verify) rejected(defect);
     }
     pos = end;
     group = group_end;
@@ -142,7 +136,7 @@ void load_adjc(PackFile& file, const SectionInfo& cadj, std::span<const EdgeInde
     fold(reinterpret_cast<const std::uint8_t*>(layout.group_offsets.data()),
          layout.index_bytes());
   }
-  if (verify && util::crc32_final(crc) != cadj.crc) {
+  if (util::crc32_final(crc) != cadj.crc) {
     rejected("section CRC mismatch (ADJC)");
   }
   if (!defect.empty()) rejected(defect);
@@ -150,14 +144,12 @@ void load_adjc(PackFile& file, const SectionInfo& cadj, std::span<const EdgeInde
 
 }  // namespace
 
-MappedGraph::MappedGraph(const std::string& path) : MappedGraph(path, Options{}) {}
-
-MappedGraph::MappedGraph(const std::string& path, Options options) {
+MappedGraph::MappedGraph(const std::string& path) {
   resilience::fault_point("graph.load");
-  load(path, options);
+  load(path);
 }
 
-void MappedGraph::load(const std::string& path, Options options) {
+void MappedGraph::load(const std::string& path) {
   std::error_code ec;
   const auto disk_size = std::filesystem::file_size(path, ec);
   if (ec) rejected("cannot stat " + path);
@@ -175,12 +167,13 @@ void MappedGraph::load(const std::string& path, Options options) {
     rejected("header CRC mismatch");
   }
   const std::uint32_t version = load_u32(head + 8);
-  if (version != kVersion && version != kVersionCompressed) {
-    rejected("unsupported version " + std::to_string(version) + " (expected " +
-             std::to_string(kVersion) + " or " + std::to_string(kVersionCompressed) +
-             ")");
+  if (version == kVersionRawAdjacency) {
+    rejected("format version 1 (raw ADJ4) is no longer read; repack with graph_pack");
   }
-  compressed_ = version == kVersionCompressed;
+  if (version != kVersion) {
+    rejected("unsupported version " + std::to_string(version) + " (expected " +
+             std::to_string(kVersion) + ")");
+  }
   const std::uint32_t num_sections = load_u32(head + 12);
   const std::uint64_t num_nodes = load_u64(head + 16);
   const std::uint64_t num_half_edges = load_u64(head + 24);
@@ -209,7 +202,6 @@ void MappedGraph::load(const std::string& path, Options options) {
   std::vector<std::byte> table(static_cast<std::size_t>(table_end - kHeaderBytes));
   file.read_at(kHeaderBytes, table.data(), table.size());
   SectionInfo offs{};
-  SectionInfo adj{};
   SectionInfo cadj{};
   sections_.clear();
   sections_.reserve(num_sections);
@@ -226,43 +218,26 @@ void MappedGraph::load(const std::string& path, Options options) {
       rejected("section payload out of bounds");
     }
     if (section.id == kSectionOffsets) offs = section;
-    if (section.id == kSectionAdjacency) adj = section;
     if (section.id == kSectionAdjacencyCompressed) cadj = section;
     sections_.push_back(section);
   }
-  // Exactly one adjacency representation, matched to the format version
-  // (a v1 file smuggling an ADJC section — or vice versa — is rejected,
-  // not silently preferred one way).
-  if (compressed_ && adj.id != 0) rejected("compressed container carries ADJ4");
-  if (!compressed_ && cadj.id != 0) rejected("uncompressed container carries ADJC");
-  if (offs.id == 0 || (compressed_ ? cadj.id : adj.id) == 0) {
-    rejected(compressed_ ? "missing required section (OFFS/ADJC)"
-                         : "missing required section (OFFS/ADJ4)");
-  }
+  if (offs.id == 0 || cadj.id == 0) rejected("missing required section (OFFS/ADJC)");
   if (offs.bytes != (num_nodes + 1) * sizeof(EdgeIndex)) {
     rejected("offsets section size disagrees with header");
   }
-  if (!compressed_ && adj.bytes != num_half_edges * sizeof(NodeId)) {
-    rejected("adjacency section size disagrees with header");
-  }
 
-  // Every section CRC runs on the dispatched tier's kernel (util::crc32's
-  // value on every tier).
-  const linalg::simd::Crc32UpdateFn crc32_update = linalg::simd::dispatch().crc32_update;
-  const auto check_crc = [&](const void* payload, const SectionInfo& s,
-                             const char* name) {
-    if (!options.verify) return;
-    const std::span<const std::byte> bytes{static_cast<const std::byte*>(payload),
-                                           static_cast<std::size_t>(s.bytes)};
-    if (util::crc32_final(crc32_update(util::kCrc32Init, bytes)) != s.crc) {
-      rejected(std::string{"section CRC mismatch ("} + name + ")");
-    }
-  };
-
-  // Structural validation: the CSR invariants every kernel indexes by.
+  // Structural validation: the CSR invariants every kernel indexes by. The
+  // CRC runs on the dispatched tier's kernel (util::crc32's value on every
+  // tier), as ADJC's does.
   offsets_.resize(static_cast<std::size_t>(num_nodes + 1));
   file.read_at(offs.offset, offsets_.data(), offs.bytes);
-  check_crc(offsets_.data(), offs, "OFFS");
+  const linalg::simd::Crc32UpdateFn crc32_update = linalg::simd::dispatch().crc32_update;
+  const std::span<const std::byte> offs_bytes{
+      reinterpret_cast<const std::byte*>(offsets_.data()),
+      static_cast<std::size_t>(offs.bytes)};
+  if (util::crc32_final(crc32_update(util::kCrc32Init, offs_bytes)) != offs.crc) {
+    rejected("section CRC mismatch (OFFS)");
+  }
   if (offsets_[0] != 0 || offsets_[num_nodes] != num_half_edges) {
     rejected("corrupt CSR (offset endpoints disagree with header)");
   }
@@ -270,27 +245,8 @@ void MappedGraph::load(const std::string& path, Options options) {
     if (offsets_[i] > offsets_[i + 1]) rejected("corrupt CSR (non-monotone offsets)");
   }
 
-  if (compressed_) {
-    load_adjc(file, cadj, offsets_, num_half_edges, options.verify, neighbors_);
-  } else {
-    neighbors_.resize(static_cast<std::size_t>(num_half_edges));
-    file.read_at(adj.offset, neighbors_.data(), adj.bytes);
-    check_crc(neighbors_.data(), adj, "ADJ4");
-    if (options.verify) {
-      const auto n = static_cast<NodeId>(num_nodes);
-      for (const NodeId v : neighbors_) {
-        if (v >= n) rejected("corrupt CSR (neighbor id out of range)");
-      }
-    }
-  }
-
+  load_adjc(file, cadj, offsets_, num_half_edges, neighbors_);
   view_ = Graph::borrowed(offsets_, neighbors_);
-  // Without the CRCs, the header's structural fingerprint still has to
-  // match what was read: it hashes every offset and id of a graph with up
-  // to 64K of each, and a 64K-entry sample of a larger one.
-  if (!options.verify && structural_fingerprint(view_) != fingerprint_) {
-    rejected("CSR disagrees with the header fingerprint");
-  }
   SOCMIX_COUNTER_ADD("graph.io.smxg_loaded", 1);
   SOCMIX_GAUGE_SET("graph.io.smxg_bytes", file_bytes);
 }

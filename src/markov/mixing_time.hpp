@@ -125,8 +125,8 @@ struct EngineOptions {
   util::RetiredKnob precision;
   /// Retired --sharded: no engine shards the CSR.
   graph::ShardPolicy sharded;
-  /// The pack the graph was loaded from; a compressed pack is decoded
-  /// when it is opened, so the measurement never needs it.
+  /// The pack the graph was loaded from; a pack is decoded when it is
+  /// opened, so the measurement never needs it.
   const graph::sharded::MappedGraph* mapped = nullptr;
   /// Retired --io-mode: no pack is staged.
   util::RetiredKnob io_mode;

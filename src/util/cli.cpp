@@ -42,6 +42,13 @@ void Cli::refuse_unknown(std::span<const std::string_view> known) const {
   }
 }
 
+void Cli::refuse_together(const std::string& a, const std::string& b,
+                          const std::string& why) const {
+  if (has(a) && has(b)) {
+    throw std::invalid_argument{"--" + a + " with --" + b + ": " + why};
+  }
+}
+
 std::string Cli::get(const std::string& name, const std::string& fallback) const {
   const auto it = options_.find(name);
   return it == options_.end() ? fallback : it->second;

@@ -29,6 +29,11 @@ class Cli {
   /// that is not in `known`: a misspelt flag fails instead of silently
   /// leaving its default in place.
   void refuse_unknown(std::span<const std::string_view> known) const;
+  /// Throws std::invalid_argument naming both flags when `a` and `b` are
+  /// both given (`why` says which one the tool reads), so a conflicting
+  /// flag is refused instead of silently dropped.
+  void refuse_together(const std::string& a, const std::string& b,
+                       const std::string& why) const;
 
   [[nodiscard]] std::string get(const std::string& name, const std::string& fallback) const;
   /// Numeric options: `fallback` when absent; a present value that does

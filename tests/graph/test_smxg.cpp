@@ -1,10 +1,11 @@
-// The .smxg container: round-trip fidelity, the decode of a compressed
-// pack at open, and — critically — the loader's failure paths. Every
+// The .smxg container: round-trip fidelity, the decode of the ADJC
+// adjacency at open, and — critically — the loader's failure paths. Every
 // malformed container must fail closed (std::runtime_error + a
 // graph.io.smxg_rejected bump), never hand garbage to the kernels:
-// truncation, payload bit-rot, a wrong-endian header, version skew, a file
-// shorter than its header claims and every kind of damaged ADJC stream are
-// each exercised by corrupting a valid pack in place.
+// truncation, payload bit-rot, a wrong-endian header, version skew (the
+// retired raw version 1 included), a file shorter than its header claims
+// and every kind of damaged ADJC stream are each exercised by corrupting
+// a valid pack in place.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,11 +74,10 @@ class SmxgTest : public ::testing::Test {
     return 0;
   }
 
-  void expect_rejected(const std::string& what_substr,
-                       MappedGraph::Options options = MappedGraph::Options{}) {
+  void expect_rejected(const std::string& what_substr) {
     const std::uint64_t before = rejected_count();
     try {
-      const MappedGraph mapped{path_, options};
+      const MappedGraph mapped{path_};
       FAIL() << "expected rejection containing '" << what_substr << "'";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string{e.what()}.find(what_substr), std::string::npos)
@@ -86,9 +86,63 @@ class SmxgTest : public ::testing::Test {
     EXPECT_EQ(rejected_count(), before + 1);
   }
 
+  /// Byte range of section `want`'s payload, read from the section table.
+  [[nodiscard]] static std::pair<std::uint64_t, std::uint64_t> section_extent(
+      const std::vector<char>& bytes, std::uint32_t want) {
+    const char* entry = section_entry(bytes, want);
+    if (entry == nullptr) return {0, 0};
+    std::uint64_t offset = 0;
+    std::uint64_t size = 0;
+    std::memcpy(&offset, entry + 8, sizeof offset);
+    std::memcpy(&size, entry + 16, sizeof size);
+    return {offset, size};
+  }
+  [[nodiscard]] static std::pair<std::uint64_t, std::uint64_t> adjc_extent(
+      const std::vector<char>& bytes) {
+    return section_extent(bytes, kSectionAdjacencyCompressed);
+  }
+
+  /// File offset of section `want`'s table entry.
+  [[nodiscard]] static std::uint64_t section_entry_offset(const std::vector<char>& bytes,
+                                                          std::uint32_t want) {
+    return static_cast<std::uint64_t>(section_entry(bytes, want) - bytes.data());
+  }
+
+  /// Re-stamps section `id`'s CRC after a deliberate payload edit, so the
+  /// test reaches the structural and decode checks behind it: a CRC is an
+  /// integrity check, and anyone can write a matching one.
+  static void restamp_section_crc(std::vector<char>& bytes, std::uint32_t id) {
+    const auto [offset, size] = section_extent(bytes, id);
+    const std::uint32_t crc = util::crc32(std::as_bytes(
+        std::span{bytes.data() + offset, static_cast<std::size_t>(size)}));
+    std::memcpy(bytes.data() + section_entry_offset(bytes, id) + 4, &crc, sizeof crc);
+  }
+  static void restamp_adjc_crc(std::vector<char>& bytes) {
+    restamp_section_crc(bytes, kSectionAdjacencyCompressed);
+  }
+
   std::string path_;
   Graph graph_;
+
+ private:
+  [[nodiscard]] static const char* section_entry(const std::vector<char>& bytes,
+                                                 std::uint32_t want) {
+    std::uint32_t num_sections = 0;
+    std::memcpy(&num_sections, bytes.data() + 12, sizeof num_sections);
+    for (std::uint32_t i = 0; i < num_sections; ++i) {
+      const char* entry = bytes.data() + kHeaderBytes + i * kSectionEntryBytes;
+      std::uint32_t id = 0;
+      std::memcpy(&id, entry, sizeof id);
+      if (id == want) return entry;
+    }
+    ADD_FAILURE() << "no section " << want;
+    return nullptr;
+  }
 };
+
+// Every pack is ADJC-compressed, so the decode and mutation tests below
+// share the one fixture; they keep their suite name.
+using SmxgCompressedTest = SmxgTest;
 
 TEST_F(SmxgTest, RoundTripsBitExact) {
   const MappedGraph mapped{path_};
@@ -102,6 +156,7 @@ TEST_F(SmxgTest, RoundTripsBitExact) {
     const auto b = graph_.neighbors(v);
     ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "v=" << v;
   }
+  // The pack-time fingerprint and the decoded CSR's agree.
   EXPECT_EQ(mapped.fingerprint(), structural_fingerprint(graph_));
   EXPECT_EQ(structural_fingerprint(view), structural_fingerprint(graph_));
 }
@@ -132,16 +187,7 @@ TEST_F(SmxgTest, ShardSectionIsAcceptedAndSkipped) {
   write_smxg_file(path_, graph_, ShardPlan::balanced(graph_.offsets(), 4),
                   WriteOptions{});
   auto bytes = slurp();
-  std::uint32_t num_sections = 0;
-  std::memcpy(&num_sections, bytes.data() + 12, sizeof num_sections);
-  for (std::uint32_t i = 0; i < num_sections; ++i) {
-    const char* entry = bytes.data() + kHeaderBytes + i * kSectionEntryBytes;
-    std::uint32_t id = 0;
-    std::uint64_t offset = 0;
-    std::memcpy(&id, entry, sizeof id);
-    std::memcpy(&offset, entry + 8, sizeof offset);
-    if (id == kSectionShards) bytes[static_cast<std::size_t>(offset)] ^= 0x5a;
-  }
+  bytes[static_cast<std::size_t>(section_extent(bytes, kSectionShards).first)] ^= 0x5a;
   dump(bytes);
   const MappedGraph mapped{path_};
   const auto a = mapped.view().raw_neighbors();
@@ -165,11 +211,13 @@ TEST_F(SmxgTest, FileShorterThanHeaderClaimsRejects) {
 
 TEST_F(SmxgTest, CorruptSectionPayloadRejects) {
   auto bytes = slurp();
-  // Flip one bit deep in the adjacency payload; only the section CRC can
-  // catch this.
-  bytes[bytes.size() - 256] = static_cast<char>(bytes[bytes.size() - 256] ^ 0x40);
+  // Flip one bit of a mid-graph row offset: the section CRC, checked
+  // before the offsets are, catches it.
+  const auto [offset, size] = section_extent(bytes, kSectionOffsets);
+  char& target = bytes[static_cast<std::size_t>(offset + size / 2) & ~std::size_t{7}];
+  target = static_cast<char>(target ^ 0x01);
   dump(bytes);
-  expect_rejected("section");
+  expect_rejected("section CRC mismatch (OFFS)");
 }
 
 TEST_F(SmxgTest, WrongEndianHeaderRejects) {
@@ -213,81 +261,30 @@ TEST_F(SmxgTest, MissingFileRejects) {
 }
 
 TEST_F(SmxgTest, UncompressedVersionRelabeledCompressedRejects) {
-  // A v1 section set under the v2 version stamp: the adjacency must match
-  // the version, not just parse.
+  // A version-2 header over a raw ADJ4 adjacency section (its table entry
+  // relabeled): version 2 reads only ADJC, so the pack has no adjacency.
   auto bytes = slurp();
-  const std::uint32_t v2 = kVersionCompressed;
-  std::memcpy(bytes.data() + 8, &v2, sizeof v2);
-  restamp_header_crc(bytes);
+  constexpr std::uint32_t kAdj4 = 0x344A4441;  // 'ADJ4', version 1's section
+  std::memcpy(bytes.data() + section_entry_offset(bytes, kSectionAdjacencyCompressed),
+              &kAdj4, sizeof kAdj4);
   dump(bytes);
-  expect_rejected("carries ADJ4");
+  expect_rejected("missing required section (OFFS/ADJC)");
 }
 
-// ------------------------------------------------- compressed containers --
-
-class SmxgCompressedTest : public SmxgTest {
- protected:
-  void SetUp() override {
-    SmxgTest::SetUp();
-    WriteOptions options;
-    options.compress = true;
-    write_smxg_file(path_, graph_, options);
-  }
-
-  /// Byte range of section `want`'s payload, read from the section table.
-  [[nodiscard]] static std::pair<std::uint64_t, std::uint64_t> section_extent(
-      const std::vector<char>& bytes, std::uint32_t want) {
-    std::uint32_t num_sections = 0;
-    std::memcpy(&num_sections, bytes.data() + 12, sizeof num_sections);
-    for (std::uint32_t i = 0; i < num_sections; ++i) {
-      const char* entry = bytes.data() + kHeaderBytes + i * kSectionEntryBytes;
-      std::uint32_t id = 0;
-      std::memcpy(&id, entry, sizeof id);
-      if (id != want) continue;
-      std::uint64_t offset = 0;
-      std::uint64_t size = 0;
-      std::memcpy(&offset, entry + 8, sizeof offset);
-      std::memcpy(&size, entry + 16, sizeof size);
-      return {offset, size};
-    }
-    ADD_FAILURE() << "no section " << want;
-    return {0, 0};
-  }
-  [[nodiscard]] static std::pair<std::uint64_t, std::uint64_t> adjc_extent(
-      const std::vector<char>& bytes) {
-    return section_extent(bytes, kSectionAdjacencyCompressed);
-  }
-
-  /// Re-stamps the ADJC section CRC after a deliberate payload edit, so
-  /// the test reaches the structural checks behind it.
-  static void restamp_adjc_crc(std::vector<char>& bytes) {
-    const auto [offset, size] = adjc_extent(bytes);
-    std::uint32_t num_sections = 0;
-    std::memcpy(&num_sections, bytes.data() + 12, sizeof num_sections);
-    const std::uint32_t crc = util::crc32(std::as_bytes(
-        std::span{bytes.data() + offset, static_cast<std::size_t>(size)}));
-    for (std::uint32_t i = 0; i < num_sections; ++i) {
-      char* entry = bytes.data() + kHeaderBytes + i * kSectionEntryBytes;
-      std::uint32_t id = 0;
-      std::memcpy(&id, entry, sizeof id);
-      if (id == kSectionAdjacencyCompressed) std::memcpy(entry + 4, &crc, sizeof crc);
-    }
-  }
-};
-
 TEST_F(SmxgCompressedTest, LoadsDecodedWithMatchingGeometry) {
+  // The writer emits exactly OFFS, ADJC and SHRD, and the decoded view
+  // has the packed graph's geometry.
   const MappedGraph mapped{path_};
-  EXPECT_TRUE(mapped.compressed());
+  std::vector<std::uint32_t> ids;
+  for (const SectionInfo& s : mapped.sections()) ids.push_back(s.id);
+  EXPECT_EQ(ids, (std::vector<std::uint32_t>{kSectionOffsets, kSectionAdjacencyCompressed,
+                                             kSectionShards}));
   const Graph& view = mapped.view();
   ASSERT_EQ(view.num_nodes(), graph_.num_nodes());
   ASSERT_EQ(view.num_half_edges(), graph_.num_half_edges());
   const auto a = view.offsets();
   const auto b = graph_.offsets();
-  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-  // The pack-time fingerprint and the decoded CSR's agree: the compressed
-  // pack decodes to the graph it was written from.
-  EXPECT_EQ(mapped.fingerprint(), structural_fingerprint(graph_));
-  EXPECT_EQ(structural_fingerprint(view), structural_fingerprint(graph_));
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
 }
 
 TEST_F(SmxgCompressedTest, HalvesAdjacencyBytes) {
@@ -302,14 +299,14 @@ TEST_F(SmxgCompressedTest, HalvesAdjacencyBytes) {
 TEST_F(SmxgCompressedTest, DecodesBitIdenticalAdjacency) {
   // Decoded once at open, on every kernel tier's decoder alike: the view is
   // the packed CSR, id for id.
-  for (const bool verify : {true, false}) {
-    MappedGraph::Options options;
-    options.verify = verify;
-    const MappedGraph mapped{path_, options};
+  for (const linalg::simd::Tier tier : test::available_tiers()) {
+    const test::TierGuard guard{tier};
+    ASSERT_TRUE(guard.ok());
+    const MappedGraph mapped{path_};
     const auto a = mapped.view().raw_neighbors();
     const auto b = graph_.raw_neighbors();
     ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-        << "verify=" << verify;
+        << linalg::simd::tier_name(tier);
   }
 }
 
@@ -345,20 +342,19 @@ TEST_F(SmxgCompressedTest, CorruptGroupIndexRejects) {
 }
 
 TEST_F(SmxgCompressedTest, CorruptStreamFailsClosedAtDecodeTime) {
-  // Skip load-time CRC verification (the fast path for huge containers)
-  // and damage a group's ctrl stream: the decoder's pre-decode byte-count
-  // check must reject it while the pack is opened.
+  // Claim 4-byte codes for a group's first four values, under a matching
+  // CRC: the decoder's pre-decode byte-count check must reject the stream
+  // while the pack is opened, before any overlong read.
   auto bytes = slurp();
   const auto [offset, size] = adjc_extent(bytes);
   bytes[static_cast<std::size_t>(offset) + adjc::kHeadBytes] = static_cast<char>(0xff);
+  restamp_adjc_crc(bytes);
   dump(bytes);
-  MappedGraph::Options options;
-  options.verify = false;
-  expect_rejected("byte count mismatch", options);
+  expect_rejected("byte count mismatch");
 }
 
 // Every decoder defect, with the CRC re-stamped so the decoder — not the
-// checksum — must catch it, and with verification on and off.
+// checksum — must catch it.
 
 TEST_F(SmxgCompressedTest, TruncatedGroupStreamRejectsAtOpen) {
   // Group 1's stream starts at group 0's: group 0 has no bytes at all, not
@@ -371,11 +367,7 @@ TEST_F(SmxgCompressedTest, TruncatedGroupStreamRejectsAtOpen) {
   std::memcpy(bytes.data() + offset + size - (groups + 1) * 8 + 8, &head, sizeof head);
   restamp_adjc_crc(bytes);
   dump(bytes);
-  for (const bool verify : {true, false}) {
-    MappedGraph::Options options;
-    options.verify = verify;
-    expect_rejected("too short", options);
-  }
+  expect_rejected("too short");
 }
 
 TEST_F(SmxgCompressedTest, ByteCountMismatchRejectsAtOpen) {
@@ -386,11 +378,7 @@ TEST_F(SmxgCompressedTest, ByteCountMismatchRejectsAtOpen) {
   ctrl = static_cast<char>(ctrl ^ 0x01);
   restamp_adjc_crc(bytes);
   dump(bytes);
-  for (const bool verify : {true, false}) {
-    MappedGraph::Options options;
-    options.verify = verify;
-    expect_rejected("byte count mismatch", options);
-  }
+  expect_rejected("byte count mismatch");
 }
 
 /// graph_'s CSR with `edit` applied to its neighbor array, as a Graph
@@ -408,14 +396,8 @@ TEST_F(SmxgCompressedTest, NeighborIdOutOfRangeRejectsAtOpen) {
   const Graph bad = tampered(graph_, [](const Graph& g, std::vector<NodeId>& nbrs) {
     nbrs.back() = g.num_nodes();
   });
-  WriteOptions options;
-  options.compress = true;
-  write_smxg_file(path_, bad, options);
-  for (const bool verify : {true, false}) {
-    MappedGraph::Options open;
-    open.verify = verify;
-    expect_rejected("neighbor id out of range", open);
-  }
+  write_smxg_file(path_, bad);
+  expect_rejected("neighbor id out of range");
 }
 
 TEST_F(SmxgCompressedTest, GapOverflowRejectsAtOpen) {
@@ -426,14 +408,8 @@ TEST_F(SmxgCompressedTest, GapOverflowRejectsAtOpen) {
   const Graph bad = tampered(graph_, [](const Graph& g, std::vector<NodeId>& nbrs) {
     std::swap(nbrs[g.offsets()[0]], nbrs[g.offsets()[0] + 1]);
   });
-  WriteOptions options;
-  options.compress = true;
-  write_smxg_file(path_, bad, options);
-  for (const bool verify : {true, false}) {
-    MappedGraph::Options open;
-    open.verify = verify;
-    expect_rejected("neighbor id out of range", open);
-  }
+  write_smxg_file(path_, bad);
+  expect_rejected("neighbor id out of range");
 }
 
 TEST_F(SmxgCompressedTest, StreamsPayloadsLargerThanOneBlock) {
@@ -452,23 +428,17 @@ TEST_F(SmxgCompressedTest, StreamsPayloadsLargerThanOneBlock) {
     offsets.push_back(neighbors.size());
   }
   const Graph big = Graph::from_csr(std::move(offsets), std::move(neighbors));
-  WriteOptions compress;
-  compress.compress = true;
-  write_smxg_file(path_, big, compress);
+  write_smxg_file(path_, big);
   const auto [offset, size] = adjc_extent(slurp());
   ASSERT_GT(size, std::uint64_t{1} << 20);
   for (const linalg::simd::Tier tier : test::available_tiers()) {
     const test::TierGuard guard{tier};
     ASSERT_TRUE(guard.ok());
-    for (const bool verify : {true, false}) {
-      MappedGraph::Options options;
-      options.verify = verify;
-      const MappedGraph mapped{path_, options};
-      const auto a = mapped.view().raw_neighbors();
-      const auto b = big.raw_neighbors();
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-          << linalg::simd::tier_name(tier) << " verify=" << verify;
-    }
+    const MappedGraph mapped{path_};
+    const auto a = mapped.view().raw_neighbors();
+    const auto b = big.raw_neighbors();
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << linalg::simd::tier_name(tier);
   }
   // A decode defect in the first block does not end the read: the CRC
   // over the whole payload still runs and its mismatch is what is
@@ -484,31 +454,37 @@ TEST_F(SmxgCompressedTest, StreamsPayloadsLargerThanOneBlock) {
 }
 
 TEST_F(SmxgCompressedTest, EveryByteFlipAndTruncationFailsClosed) {
-  // A deterministic mutation sweep: every byte of the header, OFFS and
-  // ADJC inverted in turn, and the file cut at every length. With
-  // verification on, each mutant must be rejected. With it off, the
-  // header CRC, the structural checks, the decoder (on every kernel tier)
-  // and the header fingerprint are the guards: a mutant must be rejected
-  // or load exactly the packed CSR (a flipped slack byte changes nothing).
+  // A deterministic mutation sweep, on every kernel tier (the CRC and the
+  // ADJC decoder differ between tiers):
+  //  * every byte of the header, OFFS and ADJC inverted in turn, and the
+  //    file cut at every length: each mutant is rejected;
+  //  * every byte of OFFS and ADJC inverted with that section's CRC
+  //    re-stamped, as a crafted pack would be: the structural checks and
+  //    the decoder are the guards, so a mutant is rejected or loads a CSR
+  //    every kernel can index — offsets rising from 0 to the header's
+  //    half-edge count, every id below n. (It need not be the packed
+  //    graph: a valid CRC does not make a file honest.)
   const std::vector<char> clean = slurp();
   const auto [offs_offset, offs_size] = section_extent(clean, kSectionOffsets);
   const auto [adjc_offset, adjc_size] = adjc_extent(clean);
-  const auto same_csr = [&](const Graph& view) {
-    const auto a = view.offsets();
-    const auto b = graph_.offsets();
-    const auto x = view.raw_neighbors();
-    const auto y = graph_.raw_neighbors();
-    return std::equal(a.begin(), a.end(), b.begin(), b.end()) &&
-           std::equal(x.begin(), x.end(), y.begin(), y.end());
+  const auto indexable = [&](const Graph& view) {
+    const auto offsets = view.offsets();
+    const NodeId n = graph_.num_nodes();
+    if (view.num_nodes() != n || offsets.front() != 0 ||
+        offsets.back() != graph_.num_half_edges()) {
+      return false;
+    }
+    if (!std::is_sorted(offsets.begin(), offsets.end())) return false;
+    const auto ids = view.raw_neighbors();
+    return ids.size() == graph_.num_half_edges() &&
+           std::all_of(ids.begin(), ids.end(), [n](NodeId v) { return v < n; });
   };
-  // "rejected", "same" or "DIFFERENT CSR" for the file as it is now.
-  const auto outcome = [&](bool verify) -> std::string {
+  // "rejected", "loaded" or "BROKEN CSR" for the file as it is now.
+  const auto outcome = [&]() -> std::string {
     const std::uint64_t before = rejected_count();
-    MappedGraph::Options options;
-    options.verify = verify;
     try {
-      const MappedGraph mapped{path_, options};
-      return same_csr(mapped.view()) ? "same" : "DIFFERENT CSR";
+      const MappedGraph mapped{path_};
+      return indexable(mapped.view()) ? "loaded" : "BROKEN CSR";
     } catch (const std::runtime_error& e) {
       return rejected_count() == before + 1 ? "rejected"
                                             : std::string{"uncounted: "} + e.what();
@@ -516,64 +492,77 @@ TEST_F(SmxgCompressedTest, EveryByteFlipAndTruncationFailsClosed) {
   };
   struct Range {
     const char* name;
+    std::uint32_t id;  ///< the section, or 0 for the header
     std::uint64_t begin;
     std::uint64_t end;
   };
-  const Range ranges[] = {{"header", 0, kHeaderBytes},
-                          {"OFFS", offs_offset, offs_offset + offs_size},
-                          {"ADJC", adjc_offset, adjc_offset + adjc_size}};
+  const Range ranges[] = {{"header", 0, 0, kHeaderBytes},
+                          {"OFFS", kSectionOffsets, offs_offset, offs_offset + offs_size},
+                          {"ADJC", kSectionAdjacencyCompressed, adjc_offset,
+                           adjc_offset + adjc_size}};
+  const std::vector<linalg::simd::Tier> tiers = test::available_tiers();
   // Mutants are written in place and cut with resize_file: rewriting a
   // file from empty makes some filesystems flush it on every close.
   std::size_t mutants = 0;
   {
     std::fstream file{path_, std::ios::binary | std::ios::in | std::ios::out};
     ASSERT_TRUE(file.is_open());
-    const auto put = [&](std::uint64_t at, char byte) {
+    const auto put = [&](std::uint64_t at, const void* bytes, std::size_t size) {
       file.seekp(static_cast<std::streamoff>(at));
-      file.put(byte);
+      file.write(static_cast<const char*>(bytes), static_cast<std::streamsize>(size));
       file.flush();
     };
     for (const Range& range : ranges) {
-      const bool decoded = std::string{range.name} == "ADJC";
-      // Only ADJC's decoder differs between tiers.
-      const std::vector<linalg::simd::Tier> tiers =
-          decoded ? test::available_tiers()
-                  : std::vector<linalg::simd::Tier>{linalg::simd::active_tier()};
+      std::vector<char> section(clean.begin() + static_cast<std::ptrdiff_t>(range.begin),
+                                clean.begin() + static_cast<std::ptrdiff_t>(range.end));
+      const std::uint64_t crc_at =
+          range.id == 0 ? 0 : section_entry_offset(clean, range.id) + 4;
       for (std::uint64_t i = range.begin; i < range.end; ++i) {
-        const char original = clean[static_cast<std::size_t>(i)];
-        put(i, static_cast<char>(~original));
-        ++mutants;
-        ASSERT_EQ(outcome(true), "rejected") << range.name << " byte " << i - range.begin;
-        for (const linalg::simd::Tier tier : tiers) {
-          const test::TierGuard guard{tier};
-          ASSERT_TRUE(guard.ok());
-          const std::string unverified = outcome(false);
-          ASSERT_TRUE(unverified == "rejected" || unverified == "same")
-              << range.name << " byte " << i - range.begin << " unverified on "
-              << linalg::simd::tier_name(tier) << ": " << unverified;
+        char& byte = section[static_cast<std::size_t>(i - range.begin)];
+        byte = static_cast<char>(~byte);
+        put(i, &byte, 1);
+        for (const bool restamped : {false, true}) {
+          if (restamped) {
+            if (range.id == 0) continue;
+            const std::uint32_t crc = util::crc32(std::as_bytes(std::span{section}));
+            put(crc_at, &crc, sizeof crc);
+          }
+          ++mutants;
+          for (const linalg::simd::Tier tier : tiers) {
+            const test::TierGuard guard{tier};
+            ASSERT_TRUE(guard.ok());
+            const std::string got = outcome();
+            ASSERT_TRUE(got == "rejected" || (restamped && got == "loaded"))
+                << range.name << " byte " << i - range.begin
+                << (restamped ? " (CRC re-stamped)" : "") << " on "
+                << linalg::simd::tier_name(tier) << ": " << got;
+          }
         }
-        put(i, original);
+        byte = static_cast<char>(~byte);
+        put(i, &byte, 1);
+        if (range.id != 0) put(crc_at, clean.data() + crc_at, 4);
       }
     }
   }
   for (std::size_t len = clean.size(); len-- > 0;) {
     fs::resize_file(path_, len);
     ++mutants;
-    ASSERT_EQ(outcome(true), "rejected") << "truncated to " << len;
-    ASSERT_EQ(outcome(false), "rejected") << "truncated to " << len;
+    ASSERT_EQ(outcome(), "rejected") << "truncated to " << len;
   }
   EXPECT_GT(mutants, clean.size());
   dump(clean);
-  EXPECT_EQ(outcome(false), "same");
+  EXPECT_EQ(outcome(), "loaded");
 }
 
 TEST_F(SmxgCompressedTest, CompressedVersionRelabeledUncompressedRejects) {
+  // A pack relabeled as the retired raw format (version 1), its header CRC
+  // re-stamped, is refused by name: version 1 is no longer read.
   auto bytes = slurp();
-  const std::uint32_t v1 = kVersion;
+  const std::uint32_t v1 = kVersionRawAdjacency;
   std::memcpy(bytes.data() + 8, &v1, sizeof v1);
   restamp_header_crc(bytes);
   dump(bytes);
-  expect_rejected("carries ADJC");
+  expect_rejected("format version 1 (raw ADJ4) is no longer read; repack with graph_pack");
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 //    (scalar / AVX2 / AVX-512) — on every Table-1 generator config,
 //    at serial and contended thread counts, with the in-memory one-shard
 //    sweep (one SpMM call over all rows) and a four-shard sweep of a
-//    compressed pack (ADJC decode, and sub-range calls carrying the
-//    running TVD sum);
+//    pack (ADJC decode, and sub-range calls carrying the running TVD
+//    sum);
 //  * the single-vector SpMV consumers (WalkOperator, a one-lane
 //    BatchedEvolver) are bitwise tier-invariant too;
 //  * the kernel contract itself, on every tier: the SpMM writes the next
@@ -71,7 +71,7 @@ std::vector<graph::NodeId> spread_sources(const graph::Graph& g,
 }
 
 /// The sampled measurement of `g` in memory, or (with a `pack_path`) of
-/// its compressed pack, opened — and so decoded — on the active tier.
+/// its pack, opened — and so decoded — on the active tier.
 markov::SampledMixing run(const graph::Graph& g, std::span<const graph::NodeId> sources,
                           const std::string& pack_path) {
   markov::SampledMixingOptions options;
@@ -101,13 +101,11 @@ TEST(SimdTierParity, SampledMixingBitIdenticalAcrossTiersOnEveryTable1Config) {
     const auto sources = spread_sources(g);
     const std::string path =
         (std::filesystem::path{testing::TempDir()} / "simd_parity.smxg").string();
-    graph::sharded::WriteOptions compress;
-    compress.compress = true;
-    graph::sharded::write_smxg_file(path, g, compress);
-    for (const bool compressed : {false, true}) {
+    graph::sharded::write_smxg_file(path, g);
+    for (const bool from_pack : {false, true}) {
       // Reference: forced scalar tier, serial. Every other
       // (tier, threads) combination must reproduce it bit for bit.
-      const std::string pack_path = compressed ? path : std::string{};
+      const std::string pack_path = from_pack ? path : std::string{};
       const markov::SampledMixing reference = [&] {
         const TierGuard guard{simd::Tier::kScalar};
         return run(g, sources, pack_path);
@@ -123,7 +121,7 @@ TEST(SimdTierParity, SampledMixingBitIdenticalAcrossTiersOnEveryTable1Config) {
           expect_bitwise_equal(reference, got,
                                spec.name + " tier=" + simd::tier_name(tier) +
                                    " threads=" + std::to_string(threads) +
-                                   (compressed ? " compressed pack" : " in memory"));
+                                   (from_pack ? " pack" : " in memory"));
         }
       }
     }

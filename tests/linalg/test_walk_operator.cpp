@@ -117,13 +117,10 @@ TEST(WalkOperator, RejectsBadLaziness) {
 // and pack it is handed, it must be exactly WalkOperator, or the frozen
 // benchmark's spectrum digests would move.
 
-/// `g` written as a compressed pack and loaded back.
-graph::sharded::MappedGraph compressed_pack(const graph::Graph& g,
-                                            const std::string& name) {
+/// `g` written as a pack and loaded back.
+graph::sharded::MappedGraph packed(const graph::Graph& g, const std::string& name) {
   const std::string path = (std::filesystem::path{testing::TempDir()} / name).string();
-  graph::sharded::WriteOptions options;
-  options.compress = true;
-  graph::sharded::write_smxg_file(path, g, options);
+  graph::sharded::write_smxg_file(path, g);
   graph::sharded::MappedGraph pack{path};
   std::filesystem::remove(path);
   return pack;
@@ -131,7 +128,7 @@ graph::sharded::MappedGraph compressed_pack(const graph::Graph& g,
 
 TEST(ShardedWalkOperator, ApplyBitwiseEqualToDenseForEveryShardCount) {
   const graph::Graph g = gen::build_dataset(*gen::find_dataset("Physics 1"), 500, 29);
-  const auto pack = compressed_pack(g, "sharded_operator_apply.smxg");
+  const auto pack = packed(g, "sharded_operator_apply.smxg");
   const WalkOperator dense{g};
   util::Rng rng{3};
   Vec x(g.num_nodes());
@@ -168,7 +165,7 @@ TEST(ShardedWalkOperator, LazyApplyAndEigenvalueMapMatchDense) {
 
 TEST(ShardedWalkOperator, LanczosSpectrumIdenticalThroughMappedContainer) {
   const graph::Graph g = gen::build_dataset(*gen::find_dataset("Physics 1"), 500, 29);
-  const auto pack = compressed_pack(g, "sharded_operator_lanczos.smxg");
+  const auto pack = packed(g, "sharded_operator_lanczos.smxg");
   const LanczosOptions options;
   const SpectrumResult want = slem_spectrum(WalkOperator{g}, options);
   const SpectrumResult got = slem_spectrum(

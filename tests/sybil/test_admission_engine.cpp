@@ -11,8 +11,7 @@
 //  * the verifier cache misses once per node and hits on reuse;
 //  * hop accounting: an isolated suspect walks no hops, and verify_batch's
 //    stats agree with the sybil.engine.hops_walked counter;
-//  * a compressed pack sweeps to the same admitted fractions as its raw
-//    twin and the in-memory graph.
+//  * a pack sweeps to the same admitted fractions as the in-memory graph.
 #include "sybil/admission_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -239,10 +238,10 @@ TEST(AdmissionEngine, VerifyBatchCountsNoHopsForIsolatedSuspect) {
   EXPECT_EQ(counter_value("sybil.engine.hops_walked") - counter_before, walked);
 }
 
-TEST(AdmissionEngine, CompressedPackAdmitsLikeRawPackAndInMemory) {
-  // A compressed pack is decoded into an ordinary CSR when it is opened,
-  // so the admission sweep runs on it — and admits exactly what it admits
-  // on the raw pack of the same graph and on the graph in memory.
+TEST(AdmissionEngine, PackAdmitsLikeInMemory) {
+  // A pack is decoded into an ordinary CSR when it is opened, so the
+  // admission sweep runs on it — and admits exactly what it admits on the
+  // graph in memory.
   const graph::Graph g =
       gen::build_dataset(*gen::find_dataset("Physics 1"), kNodes, 9);
   AdmissionSweepConfig sweep;
@@ -256,19 +255,13 @@ TEST(AdmissionEngine, CompressedPackAdmitsLikeRawPackAndInMemory) {
     }
     return out;
   };
-  const std::vector<double> in_memory = fractions(g);
-  for (const bool compress : {false, true}) {
-    const fs::path path = fs::path{testing::TempDir()} / "admission_pack.smxg";
-    graph::sharded::WriteOptions options;
-    options.compress = compress;
-    graph::sharded::write_smxg_file(path.string(), g, options);
-    {
-      const graph::sharded::MappedGraph pack{path.string()};
-      EXPECT_EQ(pack.compressed(), compress);
-      EXPECT_EQ(fractions(pack.view()), in_memory) << "compress=" << compress;
-    }
-    fs::remove(path);
+  const fs::path path = fs::path{testing::TempDir()} / "admission_pack.smxg";
+  graph::sharded::write_smxg_file(path.string(), g);
+  {
+    const graph::sharded::MappedGraph pack{path.string()};
+    EXPECT_EQ(fractions(pack.view()), fractions(g));
   }
+  fs::remove(path);
 }
 
 TEST(AdmissionEngine, InstancesSharingATailEdgeShareOneLoadCounter) {

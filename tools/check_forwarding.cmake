@@ -1,15 +1,17 @@
-# Packs a small graph raw and compressed with graph_pack and runs `socmix
-# sybil` on the in-memory graph and on both packs: a compressed pack is
-# decoded when it is opened, so all three must print the same admitted
-# fractions.
+# Packs a small graph with graph_pack and runs `socmix sybil` on the
+# in-memory graph and on the pack: a pack is decoded when it is opened, so
+# both must print the same admitted fractions.
 #
 # The retired knobs --sharded, --reorder, --precision, --io-mode and
 # --frontier, and the retired --checkpoint-dir and --checkpoint-interval,
 # must be refused by name, with exit status 1, by the figure
-# drivers, socmix measure (on every input, a compressed pack included),
-# socmix sybil and fig8; --reorder's refusal names `graph_pack --reorder
-# rcm`, where the ordering now lives. graph_pack refuses --sharded by name
-# and accepts only --reorder none|rcm. socmix sybil must refuse a
+# drivers, socmix measure (on every input, a pack included), socmix sybil
+# and fig8; --reorder's refusal names `graph_pack --reorder rcm`, where the
+# ordering now lives. graph_pack refuses --sharded and --compress (every
+# pack is compressed) by name and accepts only --reorder none|rcm.
+# Conflicting inputs are refused naming both flags: two of --pack, --edges
+# and --dataset, --nodes without --dataset, and graph_pack --verify with a
+# write flag. socmix sybil must refuse a
 # malformed --w list instead of skipping tokens. Negative counts, zero intervals,
 # --verifiers 0, sample --size 0, a non-positive --scale, an --eps
 # outside (0, 1) and a sampled measure of --steps 0 must fail closed,
@@ -38,24 +40,24 @@ foreach(var FIG5_BIN FIG8_BIN SOCMIX_BIN GRAPH_PACK_BIN ESTIMATORS_BIN NULL_MODE
 endforeach()
 
 file(MAKE_DIRECTORY "${OUT_DIR}")
-set(adjc_pack "${OUT_DIR}/forwarding_adjc.smxg")
-set(raw_pack "${OUT_DIR}/forwarding_raw.smxg")
-file(REMOVE "${adjc_pack}" "${raw_pack}")
+set(pack "${OUT_DIR}/forwarding.smxg")
+set(edges "${OUT_DIR}/forwarding_edges.txt")
+file(REMOVE "${pack}" "${edges}")
 
-foreach(encoding "adjc" "raw")
-  set(compress_flag "")
-  if(encoding STREQUAL "adjc")
-    set(compress_flag --compress)
-  endif()
-  execute_process(
-    COMMAND "${GRAPH_PACK_BIN}" --dataset "Physics 1" --nodes 600 --seed 7
-            --out "${OUT_DIR}/forwarding_${encoding}.smxg" ${compress_flag}
-    RESULT_VARIABLE rc
-    ERROR_VARIABLE run_stderr)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "graph_pack (${encoding}) failed (${rc}):\n${run_stderr}")
-  endif()
-endforeach()
+execute_process(
+  COMMAND "${GRAPH_PACK_BIN}" --dataset "Physics 1" --nodes 600 --seed 7 --out "${pack}"
+  RESULT_VARIABLE rc
+  ERROR_VARIABLE run_stderr)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "graph_pack failed (${rc}):\n${run_stderr}")
+endif()
+execute_process(
+  COMMAND "${SOCMIX_BIN}" generate --dataset "Physics 1" --nodes 300 --out "${edges}"
+  RESULT_VARIABLE rc
+  ERROR_VARIABLE run_stderr)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "socmix generate failed (${rc}):\n${run_stderr}")
+endif()
 
 # Runs one command that must exit 1 with `needle` on stderr. A refusal
 # happens before any work, so a run still going after 60 s has failed.
@@ -82,15 +84,16 @@ endfunction()
 set(measure_input --dataset "Physics 1" --nodes 300 --sources 8 --steps 20)
 file(REMOVE "${OUT_DIR}/refused.smxg" "${OUT_DIR}/refused.txt" "${OUT_DIR}/refused.tvd")
 # Every graph is swept as one resident CSR: --sharded is retired on every
-# input, a compressed pack included, and on graph_pack.
-expect_refused("socmix measure --pack <compressed> --sharded 4" "--sharded"
-               "${SOCMIX_BIN}" measure --pack "${adjc_pack}" --sources 8 --steps 20
+# input, a pack included, and on graph_pack, which also refuses the
+# retired --compress.
+expect_refused("socmix measure --pack <pack> --sharded 4" "--sharded"
+               "${SOCMIX_BIN}" measure --pack "${pack}" --sources 8 --steps 20
                --sharded 4)
-expect_refused("socmix measure --pack <raw> --sharded off" "--sharded"
-               "${SOCMIX_BIN}" measure --pack "${raw_pack}" --sources 8 --steps 20
-               --sharded off)
 expect_refused("graph_pack --sharded 4" "--sharded"
                "${GRAPH_PACK_BIN}" --dataset "Physics 1" --nodes 300 --sharded 4
+               --out "${OUT_DIR}/refused.smxg")
+expect_refused("graph_pack --compress" "--compress: retired"
+               "${GRAPH_PACK_BIN}" --dataset "Physics 1" --nodes 300 --compress
                --out "${OUT_DIR}/refused.smxg")
 foreach(knob "sharded;4" "precision;mixed" "io-mode;prefetch" "frontier;off"
              "checkpoint-dir;D" "checkpoint-interval;8")
@@ -160,12 +163,36 @@ foreach(mode "degree" "bfs")
 endforeach()
 
 # Unknown flags: a misspelt --sources/--steps must not run 200 x 400, and
-# a misspelt --compress must not write an uncompressed pack.
+# a misspelt --reorder must not write a generator-order pack.
 expect_refused("socmix measure --source 4 --step 5" "--source: unknown flag"
                "${SOCMIX_BIN}" measure --dataset "Physics 1" --source 4 --step 5)
-expect_refused("graph_pack --compres" "--compres: unknown flag"
-               "${GRAPH_PACK_BIN}" --dataset "Physics 1" --nodes 300 --compres
+expect_refused("graph_pack --reoder rcm" "--reoder: unknown flag"
+               "${GRAPH_PACK_BIN}" --dataset "Physics 1" --nodes 300 --reoder rcm
                --out "${OUT_DIR}/refused.smxg")
+# Conflicting inputs: the second input or a --nodes that sizes nothing
+# would be dropped, so each is refused naming both flags.
+expect_refused("socmix measure --pack --dataset" "--pack with --dataset"
+               "${SOCMIX_BIN}" measure --pack "${pack}" ${measure_input})
+expect_refused("socmix measure --edges --dataset" "--edges with --dataset"
+               "${SOCMIX_BIN}" measure --edges "${edges}" ${measure_input})
+expect_refused("socmix measure --pack --nodes" "--nodes with --pack"
+               "${SOCMIX_BIN}" measure --pack "${pack}" --nodes 300 --sources 8 --steps 20)
+expect_refused("socmix measure --edges --nodes" "--nodes with --edges"
+               "${SOCMIX_BIN}" measure --edges "${edges}" --nodes 300 --sources 8
+               --steps 20)
+expect_refused("socmix sybil --pack --edges" "--pack with --edges"
+               "${SOCMIX_BIN}" sybil --pack "${pack}" --edges "${edges}" --suspects 20
+               --verifiers 1 --w 2)
+expect_refused("socmix info --edges --dataset" "--edges with --dataset"
+               "${SOCMIX_BIN}" info --edges "${edges}" --dataset "Physics 1")
+expect_refused("graph_pack --edges --dataset" "--edges with --dataset"
+               "${GRAPH_PACK_BIN}" --edges "${edges}" --dataset "Physics 1" --nodes 300
+               --out "${OUT_DIR}/refused.smxg")
+expect_refused("graph_pack --edges --nodes" "--nodes with --edges"
+               "${GRAPH_PACK_BIN}" --edges "${edges}" --nodes 300
+               --out "${OUT_DIR}/refused.smxg")
+expect_refused("graph_pack --verify --out" "--verify with --out"
+               "${GRAPH_PACK_BIN}" --verify "${pack}" --out "${OUT_DIR}/refused.smxg")
 foreach(command "info" "measure" "sample" "trim" "sybil" "generate")
   expect_refused("socmix ${command} --bogus-flag" "--bogus-flag: unknown flag"
                  "${SOCMIX_BIN}" ${command} --dataset "Physics 1" --nodes 300
@@ -206,10 +233,10 @@ expect_refused("socmix sybil --w 2,x,8" "--w: 'x'"
 expect_refused("socmix sybil --w x" "--w: 'x'"
                "${SOCMIX_BIN}" sybil ${sybil_input} --w x)
 
-# The admission sweep admits the same fractions on the in-memory graph,
-# its raw pack and its compressed pack (graph_pack stored the same LCC).
+# The admission sweep admits the same fractions on the in-memory graph and
+# its pack (graph_pack stored the same LCC).
 unset(in_memory_table)
-foreach(input "--dataset;Physics 1;--nodes;600" "--pack;${raw_pack}" "--pack;${adjc_pack}")
+foreach(input "--dataset;Physics 1;--nodes;600" "--pack;${pack}")
   execute_process(
     COMMAND "${SOCMIX_BIN}" sybil ${input} --seed 7 --suspects 40 --verifiers 2 --w 2,4,8
     WORKING_DIRECTORY "${OUT_DIR}"
@@ -228,6 +255,6 @@ foreach(input "--dataset;Physics 1;--nodes;600" "--pack;${raw_pack}" "--pack;${a
 endforeach()
 
 message(STATUS "driver forwarding e2e: socmix sybil admitted the same fractions in memory "
-               "and on raw and compressed packs; retired knobs (--sharded and the "
-               "checkpoint flags included), bad "
+               "and on the pack; retired knobs (--sharded, --compress and the "
+               "checkpoint flags included), conflicting inputs, bad "
                "counts and numbers and unknown flags were refused")

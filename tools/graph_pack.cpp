@@ -1,19 +1,19 @@
 // graph_pack — converts an edge list (or a generated Table-1 stand-in)
 // into the `.smxg` packed CSR container.
 //
-//   graph_pack --edges g.txt --out g.smxg [--reorder none|rcm] [--compress]
+//   graph_pack --edges g.txt --out g.smxg [--reorder none|rcm]
 //   graph_pack --dataset "Synthetic 1M" --nodes 1000000 --out g.smxg
 //   graph_pack --verify g.smxg
 //
 // Mirrors the preprocessing of `socmix measure`: load/build, extract the
 // largest connected component, optionally relabel it in reverse
 // Cuthill-McKee order (--reorder rcm), then write the CSR. The ordering is
-// the stored graph's: every measurement of the pack computes under it, raw
-// or compressed. `socmix measure --pack g.smxg` loads the result with no
-// text parse. --compress emits the adjacency as the delta + stream-vbyte
-// ADJC section (format version 2, roughly half the bytes per edge; see
-// sharded/adjc.hpp), decoded once when the pack is opened. The retired
-// --sharded is refused by name.
+// the stored graph's: every measurement of the pack computes under it.
+// `socmix measure --pack g.smxg` loads the result with no text parse. The
+// adjacency is always the delta + stream-vbyte ADJC section (format
+// version 2, about a third of the raw u32 array's bytes on a social graph;
+// see sharded/adjc.hpp), decoded once when the pack is opened. The
+// retired --sharded and --compress are refused by name.
 //
 // The --edges path converts text to CSR in two streaming passes over the
 // file (graph::load_edge_list_file_two_pass: count degrees, then fill
@@ -23,7 +23,9 @@
 //
 // --verify loads an existing container (full CRC + structural validation)
 // and reports its geometry plus every section's stored CRC-32; exit 1 on
-// any defect. An unknown flag or value is refused by name (exit 1).
+// any defect. An unknown flag or value is refused by name (exit 1), and
+// so are conflicting ones: two inputs, --nodes without --dataset, or a
+// write flag with --verify.
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -49,7 +51,6 @@ int usage() {
       "usage: graph_pack --edges FILE | --dataset NAME [--nodes N] [--seed N]\n"
       "                  --out FILE.smxg\n"
       "                  [--reorder none|rcm]     pack-time vertex ordering (default none)\n"
-      "                  [--compress]             delta+vbyte ADJC adjacency (v2)\n"
       "       graph_pack --verify FILE.smxg      validate + report an existing pack\n",
       stderr);
   return 2;
@@ -59,9 +60,8 @@ int cmd_verify(const std::string& path) {
   const graph::sharded::MappedGraph mapped{path};
   const graph::Graph& g = mapped.view();
   std::printf("%s: OK\n", path.c_str());
-  std::printf("  nodes %s, edges %s%s\n", util::with_commas(g.num_nodes()).c_str(),
-              util::with_commas(static_cast<std::int64_t>(g.num_edges())).c_str(),
-              mapped.compressed() ? ", compressed" : "");
+  std::printf("  nodes %s, edges %s\n", util::with_commas(g.num_nodes()).c_str(),
+              util::with_commas(static_cast<std::int64_t>(g.num_edges())).c_str());
   std::printf("  fingerprint %016llx\n",
               static_cast<unsigned long long>(mapped.fingerprint()));
   for (const auto& s : mapped.sections()) {
@@ -78,8 +78,10 @@ int cmd_verify(const std::string& path) {
 }
 
 /// Every flag graph_pack reads; anything else is refused by name.
-constexpr std::string_view kFlags[] = {"edges", "dataset", "nodes",    "seed",
-                                       "out",   "reorder", "compress", "verify"};
+constexpr std::string_view kFlags[] = {"edges", "dataset", "nodes",  "seed",
+                                       "out",   "reorder", "verify"};
+/// The flags of a pack write, none of which --verify reads.
+constexpr const char* kWriteFlags[] = {"edges", "dataset", "nodes", "seed", "out", "reorder"};
 
 int run(const util::Cli& cli) {
   if (cli.has("sharded")) {
@@ -87,7 +89,16 @@ int run(const util::Cli& cli) {
         "--sharded: retired; a pack is read into one resident CSR, so no shard "
         "plan is used"};
   }
+  if (cli.has("compress")) {
+    throw std::invalid_argument{
+        "--compress: retired; every pack's adjacency is compressed (ADJC)"};
+  }
   cli.refuse_unknown(kFlags);
+  for (const char* flag : kWriteFlags) {
+    cli.refuse_together("verify", flag, "--verify checks a pack and writes none");
+  }
+  cli.refuse_together("edges", "dataset", "give one input");
+  cli.refuse_together("nodes", "edges", "--nodes sizes a --dataset build only");
   if (cli.has("verify")) return cmd_verify(cli.get("verify", ""));
 
   const std::string out = cli.get("out", "");
@@ -124,13 +135,10 @@ int run(const util::Cli& cli) {
     packed = graph::apply_permutation(packed, graph::rcm_permutation(packed));
   }
 
-  graph::sharded::WriteOptions write_options;
-  write_options.compress = cli.get_flag("compress");
-  graph::sharded::write_smxg_file(out, packed, write_options);
-  std::fprintf(stderr, "packed %s -> %s: %s nodes, %s edges%s\n", name.c_str(),
+  graph::sharded::write_smxg_file(out, packed);
+  std::fprintf(stderr, "packed %s -> %s: %s nodes, %s edges\n", name.c_str(),
                out.c_str(), util::with_commas(packed.num_nodes()).c_str(),
-               util::with_commas(static_cast<std::int64_t>(packed.num_edges())).c_str(),
-               write_options.compress ? ", compressed" : "");
+               util::with_commas(static_cast<std::int64_t>(packed.num_edges())).c_str());
   return 0;
 }
 

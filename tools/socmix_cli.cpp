@@ -11,7 +11,8 @@
 // --edges to run on a synthetic Table-1 stand-in, and --seed for
 // reproducibility. An --edges file is read as undirected: a directed crawl
 // is symmetrized on load. A flag the subcommand does not read is refused
-// by name (exit 1) rather than ignored, and so is the retired `convert`.
+// by name (exit 1) rather than ignored, and so are a second input and
+// --nodes without --dataset, and the retired `convert`.
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
@@ -92,8 +93,19 @@ void refuse_unknown_flags(const util::Cli& cli, bool reads_input,
   cli.refuse_unknown(known);
 }
 
+/// Refuses, naming both flags, a second input of --pack/--edges/--dataset
+/// and --nodes with any input but --dataset: the flag would be dropped.
+void refuse_conflicting_inputs(const util::Cli& cli) {
+  cli.refuse_together("pack", "edges", "give one input");
+  cli.refuse_together("pack", "dataset", "give one input");
+  cli.refuse_together("edges", "dataset", "give one input");
+  cli.refuse_together("nodes", "pack", "--nodes sizes a --dataset build only");
+  cli.refuse_together("nodes", "edges", "--nodes sizes a --dataset build only");
+}
+
 /// Loads --edges FILE or builds --dataset NAME; exits with a message on error.
 graph::Graph load_input(const util::Cli& cli, std::string& name) {
+  refuse_conflicting_inputs(cli);
   const auto seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
   if (cli.has("edges")) {
     name = cli.get("edges", "");
@@ -134,13 +146,13 @@ struct ComponentInput {
 ComponentInput load_component_input(const util::Cli& cli) {
   ComponentInput in;
   if (cli.has("pack")) {
+    refuse_conflicting_inputs(cli);
     in.name = cli.get("pack", "");
     in.pack = graph::sharded::MappedGraph{in.name};
     in.packed = true;
-    std::fprintf(stderr, "loaded %s: %u nodes, %llu edges%s\n", in.name.c_str(),
+    std::fprintf(stderr, "loaded %s: %u nodes, %llu edges\n", in.name.c_str(),
                  in.pack.view().num_nodes(),
-                 static_cast<unsigned long long>(in.pack.view().num_edges()),
-                 in.pack.compressed() ? ", compressed" : "");
+                 static_cast<unsigned long long>(in.pack.view().num_edges()));
   } else {
     in.owned = graph::largest_component(load_input(cli, in.name)).graph;
   }
