@@ -11,6 +11,7 @@
 //   4. read off the numbers the paper reports.
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "core/experiment.hpp"
 #include "core/measurement.hpp"
@@ -29,11 +30,11 @@ int main(int argc, char** argv) {
   graph::Graph raw;
   std::string name;
   if (cli.has("edges")) {
-    const auto loaded = graph::load_edge_list_file(cli.get("edges", ""));
+    auto loaded = graph::load_edge_list_file(cli.get("edges", ""));
     std::printf("loaded %zu edges (%zu self-loops dropped, %zu duplicates)\n",
                 loaded.edges_parsed, loaded.self_loops_dropped,
                 loaded.duplicates_dropped);
-    raw = loaded.graph;
+    raw = std::move(loaded.graph);
     name = cli.get("edges", "");
   } else {
     const auto spec = *gen::find_dataset("Physics 1");

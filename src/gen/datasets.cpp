@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "gen/barabasi_albert.hpp"
 #include "gen/powerlaw_cluster.hpp"
@@ -252,7 +253,7 @@ Graph build_dataset(const DatasetSpec& spec, NodeId nodes, std::uint64_t seed) {
     }
   }
   // The measurement pipeline needs a connected graph (paper §4).
-  return graph::largest_component(raw).graph;
+  return graph::largest_component(std::move(raw)).graph;
 }
 
 }  // namespace socmix::gen

@@ -28,8 +28,12 @@ struct Components {
 /// Labels all connected components via BFS. O(n + m).
 [[nodiscard]] Components connected_components(const Graph& g);
 
-/// Extracts the largest connected component, relabeling vertices densely.
+/// Extracts the largest connected component, relabeling vertices densely
+/// in ascending order of their old ids. A graph that is one component
+/// already comes back as it is (copied, or moved from an rvalue), with
+/// original_id the identity.
 [[nodiscard]] ExtractedSubgraph largest_component(const Graph& g);
+[[nodiscard]] ExtractedSubgraph largest_component(Graph&& g);
 
 /// True if the whole graph is one connected component (and nonempty).
 [[nodiscard]] bool is_connected(const Graph& g);

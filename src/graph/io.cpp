@@ -4,12 +4,17 @@
 #include <bit>
 #include <charconv>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <istream>
+#include <memory>
+#include <new>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 #include <system_error>
+
+#include <sys/mman.h>
 
 #include "obs/obs.hpp"
 #include "resilience/fault.hpp"
@@ -31,6 +36,120 @@ namespace {
   if (ec != std::errc{} || value < 0 || (stop != end && !is_space(*stop))) return false;
   out = static_cast<std::uint64_t>(value);
   return true;
+}
+
+/// Splits a stream into lines on '\n', exactly as std::getline does, but
+/// reads it in blocks: each next() hands out the run of whole lines the
+/// buffer holds, each ending in '\n'. The unterminated tail of a block
+/// carries over to the next one, a line longer than the buffer grows it,
+/// and a final line without a newline is given one, so it still counts.
+/// The buffer is mapped outside the heap: a heap block freed between
+/// repeated loads stayed resident and raised their peak RSS.
+class LineBlocks {
+ public:
+  explicit LineBlocks(std::istream& in) : in_{in} {}
+
+  /// The next run of whole lines, or an empty view at the end of the input.
+  [[nodiscard]] std::string_view next() {
+    const std::size_t carry = filled_ - handed_;
+    std::memmove(buffer_.get(), buffer_.get() + handed_, carry);
+    filled_ = carry;
+    handed_ = 0;
+    while (!at_end_) {
+      if (filled_ == capacity_) grow();
+      const std::size_t room = capacity_ - filled_;
+      in_.read(buffer_.get() + filled_, static_cast<std::streamsize>(room));
+      const auto got = static_cast<std::size_t>(in_.gcount());
+      // read() stops short only at the end of the input (or on an error).
+      at_end_ = got < room;
+      const void* const last = ::memrchr(buffer_.get() + filled_, '\n', got);
+      filled_ += got;
+      if (last != nullptr) {
+        handed_ =
+            static_cast<std::size_t>(static_cast<const char*>(last) - buffer_.get()) + 1;
+        return {buffer_.get(), handed_};
+      }
+    }
+    if (filled_ == 0) return {};
+    buffer_[filled_++] = '\n';  // the byte reserved past capacity_
+    handed_ = filled_;
+    return {buffer_.get(), handed_};
+  }
+
+ private:
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(char* p) const noexcept { ::munmap(p, bytes); }
+  };
+  using Buffer = std::unique_ptr<char[], Unmap>;
+
+  [[nodiscard]] static Buffer map(std::size_t bytes) {
+    void* const p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc{};
+    return Buffer{static_cast<char*>(p), Unmap{bytes}};
+  }
+
+  void grow() {
+    Buffer bigger = map(2 * capacity_ + 1);
+    std::memcpy(bigger.get(), buffer_.get(), filled_);
+    buffer_ = std::move(bigger);
+    capacity_ *= 2;
+  }
+
+  std::istream& in_;
+  std::size_t capacity_ = kEdgeListBlockBytes;
+  Buffer buffer_ = map(capacity_ + 1);
+  std::size_t filled_ = 0;  // bytes held
+  std::size_t handed_ = 0;  // bytes handed out by the last next()
+  bool at_end_ = false;
+};
+
+/// The fast path in front of parse_edge_line: parses the line at `p` when
+/// it is exactly "digits[ \t]+digits[ \t\r]*\n" with at most 18 digits per
+/// id (so neither can overflow an int64) and returns the '\n' it ends at.
+/// Any other line returns nullptr, for parse_edge_line to read. A '\n' must
+/// end the line: every loop stops at it.
+[[nodiscard]] const char* parse_plain_edge(const char* p, std::uint64_t& u,
+                                           std::uint64_t& v) noexcept {
+  const auto id = [&p](std::uint64_t& out) {
+    const char* const first = p;
+    std::uint64_t value = 0;
+    while (static_cast<unsigned char>(*p - '0') < 10) value = value * 10 + (*p++ - '0');
+    out = value;
+    return p != first && p - first <= 18;
+  };
+  if (!id(u) || (*p != ' ' && *p != '\t')) return nullptr;
+  while (*p == ' ' || *p == '\t') ++p;
+  if (!id(v)) return nullptr;
+  while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
+  return *p == '\n' ? p : nullptr;
+}
+
+/// Reads `in` line by line through one LineBlocks and calls
+/// visit(kind, u, v, line) for each line in order, with `line` the line
+/// without its '\n' and what parse_edge_line says of it (u and v set on
+/// kEdge). Plain digit lines are parsed by parse_plain_edge.
+template <class Visit>
+void for_each_line(std::istream& in, Visit&& visit) {
+  LineBlocks blocks{in};
+  for (std::string_view run = blocks.next(); !run.empty(); run = blocks.next()) {
+    const char* p = run.data();
+    const char* const end = p + run.size();
+    while (p != end) {
+      std::uint64_t u = 0;
+      std::uint64_t v = 0;
+      EdgeLine kind = EdgeLine::kEdge;
+      const char* eol = parse_plain_edge(p, u, v);
+      if (eol == nullptr) {
+        eol = static_cast<const char*>(
+            std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+        kind = parse_edge_line({p, static_cast<std::size_t>(eol - p)}, u, v);
+      }
+      visit(kind, u, v, std::string_view{p, static_cast<std::size_t>(eol - p)});
+      p = eol + 1;
+    }
+  }
 }
 
 }  // namespace
@@ -80,6 +199,7 @@ void IdDensifier::grow() {
 }
 
 LoadResult load_edge_list(std::istream& in, const EdgeListOptions& options) {
+  SOCMIX_TRACE_SPAN("graph.load");
   LoadResult result;
   EdgeList edges;
   IdDensifier densify;
@@ -101,22 +221,20 @@ LoadResult load_edge_list(std::istream& in, const EdgeListOptions& options) {
     return false;
   };
 
-  std::string line;
-  std::uint64_t u = 0;
-  std::uint64_t v = 0;
-  while (std::getline(in, line)) {
+  for_each_line(in, [&](EdgeLine kind, std::uint64_t u, std::uint64_t v,
+                        std::string_view line) {
     ++result.lines_read;
-    switch (parse_edge_line(line, u, v)) {
+    switch (kind) {
       case EdgeLine::kSkip:
-        continue;
+        return;
       case EdgeLine::kTooFewFields:
         reject("load_edge_list: malformed line " + std::to_string(result.lines_read) +
-               ": '" + line + "'");
-        continue;
+               ": '" + std::string{line} + "'");
+        return;
       case EdgeLine::kBadId:
         reject("load_edge_list: non-integer vertex id at line " +
                std::to_string(result.lines_read));
-        continue;
+        return;
       case EdgeLine::kEdge:
         break;
     }
@@ -129,7 +247,7 @@ LoadResult load_edge_list(std::istream& in, const EdgeListOptions& options) {
     const NodeId du = densify(u);
     const NodeId dv = densify(v);
     edges.add(du, dv);
-  }
+  });
   if (result.malformed_lines > 0) {
     SOCMIX_COUNTER_ADD("graph.io.malformed_lines", result.malformed_lines);
   }
@@ -158,6 +276,7 @@ LoadResult load_edge_list_file(const std::string& path, const EdgeListOptions& o
 }
 
 Graph load_edge_list_file_two_pass(const std::string& path) {
+  SOCMIX_TRACE_SPAN("graph.load");
   IdDensifier densify;
   std::vector<EdgeIndex> degree;
 
@@ -170,20 +289,17 @@ Graph load_edge_list_file_two_pass(const std::string& path) {
     if (!in) {
       throw std::runtime_error{"load_edge_list_file_two_pass: cannot open " + path};
     }
-    std::string line;
     std::size_t line_no = 0;
-    std::uint64_t u = 0;
-    std::uint64_t v = 0;
-    while (std::getline(in, line)) {
+    for_each_line(in, [&](EdgeLine kind, std::uint64_t u, std::uint64_t v,
+                          std::string_view) {
       ++line_no;
-      const EdgeLine kind = parse_edge_line(line, u, v);
-      if (kind == EdgeLine::kSkip) continue;
+      if (kind == EdgeLine::kSkip) return;
       if (kind != EdgeLine::kEdge) {
         throw std::runtime_error{"load_edge_list_file_two_pass: malformed line " +
                                  std::to_string(line_no) + " in " + path};
       }
       emit(u, v);
-    }
+    });
   };
 
   // Pass 1: id labels + duplicate-inflated degrees (each text edge counts

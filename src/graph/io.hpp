@@ -5,8 +5,15 @@
 // (SNAP / Mislove releases); load_edge_list() accepts exactly that format,
 // including '#' and '%' comment lines and arbitrary (sparse) vertex ids,
 // which are densified to [0, n).
+//
+// Both loaders read their input in blocks of kEdgeListBlockBytes and split
+// it into lines on '\n' as std::getline would, without a string per line
+// or a whole-file buffer. A line of two plain ids ("digits[ \t]+digits",
+// at most 18 digits each, then only [ \t\r]) is parsed in place; every
+// other line goes to parse_edge_line, which defines what a line means.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -40,6 +47,10 @@ struct EdgeListOptions {
   /// malformed — past that the file is the wrong format, not a dirty one.
   std::size_t max_malformed = 1000;
 };
+
+/// The block the text loaders read through, reused for the whole input. A
+/// line longer than it grows it. (A 1 MiB block loaded no faster.)
+inline constexpr std::size_t kEdgeListBlockBytes = std::size_t{256} << 10;
 
 /// What one line of a text edge list holds (see parse_edge_line).
 enum class EdgeLine : std::uint8_t {
@@ -96,7 +107,7 @@ class IdDensifier {
                                         const EdgeListOptions& options = {});
 
 /// Convenience wrapper opening the given path. Contains the `graph.load`
-/// fault-injection site.
+/// fault-injection site. Both loaders record a `graph.load` trace span.
 [[nodiscard]] LoadResult load_edge_list_file(const std::string& path,
                                              const EdgeListOptions& options = {});
 

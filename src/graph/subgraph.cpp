@@ -24,12 +24,16 @@ ExtractedSubgraph induced_subgraph(const Graph& g, std::span<const NodeId> membe
     offsets[v + 1] = offsets[v] + deg;
   }
 
+  // Ascending members relabel monotonically, so each row, sorted in `g`,
+  // stays sorted.
+  const bool monotone = std::is_sorted(members.begin(), members.end());
   std::vector<NodeId> neighbors(offsets.back());
   for (NodeId v = 0; v < n; ++v) {
     EdgeIndex cursor = offsets[v];
     for (const NodeId w : g.neighbors(out.original_id[v])) {
       if (new_id[w] != kInvalidNode) neighbors[cursor++] = new_id[w];
     }
+    if (monotone) continue;
     std::sort(neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
               neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
   }

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <utility>
+#include <vector>
+
+#include "gen/erdos_renyi.hpp"
 #include "gen/reference.hpp"
+#include "util/rng.hpp"
 
 namespace socmix::graph {
 namespace {
@@ -67,6 +74,33 @@ TEST(LargestComponent, ConnectedGraphUnchangedInSize) {
   const auto extracted = largest_component(g);
   EXPECT_EQ(extracted.graph.num_nodes(), 10u);
   EXPECT_EQ(extracted.graph.num_edges(), 10u);
+}
+
+TEST(LargestComponent, ConnectedGraphComesBackAsItIsWithIdentityLabels) {
+  // A connected random graph: the shortcut must give exactly what the
+  // induced subgraph on every vertex gives, from a const graph, an rvalue
+  // and a borrowed view (whose result must own its storage).
+  util::Rng rng{5};
+  const Graph g = gen::erdos_renyi_gnm(300, 3000, rng);
+  ASSERT_TRUE(is_connected(g));
+  std::vector<NodeId> all(g.num_nodes());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  const ExtractedSubgraph want = induced_subgraph(g, all);
+  const auto same = [&want](const ExtractedSubgraph& got) {
+    const auto offsets = got.graph.offsets();
+    const auto nbrs = got.graph.raw_neighbors();
+    return got.original_id == want.original_id &&
+           std::equal(offsets.begin(), offsets.end(), want.graph.offsets().begin(),
+                      want.graph.offsets().end()) &&
+           std::equal(nbrs.begin(), nbrs.end(), want.graph.raw_neighbors().begin(),
+                      want.graph.raw_neighbors().end());
+  };
+  EXPECT_TRUE(same(largest_component(g)));
+  EXPECT_TRUE(same(largest_component(Graph{g})));
+  const ExtractedSubgraph from_view =
+      largest_component(Graph::borrowed(g.offsets(), g.raw_neighbors()));
+  EXPECT_TRUE(same(from_view));
+  EXPECT_TRUE(from_view.graph.owns_storage());
 }
 
 TEST(IsConnected, Basics) {

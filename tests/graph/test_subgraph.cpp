@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "gen/erdos_renyi.hpp"
 #include "gen/reference.hpp"
+#include "util/rng.hpp"
 
 namespace socmix::graph {
 namespace {
@@ -48,6 +53,26 @@ TEST(InducedSubgraph, AllVerticesReproducesGraph) {
   const auto sub = induced_subgraph(g, all);
   EXPECT_EQ(sub.graph.num_edges(), g.num_edges());
   for (NodeId v = 0; v < 8; ++v) EXPECT_EQ(sub.graph.degree(v), g.degree(v));
+}
+
+TEST(InducedSubgraph, AscendingMembersKeepEveryEdgeInSortedRows) {
+  // Ascending members skip the per-row sort: each row must still be sorted
+  // and hold exactly the members' edges.
+  util::Rng rng{9};
+  const Graph g = gen::erdos_renyi_gnm(200, 1500, rng);
+  std::vector<NodeId> members;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (v % 3 != 1) members.push_back(v);
+  }
+  const auto sub = induced_subgraph(g, members);
+  ASSERT_EQ(sub.graph.num_nodes(), members.size());
+  for (NodeId a = 0; a < sub.graph.num_nodes(); ++a) {
+    const auto adj = sub.graph.neighbors(a);
+    EXPECT_TRUE(std::is_sorted(adj.begin(), adj.end()));
+    for (NodeId b = 0; b < sub.graph.num_nodes(); ++b) {
+      EXPECT_EQ(sub.graph.has_edge(a, b), g.has_edge(members[a], members[b]));
+    }
+  }
 }
 
 TEST(InducedSubgraph, NeighborListsStaySorted) {

@@ -31,6 +31,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "gen/datasets.hpp"
 #include "graph/components.hpp"
@@ -129,8 +130,8 @@ int run(const util::Cli& cli) {
   // Same preprocessing as the measurement: LCC first (the container
   // always holds a connected graph), then the optional kernel ordering —
   // baked in at pack time so the mapped CSR is already gather-friendly.
-  graph::Graph packed = graph::largest_component(raw).graph;
-  raw = graph::Graph{};  // drop the raw CSR before the reorder copy
+  graph::Graph packed = graph::largest_component(std::move(raw)).graph;
+  raw = graph::Graph{};  // drop the raw CSR (if it was split) before the reorder copy
   if (reorder == "rcm") {
     packed = graph::apply_permutation(packed, graph::rcm_permutation(packed));
   }

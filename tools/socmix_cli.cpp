@@ -109,11 +109,11 @@ graph::Graph load_input(const util::Cli& cli, std::string& name) {
   const auto seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
   if (cli.has("edges")) {
     name = cli.get("edges", "");
-    const auto loaded = graph::load_edge_list_file(name);
+    auto loaded = graph::load_edge_list_file(name);
     std::fprintf(stderr, "loaded %s: %u nodes, %llu edges\n", name.c_str(),
                  loaded.graph.num_nodes(),
                  static_cast<unsigned long long>(loaded.graph.num_edges()));
-    return loaded.graph;
+    return std::move(loaded.graph);
   }
   const std::string dataset = cli.get("dataset", "");
   if (dataset.empty()) {
