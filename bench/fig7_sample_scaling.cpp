@@ -6,11 +6,12 @@
 // SLEM lower-bound curve and the sampled percentile curves (top 10%,
 // median 20%, lowest 10% as the paper aggregates).
 //
-// Default sample sizes are scaled to 4K/12K/36K so the bench finishes on
-// one core; --sizes and --scale grow it toward the paper's 10K/100K/1000K.
+// Default sample sizes are scaled to 2K/8K/32K (the committed
+// bench_results/fig7_*_{2K,8K,32K}.csv) so the bench finishes on one core;
+// --sizes and --scale grow it toward the paper's 10K/100K/1000K.
 //
 //   --scale F     multiplier on the base graph size (default 0.5)
-//   --sizes a,b,c comma-separated sample sizes (default 4000,12000,36000)
+//   --sizes a,b,c comma-separated sample sizes (default 2000,8000,32000)
 //   --sources N   sampled-measurement sources per panel (default 40)
 //   --steps N     max walk length (default 120)
 //   --seed N
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
 
   std::vector<graph::NodeId> sizes;
   // split() returns views: the flag string must outlive the loop.
-  const std::string size_list = cli.get("sizes", "4000,12000,36000");
+  const std::string size_list = cli.get("sizes", "2000,8000,32000");
   for (const auto token : util::split(size_list, ',')) {
     if (const auto v = util::parse_i64(token)) {
       sizes.push_back(static_cast<graph::NodeId>(*v));

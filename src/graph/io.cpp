@@ -276,6 +276,7 @@ LoadResult load_edge_list_file(const std::string& path, const EdgeListOptions& o
 }
 
 Graph load_edge_list_file_two_pass(const std::string& path) {
+  resilience::fault_point("graph.load");
   SOCMIX_TRACE_SPAN("graph.load");
   IdDensifier densify;
   std::vector<EdgeIndex> degree;

@@ -1,9 +1,9 @@
 // SIMD kernel tier with runtime dispatch — the compute layer under the
 // hot sweeps.
 //
-// The batched 32-lane SpMM + fused TVD (markov::BatchedEvolver), the
-// single-vector gather-stream SpMV (linalg::WalkOperator, one-lane
-// markov::BatchedEvolver), the Krylov-basis kernels of Lanczos
+// The batched 8/16/32-lane SpMM + fused TVD (markov::BatchedEvolver),
+// the single-vector gather-stream SpMV (linalg::WalkOperator), the
+// Krylov-basis kernels of Lanczos
 // (linalg::detail::KrylovBasis: dot, axpy, divide, combine), the ADJC
 // varint decoder, the CRC-32 that checks every `.smxg` section and the
 // SybilLimit route hop (sybil::RouteTable::for_each_tail) all funnel
@@ -52,7 +52,7 @@
 
 namespace socmix::linalg::simd {
 
-/// Widest lane block any SpMM kernel supports (accumulators stay in
+/// Widest lane block the SpMM kernel sweeps (accumulators stay in
 /// registers / on the stack). Mirrored by markov::BatchedEvolver::kMaxBlock.
 inline constexpr std::size_t kMaxLanes = 32;
 
@@ -61,13 +61,14 @@ enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// Batched multi-lane SpMM sweep over the contiguous rows [begin, end),
 /// optionally fused with the TVD-to-pi reduction. The walk state is held
 /// prescaled, s_t = x_t * inv_deg (one rounded product per cell), so the
-/// edge loop is a single gather per edge. For each row j, ascending:
-///   acc[b]  = sum_{e in row j} scaled[neighbors[e]*stride + b]
-///   nx[b]   = walk_weight*acc[b]                            (cur null)
-///   nx[b]   = walk_weight*acc[b] + laziness*cur[j*stride + b]  (cur set)
-///   next[j*stride + b] = nx[b] * inv_deg[j]
+/// edge loop is a single gather per edge. Every buffer is lane-major with
+/// L = `lanes` doubles per row. For each row j, ascending, and b < L:
+///   acc[b]  = sum_{e in row j} scaled[neighbors[e]*L + b]
+///   nx[b]   = walk_weight*acc[b]                       (cur null)
+///   nx[b]   = walk_weight*acc[b] + laziness*cur[j*L + b]  (cur set)
+///   next[j*L + b] = nx[b] * inv_deg[j]
 ///   tvd[b] += |nx[b] - pi[j]|
-/// and, when `cur` is set, cur[j*stride + b] = nx[b]. `cur` holds the
+/// and, when `cur` is set, cur[j*L + b] = nx[b]. `cur` holds the
 /// unscaled x_t that only a lazy walk needs; a caller passes null exactly
 /// when laziness is 0, where walk_weight*acc equals the lazy form's
 /// walk_weight*acc + 0.0*x (every value is >= +0) — the same bits.
@@ -80,7 +81,7 @@ enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 ///
 /// `next` must not alias `scaled` (every gather reads the old state); the
 /// evolver ping-pongs its two prescaled blocks. `cur` is updated in place:
-/// row j reads only its own old value cur[j*stride + b] before it writes
+/// row j reads only its own old value cur[j*L + b] before it writes
 /// nx. Every tier honors this.
 struct SpmmArgs {
   graph::NodeId begin = 0;
@@ -88,8 +89,10 @@ struct SpmmArgs {
   const graph::EdgeIndex* offsets = nullptr;
   const graph::NodeId* neighbors = nullptr;
   const double* inv_deg = nullptr;  ///< per-row 1/deg, prescales the written state
-  std::size_t stride = 0;  ///< lane stride of the block buffers
-  std::size_t lanes = 0;   ///< active lanes, <= min(stride, kMaxLanes)
+  /// Lanes per row, and so the row stride of every buffer: 8, 16 or 32,
+  /// each an unrolled sweep on every tier (the evolver pads a partial
+  /// block with zero lanes).
+  std::size_t lanes = 0;
   double walk_weight = 0.0;
   double laziness = 0.0;
   const double* pi = nullptr;  ///< null: skip the fused TVD; indexed by row
@@ -101,20 +104,18 @@ using SpmmF64Fn = void (*)(const SpmmArgs& args, const double* scaled, double* c
 
 /// Single-vector gather-stream SpMV over rows [row_begin, row_end):
 ///   acc  = sum_{e in row i} gather[neighbors[e]]   (in CSR edge order)
-///   y[i] = walk_weight*acc * (row_scale ? row_scale[i] : 1) + laziness*x[i]
-/// matching the scalar epilogues of WalkOperator (row_scale =
-/// inv_sqrt_deg) and a one-lane BatchedEvolver (row_scale null). `y` may
-/// alias `x` (row i reads only x[i], before it writes y[i]) but never
-/// `gather`.
+///   y[i] = walk_weight*acc * row_scale[i] + laziness*x[i]
+/// the epilogue of WalkOperator (row_scale = inv_sqrt_deg). `y` may alias
+/// `x` (row i reads only x[i], before it writes y[i]) but never `gather`.
 struct SpmvArgs {
   const graph::EdgeIndex* offsets = nullptr;
   const graph::NodeId* neighbors = nullptr;
-  const double* gather = nullptr;  ///< gathered source (prescaled x, or raw x)
+  const double* gather = nullptr;  ///< gathered source (the prescaled x)
   const double* x = nullptr;       ///< epilogue input
   double* y = nullptr;
   double walk_weight = 0.0;
   double laziness = 0.0;
-  const double* row_scale = nullptr;  ///< per-row factor, or null
+  const double* row_scale = nullptr;  ///< per-row factor (required)
 };
 
 using SpmvFn = void (*)(const SpmvArgs& args, graph::NodeId row_begin,

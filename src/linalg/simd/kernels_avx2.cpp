@@ -8,6 +8,7 @@
 #include <immintrin.h>
 
 #include <cstddef>
+#include <cstdlib>
 
 #include "linalg/simd/kernels_detail.hpp"
 #include "util/checksum.hpp"

@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cstddef>
+#include <cstdlib>
 #include <cstdint>
 
 #include "linalg/simd/kernels_detail.hpp"

@@ -14,6 +14,7 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 
 #include "linalg/simd/kernels_detail.hpp"
 #include "util/feistel.hpp"
@@ -25,96 +26,88 @@ namespace {
 
 constexpr std::size_t kPrefetchDistance = util::kGatherPrefetchDistance;
 
-// Every sweep kernel is instantiated per lane count B. B > 0 is a
-// compile-time count (stride stays runtime so a partially filled block
-// still takes this path): the b-loops unroll and vectorize, and the
-// accumulators live in registers. B == 0 is the runtime-width fallback
-// for remainder blocks (active < block) and odd block sizes. The
-// operation order is the same either way.
-template <std::size_t B>
-inline constexpr std::size_t kLaneCap = B != 0 ? B : kMaxLanes;
-
-// Calls f.template operator()<B>() with B = a compile-time lane count, or
-// B = 0 for any other width.
-template <typename F>
-void with_lanes(std::size_t lanes, F&& f) {
-  switch (lanes) {
-    case 4: f.template operator()<4>(); break;
-    case 8: f.template operator()<8>(); break;
-    case 16: f.template operator()<16>(); break;
-    case 32: f.template operator()<32>(); break;
-    default: f.template operator()<0>(); break;
-  }
-}
-
-// f64 row sweep over [a.begin, a.end). The inner loop is a single gather
-// + add per edge: the state is kept prescaled (each row's new value is
-// written times inv_deg[j] — the exact product a separate prescale pass
-// would round), so the floating-point result per lane remains the
-// operation sequence of the single-vector spmv epilogue + total_variation
-// (CSR edge order, then ascending-row TVD) — bit-identical to a one-lane
-// sweep. Lazy (cur set) also reads and rewrites the row's unscaled state
-// in place. The TVD continues the caller's running sum in a.tvd_out.
+// f64 row sweep over [a.begin, a.end) of a block of B lanes (B is also
+// the row stride): the b-loops unroll and vectorize, and the accumulators
+// live in registers. The inner loop is a single gather + add per edge:
+// the state is kept prescaled (each row's new value is written times
+// inv_deg[j] — the exact product a separate prescale pass would round),
+// so the floating-point result per lane is the reference walk step +
+// total_variation (CSR edge order, then ascending-row TVD) whatever B
+// is. Lazy (cur set) also reads and rewrites the row's unscaled state in
+// place. The TVD continues the caller's running sum in a.tvd_out.
 template <std::size_t B, bool Lazy>
 void sweep_f64(const SpmmArgs& a, const double* scaled, double* cur, double* next) {
   // Locals, not a.* reads: stores through next must not force reloads.
-  const std::size_t lanes = B != 0 ? B : a.lanes;
-  const std::size_t stride = a.stride;
   const graph::EdgeIndex* offsets = a.offsets;
   const graph::NodeId* neighbors = a.neighbors;
   const double* inv_deg = a.inv_deg;
   const double walk_weight = a.walk_weight;
   const double laziness = a.laziness;
   const double* pi = a.pi;
-  std::array<double, kLaneCap<B>> acc{};
-  std::array<double, kLaneCap<B>> tvd_acc{};
+  std::array<double, B> acc{};
+  std::array<double, B> tvd_acc{};
   if (pi != nullptr) {
-    for (std::size_t b = 0; b < lanes; ++b) tvd_acc[b] = a.tvd_out[b];
+    for (std::size_t b = 0; b < B; ++b) tvd_acc[b] = a.tvd_out[b];
   }
   for (graph::NodeId j = a.begin; j < a.end; ++j) {
-    for (std::size_t b = 0; b < lanes; ++b) acc[b] = 0.0;
+    for (std::size_t b = 0; b < B; ++b) acc[b] = 0.0;
     const graph::EdgeIndex row_end = offsets[j + 1];
     for (graph::EdgeIndex e = offsets[j]; e < row_end; ++e) {
       if (e + kPrefetchDistance < row_end) {
         util::prefetch_read(
-            scaled + static_cast<std::size_t>(neighbors[e + kPrefetchDistance]) * stride);
+            scaled + static_cast<std::size_t>(neighbors[e + kPrefetchDistance]) * B);
       }
-      const double* src = scaled + static_cast<std::size_t>(neighbors[e]) * stride;
-      for (std::size_t b = 0; b < lanes; ++b) acc[b] += src[b];
+      const double* src = scaled + static_cast<std::size_t>(neighbors[e]) * B;
+      for (std::size_t b = 0; b < B; ++b) acc[b] += src[b];
     }
     // acc becomes nx, the row's new unscaled value.
     if constexpr (Lazy) {
-      double* cur_j = cur + static_cast<std::size_t>(j) * stride;
-      for (std::size_t b = 0; b < lanes; ++b) {
+      double* cur_j = cur + static_cast<std::size_t>(j) * B;
+      for (std::size_t b = 0; b < B; ++b) {
         acc[b] = walk_weight * acc[b] + laziness * cur_j[b];
         cur_j[b] = acc[b];
       }
     } else {
-      for (std::size_t b = 0; b < lanes; ++b) acc[b] = walk_weight * acc[b];
+      for (std::size_t b = 0; b < B; ++b) acc[b] = walk_weight * acc[b];
     }
     const double w = inv_deg[j];
-    double* next_j = next + static_cast<std::size_t>(j) * stride;
-    for (std::size_t b = 0; b < lanes; ++b) next_j[b] = acc[b] * w;
+    double* next_j = next + static_cast<std::size_t>(j) * B;
+    for (std::size_t b = 0; b < B; ++b) next_j[b] = acc[b] * w;
     if (pi != nullptr) {
       const double p = pi[j];
-      for (std::size_t b = 0; b < lanes; ++b) tvd_acc[b] += std::fabs(acc[b] - p);
+      for (std::size_t b = 0; b < B; ++b) tvd_acc[b] += std::fabs(acc[b] - p);
     }
   }
   if (pi != nullptr) {
-    for (std::size_t b = 0; b < lanes; ++b) a.tvd_out[b] = tvd_acc[b];
+    for (std::size_t b = 0; b < B; ++b) a.tvd_out[b] = tvd_acc[b];
+  }
+}
+
+template <std::size_t B>
+void sweep_lanes(const SpmmArgs& a, const double* scaled, double* cur, double* next) {
+  if (cur != nullptr) {
+    sweep_f64<B, true>(a, scaled, cur, next);
+  } else {
+    sweep_f64<B, false>(a, scaled, cur, next);
   }
 }
 
 }  // namespace
 
 void spmm_f64(const SpmmArgs& a, const double* scaled, double* cur, double* next) {
-  with_lanes(a.lanes, [&]<std::size_t B>() {
-    if (cur != nullptr) {
-      sweep_f64<B, true>(a, scaled, cur, next);
-    } else {
-      sweep_f64<B, false>(a, scaled, cur, next);
-    }
-  });
+  switch (a.lanes) {
+    case 8:
+      sweep_lanes<8>(a, scaled, cur, next);
+      return;
+    case 16:
+      sweep_lanes<16>(a, scaled, cur, next);
+      return;
+    case 32:
+      sweep_lanes<32>(a, scaled, cur, next);
+      return;
+    default:
+      std::abort();  // outside the SpmmArgs::lanes contract
+  }
 }
 
 void spmv(const SpmvArgs& a, graph::NodeId row_begin, graph::NodeId row_end) {
@@ -128,8 +121,7 @@ void spmv(const SpmvArgs& a, graph::NodeId row_begin, graph::NodeId row_end) {
   const graph::NodeId* neighbors = a.neighbors;
   const double* gather = a.gather;
   const auto finish = [&a](graph::NodeId i, double acc) {
-    const double base = a.walk_weight * acc;
-    a.y[i] = (a.row_scale != nullptr ? base * a.row_scale[i] : base) + a.laziness * a.x[i];
+    a.y[i] = a.walk_weight * acc * a.row_scale[i] + a.laziness * a.x[i];
   };
   graph::NodeId i = row_begin;
   for (; row_end - i >= kSpmvRows; i += kSpmvRows) {

@@ -28,23 +28,23 @@
 // Every graph is swept this way: in memory, or a pack (raw, or compressed
 // and decoded when it was opened), which is one resident CSR either way.
 //
+// One sweep shape: the block is swept at 8, 16 or 32 lanes, each an
+// unrolled kernel on every tier. The capacity (`block`) is one of those
+// widths; seed_point_masses picks the narrowest of them that holds its
+// sources and fills the rest with dead lanes of zeros, so a one-source
+// block (walk_distribution, tvd_trajectory) sweeps 8 lanes, and a tail
+// block of 3 sources sweeps 8, not the capacity.
+//
 // Determinism contract: lane b of a block evolves through *exactly* the
 // same floating-point operations whatever the block — per-row
 // accumulation in CSR edge order, the identical laziness affine
 // combination, and a TVD summed over rows in ascending order (matching
 // linalg::total_variation). Trajectories are therefore bit-identical for
-// any block size, block composition, adjacency encoding of the pack, or
-// thread count of the surrounding driver. The sweep runs
+// any block size, block composition, swept width, adjacency encoding of
+// the pack, or thread count of the surrounding driver. The sweep runs
 // through the linalg::simd dispatch table; every kernel tier honors the
 // same rounding-point contract, so the SIMD tier never changes a bit
 // either (see src/linalg/simd/kernels.hpp).
-//
-// Single vector: a one-lane f64 evolver (block 1) keeps x_t, prescales it
-// into a scratch vector each step and sweeps in place with the
-// gather-stream SpMV kernel instead, its rows partitioned across the
-// util::parallel pool — the single-source helpers below keep multi-core
-// speed — and takes its TVD from linalg::total_variation over the stored
-// state. Same per-row operation sequence, same bits.
 #pragma once
 
 #include <array>
@@ -61,22 +61,27 @@ namespace socmix::markov {
 
 class BatchedEvolver {
  public:
-  /// Block width used by measure_sampled_mixing. 32 lanes of doubles are
-  /// four cache lines per vertex: the random gather per edge transfers
-  /// lines that serve 32 sources instead of one, and the wide inner loop
-  /// keeps the vector units busy while those lines arrive. Measured on a
-  /// BA(1M, 5) graph this is the fastest width from 2..32 both with and
-  /// without -march=native (see bench_results/micro_parallel.csv).
+  /// Widest block measure_sampled_mixing runs (it narrows to 16 or 8
+  /// lanes when wider blocks would leave a worker idle). 32 lanes of
+  /// doubles are four cache lines per vertex: the random gather per edge
+  /// transfers lines that serve 32 sources instead of one, and the wide
+  /// inner loop keeps the vector units busy while those lines arrive.
+  /// Measured on a BA(1M, 5) graph this is the fastest width from 2..32
+  /// both with and without -march=native (see
+  /// bench_results/micro_parallel.csv).
   static constexpr std::size_t kDefaultBlock = 32;
-  /// Upper bound on the block width (keeps per-row accumulators on the
-  /// stack in the sweep kernel).
+  /// The widest swept width (keeps per-row accumulators on the stack in
+  /// the sweep kernel).
   static constexpr std::size_t kMaxBlock = linalg::simd::kMaxLanes;
-  /// Minimum rows per parallel chunk of a single-vector sweep (small
-  /// graphs run inline).
-  static constexpr std::size_t kRowGrain = 2048;
 
-  /// Throws on laziness outside [0, 1), an isolated vertex, or block
-  /// outside [1, kMaxBlock].
+  /// The width a block of `count` sources is swept at: the narrowest of
+  /// 8, 16 and 32 that holds them (32 for more, which no block holds).
+  [[nodiscard]] static constexpr std::size_t swept_width(std::size_t count) noexcept {
+    return count <= 8 ? 8 : count <= 16 ? 16 : kMaxBlock;
+  }
+
+  /// Throws on laziness outside [0, 1), an isolated vertex, or a block
+  /// other than 8, 16 or 32.
   explicit BatchedEvolver(const graph::Graph& g, double laziness = 0.0,
                           std::size_t block = kDefaultBlock);
 
@@ -106,33 +111,34 @@ class BatchedEvolver {
 
  private:
   /// One sweep s_t -> s_{t+1}; when pi is non-null, also writes each
-  /// lane's TVD against pi into tvd_out.
+  /// active lane's TVD against pi into tvd_out.
   void sweep(const double* pi, double* tvd_out);
-  /// One-lane state: swept by the row-parallel SpMV kernel.
-  [[nodiscard]] bool single_vector() const noexcept { return block_ == 1; }
 
   const graph::Graph* graph_;
   util::aligned_vector<double> inv_deg_;
-  // The two prescaled lane-major blocks, [dim x block]:
-  // scaled_[k][v*block + lane] = x_t[v] * inv_deg[v]. scaled_[front_]
+  // The two prescaled lane-major blocks, [dim x width] in the first
+  // dim * width of [dim x block] cells:
+  // scaled_[k][v*width + lane] = x_t[v] * inv_deg[v]. scaled_[front_]
   // holds s_t; after a step the other holds s_{t-1}. 64-byte alignment
-  // makes every row of the default 32-lane block start on a cache line
-  // (and a zmm-load boundary); see util/aligned.hpp. The one-lane evolver
-  // uses scaled_[0] as its prescale scratch.
+  // makes every row of an 8-, 16- or 32-lane block start on a cache line
+  // (and a zmm-load boundary); see util/aligned.hpp.
   std::array<util::aligned_vector<double>, 2> scaled_;
-  /// x_t itself, [dim x block]: kept only by a lazy walk and by the
-  /// one-lane evolver, empty otherwise.
+  /// x_t itself, laid out as scaled_: kept only by a lazy walk, empty
+  /// otherwise.
   util::aligned_vector<double> state_;
   std::array<graph::NodeId, kMaxBlock> sources_{};  ///< per active lane, for t = 0
+  std::array<double, kMaxBlock> tvd_{};  ///< per swept lane, dead lanes included
   std::size_t front_ = 0;
   std::size_t steps_ = 0;  ///< sweeps since seed_point_masses
   double laziness_;
   std::size_t block_;
   std::size_t active_ = 0;
+  std::size_t width_ = swept_width(0);  ///< lanes each sweep computes
 };
 
 /// Distribution of a walk started at `source` after `steps` steps:
-/// e_source P^steps, with P lazy by `laziness`.
+/// e_source P^steps, with P lazy by `laziness`. Runs one 8-lane block
+/// with a single live lane, as tvd_trajectory does.
 [[nodiscard]] std::vector<double> walk_distribution(const graph::Graph& g,
                                                     graph::NodeId source, std::size_t steps,
                                                     double laziness = 0.0);

@@ -33,7 +33,7 @@ double separation_distance(const graph::Graph& g, graph::NodeId source,
 std::vector<double> separation_trajectory(const graph::Graph& g, graph::NodeId source,
                                           std::size_t max_steps, double laziness) {
   const auto pi = stationary_distribution(g);
-  BatchedEvolver evolver{g, laziness, 1};
+  BatchedEvolver evolver{g, laziness, BatchedEvolver::swept_width(1)};
   const graph::NodeId seed[] = {source};
   evolver.seed_point_masses(seed);
   std::vector<double> dist(evolver.dim());

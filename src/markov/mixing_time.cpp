@@ -159,16 +159,24 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // step serves the whole block) and the blocks are distributed across the
   // thread pool. Each lane runs the exact scalar floating-point sequence
   // and every block is independent, so trajectories are bit-identical for
-  // any thread count — including the old one-source-at-a-time path.
-  constexpr std::size_t kBlock = BatchedEvolver::kDefaultBlock;
-  const std::size_t num_blocks = (num_sources + kBlock - 1) / kBlock;
-  // Sources of the block starting at source `first`: at most kBlock, as a
+  // any block width and thread count. The width is the widest of 32, 16
+  // and 8 that still gives every worker a block (8 when none does): wide
+  // blocks amortize the CSR stream, and enough of them keep every core
+  // busy.
+  const std::size_t threads = util::thread_count();
+  std::size_t block = BatchedEvolver::kDefaultBlock;
+  while (block > BatchedEvolver::swept_width(1) &&
+         (num_sources + block - 1) / block < threads) {
+    block /= 2;
+  }
+  const std::size_t num_blocks = (num_sources + block - 1) / block;
+  // Sources of the block starting at source `first`: at most `block`, as a
   // value. std::min returns a reference, and in a sanitizer build its
   // operands sit in instrumented stack slots, which hides the bound from
   // GCC (it then warns -Warray-bounds on the tvd[b] reads below).
-  const auto block_lanes = [num_sources](std::size_t first) -> std::size_t {
+  const auto block_lanes = [num_sources, block](std::size_t first) -> std::size_t {
     const std::size_t left = num_sources - first;
-    return left < kBlock ? left : kBlock;
+    return left < block ? left : block;
   };
   SOCMIX_COUNTER_ADD("markov.sampled.runs", 1);
   SOCMIX_COUNTER_ADD("markov.sampled.sources", num_sources);
@@ -179,8 +187,8 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   obs::ProgressMeter progress{"sampled-mixing", num_blocks};
   const auto run_block = [&](BatchedEvolver& evolver, std::size_t blk) {
     SOCMIX_TRACE_SPAN("evolve_block");
-    std::array<double, kBlock> tvd{};
-    const std::size_t first = blk * kBlock;
+    std::array<double, BatchedEvolver::kMaxBlock> tvd{};
+    const std::size_t first = blk * block;
     const std::size_t lanes = block_lanes(first);
     evolver.seed_point_masses(sources.subspan(first, lanes));
     for (std::size_t b = 0; b < lanes; ++b) {
@@ -208,11 +216,11 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // lane state is allocated once per worker rather than once per block.
   // A failing block drains the counter so the other workers stop too.
   std::atomic<std::size_t> next_block{0};
-  const std::size_t workers = std::min(util::thread_count(), num_blocks);
+  const std::size_t workers = std::min(threads, num_blocks);
   util::parallel_for(0, workers, 1, [&](std::size_t, std::size_t) {
     std::size_t blk = next_block++;
     if (blk >= num_blocks) return;
-    BatchedEvolver evolver{g, laziness, kBlock};
+    BatchedEvolver evolver{g, laziness, block};
     try {
       for (; blk < num_blocks; blk = next_block++) run_block(evolver, blk);
     } catch (...) {

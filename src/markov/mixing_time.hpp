@@ -142,7 +142,8 @@ struct SampledMixingOptions : EngineOptions {
 
 /// Evolves a point mass from each source for max_steps steps and records
 /// the TVD trajectory. O(sources * max_steps * m) work, executed in
-/// blocks of BatchedEvolver::kDefaultBlock sources per CSR sweep and
+/// blocks of 32, 16 or 8 sources per CSR sweep (the widest that gives
+/// every worker a block; markov.sampled.source_blocks counts them) and
 /// distributed over the util::parallel pool (--threads / SOCMIX_THREADS).
 /// Trajectories are bit-identical for every thread count.
 [[nodiscard]] SampledMixing measure_sampled_mixing(const graph::Graph& g,

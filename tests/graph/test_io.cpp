@@ -12,6 +12,7 @@
 
 #include "graph/sharded/format.hpp"
 #include "graph/sharded/mapped_graph.hpp"
+#include "resilience/fault.hpp"
 
 namespace socmix::graph {
 namespace {
@@ -203,6 +204,21 @@ TEST(LoadEdgeList, TwoPassLoaderRejectsMalformedLines) {
   }
   std::remove(path.c_str());
   EXPECT_THROW((void)load_edge_list_file_two_pass(path), std::runtime_error);
+}
+
+TEST(LoadEdgeList, ArmedGraphLoadFaultFailsBothFileLoaders) {
+  const std::string path = testing::TempDir() + "/socmix_io_fault.txt";
+  {
+    std::ofstream out{path};
+    out << "0 1\n1 2\n";
+  }
+  resilience::arm_fault("graph.load:1:error");
+  EXPECT_THROW((void)load_edge_list_file_two_pass(path), resilience::InjectedFault);
+  resilience::arm_fault("graph.load:1:error");
+  EXPECT_THROW((void)load_edge_list_file(path), resilience::InjectedFault);
+  resilience::disarm_faults();
+  EXPECT_EQ(load_edge_list_file_two_pass(path).num_edges(), 2u);
+  std::remove(path.c_str());
 }
 
 TEST(FileIo, MissingFileThrows) {

@@ -54,9 +54,15 @@ class SmxgTest : public ::testing::Test {
     std::ifstream in{path_, std::ios::binary};
     return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
   }
+  /// Makes the pack hold exactly `bytes`, edited in place: rewriting a file
+  /// from empty makes some filesystems flush it on every close.
   void dump(const std::vector<char>& bytes) const {
-    std::ofstream out{path_, std::ios::binary | std::ios::trunc};
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    {
+      std::fstream out{path_, std::ios::binary | std::ios::in | std::ios::out};
+      ASSERT_TRUE(out.is_open()) << path_;
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    if (fs::file_size(path_) != bytes.size()) fs::resize_file(path_, bytes.size());
   }
 
   /// Re-stamps the header CRC after a deliberate header field edit, so the

@@ -6,8 +6,8 @@
 //    sweep (one SpMM call over all rows) and a four-shard sweep of a
 //    pack (ADJC decode, and sub-range calls carrying the running TVD
 //    sum);
-//  * the single-vector SpMV consumers (WalkOperator, a one-lane
-//    BatchedEvolver) are bitwise tier-invariant too;
+//  * the single-vector SpMV consumer (WalkOperator) and the one-source
+//    tvd_trajectory are bitwise tier-invariant too;
 //  * the kernel contract itself, on every tier: the SpMM writes the next
 //    prescaled state (and, lazy, updates the unscaled one in place)
 //    exactly as a naive row loop does, a range split that carries the
@@ -209,7 +209,6 @@ void spmm(const SweepInput& in, std::size_t lanes, graph::NodeId begin, graph::N
   args.offsets = in.g.offsets().data();
   args.neighbors = in.g.raw_neighbors().data();
   args.inv_deg = in.inv_deg.data();
-  args.stride = simd::kMaxLanes;
   args.lanes = lanes;
   args.laziness = cur != nullptr ? 0.3 : 0.0;
   args.walk_weight = 1.0 - args.laziness;
@@ -222,8 +221,8 @@ std::string contract_label(simd::Tier tier, std::size_t lanes) {
   return std::string{"tier="} + simd::tier_name(tier) + " lanes=" + std::to_string(lanes);
 }
 
-// The wide widths, and 7: the scalar fallback of every vector tier.
-constexpr std::size_t kContractLanes[] = {4, 8, 16, 32, 7};
+// Every lane count the SpMM takes.
+constexpr std::size_t kContractLanes[] = {8, 16, 32};
 
 TEST(SimdKernelContract, RangeSplitCarriesTheRunningTvdSum) {
   const SweepInput in = make_sweep_input();
@@ -302,29 +301,28 @@ struct SpmmResult {
   std::vector<double> tvd;
 };
 
-/// The SpMM of simd::SpmmArgs written as a naive row loop over lanes
-/// [0, lanes) of a stride-kMaxLanes block. Every product is rounded on its
-/// own (the volatile stores keep a compiler from contracting it into an
-/// FMA, which no kernel tier uses).
+/// The SpMM of simd::SpmmArgs written as a naive row loop over a block of
+/// `lanes` lanes per row. Every product is rounded on its own (the
+/// volatile stores keep a compiler from contracting it into an FMA, which
+/// no kernel tier uses).
 SpmmResult naive_spmm(const CsrInput& csr, const std::vector<double>& scaled,
                       std::vector<double> cur, std::vector<double> next,
                       const std::vector<double>& inv_deg, const std::vector<double>& pi,
                       std::size_t lanes, double laziness, bool with_pi) {
-  constexpr std::size_t kStride = simd::kMaxLanes;
   std::vector<double> tvd(lanes, 0.0);
   for (graph::NodeId j = 0; j < csr.rows(); ++j) {
     for (std::size_t b = 0; b < lanes; ++b) {
       double acc = 0.0;
       for (graph::EdgeIndex e = csr.offsets[j]; e < csr.offsets[j + 1]; ++e) {
-        acc += scaled[csr.neighbors[e] * kStride + b];
+        acc += scaled[csr.neighbors[e] * lanes + b];
       }
       volatile double nx = (1.0 - laziness) * acc;
       if (laziness > 0.0) {
-        volatile const double lazy = laziness * cur[j * kStride + b];
+        volatile const double lazy = laziness * cur[j * lanes + b];
         nx = nx + lazy;
-        cur[j * kStride + b] = nx;
+        cur[j * lanes + b] = nx;
       }
-      next[j * kStride + b] = nx * inv_deg[j];
+      next[j * lanes + b] = nx * inv_deg[j];
       if (with_pi) tvd[b] += std::fabs(nx - pi[j]);
     }
   }
@@ -341,7 +339,7 @@ TEST(SimdKernelContract, SpmmWritesTheNextPrescaledStateOnEveryTier) {
   const std::vector<double> cur = uniform_values(rng, cells);
   const std::vector<double> pi = uniform_values(rng, n);
   const std::vector<double> inv_deg = uniform_values(rng, n);
-  // Sentinels mark the cells a call must leave alone (lanes >= `lanes`).
+  // Sentinels mark the cells a call must leave alone (past n * lanes).
   const std::vector<double> untouched(cells, -7.0);
   // Ascending row splits: every row at once, the hub row alone, and the
   // pieces of a three-way parallel_for cut.
@@ -350,7 +348,7 @@ TEST(SimdKernelContract, SpmmWritesTheNextPrescaledStateOnEveryTier) {
   for (const simd::Tier tier : available_tiers()) {
     const TierGuard guard{tier};
     ASSERT_TRUE(guard.ok());
-    for (const std::size_t lanes : {1, 3, 4, 5, 8, 16, 17, 31, 32}) {
+    for (const std::size_t lanes : kContractLanes) {
       for (const double laziness : {0.0, 0.3}) {
         for (const bool with_pi : {false, true}) {
           const SpmmResult want = naive_spmm(csr, scaled, cur, untouched, inv_deg, pi,
@@ -361,7 +359,6 @@ TEST(SimdKernelContract, SpmmWritesTheNextPrescaledStateOnEveryTier) {
             args.offsets = csr.offsets.data();
             args.neighbors = csr.neighbors.data();
             args.inv_deg = inv_deg.data();
-            args.stride = simd::kMaxLanes;
             args.lanes = lanes;
             args.walk_weight = 1.0 - laziness;
             args.laziness = laziness;
@@ -405,6 +402,7 @@ TEST(SimdKernelContract, InPlaceSpmvMatchesSeparateBuffersOnEveryTier) {
     args.gather = gather.data();
     args.walk_weight = 0.7;
     args.laziness = 0.3;
+    args.row_scale = in.inv_deg.data();
 
     std::vector<double> y(n, -1.0);
     args.x = x.data();
@@ -449,17 +447,17 @@ constexpr double kSpmvLaziness = 0.3;
 /// simd::SpmvArgs. Every product is rounded on its own (the volatile
 /// stores keep a compiler from contracting it into an FMA, which no
 /// kernel tier uses).
-std::vector<double> naive_spmv(const SpmvInput& in, bool scaled) {
+std::vector<double> naive_spmv(const SpmvInput& in) {
   std::vector<double> y(in.rows());
   for (graph::NodeId i = 0; i < in.rows(); ++i) {
     double acc = 0.0;
     for (graph::EdgeIndex e = in.offsets[i]; e < in.offsets[i + 1]; ++e) {
       acc += in.gather[in.neighbors[e]];
     }
-    volatile double base = kSpmvWalkWeight * acc;
-    if (scaled) base = base * in.row_scale[i];
+    volatile const double base = kSpmvWalkWeight * acc;
+    volatile const double scaled = base * in.row_scale[i];
     volatile const double lazy = kSpmvLaziness * in.x[i];
-    y[i] = base + lazy;
+    y[i] = scaled + lazy;
   }
   return y;
 }
@@ -473,32 +471,30 @@ TEST(SimdKernelContract, SpmvMatchesTheRowByRowReferenceOnEveryTier) {
   for (const graph::NodeId start : {1u, 3u, 7u, 13u, 61u}) {
     for (graph::NodeId len = 1; len <= 9; ++len) ranges.emplace_back(start, start + len);
   }
+  const std::vector<double> want = naive_spmv(in);
   for (const simd::Tier tier : available_tiers()) {
     const TierGuard guard{tier};
     ASSERT_TRUE(guard.ok());
-    for (const bool scaled : {false, true}) {
-      const std::vector<double> want = naive_spmv(in, scaled);
-      simd::SpmvArgs args;
-      args.offsets = in.offsets.data();
-      args.neighbors = in.neighbors.data();
-      args.gather = in.gather.data();
-      args.walk_weight = kSpmvWalkWeight;
-      args.laziness = kSpmvLaziness;
-      args.row_scale = scaled ? in.row_scale.data() : nullptr;
-      for (const auto& [lo, hi] : ranges) {
-        for (const bool in_place : {false, true}) {
-          // Rows outside the range keep their old value: the sentinel, or
-          // x itself when y is x.
-          std::vector<double> state = in_place ? in.x : std::vector<double>(n, -7.0);
-          const std::vector<double> before = state;
-          args.x = in_place ? state.data() : in.x.data();
-          args.y = state.data();
-          simd::dispatch().spmv(args, lo, hi);
-          for (graph::NodeId i = 0; i < n; ++i) {
-            ASSERT_EQ(state[i], lo <= i && i < hi ? want[i] : before[i])
-                << "tier=" << simd::tier_name(tier) << " row_scale=" << scaled
-                << " rows=[" << lo << "," << hi << ") in_place=" << in_place << " row=" << i;
-          }
+    simd::SpmvArgs args;
+    args.offsets = in.offsets.data();
+    args.neighbors = in.neighbors.data();
+    args.gather = in.gather.data();
+    args.walk_weight = kSpmvWalkWeight;
+    args.laziness = kSpmvLaziness;
+    args.row_scale = in.row_scale.data();
+    for (const auto& [lo, hi] : ranges) {
+      for (const bool in_place : {false, true}) {
+        // Rows outside the range keep their old value: the sentinel, or
+        // x itself when y is x.
+        std::vector<double> state = in_place ? in.x : std::vector<double>(n, -7.0);
+        const std::vector<double> before = state;
+        args.x = in_place ? state.data() : in.x.data();
+        args.y = state.data();
+        simd::dispatch().spmv(args, lo, hi);
+        for (graph::NodeId i = 0; i < n; ++i) {
+          ASSERT_EQ(state[i], lo <= i && i < hi ? want[i] : before[i])
+              << "tier=" << simd::tier_name(tier) << " rows=[" << lo << "," << hi
+              << ") in_place=" << in_place << " row=" << i;
         }
       }
     }

@@ -1,7 +1,7 @@
 // Parity contract of the batched/parallel evolution engine: every result
 // must be bit-identical to the plain scalar walk step written out below,
-// for any block width (including the one-lane single-vector path), block
-// composition and thread count.
+// for any block width (8, 16 or 32 lanes, dead lanes included), block
+// composition, thread count and kernel tier.
 #include "markov/batched_evolver.hpp"
 
 #include <gtest/gtest.h>
@@ -17,8 +17,10 @@
 #include "linalg/vector_ops.hpp"
 #include "markov/mixing_time.hpp"
 #include "markov/stationary.hpp"
+#include "obs/obs.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "../linalg/simd_tiers.hpp"
 
 namespace socmix::markov {
 namespace {
@@ -31,7 +33,9 @@ graph::Graph test_graph(graph::NodeId n = 300) {
 /// The reference walk step, independent of the engine and its kernels:
 /// next_j = (1-alpha) * sum_{i ~ j} x_i * (1/deg i) + alpha * x_j, the
 /// neighbor sum taken in CSR order. This is the rounding sequence every
-/// engine path promises to reproduce exactly.
+/// engine path promises to reproduce exactly: each product rounded on its
+/// own (the volatile stores keep a -march=native build from contracting
+/// the affine step into an FMA, which no kernel tier uses).
 std::vector<double> reference_step(const graph::Graph& g, const std::vector<double>& x,
                                    double laziness) {
   const graph::NodeId n = g.num_nodes();
@@ -43,7 +47,9 @@ std::vector<double> reference_step(const graph::Graph& g, const std::vector<doub
   for (graph::NodeId j = 0; j < n; ++j) {
     double acc = 0.0;
     for (const graph::NodeId i : g.neighbors(j)) acc += scaled[i];
-    next[j] = (1.0 - laziness) * acc + laziness * x[j];
+    volatile const double walk = (1.0 - laziness) * acc;
+    volatile const double lazy = laziness * x[j];
+    next[j] = walk + lazy;
   }
   return next;
 }
@@ -81,8 +87,10 @@ TEST(BatchedEvolver, RejectsBadArguments) {
   const auto g = test_graph(60);
   EXPECT_THROW(BatchedEvolver(g, -0.1), std::invalid_argument);
   EXPECT_THROW(BatchedEvolver(g, 1.0), std::invalid_argument);
-  EXPECT_THROW(BatchedEvolver(g, 0.0, 0), std::invalid_argument);
-  EXPECT_THROW(BatchedEvolver(g, 0.0, BatchedEvolver::kMaxBlock + 1), std::invalid_argument);
+  // The block is one of the swept widths: 8, 16 or 32.
+  for (const std::size_t block : {0, 1, 4, 7, 9, 31, 33, 64}) {
+    EXPECT_THROW(BatchedEvolver(g, 0.0, block), std::invalid_argument) << block;
+  }
   BatchedEvolver ok{g, 0.0, 8};
   const std::vector<graph::NodeId> too_many(9, 0);
   EXPECT_THROW(ok.seed_point_masses(too_many), std::invalid_argument);
@@ -105,10 +113,10 @@ TEST(BatchedEvolver, LanesMatchScalarEvolutionBitForBit) {
       for (std::size_t v = 0; v < lane.size(); ++v) {
         ASSERT_EQ(lane[v], expected[b][v]) << "laziness=" << laziness << " lane=" << b;
       }
-      // The one-lane engine (single-vector SpMV kernel, row-parallel)
-      // lands on the same bits as a lane of the wide block.
+      // The one-source helper (one live lane of an 8-lane block) lands on
+      // the same bits as a lane of the full block.
       ASSERT_EQ(walk_distribution(g, sources[b], 1, laziness), expected[b])
-          << "laziness=" << laziness << " single-vector source=" << sources[b];
+          << "laziness=" << laziness << " walk_distribution source=" << sources[b];
     }
   }
 }
@@ -148,8 +156,8 @@ TEST(BatchedEvolver, FusedTvdMatchesTotalVariationBitForBit) {
             << "laziness=" << laziness << " t=" << t << " lane=" << b;
       }
     }
-    // The one-lane path defers its TVD to the standalone reduction: the
-    // same bits as the reference trajectory.
+    // One live lane among dead ones: the same bits as the reference
+    // trajectory.
     const std::vector<graph::NodeId> first{sources[0]};
     ASSERT_EQ(tvd_trajectory(g, sources[0], 10, pi, laziness),
               scalar_reference(g, first, 10, laziness)[0])
@@ -172,8 +180,10 @@ TEST(BatchedEvolver, CopyDistributionMatchesScalarBitForBit) {
     std::size_t lanes;
     double laziness;
   };
-  // Full block, remainder block, lazy block.
-  for (const Case c : {Case{32, 0.0}, Case{21, 0.0}, Case{32, 0.3}}) {
+  // Full block, remainder blocks (swept at 32 and at 8 lanes), lazy
+  // blocks.
+  for (const Case c :
+       {Case{32, 0.0}, Case{21, 0.0}, Case{3, 0.0}, Case{32, 0.3}, Case{3, 0.3}}) {
     const std::span<const graph::NodeId> lanes{sources.data(), c.lanes};
     for (const bool with_tvd : {false, true}) {
       BatchedEvolver batched{g, c.laziness, BatchedEvolver::kDefaultBlock};
@@ -219,28 +229,71 @@ TEST(BatchedEvolver, LanesConserveProbabilityMass) {
 
 // ----------------------------------------------- measure_sampled_mixing --
 
+// Every block schedule: source counts around the 8/16/32 widths (tails
+// of 1, 7 and 8 lanes among them), at thread counts that pick each width,
+// on every kernel tier. Each trajectory is the independent reference and
+// the one-source tvd_trajectory, bit for bit.
 TEST(MeasureSampledMixingParallel, BitIdenticalToScalarAcrossThreadCounts) {
   const auto g = test_graph();
   util::Rng rng{5};
-  const auto sources = pick_sources(g, 21, rng);  // odd count: remainder block
+  const auto all = pick_sources(g, 64, rng);
+  const std::vector<double> pi = stationary_distribution(g);
   constexpr std::size_t kSteps = 30;
 
   for (const double laziness : {0.0, 0.5}) {
-    const auto expected = scalar_reference(g, sources, kSteps, laziness);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      util::set_thread_count(threads);
-      const auto sampled = measure_sampled_mixing(g, sources, kSteps, laziness);
-      ASSERT_EQ(sampled.num_sources(), sources.size());
-      ASSERT_EQ(sampled.max_steps(), kSteps);
-      for (std::size_t s = 0; s < sources.size(); ++s) {
-        for (std::size_t t = 1; t <= kSteps; ++t) {
-          ASSERT_EQ(sampled.tvd(s, t), expected[s][t - 1])
-              << "threads=" << threads << " laziness=" << laziness << " s=" << s
-              << " t=" << t;
+    const auto expected = scalar_reference(g, all, kSteps, laziness);
+    for (const linalg::simd::Tier tier : test::available_tiers()) {
+      const test::TierGuard guard{tier};
+      ASSERT_TRUE(guard.ok());
+      for (std::size_t s = 0; s < all.size(); ++s) {
+        ASSERT_EQ(tvd_trajectory(g, all[s], kSteps, pi, laziness), expected[s])
+            << "tier=" << linalg::simd::tier_name(tier) << " laziness=" << laziness
+            << " s=" << s;
+      }
+      for (const std::size_t count : {1, 3, 8, 31, 32, 33, 40, 64}) {
+        const std::span<const graph::NodeId> sources{all.data(), count};
+        for (const std::size_t threads : {1, 2, 4}) {
+          util::set_thread_count(threads);
+          const auto sampled = measure_sampled_mixing(g, sources, kSteps, laziness);
+          util::set_thread_count(0);
+          ASSERT_EQ(sampled.num_sources(), count);
+          ASSERT_EQ(sampled.max_steps(), kSteps);
+          for (std::size_t s = 0; s < count; ++s) {
+            for (std::size_t t = 1; t <= kSteps; ++t) {
+              ASSERT_EQ(sampled.tvd(s, t), expected[s][t - 1])
+                  << "tier=" << linalg::simd::tier_name(tier) << " sources=" << count
+                  << " threads=" << threads << " laziness=" << laziness << " s=" << s
+                  << " t=" << t;
+            }
+          }
         }
       }
     }
+  }
+}
+
+// The block width is the widest of 32, 16 and 8 that gives every worker a
+// block, so markov.sampled.source_blocks follows the thread count.
+TEST(MeasureSampledMixingParallel, SourceBlocksFollowTheThreadCount) {
+  const auto g = test_graph();
+  util::Rng rng{7};
+  const auto all = pick_sources(g, 64, rng);
+  struct Case {
+    std::size_t sources;
+    std::size_t threads;
+    std::uint64_t blocks;
+  };
+  const obs::Counter blocks =
+      obs::Registry::instance().counter("markov.sampled.source_blocks");
+  for (const Case c : {Case{32, 4, 4}, Case{32, 2, 2}, Case{32, 1, 1}, Case{31, 4, 4},
+                       Case{33, 1, 2}, Case{33, 4, 5}, Case{40, 4, 5}, Case{64, 2, 2},
+                       Case{64, 4, 4}, Case{8, 4, 1}, Case{1, 4, 1}}) {
+    const std::uint64_t before = blocks.value();
+    util::set_thread_count(c.threads);
+    (void)measure_sampled_mixing(g, std::span{all}.first(c.sources), 3);
     util::set_thread_count(0);
+    EXPECT_EQ(blocks.value() - before, c.blocks)
+        << "sources=" << c.sources << " threads=" << c.threads;
   }
 }
 

@@ -1,5 +1,5 @@
-// Single-source exact evolution through the walk engine: a one-lane
-// BatchedEvolver, walk_distribution and tvd_trajectory.
+// Single-source exact evolution through the walk engine: one live lane of
+// an 8-lane BatchedEvolver, walk_distribution and tvd_trajectory.
 #include "markov/batched_evolver.hpp"
 
 #include <gtest/gtest.h>
@@ -22,7 +22,7 @@ namespace {
 TEST(Evolution, StepPreservesDistribution) {
   util::Rng rng{1};
   const auto g = graph::largest_component(gen::erdos_renyi_gnm(60, 150, rng)).graph;
-  BatchedEvolver evolver{g, 0.0, 1};
+  BatchedEvolver evolver{g, 0.0, 8};
   const graph::NodeId seed[] = {0};
   evolver.seed_point_masses(seed);
   std::vector<double> dist(evolver.dim());
